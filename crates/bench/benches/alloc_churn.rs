@@ -1,21 +1,19 @@
-//! Allocator microbenchmarks: the sharded size-class heap against the
-//! retained first-fit/global-mutex baseline.
+//! Allocator microbenchmarks for the sharded size-class heap.
 //!
-//! Four shapes, each run against both allocators where it applies:
+//! Four shapes:
 //!
 //! * single-threaded alloc/free churn — front-end magazine hit path
 //! * multi-threaded (8 workers) alloc/free churn — the contended case the
-//!   sharding exists for; the issue's bar is >= 2x over first-fit here
+//!   sharding exists for
 //! * interior-pointer lookup storm — `containing` against the sharded
-//!   registry vs the baseline's single map
+//!   registry
 //! * memcpy sweep — `SharedMem::copy` across sizes and misalignments
-//!   (same code path for both heaps; reported once)
 //!
-//! Deterministic size sequences come from the workspace PRNG so both
-//! allocators see identical request streams.
+//! Size sequences come from the workspace PRNG, so every run sees the
+//! same request stream.
 
 use dse_bench::harness;
-use dse_runtime::{FirstFitHeap, Heap, SharedMem};
+use dse_runtime::{Heap, SharedMem};
 use dse_workloads::rng::Rng;
 
 const ARENA: u64 = 256 << 20;
@@ -25,9 +23,7 @@ const NTHREADS: usize = 8;
 /// One churn worker: allocate up to ~1k live blocks of mixed sizes, free
 /// in *random* order (the realistic fragmenting pattern — freed holes
 /// scatter through the address space instead of peeling off the tail).
-/// `alloc`/`free` are passed as closures so the same body drives both
-/// heap implementations.
-fn churn(seed: u64, ops: usize, alloc: &(dyn Fn(u64) -> u64 + Sync), free: &(dyn Fn(u64) + Sync)) {
+fn churn(h: &Heap, seed: u64, ops: usize) {
     let mut rng = Rng::seed_from_u64(seed);
     let mut live: Vec<u64> = Vec::with_capacity(1024);
     for _ in 0..ops {
@@ -39,14 +35,14 @@ fn churn(seed: u64, ops: usize, alloc: &(dyn Fn(u64) -> u64 + Sync), free: &(dyn
             } else {
                 rng.gen_range(1, 2048) as u64
             };
-            live.push(alloc(size));
+            live.push(h.alloc(size).unwrap().base);
         } else if !live.is_empty() {
             let i = rng.gen_index(live.len());
-            free(live.swap_remove(i));
+            h.free(live.swap_remove(i)).unwrap();
         }
     }
     for base in live {
-        free(base);
+        h.free(base).unwrap();
     }
 }
 
@@ -54,98 +50,48 @@ fn main() {
     let group = harness::group("alloc_churn");
 
     // -- single-threaded churn ---------------------------------------------
-    group.bench("churn_1thread/sharded", || {
-        let h = Heap::new(0, ARENA);
-        churn(1, CHURN_OPS, &|s| h.alloc(s).unwrap().base, &|b| {
-            h.free(b).unwrap();
-        });
-    });
-    group.bench("churn_1thread/first_fit", || {
-        let h = FirstFitHeap::new(0, ARENA);
-        churn(1, CHURN_OPS, &|s| h.alloc(s).unwrap().base, &|b| {
-            h.free(b).unwrap();
-        });
+    group.bench("churn_1thread", || {
+        churn(&Heap::new(0, ARENA), 1, CHURN_OPS);
     });
 
     // -- multi-threaded churn (the contended case) -------------------------
-    let mt = |run: &(dyn Fn(u64, usize) + Sync)| {
+    group.bench(&format!("churn_{NTHREADS}threads"), || {
+        let h = &Heap::new(0, ARENA);
         std::thread::scope(|scope| {
             for t in 0..NTHREADS {
-                scope.spawn(move || run(0x100 + t as u64, CHURN_OPS / NTHREADS));
+                scope.spawn(move || churn(h, 0x100 + t as u64, CHURN_OPS / NTHREADS));
             }
         });
-    };
-    let sharded_mt = group.bench(&format!("churn_{NTHREADS}threads/sharded"), || {
-        let h = Heap::new(0, ARENA);
-        mt(&|seed, ops| {
-            churn(seed, ops, &|s| h.alloc(s).unwrap().base, &|b| {
-                h.free(b).unwrap();
-            })
-        });
     });
-    let first_fit_mt = group.bench(&format!("churn_{NTHREADS}threads/first_fit"), || {
-        let h = FirstFitHeap::new(0, ARENA);
-        mt(&|seed, ops| {
-            churn(seed, ops, &|s| h.alloc(s).unwrap().base, &|b| {
-                h.free(b).unwrap();
-            })
-        });
-    });
-    let speedup = first_fit_mt.as_secs_f64() / sharded_mt.as_secs_f64();
-    println!("alloc_churn/churn_{NTHREADS}threads speedup (first_fit / sharded): {speedup:.2}x");
 
     // -- interior-pointer lookup storm --------------------------------------
-    // Build identical layouts, then probe interior addresses from 8 threads.
+    // Probe interior addresses of a fixed layout from 8 threads.
     let probes: Vec<u64> = {
         let mut rng = Rng::seed_from_u64(7);
         (0..CHURN_OPS)
             .map(|_| rng.gen_range(0, 1 << 20) as u64)
             .collect()
     };
-    {
-        let h = Heap::new(0, ARENA);
-        let blocks: Vec<_> = (0..256).map(|_| h.alloc(4096).unwrap()).collect();
-        let span = blocks.last().unwrap().end();
-        group.bench("containing_storm/sharded", || {
-            std::thread::scope(|scope| {
-                for t in 0..NTHREADS {
-                    let h = &h;
-                    let probes = &probes;
-                    scope.spawn(move || {
-                        let mut found = 0u64;
-                        for (i, p) in probes.iter().enumerate() {
-                            if i % NTHREADS == t && h.containing(p % span).is_some() {
-                                found += 1;
-                            }
+    let h = Heap::new(0, ARENA);
+    let blocks: Vec<_> = (0..256).map(|_| h.alloc(4096).unwrap()).collect();
+    let span = blocks.last().unwrap().end();
+    group.bench("containing_storm", || {
+        std::thread::scope(|scope| {
+            for t in 0..NTHREADS {
+                let h = &h;
+                let probes = &probes;
+                scope.spawn(move || {
+                    let mut found = 0u64;
+                    for (i, p) in probes.iter().enumerate() {
+                        if i % NTHREADS == t && h.containing(p % span).is_some() {
+                            found += 1;
                         }
-                        std::hint::black_box(found)
-                    });
-                }
-            });
+                    }
+                    std::hint::black_box(found)
+                });
+            }
         });
-    }
-    {
-        let h = FirstFitHeap::new(0, ARENA);
-        let blocks: Vec<_> = (0..256).map(|_| h.alloc(4096).unwrap()).collect();
-        let span = blocks.last().unwrap().end();
-        group.bench("containing_storm/first_fit", || {
-            std::thread::scope(|scope| {
-                for t in 0..NTHREADS {
-                    let h = &h;
-                    let probes = &probes;
-                    scope.spawn(move || {
-                        let mut found = 0u64;
-                        for (i, p) in probes.iter().enumerate() {
-                            if i % NTHREADS == t && h.containing(p % span).is_some() {
-                                found += 1;
-                            }
-                        }
-                        std::hint::black_box(found)
-                    });
-                }
-            });
-        });
-    }
+    });
 
     // -- memcpy sweep --------------------------------------------------------
     let mem = SharedMem::new(8 << 20);

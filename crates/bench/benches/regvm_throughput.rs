@@ -1,8 +1,7 @@
 //! Raw loop throughput of the register backend vs the stack reference.
 //!
-//! Serial hot kernels (the same three `perf_trajectory` records in
-//! `BENCH_00N.json`) run to completion under each backend; the printed
-//! speedup is what the trajectory gate checks against its floor. Run with
+//! Three serial hot kernels run to completion under each backend and the
+//! speedup is printed (3.3–3.8x when last recorded, EXPERIMENTS.md). Run with
 //! `DSE_BENCH_DUMP=1` to also print the register translation of each
 //! kernel — the fastest way to see whether the translator fused the loop
 //! body or left stack-shuffle traffic behind.

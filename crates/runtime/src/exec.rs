@@ -2,20 +2,16 @@
 //!
 //! `ParLoop` hands an iteration range to the loop runner:
 //!
-//! * **DOALL** uses chunked dynamic scheduling with work stealing by
-//!   default: the range is split into one contiguous share per worker,
-//!   owners claim chunks from the front, and idle workers steal the back
-//!   half of a victim's remaining share (see [`crate::pool`]). The seed's
-//!   one-static-chunk-per-worker split is kept as
-//!   [`crate::pool::DoallSchedule::Static`] for the imbalance baseline.
+//! * **DOALL** uses chunked dynamic scheduling with work stealing: the
+//!   range is split into one contiguous share per worker, owners claim
+//!   chunks from the front, and idle workers steal the back half of a
+//!   victim's remaining share (see [`crate::pool`]).
 //! * **DOACROSS** uses dynamic scheduling with chunk size 1: workers claim
 //!   iterations in order from a shared counter; `Wait`/`Post` (or the
 //!   automatic end-of-iteration post) enforce cross-iteration ordering.
 //!
 //! Worker threads come from the persistent pool `Vm::run` keeps parked
-//! between loops ([`crate::pool::ThreadMode::Pool`], the default) or are
-//! spawned fresh per loop (`SpawnPerLoop`, the seed behavior retained as
-//! the dispatch-latency baseline).
+//! between loops.
 //!
 //! Thread 0 is the master: it participates as a worker with its own
 //! existing context (so its frame pointer still addresses the enclosing
@@ -28,7 +24,7 @@
 //! experiments of Figure 9 run transformed code serially.
 
 use crate::observer::{NullObserver, Observer};
-use crate::pool::{DoallSchedule, LoopDispatch, StealQueue, ThreadMode};
+use crate::pool::{LoopDispatch, StealQueue};
 use crate::tracebuf::{EventKind, TraceEvent};
 use crate::vm::{lock_clean, Frame, LoopSync, ThreadCtx, Vm, VmError};
 use dse_ir::loops::ParMode;
@@ -78,9 +74,12 @@ impl Vm {
         let body = lc.body_entry;
         let sync = Arc::new(LoopSync::new(lo));
 
-        if ctx.in_parallel || self.config.nthreads == 1 {
-            return self.run_inline(ctx, id, body, lo, hi, &sync);
-        }
+        // The pool exists iff `nthreads > 1`, and is open for the whole of
+        // `Vm::run` — the only way execution gets here.
+        let pool = match self.pool() {
+            Some(pool) if !ctx.in_parallel => pool,
+            _ => return self.run_inline(ctx, id, body, lo, hi, &sync),
+        };
 
         let n = self.config.nthreads;
         // Wall time per dynamic loop entry, attributed by the master
@@ -97,53 +96,25 @@ impl Vm {
             };
             ctx.emit(ev);
         }
-        let queues =
-            if mode == ParMode::DoAll && self.config.doall_schedule == DoallSchedule::Stealing {
-                StealQueue::split(lo, hi, n)
-            } else {
-                Vec::new()
-            };
+        let queues = match mode {
+            ParMode::DoAll => StealQueue::split(lo, hi, n),
+            ParMode::DoAcross => Vec::new(),
+        };
         let d = Arc::new(LoopDispatch {
             id,
             mode,
             body,
-            lo,
             hi,
             frame_base: ctx.frame_base,
             chunk: chunk_size(hi - lo, n),
-            schedule: self.config.doall_schedule,
             sync: Arc::clone(&sync),
             queues,
             err: Mutex::new(None),
         });
 
-        let pool = match self.config.thread_mode {
-            // The pool is open for the duration of `Vm::run`; a `ParLoop`
-            // reaching here outside a run (or under the baseline backend)
-            // falls back to per-loop spawning.
-            ThreadMode::Pool => self.pool().filter(|p| p.is_open()),
-            ThreadMode::SpawnPerLoop => None,
-        };
-        match pool {
-            Some(pool) => {
-                pool.begin(Arc::clone(&d));
-                self.master_share(ctx, &d);
-                pool.wait_done();
-            }
-            None => {
-                std::thread::scope(|scope| {
-                    for t in 1..n {
-                        let d = &d;
-                        scope.spawn(move || {
-                            let mut wctx =
-                                ThreadCtx::new(t, self.stack_base_of(t), self.config.stack_bytes);
-                            self.worker_share(&mut wctx, d, t);
-                        });
-                    }
-                    self.master_share(ctx, &d);
-                });
-            }
-        }
+        pool.begin(Arc::clone(&d));
+        self.master_share(ctx, &d);
+        pool.wait_done();
         if let (Some(t0), Some(p)) = (wall_t0, ctx.prof.as_deref_mut()) {
             let prev = p.enter_loop(id);
             p.add_wall(t0.elapsed().as_nanos() as u64);
@@ -304,8 +275,8 @@ impl Vm {
         }
     }
 
-    /// One non-master worker's participation: reset the (fresh or pooled)
-    /// context for this dispatch, run, commit privatized copies, flush
+    /// One non-master worker's participation: reset the pooled context
+    /// for this dispatch, run, commit privatized copies, flush
     /// counters to the lock-free per-worker slot.
     fn worker_share(&self, wctx: &mut ThreadCtx, d: &LoopDispatch, wid: u32) {
         wctx.reset_for_dispatch(d.frame_base);
@@ -347,10 +318,7 @@ impl Vm {
     /// an error so peers spinning in `Wait` escape.
     fn worker_loop(&self, ctx: &mut ThreadCtx, d: &LoopDispatch, wid: u32) -> Result<(), VmError> {
         let res = match d.mode {
-            ParMode::DoAll => match d.schedule {
-                DoallSchedule::Stealing => self.doall_stealing(ctx, d, wid),
-                DoallSchedule::Static => self.doall_static(ctx, d),
-            },
+            ParMode::DoAll => self.doall_stealing(ctx, d, wid),
             ParMode::DoAcross => self.doacross(ctx, d),
         };
         if res.is_err() {
@@ -430,17 +398,6 @@ impl Vm {
                 return Ok(());
             }
         }
-    }
-
-    /// DOALL with the seed's static split: one fixed contiguous chunk per
-    /// worker (kept as the load-imbalance baseline).
-    fn doall_static(&self, ctx: &mut ThreadCtx, d: &LoopDispatch) -> Result<(), VmError> {
-        let n = self.config.nthreads as i64;
-        let total = d.hi - d.lo;
-        let chunk = (total + n - 1) / n;
-        let start = d.lo + ctx.tid as i64 * chunk;
-        let end = (start + chunk).min(d.hi);
-        self.run_chunk(ctx, d, start, end.max(start))
     }
 
     /// DOACROSS: ordered chunk-1 claiming through the shared counter, with

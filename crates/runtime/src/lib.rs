@@ -4,9 +4,8 @@
 //! for the paper's native x86 execution environment:
 //!
 //! * [`mem`] — byte-addressable shared memory over atomic words (word-level
-//!   bulk copy/zero at any alignment), plus the retained first-fit baseline
-//!   allocator used by the microbenchmarks.
-//! * [`alloc`] — the production heap: size-class segregated free lists with
+//!   bulk copy/zero at any alignment).
+//! * [`alloc`] — the heap: size-class segregated free lists with
 //!   sharded front-end caches (O(1), mostly uncontended alloc/free) and a
 //!   sharded allocation registry (parallel interior-pointer lookup,
 //!   live/peak accounting for the Figure 14 memory experiments).
@@ -60,9 +59,9 @@ pub mod vm;
 
 pub use alloc::{Allocation, Heap, HeapContention};
 pub use backend::BackendKind;
-pub use mem::{FirstFitHeap, SharedMem};
+pub use mem::SharedMem;
 pub use observer::{NullObserver, Observer};
-pub use pool::{DoallSchedule, PoolStats, ThreadMode};
+pub use pool::PoolStats;
 pub use prof::{class_of, LoopProfile, OpClass, Pow2Hist, CLASS_NAMES, NCLASS, SERIAL_LOOP};
 pub use taskpool::{TaskPool, TaskPoolStats};
 pub use tracebuf::{EventBuf, EventKind, TraceEvent, TraceSink, HEAP_TID};

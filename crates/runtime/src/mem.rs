@@ -1,5 +1,4 @@
-//! Byte-addressable shared virtual memory, plus the retained first-fit
-//! heap baseline.
+//! Byte-addressable shared virtual memory.
 //!
 //! The memory is a flat array of `AtomicU64` words. All accesses use
 //! `Relaxed` atomics — the expansion transformation (like the paper's) is
@@ -15,15 +14,11 @@
 //! an unaligned 1 KiB copy costs ~128 word operations instead of 1024
 //! CAS-spliced byte writes.
 //!
-//! The production allocator lives in [`crate::alloc`] (size-class
-//! segregated free lists, sharded front-end caches, sharded registry);
-//! [`FirstFitHeap`] here is the original global-mutex first-fit allocator,
-//! kept as the microbenchmark baseline and as a differential-testing
-//! oracle for the allocator property tests.
+//! The allocator lives in [`crate::alloc`] (size-class segregated free
+//! lists, sharded front-end caches, sharded registry) and is re-exported
+//! here.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 pub use crate::alloc::{Allocation, Heap, HEAP_ALIGN};
 
@@ -219,146 +214,6 @@ pub fn sign_extend(raw: u64, width: u32) -> i64 {
     ((raw << shift) as i64) >> shift
 }
 
-// ---------------------------------------------------------------------------
-// first-fit baseline allocator
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct FirstFitState {
-    /// Free blocks by base address -> size (coalesced).
-    free: BTreeMap<u64, u64>,
-    /// Live allocations by base address.
-    live: BTreeMap<u64, Allocation>,
-    next_id: u64,
-    live_bytes: u64,
-    peak_live_bytes: u64,
-    total_allocs: u64,
-}
-
-/// The original global-mutex first-fit allocator: every operation takes one
-/// big lock and allocation is a linear scan of the free list.
-///
-/// Retained as the baseline for the `alloc_churn` microbenchmarks (the
-/// centralized design whose serialization the sharded [`Heap`] removes)
-/// and as a differential-testing oracle in the allocator property tests.
-/// The production VM uses [`Heap`].
-#[derive(Debug)]
-pub struct FirstFitHeap {
-    state: Mutex<FirstFitState>,
-    base: u64,
-    limit: u64,
-}
-
-impl FirstFitHeap {
-    /// Creates a heap managing `[base, limit)`.
-    pub fn new(base: u64, limit: u64) -> Self {
-        let base = dse_lang::types::round_up(base, HEAP_ALIGN);
-        let mut free = BTreeMap::new();
-        if limit > base {
-            free.insert(base, limit - base);
-        }
-        FirstFitHeap {
-            state: Mutex::new(FirstFitState {
-                free,
-                live: BTreeMap::new(),
-                next_id: 1,
-                live_bytes: 0,
-                peak_live_bytes: 0,
-                total_allocs: 0,
-            }),
-            base,
-            limit,
-        }
-    }
-
-    /// Start of the heap region.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// End of the heap region.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
-    /// Allocates `size` bytes (`size == 0` behaves like `size == 1`).
-    pub fn alloc(&self, size: u64) -> Option<Allocation> {
-        let want = dse_lang::types::round_up(size.max(1), HEAP_ALIGN);
-        let mut st = self.state.lock().unwrap();
-        let (&fbase, &fsize) = st.free.iter().find(|(_, &s)| s >= want)?;
-        st.free.remove(&fbase);
-        if fsize > want {
-            st.free.insert(fbase + want, fsize - want);
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        let a = Allocation {
-            base: fbase,
-            size,
-            block: want,
-            id,
-        };
-        st.live.insert(fbase, a);
-        st.live_bytes += want;
-        st.peak_live_bytes = st.peak_live_bytes.max(st.live_bytes);
-        st.total_allocs += 1;
-        Some(a)
-    }
-
-    /// Frees the allocation starting exactly at `base`.
-    pub fn free(&self, base: u64) -> Option<Allocation> {
-        let mut st = self.state.lock().unwrap();
-        let a = st.live.remove(&base)?;
-        st.live_bytes -= a.block;
-        // Insert and coalesce with neighbors.
-        let mut nbase = base;
-        let mut nsize = a.block;
-        if let Some((&pb, &ps)) = st.free.range(..base).next_back() {
-            if pb + ps == nbase {
-                st.free.remove(&pb);
-                nbase = pb;
-                nsize += ps;
-            }
-        }
-        if let Some((&sb, &ss)) = st.free.range(nbase + nsize..).next() {
-            if nbase + nsize == sb {
-                st.free.remove(&sb);
-                nsize += ss;
-            }
-        }
-        st.free.insert(nbase, nsize);
-        Some(a)
-    }
-
-    /// Finds the live allocation containing `addr` (block-bound, matching
-    /// [`Heap::containing`]).
-    pub fn containing(&self, addr: u64) -> Option<Allocation> {
-        let st = self.state.lock().unwrap();
-        let (_, a) = st.live.range(..=addr).next_back()?;
-        (addr < a.end()).then_some(*a)
-    }
-
-    /// The live allocation starting exactly at `base`.
-    pub fn at_base(&self, base: u64) -> Option<Allocation> {
-        self.state.lock().unwrap().live.get(&base).copied()
-    }
-
-    /// Current live heap bytes (block granularity).
-    pub fn live_bytes(&self) -> u64 {
-        self.state.lock().unwrap().live_bytes
-    }
-
-    /// High-water mark of live heap bytes.
-    pub fn peak_live_bytes(&self) -> u64 {
-        self.state.lock().unwrap().peak_live_bytes
-    }
-
-    /// Total number of allocations ever made.
-    pub fn total_allocs(&self) -> u64 {
-        self.state.lock().unwrap().total_allocs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,20 +365,5 @@ mod tests {
         for t in 0..8u64 {
             assert_eq!(m.read(t, 1), t + 1);
         }
-    }
-
-    #[test]
-    fn first_fit_baseline_reuses_and_coalesces() {
-        let h = FirstFitHeap::new(0, 1024);
-        let a = h.alloc(100).unwrap();
-        let b = h.alloc(100).unwrap();
-        assert_ne!(a.base, b.base);
-        h.free(a.base).unwrap();
-        let c = h.alloc(50).unwrap();
-        assert_eq!(c.base, a.base, "first-fit reuses the freed block");
-        h.free(b.base);
-        h.free(c.base);
-        assert!(h.alloc(1008).is_some(), "full arena coalesces");
-        assert_eq!(h.containing(5), h.at_base(0));
     }
 }

@@ -1,16 +1,15 @@
 //! The persistent work-stealing loop executor.
 //!
-//! The seed executor spawned fresh scoped threads for every `ParLoop` —
-//! fine for one figure run, wrong for a server executing back-to-back
-//! loops, where thread-creation churn and cold per-thread state dominate
-//! the measurement. This module replaces it with a long-lived pool:
+//! A server executes back-to-back loops, where per-loop thread creation
+//! and cold per-thread state would dominate the measurement, so worker
+//! threads live as long as the run:
 //!
 //! * **One spawn per run.** [`crate::vm::Vm::run`] opens a single thread
 //!   scope for the whole program; workers `1..N` park on a condvar between
 //!   loops and are woken by a [`LoopDispatch`] descriptor (loop id, range,
-//!   mode, shared [`LoopSync`]). The master participates as worker 0
-//!   exactly as before, so its frame pointer still addresses the enclosing
-//!   function's frame.
+//!   mode, shared [`LoopSync`]). The master participates as worker 0 on
+//!   its own live context, so its frame pointer still addresses the
+//!   enclosing function's frame.
 //! * **Reusable contexts.** Each worker owns a persistent
 //!   [`ThreadCtx`] (stack region, counters, sync stack) held in
 //!   [`PoolState`]; a dispatch resets the per-loop fields and keeps
@@ -20,12 +19,11 @@
 //!   ([`crate::alloc::pin_front_shard`]), so the PR 4 magazine caches are
 //!   *guaranteed* (not accidentally) reused across loops: the blocks a
 //!   worker freed in loop `k` are the blocks it allocates in loop `k+1`.
-//! * **Dynamic DOALL scheduling.** Instead of one fixed static chunk per
-//!   worker, the iteration range is split into per-worker chunk queues
-//!   ([`StealQueue`]); owners claim chunks from the front, idle workers
-//!   steal the back half of a victim's remaining range (leaving the owner
-//!   at least one iteration). DOACROSS keeps its ordered chunk-1 claiming
-//!   through the shared counter.
+//! * **Dynamic DOALL scheduling.** The iteration range is split into
+//!   per-worker chunk queues ([`StealQueue`]); owners claim chunks from
+//!   the front, idle workers steal the back half of a victim's remaining
+//!   range (leaving the owner at least one iteration). DOACROSS claims
+//!   iterations in order, one at a time, through the shared counter.
 //!
 //! Dispatch/steal/park/wakeup counts are recorded in [`PoolStats`] and
 //! flow into `RunReport` → `dse-telemetry` → `dsec --metrics`.
@@ -36,27 +34,6 @@ use dse_ir::loops::ParMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How DOALL iterations are divided among workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DoallSchedule {
-    /// Chunked dynamic scheduling with work stealing (the default).
-    Stealing,
-    /// One fixed contiguous chunk per worker (the seed behavior, kept as
-    /// the imbalance baseline for `dse-bench`).
-    Static,
-}
-
-/// How parallel loops acquire their worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadMode {
-    /// Persistent pool: threads spawned once per run, parked between
-    /// loops (the default).
-    Pool,
-    /// Fresh scoped threads for every loop (the seed behavior, kept as
-    /// the dispatch-latency baseline for `dse-bench`).
-    SpawnPerLoop,
-}
-
 /// Pool counters, snapshotted into `RunReport::pool`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -66,7 +43,7 @@ pub struct PoolStats {
     pub workers: u64,
     /// Loop dispatches handed to the pool.
     pub dispatches: u64,
-    /// Successful steals of a victim's back half (DOALL stealing mode).
+    /// Successful steals of a victim's back half (DOALL loops).
     pub steals: u64,
     /// Times a worker blocked on the dispatch condvar (re-checks after a
     /// spurious wakeup count again).
@@ -84,8 +61,8 @@ pub(crate) struct PoolCounters {
     pub(crate) wakeups: AtomicU64,
 }
 
-/// One parallel loop's worth of work, published to the pool (and to the
-/// scoped-spawn baseline) as a single shared descriptor.
+/// One parallel loop's worth of work, published to the pool as a single
+/// shared descriptor.
 #[derive(Debug)]
 pub(crate) struct LoopDispatch {
     /// Candidate loop id.
@@ -94,18 +71,16 @@ pub(crate) struct LoopDispatch {
     pub mode: ParMode,
     /// Entry pc of the outlined body region.
     pub body: u32,
-    /// Iteration range `lo..hi`.
-    pub lo: i64,
+    /// One past the last iteration (DOACROSS claims stop here; the first
+    /// iteration is `sync.next`'s initial value).
     pub hi: i64,
     /// The master's frame base, shared by all workers.
     pub frame_base: u64,
     /// DOALL owner-claim granularity (iterations per `pop_front`).
     pub chunk: i64,
-    /// DOALL schedule for this dispatch.
-    pub schedule: DoallSchedule,
     /// Cross-iteration synchronization (shared counter, done fence, abort).
     pub sync: Arc<LoopSync>,
-    /// Per-worker chunk queues (empty unless DOALL + stealing).
+    /// Per-worker chunk queues (DOALL only; empty for DOACROSS).
     pub queues: Vec<StealQueue>,
     /// First real error of any worker (abort-induced errors lose).
     pub err: Mutex<Option<VmError>>,
@@ -253,11 +228,6 @@ impl PoolState {
         st.epoch
     }
 
-    /// Whether a run's worker scope is currently up.
-    pub(crate) fn is_open(&self) -> bool {
-        !self.state.lock().unwrap().shutdown
-    }
-
     /// Tells every parked worker to exit (end of run).
     pub(crate) fn shutdown(&self) {
         let mut st = self.state.lock().unwrap();
@@ -330,14 +300,17 @@ pub(crate) fn worker_entry(vm: &crate::vm::Vm, wid: u32, mut seen_epoch: u64) {
         // while executing a dispatch.
         let sink = vm.trace_sink();
         let mut park_t0 = None;
+        // `None` when woken for shutdown.
         let job = {
             let mut st = pool.state.lock().unwrap();
             loop {
                 if st.shutdown {
-                    return;
+                    break None;
                 }
                 if st.epoch != seen_epoch {
-                    break;
+                    seen_epoch = st.epoch;
+                    let job = st.job.as_ref().expect("job published with its epoch");
+                    break Some(Arc::clone(job));
                 }
                 pool.counters.parks.fetch_add(1, Ordering::Relaxed);
                 if let (Some(sink), None) = (sink, park_t0) {
@@ -345,10 +318,9 @@ pub(crate) fn worker_entry(vm: &crate::vm::Vm, wid: u32, mut seen_epoch: u64) {
                 }
                 st = pool.work_cv.wait(st).unwrap();
             }
-            seen_epoch = st.epoch;
-            Arc::clone(st.job.as_ref().expect("job published with its epoch"))
         };
-        pool.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+        // The park span is recorded however the park ended, so the last
+        // one (until shutdown) is in the trace like the others.
         if let Some(sink) = sink {
             let now = sink.now_ns();
             if let Some(t0) = park_t0 {
@@ -361,15 +333,21 @@ pub(crate) fn worker_entry(vm: &crate::vm::Vm, wid: u32, mut seen_epoch: u64) {
                     kind: EventKind::Park,
                 });
             }
-            sink.push(TraceEvent {
-                ts_ns: now,
-                dur_ns: 0,
-                a: job.id as u64,
-                b: 0,
-                tid: wid,
-                kind: EventKind::Wake,
-            });
+            if let Some(job) = &job {
+                sink.push(TraceEvent {
+                    ts_ns: now,
+                    dur_ns: 0,
+                    a: job.id as u64,
+                    b: 0,
+                    tid: wid,
+                    kind: EventKind::Wake,
+                });
+            }
         }
+        let Some(job) = job else {
+            return;
+        };
+        pool.counters.wakeups.fetch_add(1, Ordering::Relaxed);
         vm.run_dispatch_worker(wid, &job);
         let mut st = pool.state.lock().unwrap();
         st.remaining -= 1;

@@ -87,18 +87,15 @@ impl Vm {
     }
 
     /// Commits and releases all of `ctx`'s private copies (called at
-    /// parallel-loop end). When [`crate::vm::VmConfig::priv_commit`] is set,
-    /// each copy's bytes are written back to the shared allocation (if it is
-    /// still live) before the copy is freed.
+    /// parallel-loop end): each copy's bytes are written back to the shared
+    /// allocation (if it is still live) before the copy is freed.
     pub(crate) fn commit_private_copies(&self, ctx: &mut ThreadCtx) {
         let entries: Vec<(u64, PrivCopy)> = ctx.priv_map.drain().collect();
         for (shared_base, copy) in entries {
-            if self.config.priv_commit {
-                if let Some(live) = self.heap.at_base(shared_base) {
-                    if live.id == copy.alloc_id && copy.size > 0 {
-                        self.mem.copy(copy.base, shared_base, copy.size);
-                        ctx.counters.localize_copied_bytes += copy.size;
-                    }
+            if let Some(live) = self.heap.at_base(shared_base) {
+                if live.id == copy.alloc_id && copy.size > 0 {
+                    self.mem.copy(copy.base, shared_base, copy.size);
+                    ctx.counters.localize_copied_bytes += copy.size;
                 }
             }
             self.heap.free(copy.base);

@@ -9,7 +9,7 @@ use crate::alloc::HeapContention;
 use crate::backend::{BackendKind, ExecBackend, RegBackend, StackBackend};
 use crate::mem::{sign_extend, Heap, SharedMem};
 use crate::observer::Observer;
-use crate::pool::{DoallSchedule, PoolState, PoolStats, ThreadMode};
+use crate::pool::{PoolState, PoolStats};
 use crate::privatize::PrivCopy;
 use crate::prof::{class_of, LoopProf, LoopProfile, ProfState};
 use crate::tracebuf::{EventBuf, EventKind, TraceEvent, TraceSink};
@@ -192,25 +192,16 @@ pub struct VmConfig {
     pub inputs_float: Vec<f64>,
     /// Trap after this many instructions on any one thread (runaway guard).
     pub max_instructions: u64,
-    /// Whether runtime privatization commits thread-local copies back to the
-    /// shared space at loop end (SpiceC-style).
-    pub priv_commit: bool,
     /// Record per-iteration cost segments of parallel-lowered loops during
     /// single-threaded execution, for the multicore schedule simulator
     /// (the host may not have 8 physical cores; the paper's Opteron did).
     pub record_iteration_costs: bool,
-    /// Worker-thread acquisition: persistent pool (default) or fresh
-    /// scoped threads per loop (the dispatch-latency baseline).
-    pub thread_mode: ThreadMode,
     /// Instruction encoding/interpreter the run executes with: the
     /// reference stack interpreter or the register backend with threaded
     /// dispatch (see [`crate::backend`]). Defaults from the
     /// `DSE_EXEC_BACKEND` environment variable (`stack`/`reg`), falling
     /// back to `Stack`.
     pub backend: BackendKind,
-    /// DOALL iteration division: work stealing (default) or the static
-    /// one-chunk-per-worker split (the imbalance baseline).
-    pub doall_schedule: DoallSchedule,
     /// Record runtime trace events (dispatch/steal/park/wake, loop spans,
     /// DOACROSS wait/post, allocator slow paths) into per-worker ring
     /// buffers. Always compiled in, off by default; see
@@ -239,11 +230,8 @@ impl Default for VmConfig {
             inputs_int: Vec::new(),
             inputs_float: Vec::new(),
             max_instructions: u64::MAX,
-            priv_commit: true,
             record_iteration_costs: false,
-            thread_mode: ThreadMode::Pool,
             backend: BackendKind::from_env(),
-            doall_schedule: DoallSchedule::Stealing,
             trace: false,
             trace_capacity: 8192,
             opcode_profile: false,
@@ -385,11 +373,11 @@ impl ThreadCtx {
         }
     }
 
-    /// Readies a (fresh or pooled) worker context for a loop dispatch: the
-    /// frame pointer adopts the master's frame, the stack pointer rewinds
-    /// to this worker's own region, and per-loop execution state is
-    /// cleared — a previous dispatch may have ended in a trap with frames
-    /// and operands still live. Counters were flushed at the end of the
+    /// Readies a pooled worker context for a loop dispatch: the frame
+    /// pointer adopts the master's frame, the stack pointer rewinds to
+    /// this worker's own region, and per-loop execution state is cleared —
+    /// a previous dispatch may have ended in a trap with frames and
+    /// operands still live. Counters were flushed at the end of the
     /// previous dispatch and the privatization map drained by
     /// `commit_private_copies`, so both carry over empty.
     pub(crate) fn reset_for_dispatch(&mut self, frame_base: u64) {
@@ -444,7 +432,7 @@ pub struct RunReport {
     /// Allocator contention counters (magazine hits/misses, backend lock
     /// acquisitions, scavenges) accumulated over the run.
     pub heap_contention: HeapContention,
-    /// Executor pool counters (all zero for serial or spawn-per-loop runs).
+    /// Executor pool counters (all zero for serial runs).
     pub pool: PoolStats,
 }
 
@@ -463,8 +451,8 @@ pub struct Vm {
     /// its context and merge at report time.
     pub(crate) per_thread: Vec<AtomicCounters>,
     /// Persistent executor pool state (contexts, dispatch condvars,
-    /// counters); present when the run is parallel and pool-backed. The
-    /// worker *threads* live inside the scope `run` opens.
+    /// counters); present iff `nthreads > 1`. The worker *threads* live
+    /// inside the scope `run` opens.
     pool: Option<PoolState>,
     /// Per loop id: one cost vector per dynamic loop entry (recorded when
     /// [`VmConfig::record_iteration_costs`] is set).
@@ -561,7 +549,7 @@ impl Vm {
             }
         }
         let nthreads = config.nthreads as usize;
-        let pool = (config.nthreads > 1 && config.thread_mode == ThreadMode::Pool)
+        let pool = (config.nthreads > 1)
             .then(|| PoolState::new(config.nthreads, stacks_base, config.stack_bytes));
         let trace = config.trace.then(TraceSink::new);
         if let Some(sink) = &trace {
@@ -591,7 +579,7 @@ impl Vm {
         self.config.backend
     }
 
-    /// The executor pool state, when this run is pool-backed.
+    /// The executor pool state, present iff `nthreads > 1`.
     pub(crate) fn pool(&self) -> Option<&PoolState> {
         self.pool.as_ref()
     }
@@ -695,7 +683,7 @@ impl Vm {
         self.mem.zero(ctx.frame_base, fsize);
         let this: &Vm = self;
         let ret = match &this.pool {
-            // Pool-backed run: one thread scope for the whole program.
+            // Parallel run: one thread scope for the whole program.
             // Workers park between loops; the shutdown guard releases them
             // (so the scope can join) whether `main` returns or traps. The
             // pre-spawn epoch snapshot guarantees a late-starting worker

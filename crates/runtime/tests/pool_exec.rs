@@ -1,12 +1,11 @@
 //! Executor-pool tests: iteration coverage under the work-stealing
-//! scheduler (awkward ranges, both loop modes, both backends), pool
-//! lifecycle across back-to-back dispatches, nested-loop inlining, and
-//! abort recovery.
+//! scheduler (awkward ranges, both loop modes), pool lifecycle across
+//! back-to-back dispatches, nested-loop inlining, and abort recovery.
 
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{DoallSchedule, RunReport, ThreadMode, Value, Vm, VmConfig};
+use dse_runtime::{RunReport, Value, Vm, VmConfig};
 
 /// Compiles `src` with every candidate loop parallelized in `mode`.
 fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
@@ -56,40 +55,22 @@ fn coverage_src(iters: i64) -> String {
     )
 }
 
-/// Every iteration of awkward ranges executes exactly once, for DOALL
-/// (stealing and static) and DOACROSS, on the pool and on the
-/// spawn-per-loop baseline. Ranges: empty, single, fewer iterations than
-/// workers (7 on 8 threads), `hi - lo` below one chunk, and a round count.
+/// Every iteration of awkward ranges executes exactly once, for DOALL and
+/// DOACROSS. Ranges: empty, single, fewer iterations than workers (7 on 8
+/// threads), `hi - lo` below one chunk, and a round count.
 #[test]
 fn awkward_ranges_execute_exactly_once() {
-    let cases: &[(ParMode, DoallSchedule)] = &[
-        (ParMode::DoAll, DoallSchedule::Stealing),
-        (ParMode::DoAll, DoallSchedule::Static),
-        (ParMode::DoAcross, DoallSchedule::Stealing),
-    ];
     for &iters in &[0i64, 1, 3, 7, 13, 100] {
         let src = coverage_src(iters);
-        for &(mode, schedule) in cases {
-            let compiled = compile_parallel(&src, mode);
-            for backend in [ThreadMode::Pool, ThreadMode::SpawnPerLoop] {
-                let (bad, report) = run_compiled(
-                    compiled.clone(),
-                    VmConfig {
-                        nthreads: 8,
-                        thread_mode: backend,
-                        doall_schedule: schedule,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    bad, 0,
-                    "coverage violated: {iters} iters, {mode:?}/{schedule:?}/{backend:?}"
-                );
-                if backend == ThreadMode::SpawnPerLoop {
-                    assert_eq!(report.pool.workers, 0, "baseline backend has no pool");
-                    assert_eq!(report.pool.dispatches, 0);
-                }
-            }
+        for mode in [ParMode::DoAll, ParMode::DoAcross] {
+            let (bad, _) = run_compiled(
+                compile_parallel(&src, mode),
+                VmConfig {
+                    nthreads: 8,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(bad, 0, "coverage violated: {iters} iters, {mode:?}");
         }
     }
 }
@@ -221,9 +202,10 @@ fn trapping_worker_aborts_peers_and_pool_stays_usable() {
 }
 
 /// A skewed workload (early iterations vastly more expensive) produces the
-/// same result under work stealing as under static chunking.
+/// same result under 8-thread work stealing as the `nthreads = 1` inline
+/// run.
 #[test]
-fn stealing_matches_static_on_skewed_work() {
+fn stealing_matches_serial_on_skewed_work() {
     // The skewed work runs in a function so its locals live in a frame on
     // each worker's private stack (loop-body scalars sit in the shared
     // enclosing frame until the expansion pass privatizes them).
@@ -245,19 +227,13 @@ fn stealing_matches_static_on_skewed_work() {
         let compiled = compile_parallel(src, ParMode::DoAll);
         run_compiled(compiled, VmConfig::default()).0
     };
-    let mut results = Vec::new();
-    for schedule in [DoallSchedule::Stealing, DoallSchedule::Static] {
-        let compiled = compile_parallel(src, ParMode::DoAll);
-        let (v, _) = run_compiled(
-            compiled,
-            VmConfig {
-                nthreads: 8,
-                doall_schedule: schedule,
-                ..Default::default()
-            },
-        );
-        results.push(v);
-    }
-    assert_eq!(results[0], serial, "stealing matches serial");
-    assert_eq!(results[1], serial, "static matches serial");
+    let compiled = compile_parallel(src, ParMode::DoAll);
+    let (v, _) = run_compiled(
+        compiled,
+        VmConfig {
+            nthreads: 8,
+            ..Default::default()
+        },
+    );
+    assert_eq!(v, serial, "stealing matches serial");
 }

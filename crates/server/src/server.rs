@@ -250,40 +250,22 @@ impl Server {
                 strict: req.strict,
                 ..Default::default()
             };
-            // The register lowering is one more cached phase: a daemon
-            // serving the same program repeatedly translates it once, and
-            // a lowering bug surfaces as a failed response — never a
-            // daemon panic. Every translation is gated through the cached
-            // `regverify` phase (DSE010–DSE015) before execution.
+            // The register lowering and its verification are cached
+            // phases: a daemon serving the same program repeatedly pays
+            // for them once, and a lowering bug surfaces as a failed
+            // response — never a daemon panic.
             let run = match req.exec_backend {
-                dse_runtime::BackendKind::Stack => Vm::new(compiled, run_cfg),
-                dse_runtime::BackendKind::Reg => pipeline
-                    .reglower(&compiled, &mut trace)
-                    .map_err(|e| dse_runtime::VmError {
-                        pc: 0,
-                        msg: e.to_string(),
-                    })
-                    .and_then(|r| {
-                        let report = dse_verify::check_backend_cached(
-                            &self.store,
-                            &compiled,
-                            &r,
-                            &mut trace,
-                        );
-                        let errors = report.count(dse_verify::diag::Severity::Error);
-                        if errors > 0 {
-                            return Err(dse_runtime::VmError {
-                                pc: 0,
-                                msg: format!(
-                                    "register translation failed verification with \
-                                     {errors} error(s) (DSE010-DSE015)"
-                                ),
-                            });
-                        }
-                        Vm::with_reg(compiled, std::sync::Arc::clone(&r.reg), run_cfg)
-                    }),
+                dse_runtime::BackendKind::Stack => {
+                    Vm::new(compiled, run_cfg).map_err(|e| e.to_string())
+                }
+                dse_runtime::BackendKind::Reg => {
+                    dse_verify::verified_reg_vm(&pipeline, compiled, run_cfg, &mut trace)
+                }
             }
-            .and_then(|mut vm| vm.run().map(|report| (vm, report)));
+            .and_then(|mut vm| {
+                let report = vm.run().map_err(|e| e.to_string())?;
+                Ok((vm, report))
+            });
             match run {
                 Ok((vm, report)) => {
                     resp.console = vm.console().to_string();
@@ -295,7 +277,7 @@ impl Server {
                 }
                 Err(e) => {
                     resp.ok = false;
-                    resp.error = Some(e.to_string());
+                    resp.error = Some(e);
                     resp.exit = 1;
                 }
             }

@@ -453,13 +453,9 @@ fn verify_transform(
     Ok(stats)
 }
 
-/// Builds a VM honoring the requested execution backend. The register
-/// lowering runs as a cached pipeline phase ("reglower"), so repeated
-/// drives of the same bytecode share one translation — and every
-/// translation is gated through the cached `regverify` phase
-/// (`DSE010`–`DSE015`) before a VM may execute it.
+/// Builds a VM honoring the requested execution backend; register code
+/// only ever runs verified (see [`dse_verify::verified_reg_vm`]).
 fn make_vm(
-    store: &ArtifactStore,
     pipeline: &Pipeline,
     backend: BackendKind,
     compiled: dse_ir::bytecode::CompiledProgram,
@@ -468,26 +464,10 @@ fn make_vm(
 ) -> Result<Vm, Fail> {
     config.backend = backend;
     match backend {
-        BackendKind::Stack => Vm::new(compiled, config),
-        BackendKind::Reg => {
-            let art = pipeline
-                .reglower(&compiled, trace)
-                .map_err(|e| Fail::Other(e.to_string()))?;
-            let report = dse_verify::check_backend_cached(store, &compiled, &art, trace);
-            if report.count(Severity::Error) > 0 {
-                for d in &report.diagnostics {
-                    eprintln!("dsec: {}", d.render());
-                }
-                return Err(Fail::Other(format!(
-                    "register translation failed verification with {} error(s) \
-                     (DSE010-DSE015); refusing to execute it",
-                    report.count(Severity::Error)
-                )));
-            }
-            Vm::with_reg(compiled, Arc::clone(&art.reg), config)
-        }
+        BackendKind::Stack => Vm::new(compiled, config).map_err(|e| e.to_string()),
+        BackendKind::Reg => dse_verify::verified_reg_vm(pipeline, compiled, config, trace),
     }
-    .map_err(|e| Fail::Other(e.to_string()))
+    .map_err(Fail::Other)
 }
 
 fn drive(o: &Opts) -> Result<ExitCode, Fail> {
@@ -604,7 +584,6 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
                     .expect("transform computed above")
                     .transformed;
                 let mut vm = make_vm(
-                    &store,
                     &pipeline,
                     o.backend,
                     t.parallel.clone(),
@@ -670,7 +649,6 @@ fn drive(o: &Opts) -> Result<ExitCode, Fail> {
         };
         let n = if o.serial { 1 } else { o.threads };
         let mut vm = make_vm(
-            &store,
             &pipeline,
             o.backend,
             compiled,
@@ -872,7 +850,6 @@ fn profile_drive(
     verify_transform(&store, &art.analysis, &t, path, &mut trace)?;
     let prog = &t.transformed.parallel;
     let mut vm = make_vm(
-        &store,
         &pipeline,
         backend,
         prog.clone(),
@@ -979,6 +956,7 @@ fn daemon_drive(o: &Opts, sock: &str) -> Result<ExitCode, Fail> {
         ("opt", Json::Str(opt_name(o.opt).into())),
         ("baseline", Json::Bool(o.baseline)),
         ("serial", Json::Bool(o.serial)),
+        ("strict", Json::Bool(o.strict)),
         ("exec_backend", Json::Str(o.backend.name().into())),
         (
             "in",

@@ -41,11 +41,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dse_core::cache::Trace;
-use dse_core::phases::{RegArt, TransformArt};
+use dse_core::phases::{Pipeline, RegArt, TransformArt};
 use dse_core::{Analysis, ArtifactStore, SiteClass, Transformed};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::RegProgram;
 use dse_lang::ast::NO_EID;
+use dse_runtime::{Vm, VmConfig};
 use dse_telemetry::ContentHasher;
 
 use diag::{Code, Diagnostic, Report};
@@ -154,6 +155,42 @@ pub fn check_backend_cached(
         regart.reg.mark_verified();
     }
     report
+}
+
+/// The one way to get a VM that executes register code: translate
+/// through the cached `reglower` phase, gate the translation through
+/// [`check_backend_cached`], and build the VM only if no error-severity
+/// finding (`DSE010`–`DSE015`) came back. `dsec` and `dsed` both run
+/// register code through here, so they refuse the same programs with the
+/// same words.
+///
+/// # Errors
+///
+/// The message to show the user: the lowering error, the refusal followed
+/// by one rendered diagnostic per line, or the VM's construction error.
+pub fn verified_reg_vm(
+    pipeline: &Pipeline,
+    compiled: CompiledProgram,
+    config: VmConfig,
+    trace: &mut Trace,
+) -> Result<Vm, String> {
+    let art = pipeline
+        .reglower(&compiled, trace)
+        .map_err(|e| e.to_string())?;
+    let report = check_backend_cached(pipeline.store(), &compiled, &art, trace);
+    let errors = report.count(diag::Severity::Error);
+    if errors > 0 {
+        let mut msg = format!(
+            "register translation failed verification with {errors} error(s) \
+             (DSE010-DSE015); refusing to execute it"
+        );
+        for d in &report.diagnostics {
+            msg.push('\n');
+            msg.push_str(&d.render());
+        }
+        return Err(msg);
+    }
+    Vm::with_reg(compiled, Arc::clone(&art.reg), config).map_err(|e| e.to_string())
 }
 
 /// `DSE007`: the same source access must not be classified thread-private
