@@ -90,15 +90,6 @@ impl PointsTo {
             .unwrap_or_default()
     }
 
-    /// The objects stored (anywhere) inside `obj` may reference.
-    pub fn pts_of_content(&self, obj: PtObj) -> HashSet<PtObj> {
-        self.node_ids
-            .get(&Node::Content(obj))
-            .and_then(|id| self.pts.get(id))
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// The structures the access expression `eid` may touch: a direct
     /// variable, or the points-to set of the dereferenced pointer.
     pub fn objects_of_site(&self, eid: u32) -> HashSet<PtObj> {

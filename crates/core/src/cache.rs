@@ -99,22 +99,6 @@ pub struct PhaseOutcome {
 /// The per-request trace of phase outcomes, appended to by the pipeline.
 pub type Trace = Vec<PhaseOutcome>;
 
-/// Sums a trace's cache hits (dedup waits count as hits).
-pub fn trace_hits(trace: &Trace) -> usize {
-    trace
-        .iter()
-        .filter(|p| p.outcome.served_from_cache())
-        .count()
-}
-
-/// Sums a trace's cache misses.
-pub fn trace_misses(trace: &Trace) -> usize {
-    trace
-        .iter()
-        .filter(|p| p.outcome == CacheOutcome::Miss)
-        .count()
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseCounters {
     hits: u64,

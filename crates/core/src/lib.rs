@@ -374,80 +374,3 @@ impl Analysis {
         out
     }
 }
-
-/// Computes DOACROSS sync windows over the *original* program's candidate
-/// bodies (used by the runtime-privatization baseline, which does not
-/// restructure statements).
-pub fn original_sync_windows(
-    program: &Program,
-    sync_eids: &HashMap<String, HashSet<u32>>,
-) -> HashMap<String, Option<(usize, usize)>> {
-    use dse_lang::ast::*;
-    fn scan(
-        block: &Block,
-        fn_name: &str,
-        ordinal: &mut usize,
-        sync_eids: &HashMap<String, HashSet<u32>>,
-        out: &mut HashMap<String, Option<(usize, usize)>>,
-    ) {
-        for s in &block.stmts {
-            match &s.kind {
-                StmtKind::For { body, mark, .. } => {
-                    if mark.candidate {
-                        let this = *ordinal;
-                        *ordinal += 1;
-                        let label = mark
-                            .label
-                            .clone()
-                            .unwrap_or_else(|| format!("{fn_name}#{this}"));
-                        if let Some(set) = sync_eids.get(&label) {
-                            let mut first = None;
-                            let mut last = None;
-                            for (i, st) in body.stmts.iter().enumerate() {
-                                let mut found = false;
-                                let mut probe = st.clone();
-                                visit_exprs_in_stmt(&mut probe, &mut |e| {
-                                    if set.contains(&e.eid) {
-                                        found = true;
-                                    }
-                                });
-                                if found {
-                                    if first.is_none() {
-                                        first = Some(i);
-                                    }
-                                    last = Some(i);
-                                }
-                            }
-                            let window = match (first, last) {
-                                (Some(f), Some(l)) => Some((f, l)),
-                                _ if !set.is_empty() && !body.stmts.is_empty() => {
-                                    Some((0, body.stmts.len() - 1))
-                                }
-                                _ => None,
-                            };
-                            out.insert(label, window);
-                        }
-                    }
-                    scan(body, fn_name, ordinal, sync_eids, out);
-                }
-                StmtKind::If { then, els, .. } => {
-                    scan(then, fn_name, ordinal, sync_eids, out);
-                    if let Some(b) = els {
-                        scan(b, fn_name, ordinal, sync_eids, out);
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                    scan(body, fn_name, ordinal, sync_eids, out)
-                }
-                StmtKind::Block(b) => scan(b, fn_name, ordinal, sync_eids, out),
-                _ => {}
-            }
-        }
-    }
-    let mut out = HashMap::new();
-    let mut ordinal = 0usize;
-    for f in &program.functions {
-        scan(&f.body, &f.name, &mut ordinal, sync_eids, &mut out);
-    }
-    out
-}

@@ -409,14 +409,9 @@ impl<'a> Pipeline<'a> {
         baseline: bool,
         trace: &mut Trace,
     ) -> Result<Arc<TransformArt>, DseError> {
-        let opt_name = match opt {
-            OptLevel::None => "none",
-            OptLevel::NoConstSpan => "noconst",
-            OptLevel::Full => "full",
-        };
         let plan_key = ContentHasher::new("plan")
             .hash(art.key)
-            .str(opt_name)
+            .str(opt.name())
             .u64(nthreads as u64)
             .bool(baseline)
             .finish();

@@ -52,6 +52,24 @@ pub enum OptLevel {
     Full,
 }
 
+impl OptLevel {
+    /// The level's name on the command line, on the wire and in plan keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            OptLevel::None => "none",
+            OptLevel::NoConstSpan => "noconst",
+            OptLevel::Full => "full",
+        }
+    }
+
+    /// Parses a [`OptLevel::name`].
+    pub fn parse(s: &str) -> Option<OptLevel> {
+        [OptLevel::None, OptLevel::NoConstSpan, OptLevel::Full]
+            .into_iter()
+            .find(|o| o.name() == s)
+    }
+}
+
 /// The per-site classification outcome, merged across parallelized loops
 /// and keyed by AST expression id.
 #[derive(Debug, Clone, Default)]

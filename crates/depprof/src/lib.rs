@@ -113,13 +113,6 @@ impl LoopDdg {
         out
     }
 
-    /// True if `site` participates in any loop-carried dependence.
-    pub fn has_carried_dep(&self, site: SiteId) -> bool {
-        self.edges
-            .iter()
-            .any(|e| e.carried && (e.src == site || e.dst == site))
-    }
-
     /// All sites observed executing in the loop.
     pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.site_counts.keys().copied()

@@ -146,11 +146,6 @@ impl StructDef {
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
     }
-
-    /// Index of a field by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
 }
 
 /// Registry of struct definitions; owns all layout information.

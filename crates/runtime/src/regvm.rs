@@ -27,13 +27,11 @@
 use crate::mem::sign_extend;
 use crate::observer::Observer;
 use crate::prof::OpClass;
-use crate::tracebuf::{EventKind, TraceEvent};
-use crate::vm::{cmp_result, Backoff, Frame, ThreadCtx, Value, Vm, VmError};
-use dse_ir::bytecode::{CmpOp, IBinOp, LoopEvent};
+use crate::vm::{cmp_result, fcmp, ibin, Frame, ThreadCtx, Value, Vm, VmError};
+use dse_ir::bytecode::LoopEvent;
 use dse_ir::bytecode::{FBinOp, GLOBAL_BASE};
 use dse_ir::regcode::{builtin_sig, RInstr, RegProgram};
 use dse_ir::sites::{AccessKind, NO_SITE};
-use std::sync::Arc;
 
 /// The profiler class of one register instruction, bucketed to match
 /// [`crate::prof::class_of`] on the stack encoding (fused instructions
@@ -598,66 +596,14 @@ impl Vm {
                     step!();
                 }
                 RInstr::Wait { id: _ } => {
-                    ctx.counters.sync_ops += 1;
-                    if ctx.wait_mark.is_none() {
-                        ctx.wait_mark = Some(ctx.counters.work);
-                    }
-                    let my = match ctx.iter_stack.last() {
-                        Some(&i) => i,
-                        None => trap!("Wait outside iteration"),
-                    };
-                    let (loop_id, sync) = match ctx.sync_stack.last() {
-                        Some((id, s)) => (*id, Arc::clone(s)),
-                        None => trap!("Wait outside parallel loop"),
-                    };
-                    let t0 = match (self.trace_sink(), &ctx.trace) {
-                        (Some(sink), Some(_)) => Some(sink.now_ns()),
-                        _ => None,
-                    };
-                    let mut backoff = Backoff::new();
-                    while sync.done.load(std::sync::atomic::Ordering::Acquire) < my {
-                        if sync.abort.load(std::sync::atomic::Ordering::Relaxed) {
-                            trap!("aborted while waiting (another worker trapped)");
-                        }
-                        backoff.step(&mut ctx.counters);
-                    }
-                    if let (Some(t0), Some(sink)) = (t0, self.trace_sink()) {
-                        let ev = TraceEvent {
-                            ts_ns: t0,
-                            dur_ns: sink.now_ns().saturating_sub(t0),
-                            a: loop_id as u64,
-                            b: my as u64,
-                            tid: ctx.tid,
-                            kind: EventKind::WaitSpan,
-                        };
-                        ctx.emit(ev);
+                    if let Err(msg) = self.doacross_wait(ctx) {
+                        trap!("{msg}");
                     }
                     step!();
                 }
                 RInstr::Post { id: _ } => {
-                    ctx.counters.sync_ops += 1;
-                    if ctx.post_mark.is_none() {
-                        ctx.post_mark = Some(ctx.counters.work);
-                    }
-                    let my = match ctx.iter_stack.last() {
-                        Some(&i) => i,
-                        None => trap!("Post outside iteration"),
-                    };
-                    let (loop_id, sync) = match ctx.sync_stack.last() {
-                        Some((id, s)) => (*id, Arc::clone(s)),
-                        None => trap!("Post outside parallel loop"),
-                    };
-                    self.post_iteration(ctx, &sync, my);
-                    if let (Some(sink), true) = (self.trace_sink(), ctx.trace.is_some()) {
-                        let ev = TraceEvent {
-                            ts_ns: sink.now_ns(),
-                            dur_ns: 0,
-                            a: loop_id as u64,
-                            b: my as u64,
-                            tid: ctx.tid,
-                            kind: EventKind::Post,
-                        };
-                        ctx.emit(ev);
+                    if let Err(msg) = self.doacross_post(ctx) {
+                        trap!("{msg}");
                     }
                     step!();
                 }
@@ -689,41 +635,5 @@ fn typed(bits: u64, is_float: bool) -> Value {
         Value::F(f64::from_bits(bits))
     } else {
         Value::I(bits as i64)
-    }
-}
-
-/// Integer binary op with the reference backend's trap messages.
-#[inline]
-fn ibin(op: IBinOp, l: i64, r: i64) -> Result<i64, String> {
-    Ok(match op {
-        IBinOp::Add => l.wrapping_add(r),
-        IBinOp::Sub => l.wrapping_sub(r),
-        IBinOp::Mul => l.wrapping_mul(r),
-        IBinOp::Div => match l.checked_div(r) {
-            Some(v) => v,
-            None => return Err(format!("division by zero or overflow ({l} / {r})")),
-        },
-        IBinOp::Rem => match l.checked_rem(r) {
-            Some(v) => v,
-            None => return Err(format!("remainder by zero or overflow ({l} % {r})")),
-        },
-        IBinOp::And => l & r,
-        IBinOp::Or => l | r,
-        IBinOp::Xor => l ^ r,
-        IBinOp::Shl => l.wrapping_shl(r as u32 & 63),
-        IBinOp::Shr => l.wrapping_shr(r as u32 & 63),
-    })
-}
-
-/// Float comparison with the reference backend's NaN semantics.
-#[inline]
-fn fcmp(op: CmpOp, l: f64, r: f64) -> bool {
-    match op {
-        CmpOp::Eq => l == r,
-        CmpOp::Ne => l != r,
-        CmpOp::Lt => l < r,
-        CmpOp::Le => l <= r,
-        CmpOp::Gt => l > r,
-        CmpOp::Ge => l >= r,
     }
 }

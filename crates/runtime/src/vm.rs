@@ -43,15 +43,6 @@ impl Value {
         }
     }
 
-    /// The float payload, or `None` if the value is an integer (see
-    /// [`Value::as_i`]).
-    pub fn as_f(self) -> Option<f64> {
-        match self {
-            Value::F(v) => Some(v),
-            Value::I(_) => None,
-        }
-    }
-
     /// The raw bit pattern of the payload (the register backend's untagged
     /// representation: floats as IEEE bits, integers as two's complement).
     pub fn to_bits(self) -> u64 {
@@ -574,11 +565,6 @@ impl Vm {
         })
     }
 
-    /// Which execution backend this VM dispatches through.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.config.backend
-    }
-
     /// The executor pool state, present iff `nthreads > 1`.
     pub(crate) fn pool(&self) -> Option<&PoolState> {
         self.pool.as_ref()
@@ -991,25 +977,10 @@ impl Vm {
                 Instr::IBin(op) => {
                     let r = pop_i!();
                     let l = pop_i!();
-                    let v = match op {
-                        IBinOp::Add => l.wrapping_add(r),
-                        IBinOp::Sub => l.wrapping_sub(r),
-                        IBinOp::Mul => l.wrapping_mul(r),
-                        IBinOp::Div => match l.checked_div(r) {
-                            Some(v) => v,
-                            None => trap!("division by zero or overflow ({l} / {r})"),
-                        },
-                        IBinOp::Rem => match l.checked_rem(r) {
-                            Some(v) => v,
-                            None => trap!("remainder by zero or overflow ({l} % {r})"),
-                        },
-                        IBinOp::And => l & r,
-                        IBinOp::Or => l | r,
-                        IBinOp::Xor => l ^ r,
-                        IBinOp::Shl => l.wrapping_shl(r as u32 & 63),
-                        IBinOp::Shr => l.wrapping_shr(r as u32 & 63),
-                    };
-                    ctx.ops.push(Value::I(v));
+                    match ibin(op, l, r) {
+                        Ok(v) => ctx.ops.push(Value::I(v)),
+                        Err(msg) => trap!("{msg}"),
+                    }
                     pc += 1;
                 }
                 Instr::FBin(op) => {
@@ -1033,15 +1004,7 @@ impl Vm {
                 Instr::FCmp(op) => {
                     let r = pop_f!();
                     let l = pop_f!();
-                    let res = match op {
-                        CmpOp::Eq => l == r,
-                        CmpOp::Ne => l != r,
-                        CmpOp::Lt => l < r,
-                        CmpOp::Le => l <= r,
-                        CmpOp::Gt => l > r,
-                        CmpOp::Ge => l >= r,
-                    };
-                    ctx.ops.push(Value::I(res as i64));
+                    ctx.ops.push(Value::I(fcmp(op, l, r) as i64));
                     pc += 1;
                 }
                 Instr::INeg => {
@@ -1161,67 +1124,14 @@ impl Vm {
                     pc += 1;
                 }
                 Instr::Wait(_) => {
-                    ctx.counters.sync_ops += 1;
-                    if ctx.wait_mark.is_none() {
-                        ctx.wait_mark = Some(ctx.counters.work);
-                    }
-                    let my = match ctx.iter_stack.last() {
-                        Some(&i) => i,
-                        None => trap!("Wait outside iteration"),
-                    };
-                    let (loop_id, sync) = match ctx.sync_stack.last() {
-                        Some((id, s)) => (*id, Arc::clone(s)),
-                        None => trap!("Wait outside parallel loop"),
-                    };
-                    // Trace the whole wait as one span (not per spin).
-                    let t0 = match (&self.trace, &ctx.trace) {
-                        (Some(sink), Some(_)) => Some(sink.now_ns()),
-                        _ => None,
-                    };
-                    let mut backoff = Backoff::new();
-                    while sync.done.load(std::sync::atomic::Ordering::Acquire) < my {
-                        if sync.abort.load(std::sync::atomic::Ordering::Relaxed) {
-                            trap!("aborted while waiting (another worker trapped)");
-                        }
-                        backoff.step(&mut ctx.counters);
-                    }
-                    if let (Some(t0), Some(sink)) = (t0, &self.trace) {
-                        let ev = TraceEvent {
-                            ts_ns: t0,
-                            dur_ns: sink.now_ns().saturating_sub(t0),
-                            a: loop_id as u64,
-                            b: my as u64,
-                            tid: ctx.tid,
-                            kind: EventKind::WaitSpan,
-                        };
-                        ctx.emit(ev);
+                    if let Err(msg) = self.doacross_wait(ctx) {
+                        trap!("{msg}");
                     }
                     pc += 1;
                 }
                 Instr::Post(_) => {
-                    ctx.counters.sync_ops += 1;
-                    if ctx.post_mark.is_none() {
-                        ctx.post_mark = Some(ctx.counters.work);
-                    }
-                    let my = match ctx.iter_stack.last() {
-                        Some(&i) => i,
-                        None => trap!("Post outside iteration"),
-                    };
-                    let (loop_id, sync) = match ctx.sync_stack.last() {
-                        Some((id, s)) => (*id, Arc::clone(s)),
-                        None => trap!("Post outside parallel loop"),
-                    };
-                    self.post_iteration(ctx, &sync, my);
-                    if let (Some(sink), true) = (&self.trace, ctx.trace.is_some()) {
-                        let ev = TraceEvent {
-                            ts_ns: sink.now_ns(),
-                            dur_ns: 0,
-                            a: loop_id as u64,
-                            b: my as u64,
-                            tid: ctx.tid,
-                            kind: EventKind::Post,
-                        };
-                        ctx.emit(ev);
+                    if let Err(msg) = self.doacross_post(ctx) {
+                        trap!("{msg}");
                     }
                     pc += 1;
                 }
@@ -1234,6 +1144,83 @@ impl Vm {
                 Instr::Halt => return Ok(ctx.ops.pop()),
             }
         }
+    }
+
+    /// The current iteration and its loop's sync state, or the trap
+    /// message for an `op` (`Wait`/`Post`) outside a parallel loop body.
+    fn doacross_position(ctx: &ThreadCtx, op: &str) -> Result<(i64, u32, Arc<LoopSync>), String> {
+        let Some(&my) = ctx.iter_stack.last() else {
+            return Err(format!("{op} outside iteration"));
+        };
+        let Some((loop_id, sync)) = ctx.sync_stack.last() else {
+            return Err(format!("{op} outside parallel loop"));
+        };
+        Ok((my, *loop_id, Arc::clone(sync)))
+    }
+
+    /// `Wait`: blocks until every earlier iteration of the innermost
+    /// DOACROSS loop has posted, recording the whole wait as one trace
+    /// span (not one per spin). Shared by both interpreters.
+    ///
+    /// # Errors
+    ///
+    /// The trap message: outside a loop body, or a peer worker trapped.
+    #[inline]
+    pub(crate) fn doacross_wait(&self, ctx: &mut ThreadCtx) -> Result<(), String> {
+        ctx.counters.sync_ops += 1;
+        if ctx.wait_mark.is_none() {
+            ctx.wait_mark = Some(ctx.counters.work);
+        }
+        let (my, loop_id, sync) = Vm::doacross_position(ctx, "Wait")?;
+        let t0 = match (&self.trace, &ctx.trace) {
+            (Some(sink), Some(_)) => Some(sink.now_ns()),
+            _ => None,
+        };
+        let mut backoff = Backoff::new();
+        while sync.done.load(Ordering::Acquire) < my {
+            if sync.abort.load(Ordering::Relaxed) {
+                return Err("aborted while waiting (another worker trapped)".into());
+            }
+            backoff.step(&mut ctx.counters);
+        }
+        if let (Some(t0), Some(sink)) = (t0, &self.trace) {
+            ctx.emit(TraceEvent {
+                ts_ns: t0,
+                dur_ns: sink.now_ns().saturating_sub(t0),
+                a: loop_id as u64,
+                b: my as u64,
+                tid: ctx.tid,
+                kind: EventKind::WaitSpan,
+            });
+        }
+        Ok(())
+    }
+
+    /// `Post`: publishes the current iteration's ordered section and
+    /// records the post as a trace instant. Shared by both interpreters.
+    ///
+    /// # Errors
+    ///
+    /// The trap message when executed outside a loop body.
+    #[inline]
+    pub(crate) fn doacross_post(&self, ctx: &mut ThreadCtx) -> Result<(), String> {
+        ctx.counters.sync_ops += 1;
+        if ctx.post_mark.is_none() {
+            ctx.post_mark = Some(ctx.counters.work);
+        }
+        let (my, loop_id, sync) = Vm::doacross_position(ctx, "Post")?;
+        self.post_iteration(ctx, &sync, my);
+        if let (Some(sink), true) = (&self.trace, ctx.trace.is_some()) {
+            ctx.emit(TraceEvent {
+                ts_ns: sink.now_ns(),
+                dur_ns: 0,
+                a: loop_id as u64,
+                b: my as u64,
+                tid: ctx.tid,
+                kind: EventKind::Post,
+            });
+        }
+        Ok(())
     }
 
     /// Posts the ordered section of iteration `my` (idempotent per
@@ -1505,5 +1492,41 @@ pub(crate) fn cmp_result(op: CmpOp, ord: std::cmp::Ordering) -> bool {
         CmpOp::Le => ord != Greater,
         CmpOp::Gt => ord == Greater,
         CmpOp::Ge => ord != Less,
+    }
+}
+
+/// Integer binary op; the error is the trap message.
+#[inline]
+pub(crate) fn ibin(op: IBinOp, l: i64, r: i64) -> Result<i64, String> {
+    Ok(match op {
+        IBinOp::Add => l.wrapping_add(r),
+        IBinOp::Sub => l.wrapping_sub(r),
+        IBinOp::Mul => l.wrapping_mul(r),
+        IBinOp::Div => match l.checked_div(r) {
+            Some(v) => v,
+            None => return Err(format!("division by zero or overflow ({l} / {r})")),
+        },
+        IBinOp::Rem => match l.checked_rem(r) {
+            Some(v) => v,
+            None => return Err(format!("remainder by zero or overflow ({l} % {r})")),
+        },
+        IBinOp::And => l & r,
+        IBinOp::Or => l | r,
+        IBinOp::Xor => l ^ r,
+        IBinOp::Shl => l.wrapping_shl(r as u32 & 63),
+        IBinOp::Shr => l.wrapping_shr(r as u32 & 63),
+    })
+}
+
+/// Float comparison (IEEE: every ordered comparison with a NaN is false).
+#[inline]
+pub(crate) fn fcmp(op: CmpOp, l: f64, r: f64) -> bool {
+    match op {
+        CmpOp::Eq => l == r,
+        CmpOp::Ne => l != r,
+        CmpOp::Lt => l < r,
+        CmpOp::Le => l <= r,
+        CmpOp::Gt => l > r,
+        CmpOp::Ge => l >= r,
     }
 }

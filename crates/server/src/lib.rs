@@ -1,10 +1,15 @@
-//! # dse-server — the `dsed` compile-and-run daemon
+//! # dse-server — the request path, the `dsed` daemon and the `dsec` driver
 //!
-//! A long-running service over the expansion pipeline. Clients submit
-//! newline-delimited JSON requests (see [`protocol`]) over a unix socket,
-//! or over stdin/stdout in `--batch` mode; each request compiles, checks
-//! and optionally executes one Cee program. What makes the daemon more
-//! than a loop around `dsec` is the shared state:
+//! [`execute`] is the one way a [`Request`] becomes artifacts or a run:
+//! analyze → transform → verify → (for register code) lower and verify
+//! again → execute, through a shared [`dse_core::ArtifactStore`]. The
+//! `dsec` binary calls it in-process; the `dsed` binary serves it.
+//!
+//! `dsed` is a long-running service: clients submit newline-delimited
+//! JSON requests (see [`protocol`]) over a unix socket, or over
+//! stdin/stdout in `--batch` mode; each request compiles, checks and
+//! optionally executes one Cee program. What makes the daemon more than
+//! a loop around `dsec` is the shared state:
 //!
 //! * **One [`dse_core::ArtifactStore`] for every request.** Phases are
 //!   keyed by content hashes that chain through artifact *content*
@@ -24,10 +29,12 @@
 //!   The `metrics` command and `--metrics-addr` serve the same numbers as
 //!   a Prometheus-style text exposition.
 
+pub mod execute;
 pub mod protocol;
 pub mod rotate;
 pub mod server;
 
+pub use execute::{execute, Failure, Outcome};
 pub use protocol::{Cmd, PhaseLine, Request, Response};
 pub use rotate::RotatingWriter;
 pub use server::{Server, ServerConfig};

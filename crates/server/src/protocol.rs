@@ -126,7 +126,7 @@ impl Request {
             pairs.push(("path", Json::Str(p.clone())));
         }
         pairs.push(("threads", Json::Int(self.threads as i64)));
-        pairs.push(("opt", Json::Str(opt_name(self.opt).into())));
+        pairs.push(("opt", Json::Str(self.opt.name().into())));
         pairs.push(("baseline", Json::Bool(self.baseline)));
         pairs.push(("serial", Json::Bool(self.serial)));
         pairs.push(("strict", Json::Bool(self.strict)));
@@ -154,7 +154,7 @@ impl Request {
             r.threads = u32::try_from(t).map_err(|_| "bad `threads`".to_string())?;
         }
         if let Some(o) = j.get("opt").and_then(Json::as_str) {
-            r.opt = parse_opt(o).ok_or_else(|| format!("unknown opt `{o}`"))?;
+            r.opt = OptLevel::parse(o).ok_or_else(|| format!("unknown opt `{o}`"))?;
         }
         r.baseline = j.get("baseline").and_then(Json::as_bool).unwrap_or(false);
         r.serial = j.get("serial").and_then(Json::as_bool).unwrap_or(false);
@@ -163,8 +163,11 @@ impl Request {
             r.exec_backend =
                 BackendKind::parse(b).ok_or_else(|| format!("unknown exec_backend `{b}`"))?;
         }
-        if let Some(arr) = j.get("in").and_then(Json::as_arr) {
-            r.inputs = arr.iter().filter_map(Json::as_i64).collect();
+        if let Some(v) = j.get("in") {
+            r.inputs = v
+                .as_arr()
+                .and_then(|a| a.iter().map(Json::as_i64).collect())
+                .ok_or("bad `in`")?;
         }
         Ok(r)
     }
@@ -205,7 +208,8 @@ impl PhaseLine {
         self.cache != CacheOutcome::Miss.as_str()
     }
 
-    fn to_json(&self) -> Json {
+    /// The wire (and telemetry-stream) form.
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("phase", Json::Str(self.phase.clone())),
             ("key", Json::Str(self.key.clone())),
@@ -376,25 +380,6 @@ impl Response {
     }
 }
 
-/// Wire name of an optimization level.
-pub fn opt_name(opt: OptLevel) -> &'static str {
-    match opt {
-        OptLevel::None => "none",
-        OptLevel::NoConstSpan => "noconst",
-        OptLevel::Full => "full",
-    }
-}
-
-/// Parses an optimization-level wire name.
-pub fn parse_opt(s: &str) -> Option<OptLevel> {
-    match s {
-        "none" => Some(OptLevel::None),
-        "noconst" => Some(OptLevel::NoConstSpan),
-        "full" => Some(OptLevel::Full),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +419,11 @@ mod tests {
         assert!(Request::from_json(&missing).is_err());
         let unknown = Json::parse(r#"{"cmd":"reboot"}"#).unwrap();
         assert!(Request::from_json(&unknown).is_err());
+        // A non-integer input must not be dropped and the rest run.
+        for bad in [r#"[1,"x",3]"#, "[1.5]", "7"] {
+            let j = Json::parse(&format!(r#"{{"cmd":"run","source":"x","in":{bad}}}"#)).unwrap();
+            assert_eq!(Request::from_json(&j).unwrap_err(), "bad `in`", "{bad}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! plus the two front ends (`--batch` over stdin/stdout, `--socket` over a
 //! unix listener).
 
+use crate::execute::execute;
 use crate::protocol::{Cmd, PhaseLine, Request, Response};
-use dse_core::{ArtifactStore, Pipeline, Trace};
-use dse_runtime::{TaskPool, Vm, VmConfig};
+use dse_core::ArtifactStore;
+use dse_runtime::{NullObserver, TaskPool, VmConfig};
 use dse_telemetry::{Json, LatencyStats, LogHistogram, ServerStats};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -112,179 +113,55 @@ impl Server {
     /// Executes one request to completion and returns its response. Safe
     /// to call from any number of threads.
     pub fn handle(&self, req: &Request) -> Response {
+        self.account(req, || self.answer(req))
+    }
+
+    /// Runs `answer` and folds its response into the counters, the
+    /// latency histograms and the telemetry stream. A panicking request
+    /// becomes a failed response — counted like any other failure —
+    /// instead of a hung client or a dead worker.
+    fn account(&self, req: &Request, answer: impl FnOnce() -> Response) -> Response {
         let started = Instant::now();
         self.requests.fetch_add(1, Ordering::SeqCst);
-        let resp = match req.cmd {
-            Cmd::Stats => Response {
-                id: req.id.clone(),
-                ok: true,
-                stats: Some(self.stats()),
-                ..Response::default()
-            },
-            Cmd::Metrics => Response {
-                id: req.id.clone(),
-                ok: true,
-                metrics: Some(self.prometheus_text()),
-                ..Response::default()
-            },
-            Cmd::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                Response {
-                    id: req.id.clone(),
-                    ok: true,
-                    ..Response::default()
-                }
-            }
-            Cmd::Run | Cmd::Compile | Cmd::Check => self.pipeline_request(req),
-        };
+        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer))
+            .unwrap_or_else(|_| Response::failure(&req.id, "internal error: request panicked"));
         if !resp.ok {
             self.failures.fetch_add(1, Ordering::SeqCst);
         }
-        self.record_latency(&resp, started);
+        {
+            let mut lat = self.latency.lock().unwrap();
+            lat.e2e.record(started.elapsed().as_nanos() as u64);
+            for p in &resp.phases {
+                lat.phases.entry(p.phase.clone()).or_default().record(p.ns);
+            }
+        }
         self.emit_telemetry(req, &resp, started);
         resp
     }
 
-    /// Folds one finished request into the latency histograms.
-    fn record_latency(&self, resp: &Response, started: Instant) {
-        let mut lat = self.latency.lock().unwrap();
-        lat.e2e.record(started.elapsed().as_nanos() as u64);
-        for p in &resp.phases {
-            lat.phases.entry(p.phase.clone()).or_default().record(p.ns);
-        }
-    }
-
-    /// The compile/check/run path: source → cached pipeline → verifier →
-    /// (optionally) the VM.
-    fn pipeline_request(&self, req: &Request) -> Response {
-        let source = match (&req.source, &req.path) {
-            (Some(s), _) => s.clone(),
-            (None, Some(p)) => match std::fs::read_to_string(p) {
-                Ok(s) => s,
-                Err(e) => return Response::failure(&req.id, format!("{p}: {e}")),
-            },
-            (None, None) => return Response::failure(&req.id, "request needs `source` or `path`"),
-        };
-        let cfg = VmConfig {
-            inputs_int: req.inputs.clone(),
-            ..Default::default()
-        };
-        let pipeline = Pipeline::new(&self.store);
-        let mut trace = Trace::new();
-
-        let art = match pipeline.analyze(&source, &cfg, &mut trace) {
-            Ok(a) => a,
-            Err(e) => {
-                return Response {
-                    phases: PhaseLine::from_trace(&trace),
-                    ..Response::failure(&req.id, e.to_string())
-                }
-            }
-        };
-
-        // `run --serial` executes the untransformed program; everything
-        // else transforms (and `check` reports pass 1 even when the
-        // transform fails).
-        let needs_transform = !(req.cmd == Cmd::Run && req.serial);
-        let transformed = if needs_transform {
-            match pipeline.transform(&art, req.opt, req.threads, req.baseline, &mut trace) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    if req.cmd == Cmd::Check {
-                        let report = dse_verify::check_all(&art.analysis, None);
-                        let mut resp = Response::failure(&req.id, format!("transform failed: {e}"));
-                        resp.diagnostics = report.diagnostics.iter().map(|d| d.render()).collect();
-                        resp.phases = PhaseLine::from_trace(&trace);
-                        return resp;
-                    }
-                    return Response {
-                        phases: PhaseLine::from_trace(&trace),
-                        ..Response::failure(&req.id, e.to_string())
-                    };
-                }
-            }
-        } else {
-            None
-        };
-
-        let mut resp = Response {
+    fn answer(&self, req: &Request) -> Response {
+        let ok = Response {
             id: req.id.clone(),
             ok: true,
             ..Response::default()
         };
-
-        if let Some(t) = &transformed {
-            let report = dse_verify::check_cached(&self.store, &art.analysis, t, &mut trace);
-            if req.cmd == Cmd::Check {
-                resp.diagnostics = report.render_text().lines().map(str::to_string).collect();
-                if report.should_fail(req.strict) {
-                    resp.ok = false;
-                    resp.error = Some("verifier findings".into());
-                    resp.exit = 1;
-                }
-                resp.phases = PhaseLine::from_trace(&trace);
-                return resp;
+        match req.cmd {
+            Cmd::Stats => Response {
+                stats: Some(self.stats()),
+                ..ok
+            },
+            Cmd::Metrics => Response {
+                metrics: Some(self.prometheus_text()),
+                ..ok
+            },
+            Cmd::Shutdown => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                ok
             }
-            resp.diagnostics = report.diagnostics.iter().map(|d| d.render()).collect();
-            if report.should_fail(false) {
-                resp.ok = false;
-                resp.error = Some(format!(
-                    "verification failed with {} error(s)",
-                    report.count(dse_verify::diag::Severity::Error)
-                ));
-                resp.exit = 1;
-                resp.phases = PhaseLine::from_trace(&trace);
-                return resp;
+            Cmd::Run | Cmd::Compile | Cmd::Check => {
+                execute(&self.store, req, VmConfig::default(), &mut NullObserver).response(req)
             }
         }
-
-        if req.cmd == Cmd::Run {
-            let (compiled, nthreads) = match &transformed {
-                Some(t) => (t.transformed.parallel.clone(), req.threads),
-                None => (art.analysis.serial.clone(), 1),
-            };
-            let run_cfg = VmConfig {
-                nthreads,
-                inputs_int: req.inputs.clone(),
-                backend: req.exec_backend,
-                strict: req.strict,
-                ..Default::default()
-            };
-            // The register lowering and its verification are cached
-            // phases: a daemon serving the same program repeatedly pays
-            // for them once, and a lowering bug surfaces as a failed
-            // response — never a daemon panic.
-            let run = match req.exec_backend {
-                dse_runtime::BackendKind::Stack => {
-                    Vm::new(compiled, run_cfg).map_err(|e| e.to_string())
-                }
-                dse_runtime::BackendKind::Reg => {
-                    dse_verify::verified_reg_vm(&pipeline, compiled, run_cfg, &mut trace)
-                }
-            }
-            .and_then(|mut vm| {
-                let report = vm.run().map_err(|e| e.to_string())?;
-                Ok((vm, report))
-            });
-            match run {
-                Ok((vm, report)) => {
-                    resp.console = vm.console().to_string();
-                    resp.out_long = vm.outputs_int();
-                    resp.out_float = vm.outputs_float();
-                    if let Some(dse_runtime::Value::I(code)) = report.return_value {
-                        resp.exit = code & 0xff;
-                    }
-                }
-                Err(e) => {
-                    resp.ok = false;
-                    resp.error = Some(e);
-                    resp.exit = 1;
-                }
-            }
-        }
-
-        resp.phases = PhaseLine::from_trace(&trace);
-        resp
     }
 
     /// One JSONL line per request: id, command, outcome, wall time, and
@@ -300,18 +177,7 @@ impl Server {
             ("cache_misses", Json::Int(resp.cache_misses() as i64)),
             (
                 "phases",
-                Json::Arr(
-                    resp.phases
-                        .iter()
-                        .map(|p| {
-                            Json::obj(vec![
-                                ("phase", Json::Str(p.phase.clone())),
-                                ("cache", Json::Str(p.cache.clone())),
-                                ("ns", Json::Int(p.ns as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(resp.phases.iter().map(PhaseLine::to_json).collect()),
             ),
         ]);
         let mut sink = sink.lock().unwrap();
@@ -320,8 +186,7 @@ impl Server {
     }
 
     /// Submits a parsed request to the task pool; the response is sent on
-    /// `out`. A panicking request produces an error response instead of a
-    /// hung client.
+    /// `out`.
     fn submit(self: &Arc<Self>, req: Request, out: mpsc::Sender<Response>) {
         let server = Arc::clone(self);
         let queued_at = Instant::now();
@@ -332,11 +197,7 @@ impl Server {
                 .unwrap()
                 .queue
                 .record(queued_at.elapsed().as_nanos() as u64);
-            let id = req.id.clone();
-            let resp =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.handle(&req)))
-                    .unwrap_or_else(|_| Response::failure(id, "internal error: request panicked"));
-            let _ = out.send(resp);
+            let _ = out.send(server.handle(&req));
         });
     }
 
@@ -443,7 +304,7 @@ impl Server {
                     .ok()
                     .and_then(|a| a.as_pathname().map(std::path::Path::to_path_buf))
                 {
-                    let _ = UnixStreamConnect::connect(&addr);
+                    let _ = std::os::unix::net::UnixStream::connect(&addr);
                 }
                 break;
             }
@@ -451,12 +312,50 @@ impl Server {
     }
 }
 
-/// Tiny indirection so `serve_connection` can poke the accept loop without
-/// importing `UnixStream` at every call site.
-struct UnixStreamConnect;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl UnixStreamConnect {
-    fn connect(path: &std::path::Path) -> std::io::Result<()> {
-        std::os::unix::net::UnixStream::connect(path).map(|_| ())
+    fn run(source: &str) -> Request {
+        Request {
+            source: Some(source.into()),
+            threads: 1,
+            ..Request::new("t", Cmd::Run)
+        }
+    }
+
+    #[test]
+    fn zero_threads_is_a_failed_request_not_a_panic() {
+        let server = Server::new(&ServerConfig::default());
+        let req = Request {
+            threads: 0,
+            ..run("int main() { return 0; }")
+        };
+        let resp = server.handle(&req);
+        assert!(!resp.ok);
+        assert_eq!(resp.error.as_deref(), Some("bad `threads`"));
+        assert_eq!(resp.exit, 1);
+        assert_eq!(server.stats().failures, 1);
+    }
+
+    #[test]
+    fn a_panicking_request_is_counted_and_the_next_one_served() {
+        let server = Server::new(&ServerConfig::default());
+        let req = run("int main() { out_long(7); return 0; }");
+        let resp = server.account(&req, || panic!("seeded"));
+        assert!(!resp.ok);
+        assert_eq!(resp.id, "t");
+        assert_eq!(
+            resp.error.as_deref(),
+            Some("internal error: request panicked")
+        );
+        let stats = server.stats();
+        assert_eq!((stats.requests, stats.failures), (1, 1));
+        assert_eq!(stats.latency.e2e.count(), 1, "latency recorded too");
+
+        let resp = server.handle(&req);
+        assert!(resp.ok, "{:?}", resp.error);
+        assert_eq!(resp.out_long, [7]);
+        assert_eq!(server.stats().failures, 1);
     }
 }

@@ -62,6 +62,13 @@ fn usage_and_io_errors_exit_two() {
     assert_eq!(code, 2, "check on unreadable input is an I/O error");
     let (code, _, _) = dsec(&["check"]);
     assert_eq!(code, 2, "check without a file is a usage error");
+    let f = fixture("doacross_sum.cee");
+    let (code, _, stderr) = dsec(&[&f, "--run", "--threads", "0"]);
+    assert_eq!(code, 2, "zero threads is a usage error, not a panic");
+    assert_eq!(stderr, "dsec: bad `threads`\n");
+    let (code, _, stderr) = dsec(&["check", &f, "--json", "--daemon", "/no/such.sock"]);
+    assert_eq!(code, 2, "the daemon has no JSON report to relay");
+    assert!(stderr.contains("--json runs standalone"), "{stderr}");
 }
 
 #[test]

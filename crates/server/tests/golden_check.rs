@@ -3,8 +3,8 @@
 //! with:
 //!
 //! ```text
-//! cargo run -p dse-verify --bin dsec -- check <fixture>.cee > <fixture>.expected
-//! cargo run -p dse-verify --bin dsec -- check <fixture>.cee --json > <fixture>.expected.json
+//! cargo run -p dse-server --bin dsec -- check <fixture>.cee > <fixture>.expected
+//! cargo run -p dse-server --bin dsec -- check <fixture>.cee --json > <fixture>.expected.json
 //! ```
 
 use std::path::PathBuf;

@@ -158,19 +158,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Non-empty buckets as `(low, high, count)` ranges, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(idx, &c)| {
-                let (lo, hi) = bucket_bounds(idx);
-                (lo, hi, c)
-            })
-            .collect()
-    }
-
     /// Sparse JSON form: summary fields plus `[index, count]` pairs for
     /// non-empty buckets.
     pub fn to_json(&self) -> Json {
