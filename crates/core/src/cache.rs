@@ -1,8 +1,8 @@
 //! The content-addressed artifact store.
 //!
 //! Every pipeline phase (parse, lower, profile, classify, plan, xform,
-//! reglower, verify) produces an artifact keyed by a [`ContentHash`] of
-//! its inputs:
+//! reglower, verify, regverify) produces an artifact keyed by a
+//! [`ContentHash`] of its inputs:
 //! the source text, the relevant options, and the *content* hashes of its
 //! upstream artifacts. Keying lower by the hash of the printed AST (rather
 //! than by the source hash) gives the cache early cutoff: a comment or
@@ -39,8 +39,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Canonical phase ordering for stats reporting.
-pub const PHASES: [&str; 8] = [
-    "parse", "lower", "profile", "classify", "plan", "xform", "reglower", "verify",
+pub const PHASES: [&str; 9] = [
+    "parse",
+    "lower",
+    "profile",
+    "classify",
+    "plan",
+    "xform",
+    "reglower",
+    "verify",
+    "regverify",
 ];
 
 /// Locks `m`, recovering the data if a previous holder panicked. The

@@ -103,37 +103,53 @@ pub enum Builtin {
     MemCpy,
 }
 
+/// A builtin's calling convention: one float flag per argument in stack
+/// order (bottom→top, which is also register order from the call's
+/// argument base) and the result's float flag, if it has a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BuiltinSig {
+    /// Per argument: true when it is a float.
+    pub args: &'static [bool],
+    /// `Some(is_float)` when the builtin produces a value.
+    pub ret: Option<bool>,
+}
+
 impl Builtin {
+    /// The builtin's signature — the one table every arity, result and
+    /// operand-type question about builtins is answered from.
+    pub fn sig(self) -> BuiltinSig {
+        const I: bool = false;
+        const F: bool = true;
+        let (args, ret): (&[bool], _) = match self {
+            Builtin::Malloc => (&[I], Some(I)),
+            Builtin::Calloc => (&[I, I], Some(I)),
+            Builtin::Realloc => (&[I, I], Some(I)),
+            Builtin::ReallocExpanded => (&[I, I, I], Some(I)),
+            Builtin::Free => (&[I], None),
+            Builtin::InLong => (&[I], Some(I)),
+            Builtin::InFloat => (&[I], Some(F)),
+            Builtin::InLen => (&[], Some(I)),
+            Builtin::OutLong => (&[I], None),
+            Builtin::OutFloat => (&[F], None),
+            Builtin::PrintLong => (&[I], None),
+            Builtin::PrintFloat => (&[F], None),
+            Builtin::Fsqrt => (&[F], Some(F)),
+            Builtin::Fabs => (&[F], Some(F)),
+            Builtin::MemCpy => (&[I, I, I], None),
+            Builtin::Tid => (&[], Some(I)),
+            Builtin::NThreads => (&[], Some(I)),
+        };
+        BuiltinSig { args, ret }
+    }
+
     /// Number of arguments the builtin pops.
     pub fn arity(self) -> usize {
-        match self {
-            Builtin::InLen | Builtin::Tid | Builtin::NThreads => 0,
-            Builtin::Malloc
-            | Builtin::Free
-            | Builtin::InLong
-            | Builtin::InFloat
-            | Builtin::OutLong
-            | Builtin::OutFloat
-            | Builtin::PrintLong
-            | Builtin::PrintFloat
-            | Builtin::Fsqrt
-            | Builtin::Fabs => 1,
-            Builtin::Calloc | Builtin::Realloc => 2,
-            Builtin::ReallocExpanded | Builtin::MemCpy => 3,
-        }
+        self.sig().args.len()
     }
 
     /// True if the builtin pushes a result value.
     pub fn has_result(self) -> bool {
-        !matches!(
-            self,
-            Builtin::Free
-                | Builtin::OutLong
-                | Builtin::OutFloat
-                | Builtin::PrintLong
-                | Builtin::PrintFloat
-                | Builtin::MemCpy
-        )
+        self.sig().ret.is_some()
     }
 
     /// Maps a source-level (or pass-injected) callee name to a builtin.

@@ -28,7 +28,7 @@ pub use bytecode::{CompiledProgram, Instr};
 pub use loops::{CandidateLoop, ParMode};
 pub use lower::{lower_program, LowerError, LowerMode, LowerOptions, ParLoopSpec};
 pub use regcode::{
-    analyze_stack, builtin_sig, for_each_dst, for_each_src, promotion_plan, pure_dst, AccessShape,
+    analyze_stack, for_each_dst, for_each_src, promotion_plan, pure_dst, AccessShape,
     PromotionPlan, RInstr, Reg, RegLowerError, RegProgram, Slot, StackFlow, Ty, NO_OWNER,
 };
 pub use sites::{AccessKind, SiteId, SiteInfo, SiteTable, NO_SITE};

@@ -343,35 +343,6 @@ impl fmt::Display for RegLowerError {
 
 impl std::error::Error for RegLowerError {}
 
-/// Builtin signature for the register calling convention: per-argument
-/// float flags in stack order (bottom→top) and the result's float flag.
-pub fn builtin_sig(b: Builtin) -> (&'static [bool], Option<bool>) {
-    const I0: &[bool] = &[];
-    const I1: &[bool] = &[false];
-    const I2: &[bool] = &[false, false];
-    const I3: &[bool] = &[false, false, false];
-    const F1: &[bool] = &[true];
-    match b {
-        Builtin::Malloc => (I1, Some(false)),
-        Builtin::Calloc => (I2, Some(false)),
-        Builtin::Realloc => (I2, Some(false)),
-        Builtin::ReallocExpanded => (I3, Some(false)),
-        Builtin::Free => (I1, None),
-        Builtin::InLong => (I1, Some(false)),
-        Builtin::InFloat => (I1, Some(true)),
-        Builtin::InLen => (I0, Some(false)),
-        Builtin::OutLong => (I1, None),
-        Builtin::OutFloat => (F1, None),
-        Builtin::PrintLong => (I1, None),
-        Builtin::PrintFloat => (F1, None),
-        Builtin::Fsqrt => (F1, Some(true)),
-        Builtin::Fabs => (F1, Some(true)),
-        Builtin::MemCpy => (I3, None),
-        Builtin::Tid => (I0, Some(false)),
-        Builtin::NThreads => (I0, Some(false)),
-    }
-}
-
 /// Static type of one operand-stack slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ty {
@@ -758,12 +729,12 @@ impl<'p> Flow<'p> {
                 }
             }
             Instr::CallBuiltin(b) => {
-                let (sig, res) = builtin_sig(b);
-                for &isf in sig.iter().rev() {
+                let sig = b.sig();
+                for &isf in sig.args.iter().rev() {
                     let s = Self::pop_ty(&mut st, pc, if isf { F } else { I })?;
                     value_use!(s);
                 }
-                if let Some(isf) = res {
+                if let Some(isf) = sig.ret {
                     st.push(Slot::new(if isf { F } else { I }));
                 }
             }
@@ -920,6 +891,30 @@ pub fn promotion_plan(prog: &CompiledProgram, flow: &StackFlow) -> PromotionPlan
         maxd,
         promoted,
         spills,
+    }
+}
+
+impl RInstr {
+    /// The register pc encoded in this instruction, for rewriting: a
+    /// branch's target or a call's callee entry. The one list of
+    /// "instructions that carry a code address".
+    pub fn jump_target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            RInstr::Jump { t }
+            | RInstr::JumpIfZ { t, .. }
+            | RInstr::JumpIfNZ { t, .. }
+            | RInstr::JumpICmp { t, .. }
+            | RInstr::JumpICmpImm { t, .. }
+            | RInstr::JumpFCmp { t, .. }
+            | RInstr::Call { target: t, .. } => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The register pc [`RInstr::jump_target_mut`] would expose.
+    pub fn jump_target(&self) -> Option<u32> {
+        let mut ins = *self;
+        ins.jump_target_mut().copied()
     }
 }
 
@@ -1180,15 +1175,8 @@ fn coalesce(
     // Run boundaries: anything control flow can land on.
     let mut rt_target = vec![false; len];
     for (j, ins) in out.iter().enumerate() {
-        match *ins {
-            RInstr::Jump { t }
-            | RInstr::JumpIfZ { t, .. }
-            | RInstr::JumpIfNZ { t, .. }
-            | RInstr::JumpICmp { t, .. }
-            | RInstr::JumpICmpImm { t, .. }
-            | RInstr::JumpFCmp { t, .. }
-            | RInstr::Call { target: t, .. } => rt_target[t as usize] = true,
-            _ => {}
+        if let Some(t) = ins.jump_target() {
+            rt_target[t as usize] = true;
         }
         if let RInstr::Call { .. } = ins {
             // Returns resume at the next pc.
@@ -1321,13 +1309,11 @@ fn coalesce(
                     }
                 }
                 RInstr::ParLoop { .. } => dead.iter_mut().for_each(|dd| *dd = false),
-                RInstr::JumpIfZ { t, .. }
-                | RInstr::JumpIfNZ { t, .. }
-                | RInstr::JumpICmp { t, .. }
-                | RInstr::JumpICmpImm { t, .. }
-                | RInstr::JumpFCmp { t, .. } => {
-                    // Merge the taken edge: whatever it keeps live, is live.
-                    match depth_at(t as usize) {
+                _ => match out[j].jump_target() {
+                    // A conditional branch (`Jump` and `Call` matched
+                    // above). Merge the taken edge: whatever it keeps live,
+                    // is live.
+                    Some(t) => match depth_at(t as usize) {
                         Some(depth) => {
                             for dd in dead.iter_mut().take(depth) {
                                 *dd = false;
@@ -1342,16 +1328,16 @@ fn coalesce(
                             }
                         }
                         None => dead.iter_mut().for_each(|dd| *dd = false),
-                    }
-                }
-                _ => {
-                    if let Some(d) = pure_dst(&out[j]) {
-                        if dead.get(d as usize).copied().unwrap_or(false) {
-                            keep[j] = false;
-                            continue;
+                    },
+                    None => {
+                        if let Some(d) = pure_dst(&out[j]) {
+                            if dead.get(d as usize).copied().unwrap_or(false) {
+                                keep[j] = false;
+                                continue;
+                            }
                         }
                     }
-                }
+                },
             }
             for_each_dst(&out[j], &mut |d| {
                 if let Some(dd) = dead.get_mut(d as usize) {
@@ -1379,15 +1365,8 @@ fn coalesce(
         if !keep[j] {
             continue;
         }
-        match ins {
-            RInstr::Jump { t }
-            | RInstr::JumpIfZ { t, .. }
-            | RInstr::JumpIfNZ { t, .. }
-            | RInstr::JumpICmp { t, .. }
-            | RInstr::JumpICmpImm { t, .. }
-            | RInstr::JumpFCmp { t, .. }
-            | RInstr::Call { target: t, .. } => *t = new_idx[*t as usize],
-            _ => {}
+        if let Some(t) = ins.jump_target_mut() {
+            *t = new_idx[*t as usize];
         }
     }
     let mut w = 0usize;
@@ -1856,15 +1835,9 @@ pub fn translate(prog: &CompiledProgram) -> Result<RegProgram, RegLowerError> {
             regpc_branch[stack_t as usize]
         };
         debug_assert_ne!(rt, u32::MAX, "branch into untranslated pc");
-        match &mut out[idx] {
-            RInstr::Jump { t }
-            | RInstr::JumpIfZ { t, .. }
-            | RInstr::JumpIfNZ { t, .. }
-            | RInstr::JumpICmp { t, .. }
-            | RInstr::JumpICmpImm { t, .. }
-            | RInstr::JumpFCmp { t, .. }
-            | RInstr::Call { target: t, .. } => *t = rt,
-            other => unreachable!("patch target on {other:?}"),
+        match out[idx].jump_target_mut() {
+            Some(t) => *t = rt,
+            None => unreachable!("patch target on {:?}", out[idx]),
         }
     }
 
@@ -2151,13 +2124,9 @@ mod tests {
             rp.code
         );
         for ins in &rp.code {
-            let t = match *ins {
-                RInstr::Jump { t }
-                | RInstr::JumpIfZ { t, .. }
-                | RInstr::JumpIfNZ { t, .. }
-                | RInstr::JumpICmp { t, .. }
-                | RInstr::JumpICmpImm { t, .. }
-                | RInstr::JumpFCmp { t, .. } => t,
+            // Calls enter through the prologue; only branches must skip it.
+            let t = match ins.jump_target() {
+                Some(t) if !matches!(ins, RInstr::Call { .. }) => t,
                 _ => continue,
             };
             assert!(

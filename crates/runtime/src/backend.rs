@@ -1,21 +1,20 @@
-//! Execution backends: how a [`Vm`] turns a compiled program into effects.
+//! Execution backends: which encoding of the program a [`crate::Vm`] runs.
 //!
-//! The stack interpreter in [`crate::vm`] is the *reference* backend — it
-//! executes the stack bytecode the lowering emits, and every observable
-//! behaviour (outputs, traps, Figure-12 counters, site attribution) is
-//! defined by it. The register backend executes the same program through
-//! the register translation in [`dse_ir::regcode`], with threaded dispatch
-//! over a flat per-thread register file; it must be observationally
-//! equivalent (the differential suite in `crates/workloads` enforces
-//! this), differing only in raw loop throughput.
+//! The stack interpreter ([`crate::Vm::exec_stack`]) is the *reference*
+//! backend — it executes the stack bytecode the lowering emits, which is
+//! also what the dependence profiler attributes sites to. The register
+//! backend ([`crate::Vm::exec_reg`]) executes the same program through the
+//! register translation in [`dse_ir::regcode`], with threaded dispatch
+//! over a flat per-thread register file. Both call [`crate::ops`] for what
+//! an instruction means, so they differ only in where operands live and in
+//! raw loop throughput; the differential suite in `crates/workloads`
+//! checks the observable equivalence end to end.
 //!
 //! Both the master (`Vm::run`) and every pool worker dispatch through
-//! [`Vm::exec`], which forwards to the configured backend — so one flag
+//! `Vm::exec`, which matches on the VM's [`Backend`] — so one flag
 //! switches the encoding for serial code, inlined loops, and all parallel
 //! schedules at once.
 
-use crate::observer::Observer;
-use crate::vm::{ThreadCtx, Value, Vm, VmError};
 use dse_ir::RegProgram;
 use std::sync::Arc;
 
@@ -59,75 +58,11 @@ impl BackendKind {
     }
 }
 
-/// An execution engine for one [`Vm`]. `entry` is always a *stack*
-/// bytecode pc (function entry or outlined region entry) — backends with
-/// their own encoding map it through their entry table, so the executor
-/// and scheduler never need to know which encoding runs.
-pub(crate) trait ExecBackend: Send + Sync {
-    /// The `--exec-backend` spelling of this backend.
-    #[allow(dead_code)]
-    fn name(&self) -> &'static str;
-
-    /// Executes from stack pc `entry` until the current sentinel frame
-    /// returns; the semantics contract is [`Vm::exec_stack`]'s.
-    fn exec(
-        &self,
-        vm: &Vm,
-        ctx: &mut ThreadCtx,
-        entry: u32,
-        obs: &mut dyn Observer,
-    ) -> Result<Option<Value>, VmError>;
-}
-
-/// The reference backend: the stack interpreter in [`crate::vm`].
-pub(crate) struct StackBackend;
-
-impl ExecBackend for StackBackend {
-    fn name(&self) -> &'static str {
-        "stack"
-    }
-
-    fn exec(
-        &self,
-        vm: &Vm,
-        ctx: &mut ThreadCtx,
-        entry: u32,
-        obs: &mut dyn Observer,
-    ) -> Result<Option<Value>, VmError> {
-        vm.exec_stack(ctx, entry, obs)
-    }
-}
-
-/// The register backend: threaded dispatch over the translated
-/// [`RegProgram`] (see [`crate::regvm`]).
-pub(crate) struct RegBackend {
-    prog: Arc<RegProgram>,
-}
-
-impl RegBackend {
-    pub(crate) fn new(prog: Arc<RegProgram>) -> RegBackend {
-        RegBackend { prog }
-    }
-}
-
-impl ExecBackend for RegBackend {
-    fn name(&self) -> &'static str {
-        "reg"
-    }
-
-    fn exec(
-        &self,
-        vm: &Vm,
-        ctx: &mut ThreadCtx,
-        entry: u32,
-        obs: &mut dyn Observer,
-    ) -> Result<Option<Value>, VmError> {
-        let Some(&rentry) = self.prog.entry_map.get(&entry) else {
-            return Err(VmError::new(
-                entry as usize,
-                format!("no register translation for entry pc {entry}"),
-            ));
-        };
-        vm.exec_reg(&self.prog, ctx, rentry, obs)
-    }
+/// The encoding a built [`crate::Vm`] executes: [`BackendKind`] plus what
+/// the register interpreter needs to run.
+pub(crate) enum Backend {
+    /// The reference stack interpreter over `CompiledProgram::code`.
+    Stack,
+    /// The register interpreter over a translated module.
+    Reg(Arc<RegProgram>),
 }

@@ -26,7 +26,7 @@
 use crate::observer::{NullObserver, Observer};
 use crate::pool::{LoopDispatch, StealQueue};
 use crate::tracebuf::{EventKind, TraceEvent};
-use crate::vm::{lock_clean, Frame, LoopSync, ThreadCtx, Vm, VmError};
+use crate::vm::{lock_clean, LoopSync, ThreadCtx, Vm, VmError};
 use dse_ir::loops::ParMode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -434,12 +434,9 @@ impl Vm {
         entry: u32,
         obs: &mut dyn Observer,
     ) -> Result<(), VmError> {
-        ctx.frames.push(Frame {
-            ret_pc: None,
-            saved_base: ctx.frame_base,
-            saved_sp: ctx.sp,
-            saved_rbase: ctx.reg_base,
-        });
+        // A sentinel, not an activation: the region runs in the enclosing
+        // function's frame.
+        ctx.save_frame(None);
         let v = self.exec(ctx, entry, obs)?;
         debug_assert!(v.is_none(), "loop body regions return no value");
         Ok(())

@@ -9,10 +9,15 @@
 //!   sharded front-end caches (O(1), mostly uncontended alloc/free) and a
 //!   sharded allocation registry (parallel interior-pointer lookup,
 //!   live/peak accounting for the Figure 14 memory experiments).
-//! * [`vm`] — the interpreter: operand stack, call frames on in-VM stacks,
-//!   builtins (`malloc`..`free`, host I/O, `__tid`/`__nthreads` and the
-//!   expansion pass's `__realloc_expanded`), and per-thread cost counters
-//!   in the categories of the paper's Figure 12.
+//! * [`vm`] — the machine (memory, heap, I/O channels, per-thread cost
+//!   counters in the categories of the paper's Figure 12) and the
+//!   reference stack interpreter.
+//! * [`regvm`] — the register interpreter with threaded dispatch;
+//!   [`backend`] names the two encodings.
+//! * [`ops`] — what every opcode and builtin *does* (checked memory
+//!   access, call frames on in-VM stacks, `malloc`..`free`, host I/O,
+//!   `__tid`/`__nthreads`, the expansion pass's `__realloc_expanded`,
+//!   every trap message): the one definition both interpreters call.
 //! * [`exec`] — the parallel executor: DOALL chunked dynamic scheduling
 //!   with work stealing, DOACROSS dynamic chunk-1 scheduling with
 //!   post/wait ordering (GOMP stand-in).
@@ -49,6 +54,7 @@ pub mod backend;
 pub mod exec;
 pub mod mem;
 pub mod observer;
+pub mod ops;
 pub mod pool;
 pub mod privatize;
 pub mod prof;

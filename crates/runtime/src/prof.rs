@@ -14,7 +14,7 @@
 //! answer "where does this loop's time go" without any tracing overhead
 //! when the flag is off.
 
-use dse_ir::bytecode::{Builtin, Instr};
+use dse_ir::bytecode::Instr;
 use std::collections::HashMap;
 
 /// Loop id the profiler charges serial (outside-loop) execution to.
@@ -85,28 +85,10 @@ pub fn class_of(instr: &Instr) -> OpClass {
         | Instr::ParLoop(_)
         | Instr::Halt => OpClass::Ctl,
         Instr::Wait(_) | Instr::Post(_) => OpClass::Sync,
-        Instr::CallBuiltin(b) => match b {
-            // Localization-adjacent builtins still count as builtins; the
-            // dedicated class tracks the `Localize` instruction the
-            // transform inserts on privatized accesses.
-            Builtin::Malloc
-            | Builtin::Calloc
-            | Builtin::Realloc
-            | Builtin::ReallocExpanded
-            | Builtin::Free
-            | Builtin::InLong
-            | Builtin::InFloat
-            | Builtin::InLen
-            | Builtin::OutLong
-            | Builtin::OutFloat
-            | Builtin::PrintLong
-            | Builtin::PrintFloat
-            | Builtin::Fsqrt
-            | Builtin::Fabs
-            | Builtin::MemCpy
-            | Builtin::Tid
-            | Builtin::NThreads => OpClass::Builtin,
-        },
+        // Every builtin, allocation and intrinsic alike; the `Localize`
+        // class below tracks the instruction the transform inserts on
+        // privatized accesses, not a builtin.
+        Instr::CallBuiltin(_) => OpClass::Builtin,
         Instr::Localize { .. } => OpClass::Localize,
     }
 }

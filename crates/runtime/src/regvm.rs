@@ -8,14 +8,16 @@
 //! branch predictor sees the load of the next instruction as early as
 //! possible and the hot path never touches `Vec` push/pop traffic.
 //!
-//! Semantics are defined by the reference stack interpreter
-//! ([`Vm::exec_stack`]): every trap condition, observer callback, counter
-//! increment, and builtin effect here mirrors it, and traps report the
-//! *originating stack pc* through [`RegProgram::origin`] so diagnostics
-//! are identical under either backend. Where the two encodings can't
-//! match exactly — `Counters::work` and the opcode profiler count fused
-//! super-instructions as one — the differential suite compares only the
-//! backend-invariant counter classes.
+//! What an instruction *does* is defined once, in [`crate::ops`], and
+//! shared with the reference stack interpreter ([`Vm::exec_stack`]): every
+//! trap condition, observer callback, counter increment and builtin effect
+//! is the same call. This loop only reads operands from and writes results
+//! to registers — builtins take their argument registers directly — and
+//! traps report the *originating stack pc* through [`RegProgram::origin`],
+//! so diagnostics are identical under either backend. Where the two
+//! encodings can't match exactly — `Counters::work` and the opcode
+//! profiler count fused super-instructions as one — the differential suite
+//! compares only the backend-invariant counter classes.
 //!
 //! Register windows: a call does not save registers; the callee's window
 //! starts at the caller's argument base, and the caller's `Frame`
@@ -24,14 +26,11 @@
 //! across iterations (and across loops) without clearing — the register
 //! analogue of the frame-reuse the paper's executor applies to stacks.
 
-use crate::mem::sign_extend;
 use crate::observer::Observer;
+use crate::ops;
 use crate::prof::OpClass;
-use crate::vm::{cmp_result, fcmp, ibin, Frame, ThreadCtx, Value, Vm, VmError};
-use dse_ir::bytecode::LoopEvent;
-use dse_ir::bytecode::{FBinOp, GLOBAL_BASE};
-use dse_ir::regcode::{builtin_sig, RInstr, RegProgram};
-use dse_ir::sites::{AccessKind, NO_SITE};
+use crate::vm::{ThreadCtx, Value, Vm, VmError};
+use dse_ir::regcode::{RInstr, RegProgram};
 
 /// The profiler class of one register instruction, bucketed to match
 /// [`crate::prof::class_of`] on the stack encoding (fused instructions
@@ -92,11 +91,21 @@ fn rclass_of(instr: &RInstr) -> OpClass {
     }
 }
 
+impl ThreadCtx {
+    /// Grows the register file to cover a `window`-register window at the
+    /// current base (new registers read 0; existing ones are not cleared).
+    fn ensure_window(&mut self, window: usize) {
+        let need = self.reg_base + window;
+        if self.regs.len() < need {
+            self.regs.resize(need, 0);
+        }
+    }
+}
+
 impl Vm {
     /// Executes register code starting at register pc `entry` until the
-    /// current sentinel frame returns. The semantics contract is
-    /// [`Vm::exec_stack`]'s; see the module docs for how the encodings are
-    /// kept observationally equivalent.
+    /// current sentinel frame returns; see the module docs for how the
+    /// encodings are kept observationally equivalent.
     pub(crate) fn exec_reg(
         &self,
         rp: &RegProgram,
@@ -106,16 +115,22 @@ impl Vm {
     ) -> Result<Option<Value>, VmError> {
         let code = &rp.code[..];
         let window = rp.frame_regs as usize;
-        let need = ctx.reg_base + window;
-        if ctx.regs.len() < need {
-            ctx.regs.resize(need, 0);
-        }
+        ctx.ensure_window(window);
         let mut pc = entry as usize;
         // Traps always report the originating *stack* pc, so error
         // messages and site attribution match the reference backend.
         macro_rules! trap {
             ($($arg:tt)*) => {
                 return Err(VmError::new(rp.origin_pc(pc) as usize, format!($($arg)*)))
+            };
+        }
+        // Unwraps an `ops` result, trapping at this pc with its message.
+        macro_rules! ok {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(msg) => return Err(VmError::new(rp.origin_pc(pc) as usize, msg)),
+                }
             };
         }
         // Register file accessors over the current window.
@@ -151,6 +166,23 @@ impl Vm {
                 continue;
             }};
         }
+        // `r[d] = v`, then fall through.
+        macro_rules! set {
+            ($d:expr, $v:expr) => {{
+                let v = $v;
+                rg!($d) = v;
+                step!();
+            }};
+        }
+        // Jump to `t` if `cond`, else fall through.
+        macro_rules! branch {
+            ($cond:expr, $t:expr) => {{
+                if $cond {
+                    goto!($t);
+                }
+                step!();
+            }};
+        }
         loop {
             ctx.counters.work += 1;
             if ctx.counters.work > self.config.max_instructions {
@@ -160,18 +192,9 @@ impl Vm {
                 p.tick(rclass_of(&instr));
             }
             match instr {
-                RInstr::LdcI { d, v } => {
-                    rg!(d) = v as u64;
-                    step!();
-                }
-                RInstr::LdcF { d, v } => {
-                    rg!(d) = v.to_bits();
-                    step!();
-                }
-                RInstr::Mov { d, s } => {
-                    rg!(d) = rg!(s);
-                    step!();
-                }
+                RInstr::LdcI { d, v } => set!(d, v as u64),
+                RInstr::LdcF { d, v } => set!(d, v.to_bits()),
+                RInstr::Mov { d, s } => set!(d, rg!(s)),
                 RInstr::Tuck { d } => {
                     // [a, b] -> [b, a, b] over r[d], r[d+1], r[d+2].
                     let a = rg!(d);
@@ -181,67 +204,28 @@ impl Vm {
                     rg!(d + 2) = b;
                     step!();
                 }
-                RInstr::FrameAddr { d, off } => {
-                    rg!(d) = (ctx.frame_base + off as u64) as i64 as u64;
-                    step!();
-                }
-                RInstr::GlobalAddr { d, addr } => {
-                    rg!(d) = addr as i64 as u64;
-                    step!();
-                }
-                RInstr::TidScaled { d, k } => {
-                    rg!(d) = (ctx.tid as i64 * k) as u64;
-                    step!();
-                }
+                RInstr::FrameAddr { d, off } => set!(d, ctx.frame_addr(off)),
+                RInstr::GlobalAddr { d, addr } => set!(d, addr as u64),
+                RInstr::TidScaled { d, k } => set!(d, ctx.tid_scaled(k) as u64),
                 RInstr::TidSpanScaled { d, z } => {
-                    let span = rgi!(d);
-                    if z == 0 {
-                        trap!("TidSpanScaled with zero element size");
-                    }
-                    rg!(d) = (ctx.tid as i64 * span / z * z) as u64;
-                    step!();
+                    set!(d, ok!(ctx.tid_span_scaled(rgi!(d), z)) as u64)
                 }
                 RInstr::FrameAddrTid { d, offset, stride } => {
-                    ctx.counters.private_direct += 1;
-                    let a = ctx.frame_base + offset as u64;
-                    rg!(d) = (a as i64 + ctx.tid as i64 * stride) as u64;
-                    step!();
+                    set!(d, ctx.private_addr(ctx.frame_addr(offset), stride) as u64)
                 }
                 RInstr::GlobalAddrTid { d, addr, stride } => {
-                    ctx.counters.private_direct += 1;
-                    rg!(d) = (addr as i64 + ctx.tid as i64 * stride) as u64;
-                    step!();
+                    set!(d, ctx.private_addr(addr as u64, stride) as u64)
                 }
-                RInstr::IterIdx { d, depth } => {
-                    let n = ctx.iter_stack.len();
-                    let dep = depth as usize;
-                    if dep >= n {
-                        trap!("IterIdx outside parallel loop body");
-                    }
-                    rg!(d) = ctx.iter_stack[n - 1 - dep] as u64;
-                    step!();
-                }
+                RInstr::IterIdx { d, depth } => set!(d, ok!(ctx.iter_idx(depth)) as u64),
                 RInstr::Load {
                     d,
                     width,
                     is_float,
                     site,
-                } => {
-                    let addr = rgi!(d) as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid load of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Load, addr, width as u32, ctx.sp);
-                    }
-                    let raw = self.mem.read(addr, width as u32);
-                    rg!(d) = if is_float {
-                        raw
-                    } else {
-                        sign_extend(raw, width as u32) as u64
-                    };
-                    step!();
-                }
+                } => set!(
+                    d,
+                    ok!(self.load(obs, ctx.sp, rg!(d), width, is_float, site))
+                ),
                 RInstr::LdFrame {
                     d,
                     off,
@@ -249,20 +233,8 @@ impl Vm {
                     is_float,
                     site,
                 } => {
-                    let addr = ctx.frame_base + off as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid load of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Load, addr, width as u32, ctx.sp);
-                    }
-                    let raw = self.mem.read(addr, width as u32);
-                    rg!(d) = if is_float {
-                        raw
-                    } else {
-                        sign_extend(raw, width as u32) as u64
-                    };
-                    step!();
+                    let addr = ctx.frame_addr(off);
+                    set!(d, ok!(self.load(obs, ctx.sp, addr, width, is_float, site)))
                 }
                 RInstr::LdGlobal {
                     d,
@@ -270,22 +242,12 @@ impl Vm {
                     width,
                     is_float,
                     site,
-                } => {
-                    let addr = addr as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid load of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Load, addr, width as u32, ctx.sp);
-                    }
-                    let raw = self.mem.read(addr, width as u32);
-                    rg!(d) = if is_float {
-                        raw
-                    } else {
-                        sign_extend(raw, width as u32) as u64
-                    };
-                    step!();
-                }
+                } => set!(
+                    d,
+                    ok!(self.load(obs, ctx.sp, addr as u64, width, is_float, site))
+                ),
+                // Registers already hold the raw bit pattern either way, so
+                // stores ignore `is_float`.
                 RInstr::Store {
                     a,
                     v,
@@ -293,15 +255,7 @@ impl Vm {
                     is_float: _,
                     site,
                 } => {
-                    let addr = rgi!(a) as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid store of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Store, addr, width as u32, ctx.sp);
-                    }
-                    // Registers already hold the raw bit pattern either way.
-                    self.mem.write(addr, width as u32, rg!(v));
+                    ok!(self.store(obs, ctx.sp, rg!(a), width, site, rg!(v)));
                     step!();
                 }
                 RInstr::StFrame {
@@ -311,14 +265,8 @@ impl Vm {
                     is_float: _,
                     site,
                 } => {
-                    let addr = ctx.frame_base + off as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid store of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Store, addr, width as u32, ctx.sp);
-                    }
-                    self.mem.write(addr, width as u32, rg!(v));
+                    let addr = ctx.frame_addr(off);
+                    ok!(self.store(obs, ctx.sp, addr, width, site, rg!(v)));
                     step!();
                 }
                 RInstr::MemCpy {
@@ -328,226 +276,93 @@ impl Vm {
                     load_site,
                     store_site,
                 } => {
-                    let dsta = rgi!(dst) as u64;
-                    let srca = rgi!(src) as u64;
-                    let sz = size as u64;
-                    if srca < GLOBAL_BASE
-                        || dsta < GLOBAL_BASE
-                        || !self.mem.in_bounds(srca, sz)
-                        || !self.mem.in_bounds(dsta, sz)
-                    {
-                        trap!("invalid memcpy of {size} bytes {srca} -> {dsta}");
-                    }
-                    if load_site != NO_SITE {
-                        obs.on_access(load_site, AccessKind::Load, srca, size, ctx.sp);
-                    }
-                    if store_site != NO_SITE {
-                        obs.on_access(store_site, AccessKind::Store, dsta, size, ctx.sp);
-                    }
-                    self.mem.copy(srca, dsta, sz);
+                    let sites = (load_site, store_site);
+                    ok!(self.memcpy(obs, ctx.sp, rg!(src), rg!(dst), size, sites));
                     step!();
                 }
                 RInstr::IBin { op, d, l, r } => {
-                    let lv = rgi!(l);
-                    let rv = rgi!(r);
-                    rg!(d) = ibin(op, lv, rv)
-                        .map_err(|m| VmError::new(rp.origin_pc(pc) as usize, m))?
-                        as u64;
-                    step!();
+                    set!(d, ok!(ops::ibin(op, rgi!(l), rgi!(r))) as u64)
                 }
                 RInstr::IBinImm { op, d, l, imm } => {
-                    let lv = rgi!(l);
-                    rg!(d) = ibin(op, lv, imm)
-                        .map_err(|m| VmError::new(rp.origin_pc(pc) as usize, m))?
-                        as u64;
-                    step!();
+                    set!(d, ok!(ops::ibin(op, rgi!(l), imm)) as u64)
                 }
-                RInstr::FBin { op, d, l, r } => {
-                    let lv = rgf!(l);
-                    let rv = rgf!(r);
-                    let v = match op {
-                        FBinOp::Add => lv + rv,
-                        FBinOp::Sub => lv - rv,
-                        FBinOp::Mul => lv * rv,
-                        FBinOp::Div => lv / rv,
-                    };
-                    rg!(d) = v.to_bits();
-                    step!();
-                }
-                RInstr::ICmp { op, d, l, r } => {
-                    let res = cmp_result(op, rgi!(l).cmp(&rgi!(r)));
-                    rg!(d) = res as u64;
-                    step!();
-                }
-                RInstr::ICmpImm { op, d, l, imm } => {
-                    let res = cmp_result(op, rgi!(l).cmp(&imm));
-                    rg!(d) = res as u64;
-                    step!();
-                }
-                RInstr::FCmp { op, d, l, r } => {
-                    rg!(d) = fcmp(op, rgf!(l), rgf!(r)) as u64;
-                    step!();
-                }
-                RInstr::INeg { d } => {
-                    rg!(d) = rgi!(d).wrapping_neg() as u64;
-                    step!();
-                }
-                RInstr::FNeg { d } => {
-                    rg!(d) = (-rgf!(d)).to_bits();
-                    step!();
-                }
-                RInstr::BNot { d } => {
-                    rg!(d) = (!rgi!(d)) as u64;
-                    step!();
-                }
-                RInstr::LNot { d } => {
-                    rg!(d) = (rgi!(d) == 0) as u64;
-                    step!();
-                }
-                RInstr::I2F { d } => {
-                    rg!(d) = (rgi!(d) as f64).to_bits();
-                    step!();
-                }
-                RInstr::F2I { d } => {
-                    rg!(d) = (rgf!(d) as i64) as u64;
-                    step!();
-                }
-                RInstr::Sext { d, w } => {
-                    rg!(d) = sign_extend(rg!(d), w as u32) as u64;
-                    step!();
-                }
+                RInstr::FBin { op, d, l, r } => set!(d, ops::fbin(op, rgf!(l), rgf!(r)).to_bits()),
+                RInstr::ICmp { op, d, l, r } => set!(d, ops::icmp(op, rgi!(l), rgi!(r)) as u64),
+                RInstr::ICmpImm { op, d, l, imm } => set!(d, ops::icmp(op, rgi!(l), imm) as u64),
+                RInstr::FCmp { op, d, l, r } => set!(d, ops::fcmp(op, rgf!(l), rgf!(r)) as u64),
+                RInstr::INeg { d } => set!(d, ops::ineg(rgi!(d)) as u64),
+                RInstr::FNeg { d } => set!(d, ops::fneg(rgf!(d)).to_bits()),
+                RInstr::BNot { d } => set!(d, ops::bnot(rgi!(d)) as u64),
+                RInstr::LNot { d } => set!(d, ops::lnot(rgi!(d)) as u64),
+                RInstr::I2F { d } => set!(d, ops::i2f(rgi!(d)).to_bits()),
+                RInstr::F2I { d } => set!(d, ops::f2i(rgf!(d)) as u64),
+                RInstr::Sext { d, w } => set!(d, ops::sext(rgi!(d), w) as u64),
                 RInstr::Jump { t } => goto!(t),
-                RInstr::JumpIfZ { s, t } => {
-                    if rgi!(s) == 0 {
-                        goto!(t);
-                    }
-                    step!();
-                }
-                RInstr::JumpIfNZ { s, t } => {
-                    if rgi!(s) != 0 {
-                        goto!(t);
-                    }
-                    step!();
-                }
+                RInstr::JumpIfZ { s, t } => branch!(rgi!(s) == 0, t),
+                RInstr::JumpIfNZ { s, t } => branch!(rgi!(s) != 0, t),
                 RInstr::JumpICmp {
                     op,
                     l,
                     r,
                     t,
                     on_true,
-                } => {
-                    if cmp_result(op, rgi!(l).cmp(&rgi!(r))) == on_true {
-                        goto!(t);
-                    }
-                    step!();
-                }
+                } => branch!(ops::icmp(op, rgi!(l), rgi!(r)) == on_true, t),
                 RInstr::JumpICmpImm {
                     op,
                     l,
                     imm,
                     t,
                     on_true,
-                } => {
-                    if cmp_result(op, rgi!(l).cmp(&imm)) == on_true {
-                        goto!(t);
-                    }
-                    step!();
-                }
+                } => branch!(ops::icmp(op, rgi!(l), imm) == on_true, t),
                 RInstr::JumpFCmp {
                     op,
                     l,
                     r,
                     t,
                     on_true,
-                } => {
-                    if fcmp(op, rgf!(l), rgf!(r)) == on_true {
-                        goto!(t);
-                    }
-                    step!();
-                }
+                } => branch!(ops::fcmp(op, rgf!(l), rgf!(r)) == on_true, t),
                 RInstr::Call { target, fi, abase } => {
                     let callee = self.program.func(fi);
-                    let new_base = dse_lang::types::round_up(ctx.sp, 8);
-                    let new_sp = new_base + callee.frame_size as u64;
-                    if new_sp > ctx.stack_limit {
-                        trap!("stack overflow calling `{}`", callee.name);
-                    }
-                    self.mem.zero(new_base, callee.frame_size as u64);
+                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1)));
                     // Args sit in r[abase..abase+nargs] in parameter order;
                     // the translation proved their types, so the raw bits
                     // go straight to the parameter slots.
-                    for (pi, &(off, kind)) in callee.params.iter().enumerate() {
-                        let raw = rg!(abase + pi as u16);
-                        self.mem
-                            .write(new_base + off as u64, kind.width as u32, raw);
+                    for (pi, &param) in callee.params.iter().enumerate() {
+                        self.write_param(ctx, param, rg!(abase + pi as u16));
                     }
-                    ctx.frames.push(Frame {
-                        ret_pc: Some(pc as u32 + 1),
-                        saved_base: ctx.frame_base,
-                        saved_sp: ctx.sp,
-                        saved_rbase: ctx.reg_base,
-                    });
-                    ctx.frame_base = new_base;
-                    ctx.sp = new_sp;
+                    // The callee's window starts at the argument base (the
+                    // frame just pushed remembers the caller's).
                     ctx.reg_base += abase as usize;
-                    let need = ctx.reg_base + window;
-                    if ctx.regs.len() < need {
-                        ctx.regs.resize(need, 0);
-                    }
+                    ctx.ensure_window(window);
                     goto!(target);
                 }
                 RInstr::CallBuiltin { b, abase, orig_pc } => {
-                    // Bridge to the shared builtin implementation through
-                    // the operand stack, with the stack pc for trap and
-                    // allocation-site attribution parity.
-                    let (arg_f, ret_f) = builtin_sig(b);
-                    for (i, &isf) in arg_f.iter().enumerate() {
-                        let bits = rg!(abase + i as u16);
-                        ctx.ops.push(if isf {
-                            Value::F(f64::from_bits(bits))
-                        } else {
-                            Value::I(bits as i64)
-                        });
-                    }
-                    self.call_builtin(b, ctx, orig_pc as usize, obs)?;
-                    if let Some(isf) = ret_f {
-                        let v = match ctx.ops.pop() {
-                            Some(v) => v,
-                            None => trap!("builtin returned no value"),
-                        };
-                        debug_assert_eq!(matches!(v, Value::F(_)), isf);
-                        rg!(abase) = v.to_bits();
+                    // The argument registers are the builtin's operands;
+                    // the stack pc keeps trap and allocation-site
+                    // attribution identical to the reference backend.
+                    let sig = b.sig();
+                    let lo = ctx.reg_base + abase as usize;
+                    let args = &ctx.regs[lo..lo + sig.args.len()];
+                    let bits = match self.builtin(b, args, ctx.tid, orig_pc as usize, obs) {
+                        Ok(bits) => bits,
+                        Err(msg) => return Err(VmError::new(orig_pc as usize, msg)),
+                    };
+                    if sig.ret.is_some() {
+                        rg!(abase) = bits;
                     }
                     step!();
                 }
-                RInstr::Fsqrt { d } => {
-                    rg!(d) = rgf!(d).sqrt().to_bits();
-                    step!();
-                }
-                RInstr::Fabs { d } => {
-                    rg!(d) = rgf!(d).abs().to_bits();
-                    step!();
-                }
-                RInstr::Tid { d } => {
-                    rg!(d) = (ctx.tid as i64) as u64;
-                    step!();
-                }
-                RInstr::NThreads { d } => {
-                    rg!(d) = (self.config.nthreads as i64) as u64;
-                    step!();
-                }
+                RInstr::Fsqrt { d } => set!(d, ops::fsqrt(rg!(d))),
+                RInstr::Fabs { d } => set!(d, ops::fabs(rg!(d))),
+                RInstr::Tid { d } => set!(d, ctx.tid as u64),
+                RInstr::NThreads { d } => set!(d, self.config.nthreads as u64),
                 RInstr::Ret {
                     src,
                     has_val,
                     is_float,
                 } => {
                     let bits = if has_val { rg!(src) } else { 0 };
-                    let fr = match ctx.frames.pop() {
-                        Some(f) => f,
-                        None => trap!("return with empty call stack"),
-                    };
-                    ctx.frame_base = fr.saved_base;
-                    ctx.sp = fr.saved_sp;
+                    let fr = ok!(ctx.pop_frame());
                     match fr.ret_pc {
                         Some(t) => {
                             if has_val {
@@ -561,56 +376,38 @@ impl Vm {
                         }
                         None => {
                             ctx.reg_base = fr.saved_rbase;
-                            return Ok(has_val.then(|| typed(bits, is_float)));
+                            return Ok(has_val.then(|| Value::from_bits(bits, is_float)));
                         }
                     }
                 }
                 RInstr::LoopMark { ev, id } => {
-                    let p = match ev {
-                        LoopEvent::Begin => ctx.frame_base,
-                        _ => ctx.sp,
-                    };
-                    obs.on_loop(ev, id, p, ctx.counters.work);
+                    self.loop_mark(ctx, obs, ev, id);
                     step!();
                 }
                 RInstr::ParLoop { id, lo, hi } => {
-                    let lo_v = rgi!(lo);
-                    let hi_v = rgi!(hi);
+                    let (lo_v, hi_v) = (rgi!(lo), rgi!(hi));
                     // The body region's window starts at the loop-bound
                     // slot; restore the master's window whether the loop
                     // completes or traps.
                     let saved_rbase = ctx.reg_base;
                     ctx.reg_base += lo as usize;
-                    let need = ctx.reg_base + window;
-                    if ctx.regs.len() < need {
-                        ctx.regs.resize(need, 0);
-                    }
-                    let res = self.run_par_loop(ctx, id, lo_v, hi_v);
+                    ctx.ensure_window(window);
+                    let res = self.par_loop(ctx, id, lo_v, hi_v, rp.origin_pc(pc));
                     ctx.reg_base = saved_rbase;
-                    res.map_err(|mut e| {
-                        if e.pc == u32::MAX {
-                            e.pc = rp.origin_pc(pc);
-                        }
-                        e
-                    })?;
+                    res?;
                     step!();
                 }
                 RInstr::Wait { id: _ } => {
-                    if let Err(msg) = self.doacross_wait(ctx) {
-                        trap!("{msg}");
-                    }
+                    ok!(self.doacross_wait(ctx));
                     step!();
                 }
                 RInstr::Post { id: _ } => {
-                    if let Err(msg) = self.doacross_post(ctx) {
-                        trap!("{msg}");
-                    }
+                    ok!(self.doacross_post(ctx));
                     step!();
                 }
                 RInstr::Localize { d, site: _ } => {
-                    let addr = rgi!(d) as u64;
-                    let translated = self.localize(ctx, addr, rp.origin_pc(pc) as usize)?;
-                    rg!(d) = (translated as i64) as u64;
+                    let addr = rg!(d);
+                    rg!(d) = self.localize(ctx, addr, rp.origin_pc(pc) as usize)?;
                     step!();
                 }
                 RInstr::Halt {
@@ -618,22 +415,12 @@ impl Vm {
                     has_val,
                     is_float,
                 } => {
-                    return Ok(has_val.then(|| typed(rg!(src), is_float)));
+                    return Ok(has_val.then(|| Value::from_bits(rg!(src), is_float)));
                 }
                 RInstr::Unreachable => {
                     trap!("unreachable code (register translation hole)");
                 }
             }
         }
-    }
-}
-
-/// Rebuilds a tagged [`Value`] from register bits.
-#[inline]
-fn typed(bits: u64, is_float: bool) -> Value {
-    if is_float {
-        Value::F(f64::from_bits(bits))
-    } else {
-        Value::I(bits as i64)
     }
 }

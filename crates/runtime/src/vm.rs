@@ -6,15 +6,15 @@
 //! loop regions are driven by the executor in [`crate::exec`].
 
 use crate::alloc::HeapContention;
-use crate::backend::{BackendKind, ExecBackend, RegBackend, StackBackend};
-use crate::mem::{sign_extend, Heap, SharedMem};
+use crate::backend::{Backend, BackendKind};
+use crate::mem::{Heap, SharedMem};
 use crate::observer::Observer;
+use crate::ops;
 use crate::pool::{PoolState, PoolStats};
 use crate::privatize::PrivCopy;
 use crate::prof::{class_of, LoopProf, LoopProfile, ProfState};
-use crate::tracebuf::{EventBuf, EventKind, TraceEvent, TraceSink};
+use crate::tracebuf::{EventBuf, TraceEvent, TraceSink};
 use dse_ir::bytecode::*;
-use dse_ir::sites::{AccessKind, NO_SITE};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -31,25 +31,28 @@ pub enum Value {
 }
 
 impl Value {
-    /// The integer payload, or `None` if the value is a float.
-    ///
-    /// Int/float confusion indicates a lowering bug; the VM surfaces it as
-    /// a *trap* (`type confusion`), never a panic — a bad request must not
-    /// take down a long-running `dsed` worker or poison the VM's mutexes.
-    pub fn as_i(self) -> Option<i64> {
-        match self {
-            Value::I(v) => Some(v),
-            Value::F(_) => None,
-        }
-    }
-
-    /// The raw bit pattern of the payload (the register backend's untagged
-    /// representation: floats as IEEE bits, integers as two's complement).
+    /// The raw bit pattern of the payload (the untagged representation
+    /// [`crate::ops`] and the register file use: floats as IEEE bits,
+    /// integers as two's complement).
     pub fn to_bits(self) -> u64 {
         match self {
             Value::I(v) => v as u64,
             Value::F(v) => v.to_bits(),
         }
+    }
+
+    /// Re-tags raw bits: the inverse of [`Value::to_bits`].
+    pub fn from_bits(bits: u64, is_float: bool) -> Value {
+        if is_float {
+            Value::F(f64::from_bits(bits))
+        } else {
+            Value::I(bits as i64)
+        }
+    }
+
+    /// True for [`Value::F`].
+    pub fn is_float(self) -> bool {
+        matches!(self, Value::F(_))
     }
 }
 
@@ -454,10 +457,9 @@ pub struct Vm {
     /// Merged opcode profiles (present iff [`VmConfig::opcode_profile`]);
     /// threads flush their local maps here once per dispatch.
     prof: Option<Mutex<HashMap<u32, LoopProf>>>,
-    /// The execution backend every thread dispatches through (stack
-    /// reference interpreter, or register interpreter with threaded
-    /// dispatch).
-    backend: Arc<dyn ExecBackend>,
+    /// The encoding every thread executes (stack reference interpreter,
+    /// or register interpreter with its translated module).
+    backend: Backend,
 }
 
 impl Vm {
@@ -467,7 +469,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns a [`VmError`] if the memory is too small for the layout.
+    /// Returns a [`VmError`] if `nthreads` is 0 or the memory is too small
+    /// for the layout.
     pub fn new(program: CompiledProgram, config: VmConfig) -> Result<Vm, VmError> {
         Vm::build(program, config, None)
     }
@@ -479,7 +482,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns a [`VmError`] if the memory is too small for the layout.
+    /// Returns a [`VmError`] if `nthreads` is 0 or the memory is too small
+    /// for the layout.
     pub fn with_reg(
         program: CompiledProgram,
         reg: Arc<dse_ir::RegProgram>,
@@ -494,9 +498,11 @@ impl Vm {
         config: VmConfig,
         reg: Option<Arc<dse_ir::RegProgram>>,
     ) -> Result<Vm, VmError> {
-        assert!(config.nthreads >= 1, "nthreads must be at least 1");
-        let backend: Arc<dyn ExecBackend> = match config.backend {
-            BackendKind::Stack => Arc::new(StackBackend),
+        if config.nthreads == 0 {
+            return Err(VmError::new(0, "nthreads must be at least 1"));
+        }
+        let backend = match config.backend {
+            BackendKind::Stack => Backend::Stack,
             BackendKind::Reg => {
                 let rp = match reg {
                     Some(rp) => rp,
@@ -516,7 +522,7 @@ impl Vm {
                             .to_string(),
                     ));
                 }
-                Arc::new(RegBackend::new(rp))
+                Backend::Reg(rp)
             }
         };
         let globals_end = GLOBAL_BASE + program.globals_size;
@@ -655,18 +661,10 @@ impl Vm {
         crate::alloc::pin_front_shard(0);
         let mut ctx = ThreadCtx::new(0, self.stack_base_of(0), self.config.stack_bytes);
         self.arm_instruments(&mut ctx);
-        let main = self.program.main;
-        let entry = self.program.func(main).entry;
-        let fsize = self.program.func(main).frame_size as u64;
-        ctx.frames.push(Frame {
-            ret_pc: None,
-            saved_base: ctx.frame_base,
-            saved_sp: ctx.sp,
-            saved_rbase: ctx.reg_base,
-        });
-        ctx.frame_base = ctx.sp;
-        ctx.sp += fsize;
-        self.mem.zero(ctx.frame_base, fsize);
+        let main = self.program.func(self.program.main);
+        let entry = main.entry;
+        self.push_frame(&mut ctx, main, None)
+            .map_err(|msg| VmError::new(entry as usize, msg))?;
         let this: &Vm = self;
         let ret = match &this.pool {
             // Parallel run: one thread scope for the whole program.
@@ -775,23 +773,35 @@ impl Vm {
         lock_clean(&self.console).clone()
     }
 
-    /// Executes code starting at stack-bytecode pc `entry` until the
-    /// current sentinel frame returns, dispatching through the configured
-    /// [`ExecBackend`]. Returns the `main`-style return value if one is
-    /// produced.
+    /// Executes code starting at stack-bytecode pc `entry` (a function or
+    /// outlined-region entry) until the current sentinel frame returns,
+    /// under the configured backend — the executor and scheduler never
+    /// need to know which encoding runs. Returns the `main`-style return
+    /// value if one is produced.
     pub(crate) fn exec(
         &self,
         ctx: &mut ThreadCtx,
         entry: u32,
         obs: &mut dyn Observer,
     ) -> Result<Option<Value>, VmError> {
-        // No Arc::clone here: this runs once per loop iteration, and a
-        // refcount bump is a contended atomic RMW across all workers.
-        self.backend.exec(self, ctx, entry, obs)
+        match &self.backend {
+            Backend::Stack => self.exec_stack(ctx, entry, obs),
+            // No Arc::clone here: this runs once per loop iteration, and a
+            // refcount bump is a contended atomic RMW across all workers.
+            Backend::Reg(rp) => match rp.entry_map.get(&entry) {
+                Some(&rentry) => self.exec_reg(rp, ctx, rentry, obs),
+                None => Err(VmError::new(
+                    entry as usize,
+                    format!("no register translation for entry pc {entry}"),
+                )),
+            },
+        }
     }
 
     /// The reference stack interpreter: executes stack bytecode starting
-    /// at `entry` until the current sentinel frame returns.
+    /// at `entry` until the current sentinel frame returns. Operands live
+    /// on a tagged operand stack, so this loop pops, type-checks and
+    /// pushes; what each instruction *does* is [`crate::ops`].
     pub(crate) fn exec_stack(
         &self,
         ctx: &mut ThreadCtx,
@@ -802,6 +812,15 @@ impl Vm {
         let mut pc = entry as usize;
         macro_rules! trap {
             ($($arg:tt)*) => { return Err(VmError::new(pc, format!($($arg)*))) };
+        }
+        // Unwraps an `ops` result, trapping at this pc with its message.
+        macro_rules! ok {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(msg) => return Err(VmError::new(pc, msg)),
+                }
+            };
         }
         macro_rules! pop {
             () => {
@@ -827,6 +846,29 @@ impl Vm {
                 }
             };
         }
+        // Pops the operand(s), pushes `Value::$tag(result)`, advances.
+        macro_rules! unary {
+            ($pop:ident, $tag:ident, $f:expr) => {{
+                let v = $pop!();
+                ctx.ops.push(Value::$tag($f(v)));
+                pc += 1;
+            }};
+        }
+        macro_rules! binary {
+            ($pop:ident, $tag:ident, $f:expr) => {{
+                let r = $pop!();
+                let l = $pop!();
+                ctx.ops.push(Value::$tag($f(l, r)));
+                pc += 1;
+            }};
+        }
+        macro_rules! push_i {
+            ($v:expr) => {{
+                let v = $v;
+                ctx.ops.push(Value::I(v));
+                pc += 1;
+            }};
+        }
         loop {
             ctx.counters.work += 1;
             if ctx.counters.work > self.config.max_instructions {
@@ -839,10 +881,7 @@ impl Vm {
                 p.tick(class_of(&instr));
             }
             match instr {
-                Instr::PushI(v) => {
-                    ctx.ops.push(Value::I(v));
-                    pc += 1;
-                }
+                Instr::PushI(v) => push_i!(v),
                 Instr::PushF(v) => {
                     ctx.ops.push(Value::F(v));
                     pc += 1;
@@ -867,66 +906,28 @@ impl Vm {
                     ctx.ops.push(top);
                     pc += 1;
                 }
-                Instr::FrameAddr(off) => {
-                    ctx.ops.push(Value::I((ctx.frame_base + off as u64) as i64));
-                    pc += 1;
-                }
-                Instr::GlobalAddr(addr) => {
-                    ctx.ops.push(Value::I(addr as i64));
-                    pc += 1;
-                }
-                Instr::TidScaled(k) => {
-                    ctx.ops.push(Value::I(ctx.tid as i64 * k));
-                    pc += 1;
-                }
+                Instr::FrameAddr(off) => push_i!(ctx.frame_addr(off) as i64),
+                Instr::GlobalAddr(addr) => push_i!(addr as i64),
+                Instr::TidScaled(k) => push_i!(ctx.tid_scaled(k)),
                 Instr::FrameAddrTid { offset, stride } => {
-                    ctx.counters.private_direct += 1;
-                    let a = ctx.frame_base + offset as u64;
-                    ctx.ops.push(Value::I(a as i64 + ctx.tid as i64 * stride));
-                    pc += 1;
+                    push_i!(ctx.private_addr(ctx.frame_addr(offset), stride))
                 }
                 Instr::GlobalAddrTid { addr, stride } => {
-                    ctx.counters.private_direct += 1;
-                    ctx.ops
-                        .push(Value::I(addr as i64 + ctx.tid as i64 * stride));
-                    pc += 1;
+                    push_i!(ctx.private_addr(addr as u64, stride))
                 }
                 Instr::TidSpanScaled(z) => {
                     let span = pop_i!();
-                    if z == 0 {
-                        trap!("TidSpanScaled with zero element size");
-                    }
-                    let off = ctx.tid as i64 * span / z * z;
-                    ctx.ops.push(Value::I(off));
-                    pc += 1;
+                    push_i!(ok!(ctx.tid_span_scaled(span, z)))
                 }
-                Instr::IterIdx(depth) => {
-                    let n = ctx.iter_stack.len();
-                    let d = depth as usize;
-                    if d >= n {
-                        trap!("IterIdx outside parallel loop body");
-                    }
-                    ctx.ops.push(Value::I(ctx.iter_stack[n - 1 - d]));
-                    pc += 1;
-                }
+                Instr::IterIdx(depth) => push_i!(ok!(ctx.iter_idx(depth))),
                 Instr::Load {
                     width,
                     is_float,
                     site,
                 } => {
                     let addr = pop_i!() as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid load of {width} bytes at address {addr}");
-                    }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Load, addr, width as u32, ctx.sp);
-                    }
-                    let raw = self.mem.read(addr, width as u32);
-                    ctx.ops.push(if is_float {
-                        Value::F(f64::from_bits(raw))
-                    } else {
-                        Value::I(sign_extend(raw, width as u32))
-                    });
+                    let bits = ok!(self.load(obs, ctx.sp, addr, width, is_float, site));
+                    ctx.ops.push(Value::from_bits(bits, is_float));
                     pc += 1;
                 }
                 Instr::Store {
@@ -936,18 +937,10 @@ impl Vm {
                 } => {
                     let val = pop!();
                     let addr = pop_i!() as u64;
-                    if addr < GLOBAL_BASE || !self.mem.in_bounds(addr, width as u64) {
-                        trap!("invalid store of {width} bytes at address {addr}");
+                    if val.is_float() != is_float {
+                        trap!("type confusion in store");
                     }
-                    if site != NO_SITE {
-                        obs.on_access(site, AccessKind::Store, addr, width as u32, ctx.sp);
-                    }
-                    let raw = match (val, is_float) {
-                        (Value::F(f), true) => f.to_bits(),
-                        (Value::I(i), false) => i as u64,
-                        _ => trap!("type confusion in store"),
-                    };
-                    self.mem.write(addr, width as u32, raw);
+                    ok!(self.store(obs, ctx.sp, addr, width, site, val.to_bits()));
                     pc += 1;
                 }
                 Instr::MemCpy {
@@ -957,91 +950,25 @@ impl Vm {
                 } => {
                     let dst = pop_i!() as u64;
                     let src = pop_i!() as u64;
-                    let sz = size as u64;
-                    if src < GLOBAL_BASE
-                        || dst < GLOBAL_BASE
-                        || !self.mem.in_bounds(src, sz)
-                        || !self.mem.in_bounds(dst, sz)
-                    {
-                        trap!("invalid memcpy of {size} bytes {src} -> {dst}");
-                    }
-                    if load_site != NO_SITE {
-                        obs.on_access(load_site, AccessKind::Load, src, size, ctx.sp);
-                    }
-                    if store_site != NO_SITE {
-                        obs.on_access(store_site, AccessKind::Store, dst, size, ctx.sp);
-                    }
-                    self.mem.copy(src, dst, sz);
+                    let sites = (load_site, store_site);
+                    ok!(self.memcpy(obs, ctx.sp, src, dst, size, sites));
                     pc += 1;
                 }
                 Instr::IBin(op) => {
                     let r = pop_i!();
                     let l = pop_i!();
-                    match ibin(op, l, r) {
-                        Ok(v) => ctx.ops.push(Value::I(v)),
-                        Err(msg) => trap!("{msg}"),
-                    }
-                    pc += 1;
+                    push_i!(ok!(ops::ibin(op, l, r)))
                 }
-                Instr::FBin(op) => {
-                    let r = pop_f!();
-                    let l = pop_f!();
-                    let v = match op {
-                        FBinOp::Add => l + r,
-                        FBinOp::Sub => l - r,
-                        FBinOp::Mul => l * r,
-                        FBinOp::Div => l / r,
-                    };
-                    ctx.ops.push(Value::F(v));
-                    pc += 1;
-                }
-                Instr::ICmp(op) => {
-                    let r = pop_i!();
-                    let l = pop_i!();
-                    ctx.ops.push(Value::I(cmp_result(op, l.cmp(&r)) as i64));
-                    pc += 1;
-                }
-                Instr::FCmp(op) => {
-                    let r = pop_f!();
-                    let l = pop_f!();
-                    ctx.ops.push(Value::I(fcmp(op, l, r) as i64));
-                    pc += 1;
-                }
-                Instr::INeg => {
-                    let v = pop_i!();
-                    ctx.ops.push(Value::I(v.wrapping_neg()));
-                    pc += 1;
-                }
-                Instr::FNeg => {
-                    let v = pop_f!();
-                    ctx.ops.push(Value::F(-v));
-                    pc += 1;
-                }
-                Instr::BNot => {
-                    let v = pop_i!();
-                    ctx.ops.push(Value::I(!v));
-                    pc += 1;
-                }
-                Instr::LNot => {
-                    let v = pop_i!();
-                    ctx.ops.push(Value::I((v == 0) as i64));
-                    pc += 1;
-                }
-                Instr::I2F => {
-                    let v = pop_i!();
-                    ctx.ops.push(Value::F(v as f64));
-                    pc += 1;
-                }
-                Instr::F2I => {
-                    let v = pop_f!();
-                    ctx.ops.push(Value::I(v as i64));
-                    pc += 1;
-                }
-                Instr::SextTrunc(w) => {
-                    let v = pop_i!();
-                    ctx.ops.push(Value::I(sign_extend(v as u64, w as u32)));
-                    pc += 1;
-                }
+                Instr::FBin(op) => binary!(pop_f, F, |l, r| ops::fbin(op, l, r)),
+                Instr::ICmp(op) => binary!(pop_i, I, |l, r| ops::icmp(op, l, r) as i64),
+                Instr::FCmp(op) => binary!(pop_f, I, |l, r| ops::fcmp(op, l, r) as i64),
+                Instr::INeg => unary!(pop_i, I, ops::ineg),
+                Instr::FNeg => unary!(pop_f, F, ops::fneg),
+                Instr::BNot => unary!(pop_i, I, ops::bnot),
+                Instr::LNot => unary!(pop_i, I, ops::lnot),
+                Instr::I2F => unary!(pop_i, F, ops::i2f),
+                Instr::F2I => unary!(pop_f, I, ops::f2i),
+                Instr::SextTrunc(w) => unary!(pop_i, I, |v| ops::sext(v, w)),
                 Instr::Jump(t) => pc = t as usize,
                 Instr::JumpIfZ(t) => {
                     let v = pop_i!();
@@ -1053,480 +980,66 @@ impl Vm {
                 }
                 Instr::Call(fi) => {
                     let callee = self.program.func(fi);
-                    let nargs = callee.params.len();
-                    if ctx.ops.len() < nargs {
+                    if ctx.ops.len() < callee.params.len() {
                         trap!("operand stack underflow in call");
                     }
-                    let new_base = dse_lang::types::round_up(ctx.sp, 8);
-                    let new_sp = new_base + callee.frame_size as u64;
-                    if new_sp > ctx.stack_limit {
-                        trap!("stack overflow calling `{}`", callee.name);
-                    }
-                    self.mem.zero(new_base, callee.frame_size as u64);
+                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1)));
                     // Pop args right-to-left into parameter slots.
-                    for pi in (0..nargs).rev() {
-                        let (off, kind) = callee.params[pi];
+                    for (pi, &param) in callee.params.iter().enumerate().rev() {
                         let v = pop!();
-                        let raw = match (v, kind.is_float) {
-                            (Value::F(f), true) => f.to_bits(),
-                            (Value::I(i), false) => i as u64,
-                            _ => trap!("type confusion in argument {pi}"),
-                        };
-                        self.mem
-                            .write(new_base + off as u64, kind.width as u32, raw);
+                        if v.is_float() != param.1.is_float {
+                            trap!("type confusion in argument {pi}");
+                        }
+                        self.write_param(ctx, param, v.to_bits());
                     }
-                    ctx.frames.push(Frame {
-                        ret_pc: Some(pc as u32 + 1),
-                        saved_base: ctx.frame_base,
-                        saved_sp: ctx.sp,
-                        saved_rbase: ctx.reg_base,
-                    });
-                    ctx.frame_base = new_base;
-                    ctx.sp = new_sp;
                     pc = callee.entry as usize;
                 }
                 Instr::CallBuiltin(b) => {
-                    self.call_builtin(b, ctx, pc, obs)?;
+                    // Pop args right-to-left into stack (= signature) order.
+                    let sig = b.sig();
+                    let mut args = [0u64; 3];
+                    for (i, &is_float) in sig.args.iter().enumerate().rev() {
+                        args[i] = if is_float {
+                            pop_f!().to_bits()
+                        } else {
+                            pop_i!() as u64
+                        };
+                    }
+                    let args = &args[..sig.args.len()];
+                    let bits = ok!(self.builtin(b, args, ctx.tid, pc, obs));
+                    if let Some(is_float) = sig.ret {
+                        ctx.ops.push(Value::from_bits(bits, is_float));
+                    }
                     pc += 1;
                 }
-                Instr::Ret => {
-                    let fr = match ctx.frames.pop() {
-                        Some(f) => f,
-                        None => trap!("return with empty call stack"),
-                    };
-                    ctx.frame_base = fr.saved_base;
-                    ctx.sp = fr.saved_sp;
-                    match fr.ret_pc {
-                        Some(t) => pc = t as usize,
-                        None => return Ok(ctx.ops.pop()),
-                    }
-                }
+                Instr::Ret => match ok!(ctx.pop_frame()).ret_pc {
+                    Some(t) => pc = t as usize,
+                    None => return Ok(ctx.ops.pop()),
+                },
                 Instr::LoopMark(ev, id) => {
-                    // Begin reports the enclosing frame base (so observers
-                    // can locate frame-resident variables such as the
-                    // induction slot); IterStart/End report the live sp.
-                    let p = match ev {
-                        LoopEvent::Begin => ctx.frame_base,
-                        _ => ctx.sp,
-                    };
-                    obs.on_loop(ev, id, p, ctx.counters.work);
+                    self.loop_mark(ctx, obs, ev, id);
                     pc += 1;
                 }
                 Instr::ParLoop(id) => {
                     let hi = pop_i!();
                     let lo = pop_i!();
-                    self.run_par_loop(ctx, id, lo, hi).map_err(|mut e| {
-                        if e.pc == u32::MAX {
-                            e.pc = pc as u32;
-                        }
-                        e
-                    })?;
+                    self.par_loop(ctx, id, lo, hi, pc as u32)?;
                     pc += 1;
                 }
                 Instr::Wait(_) => {
-                    if let Err(msg) = self.doacross_wait(ctx) {
-                        trap!("{msg}");
-                    }
+                    ok!(self.doacross_wait(ctx));
                     pc += 1;
                 }
                 Instr::Post(_) => {
-                    if let Err(msg) = self.doacross_post(ctx) {
-                        trap!("{msg}");
-                    }
+                    ok!(self.doacross_post(ctx));
                     pc += 1;
                 }
                 Instr::Localize { site: _ } => {
                     let addr = pop_i!() as u64;
-                    let translated = self.localize(ctx, addr, pc)?;
-                    ctx.ops.push(Value::I(translated as i64));
-                    pc += 1;
+                    push_i!(self.localize(ctx, addr, pc)? as i64)
                 }
                 Instr::Halt => return Ok(ctx.ops.pop()),
             }
         }
-    }
-
-    /// The current iteration and its loop's sync state, or the trap
-    /// message for an `op` (`Wait`/`Post`) outside a parallel loop body.
-    fn doacross_position(ctx: &ThreadCtx, op: &str) -> Result<(i64, u32, Arc<LoopSync>), String> {
-        let Some(&my) = ctx.iter_stack.last() else {
-            return Err(format!("{op} outside iteration"));
-        };
-        let Some((loop_id, sync)) = ctx.sync_stack.last() else {
-            return Err(format!("{op} outside parallel loop"));
-        };
-        Ok((my, *loop_id, Arc::clone(sync)))
-    }
-
-    /// `Wait`: blocks until every earlier iteration of the innermost
-    /// DOACROSS loop has posted, recording the whole wait as one trace
-    /// span (not one per spin). Shared by both interpreters.
-    ///
-    /// # Errors
-    ///
-    /// The trap message: outside a loop body, or a peer worker trapped.
-    #[inline]
-    pub(crate) fn doacross_wait(&self, ctx: &mut ThreadCtx) -> Result<(), String> {
-        ctx.counters.sync_ops += 1;
-        if ctx.wait_mark.is_none() {
-            ctx.wait_mark = Some(ctx.counters.work);
-        }
-        let (my, loop_id, sync) = Vm::doacross_position(ctx, "Wait")?;
-        let t0 = match (&self.trace, &ctx.trace) {
-            (Some(sink), Some(_)) => Some(sink.now_ns()),
-            _ => None,
-        };
-        let mut backoff = Backoff::new();
-        while sync.done.load(Ordering::Acquire) < my {
-            if sync.abort.load(Ordering::Relaxed) {
-                return Err("aborted while waiting (another worker trapped)".into());
-            }
-            backoff.step(&mut ctx.counters);
-        }
-        if let (Some(t0), Some(sink)) = (t0, &self.trace) {
-            ctx.emit(TraceEvent {
-                ts_ns: t0,
-                dur_ns: sink.now_ns().saturating_sub(t0),
-                a: loop_id as u64,
-                b: my as u64,
-                tid: ctx.tid,
-                kind: EventKind::WaitSpan,
-            });
-        }
-        Ok(())
-    }
-
-    /// `Post`: publishes the current iteration's ordered section and
-    /// records the post as a trace instant. Shared by both interpreters.
-    ///
-    /// # Errors
-    ///
-    /// The trap message when executed outside a loop body.
-    #[inline]
-    pub(crate) fn doacross_post(&self, ctx: &mut ThreadCtx) -> Result<(), String> {
-        ctx.counters.sync_ops += 1;
-        if ctx.post_mark.is_none() {
-            ctx.post_mark = Some(ctx.counters.work);
-        }
-        let (my, loop_id, sync) = Vm::doacross_position(ctx, "Post")?;
-        self.post_iteration(ctx, &sync, my);
-        if let (Some(sink), true) = (&self.trace, ctx.trace.is_some()) {
-            ctx.emit(TraceEvent {
-                ts_ns: sink.now_ns(),
-                dur_ns: 0,
-                a: loop_id as u64,
-                b: my as u64,
-                tid: ctx.tid,
-                kind: EventKind::Post,
-            });
-        }
-        Ok(())
-    }
-
-    /// Posts the ordered section of iteration `my` (idempotent per
-    /// iteration via `ctx.posted`).
-    pub(crate) fn post_iteration(&self, ctx: &mut ThreadCtx, sync: &LoopSync, my: i64) {
-        if ctx.posted {
-            return;
-        }
-        let mut backoff = Backoff::new();
-        while sync.done.load(std::sync::atomic::Ordering::Acquire) < my {
-            if sync.abort.load(std::sync::atomic::Ordering::Relaxed) {
-                // A peer trapped and will never post; bail without posting
-                // (the worker notices the abort at its next boundary).
-                return;
-            }
-            backoff.step(&mut ctx.counters);
-        }
-        sync.done
-            .store(my + 1, std::sync::atomic::Ordering::Release);
-        ctx.posted = true;
-    }
-
-    pub(crate) fn call_builtin(
-        &self,
-        b: Builtin,
-        ctx: &mut ThreadCtx,
-        pc: usize,
-        obs: &mut dyn Observer,
-    ) -> Result<(), VmError> {
-        macro_rules! trap {
-            ($($arg:tt)*) => { return Err(VmError::new(pc, format!($($arg)*))) };
-        }
-        macro_rules! pop_i {
-            () => {
-                match ctx.ops.pop() {
-                    Some(Value::I(v)) => v,
-                    Some(Value::F(_)) => trap!("type confusion: expected integer"),
-                    None => trap!("operand stack underflow"),
-                }
-            };
-        }
-        macro_rules! pop_f {
-            () => {
-                match ctx.ops.pop() {
-                    Some(Value::F(v)) => v,
-                    Some(Value::I(_)) => trap!("type confusion: expected float"),
-                    None => trap!("operand stack underflow"),
-                }
-            };
-        }
-        match b {
-            Builtin::Malloc => {
-                let n = pop_i!();
-                if n < 0 {
-                    trap!("malloc with negative size {n}");
-                }
-                let a = match self.heap.alloc(n as u64) {
-                    Some(a) => a,
-                    None => trap!("out of memory allocating {n} bytes"),
-                };
-                self.mem.zero(a.base, a.size.max(1));
-                obs.on_alloc(a, pc as u32);
-                ctx.ops.push(Value::I(a.base as i64));
-            }
-            Builtin::Calloc => {
-                let m = pop_i!();
-                let n = pop_i!();
-                // Check signs before multiplying: negative * negative is a
-                // positive product, so a post-multiplication `t >= 0` filter
-                // would happily allocate for calloc(-2, -3).
-                if n < 0 || m < 0 {
-                    trap!("calloc with negative operand ({n}, {m})");
-                }
-                let total = match n.checked_mul(m) {
-                    Some(t) => t as u64,
-                    None => trap!("calloc size overflow ({n} * {m})"),
-                };
-                let a = match self.heap.alloc(total) {
-                    Some(a) => a,
-                    None => trap!("out of memory allocating {total} bytes"),
-                };
-                self.mem.zero(a.base, a.size.max(1));
-                obs.on_alloc(a, pc as u32);
-                ctx.ops.push(Value::I(a.base as i64));
-            }
-            Builtin::Realloc => {
-                let n = pop_i!();
-                let p = pop_i!() as u64;
-                if n < 0 {
-                    trap!("realloc with negative size {n}");
-                }
-                if p == 0 {
-                    let a = match self.heap.alloc(n as u64) {
-                        Some(a) => a,
-                        None => trap!("out of memory allocating {n} bytes"),
-                    };
-                    self.mem.zero(a.base, a.size.max(1));
-                    obs.on_alloc(a, pc as u32);
-                    ctx.ops.push(Value::I(a.base as i64));
-                    return Ok(());
-                }
-                let old = match self.heap.at_base(p) {
-                    Some(a) => a,
-                    None => trap!("realloc of invalid pointer {p}"),
-                };
-                let a = match self.heap.alloc(n as u64) {
-                    Some(a) => a,
-                    None => trap!("out of memory allocating {n} bytes"),
-                };
-                self.mem.zero(a.base, a.size.max(1));
-                self.mem.copy(old.base, a.base, old.size.min(n as u64));
-                self.heap.free(old.base);
-                obs.on_free(old);
-                obs.on_alloc(a, pc as u32);
-                ctx.ops.push(Value::I(a.base as i64));
-            }
-            Builtin::ReallocExpanded => {
-                let old_span = pop_i!();
-                let n = pop_i!();
-                let p = pop_i!() as u64;
-                if n < 0 || old_span < 0 {
-                    trap!("__realloc_expanded with negative size");
-                }
-                let factor = self.config.nthreads as u64;
-                if p == 0 {
-                    let a = match self.heap.alloc(n as u64 * factor) {
-                        Some(a) => a,
-                        None => trap!("out of memory in expanded realloc"),
-                    };
-                    self.mem.zero(a.base, a.size.max(1));
-                    obs.on_alloc(a, pc as u32);
-                    ctx.ops.push(Value::I(a.base as i64));
-                    return Ok(());
-                }
-                let old = match self.heap.at_base(p) {
-                    Some(a) => a,
-                    None => trap!("expanded realloc of invalid pointer {p}"),
-                };
-                let a = match self.heap.alloc(n as u64 * factor) {
-                    Some(a) => a,
-                    None => trap!("out of memory in expanded realloc"),
-                };
-                self.mem.zero(a.base, a.size.max(1));
-                // Move each thread's copy to its new position. A replica
-                // whose span runs past the recorded allocation keeps its
-                // in-bounds prefix (the old code dropped the whole copy —
-                // silent data loss for the last thread whenever
-                // `old_span * nthreads` exceeded the allocation); a replica
-                // starting entirely outside the allocation means the span
-                // metadata is inconsistent with the allocation, so trap.
-                let keep = (old_span as u64).min(n as u64);
-                let old_end = old.base + old.size;
-                for t in 0..factor {
-                    let src = old.base + t * old_span as u64;
-                    let dst = a.base + t * n as u64;
-                    if src >= old_end {
-                        if keep > 0 {
-                            trap!(
-                                "__realloc_expanded: replica {t} at offset {} lies outside \
-                                 the old allocation of {} bytes (inconsistent span {old_span})",
-                                t * old_span as u64,
-                                old.size
-                            );
-                        }
-                        continue;
-                    }
-                    let avail = old_end - src;
-                    self.mem.copy(src, dst, keep.min(avail));
-                }
-                self.heap.free(old.base);
-                obs.on_free(old);
-                obs.on_alloc(a, pc as u32);
-                ctx.ops.push(Value::I(a.base as i64));
-            }
-            Builtin::Free => {
-                let p = pop_i!() as u64;
-                if p != 0 {
-                    match self.heap.free(p) {
-                        Some(a) => obs.on_free(a),
-                        None => trap!("free of invalid pointer {p}"),
-                    }
-                }
-            }
-            Builtin::InLong => {
-                let i = pop_i!();
-                let v = match usize::try_from(i)
-                    .ok()
-                    .and_then(|i| self.config.inputs_int.get(i))
-                {
-                    Some(&v) => v,
-                    None => trap!("in_long({i}) out of range"),
-                };
-                ctx.ops.push(Value::I(v));
-            }
-            Builtin::InFloat => {
-                let i = pop_i!();
-                let v = match usize::try_from(i)
-                    .ok()
-                    .and_then(|i| self.config.inputs_float.get(i))
-                {
-                    Some(&v) => v,
-                    None => trap!("in_float({i}) out of range"),
-                };
-                ctx.ops.push(Value::F(v));
-            }
-            Builtin::InLen => {
-                ctx.ops.push(Value::I(self.config.inputs_int.len() as i64));
-            }
-            Builtin::OutLong => {
-                let v = pop_i!();
-                lock_clean(&self.outputs_int).push(v);
-            }
-            Builtin::OutFloat => {
-                let v = pop_f!();
-                lock_clean(&self.outputs_float).push(v);
-            }
-            Builtin::PrintLong => {
-                let v = pop_i!();
-                use std::fmt::Write as _;
-                let _ = writeln!(lock_clean(&self.console), "{v}");
-            }
-            Builtin::PrintFloat => {
-                let v = pop_f!();
-                use std::fmt::Write as _;
-                let _ = writeln!(lock_clean(&self.console), "{v}");
-            }
-            Builtin::Fsqrt => {
-                let v = pop_f!();
-                ctx.ops.push(Value::F(v.sqrt()));
-            }
-            Builtin::Fabs => {
-                let v = pop_f!();
-                ctx.ops.push(Value::F(v.abs()));
-            }
-            Builtin::MemCpy => {
-                let n = pop_i!();
-                let src = pop_i!() as u64;
-                let dst = pop_i!() as u64;
-                if n < 0 {
-                    trap!("__memcpy with negative length {n}");
-                }
-                let n = n as u64;
-                if src < GLOBAL_BASE
-                    || dst < GLOBAL_BASE
-                    || !self.mem.in_bounds(src, n)
-                    || !self.mem.in_bounds(dst, n)
-                {
-                    trap!("__memcpy out of bounds ({src} -> {dst}, {n} bytes)");
-                }
-                self.mem.copy(src, dst, n);
-            }
-            Builtin::Tid => {
-                ctx.ops.push(Value::I(ctx.tid as i64));
-            }
-            Builtin::NThreads => {
-                ctx.ops.push(Value::I(self.config.nthreads as i64));
-            }
-        }
-        Ok(())
-    }
-}
-
-pub(crate) fn cmp_result(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-/// Integer binary op; the error is the trap message.
-#[inline]
-pub(crate) fn ibin(op: IBinOp, l: i64, r: i64) -> Result<i64, String> {
-    Ok(match op {
-        IBinOp::Add => l.wrapping_add(r),
-        IBinOp::Sub => l.wrapping_sub(r),
-        IBinOp::Mul => l.wrapping_mul(r),
-        IBinOp::Div => match l.checked_div(r) {
-            Some(v) => v,
-            None => return Err(format!("division by zero or overflow ({l} / {r})")),
-        },
-        IBinOp::Rem => match l.checked_rem(r) {
-            Some(v) => v,
-            None => return Err(format!("remainder by zero or overflow ({l} % {r})")),
-        },
-        IBinOp::And => l & r,
-        IBinOp::Or => l | r,
-        IBinOp::Xor => l ^ r,
-        IBinOp::Shl => l.wrapping_shl(r as u32 & 63),
-        IBinOp::Shr => l.wrapping_shr(r as u32 & 63),
-    })
-}
-
-/// Float comparison (IEEE: every ordered comparison with a NaN is false).
-#[inline]
-pub(crate) fn fcmp(op: CmpOp, l: f64, r: f64) -> bool {
-    match op {
-        CmpOp::Eq => l == r,
-        CmpOp::Ne => l != r,
-        CmpOp::Lt => l < r,
-        CmpOp::Le => l <= r,
-        CmpOp::Gt => l > r,
-        CmpOp::Ge => l >= r,
     }
 }

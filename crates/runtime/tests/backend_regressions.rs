@@ -4,7 +4,7 @@
 
 use dse_ir::bytecode::Instr;
 use dse_ir::lower::LowerOptions;
-use dse_runtime::{BackendKind, Vm, VmConfig};
+use dse_runtime::{Allocation, BackendKind, Observer, Vm, VmConfig};
 
 fn compile(src: &str) -> dse_ir::bytecode::CompiledProgram {
     let ast = dse_lang::compile_to_ast(src).expect("frontend");
@@ -106,24 +106,138 @@ fn trapped_run_leaves_vm_usable() {
     }
 }
 
-#[test]
-fn both_backends_report_the_same_trap_pc() {
-    // Register traps are mapped back through the origin table, so a trap
-    // reports the *stack* pc regardless of backend — the daemon's error
-    // messages (and site attribution) stay backend-independent.
-    let src = r#"
-        int main() {
-            return in_long(0) / in_long(1);
-        }
-    "#;
-    let mut errs = Vec::new();
-    for backend in [BackendKind::Stack, BackendKind::Reg] {
-        let mut config = cfg(backend);
-        config.inputs_int = vec![i64::MIN, -1];
-        let mut vm = Vm::new(compile(src), config).expect("vm");
-        errs.push(vm.run().expect_err("overflow must trap").to_string());
+/// Heap events in the order the observer hears them (the access stream is
+/// not compared: scalar promotion thins it by design).
+#[derive(Default)]
+struct HeapLog(Vec<String>);
+
+impl Observer for HeapLog {
+    fn on_alloc(&mut self, a: Allocation, pc: u32) {
+        self.0
+            .push(format!("alloc {}+{} at pc {pc}", a.base, a.size));
     }
-    assert_eq!(errs[0], errs[1]);
+    fn on_free(&mut self, a: Allocation) {
+        self.0.push(format!("free {}+{}", a.base, a.size));
+    }
+}
+
+/// One program per shared `ops` helper that can trap: (trap message
+/// fragment, source, input that traps, input that lets it finish).
+const TRAP_TABLE: &[(&str, &str, i64, i64)] = &[
+    (
+        "invalid load of 8 bytes",
+        "long g[4]; int main() { return (int)g[in_long(0)]; }",
+        1 << 40,
+        1,
+    ),
+    (
+        "invalid store of 8 bytes",
+        "long g[4]; int main() { g[in_long(0)] = 7; return (int)g[1]; }",
+        1 << 40,
+        1,
+    ),
+    (
+        "invalid memcpy of 16 bytes",
+        "struct S { long a; long b; }; struct S g[4];
+         int main() { struct S t; g[1].b = 9; t = g[in_long(0)]; return (int)t.b; }",
+        1 << 40,
+        1,
+    ),
+    (
+        "division by zero",
+        "int main() { return (int)(100 / in_long(0)); }",
+        0,
+        7,
+    ),
+    (
+        "remainder by zero",
+        "int main() { return (int)(100 % in_long(0)); }",
+        0,
+        7,
+    ),
+    (
+        "stack overflow calling `f`",
+        "long f(long n) { if (n == 0) { return 0; } return 1 + f(n - 1); }
+         int main() { return (int)f(in_long(0)); }",
+        10_000_000,
+        10,
+    ),
+    (
+        "malloc with negative size -1",
+        "int main() { long *p; p = malloc(in_long(0)); free(p); return 0; }",
+        -1,
+        8,
+    ),
+    (
+        "calloc with negative operand (-2, -3)",
+        "int main() { long *p; p = calloc(in_long(0), in_long(0) - 1); free(p); return 0; }",
+        -2,
+        4,
+    ),
+    (
+        "free of invalid pointer",
+        "int main() { long *p; p = malloc(16); free(p + in_long(0)); return 0; }",
+        1,
+        0,
+    ),
+    (
+        "in_long(5) out of range",
+        "int main() { return (int)in_long(in_long(0)); }",
+        5,
+        0,
+    ),
+    (
+        "__memcpy out of bounds",
+        "int main() { long *a; a = malloc(32); long *b; b = malloc(32);
+           a[1] = 5; __memcpy(b, a, in_long(0)); out_long(b[1]); return 0; }",
+        1 << 40,
+        16,
+    ),
+    (
+        "out of memory in expanded realloc",
+        "int main() { long *p; p = malloc(64); p[2] = 6;
+           p = __realloc_expanded(p, in_long(0), 16); out_long(p[4]); free(p); return 0; }",
+        1 << 62,
+        32,
+    ),
+];
+
+#[test]
+fn both_backends_trap_and_finish_identically() {
+    // Register traps are mapped back through the origin table, so a trap
+    // reports the *stack* pc and the same message regardless of backend —
+    // the daemon's error text (and site attribution) stay
+    // backend-independent. `work` is excluded: fusion retires fewer
+    // instructions by design.
+    for &(name, src, bad, good) in TRAP_TABLE {
+        let run = |backend, input| {
+            let config = VmConfig {
+                backend,
+                nthreads: 4,
+                mem_bytes: 8 << 20,
+                inputs_int: vec![input],
+                ..Default::default()
+            };
+            let mut vm = Vm::new(compile(src), config).expect("vm");
+            let mut heap = HeapLog::default();
+            let result = vm.run_with_observer(&mut heap).map(|mut report| {
+                report.counters.work = 0;
+                report.per_thread.iter_mut().for_each(|c| c.work = 0);
+                (report.return_value, report.counters, report.per_thread)
+            });
+            (result, heap.0, vm.outputs_int(), vm.console())
+        };
+        let trapped = run(BackendKind::Stack, bad);
+        let msg = &trapped.0.as_ref().expect_err(name).msg;
+        assert!(
+            msg.contains(name),
+            "expected `{name}`, trapped with `{msg}`"
+        );
+        assert_eq!(trapped, run(BackendKind::Reg, bad), "{name}: trapping run");
+        let finished = run(BackendKind::Stack, good);
+        assert!(finished.0.is_ok(), "{name}: {:?}", finished.0);
+        assert_eq!(finished, run(BackendKind::Reg, good), "{name}: clean run");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{Value, Vm, VmConfig, VmError};
+use dse_runtime::{BackendKind, Value, Vm, VmConfig, VmError};
 
 /// Compiles and runs `src` serially, returning `main`'s value.
 fn run(src: &str) -> i64 {
@@ -931,6 +931,46 @@ fn realloc_expanded_inconsistent_span_traps() {
         },
     );
     assert!(e.msg.contains("inconsistent span"), "{}", e.msg);
+}
+
+/// Regression: `n * nthreads` was an unchecked multiply. 2^62 * 4 wraps to
+/// 0, so the VM allocated a minimal block and then *panicked* inside
+/// `SharedMem::copy` moving 16-byte replicas into it. It must be an OOM
+/// trap, and the same `Vm` must serve the next run.
+#[test]
+fn realloc_expanded_size_overflow_traps() {
+    let src = "int main() {
+        long *p; p = malloc(64);
+        p = __realloc_expanded(p, 4611686018427387904, 16);
+        return 0; }";
+    let ast = dse_lang::compile_to_ast(src).unwrap();
+    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
+    for backend in [BackendKind::Stack, BackendKind::Reg] {
+        let config = VmConfig {
+            nthreads: 4,
+            backend,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(compiled.clone(), config).unwrap();
+        let e = vm.run().expect_err("overflowing size must trap");
+        assert_eq!(e.msg, "out of memory in expanded realloc", "{backend:?}");
+        assert_eq!(vm.run().expect_err("rerun traps identically"), e);
+    }
+}
+
+/// Regression: `nthreads: 0` was an `assert!` inside `Vm::new`, a panic
+/// for every library caller; it is a construction error like a too-small
+/// memory.
+#[test]
+fn zero_threads_is_an_error() {
+    let ast = dse_lang::compile_to_ast("int main() { return 0; }").unwrap();
+    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
+    let config = VmConfig {
+        nthreads: 0,
+        ..Default::default()
+    };
+    let e = Vm::new(compiled, config).err().expect("must not build");
+    assert_eq!(e.msg, "nthreads must be at least 1");
 }
 
 /// `__memcpy` copies bytes between heap blocks.

@@ -76,7 +76,7 @@ pub struct LintStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseCacheStat {
     /// Phase name (`parse`, `lower`, `profile`, `classify`, `plan`,
-    /// `xform`, `verify`).
+    /// `xform`, `reglower`, `verify`, `regverify`).
     pub phase: String,
     /// Requests served from a ready cached artifact.
     pub hits: u64,
@@ -150,7 +150,7 @@ pub struct VmStats {
     /// acquisitions, scavenges).
     pub heap_contention: HeapContention,
     /// Executor pool counters (spawned workers, dispatches, steals, parks,
-    /// wakeups); all zero for serial or spawn-per-loop runs.
+    /// wakeups); all zero for serial runs.
     pub pool: PoolStats,
 }
 

@@ -24,7 +24,7 @@
 
 use dse_ir::bytecode::{CompiledProgram, RetKind};
 use dse_ir::sites::NO_SITE;
-use dse_ir::{builtin_sig, for_each_dst, for_each_src, RInstr, RegProgram, StackFlow, NO_OWNER};
+use dse_ir::{for_each_dst, for_each_src, RInstr, RegProgram, StackFlow, NO_OWNER};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 
@@ -86,7 +86,7 @@ fn bounds(prog: &CompiledProgram, rp: &RegProgram, report: &mut Report) {
                 ),
             ));
         }
-        if let Some(t) = branch_target(ins) {
+        if let Some(t) = ins.jump_target() {
             if t as usize >= n {
                 report.push(Diagnostic::new(
                     Code::RegWindowBounds,
@@ -102,19 +102,6 @@ fn bounds(prog: &CompiledProgram, rp: &RegProgram, report: &mut Report) {
                 format!("entry for stack pc {stack_pc} maps to reg pc {t} of {n}"),
             ));
         }
-    }
-}
-
-fn branch_target(ins: &RInstr) -> Option<u32> {
-    match *ins {
-        RInstr::Jump { t }
-        | RInstr::JumpIfZ { t, .. }
-        | RInstr::JumpIfNZ { t, .. }
-        | RInstr::JumpICmp { t, .. }
-        | RInstr::JumpICmpImm { t, .. }
-        | RInstr::JumpFCmp { t, .. }
-        | RInstr::Call { target: t, .. } => Some(t),
-        _ => None,
     }
 }
 
@@ -153,18 +140,15 @@ fn successors(ins: &RInstr, pc: usize, out: &mut Vec<usize>) {
     out.clear();
     match *ins {
         RInstr::Jump { t } => out.push(t as usize),
-        RInstr::JumpIfZ { t, .. }
-        | RInstr::JumpIfNZ { t, .. }
-        | RInstr::JumpICmp { t, .. }
-        | RInstr::JumpICmpImm { t, .. }
-        | RInstr::JumpFCmp { t, .. } => {
-            out.push(t as usize);
-            out.push(pc + 1);
-        }
         RInstr::Ret { .. } | RInstr::Halt { .. } | RInstr::Unreachable => {}
         // A call transfers to the callee entry, but the *window's* dataflow
         // resumes at the return point; the callee is its own seeded entry.
-        _ => out.push(pc + 1),
+        RInstr::Call { .. } => out.push(pc + 1),
+        // Conditional branches add their taken edge to the fallthrough.
+        _ => {
+            out.extend(ins.jump_target().map(|t| t as usize));
+            out.push(pc + 1);
+        }
     }
 }
 
@@ -178,7 +162,7 @@ fn transfer(ins: &RInstr, prog: &CompiledProgram, set: &mut Defined) {
             }
         }
         RInstr::CallBuiltin { b, abase, .. } => {
-            if builtin_sig(b).1.is_some() {
+            if b.has_result() {
                 set.set(abase);
             }
         }

@@ -37,7 +37,7 @@ use dse_ir::bytecode::{
     Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, Instr, LoopEvent, Pc, RetKind,
 };
 use dse_ir::sites::{SiteId, NO_SITE};
-use dse_ir::{builtin_sig, promotion_plan, RInstr, Reg, RegProgram, StackFlow, Ty, NO_OWNER};
+use dse_ir::{promotion_plan, RInstr, Reg, RegProgram, StackFlow, Ty, NO_OWNER};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 
@@ -792,7 +792,7 @@ impl<'p> Validator<'p> {
                             args,
                             pc: pc as Pc,
                         });
-                        if builtin_sig(b2).1.is_some() {
+                        if b2.has_result() {
                             let uid = s.effects.len() as u32 - 1;
                             s.push(self.arena.mk(Term::CallRet(uid)));
                         }
@@ -1152,7 +1152,7 @@ impl<'p> Validator<'p> {
                         args,
                         pc: orig_pc,
                     });
-                    if builtin_sig(b2).1.is_some() {
+                    if b2.has_result() {
                         let uid = r.effects.len() as u32 - 1;
                         r.w(abase, self.arena.mk(Term::CallRet(uid)));
                     }
