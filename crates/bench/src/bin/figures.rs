@@ -3,17 +3,21 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--scale profile|bench] [--repeats N] [--workload NAME]...
-//!         [table4 table5 fig8 fig9 fig10 fig11 fig12 fig13 fig14 | all]
+//! figures [--scale profile|bench] [--workload NAME]...
+//!         [table4 table5 fig8 fig9 fig10 fig11 fig12 fig13 fig14
+//!          ablation-chunk ablation-sync ablation-layout | all]
 //! ```
 //!
-//! Run with `--release`; wall-clock experiments on a debug interpreter are
-//! meaningless. Default scale is `bench`.
+//! Run with `--release`. Default scale is `bench`.
 //!
 //! Besides the printed tables, every requested artifact is also written as
 //! machine-readable JSON to `results/figures.json` (keyed by artifact
 //! name), so plots and regression checks don't have to scrape stdout.
+//! Each artifact is a [`Table`] that declares its columns once, beside
+//! the code that computes them; the text and the JSON rows are both
+//! rendered from that declaration.
 
+use dse_bench::table::Table;
 use dse_bench::*;
 use dse_core::OptLevel;
 use dse_telemetry::Json;
@@ -21,20 +25,41 @@ use dse_workloads::{Scale, Workload};
 
 struct Args {
     scale: Scale,
-    repeats: u32,
-    /// Use wall-clock timing for the speedup figures instead of the
-    /// schedule simulator (needs >= 8 physical cores).
-    wall: bool,
     workloads: Vec<Workload>,
-    what: Vec<String>,
+    what: Vec<&'static Artifact>,
 }
 
+/// An artifact `figures` can regenerate: its command-line name (and key in
+/// `results/figures.json`) and the function that prints it.
+type Artifact = (&'static str, fn(&Args) -> Json);
+
+static ARTIFACTS: [Artifact; 12] = [
+    ("table4", table4_artifact),
+    ("table5", table5_artifact),
+    ("fig8", fig8_artifact),
+    ("fig9", fig9_artifact),
+    ("fig10", fig10_artifact),
+    ("fig11", fig11_artifact),
+    ("fig12", fig12_artifact),
+    ("fig13", fig13_artifact),
+    ("fig14", fig14_artifact),
+    ("ablation-chunk", ablation_chunk_artifact),
+    ("ablation-sync", ablation_sync_artifact),
+    ("ablation-layout", ablation_layout_artifact),
+];
+
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Everything on the command line is checked here, before any artifact is
+/// computed: a typo in the last name must not cost the minutes the first
+/// ones take.
 fn parse_args() -> Args {
     let mut scale = Scale::Bench;
-    let mut repeats = 3;
-    let mut names: Vec<String> = Vec::new();
-    let mut what: Vec<String> = Vec::new();
-    let mut wall = false;
+    let mut workloads = Vec::new();
+    let mut what = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -42,61 +67,35 @@ fn parse_args() -> Args {
                 scale = match args.next().as_deref() {
                     Some("profile") => Scale::Profile,
                     Some("bench") => Scale::Bench,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(format!("unknown scale {other:?}")),
                 }
             }
-            "--repeats" => {
-                repeats = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--repeats needs a number");
-                    std::process::exit(2);
-                })
+            "--workload" => {
+                let n = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--workload needs a name".into()));
+                workloads.push(
+                    dse_workloads::by_name(&n)
+                        .unwrap_or_else(|| usage_error(format!("unknown workload `{n}`"))),
+                );
             }
-            "--workload" => names.push(args.next().unwrap_or_else(|| {
-                eprintln!("--workload needs a name");
-                std::process::exit(2);
-            })),
-            "--wall" => wall = true,
-            other => what.push(other.to_string()),
+            "all" => what.extend(&ARTIFACTS),
+            name => what.push(
+                ARTIFACTS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .unwrap_or_else(|| usage_error(format!("unknown artifact `{name}`"))),
+            ),
         }
     }
-    if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = [
-            "table4",
-            "table5",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "ablation-chunk",
-            "ablation-sync",
-            "ablation-layout",
-        ]
-        .map(String::from)
-        .to_vec();
+    if what.is_empty() {
+        what.extend(&ARTIFACTS);
     }
-    let workloads = if names.is_empty() {
-        dse_workloads::all()
-    } else {
-        names
-            .iter()
-            .map(|n| {
-                dse_workloads::by_name(n).unwrap_or_else(|| {
-                    eprintln!("unknown workload `{n}`");
-                    std::process::exit(2);
-                })
-            })
-            .collect()
-    };
+    if workloads.is_empty() {
+        workloads = dse_workloads::all();
+    }
     Args {
         scale,
-        repeats,
-        wall,
         workloads,
         what,
     }
@@ -105,40 +104,16 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let mut artifacts: Vec<(String, Json)> = Vec::new();
-    for what in &args.what {
-        let json = match what.as_str() {
-            "table4" => print_table4(&args),
-            "table5" => print_table5(&args),
-            "fig8" => print_fig8(&args),
-            "fig9" => print_fig9(&args),
-            "fig10" => print_fig10(&args),
-            "fig11" => print_fig11(&args),
-            "fig12" => print_fig12(&args),
-            "fig13" => print_fig13(&args),
-            "fig14" => print_fig14(&args),
-            "ablation-chunk" => print_ablation_chunk(&args),
-            "ablation-sync" => print_ablation_sync(&args),
-            "ablation-layout" => print_ablation_layout(&args),
-            other => {
-                eprintln!("unknown artifact `{other}`");
-                std::process::exit(2);
-            }
-        };
-        artifacts.push((what.clone(), json));
+    for (name, print) in &args.what {
+        artifacts.push((name.to_string(), print(&args)));
         println!();
     }
+    let scale = match args.scale {
+        Scale::Profile => "profile",
+        Scale::Bench => "bench",
+    };
     let doc = Json::obj(vec![
-        (
-            "scale",
-            Json::Str(
-                match args.scale {
-                    Scale::Profile => "profile",
-                    Scale::Bench => "bench",
-                }
-                .to_string(),
-            ),
-        ),
-        ("wall", Json::Bool(args.wall)),
+        ("scale", Json::Str(scale.to_string())),
         ("artifacts", Json::Obj(artifacts)),
     ]);
     if let Err(e) = std::fs::create_dir_all("results")
@@ -150,463 +125,99 @@ fn main() {
     eprintln!("[wrote results/figures.json]");
 }
 
-fn print_table4(args: &Args) -> Json {
+/// Prints a table and returns its rows as JSON.
+fn show(t: &Table) -> Json {
+    print!("{t}");
+    t.json()
+}
+
+fn table4_artifact(args: &Args) -> Json {
     println!("== Table 4: benchmark characteristics ==");
-    println!(
-        "{:<10} {:<14} {:>9} {:>10} {:>6} {:>9} {:>8} {:>10}  function",
-        "benchmark", "suite", "model-LOC", "paper-LOC", "level", "par", "%time", "paper%"
-    );
-    let rows = table4(&args.workloads);
-    for r in &rows {
-        println!(
-            "{:<10} {:<14} {:>9} {:>10} {:>6} {:>9} {:>7.1}% {:>9.1}%  {}",
-            r.name,
-            r.suite,
-            r.model_loc,
-            r.paper_loc,
-            r.level,
-            r.parallelism,
-            r.time_pct,
-            r.paper_time_pct,
-            r.function
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("suite", Json::Str(r.suite.into())),
-                    ("model_loc", Json::Int(r.model_loc as i64)),
-                    ("paper_loc", Json::Int(r.paper_loc as i64)),
-                    ("function", Json::Str(r.function.into())),
-                    ("level", Json::Int(r.level as i64)),
-                    ("parallelism", Json::Str(r.parallelism.clone())),
-                    ("time_pct", Json::Float(r.time_pct)),
-                    ("paper_time_pct", Json::Float(r.paper_time_pct)),
-                ])
-            })
-            .collect(),
-    )
+    show(&table4(&args.workloads))
 }
 
-fn print_table5(args: &Args) -> Json {
+fn table5_artifact(args: &Args) -> Json {
     println!("== Table 5: dynamic data structures privatized ==");
-    println!(
-        "{:<10} {:>11} {:>7} {:>6}",
-        "benchmark", "#privatized", "paper", "+scalars"
-    );
-    let rows = table5(&args.workloads);
-    for r in &rows {
-        println!(
-            "{:<10} {:>11} {:>7} {:>6}",
-            r.name, r.privatized, r.paper_privatized, r.scalars
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("privatized", Json::Int(r.privatized as i64)),
-                    ("scalars", Json::Int(r.scalars as i64)),
-                    ("paper_privatized", Json::Int(r.paper_privatized as i64)),
-                ])
-            })
-            .collect(),
-    )
+    show(&table5(&args.workloads))
 }
 
-fn print_fig8(args: &Args) -> Json {
+fn fig8_artifact(args: &Args) -> Json {
     println!("== Figure 8: breakdown of dynamic memory accesses ==");
-    println!(
-        "{:<10} {:>16} {:>12} {:>16}",
-        "benchmark", "free-of-carried", "expandable", "with-carried"
-    );
-    let rows = fig8(&args.workloads);
-    for r in &rows {
-        println!(
-            "{:<10} {:>15.1}% {:>11.1}% {:>15.1}%",
-            r.name,
-            100.0 * r.free_of_carried,
-            100.0 * r.expandable,
-            100.0 * r.with_carried
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("free_of_carried", Json::Float(r.free_of_carried)),
-                    ("expandable", Json::Float(r.expandable)),
-                    ("with_carried", Json::Float(r.with_carried)),
-                ])
-            })
-            .collect(),
-    )
+    show(&fig8(&args.workloads))
 }
 
-fn print_fig9(args: &Args) -> Json {
+fn fig9_artifact(args: &Args) -> Json {
     let mut out = Vec::new();
-    for (fig, opt) in [
-        ("9a (no optimizations)", OptLevel::None),
-        ("9b (optimized)", OptLevel::Full),
+    for (fig, key, opt, paper) in [
+        ("9a (no optimizations)", "none", OptLevel::None, "1.8x"),
+        ("9b (optimized)", "full", OptLevel::Full, "<1.05x"),
     ] {
         println!("== Figure {fig}: sequential slowdown of expanded code ==");
-        println!(
-            "{:<10} {:>13} {:>10}",
-            "benchmark", "instructions", "wall-time"
-        );
-        let rows = fig9(&args.workloads, opt, args.scale);
-        for r in &rows {
-            println!(
-                "{:<10} {:>12.3}x {:>9.3}x",
-                r.name, r.slowdown_instructions, r.slowdown_time
-            );
-        }
-        println!(
-            "{:<10} {:>12.3}x {:>9.3}x   (harmonic mean; paper: {})",
-            "h-mean",
-            harmonic_mean(rows.iter().map(|r| r.slowdown_instructions)),
-            harmonic_mean(rows.iter().map(|r| r.slowdown_time)),
-            if matches!(opt, OptLevel::None) {
-                "1.8x"
-            } else {
-                "<1.05x"
-            },
-        );
+        let note = format!("(harmonic mean; paper: {paper})");
+        let t = fig9(&args.workloads, opt, args.scale).with_hmean(&note);
+        out.push((key.to_string(), show(&t)));
         println!();
-        let key = if matches!(opt, OptLevel::None) {
-            "none"
-        } else {
-            "full"
-        };
-        out.push((
-            key.to_string(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("name", Json::Str(r.name.into())),
-                            (
-                                "slowdown_instructions",
-                                Json::Float(r.slowdown_instructions),
-                            ),
-                            ("slowdown_time", Json::Float(r.slowdown_time)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
     }
     Json::Obj(out)
 }
 
-fn print_fig10(args: &Args) -> Json {
+fn fig10_artifact(args: &Args) -> Json {
     println!("== Figure 10: expansion vs runtime privatization (sequential overhead) ==");
-    println!(
-        "{:<10} {:>10} {:>13}",
-        "benchmark", "expansion", "runtime-priv"
-    );
-    let rows = fig10(&args.workloads, args.scale);
-    for r in &rows {
-        println!(
-            "{:<10} {:>9.3}x {:>12.3}x",
-            r.name, r.expansion, r.runtime_priv
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("expansion", Json::Float(r.expansion)),
-                    ("runtime_priv", Json::Float(r.runtime_priv)),
-                ])
-            })
-            .collect(),
-    )
+    show(&fig10(&args.workloads, args.scale))
 }
 
-fn speedups_json(rows: &[SpeedupRow]) -> Json {
-    Json::obj(vec![
-        (
-            "core_counts",
-            Json::Arr(CORE_COUNTS.iter().map(|&c| Json::Int(c as i64)).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("name", Json::Str(r.name.into())),
-                            (
-                                "loop_only",
-                                Json::Arr(r.loop_only.iter().map(|&s| Json::Float(s)).collect()),
-                            ),
-                            (
-                                "total",
-                                Json::Arr(r.total.iter().map(|&s| Json::Float(s)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// The members every speedup figure (11, 13) has: the core counts, and
+/// loop and total speedup per core count (printed with a harmonic-mean
+/// footer).
+fn speedup_members(rows: Table) -> Vec<(&'static str, Json)> {
+    let rows = show(&rows.with_hmean("(harmonic mean)"));
+    let cores = CORE_COUNTS.iter().map(|&c| Json::Int(c as i64)).collect();
+    vec![("core_counts", Json::Arr(cores)), ("rows", rows)]
 }
 
-fn print_speedups(rows: &[SpeedupRow], loop_label: &str, total_label: &str) {
-    println!(
-        "{:<10} {}",
-        "benchmark",
-        CORE_COUNTS
-            .iter()
-            .map(|n| format!("{n:>7}c"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    println!("-- {loop_label} --");
-    for r in rows {
-        println!(
-            "{:<10} {}",
-            r.name,
-            r.loop_only
-                .iter()
-                .map(|s| format!("{s:>7.2}x"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
-    println!("-- {total_label} --");
-    for r in rows {
-        println!(
-            "{:<10} {}",
-            r.name,
-            r.total
-                .iter()
-                .map(|s| format!("{s:>7.2}x"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
-    let hms: Vec<String> = (0..CORE_COUNTS.len())
-        .map(|i| format!("{:>7.2}x", harmonic_mean(rows.iter().map(|r| r.total[i]))))
-        .collect();
-    println!(
-        "{:<10} {}   (total, harmonic mean)",
-        "h-mean",
-        hms.join(" ")
-    );
-}
-
-fn print_fig11(args: &Args) -> Json {
-    let rows = if args.wall {
-        println!("== Figure 11: speedups (wall clock; needs >= 8 cores) ==");
-        fig11(&args.workloads, args.scale, args.repeats)
-    } else {
-        println!("== Figure 11: speedups (schedule simulator) ==");
-        fig11_sim(&args.workloads, args.scale)
-    };
-    print_speedups(&rows, "11a: loop speedup", "11b: total speedup");
+fn fig11_artifact(args: &Args) -> Json {
+    println!("== Figure 11: speedups, 11a loop / 11b total (schedule simulator) ==");
+    let (rows, vs_wall) = fig11_sim(&args.workloads, args.scale);
+    let mut members = speedup_members(rows);
     println!("(paper: harmonic mean total speedup 1.93x @4 cores, 2.24x @8 cores)");
-    speedups_json(&rows)
+    println!();
+    println!("-- simulated vs measured total speedup, where this host has the cores --");
+    members.push(("sim_vs_wall", show(&vs_wall)));
+    Json::obj(members)
 }
 
-fn print_fig12(args: &Args) -> Json {
-    println!("== Figure 12: dynamic cost breakdown at 8 cores ==");
-    println!(
-        "{:<10} {:>7} {:>17} {:>10}",
-        "benchmark", "work", "wait(do_wait/relax)", "sync-ops"
-    );
-    let rows = if args.wall {
-        fig12(&args.workloads, args.scale)
-    } else {
-        fig12_sim(&args.workloads, args.scale)
-    };
-    for r in &rows {
-        println!(
-            "{:<10} {:>6.1}% {:>16.1}% {:>9.1}%",
-            r.name,
-            100.0 * r.work,
-            100.0 * r.wait,
-            100.0 * r.sync
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("work", Json::Float(r.work)),
-                    ("wait", Json::Float(r.wait)),
-                    ("sync", Json::Float(r.sync)),
-                ])
-            })
-            .collect(),
-    )
+fn fig12_artifact(args: &Args) -> Json {
+    println!("== Figure 12: dynamic cost breakdown at 8 cores (schedule simulator) ==");
+    show(&fig12_sim(&args.workloads, args.scale))
 }
 
-fn print_fig13(args: &Args) -> Json {
-    println!("== Figure 13: loop speedup under runtime privatization ==");
-    let rows = if args.wall {
-        fig13(&args.workloads, args.scale, args.repeats)
-    } else {
-        fig13_sim(&args.workloads, args.scale)
-    };
-    println!(
-        "{:<10} {}",
-        "benchmark",
-        CORE_COUNTS
-            .iter()
-            .map(|n| format!("{n:>7}c"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {}",
-            r.name,
-            r.total
-                .iter()
-                .map(|s| format!("{s:>7.2}x"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
+fn fig13_artifact(args: &Args) -> Json {
+    println!("== Figure 13: speedup under runtime privatization (schedule simulator) ==");
+    let members = speedup_members(fig13_sim(&args.workloads, args.scale));
     println!("(paper: nearly no speedup for most benchmarks)");
-    speedups_json(&rows)
+    Json::obj(members)
 }
 
-fn print_fig14(args: &Args) -> Json {
+fn fig14_artifact(args: &Args) -> Json {
     println!("== Figure 14: peak memory as a multiple of the original ==");
-    println!(
-        "{:<10} {:>24} {:>24}",
-        "benchmark", "expansion (2/4/8c)", "runtime-priv (2/4/8c)"
-    );
-    let rows = fig14(&args.workloads, args.scale);
-    for r in &rows {
-        let e: Vec<String> = r.expansion.iter().map(|x| format!("{x:.2}")).collect();
-        let p: Vec<String> = r.runtime_priv.iter().map(|x| format!("{x:.2}")).collect();
-        println!("{:<10} {:>24} {:>24}", r.name, e.join("/"), p.join("/"));
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    (
-                        "expansion",
-                        Json::Arr(r.expansion.iter().map(|&x| Json::Float(x)).collect()),
-                    ),
-                    (
-                        "runtime_priv",
-                        Json::Arr(r.runtime_priv.iter().map(|&x| Json::Float(x)).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+    println!("exp = expansion, priv = runtime privatization");
+    show(&fig14(&args.workloads, args.scale))
 }
 
-fn print_ablation_chunk(args: &Args) -> Json {
+fn ablation_chunk_artifact(args: &Args) -> Json {
     println!("== Ablation: DOACROSS claim size (paper uses 1) ==");
     println!("simulated loop speedup at 8 cores");
-    let rows = ablation_chunk(&args.workloads, args.scale);
-    for r in &rows {
-        let cells: Vec<String> = r
-            .speedups
-            .iter()
-            .map(|(c, s)| format!("chunk{c}={s:.2}x"))
-            .collect();
-        println!("{:<10} {}", r.name, cells.join("  "));
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    (
-                        "speedups",
-                        Json::Arr(
-                            r.speedups
-                                .iter()
-                                .map(|&(c, x)| {
-                                    Json::obj(vec![
-                                        ("chunk", Json::Int(c as i64)),
-                                        ("speedup", Json::Float(x)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+    show(&ablation_chunk(&args.workloads, args.scale))
 }
 
-fn print_ablation_layout(args: &Args) -> Json {
-    println!("== Ablation: bonded vs interleaved layout (Section 3.1, Fig. 2) ==");
-    println!("sequential instruction overhead vs the original program");
-    let rows = ablation_layout(&args.workloads, args.scale);
-    for r in &rows {
-        match (&r.interleaved, &r.blocker) {
-            (Some(i), _) => println!(
-                "{:<10} bonded {:.3}x   interleaved {:.3}x",
-                r.name, r.bonded, i
-            ),
-            (None, Some(b)) => {
-                println!(
-                    "{:<10} bonded {:.3}x   interleaved: IMPOSSIBLE",
-                    r.name, r.bonded
-                );
-                println!("{:<10}   ({})", "", b);
-            }
-            (None, None) => unreachable!("either a number or a blocker"),
-        }
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("bonded", Json::Float(r.bonded)),
-                    (
-                        "interleaved",
-                        r.interleaved.map(Json::Float).unwrap_or(Json::Null),
-                    ),
-                    (
-                        "blocker",
-                        r.blocker.clone().map(Json::Str).unwrap_or(Json::Null),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn print_ablation_sync(args: &Args) -> Json {
+fn ablation_sync_artifact(args: &Args) -> Json {
     println!("== Ablation: DOACROSS synchronization placement ==");
     println!("simulated 8-core loop speedup: computed window vs whole-body ordering");
-    let rows = ablation_sync(&args.workloads, args.scale);
-    for r in &rows {
-        println!(
-            "{:<10} window={:.2}x   whole-body={:.2}x",
-            r.name, r.with_window, r.without_window
-        );
-    }
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("name", Json::Str(r.name.into())),
-                    ("with_window", Json::Float(r.with_window)),
-                    ("without_window", Json::Float(r.without_window)),
-                ])
-            })
-            .collect(),
-    )
+    show(&ablation_sync(&args.workloads, args.scale))
+}
+
+fn ablation_layout_artifact(args: &Args) -> Json {
+    println!("== Ablation: bonded vs interleaved layout (Section 3.1, Fig. 2) ==");
+    println!("sequential instruction overhead vs the original program");
+    show(&ablation_layout(&args.workloads, args.scale))
 }

@@ -10,35 +10,32 @@
 //! | Figure 8 | [`fig8`] | dynamic-access breakdown |
 //! | Figure 9a/9b | [`fig9`] | expansion overhead without/with opts |
 //! | Figure 10 | [`fig10`] | expansion vs runtime privatization overhead |
-//! | Figure 11a/11b | [`fig11`] | loop and total speedups vs cores |
-//! | Figure 12 | [`fig12`] | instruction breakdown on 8 cores |
-//! | Figure 13 | [`fig13`] | runtime-privatization speedup |
+//! | Figure 11a/11b | [`fig11_sim`] | loop and total speedups vs cores |
+//! | Figure 12 | [`fig12_sim`] | instruction breakdown on 8 cores |
+//! | Figure 13 | [`fig13_sim`] | runtime-privatization speedup |
 //! | Figure 14 | [`fig14`] | memory use multiple |
 //!
-//! Wall-clock numbers come from the VM running on real OS threads; run the
-//! `figures` binary with `--release`. Absolute times are
-//! interpreter-scale — EXPERIMENTS.md compares *shapes* against the paper.
+//! Instruction counts come from the VM's counters. Speedups past this
+//! host's cores come from the schedule simulator ([`sim`]), which replays
+//! measured per-iteration costs through the executor's own claim policy;
+//! [`fig11_sim`] also times real threads at [`wall_threads`] so every
+//! simulated speedup is printed next to the wall-clock one it claims to
+//! predict. Performance itself is measured by `benchmark/` (the ledger),
+//! not here. Run the `figures` binary with `--release`.
 
-pub mod harness;
 pub mod sim;
+pub mod table;
 
 use dse_core::{Analysis, OptLevel};
+use dse_ir::bytecode::CompiledProgram;
+use dse_ir::loops::ParMode;
 use dse_runtime::{Counters, Vm};
 use dse_workloads::{Scale, Workload};
 use std::time::{Duration, Instant};
+use table::{col, series, Cell, Col, Row, Table};
 
 /// Thread counts used by the speedup experiments (the paper's X axis).
 pub const CORE_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-/// A VM configuration for *timing* runs: bench-scale inputs with a lean
-/// memory arena, so the measured time is the program, not `Vm::new`
-/// zeroing a large default arena.
-pub fn timing_vm_config(w: &Workload, scale: Scale) -> dse_runtime::VmConfig {
-    let mut cfg = w.vm_config(scale);
-    cfg.mem_bytes = 16 << 20;
-    cfg.stack_bytes = 256 << 10;
-    cfg
-}
 
 /// Builds the analysis (profile + classification) for a workload.
 ///
@@ -51,7 +48,7 @@ pub fn analyze(w: &Workload) -> Analysis {
 }
 
 fn timed_run(
-    compiled: &dse_ir::bytecode::CompiledProgram,
+    compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
     nthreads: u32,
@@ -64,166 +61,10 @@ fn timed_run(
     (t0.elapsed(), report, vm.outputs_int())
 }
 
-// ---------------------------------------------------------------------------
-// Table 4 — benchmark characteristics
-// ---------------------------------------------------------------------------
-
-/// One row of Table 4.
-#[derive(Debug, Clone)]
-pub struct Table4Row {
-    pub name: &'static str,
-    pub suite: &'static str,
-    /// LOC of our Cee model (the paper's column is the original C size,
-    /// reported alongside).
-    pub model_loc: usize,
-    pub paper_loc: u32,
-    pub function: &'static str,
-    pub level: u32,
-    /// Parallelism as classified by the pass (must match the paper).
-    pub parallelism: String,
-    /// Measured candidate-loop share of execution (instructions).
-    pub time_pct: f64,
-    pub paper_time_pct: f64,
-}
-
-/// Regenerates Table 4 for the given workloads.
-pub fn table4(workloads: &[Workload]) -> Vec<Table4Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            // `in_loops` is counted by the profiler over the stack encoding
-            // (profiling always pins the reference backend), so the
-            // whole-program denominator must retire the same encoding no
-            // matter what DSE_EXEC_BACKEND says — the register backend
-            // retires far fewer instructions for the same program.
-            let mut cfg = w.vm_config(Scale::Profile);
-            cfg.nthreads = 1;
-            cfg.backend = dse_runtime::BackendKind::Stack;
-            let mut vm = Vm::new(analysis.serial.clone(), cfg).expect("vm");
-            let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
-            let in_loops: u64 = analysis.profile.loops.iter().map(|l| l.instructions).sum();
-            let mode = analysis.classifications[0].mode;
-            Table4Row {
-                name: w.name,
-                suite: w.paper.suite,
-                model_loc: w.model_loc(),
-                paper_loc: w.paper.loc,
-                function: w.paper.function,
-                level: w.paper.level,
-                parallelism: mode.to_string(),
-                time_pct: 100.0 * in_loops as f64 / report.counters.work as f64,
-                paper_time_pct: w.paper.time_pct,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Table 5 — privatized structures
-// ---------------------------------------------------------------------------
-
-/// One row of Table 5.
-#[derive(Debug, Clone)]
-pub struct Table5Row {
-    pub name: &'static str,
-    /// Data structures privatized by our pass (alloc sites + globals +
-    /// aggregate locals).
-    pub privatized: usize,
-    /// Expanded scalars (classic scalar expansion, reported separately).
-    pub scalars: usize,
-    pub paper_privatized: u32,
-}
-
-/// Regenerates Table 5.
-pub fn table5(workloads: &[Workload]) -> Vec<Table5Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let t = analysis.transform(OptLevel::Full, 4).expect("transform");
-            Table5Row {
-                name: w.name,
-                privatized: t.report.privatized_structures(),
-                scalars: t.report.expanded_scalar_locals,
-                paper_privatized: w.paper.privatized,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8 — dynamic access breakdown
-// ---------------------------------------------------------------------------
-
-/// One bar of Figure 8 (fractions sum to 1).
-#[derive(Debug, Clone)]
-pub struct Fig8Row {
-    pub name: &'static str,
-    pub free_of_carried: f64,
-    pub expandable: f64,
-    pub with_carried: f64,
-}
-
-/// Regenerates Figure 8: the breakdown of each loop's dynamic accesses
-/// into "free of loop-carried dep", "expandable" and "with loop-carried
-/// dep" (summed over a program's candidate loops).
-pub fn fig8(workloads: &[Workload]) -> Vec<Fig8Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let mut total = dse_core::AccessBreakdown::default();
-            for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
-                let b = cls.access_breakdown(ddg);
-                total.free += b.free;
-                total.expandable += b.expandable;
-                total.carried += b.carried;
-            }
-            let (f, e, c) = total.fractions();
-            Fig8Row {
-                name: w.name,
-                free_of_carried: f,
-                expandable: e,
-                with_carried: c,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9 — expansion overhead (sequential)
-// ---------------------------------------------------------------------------
-
-/// One bar of Figure 9a or 9b.
-#[derive(Debug, Clone)]
-pub struct Fig9Row {
-    pub name: &'static str,
-    /// Transformed-over-original instruction ratio (sequential run).
-    pub slowdown_instructions: f64,
-    /// Transformed-over-original wall-time ratio.
-    pub slowdown_time: f64,
-}
-
-/// Regenerates Figure 9: sequential slowdown of the transformed program at
-/// the given optimization level ([`OptLevel::None`] → Figure 9a,
-/// [`OptLevel::Full`] → Figure 9b).
-pub fn fig9(workloads: &[Workload], opt: OptLevel, scale: Scale) -> Vec<Fig9Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (tb, rb, ob) = timed_run(&analysis.serial, w, scale, 1);
-            let t = analysis.transform(opt, 1).expect("transform");
-            let (tt, rt, ot) = timed_run(&t.parallel, w, scale, 1);
-            assert_eq!(ob, ot, "{}: transformed output differs", w.name);
-            Fig9Row {
-                name: w.name,
-                slowdown_instructions: rt.counters.work as f64 / rb.counters.work as f64,
-                slowdown_time: tt.as_secs_f64() / tb.as_secs_f64(),
-            }
-        })
-        .collect()
+/// Instructions the original program retires at `scale` (the denominator
+/// of every overhead and simulated speedup).
+fn serial_work(analysis: &Analysis, w: &Workload, scale: Scale) -> f64 {
+    timed_run(&analysis.serial, w, scale, 1).1.counters.work as f64
 }
 
 /// Harmonic mean of a positive series (the paper's average of choice).
@@ -236,73 +77,146 @@ pub fn harmonic_mean(xs: impl IntoIterator<Item = f64>) -> f64 {
     n as f64 / s
 }
 
-// ---------------------------------------------------------------------------
-// Figure 10 — expansion vs runtime privatization overhead
-// ---------------------------------------------------------------------------
-
-/// One pair of bars of Figure 10.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    pub name: &'static str,
-    /// Sequential slowdown of the expanded program (instructions).
-    pub expansion: f64,
-    /// Sequential slowdown of the runtime-privatization program.
-    pub runtime_priv: f64,
+/// The first column of every artifact.
+fn name(w: &Workload) -> (Col, Cell) {
+    col("benchmark", "name", -10).of(Cell::Text(w.name.into()))
 }
 
-/// Regenerates Figure 10: static expansion vs dynamic privatization
-/// overhead, both run sequentially.
-pub fn fig10(workloads: &[Workload], scale: Scale) -> Vec<Fig10Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
-            let t = analysis.transform(OptLevel::Full, 1).expect("transform");
-            let (_, rt, _) = timed_run(&t.parallel, w, scale, 1);
-            let b = analysis.baseline_parallel(1).expect("baseline");
-            let (_, rp, _) = timed_run(&b.parallel, w, scale, 1);
-            // The baseline's cost model: every monitored private access
-            // (heap translations and statically privatized accesses alike,
-            // per SpiceC's all-accesses monitoring) costs a runtime lookup
-            // (≈ 20 native instructions), plus the bytes copied in/out.
-            let base = rb.counters.work as f64;
-            let priv_cost = rp.counters.work as f64
-                + 20.0 * (rp.counters.localize_calls + rp.counters.private_direct) as f64
-                + 0.25 * rp.counters.localize_copied_bytes as f64;
-            Fig10Row {
-                name: w.name,
-                expansion: rt.counters.work as f64 / base,
-                runtime_priv: priv_cost / base,
-            }
-        })
-        .collect()
+/// Table 4 — benchmark characteristics. `par` is the parallelism the pass
+/// classified (it must match the paper's); `%time` is the measured
+/// candidate-loop share of execution, in instructions; `model-LOC` counts
+/// our Cee model, `paper-LOC` the original C.
+pub fn table4(workloads: &[Workload]) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        // `in_loops` is counted by the profiler over the stack encoding
+        // (profiling always pins the reference backend), so the
+        // whole-program denominator must retire the same encoding no
+        // matter what DSE_EXEC_BACKEND says — the register backend
+        // retires far fewer instructions for the same program.
+        let mut cfg = w.vm_config(Scale::Profile);
+        cfg.nthreads = 1;
+        cfg.backend = dse_runtime::BackendKind::Stack;
+        let mut vm = Vm::new(analysis.serial.clone(), cfg).expect("vm");
+        let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
+        let in_loops: u64 = analysis.profile.loops.iter().map(|l| l.instructions).sum();
+        let time_pct = 100.0 * in_loops as f64 / report.counters.work as f64;
+        let mode = analysis.classifications[0].mode;
+        vec![
+            name(w),
+            col("suite", "suite", -14).of(Cell::Text(w.paper.suite.into())),
+            col("model-LOC", "model_loc", 9).of(Cell::Int(w.model_loc() as i64)),
+            col("paper-LOC", "paper_loc", 10).of(Cell::Int(w.paper.loc as i64)),
+            col("level", "level", 6).of(Cell::Int(w.paper.level as i64)),
+            col("par", "parallelism", 9).of(Cell::Text(mode.to_string())),
+            col("%time", "time_pct", 8).of(Cell::Percent(time_pct)),
+            col("paper%", "paper_time_pct", 10).of(Cell::Percent(w.paper.time_pct)),
+            col("function", "function", -1).of(Cell::Text(w.paper.function.into())),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
 }
 
-// ---------------------------------------------------------------------------
-// Figure 11 — speedups
-// ---------------------------------------------------------------------------
+/// Table 5 — data structures privatized by our pass (alloc sites, globals
+/// and aggregate locals), with expanded scalars (classic scalar expansion)
+/// reported separately.
+pub fn table5(workloads: &[Workload]) -> Table {
+    let row = |w: &Workload| {
+        let report = analyze(w)
+            .transform(OptLevel::Full, 4)
+            .expect("transform")
+            .report;
+        let privatized = report.privatized_structures() as i64;
+        vec![
+            name(w),
+            col("#privatized", "privatized", 11).of(Cell::Int(privatized)),
+            col("paper", "paper_privatized", 7).of(Cell::Int(w.paper.privatized as i64)),
+            col("+scalars", "scalars", 8).of(Cell::Int(report.expanded_scalar_locals as i64)),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
 
-/// One workload's speedup series (indexed like [`CORE_COUNTS`]).
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    pub name: &'static str,
-    /// Whole-program speedup per core count.
-    pub total: Vec<f64>,
-    /// Candidate-loop speedup per core count (derived from the measured
-    /// serial loop share).
-    pub loop_only: Vec<f64>,
+/// Figure 8 — the breakdown of each loop's dynamic accesses into "free of
+/// loop-carried dep", "expandable" and "with loop-carried dep" (summed
+/// over a program's candidate loops; the shares sum to 1).
+pub fn fig8(workloads: &[Workload]) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let mut total = dse_core::AccessBreakdown::default();
+        for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
+            let b = cls.access_breakdown(ddg);
+            total.free += b.free;
+            total.expandable += b.expandable;
+            total.carried += b.carried;
+        }
+        let (free, expandable, carried) = total.fractions();
+        vec![
+            name(w),
+            col("free-of-carried", "free_of_carried", 16).of(Cell::Share(free)),
+            col("expandable", "expandable", 12).of(Cell::Share(expandable)),
+            col("with-carried", "with_carried", 16).of(Cell::Share(carried)),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
+
+/// Figure 9 — sequential slowdown of the transformed program over the
+/// original, in instructions and in wall time, at the given optimization
+/// level ([`OptLevel::None`] → Figure 9a, [`OptLevel::Full`] → Figure 9b).
+pub fn fig9(workloads: &[Workload], opt: OptLevel, scale: Scale) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let (tb, rb, ob) = timed_run(&analysis.serial, w, scale, 1);
+        let t = analysis.transform(opt, 1).expect("transform");
+        let (tt, rt, ot) = timed_run(&t.parallel, w, scale, 1);
+        assert_eq!(ob, ot, "{}: transformed output differs", w.name);
+        let instructions = rt.counters.work as f64 / rb.counters.work as f64;
+        let wall = tt.as_secs_f64() / tb.as_secs_f64();
+        vec![
+            name(w),
+            col("instructions", "slowdown_instructions", 13).of(Cell::Times(instructions, 3)),
+            col("wall-time", "slowdown_time", 10).of(Cell::Times(wall, 3)),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
+
+/// Figure 10 — sequential instruction overhead of static expansion vs
+/// dynamic (runtime) privatization.
+pub fn fig10(workloads: &[Workload], scale: Scale) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let base = serial_work(&analysis, w, scale);
+        let t = analysis.transform(OptLevel::Full, 1).expect("transform");
+        let (_, rt, _) = timed_run(&t.parallel, w, scale, 1);
+        let b = analysis.baseline_parallel(1).expect("baseline");
+        let (_, rp, _) = timed_run(&b.parallel, w, scale, 1);
+        // The baseline's cost model: every monitored private access
+        // (heap translations and statically privatized accesses alike,
+        // per SpiceC's all-accesses monitoring) costs a runtime lookup
+        // (≈ 20 native instructions), plus the bytes copied in/out.
+        let priv_cost = rp.counters.work as f64
+            + 20.0 * (rp.counters.localize_calls + rp.counters.private_direct) as f64
+            + 0.25 * rp.counters.localize_copied_bytes as f64;
+        vec![
+            name(w),
+            col("expansion", "expansion", 10).of(Cell::Times(rt.counters.work as f64 / base, 3)),
+            col("runtime-priv", "runtime_priv", 13).of(Cell::Times(priv_cost / base, 3)),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
 }
 
 /// Per-loop iteration-cost traces: one cost vector per dynamic loop entry.
 pub type LoopTraces = std::collections::HashMap<u32, Vec<Vec<dse_runtime::vm::IterCost>>>;
 /// Scheduling mode per loop id.
-pub type LoopModes = std::collections::HashMap<u32, dse_ir::loops::ParMode>;
+pub type LoopModes = std::collections::HashMap<u32, ParMode>;
 
 /// Runs a program serially with iteration-cost recording, returning the
 /// instruction total, per-loop traces, and per-loop modes.
 fn record_traces(
-    compiled: &dse_ir::bytecode::CompiledProgram,
+    compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
 ) -> (u64, LoopTraces, LoopModes, Counters) {
@@ -315,7 +229,7 @@ fn record_traces(
         .loops
         .iter()
         .enumerate()
-        .map(|(i, l)| (i as u32, l.mode.unwrap_or(dse_ir::loops::ParMode::DoAll)))
+        .map(|(i, l)| (i as u32, l.mode.unwrap_or(ParMode::DoAll)))
         .collect();
     (
         report.counters.work,
@@ -325,414 +239,255 @@ fn record_traces(
     )
 }
 
-/// Regenerates Figure 11 through the multicore **schedule simulator** (see
-/// [`sim`]): per-iteration costs are measured in the VM, then replayed
-/// under the executor's DOALL/DOACROSS policies at each core count. This
-/// is the default on hosts without 8 physical cores.
-pub fn fig11_sim(workloads: &[Workload], scale: Scale) -> Vec<SpeedupRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
-            let serial_ref = rb.counters.work as f64;
-            let mut total = Vec::new();
-            let mut loop_only = Vec::new();
-            for &n in &CORE_COUNTS {
-                let t = analysis.transform(OptLevel::Full, n).expect("transform");
-                let (tot, traces, modes, _) = record_traces(&t.parallel, w, scale);
-                let ps = sim::simulate_program(tot, &traces, &modes, n, false);
-                total.push(serial_ref / ps.total_time);
-                loop_only.push(ps.loop_serial / ps.loop_time.max(1e-9));
-            }
-            SpeedupRow {
-                name: w.name,
-                total,
-                loop_only,
-            }
-        })
-        .collect()
-}
-
-/// Regenerates Figure 13 through the schedule simulator, charging each
-/// `Localize` call its modeled runtime cost.
-pub fn fig13_sim(workloads: &[Workload], scale: Scale) -> Vec<SpeedupRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
-            let serial_ref = rb.counters.work as f64;
-            let mut total = Vec::new();
-            let mut loop_only = Vec::new();
-            for &n in &CORE_COUNTS {
-                let b = analysis.baseline_parallel(n).expect("baseline");
-                let (tot, traces, modes, c) = record_traces(&b.parallel, w, scale);
-                // Charge out-of-loop localize cost too (rare).
-                let _ = c;
-                let ps = sim::simulate_program(tot, &traces, &modes, n, true);
-                total.push(serial_ref / ps.total_time);
-                loop_only.push(ps.loop_serial / ps.loop_time.max(1e-9));
-            }
-            SpeedupRow {
-                name: w.name,
-                total,
-                loop_only,
-            }
-        })
-        .collect()
-}
-
-/// Regenerates Figure 12 from the schedule simulation at 8 cores: how the
-/// workers' cycles split between useful work, waiting (the paper's
-/// `do_wait`/`cpu_relax`), and synchronization calls.
-pub fn fig12_sim(workloads: &[Workload], scale: Scale) -> Vec<Fig12Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-            let (tot, traces, modes, counters) = record_traces(&t.parallel, w, scale);
-            let ps = sim::simulate_program(tot, &traces, &modes, 8, false);
-            let outside = (tot as f64
-                - traces
-                    .values()
-                    .flatten()
-                    .flatten()
-                    .map(|c| (c.pre + c.window + c.post) as f64)
-                    .sum::<f64>())
-            .max(0.0);
-            let sync = counters.sync_ops as f64;
-            let work = outside + ps.busy - sync;
-            let total = work + ps.idle + sync;
-            Fig12Row {
-                name: w.name,
-                work: work / total,
-                wait: ps.idle / total,
-                sync: sync / total,
-            }
-        })
-        .collect()
-}
-
-/// Regenerates Figure 11 by wall-clock timing (requires a host with as
-/// many physical cores as the largest core count; see [`fig11_sim`]).
-pub fn fig11(workloads: &[Workload], scale: Scale, repeats: u32) -> Vec<SpeedupRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let serial = best_time(&analysis.serial, w, scale, 1, repeats);
-            // Measured loop share of the serial program (instructions).
-            let (_, rb, _) = timed_run(&analysis.serial, w, Scale::Profile, 1);
-            let in_loops: u64 = analysis.profile.loops.iter().map(|l| l.instructions).sum();
-            let loop_frac = (in_loops as f64 / rb.counters.work as f64).clamp(0.0, 1.0);
-            let mut total = Vec::new();
-            let mut loop_only = Vec::new();
-            for &n in &CORE_COUNTS {
-                let t = analysis.transform(OptLevel::Full, n).expect("transform");
-                let par = best_time(&t.parallel, w, scale, n, repeats);
-                let sp_total = serial.as_secs_f64() / par.as_secs_f64();
-                total.push(sp_total);
-                // T_par = T_serial*(1-frac) + T_loop_serial/sp_loop
-                let serial_rest = serial.as_secs_f64() * (1.0 - loop_frac);
-                let loop_par = (par.as_secs_f64() - serial_rest).max(1e-9);
-                loop_only.push(serial.as_secs_f64() * loop_frac / loop_par);
-            }
-            SpeedupRow {
-                name: w.name,
-                total,
-                loop_only,
-            }
-        })
-        .collect()
-}
-
-fn best_time(
-    compiled: &dse_ir::bytecode::CompiledProgram,
+/// The program `parallel(n)` builds for `n` threads, replayed by the
+/// schedule simulator (see [`sim`]) at each of [`CORE_COUNTS`]:
+/// candidate-loop speedup, and whole-program speedup over the original.
+fn sim_speedups(
     w: &Workload,
     scale: Scale,
-    nthreads: u32,
-    repeats: u32,
-) -> Duration {
-    (0..repeats.max(1))
+    serial_ref: f64,
+    charge_localize: bool,
+    parallel: impl Fn(u32) -> CompiledProgram,
+) -> (Vec<f64>, Vec<f64>) {
+    let sims = CORE_COUNTS.map(|n| {
+        let (tot, traces, modes, _) = record_traces(&parallel(n), w, scale);
+        sim::simulate_program(tot, &traces, &modes, n, charge_localize)
+    });
+    let loop_only = sims
+        .iter()
+        .map(|ps| ps.loop_serial / ps.loop_time.max(1e-9));
+    let total = sims.iter().map(|ps| serial_ref / ps.total_time);
+    (loop_only.collect(), total.collect())
+}
+
+/// One row of a speedup figure (11 or 13).
+fn speedup_row(w: &Workload, (loop_only, total): (Vec<f64>, Vec<f64>)) -> Row {
+    vec![
+        name(w),
+        series("loop", "loop_only", &CORE_COUNTS).of(Cell::Series(loop_only)),
+        series("total", "total", &CORE_COUNTS).of(Cell::Series(total)),
+    ]
+}
+
+/// Threads the wall-clock side of [`fig11_sim`] runs on: this host has 2
+/// cores, and a single-core host can still compare at 1.
+pub fn wall_threads() -> u32 {
+    std::thread::available_parallelism().map_or(1, |p| p.get().min(2) as u32)
+}
+
+/// Seconds of the fastest of three timed runs.
+fn min_of_3(compiled: &CompiledProgram, w: &Workload, scale: Scale, nthreads: u32) -> f64 {
+    let fastest = (0..3)
         .map(|_| timed_run(compiled, w, scale, nthreads).0)
-        .min()
-        .expect("at least one repeat")
+        .min();
+    fastest.expect("three runs").as_secs_f64()
 }
 
-// ---------------------------------------------------------------------------
-// Figure 12 — instruction breakdown at 8 cores
-// ---------------------------------------------------------------------------
-
-/// One bar of Figure 12 (fractions of total dynamic cost).
-#[derive(Debug, Clone)]
-pub struct Fig12Row {
-    pub name: &'static str,
-    /// Useful instructions.
-    pub work: f64,
-    /// Spin iterations waiting on cross-iteration ordering (the paper's
-    /// `do_wait` / `cpu_relax` share).
-    pub wait: f64,
-    /// Post/wait synchronization operations.
-    pub sync: f64,
+/// Figure 11 through the multicore **schedule simulator** (see [`sim`]):
+/// per-iteration costs are measured in the VM, then replayed under the
+/// executor's DOALL/DOACROSS policies at each core count. The second
+/// table answers for the first: at [`wall_threads`] — the one core count
+/// where this host has both — each program's simulated total speedup sits
+/// beside serial-over-parallel wall time (fastest of three runs each).
+pub fn fig11_sim(workloads: &[Workload], scale: Scale) -> (Table, Table) {
+    let threads = wall_threads();
+    let at = CORE_COUNTS.iter().position(|&n| n == threads);
+    let at = at.expect("wall_threads is a core count");
+    let mut vs_wall = Vec::new();
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let expanded = |n| {
+            analysis
+                .transform(OptLevel::Full, n)
+                .expect("transform")
+                .parallel
+        };
+        let serial_ref = serial_work(&analysis, w, scale);
+        let speedups = sim_speedups(w, scale, serial_ref, false, expanded);
+        let sim = speedups.1[at];
+        let wall = min_of_3(&analysis.serial, w, scale, 1)
+            / min_of_3(&expanded(threads), w, scale, threads);
+        vs_wall.push(vec![
+            name(w),
+            col("threads", "threads", 7).of(Cell::Int(threads as i64)),
+            col("sim", "sim", 8).of(Cell::Times(sim, 2)),
+            col("wall", "wall", 8).of(Cell::Times(wall, 2)),
+            col("sim/wall", "ratio", 9).of(Cell::Times(sim / wall, 2)),
+        ]);
+        speedup_row(w, speedups)
+    };
+    let speedups = Table::new(workloads.iter().map(row).collect());
+    (speedups, Table::new(vs_wall))
 }
 
-/// Regenerates Figure 12: where the cycles go on 8 cores.
-pub fn fig12(workloads: &[Workload], scale: Scale) -> Vec<Fig12Row> {
-    workloads
+/// Figure 13 through the schedule simulator: the runtime-privatization
+/// baseline, each `Localize` call charged its modeled runtime cost.
+pub fn fig13_sim(workloads: &[Workload], scale: Scale) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let baseline = |n| analysis.baseline_parallel(n).expect("baseline").parallel;
+        let serial_ref = serial_work(&analysis, w, scale);
+        speedup_row(w, sim_speedups(w, scale, serial_ref, true, baseline))
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
+
+/// Figure 12 from the schedule simulation at 8 cores: how the workers'
+/// cycles split between useful work, waiting on cross-iteration ordering
+/// (the paper's `do_wait`/`cpu_relax`), and post/wait operations.
+pub fn fig12_sim(workloads: &[Workload], scale: Scale) -> Table {
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let t = analysis.transform(OptLevel::Full, 8).expect("transform");
+        let (tot, traces, modes, counters) = record_traces(&t.parallel, w, scale);
+        let ps = sim::simulate_program(tot, &traces, &modes, 8, false);
+        let outside = (tot as f64
+            - traces
+                .values()
+                .flatten()
+                .flatten()
+                .map(|c| (c.pre + c.window + c.post) as f64)
+                .sum::<f64>())
+        .max(0.0);
+        let sync = counters.sync_ops as f64;
+        let work = outside + ps.busy - sync;
+        let total = work + ps.idle + sync;
+        vec![
+            name(w),
+            col("work", "work", 7).of(Cell::Share(work / total)),
+            col("wait(do_wait/relax)", "wait", 19).of(Cell::Share(ps.idle / total)),
+            col("sync-ops", "sync", 10).of(Cell::Share(sync / total)),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
+
+/// Figure 14 — peak heap at 2/4/8 threads as a multiple of the original
+/// program's, for expansion (`exp`) and runtime privatization (`priv`).
+pub fn fig14(workloads: &[Workload], scale: Scale) -> Table {
+    const THREADS: [u32; 3] = [2, 4, 8];
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
+        let base = rb.peak_heap_bytes.max(1) as f64;
+        let peak = |p: &CompiledProgram, n| timed_run(p, w, scale, n).1.peak_heap_bytes as f64;
+        let expansion = THREADS.map(|n| {
+            let t = analysis.transform(OptLevel::Full, n).expect("transform");
+            peak(&t.parallel, n) / base
+        });
+        let runtime_priv = THREADS.map(|n| {
+            let b = analysis.baseline_parallel(n).expect("baseline");
+            peak(&b.parallel, n) / base
+        });
+        vec![
+            name(w),
+            series("exp", "expansion", &THREADS).of(Cell::Series(expansion.to_vec())),
+            series("priv", "runtime_priv", &THREADS).of(Cell::Series(runtime_priv.to_vec())),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
+}
+
+/// Each DOACROSS workload with the iteration traces of its 8-thread
+/// transformation — what both DOACROSS ablations replay.
+fn doacross_traces(
+    workloads: &[Workload],
+    scale: Scale,
+) -> impl Iterator<Item = (&Workload, LoopTraces, LoopModes)> {
+    let doacross = workloads
         .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-            let (_, report, _) = timed_run(&t.parallel, w, scale, 8);
-            let c: Counters = report.counters;
-            let total = (c.work + c.wait_spins + c.sync_ops) as f64;
-            Fig12Row {
-                name: w.name,
-                work: c.work as f64 / total,
-                wait: c.wait_spins as f64 / total,
-                sync: c.sync_ops as f64 / total,
-            }
-        })
-        .collect()
+        .filter(|w| w.paper.parallelism == ParMode::DoAcross);
+    doacross.map(move |w| {
+        let t = analyze(w).transform(OptLevel::Full, 8).expect("transform");
+        let (_, traces, modes, _) = record_traces(&t.parallel, w, scale);
+        (w, traces, modes)
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Figure 13 — runtime-privatization speedup
-// ---------------------------------------------------------------------------
-
-/// Regenerates Figure 13: loop/total speedup when the runtime
-/// privatization baseline is used instead of expansion. The VM charges
-/// each `Localize` call its abstract runtime cost (see [`fig10`]) by
-/// padding the wall-time with the modeled overhead ratio.
-pub fn fig13(workloads: &[Workload], scale: Scale, repeats: u32) -> Vec<SpeedupRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let serial = best_time(&analysis.serial, w, scale, 1, repeats);
-            let mut total = Vec::new();
-            for &n in &CORE_COUNTS {
-                let b = analysis.baseline_parallel(n).expect("baseline");
-                let mut cfg = w.vm_config(scale);
-                cfg.nthreads = n;
-                let mut vm = Vm::new(b.parallel.clone(), cfg).expect("vm");
-                let t0 = Instant::now();
-                let report = vm.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                let elapsed = t0.elapsed().as_secs_f64();
-                // Scale elapsed time by the modeled per-call runtime cost
-                // that the interpreter's Localize undercharges.
-                let c = report.counters;
-                let work = c.work.max(1) as f64;
-                let factor =
-                    (work + 20.0 * c.localize_calls as f64 + 0.25 * c.localize_copied_bytes as f64)
-                        / work;
-                total.push(serial.as_secs_f64() / (elapsed * factor));
-            }
-            SpeedupRow {
-                name: w.name,
-                loop_only: total.clone(),
-                total,
-            }
-        })
-        .collect()
+/// Simulated 8-core loop speedup over every recorded loop entry, with each
+/// iteration reshaped by `shape` and claimed `chunk` at a time.
+fn loop_speedup_8c(
+    traces: &LoopTraces,
+    modes: &LoopModes,
+    chunk: usize,
+    shape: impl Fn(sim::SimIter) -> sim::SimIter,
+) -> f64 {
+    let (mut serial, mut time) = (0.0, 0.0);
+    for (loop_id, entries) in traces {
+        for entry in entries {
+            let iters = entry.iter().map(|c| shape(sim::to_sim_iter(c, false)));
+            let iters: Vec<sim::SimIter> = iters.collect();
+            serial += iters.iter().map(sim::SimIter::total).sum::<f64>();
+            time += sim::simulate_entry_chunked(modes[loop_id], &iters, 8, chunk).time;
+        }
+    }
+    serial / time.max(1e-9)
 }
 
-// ---------------------------------------------------------------------------
-// Figure 14 — memory use
-// ---------------------------------------------------------------------------
-
-/// One group of Figure 14 bars.
-#[derive(Debug, Clone)]
-pub struct Fig14Row {
-    pub name: &'static str,
-    /// Peak heap multiple of the expanded program at 2/4/8 threads.
-    pub expansion: Vec<f64>,
-    /// Peak heap multiple of the runtime-privatization baseline.
-    pub runtime_priv: Vec<f64>,
+/// Ablation: the DOACROSS claim size (the paper fixes it at 1, Section
+/// 4.3), swept over the DOACROSS workloads.
+pub fn ablation_chunk(workloads: &[Workload], scale: Scale) -> Table {
+    let row = |(w, traces, modes): (&Workload, LoopTraces, LoopModes)| {
+        let sweep = [1usize, 2, 4, 8, 16]
+            .map(|chunk| (chunk, loop_speedup_8c(&traces, &modes, chunk, |it| it)));
+        let speedups = Cell::Sweep("chunk", sweep.to_vec());
+        vec![
+            name(w),
+            col("speedup per claim size", "speedups", -1).of(speedups),
+        ]
+    };
+    Table::new(doacross_traces(workloads, scale).map(row).collect())
 }
 
-/// Regenerates Figure 14: peak memory as a multiple of the original
-/// program's, for 2/4/8 threads.
-pub fn fig14(workloads: &[Workload], scale: Scale) -> Vec<Fig14Row> {
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
-            let base = rb.peak_heap_bytes.max(1) as f64;
-            let mut expansion = Vec::new();
-            let mut runtime_priv = Vec::new();
-            for n in [2u32, 4, 8] {
-                let t = analysis.transform(OptLevel::Full, n).expect("transform");
-                let (_, rt, _) = timed_run(&t.parallel, w, scale, n);
-                expansion.push(rt.peak_heap_bytes as f64 / base);
-                let b = analysis.baseline_parallel(n).expect("baseline");
-                let (_, rp, _) = timed_run(&b.parallel, w, scale, n);
-                runtime_priv.push(rp.peak_heap_bytes as f64 / base);
-            }
-            Fig14Row {
-                name: w.name,
-                expansion,
-                runtime_priv,
-            }
-        })
-        .collect()
+/// Ablation: the DOACROSS synchronization *placement* (Section 4.3: "we
+/// also place necessary inter-thread synchronization") — the computed
+/// Wait/Post window around the shared carried accesses vs the executor's
+/// fallback, where every iteration posts only when it finishes and the
+/// whole body is the ordered section.
+pub fn ablation_sync(workloads: &[Workload], scale: Scale) -> Table {
+    let whole_body = |it: sim::SimIter| sim::SimIter {
+        pre: 0.0,
+        window: it.window + (it.pre + it.post),
+        post: 0.0,
+    };
+    let row = |(w, traces, modes): (&Workload, LoopTraces, LoopModes)| {
+        let with_window = loop_speedup_8c(&traces, &modes, 1, |it| it);
+        let without_window = loop_speedup_8c(&traces, &modes, 1, whole_body);
+        vec![
+            name(w),
+            col("window", "with_window", 8).of(Cell::Times(with_window, 2)),
+            col("whole-body", "without_window", 10).of(Cell::Times(without_window, 2)),
+        ]
+    };
+    Table::new(doacross_traces(workloads, scale).map(row).collect())
 }
 
-// ---------------------------------------------------------------------------
-// Ablations
-// ---------------------------------------------------------------------------
-
-/// One row of the DOACROSS chunk-size ablation: simulated loop speedup at
-/// 8 cores for each chunk size.
-#[derive(Debug, Clone)]
-pub struct ChunkAblationRow {
-    pub name: &'static str,
-    /// (chunk size, loop speedup at 8 cores).
-    pub speedups: Vec<(usize, f64)>,
-}
-
-/// Sweeps the DOACROSS claim size (the paper fixes it at 1, Section 4.3)
-/// for the DOACROSS workloads.
-pub fn ablation_chunk(workloads: &[Workload], scale: Scale) -> Vec<ChunkAblationRow> {
-    workloads
-        .iter()
-        .filter(|w| w.paper.parallelism == dse_ir::loops::ParMode::DoAcross)
-        .map(|w| {
-            let analysis = analyze(w);
-            let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-            let (_, traces, modes, _) = record_traces(&t.parallel, w, scale);
-            let mut speedups = Vec::new();
-            for chunk in [1usize, 2, 4, 8, 16] {
-                let mut serial = 0.0;
-                let mut time = 0.0;
-                for (loop_id, entries) in &traces {
-                    let mode = modes[loop_id];
-                    for entry in entries {
-                        let iters: Vec<sim::SimIter> =
-                            entry.iter().map(|c| sim::to_sim_iter(c, false)).collect();
-                        serial += iters.iter().map(sim::SimIter::total).sum::<f64>();
-                        time += sim::simulate_entry_chunked(mode, &iters, 8, chunk).time;
-                    }
-                }
-                speedups.push((chunk, serial / time.max(1e-9)));
-            }
-            ChunkAblationRow {
-                name: w.name,
-                speedups,
-            }
-        })
-        .collect()
-}
-
-/// One row of the sync-placement ablation.
-#[derive(Debug, Clone)]
-pub struct SyncAblationRow {
-    pub name: &'static str,
-    /// Simulated 8-core loop speedup with the computed Wait/Post window.
-    pub with_window: f64,
-    /// Simulated 8-core loop speedup with no window (the executor's
-    /// fallback: every iteration posts only when it finishes, i.e. the
-    /// whole body is the ordered section).
-    pub without_window: f64,
-}
-
-/// Quantifies the DOACROSS synchronization *placement* (Section 4.3: "we
-/// also place necessary inter-thread synchronization"): the computed
-/// window around the shared carried accesses vs the trivial placement
-/// that orders whole iterations.
-pub fn ablation_sync(workloads: &[Workload], scale: Scale) -> Vec<SyncAblationRow> {
-    workloads
-        .iter()
-        .filter(|w| w.paper.parallelism == dse_ir::loops::ParMode::DoAcross)
-        .map(|w| {
-            let analysis = analyze(w);
-            let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-            let (_, traces, modes, _) = record_traces(&t.parallel, w, scale);
-            let speedup = |widen: bool| {
-                let mut serial = 0.0;
-                let mut time = 0.0;
-                for (loop_id, entries) in &traces {
-                    let mode = modes[loop_id];
-                    for entry in entries {
-                        let iters: Vec<sim::SimIter> = entry
-                            .iter()
-                            .map(|c| {
-                                let mut it = sim::to_sim_iter(c, false);
-                                if widen {
-                                    // No window: the whole iteration is
-                                    // ordered (auto-post at iteration end).
-                                    it.window += it.pre + it.post;
-                                    it.pre = 0.0;
-                                    it.post = 0.0;
-                                }
-                                it
-                            })
-                            .collect();
-                        serial += iters.iter().map(sim::SimIter::total).sum::<f64>();
-                        time += sim::simulate_entry(mode, &iters, 8).time;
-                    }
-                }
-                serial / time.max(1e-9)
-            };
-            SyncAblationRow {
-                name: w.name,
-                with_window: speedup(false),
-                without_window: speedup(true),
-            }
-        })
-        .collect()
-}
-
-/// One row of the bonded-vs-interleaved layout ablation.
-#[derive(Debug, Clone)]
-pub struct LayoutAblationRow {
-    pub name: &'static str,
-    /// Sequential instruction overhead of bonded expansion (vs original).
-    pub bonded: f64,
-    /// Sequential overhead of interleaved expansion, when it is possible.
-    pub interleaved: Option<f64>,
-    /// Why interleaving is impossible, when it is.
-    pub blocker: Option<String>,
-}
-
-/// Runs the Section 3.1 layout comparison: both layouts where interleaving
-/// is structurally possible, and the paper's bonded-only argument (untyped
+/// Ablation: the Section 3.1 layout comparison — sequential instruction
+/// overhead of bonded and of interleaved expansion where interleaving is
+/// structurally possible, and the paper's bonded-only argument (untyped
 /// heap blocks, recasts, interior pointers) where it is not.
-pub fn ablation_layout(workloads: &[Workload], scale: Scale) -> Vec<LayoutAblationRow> {
+pub fn ablation_layout(workloads: &[Workload], scale: Scale) -> Table {
     use dse_core::LayoutMode;
-    workloads
-        .iter()
-        .map(|w| {
-            let analysis = analyze(w);
-            let (_, rb, _) = timed_run(&analysis.serial, w, scale, 1);
-            let base = rb.counters.work as f64;
-            let overhead = |t: &dse_core::Transformed| {
-                let mut cfg = w.vm_config(scale);
-                cfg.nthreads = 1;
-                let mut vm = Vm::new(t.parallel.clone(), cfg).expect("vm");
-                vm.run().expect("run").counters.work as f64 / base
-            };
-            let bonded = overhead(
-                &analysis
-                    .transform_with_layout(OptLevel::Full, 1, LayoutMode::Bonded)
-                    .expect("bonded transform"),
-            );
-            let (interleaved, blocker) =
-                match analysis.transform_with_layout(OptLevel::Full, 1, LayoutMode::Interleaved) {
-                    Ok(t) => (Some(overhead(&t)), None),
-                    Err(e) => (None, Some(e.to_string())),
-                };
-            LayoutAblationRow {
-                name: w.name,
-                bonded,
-                interleaved,
-                blocker,
-            }
-        })
-        .collect()
+    let row = |w: &Workload| {
+        let analysis = analyze(w);
+        let base = serial_work(&analysis, w, scale);
+        let overhead = |layout| {
+            let t = analysis.transform_with_layout(OptLevel::Full, 1, layout)?;
+            Ok(timed_run(&t.parallel, w, scale, 1).1.counters.work as f64 / base)
+        };
+        let bonded: Result<f64, dse_core::DseError> = overhead(LayoutMode::Bonded);
+        let (interleaved, blocker) = match overhead(LayoutMode::Interleaved) {
+            Ok(x) => (Cell::Times(x, 3), Cell::Missing),
+            Err(e) => (Cell::Missing, Cell::Text(e.to_string())),
+        };
+        vec![
+            name(w),
+            col("bonded", "bonded", 8).of(Cell::Times(bonded.expect("bonded transform"), 3)),
+            col("interleaved", "interleaved", 11).of(interleaved),
+            col("why interleaving is impossible", "blocker", -1).of(blocker),
+        ]
+    };
+    Table::new(workloads.iter().map(row).collect())
 }
 
 #[cfg(test)]
@@ -744,30 +499,46 @@ mod tests {
         vec![by_name("md5").unwrap(), by_name("hmmer").unwrap()]
     }
 
+    /// The cell of `row` under JSON key `key`.
+    fn cell<'t>(row: &'t Row, key: &str) -> &'t Cell {
+        let found = row.iter().find(|(c, _)| c.key == key);
+        &found.unwrap_or_else(|| panic!("no column `{key}`")).1
+    }
+
+    /// The one number in that cell.
+    fn num(row: &Row, key: &str) -> f64 {
+        match cell(row, key) {
+            Cell::Int(v) => *v as f64,
+            Cell::Percent(v) | Cell::Share(v) | Cell::Times(v, _) => *v,
+            other => panic!("`{key}` holds {other:?}"),
+        }
+    }
+
     #[test]
     fn table4_rows_are_complete() {
-        let rows = table4(&small());
-        assert_eq!(rows.len(), 2);
-        for r in rows {
-            assert!(r.time_pct > 0.0 && r.time_pct <= 100.0);
-            assert!(!r.parallelism.is_empty());
-            assert!(r.model_loc > 20);
+        let t = table4(&small());
+        assert_eq!(t.rows.len(), 2);
+        for r in &t.rows {
+            let pct = num(r, "time_pct");
+            assert!(pct > 0.0 && pct <= 100.0);
+            assert!(matches!(cell(r, "parallelism"), Cell::Text(p) if !p.is_empty()));
+            assert!(num(r, "model_loc") > 20.0);
         }
     }
 
     #[test]
     fn table5_counts_positive() {
-        for r in table5(&small()) {
-            assert!(r.privatized >= 1, "{}", r.name);
+        for r in &table5(&small()).rows {
+            assert!(num(r, "privatized") >= 1.0, "{r:?}");
         }
     }
 
     #[test]
     fn fig8_fractions_sum_to_one() {
-        for r in fig8(&small()) {
-            let s = r.free_of_carried + r.expandable + r.with_carried;
-            assert!((s - 1.0).abs() < 1e-9, "{}: {s}", r.name);
-            assert!(r.expandable > 0.0, "{}: nothing expandable", r.name);
+        for r in &fig8(&small()).rows {
+            let s = num(r, "free_of_carried") + num(r, "expandable") + num(r, "with_carried");
+            assert!((s - 1.0).abs() < 1e-9, "{r:?}: {s}");
+            assert!(num(r, "expandable") > 0.0, "{r:?}: nothing expandable");
         }
     }
 
@@ -776,12 +547,9 @@ mod tests {
         let ws = small();
         let none = fig9(&ws, OptLevel::None, Scale::Profile);
         let full = fig9(&ws, OptLevel::Full, Scale::Profile);
-        for (n, f) in none.iter().zip(&full) {
-            assert!(
-                f.slowdown_instructions < n.slowdown_instructions,
-                "{}",
-                n.name
-            );
+        for (n, f) in none.rows.iter().zip(&full.rows) {
+            let key = "slowdown_instructions";
+            assert!(num(f, key) < num(n, key), "{n:?}");
         }
     }
 
@@ -793,38 +561,51 @@ mod tests {
         // baseline, is one of the paper's "cheap for runtime
         // privatization" cases.)
         let ws = vec![by_name("hmmer").unwrap()];
-        let rows = fig10(&ws, Scale::Profile);
-        assert!(
-            rows[0].runtime_priv > rows[0].expansion,
-            "priv={} exp={}",
-            rows[0].runtime_priv,
-            rows[0].expansion
-        );
+        let r = &fig10(&ws, Scale::Profile).rows[0];
+        assert!(num(r, "runtime_priv") > num(r, "expansion"), "{r:?}");
+    }
+
+    #[test]
+    fn fig11_pairs_every_simulated_speedup_with_a_wall_clock_one() {
+        let (speedups, vs_wall) = fig11_sim(&small(), Scale::Profile);
+        let at = CORE_COUNTS.iter().position(|&n| n == wall_threads());
+        for (r, v) in speedups.rows.iter().zip(&vs_wall.rows) {
+            assert_eq!(cell(r, "name"), cell(v, "name"));
+            assert_eq!(cell(r, "total").ratios()[at.unwrap()], num(v, "sim"));
+            let wall = num(v, "wall");
+            assert!(wall.is_finite() && wall > 0.0, "{v:?}");
+        }
     }
 
     #[test]
     fn fig12_fractions_valid() {
-        for r in fig12(&small(), Scale::Profile) {
-            assert!(r.work > 0.0 && r.work <= 1.0);
-            assert!((r.work + r.wait + r.sync - 1.0).abs() < 1e-9);
+        for r in &fig12_sim(&small(), Scale::Profile).rows {
+            let work = num(r, "work");
+            assert!(work > 0.0 && work <= 1.0);
+            assert!((work + num(r, "wait") + num(r, "sync") - 1.0).abs() < 1e-9);
         }
     }
 
     #[test]
     fn fig14_expansion_memory_grows() {
         let ws = vec![by_name("md5").unwrap()];
-        let rows = fig14(&ws, Scale::Profile);
+        let t = fig14(&ws, Scale::Profile);
         // More threads, more copies.
-        assert!(rows[0].expansion[2] >= rows[0].expansion[0]);
+        let expansion = cell(&t.rows[0], "expansion").ratios();
+        assert!(expansion[2] >= expansion[0]);
     }
 
     #[test]
     fn ablation_sync_window_never_worse() {
         let ws = vec![by_name("hmmer").unwrap()];
-        let rows = ablation_sync(&ws, Scale::Profile);
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].with_window + 1e-9 >= rows[0].without_window);
-        assert!(rows[0].without_window > 0.0);
+        let t = ablation_sync(&ws, Scale::Profile);
+        assert_eq!(t.rows.len(), 1);
+        let (with, without) = (
+            num(&t.rows[0], "with_window"),
+            num(&t.rows[0], "without_window"),
+        );
+        assert!(with + 1e-9 >= without);
+        assert!(without > 0.0);
     }
 
     #[test]

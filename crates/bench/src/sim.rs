@@ -9,8 +9,12 @@
 //! [`dse_runtime::vm::VmConfig::record_iteration_costs`]) through the
 //! executor's exact scheduling policies:
 //!
-//! * **DOALL** — static contiguous chunks, one per worker; the loop ends
-//!   when the slowest chunk finishes (a barrier).
+//! * **DOALL** — the executor's own claim policy, not a model of it: each
+//!   worker, earliest-free first, runs whatever
+//!   [`dse_runtime::pool::DoallShares::claim`] hands it (front chunks of
+//!   its own share, then the stolen back half of a victim's) until that
+//!   returns `None`; the loop ends when the last worker finishes (a
+//!   barrier).
 //! * **DOACROSS** — dynamic self-scheduling with chunk size 1: each
 //!   iteration goes to the earliest-free worker, its ordered window may
 //!   only start after the previous iteration's window ended (post/wait).
@@ -22,6 +26,7 @@
 //! to those; see EXPERIMENTS.md).
 
 use dse_ir::loops::ParMode;
+use dse_runtime::pool::DoallShares;
 use dse_runtime::vm::IterCost;
 
 /// Cost of one iteration in simulated cycles, split at the ordered-window
@@ -75,6 +80,14 @@ pub struct SimOutcome {
     pub idle: f64,
 }
 
+/// The earliest-free worker among `workers` (lowest id on ties).
+fn earliest_free(free: &[f64], workers: impl IntoIterator<Item = usize>) -> usize {
+    workers
+        .into_iter()
+        .min_by(|&a, &b| free[a].partial_cmp(&free[b]).expect("finite"))
+        .expect("at least one worker")
+}
+
 /// Simulates one loop entry under the executor's scheduling policy
 /// (DOACROSS claims one iteration at a time, as the executor does).
 pub fn simulate_entry(mode: ParMode, iters: &[SimIter], n: u32) -> SimOutcome {
@@ -94,35 +107,34 @@ pub fn simulate_entry_chunked(
     if iters.is_empty() {
         return SimOutcome::default();
     }
+    let mut free = vec![0.0f64; n];
     let time = match mode {
         ParMode::DoAll => {
-            // Static contiguous chunks of ceil(m/n).
-            let m = iters.len();
-            let chunk = m.div_ceil(n);
-            let mut worst: f64 = 0.0;
-            for t in 0..n {
-                let lo = (t * chunk).min(m);
-                let hi = ((t + 1) * chunk).min(m);
-                let sum: f64 = iters[lo..hi].iter().map(SimIter::total).sum();
-                worst = worst.max(sum);
+            // Replay of `exec.rs::doall_stealing`: a worker claims when it
+            // falls free and leaves the loop on its first `None`.
+            let shares = DoallShares::new(0, iters.len() as i64, n as u32);
+            let mut claiming: Vec<usize> = (0..n).collect();
+            while !claiming.is_empty() {
+                let w = earliest_free(&free, claiming.iter().copied());
+                match shares.claim(w as u32) {
+                    Some(c) => {
+                        let claimed = &iters[c.lo as usize..c.hi as usize];
+                        free[w] += claimed.iter().map(SimIter::total).sum::<f64>();
+                    }
+                    None => claiming.retain(|&x| x != w),
+                }
             }
-            worst
+            free.iter().copied().fold(0.0, f64::max)
         }
         ParMode::DoAcross => {
             // Dynamic in-order assignment of `chunk` consecutive iterations
             // to the earliest-free worker; each iteration's ordered window
             // starts no earlier than the previous iteration's window end.
-            let mut free = vec![0.0f64; n];
             let mut prev_window_end = 0.0f64;
             let mut end_time = 0.0f64;
             let mut next = 0usize;
             while next < iters.len() {
-                let w = free
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .expect("n >= 1");
+                let w = earliest_free(&free, 0..n);
                 let mut cursor = free[w];
                 for it in &iters[next..(next + chunk).min(iters.len())] {
                     let window_start = (cursor + it.pre).max(prev_window_end);

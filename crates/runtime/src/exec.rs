@@ -2,10 +2,9 @@
 //!
 //! `ParLoop` hands an iteration range to the loop runner:
 //!
-//! * **DOALL** uses chunked dynamic scheduling with work stealing: the
-//!   range is split into one contiguous share per worker, owners claim
-//!   chunks from the front, and idle workers steal the back half of a
-//!   victim's remaining share (see [`crate::pool`]).
+//! * **DOALL** uses chunked dynamic scheduling with work stealing: each
+//!   worker runs whatever [`DoallShares::claim`] hands it until that
+//!   returns `None` (the policy itself lives in [`crate::pool`]).
 //! * **DOACROSS** uses dynamic scheduling with chunk size 1: workers claim
 //!   iterations in order from a shared counter; `Wait`/`Post` (or the
 //!   automatic end-of-iteration post) enforce cross-iteration ordering.
@@ -24,7 +23,7 @@
 //! experiments of Figure 9 run transformed code serially.
 
 use crate::observer::{NullObserver, Observer};
-use crate::pool::{LoopDispatch, StealQueue};
+use crate::pool::{DoallShares, LoopDispatch};
 use crate::tracebuf::{EventKind, TraceEvent};
 use crate::vm::{lock_clean, LoopSync, ThreadCtx, Vm, VmError};
 use dse_ir::loops::ParMode;
@@ -36,17 +35,6 @@ use std::time::Instant;
 /// Marker in abort-induced errors, so a worker's real trap is preferred
 /// over the "I was told to stop" errors of its peers.
 const ABORTED: &str = "aborted: another worker trapped";
-
-/// Chunks each worker's initial DOALL share is claimed in: enough splits
-/// that stealing can rebalance, coarse enough that the per-chunk lock is
-/// amortized over real work.
-const CHUNKS_PER_WORKER: i64 = 8;
-
-/// Owner-claim granularity for a loop of `total` iterations on `n`
-/// threads.
-fn chunk_size(total: i64, n: u32) -> i64 {
-    (total / (n as i64 * CHUNKS_PER_WORKER)).max(1)
-}
 
 fn record_error(slot: &Mutex<Option<VmError>>, e: VmError) {
     let mut g = lock_clean(slot);
@@ -96,19 +84,14 @@ impl Vm {
             };
             ctx.emit(ev);
         }
-        let queues = match mode {
-            ParMode::DoAll => StealQueue::split(lo, hi, n),
-            ParMode::DoAcross => Vec::new(),
-        };
         let d = Arc::new(LoopDispatch {
             id,
             mode,
             body,
             hi,
             frame_base: ctx.frame_base,
-            chunk: chunk_size(hi - lo, n),
             sync: Arc::clone(&sync),
-            queues,
+            shares: (mode == ParMode::DoAll).then(|| DoallShares::new(lo, hi, n)),
             err: Mutex::new(None),
         });
 
@@ -353,51 +336,35 @@ impl Vm {
         Ok(())
     }
 
-    /// DOALL with chunked dynamic scheduling plus work stealing: drain the
-    /// own queue front-to-back in `chunk`-sized claims; when empty, steal
-    /// the back half of the first non-empty victim (scanning round-robin
-    /// from the next worker) and keep going. When no victim has a stealable
-    /// share the remaining iterations are all being executed — done.
+    /// DOALL: run every claim the loop's shares hand this worker, counting
+    /// (and tracing) the ones a steal produced.
     fn doall_stealing(
         &self,
         ctx: &mut ThreadCtx,
         d: &LoopDispatch,
         wid: u32,
     ) -> Result<(), VmError> {
-        let nq = d.queues.len();
-        let own = &d.queues[wid as usize];
-        loop {
-            while let Some((s, e)) = own.pop_front(d.chunk) {
-                self.run_chunk(ctx, d, s, e)?;
-            }
-            let mut stole = false;
-            for off in 1..nq {
-                let victim_idx = (wid as usize + off) % nq;
-                let victim = &d.queues[victim_idx];
-                if let Some((s, e)) = victim.steal_half() {
-                    if let Some(pool) = self.pool() {
-                        pool.counters.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let (Some(sink), true) = (self.trace_sink(), ctx.trace.is_some()) {
-                        let ev = TraceEvent {
-                            ts_ns: sink.now_ns(),
-                            dur_ns: 0,
-                            a: d.id as u64,
-                            b: victim_idx as u64,
-                            tid: ctx.tid,
-                            kind: EventKind::Steal,
-                        };
-                        ctx.emit(ev);
-                    }
-                    own.install(s, e);
-                    stole = true;
-                    break;
+        let shares = d.shares.as_ref().expect("a DOALL dispatch has shares");
+        while let Some(claim) = shares.claim(wid) {
+            if let Some(victim) = claim.stolen_from {
+                if let Some(pool) = self.pool() {
+                    pool.counters.steals.fetch_add(1, Ordering::Relaxed);
+                }
+                if let (Some(sink), true) = (self.trace_sink(), ctx.trace.is_some()) {
+                    let ev = TraceEvent {
+                        ts_ns: sink.now_ns(),
+                        dur_ns: 0,
+                        a: d.id as u64,
+                        b: victim as u64,
+                        tid: ctx.tid,
+                        kind: EventKind::Steal,
+                    };
+                    ctx.emit(ev);
                 }
             }
-            if !stole {
-                return Ok(());
-            }
+            self.run_chunk(ctx, d, claim.lo, claim.hi)?;
         }
+        Ok(())
     }
 
     /// DOACROSS: ordered chunk-1 claiming through the shared counter, with

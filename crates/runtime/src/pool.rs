@@ -20,10 +20,13 @@
 //!   *guaranteed* (not accidentally) reused across loops: the blocks a
 //!   worker freed in loop `k` are the blocks it allocates in loop `k+1`.
 //! * **Dynamic DOALL scheduling.** The iteration range is split into
-//!   per-worker chunk queues ([`StealQueue`]); owners claim chunks from
-//!   the front, idle workers steal the back half of a victim's remaining
-//!   range (leaving the owner at least one iteration). DOACROSS claims
-//!   iterations in order, one at a time, through the shared counter.
+//!   one share per worker ([`DoallShares`]); owners claim chunks from the
+//!   front, idle workers steal the back half of a victim's remaining
+//!   range (leaving the owner at least one iteration). The whole policy
+//!   is [`DoallShares::claim`]: the executor loops over it on real
+//!   threads and the schedule simulator (`dse_bench::sim`) replays it, so
+//!   the two cannot disagree. DOACROSS claims iterations in order, one at
+//!   a time, through the shared counter.
 //!
 //! Dispatch/steal/park/wakeup counts are recorded in [`PoolStats`] and
 //! flow into `RunReport` → `dse-telemetry` → `dsec --metrics`.
@@ -76,14 +79,90 @@ pub(crate) struct LoopDispatch {
     pub hi: i64,
     /// The master's frame base, shared by all workers.
     pub frame_base: u64,
-    /// DOALL owner-claim granularity (iterations per `pop_front`).
-    pub chunk: i64,
     /// Cross-iteration synchronization (shared counter, done fence, abort).
     pub sync: Arc<LoopSync>,
-    /// Per-worker chunk queues (DOALL only; empty for DOACROSS).
-    pub queues: Vec<StealQueue>,
+    /// The range shared out among the workers (DOALL only).
+    pub shares: Option<DoallShares>,
     /// First real error of any worker (abort-induced errors lose).
     pub err: Mutex<Option<VmError>>,
+}
+
+/// Chunks each worker's initial DOALL share is claimed in: enough splits
+/// that stealing can rebalance, coarse enough that the per-chunk lock is
+/// amortized over real work.
+const CHUNKS_PER_WORKER: i128 = 8;
+
+/// Iterations `lo..hi` handed to one worker by [`DoallShares::claim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// First iteration of the claim.
+    pub lo: i64,
+    /// One past its last iteration.
+    pub hi: i64,
+    /// The victim whose back half was stolen to make this claim; `None`
+    /// when it came off the front of the worker's own share.
+    pub stolen_from: Option<u32>,
+}
+
+/// One DOALL loop's iteration range, shared out among its workers — the
+/// scheduling policy in one place. The range is split into one contiguous
+/// share per worker (the split static scheduling uses, so balanced loads
+/// keep their locality and stealing only kicks in under imbalance); a
+/// worker claims `total / (8 n)` iterations at a time off the front of
+/// its own share, and once that is empty steals the back half of the
+/// first victim, scanning round-robin from its right-hand neighbour, that
+/// has two or more iterations left.
+#[derive(Debug)]
+pub struct DoallShares {
+    /// Owner-claim granularity (iterations per claim).
+    chunk: i64,
+    queues: Vec<StealQueue>,
+}
+
+impl DoallShares {
+    /// Splits `lo..hi` among `nworkers`. The bounds come straight from
+    /// program operands and `hi - lo` may exceed `i64::MAX`, so the split
+    /// is sized in `i128`; every cut lies in `lo..=hi`.
+    pub fn new(lo: i64, hi: i64, nworkers: u32) -> DoallShares {
+        let n = nworkers as i128;
+        let (lo, hi) = (lo as i128, (hi as i128).max(lo as i128));
+        let per = (hi - lo + n - 1) / n;
+        let cut = |t: i128| (lo + t * per).min(hi) as i64;
+        DoallShares {
+            chunk: ((hi - lo) / (n * CHUNKS_PER_WORKER)).max(1) as i64,
+            queues: (0..n)
+                .map(|t| StealQueue::new(cut(t), cut(t + 1)))
+                .collect(),
+        }
+    }
+
+    /// `worker`'s next iterations, or `None` once its own share is empty
+    /// and no victim has a stealable one — every remaining iteration is
+    /// then claimed or about to be claimed by its owner, so the worker is
+    /// done with the loop. After a steal the worker runs the first chunk
+    /// of the loot and keeps the rest as its new (stealable) share.
+    pub fn claim(&self, worker: u32) -> Option<Claim> {
+        let own = &self.queues[worker as usize];
+        if let Some((lo, hi)) = own.pop_front(self.chunk) {
+            return Some(Claim {
+                lo,
+                hi,
+                stolen_from: None,
+            });
+        }
+        let nq = self.queues.len();
+        (1..nq).find_map(|off| {
+            let victim = (worker as usize + off) % nq;
+            let (lo, end) = self.queues[victim].steal_half()?;
+            let hi = lo.saturating_add(self.chunk).min(end);
+            own.install(hi, end);
+            Some(Claim {
+                lo,
+                hi,
+                stolen_from: Some(victim as u32),
+            })
+        })
+    }
 }
 
 /// A worker's share of a DOALL range: a contiguous span claimed from the
@@ -93,7 +172,7 @@ pub(crate) struct LoopDispatch {
 /// do not false-share.
 #[repr(align(64))]
 #[derive(Debug)]
-pub(crate) struct StealQueue {
+struct StealQueue {
     range: Mutex<(i64, i64)>,
 }
 
@@ -104,29 +183,14 @@ impl StealQueue {
         }
     }
 
-    /// Splits `lo..hi` into one contiguous initial range per worker (the
-    /// same split static scheduling uses, so balanced loads keep their
-    /// locality and stealing only kicks in under imbalance).
-    pub(crate) fn split(lo: i64, hi: i64, nworkers: u32) -> Vec<StealQueue> {
-        let n = nworkers as i64;
-        let per = (hi - lo + n - 1) / n;
-        (0..n)
-            .map(|t| {
-                let s = (lo + t * per).min(hi);
-                let e = (s + per).min(hi);
-                StealQueue::new(s, e)
-            })
-            .collect()
-    }
-
     /// The owner claims the next `chunk` iterations from the front.
-    pub(crate) fn pop_front(&self, chunk: i64) -> Option<(i64, i64)> {
+    fn pop_front(&self, chunk: i64) -> Option<(i64, i64)> {
         let mut r = self.range.lock().unwrap();
         if r.0 >= r.1 {
             return None;
         }
         let s = r.0;
-        let e = (s + chunk).min(r.1);
+        let e = s.saturating_add(chunk).min(r.1);
         r.0 = e;
         Some((s, e))
     }
@@ -134,14 +198,14 @@ impl StealQueue {
     /// A thief takes the back half of the remaining range. Always leaves
     /// the owner at least one iteration, so every worker with a non-empty
     /// initial share executes work (and repeated steals terminate).
-    pub(crate) fn steal_half(&self) -> Option<(i64, i64)> {
+    fn steal_half(&self) -> Option<(i64, i64)> {
         let mut r = self.range.lock().unwrap();
-        let len = r.1 - r.0;
+        // A share can span more than `i64::MAX` iterations.
+        let len = if r.1 > r.0 { r.1.abs_diff(r.0) } else { 0 };
         if len < 2 {
             return None;
         }
-        let take = len / 2;
-        let s = r.1 - take;
+        let s = r.1 - (len / 2) as i64;
         let e = r.1;
         r.1 = s;
         Some((s, e))
@@ -149,7 +213,7 @@ impl StealQueue {
 
     /// Installs a stolen range as the (empty) owner's new share, making it
     /// stealable in turn.
-    pub(crate) fn install(&self, lo: i64, hi: i64) {
+    fn install(&self, lo: i64, hi: i64) {
         let mut r = self.range.lock().unwrap();
         debug_assert!(r.0 >= r.1, "install over a non-empty queue");
         *r = (lo, hi);
@@ -362,20 +426,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_covers_range_exactly_once() {
+    fn claims_cover_range_exactly_once() {
         for (lo, hi, n) in [(0, 7, 8), (0, 0, 4), (3, 5, 8), (0, 64, 3), (-5, 9, 4)] {
-            let qs = StealQueue::split(lo, hi, n);
-            assert_eq!(qs.len(), n as usize);
+            let shares = DoallShares::new(lo, hi, n);
+            assert_eq!(shares.queues.len(), n as usize);
             let mut seen = Vec::new();
-            for q in &qs {
-                while let Some((s, e)) = q.pop_front(1) {
-                    seen.extend(s..e);
+            for w in 0..n {
+                while let Some(c) = shares.claim(w) {
+                    seen.extend(c.lo..c.hi);
                 }
             }
             seen.sort_unstable();
             let want: Vec<i64> = (lo..hi).collect();
-            assert_eq!(seen, want, "split({lo}, {hi}, {n})");
+            assert_eq!(seen, want, "DoallShares::new({lo}, {hi}, {n})");
         }
+    }
+
+    /// `hi - lo` past `i64::MAX` (bounds are program operands): the shares
+    /// still tile the range, and a thief can halve a share that wide.
+    #[test]
+    fn split_survives_a_range_wider_than_i64() {
+        let (lo, hi) = (i64::MIN + 1, i64::MAX);
+        let shares = DoallShares::new(lo, hi, 2);
+        let bounds: Vec<(i64, i64)> = shares
+            .queues
+            .iter()
+            .map(|q| *q.range.lock().unwrap())
+            .collect();
+        assert_eq!(bounds, [(lo, 0), (0, hi)]);
+        assert_eq!(shares.chunk, (1 << 60) - 1);
+        let first = shares.claim(0).expect("worker 0 owns half the range");
+        assert_eq!((first.lo, first.stolen_from), (lo, None));
+        assert_eq!(shares.queues[1].steal_half(), Some((hi / 2 + 1, hi)));
     }
 
     #[test]

@@ -3,12 +3,27 @@
 //! usable (outputs readable, reruns possible) under both backends.
 
 use dse_ir::bytecode::Instr;
-use dse_ir::lower::LowerOptions;
+use dse_ir::loops::ParMode;
+use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
 use dse_runtime::{Allocation, BackendKind, Observer, Vm, VmConfig};
 
+/// Lowers `src`, every `#pragma candidate` loop as a DOALL `ParLoop`.
 fn compile(src: &str) -> dse_ir::bytecode::CompiledProgram {
     let ast = dse_lang::compile_to_ast(src).expect("frontend");
-    dse_ir::lower_program(&ast, &LowerOptions::default()).expect("lowering")
+    let doall = ParLoopSpec {
+        mode: ParMode::DoAll,
+        sync_window: None,
+    };
+    let opts = LowerOptions {
+        mode: LowerMode::Parallel,
+        par: dse_ir::loops::find_candidate_loops(&ast)
+            .expect("candidates")
+            .into_iter()
+            .map(|c| (c.label, doall.clone()))
+            .collect(),
+        ..Default::default()
+    };
+    dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
 
 fn cfg(backend: BackendKind) -> VmConfig {
@@ -200,6 +215,19 @@ const TRAP_TABLE: &[(&str, &str, i64, i64)] = &[
         1 << 62,
         32,
     ),
+    // `hi - lo` past `i64::MAX`: the DOALL split must still hand out the
+    // iterations (they then run into the budget), not wrap to empty shares
+    // and "finish" having run none. The body is one instruction under
+    // either encoding, so every worker exhausts its budget at the same pc.
+    (
+        "instruction budget exceeded",
+        "int main() { long n; n = in_long(0);
+           #pragma candidate wide
+           for (long i = 0 - n; i < n; i++) { }
+           return 0; }",
+        i64::MAX,
+        3,
+    ),
 ];
 
 #[test]
@@ -215,6 +243,8 @@ fn both_backends_trap_and_finish_identically() {
                 backend,
                 nthreads: 4,
                 mem_bytes: 8 << 20,
+                stack_bytes: 32 << 10,
+                max_instructions: 1 << 16,
                 inputs_int: vec![input],
                 ..Default::default()
             };

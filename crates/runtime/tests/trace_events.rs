@@ -42,6 +42,21 @@ fn src(iters: i64) -> String {
     )
 }
 
+/// A loop whose every iteration reads what the one before it wrote
+/// (iterations `1..n`); returns `n`.
+fn chain(n: i64) -> String {
+    format!(
+        "int main() {{
+            int *a; a = malloc({n} * sizeof(int));
+            a[0] = 1;
+            #pragma candidate chain
+            for (int i = 1; i < {n}; i++) {{ a[i] = a[i - 1] + 1; }}
+            int last; last = a[{n} - 1];
+            free(a);
+            return last; }}"
+    )
+}
+
 /// A traced DOALL run captures the dispatch, per-worker loop spans and
 /// pool lifecycle events, all with sane payloads: timestamps sorted,
 /// worker ids within the pool (or the allocator pseudo-id), loop ids
@@ -94,15 +109,7 @@ fn doall_trace_captures_dispatch_and_loop_spans() {
 /// same loop.
 #[test]
 fn doacross_trace_records_wait_and_post() {
-    let chain = "int main() {
-        int *a; a = malloc(128 * sizeof(int));
-        a[0] = 1;
-        #pragma candidate chain
-        for (int i = 1; i < 128; i++) { a[i] = a[i - 1] + 1; }
-        int last; last = a[127];
-        free(a);
-        return last; }";
-    let compiled = compile_parallel(chain, ParMode::DoAcross);
+    let compiled = compile_parallel(&chain(128), ParMode::DoAcross);
     let mut vm = Vm::new(
         compiled,
         VmConfig {
@@ -130,20 +137,63 @@ fn doacross_trace_records_wait_and_post() {
     }
 }
 
+/// The trace and the counters tell one story: on T=2 runs whose rings
+/// are large enough to drop nothing, every steal and dispatch the pool
+/// counted is an event in the trace (and vice versa), and a DOACROSS loop
+/// posts once per iteration it executed.
+#[test]
+fn ring_events_agree_with_pool_counters() {
+    // Worker 0's half of the range is free and worker 1's is not, so
+    // worker 0 runs dry and steals.
+    let skewed = "int burn(int i) {
+            int acc; acc = 0;
+            for (int k = 0; k < (i < 128 ? 1 : 400); k++) { acc = acc + i + k; }
+            return acc;
+        }
+        int main() {
+        int *a; a = malloc(256 * sizeof(int));
+        #pragma candidate skew
+        for (int i = 0; i < 256; i++) { a[i] = burn(i); }
+        #pragma candidate flat
+        for (int i = 0; i < 256; i++) { a[i] = a[i] + 1; }
+        int s; s = a[255];
+        free(a);
+        return s % 1000; }";
+    for (src, mode, iterations) in [
+        (skewed.to_string(), ParMode::DoAll, None),
+        (chain(300), ParMode::DoAcross, Some(299)),
+    ] {
+        let config = VmConfig {
+            nthreads: 2,
+            trace: true,
+            trace_capacity: 1 << 16,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(compile_parallel(&src, mode), config).expect("vm");
+        let report = vm.run().expect("run");
+        let (events, dropped) = vm.take_trace();
+        assert_eq!(dropped, 0, "{mode:?}: the ring must hold the whole run");
+        let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count() as u64;
+        let pool = report.pool;
+        assert_eq!(count(EventKind::Steal), pool.steals, "{mode:?}: {pool:?}");
+        assert_eq!(
+            count(EventKind::Dispatch),
+            pool.dispatches,
+            "{mode:?}: {pool:?}"
+        );
+        match iterations {
+            Some(n) => assert_eq!(count(EventKind::Post), n, "one post per iteration"),
+            None => assert!(pool.steals >= 1, "the skew forces a steal: {pool:?}"),
+        }
+    }
+}
+
 /// With a tiny per-worker ring, a post-heavy DOACROSS loop overflows:
 /// `take_trace` reports the overwrites and the surviving events are the
 /// most recent window, still time-sorted.
 #[test]
 fn tiny_ring_reports_overflow_drops() {
-    let chain = "int main() {
-        int *a; a = malloc(256 * sizeof(int));
-        a[0] = 1;
-        #pragma candidate chain
-        for (int i = 1; i < 256; i++) { a[i] = a[i - 1] + 1; }
-        int last; last = a[255];
-        free(a);
-        return last; }";
-    let compiled = compile_parallel(chain, ParMode::DoAcross);
+    let compiled = compile_parallel(&chain(256), ParMode::DoAcross);
     let mut vm = Vm::new(
         compiled,
         VmConfig {
