@@ -35,6 +35,7 @@ use dse_ir::sites::{AccessKind, SiteId};
 use dse_runtime::observer::LayoutInfo;
 use dse_runtime::{Allocation, Observer, Vm, VmConfig, VmError};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Kind of data dependence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -227,6 +228,31 @@ pub fn profile_program(
 // the profiler
 // ---------------------------------------------------------------------------
 
+/// Shadow state keyed by byte address. Every access probes these maps once
+/// per byte, so they hash with one multiply instead of SipHash; results do
+/// not depend on iteration order (std's `RandomState` already reseeds per
+/// process).
+type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
+/// One odd-constant multiply, then a rotate that brings the product's high
+/// bits — the ones that depend on every address bit — down to where
+/// hashbrown takes its bucket index, so power-of-two strides do not
+/// cluster (the finish of rustc-hash 2).
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("AddrMap keys are u64 addresses");
+    }
+    fn write_u64(&mut self, addr: u64) {
+        self.0 = addr.wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct ByteState {
     /// Last write to this byte: (site, iteration).
@@ -246,7 +272,7 @@ struct ActiveLoop {
     ind_range: (u64, u64),
     /// Thread instruction count at loop entry.
     begin_work: u64,
-    bytes: HashMap<u64, ByteState>,
+    bytes: AddrMap<ByteState>,
     ddg: LoopDdg,
 }
 
@@ -259,7 +285,7 @@ pub struct Profiler {
     active: Vec<ActiveLoop>,
     accum: HashMap<u32, LoopDdg>,
     /// Bytes whose last in-loop writer is watched for downward exposure.
-    after_watch: HashMap<u64, Vec<(u32, SiteId)>>,
+    after_watch: AddrMap<Vec<(u32, SiteId)>>,
     /// Live allocations: base -> (size, id, allocation-site eid).
     live_allocs: BTreeMap<u64, (u64, u64, u32)>,
 }
@@ -278,7 +304,7 @@ impl Profiler {
             stack_hi: layout.master_stack.1,
             active: Vec::new(),
             accum: HashMap::new(),
-            after_watch: HashMap::new(),
+            after_watch: AddrMap::default(),
             live_allocs: BTreeMap::new(),
         }
     }
@@ -296,7 +322,7 @@ impl Profiler {
 
     fn fold_loop(
         accum: &mut HashMap<u32, LoopDdg>,
-        after_watch: &mut HashMap<u64, Vec<(u32, SiteId)>>,
+        after_watch: &mut AddrMap<Vec<(u32, SiteId)>>,
         al: ActiveLoop,
     ) {
         for (addr, st) in &al.bytes {
@@ -452,7 +478,7 @@ impl Observer for Profiler {
                     iter_sp: u64::MAX,
                     ind_range: (ind_lo, ind_lo + ind_w as u64),
                     begin_work: work,
-                    bytes: HashMap::new(),
+                    bytes: AddrMap::default(),
                     ddg: LoopDdg {
                         label,
                         loop_id,
@@ -504,6 +530,26 @@ mod tests {
         let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
         let (res, _) = profile_program(compiled, VmConfig::default()).unwrap();
         res
+    }
+
+    /// hashbrown indexes buckets with the hash's low bits: addresses a
+    /// power-of-two stride apart must still spread over them (a uniform
+    /// random hash fills ~647 of 1024; the multiply without the rotate
+    /// fills 1 from stride 1024 up).
+    #[test]
+    fn addr_hasher_spreads_power_of_two_strides() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<AddrHasher>::default();
+        for shift in [0, 1, 3, 4, 10, 12, 16, 20, 32] {
+            let buckets: HashSet<u64> = (0..1024u64)
+                .map(|i| build.hash_one(0x10_0000 + (i << shift)) & 1023)
+                .collect();
+            assert!(
+                buckets.len() > 400,
+                "stride 1<<{shift}: {} of 1024",
+                buckets.len()
+            );
+        }
     }
 
     /// Scratch variable written then read per iteration: privatizable

@@ -31,9 +31,18 @@ pub struct SharedMem {
 
 impl SharedMem {
     /// Allocates `bytes` of zeroed memory (rounded up to a word).
+    ///
+    /// The words come from one zeroed allocation and are never written
+    /// here, so a large memory is an untouched mapping: the kernel commits
+    /// a page, already zero, when the program first touches it, and
+    /// construction and drop cost what was touched, not `bytes`.
+    #[allow(unsafe_code)]
     pub fn new(bytes: u64) -> Self {
         let nwords = (bytes as usize).div_ceil(8);
-        let words = (0..nwords).map(|_| AtomicU64::new(0)).collect();
+        // SAFETY: `AtomicU64` has the in-memory representation of `u64`, for
+        // which all-zero bytes are a valid value (0), so every element of the
+        // zeroed slice is initialised.
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(nwords).assume_init() };
         SharedMem {
             words,
             bytes: nwords as u64 * 8,
@@ -217,6 +226,23 @@ pub fn sign_extend(raw: u64, width: u32) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The contract `SharedMem::new`'s `assume_init` relies on: memory that
+    /// was never written reads zero, everywhere and at every width.
+    #[test]
+    fn fresh_memory_reads_zero() {
+        let m = SharedMem::new(4099);
+        assert_eq!(m.len(), 4104);
+        for width in 1..=8u32 {
+            // Every position: word-straddling offsets and the last word too.
+            for addr in 0..=m.len() - width as u64 {
+                assert_eq!(m.read(addr, width), 0, "w={width} a={addr}");
+            }
+        }
+        let empty = SharedMem::new(0);
+        assert!(empty.is_empty());
+        assert!(!empty.in_bounds(0, 1));
+    }
 
     #[test]
     fn read_write_round_trip_all_widths() {

@@ -172,7 +172,14 @@ impl std::error::Error for VmError {}
 /// VM configuration.
 #[derive(Debug, Clone)]
 pub struct VmConfig {
-    /// Total memory size in bytes.
+    /// Size of the VM's address space in bytes: a limit on the addresses a
+    /// program may use, not a cost. The arena is one zeroed allocation
+    /// ([`SharedMem::new`]) that the VM never pre-writes, so the kernel
+    /// commits only the pages a run touches. That holds while the arena is
+    /// its own mapping, as the 64 MiB default always is (glibc's adaptive
+    /// mmap threshold tops out at 32 MiB); a small arena, as in tests, may
+    /// be recycled from the process heap and zeroed there by `calloc` —
+    /// correct, just O(`mem_bytes`) again.
     pub mem_bytes: u64,
     /// Per-thread stack region size in bytes.
     pub stack_bytes: u64,
