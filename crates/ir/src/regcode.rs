@@ -31,6 +31,12 @@
 //! `JumpICmpImm`), and address+load (`FrameAddr;Load` → `LdFrame`).
 //! Fusion only happens when the consumed instruction is not a jump target
 //! or region entry, so every branch still lands on a translated pc.
+//! A *private* scalar access — the `x[tid]` replica the expansion
+//! redirects to — fuses the same way: `FrameAddrTid`/`GlobalAddrTid` whose
+//! address reaches one `Load` or `Store` uncopied within its basic block
+//! emits nothing, and the consumer becomes `LdTid`/`StTid`
+//! ([`StackFlow::unfused_tid`] is the rule and the proof that the access
+//! is still counted once).
 //!
 //! **Scalar promotion**: the dataflow additionally tracks *address
 //! provenance* — which frame offset each stack slot is the address of. A
@@ -136,6 +142,31 @@ pub enum RInstr {
     /// register).
     StFrame {
         off: u32,
+        v: Reg,
+        width: u8,
+        is_float: bool,
+        site: SiteId,
+    },
+    /// Fused `FrameAddrTid;Load` (`frame`) or `GlobalAddrTid;Load`:
+    /// `r[d] = mem[base + tid * stride]`, with `base` relative to
+    /// `frame_base` when `frame` — one private direct access, counted and
+    /// checked exactly as the pair it replaces.
+    LdTid {
+        d: Reg,
+        frame: bool,
+        base: u32,
+        stride: i64,
+        width: u8,
+        is_float: bool,
+        site: SiteId,
+    },
+    /// The store analogue of [`RInstr::LdTid`]:
+    /// `mem[base + tid * stride] = r[v]` (the address never touches a
+    /// register, as with [`RInstr::StFrame`]).
+    StTid {
+        frame: bool,
+        base: u32,
+        stride: i64,
         v: Reg,
         width: u8,
         is_float: bool,
@@ -258,6 +289,10 @@ pub enum RInstr {
     Unreachable,
 }
 
+// The interpreter walks `Vec<RInstr>`: a variant that outgrows the others
+// widens every instruction.
+const _: () = assert!(std::mem::size_of::<RInstr>() <= 24);
+
 impl fmt::Display for RInstr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -358,17 +393,28 @@ pub enum Ty {
 /// `Dup`/`Tuck` copies). Provenance is what scalar promotion keys on: a
 /// frame slot whose address is only ever the direct target of a
 /// `Load`/`Store` can live in a register for the whole function.
+///
+/// `tid_of = Some(pc)` is the stricter provenance tid fusion keys on: the
+/// slot is the one, uncopied holder of the address the
+/// `FrameAddrTid`/`GlobalAddrTid` at `pc` formed, on a straight line from
+/// it (copies and branches clear it). See [`StackFlow::unfused_tid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// Static type of the value in the slot.
     pub ty: Ty,
     /// Frame offset this slot is provably the address of, if any.
     pub addr_of: Option<u32>,
+    /// The tid-strided address producer this slot alone holds, if any.
+    pub tid_of: Option<Pc>,
 }
 
 impl Slot {
     fn new(ty: Ty) -> Slot {
-        Slot { ty, addr_of: None }
+        Slot {
+            ty,
+            addr_of: None,
+            tid_of: None,
+        }
     }
 }
 
@@ -410,6 +456,15 @@ pub struct StackFlow {
     pub demoted: HashSet<(u32, u32)>,
     /// (owner, offset) → the shape of its direct frame accesses.
     pub accesses: HashMap<(u32, u32), AccessShape>,
+    /// The `FrameAddrTid`/`GlobalAddrTid` pcs whose address must exist in
+    /// a register: it is copied, dropped, used as a plain value, or still
+    /// live at a branch or join. Every other producer's address is consumed
+    /// exactly once, in its own basic block, as the address operand of a
+    /// `Load` or `Store` (whose [`Slot::tid_of`] names it): the translator
+    /// emits nothing for the producer and one fused
+    /// [`RInstr::LdTid`]/[`RInstr::StTid`] for the consumer, so the access
+    /// is still counted once.
+    pub unfused_tid: HashSet<Pc>,
     /// Loop indices (into `prog.loops`) of the outlined parallel bodies, in
     /// owner order after the functions.
     pub body_loops: Vec<u32>,
@@ -487,6 +542,8 @@ struct Flow<'p> {
     demoted: HashSet<(u32, u32)>,
     /// (owner, offset) → the shape of its direct frame accesses.
     accesses: HashMap<(u32, u32), AccessShape>,
+    /// See [`StackFlow::unfused_tid`].
+    unfused_tid: HashSet<Pc>,
 }
 
 impl<'p> Flow<'p> {
@@ -533,6 +590,13 @@ impl<'p> Flow<'p> {
                         lost.extend(s.addr_of);
                         if p.addr_of.is_some() {
                             p.addr_of = None;
+                            changed = true;
+                        }
+                    }
+                    if p.tid_of != s.tid_of {
+                        self.unfused_tid.extend(p.tid_of);
+                        self.unfused_tid.extend(s.tid_of);
+                        if p.tid_of.take().is_some() {
                             changed = true;
                         }
                     }
@@ -585,6 +649,16 @@ impl<'p> Flow<'p> {
                 if $slot.addr_of.is_some() {
                     self.no_promote[o as usize] = true;
                 }
+                self.unfused_tid.extend($slot.tid_of);
+            };
+        }
+        // Control leaves the straight line: a tid address still on the
+        // stack must be in its register on the other side.
+        macro_rules! leave_line {
+            () => {
+                for slot in st.iter_mut() {
+                    self.unfused_tid.extend(slot.tid_of.take());
+                }
             };
         }
         // A direct `Load`/`Store` through known provenance: record the
@@ -612,32 +686,42 @@ impl<'p> Flow<'p> {
             Instr::PushI(_) => st.push(Slot::new(I)),
             Instr::PushF(_) => st.push(Slot::new(F)),
             Instr::Dup => {
-                let t = *st
-                    .last()
+                let t = st
+                    .last_mut()
                     .ok_or_else(|| Self::err(pc, "operand stack underflow"))?;
+                // A copied tid address has two holders (`x[tid] += 1` loads
+                // and stores through it): it stays in its register.
+                self.unfused_tid.extend(t.tid_of.take());
+                let t = *t;
                 st.push(t);
             }
             Instr::Drop => {
-                // A dropped address is dead, not leaked.
-                Self::pop(&mut st, pc)?;
+                // A dropped address is dead, not leaked — but a tid address
+                // was counted when it was formed, so its producer stays.
+                let s = Self::pop(&mut st, pc)?;
+                self.unfused_tid.extend(s.tid_of);
             }
             Instr::Tuck => {
-                let t = Self::pop(&mut st, pc)?;
+                let mut t = Self::pop(&mut st, pc)?;
                 let s = Self::pop(&mut st, pc)?;
+                self.unfused_tid.extend(t.tid_of.take()); // copied; `s` only moves
                 st.push(t);
                 st.push(s);
                 st.push(t);
             }
             Instr::FrameAddr(off) => st.push(Slot {
-                ty: I,
                 addr_of: Some(off),
+                ..Slot::new(I)
             }),
             Instr::GlobalAddr(_) | Instr::TidScaled(_) | Instr::IterIdx(_) => st.push(Slot::new(I)),
             Instr::FrameAddrTid { .. } | Instr::GlobalAddrTid { .. } => {
                 // Tid-strided addressing reaches frame offsets the
                 // provenance analysis can't see.
                 self.no_promote[o as usize] = true;
-                st.push(Slot::new(I));
+                st.push(Slot {
+                    tid_of: Some(pc),
+                    ..Slot::new(I)
+                });
             }
             Instr::TidSpanScaled(_) => {
                 self.no_promote[o as usize] = true;
@@ -709,10 +793,14 @@ impl<'p> Flow<'p> {
                 Self::pop_ty(&mut st, pc, F)?;
                 st.push(Slot::new(I));
             }
-            Instr::Jump(t) => return self.join(t, st, o),
+            Instr::Jump(t) => {
+                leave_line!();
+                return self.join(t, st, o);
+            }
             Instr::JumpIfZ(t) | Instr::JumpIfNZ(t) => {
                 let s = Self::pop_ty(&mut st, pc, I)?;
                 value_use!(s);
+                leave_line!();
                 self.join(t, st.clone(), o)?;
                 return self.join(pc + 1, st, o);
             }
@@ -810,6 +898,7 @@ pub fn analyze_stack(prog: &CompiledProgram) -> Result<StackFlow, RegLowerError>
         no_promote: vec![false; n_owners],
         demoted: HashSet::new(),
         accesses: HashMap::new(),
+        unfused_tid: HashSet::new(),
     };
     for (fi, f) in prog.funcs.iter().enumerate() {
         flow.seed(f.entry, fi as u32)?;
@@ -830,6 +919,7 @@ pub fn analyze_stack(prog: &CompiledProgram) -> Result<StackFlow, RegLowerError>
         no_promote: flow.no_promote,
         demoted: flow.demoted,
         accesses: flow.accesses,
+        unfused_tid: flow.unfused_tid,
         body_loops,
     })
 }
@@ -935,6 +1025,7 @@ pub fn for_each_dst(ins: &RInstr, f: &mut impl FnMut(Reg)) {
         | RInstr::Load { d, .. }
         | RInstr::LdFrame { d, .. }
         | RInstr::LdGlobal { d, .. }
+        | RInstr::LdTid { d, .. }
         | RInstr::IBin { d, .. }
         | RInstr::IBinImm { d, .. }
         | RInstr::FBin { d, .. }
@@ -961,6 +1052,7 @@ pub fn for_each_dst(ins: &RInstr, f: &mut impl FnMut(Reg)) {
         RInstr::Call { abase, .. } | RInstr::CallBuiltin { abase, .. } => f(abase),
         RInstr::Store { .. }
         | RInstr::StFrame { .. }
+        | RInstr::StTid { .. }
         | RInstr::MemCpy { .. }
         | RInstr::Jump { .. }
         | RInstr::JumpIfZ { .. }
@@ -1003,7 +1095,7 @@ pub fn for_each_src(ins: &RInstr, prog: &CompiledProgram, f: &mut impl FnMut(Reg
             f(a);
             f(v);
         }
-        RInstr::StFrame { v, .. } => f(v),
+        RInstr::StFrame { v, .. } | RInstr::StTid { v, .. } => f(v),
         RInstr::MemCpy { dst, src, .. } => {
             f(dst);
             f(src);
@@ -1050,6 +1142,7 @@ pub fn for_each_src(ins: &RInstr, prog: &CompiledProgram, f: &mut impl FnMut(Reg
         | RInstr::IterIdx { .. }
         | RInstr::LdFrame { .. }
         | RInstr::LdGlobal { .. }
+        | RInstr::LdTid { .. }
         | RInstr::Tid { .. }
         | RInstr::NThreads { .. }
         | RInstr::Jump { .. }
@@ -1072,7 +1165,7 @@ fn rewrite_srcs(ins: &mut RInstr, m: impl Fn(Reg) -> Reg) {
             *a = m(*a);
             *v = m(*v);
         }
-        RInstr::StFrame { v, .. } => *v = m(*v),
+        RInstr::StFrame { v, .. } | RInstr::StTid { v, .. } => *v = m(*v),
         RInstr::MemCpy { dst, src, .. } => {
             *dst = m(*dst);
             *src = m(*src);
@@ -1129,6 +1222,7 @@ fn redirect_dst(ins: &mut RInstr, from: Reg, to: Reg) -> bool {
         | RInstr::IterIdx { d, .. }
         | RInstr::LdFrame { d, .. }
         | RInstr::LdGlobal { d, .. }
+        | RInstr::LdTid { d, .. }
         | RInstr::IBin { d, .. }
         | RInstr::IBinImm { d, .. }
         | RInstr::FBin { d, .. }
@@ -1451,6 +1545,16 @@ pub fn translate(prog: &CompiledProgram) -> Result<RegProgram, RegLowerError> {
     // (emitted index, stack target, lands_on_prologue) patched after
     // layout is known; only calls land on the prologue.
     let mut patches: Vec<(usize, Pc, bool)> = Vec::new();
+    // The `(frame, base, stride)` of the fused access a `Load`/`Store`
+    // through address slot `a` becomes, when its producer emitted nothing.
+    let fused_tid = |a: &Slot| {
+        let p = a.tid_of.filter(|p| !flow.unfused_tid.contains(p))?;
+        match code[p as usize] {
+            Instr::FrameAddrTid { offset, stride } => Some((true, offset, stride)),
+            Instr::GlobalAddrTid { addr, stride } => Some((false, addr, stride)),
+            _ => unreachable!("tid provenance names a tid address producer"),
+        }
+    };
     let consumable = |j: usize| j < n && states[j].is_some() && !target[j];
     let branch_of = |ins: &Instr| match *ins {
         Instr::JumpIfZ(t) => Some((t, false)),
@@ -1615,6 +1719,10 @@ pub fn translate(prog: &CompiledProgram) -> Result<RegProgram, RegLowerError> {
             Instr::Tuck => emit!(RInstr::Tuck { d: d - 2 }),
             Instr::TidScaled(k) => emit!(RInstr::TidScaled { d, k }),
             Instr::TidSpanScaled(z) => emit!(RInstr::TidSpanScaled { d: d - 1, z }),
+            // A tid address whose one consumer fuses (see
+            // `StackFlow::unfused_tid`) is formed there, not here.
+            Instr::FrameAddrTid { .. } | Instr::GlobalAddrTid { .. }
+                if !flow.unfused_tid.contains(&pc) => {}
             Instr::FrameAddrTid { offset, stride } => {
                 emit!(RInstr::FrameAddrTid { d, offset, stride })
             }
@@ -1622,6 +1730,38 @@ pub fn translate(prog: &CompiledProgram) -> Result<RegProgram, RegLowerError> {
                 emit!(RInstr::GlobalAddrTid { d, addr, stride })
             }
             Instr::IterIdx(depth) => emit!(RInstr::IterIdx { d, depth }),
+            Instr::Load {
+                width,
+                is_float,
+                site,
+            } if fused_tid(&st[(d - 1) as usize]).is_some() => {
+                let (frame, base, stride) = fused_tid(&st[(d - 1) as usize]).expect("checked");
+                emit!(RInstr::LdTid {
+                    d: d - 1,
+                    frame,
+                    base,
+                    stride,
+                    width,
+                    is_float,
+                    site,
+                });
+            }
+            Instr::Store {
+                width,
+                is_float,
+                site,
+            } if fused_tid(&st[(d - 2) as usize]).is_some() => {
+                let (frame, base, stride) = fused_tid(&st[(d - 2) as usize]).expect("checked");
+                emit!(RInstr::StTid {
+                    frame,
+                    base,
+                    stride,
+                    v: d - 1,
+                    width,
+                    is_float,
+                    site,
+                });
+            }
             Instr::Load {
                 width,
                 is_float,
@@ -2262,6 +2402,75 @@ mod tests {
             "canonicalising Sext emitted: {:?}",
             rp.code
         );
+    }
+
+    #[test]
+    fn tid_access_fuses_only_when_its_address_has_one_use() {
+        let tid = Instr::GlobalAddrTid {
+            addr: 4096,
+            stride: 8,
+        };
+        let load = Instr::Load {
+            width: 8,
+            is_float: false,
+            site: 1,
+        };
+        let store = Instr::Store {
+            width: 8,
+            is_float: false,
+            site: 2,
+        };
+        let count = |code: Vec<Instr>| {
+            let rp = translate(&one_func(code)).expect("translates");
+            let n = |f: fn(&RInstr) -> bool| rp.code.iter().filter(|i| f(i)).count();
+            (
+                n(|i| matches!(i, RInstr::GlobalAddrTid { .. })),
+                n(|i| matches!(i, RInstr::LdTid { .. } | RInstr::StTid { .. })),
+                n(|i| matches!(i, RInstr::Load { .. } | RInstr::Store { .. })),
+            )
+        };
+        // `x[tid] = x[tid] + 1` as two accesses: both fuse, no producer is
+        // left to count the access a second time.
+        let two = vec![
+            tid,
+            tid,
+            load,
+            Instr::PushI(1),
+            Instr::IBin(IBinOp::Add),
+            store,
+            Instr::PushI(0),
+            Instr::Ret,
+        ];
+        assert_eq!(count(two), (0, 2, 0));
+        // `x[tid] += 1`: one address, `Dup`ed for the load and the store.
+        // It was counted once, so it is formed once, in a register.
+        let dup = vec![
+            tid,
+            Instr::Dup,
+            load,
+            Instr::PushI(1),
+            Instr::IBin(IBinOp::Add),
+            store,
+            Instr::PushI(0),
+            Instr::Ret,
+        ];
+        assert_eq!(count(dup), (1, 0, 2));
+        // A dropped address was still counted.
+        let dropped = vec![tid, Instr::Drop, Instr::PushI(0), Instr::Ret];
+        assert_eq!(count(dropped), (1, 0, 0));
+        // An address live across a branch is in its register at the join.
+        let branch = vec![
+            tid,
+            Instr::PushI(1),
+            Instr::JumpIfZ(5),
+            Instr::PushI(7),
+            Instr::Jump(6),
+            Instr::PushI(9),
+            store,
+            Instr::PushI(0),
+            Instr::Ret,
+        ];
+        assert_eq!(count(branch), (1, 0, 1));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! backend — it executes the stack bytecode the lowering emits, which is
 //! also what the dependence profiler attributes sites to. The register
 //! backend ([`crate::Vm::exec_reg`]) executes the same program through the
-//! register translation in [`dse_ir::regcode`], with threaded dispatch
-//! over a flat per-thread register file. Both call [`crate::ops`] for what
-//! an instruction means, so they differ only in where operands live and in
-//! raw loop throughput; the differential suite in `crates/workloads`
-//! checks the observable equivalence end to end.
+//! register translation in [`dse_ir::regcode`], over a flat per-thread
+//! register file. Both call [`crate::ops`] for what an instruction means,
+//! so they differ only in where operands live and in raw loop throughput;
+//! the differential suite in `crates/workloads` checks the observable
+//! equivalence end to end.
 //!
 //! Both the master (`Vm::run`) and every pool worker dispatch through
 //! `Vm::exec`, which matches on the VM's [`Backend`] — so one flag
@@ -24,7 +24,7 @@ pub enum BackendKind {
     /// The reference stack interpreter.
     #[default]
     Stack,
-    /// The register interpreter with threaded dispatch.
+    /// The register interpreter.
     Reg,
 }
 

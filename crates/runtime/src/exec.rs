@@ -395,11 +395,11 @@ impl Vm {
     }
 
     /// Runs the outlined body region at `entry` to its `Ret`.
-    pub(crate) fn exec_region(
+    pub(crate) fn exec_region<O: Observer + ?Sized>(
         &self,
         ctx: &mut ThreadCtx,
         entry: u32,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<(), VmError> {
         // A sentinel, not an activation: the region runs in the enclosing
         // function's frame.

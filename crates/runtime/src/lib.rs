@@ -12,8 +12,8 @@
 //! * [`vm`] — the machine (memory, heap, I/O channels, per-thread cost
 //!   counters in the categories of the paper's Figure 12) and the
 //!   reference stack interpreter.
-//! * [`regvm`] — the register interpreter with threaded dispatch;
-//!   [`backend`] names the two encodings.
+//! * [`regvm`] — the register interpreter; [`backend`] names the two
+//!   encodings.
 //! * [`ops`] — what every opcode and builtin *does* (checked memory
 //!   access, call frames on in-VM stacks, `malloc`..`free`, host I/O,
 //!   `__tid`/`__nthreads`, the expansion pass's `__realloc_expanded`,

@@ -103,28 +103,67 @@ impl SharedMem {
         if width == 8 && off == 0 {
             self.words[wi].store(val, Ordering::Relaxed);
         } else if off + width <= 8 {
-            self.splice(wi, off, width, val);
+            splice(&self.words[wi], off, width, val);
         } else {
             let lo_n = 8 - off;
             let hi_n = width - lo_n;
-            self.splice(wi, off, lo_n, val);
-            self.splice(wi + 1, 0, hi_n, val >> (lo_n * 8));
+            splice(&self.words[wi], off, lo_n, val);
+            splice(&self.words[wi + 1], 0, hi_n, val >> (lo_n * 8));
         }
     }
 
-    /// CAS-splices the low `nbytes` of `chunk` into word `wi` at byte `off`.
-    fn splice(&self, wi: usize, off: u32, nbytes: u32, chunk: u64) {
-        let mask = bytes_mask(nbytes) << (off * 8);
-        let bits = (chunk & bytes_mask(nbytes)) << (off * 8);
-        let w = &self.words[wi];
-        let mut cur = w.load(Ordering::Relaxed);
-        loop {
-            let new = (cur & !mask) | bits;
-            match w.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+    /// [`SharedMem::read`] for an address the caller has not checked:
+    /// `None` exactly when `[addr, addr+width)` is not
+    /// [in bounds](SharedMem::in_bounds). The lookup of the word (or, for
+    /// an access that straddles two, of the pair) *is* the bounds check —
+    /// the memory is a whole number of words — so the interpreters' loads
+    /// pay one check per access.
+    #[inline]
+    pub fn try_read(&self, addr: u64, width: u32) -> Option<u64> {
+        debug_assert!((1..=8).contains(&width));
+        let wi = (addr / 8) as usize;
+        let off = (addr % 8) as u32;
+        if off + width <= 8 {
+            let w = self.words.get(wi)?.load(Ordering::Relaxed);
+            Some(extract(w, off, width))
+        } else {
+            let Some([lo, hi]) = self.words.get(wi..wi + 2) else {
+                return None;
+            };
+            let lo_n = 8 - off;
+            let lo = extract(lo.load(Ordering::Relaxed), off, lo_n);
+            let hi = extract(hi.load(Ordering::Relaxed), 0, width - lo_n);
+            Some(lo | (hi << (lo_n * 8)))
         }
+    }
+
+    /// [`SharedMem::write`] for an address the caller has not checked:
+    /// `false`, with nothing written, exactly when `[addr, addr+width)` is
+    /// not [in bounds](SharedMem::in_bounds) — a straddling store looks up
+    /// both words before it writes either.
+    #[inline]
+    pub fn try_write(&self, addr: u64, width: u32, val: u64) -> bool {
+        debug_assert!((1..=8).contains(&width));
+        let wi = (addr / 8) as usize;
+        let off = (addr % 8) as u32;
+        if off + width <= 8 {
+            let Some(w) = self.words.get(wi) else {
+                return false;
+            };
+            if width == 8 {
+                w.store(val, Ordering::Relaxed);
+            } else {
+                splice(w, off, width, val);
+            }
+        } else {
+            let Some([lo, hi]) = self.words.get(wi..wi + 2) else {
+                return false;
+            };
+            let lo_n = 8 - off;
+            splice(lo, off, lo_n, val);
+            splice(hi, 0, width - lo_n, val >> (lo_n * 8));
+        }
+        true
     }
 
     /// Copies `len` bytes from `src` to `dst` with `memmove` semantics:
@@ -198,6 +237,20 @@ impl SharedMem {
         }
         if i < len {
             self.write(addr + i, (len - i) as u32, 0);
+        }
+    }
+}
+
+/// CAS-splices the low `nbytes` of `chunk` into word `w` at byte `off`.
+fn splice(w: &AtomicU64, off: u32, nbytes: u32, chunk: u64) {
+    let mask = bytes_mask(nbytes) << (off * 8);
+    let bits = (chunk & bytes_mask(nbytes)) << (off * 8);
+    let mut cur = w.load(Ordering::Relaxed);
+    loop {
+        let new = (cur & !mask) | bits;
+        match w.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
         }
     }
 }

@@ -190,6 +190,7 @@ impl ThreadCtx {
             saved_base: self.frame_base,
             saved_sp: self.sp,
             saved_rbase: self.reg_base,
+            saved_depth: self.ops.len(),
         });
     }
 
@@ -207,9 +208,20 @@ impl ThreadCtx {
     }
 }
 
+/// The trap message of a scalar access that failed its checks. Out of line:
+/// `load` and `store` are inlined into every memory arm of both dispatch
+/// loops, and the formatting machinery would be inlined with them.
+#[cold]
+#[inline(never)]
+fn invalid_access(what: &str, width: u8, addr: u64) -> String {
+    format!("invalid {what} of {width} bytes at address {addr}")
+}
+
 impl Vm {
     /// True if `[addr, addr+len)` is addressable by the program: inside the
-    /// memory and above the null-pointer page.
+    /// memory and above the null-pointer page. The bulk copies check this
+    /// way; a scalar `load`/`store` makes the same two checks but folds the
+    /// bounds half into the access itself.
     #[inline]
     fn accessible(&self, addr: u64, len: u64) -> bool {
         addr >= GLOBAL_BASE && self.mem.in_bounds(addr, len)
@@ -217,23 +229,30 @@ impl Vm {
 
     /// Loads `width` bytes at `addr`: the canonical register bits of the
     /// value (integers sign-extended, floats raw).
-    #[inline]
-    pub(crate) fn load(
+    #[inline(always)]
+    pub(crate) fn load<O: Observer + ?Sized>(
         &self,
-        obs: &mut dyn Observer,
+        obs: &mut O,
         sp: u64,
         addr: u64,
         width: u8,
         is_float: bool,
         site: SiteId,
     ) -> Result<u64, String> {
-        if !self.accessible(addr, width as u64) {
-            return Err(format!("invalid load of {width} bytes at address {addr}"));
-        }
+        // The null page, then the one bounds check that `try_read` is. The
+        // observer hears of the access once it is known to be valid, as
+        // before; that the read has by then happened is invisible to it.
+        let checked = if addr < GLOBAL_BASE {
+            None
+        } else {
+            self.mem.try_read(addr, width as u32)
+        };
+        let Some(raw) = checked else {
+            return Err(invalid_access("load", width, addr));
+        };
         if site != NO_SITE {
             obs.on_access(site, AccessKind::Load, addr, width as u32, sp);
         }
-        let raw = self.mem.read(addr, width as u32);
         Ok(if is_float {
             raw
         } else {
@@ -242,23 +261,23 @@ impl Vm {
     }
 
     /// Stores the low `width` bytes of `bits` at `addr` (truncating).
-    #[inline]
-    pub(crate) fn store(
+    #[inline(always)]
+    pub(crate) fn store<O: Observer + ?Sized>(
         &self,
-        obs: &mut dyn Observer,
+        obs: &mut O,
         sp: u64,
         addr: u64,
         width: u8,
         site: SiteId,
         bits: u64,
     ) -> Result<(), String> {
-        if !self.accessible(addr, width as u64) {
-            return Err(format!("invalid store of {width} bytes at address {addr}"));
+        // As in `load`: a store that fails either check writes nothing.
+        if addr < GLOBAL_BASE || !self.mem.try_write(addr, width as u32, bits) {
+            return Err(invalid_access("store", width, addr));
         }
         if site != NO_SITE {
             obs.on_access(site, AccessKind::Store, addr, width as u32, sp);
         }
-        self.mem.write(addr, width as u32, bits);
         Ok(())
     }
 
@@ -266,9 +285,9 @@ impl Vm {
     /// either range is not addressable. Shared by the `MemCpy` instruction
     /// and the `__memcpy` builtin, which differ only in their trap text.
     #[inline]
-    fn copy(
+    fn copy<O: Observer + ?Sized>(
         &self,
-        obs: &mut dyn Observer,
+        obs: &mut O,
         sp: u64,
         src: u64,
         dst: u64,
@@ -290,9 +309,9 @@ impl Vm {
 
     /// The `MemCpy` instruction: a `size`-byte aggregate copy.
     #[inline]
-    pub(crate) fn memcpy(
+    pub(crate) fn memcpy<O: Observer + ?Sized>(
         &self,
-        obs: &mut dyn Observer,
+        obs: &mut O,
         sp: u64,
         src: u64,
         dst: u64,
@@ -341,10 +360,10 @@ impl Vm {
     /// frame-resident variables such as the induction slot);
     /// IterStart/End report the live sp.
     #[inline]
-    pub(crate) fn loop_mark(
+    pub(crate) fn loop_mark<O: Observer + ?Sized>(
         &self,
         ctx: &ThreadCtx,
-        obs: &mut dyn Observer,
+        obs: &mut O,
         ev: LoopEvent,
         id: u32,
     ) {
@@ -482,12 +501,12 @@ impl Vm {
     /// replaces (a realloc's old block), announces `new` — observers hear
     /// the free before the alloc — and yields the address the builtin
     /// returns.
-    fn publish(
+    fn publish<O: Observer + ?Sized>(
         &self,
         old: Option<Allocation>,
         new: Allocation,
         pc: usize,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> u64 {
         if let Some(old) = old {
             self.heap.free(old.base);
@@ -505,13 +524,13 @@ impl Vm {
     /// # Errors
     ///
     /// The trap message.
-    pub(crate) fn builtin(
+    pub(crate) fn builtin<O: Observer + ?Sized>(
         &self,
         b: Builtin,
         args: &[u64],
         tid: u32,
         pc: usize,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<u64, String> {
         debug_assert_eq!(args.len(), b.arity());
         let int = |i: usize| args[i] as i64;

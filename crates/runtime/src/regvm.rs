@@ -1,12 +1,18 @@
-//! The register interpreter with threaded dispatch.
+//! The register interpreter.
 //!
 //! Executes the register translation ([`dse_ir::regcode`]) of the current
 //! program: operands live in a flat per-thread register file of untagged
 //! `u64` bit patterns (floats as IEEE bits, integers as two's complement)
-//! instead of a tagged `Vec<Value>` operand stack, and the dispatch loop
-//! prefetches the next opcode before jumping back to the match — so the
-//! branch predictor sees the load of the next instruction as early as
-//! possible and the hot path never touches `Vec` push/pop traffic.
+//! instead of a tagged `Vec<Value>` operand stack, so the hot path never
+//! touches `Vec` push/pop traffic. Dispatch is a plain `loop { match }`:
+//! one dispatch point, which reads the instruction through a reference
+//! into the code and keeps the pc, the retired-instruction count, its
+//! budget and "profiler armed" in locals. (An earlier version copied the
+//! next 24-byte instruction out of the code at the end of every arm and
+//! called that threaded dispatch; a Rust `match` in a `loop` still has one
+//! indirect branch, and the copy measured slower — EXPERIMENTS.md, PR 18.)
+//! The loop is generic over the [`Observer`], so plain runs and every
+//! parallel body compile with the access hook gone.
 //!
 //! What an instruction *does* is defined once, in [`crate::ops`], and
 //! shared with the reference stack interpreter ([`Vm::exec_stack`]): every
@@ -51,8 +57,10 @@ fn rclass_of(instr: &RInstr) -> OpClass {
         RInstr::Load { .. }
         | RInstr::LdFrame { .. }
         | RInstr::LdGlobal { .. }
+        | RInstr::LdTid { .. }
         | RInstr::Store { .. }
         | RInstr::StFrame { .. }
+        | RInstr::StTid { .. }
         | RInstr::MemCpy { .. } => OpClass::Mem,
         RInstr::IBin { .. }
         | RInstr::IBinImm { .. }
@@ -106,22 +114,31 @@ impl Vm {
     /// Executes register code starting at register pc `entry` until the
     /// current sentinel frame returns; see the module docs for how the
     /// encodings are kept observationally equivalent.
-    pub(crate) fn exec_reg(
+    pub(crate) fn exec_reg<O: Observer + ?Sized>(
         &self,
         rp: &RegProgram,
         ctx: &mut ThreadCtx,
         entry: u32,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<Option<Value>, VmError> {
         let code = &rp.code[..];
         let window = rp.frame_regs as usize;
         ctx.ensure_window(window);
         let mut pc = entry as usize;
+        // The retired-instruction count, its budget and "profiler armed"
+        // live in locals for the whole loop. `work` is written back to
+        // `ctx.counters.work` before anything that reads it (`loop_mark`,
+        // `par_loop` — re-read after, its inline iterations count too —
+        // and `Wait`/`Post`) and when the loop ends, which it does only by
+        // `break`: count and budget stay exact to the instruction.
+        let mut work = ctx.counters.work;
+        let budget = self.config.max_instructions;
+        let profiling = ctx.prof.is_some();
         // Traps always report the originating *stack* pc, so error
         // messages and site attribution match the reference backend.
         macro_rules! trap {
             ($($arg:tt)*) => {
-                return Err(VmError::new(rp.origin_pc(pc) as usize, format!($($arg)*)))
+                break Err(VmError::new(rp.origin_pc(pc) as usize, format!($($arg)*)))
             };
         }
         // Unwraps an `ops` result, trapping at this pc with its message.
@@ -129,7 +146,7 @@ impl Vm {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(msg) => return Err(VmError::new(rp.origin_pc(pc) as usize, msg)),
+                    Err(msg) => break Err(VmError::new(rp.origin_pc(pc) as usize, msg)),
                 }
             };
         }
@@ -149,20 +166,31 @@ impl Vm {
                 f64::from_bits(rg!($r))
             };
         }
-        // Threaded dispatch: every arm computes its successor pc and
-        // prefetches that opcode before handing control back to the match.
-        let mut instr = code[pc];
+        // The address a fused tid access names: this thread's replica of an
+        // expanded local (`frame`) or global, counted as one private direct
+        // access exactly as the `FrameAddrTid`/`GlobalAddrTid` it replaces.
+        macro_rules! replica {
+            ($frame:expr, $base:expr, $stride:expr) => {{
+                let base = if $frame {
+                    ctx.frame_addr($base)
+                } else {
+                    $base as u64
+                };
+                ctx.private_addr(base, $stride) as u64
+            }};
+        }
+        // One dispatch point: every arm sets its successor pc and goes back
+        // to the `match` at the head of the loop, which reads the
+        // instruction's fields through a reference into `code`.
         macro_rules! step {
             () => {{
                 pc += 1;
-                instr = code[pc];
                 continue;
             }};
         }
         macro_rules! goto {
             ($t:expr) => {{
                 pc = $t as usize;
-                instr = code[pc];
                 continue;
             }};
         }
@@ -183,15 +211,18 @@ impl Vm {
                 step!();
             }};
         }
-        loop {
-            ctx.counters.work += 1;
-            if ctx.counters.work > self.config.max_instructions {
+        let result = loop {
+            work += 1;
+            if work > budget {
                 trap!("instruction budget exceeded");
             }
-            if let Some(p) = ctx.prof.as_deref_mut() {
-                p.tick(rclass_of(&instr));
+            let instr = &code[pc];
+            if profiling {
+                if let Some(p) = ctx.prof.as_deref_mut() {
+                    p.tick(rclass_of(instr));
+                }
             }
-            match instr {
+            match *instr {
                 RInstr::LdcI { d, v } => set!(d, v as u64),
                 RInstr::LdcF { d, v } => set!(d, v.to_bits()),
                 RInstr::Mov { d, s } => set!(d, rg!(s)),
@@ -246,6 +277,18 @@ impl Vm {
                     d,
                     ok!(self.load(obs, ctx.sp, addr as u64, width, is_float, site))
                 ),
+                RInstr::LdTid {
+                    d,
+                    frame,
+                    base,
+                    stride,
+                    width,
+                    is_float,
+                    site,
+                } => {
+                    let addr = replica!(frame, base, stride);
+                    set!(d, ok!(self.load(obs, ctx.sp, addr, width, is_float, site)))
+                }
                 // Registers already hold the raw bit pattern either way, so
                 // stores ignore `is_float`.
                 RInstr::Store {
@@ -266,6 +309,19 @@ impl Vm {
                     site,
                 } => {
                     let addr = ctx.frame_addr(off);
+                    ok!(self.store(obs, ctx.sp, addr, width, site, rg!(v)));
+                    step!();
+                }
+                RInstr::StTid {
+                    frame,
+                    base,
+                    stride,
+                    v,
+                    width,
+                    is_float: _,
+                    site,
+                } => {
+                    let addr = replica!(frame, base, stride);
                     ok!(self.store(obs, ctx.sp, addr, width, site, rg!(v)));
                     step!();
                 }
@@ -345,7 +401,7 @@ impl Vm {
                     let args = &ctx.regs[lo..lo + sig.args.len()];
                     let bits = match self.builtin(b, args, ctx.tid, orig_pc as usize, obs) {
                         Ok(bits) => bits,
-                        Err(msg) => return Err(VmError::new(orig_pc as usize, msg)),
+                        Err(msg) => break Err(VmError::new(orig_pc as usize, msg)),
                     };
                     if sig.ret.is_some() {
                         rg!(abase) = bits;
@@ -376,11 +432,12 @@ impl Vm {
                         }
                         None => {
                             ctx.reg_base = fr.saved_rbase;
-                            return Ok(has_val.then(|| Value::from_bits(bits, is_float)));
+                            break Ok(has_val.then(|| Value::from_bits(bits, is_float)));
                         }
                     }
                 }
                 RInstr::LoopMark { ev, id } => {
+                    ctx.counters.work = work;
                     self.loop_mark(ctx, obs, ev, id);
                     step!();
                 }
@@ -392,22 +449,31 @@ impl Vm {
                     let saved_rbase = ctx.reg_base;
                     ctx.reg_base += lo as usize;
                     ctx.ensure_window(window);
+                    ctx.counters.work = work;
                     let res = self.par_loop(ctx, id, lo_v, hi_v, rp.origin_pc(pc));
+                    work = ctx.counters.work;
                     ctx.reg_base = saved_rbase;
-                    res?;
+                    if let Err(e) = res {
+                        break Err(e);
+                    }
                     step!();
                 }
                 RInstr::Wait { id: _ } => {
+                    ctx.counters.work = work;
                     ok!(self.doacross_wait(ctx));
                     step!();
                 }
                 RInstr::Post { id: _ } => {
+                    ctx.counters.work = work;
                     ok!(self.doacross_post(ctx));
                     step!();
                 }
                 RInstr::Localize { d, site: _ } => {
                     let addr = rg!(d);
-                    rg!(d) = self.localize(ctx, addr, rp.origin_pc(pc) as usize)?;
+                    match self.localize(ctx, addr, rp.origin_pc(pc) as usize) {
+                        Ok(local) => rg!(d) = local,
+                        Err(e) => break Err(e),
+                    }
                     step!();
                 }
                 RInstr::Halt {
@@ -415,12 +481,14 @@ impl Vm {
                     has_val,
                     is_float,
                 } => {
-                    return Ok(has_val.then(|| Value::from_bits(rg!(src), is_float)));
+                    break Ok(has_val.then(|| Value::from_bits(rg!(src), is_float)));
                 }
                 RInstr::Unreachable => {
                     trap!("unreachable code (register translation hole)");
                 }
             }
-        }
+        };
+        ctx.counters.work = work;
+        result
     }
 }

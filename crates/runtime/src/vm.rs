@@ -198,10 +198,9 @@ pub struct VmConfig {
     /// (the host may not have 8 physical cores; the paper's Opteron did).
     pub record_iteration_costs: bool,
     /// Instruction encoding/interpreter the run executes with: the
-    /// reference stack interpreter or the register backend with threaded
-    /// dispatch (see [`crate::backend`]). Defaults from the
-    /// `DSE_EXEC_BACKEND` environment variable (`stack`/`reg`), falling
-    /// back to `Stack`.
+    /// reference stack interpreter or the register backend (see
+    /// [`crate::backend`]). Defaults from the `DSE_EXEC_BACKEND`
+    /// environment variable (`stack`/`reg`), falling back to `Stack`.
     pub backend: BackendKind,
     /// Record runtime trace events (dispatch/steal/park/wake, loop spans,
     /// DOACROSS wait/post, allocator slow paths) into per-worker ring
@@ -302,6 +301,11 @@ pub(crate) struct Frame {
     /// Caller's register-window base (register backend only; the stack
     /// backend stores the current base and never reads it back).
     pub saved_rbase: usize,
+    /// Operand-stack depth at entry (stack backend only). Returning through
+    /// a sentinel yields the operand above it, if any: a loop-body region
+    /// entered in the middle of an expression (`x = f()` with the loop in
+    /// `f`) leaves the caller's pending operands where they are.
+    pub saved_depth: usize,
 }
 
 /// Per-thread execution state.
@@ -661,7 +665,10 @@ impl Vm {
     /// # Errors
     ///
     /// Propagates the first VM trap from any thread.
-    pub fn run_with_observer(&mut self, obs: &mut dyn Observer) -> Result<RunReport, VmError> {
+    pub fn run_with_observer<O: Observer + ?Sized>(
+        &mut self,
+        obs: &mut O,
+    ) -> Result<RunReport, VmError> {
         // The master is pool worker 0; pin its allocator front-end shard to
         // match (pool workers pin theirs on thread start), so each worker's
         // magazine cache stays hot across every loop of the run.
@@ -785,11 +792,11 @@ impl Vm {
     /// under the configured backend — the executor and scheduler never
     /// need to know which encoding runs. Returns the `main`-style return
     /// value if one is produced.
-    pub(crate) fn exec(
+    pub(crate) fn exec<O: Observer + ?Sized>(
         &self,
         ctx: &mut ThreadCtx,
         entry: u32,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<Option<Value>, VmError> {
         match &self.backend {
             Backend::Stack => self.exec_stack(ctx, entry, obs),
@@ -809,23 +816,30 @@ impl Vm {
     /// at `entry` until the current sentinel frame returns. Operands live
     /// on a tagged operand stack, so this loop pops, type-checks and
     /// pushes; what each instruction *does* is [`crate::ops`].
-    pub(crate) fn exec_stack(
+    pub(crate) fn exec_stack<O: Observer + ?Sized>(
         &self,
         ctx: &mut ThreadCtx,
         entry: u32,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> Result<Option<Value>, VmError> {
         let code = &self.program.code;
         let mut pc = entry as usize;
+        // As in `exec_reg`: the instruction count, its budget and "profiler
+        // armed" live in locals; `work` is written back before `loop_mark`,
+        // `par_loop` (re-read after) and `Wait`/`Post`, and when the loop
+        // ends, which it does only by `break`.
+        let mut work = ctx.counters.work;
+        let budget = self.config.max_instructions;
+        let profiling = ctx.prof.is_some();
         macro_rules! trap {
-            ($($arg:tt)*) => { return Err(VmError::new(pc, format!($($arg)*))) };
+            ($($arg:tt)*) => { break Err(VmError::new(pc, format!($($arg)*))) };
         }
         // Unwraps an `ops` result, trapping at this pc with its message.
         macro_rules! ok {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(msg) => return Err(VmError::new(pc, msg)),
+                    Err(msg) => break Err(VmError::new(pc, msg)),
                 }
             };
         }
@@ -876,18 +890,20 @@ impl Vm {
                 pc += 1;
             }};
         }
-        loop {
-            ctx.counters.work += 1;
-            if ctx.counters.work > self.config.max_instructions {
+        let result = loop {
+            work += 1;
+            if work > budget {
                 trap!("instruction budget exceeded");
             }
-            let instr = code[pc];
-            // Attributing profiler: one null check when disabled, one
+            let instr = &code[pc];
+            // Attributing profiler: one register test when disabled, one
             // array increment on thread-local state when enabled.
-            if let Some(p) = ctx.prof.as_deref_mut() {
-                p.tick(class_of(&instr));
+            if profiling {
+                if let Some(p) = ctx.prof.as_deref_mut() {
+                    p.tick(class_of(instr));
+                }
             }
-            match instr {
+            match *instr {
                 Instr::PushI(v) => push_i!(v),
                 Instr::PushF(v) => {
                     ctx.ops.push(Value::F(v));
@@ -992,26 +1008,31 @@ impl Vm {
                     }
                     ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1)));
                     // Pop args right-to-left into parameter slots.
-                    for (pi, &param) in callee.params.iter().enumerate().rev() {
-                        let v = pop!();
-                        if v.is_float() != param.1.is_float {
-                            trap!("type confusion in argument {pi}");
+                    let mut params = callee.params.iter().enumerate().rev();
+                    ok!(params.try_for_each(|(pi, &param)| match ctx.ops.pop() {
+                        Some(v) if v.is_float() == param.1.is_float => {
+                            self.write_param(ctx, param, v.to_bits());
+                            Ok(())
                         }
-                        self.write_param(ctx, param, v.to_bits());
-                    }
+                        Some(_) => Err(format!("type confusion in argument {pi}")),
+                        None => Err("operand stack underflow".to_string()),
+                    }));
                     pc = callee.entry as usize;
                 }
                 Instr::CallBuiltin(b) => {
                     // Pop args right-to-left into stack (= signature) order.
                     let sig = b.sig();
                     let mut args = [0u64; 3];
-                    for (i, &is_float) in sig.args.iter().enumerate().rev() {
-                        args[i] = if is_float {
-                            pop_f!().to_bits()
-                        } else {
-                            pop_i!() as u64
-                        };
-                    }
+                    let mut kinds = sig.args.iter().enumerate().rev();
+                    ok!(kinds.try_for_each(|(i, &is_float)| match ctx.ops.pop() {
+                        Some(v) if v.is_float() == is_float => {
+                            args[i] = v.to_bits();
+                            Ok(())
+                        }
+                        Some(Value::I(_)) => Err("type confusion: expected float"),
+                        Some(Value::F(_)) => Err("type confusion: expected integer"),
+                        None => Err("operand stack underflow"),
+                    }));
                     let args = &args[..sig.args.len()];
                     let bits = ok!(self.builtin(b, args, ctx.tid, pc, obs));
                     if let Some(is_float) = sig.ret {
@@ -1019,34 +1040,51 @@ impl Vm {
                     }
                     pc += 1;
                 }
-                Instr::Ret => match ok!(ctx.pop_frame()).ret_pc {
-                    Some(t) => pc = t as usize,
-                    None => return Ok(ctx.ops.pop()),
-                },
+                Instr::Ret => {
+                    let fr = ok!(ctx.pop_frame());
+                    match fr.ret_pc {
+                        Some(t) => pc = t as usize,
+                        None if ctx.ops.len() > fr.saved_depth => break Ok(ctx.ops.pop()),
+                        None => break Ok(None),
+                    }
+                }
                 Instr::LoopMark(ev, id) => {
+                    ctx.counters.work = work;
                     self.loop_mark(ctx, obs, ev, id);
                     pc += 1;
                 }
                 Instr::ParLoop(id) => {
                     let hi = pop_i!();
                     let lo = pop_i!();
-                    self.par_loop(ctx, id, lo, hi, pc as u32)?;
+                    ctx.counters.work = work;
+                    let res = self.par_loop(ctx, id, lo, hi, pc as u32);
+                    work = ctx.counters.work;
+                    if let Err(e) = res {
+                        break Err(e);
+                    }
                     pc += 1;
                 }
                 Instr::Wait(_) => {
+                    ctx.counters.work = work;
                     ok!(self.doacross_wait(ctx));
                     pc += 1;
                 }
                 Instr::Post(_) => {
+                    ctx.counters.work = work;
                     ok!(self.doacross_post(ctx));
                     pc += 1;
                 }
                 Instr::Localize { site: _ } => {
                     let addr = pop_i!() as u64;
-                    push_i!(self.localize(ctx, addr, pc)? as i64)
+                    match self.localize(ctx, addr, pc) {
+                        Ok(local) => push_i!(local as i64),
+                        Err(e) => break Err(e),
+                    }
                 }
-                Instr::Halt => return Ok(ctx.ops.pop()),
+                Instr::Halt => break Ok(ctx.ops.pop()),
             }
-        }
+        };
+        ctx.counters.work = work;
+        result
     }
 }

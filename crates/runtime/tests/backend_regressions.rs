@@ -9,19 +9,28 @@ use dse_runtime::{Allocation, BackendKind, Observer, Vm, VmConfig};
 
 /// Lowers `src`, every `#pragma candidate` loop as a DOALL `ParLoop`.
 fn compile(src: &str) -> dse_ir::bytecode::CompiledProgram {
-    let ast = dse_lang::compile_to_ast(src).expect("frontend");
     let doall = ParLoopSpec {
         mode: ParMode::DoAll,
         sync_window: None,
     };
-    let opts = LowerOptions {
-        mode: LowerMode::Parallel,
-        par: dse_ir::loops::find_candidate_loops(&ast)
-            .expect("candidates")
-            .into_iter()
-            .map(|c| (c.label, doall.clone()))
-            .collect(),
-        ..Default::default()
+    lower(src, Some(doall))
+}
+
+/// Lowers `src`, every `#pragma candidate` loop as `spec` says, or as the
+/// serial lowering's `LoopMark`-bracketed loop for `None`.
+fn lower(src: &str, spec: Option<ParLoopSpec>) -> dse_ir::bytecode::CompiledProgram {
+    let ast = dse_lang::compile_to_ast(src).expect("frontend");
+    let opts = match spec {
+        Some(spec) => LowerOptions {
+            mode: LowerMode::Parallel,
+            par: dse_ir::loops::find_candidate_loops(&ast)
+                .expect("candidates")
+                .into_iter()
+                .map(|c| (c.label, spec.clone()))
+                .collect(),
+            ..Default::default()
+        },
+        None => LowerOptions::default(),
     };
     dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
@@ -267,6 +276,166 @@ fn both_backends_trap_and_finish_identically() {
         let finished = run(BackendKind::Stack, good);
         assert!(finished.0.is_ok(), "{name}: {:?}", finished.0);
         assert_eq!(finished, run(BackendKind::Reg, good), "{name}: clean run");
+    }
+}
+
+/// A call, a builtin call and one candidate loop: `LoopMark`s in the serial
+/// lowering, an inline DOACROSS `ParLoop` with `Wait`/`Post` in the
+/// parallel one at one thread. Neither lowering has a tid-addressed access,
+/// so fusion leaves the register backend's counts where they were too.
+const FLUSH_SRC: &str = "
+    long step(long x) { return x * 3 + 1; }
+    int main() {
+        long *a; a = malloc(3 * sizeof(long));
+        long acc; acc = 0;
+        #pragma candidate chain
+        for (int i = 0; i < 3; i++) { acc = acc + step(i); a[i] = acc; }
+        out_long(a[2]);
+        free(a);
+        return 0; }";
+
+/// Records the `work` argument of every loop event.
+#[derive(Default)]
+struct LoopWork(Vec<u64>);
+
+impl Observer for LoopWork {
+    fn on_loop(&mut self, _: dse_ir::bytecode::LoopEvent, _: u32, _: u64, work: u64) {
+        self.0.push(work);
+    }
+}
+
+/// What one (backend, lowering) of [`FLUSH_SRC`] read at the commit before
+/// the interpreters moved `counters.work` into a local: the unlimited
+/// run's instruction count, where a budget of half of it and of one less
+/// than it trap, the `work` every `on_loop` saw, and the `(pre, window,
+/// post)` of every recorded iteration.
+struct FlushPins {
+    backend: BackendKind,
+    parallel: bool,
+    work: u64,
+    trap_pcs: [u32; 2],
+    loop_work: &'static [u64],
+    iter_costs: &'static [(u64, u64, u64)],
+}
+
+const FLUSH_PINS: &[FlushPins] = &[
+    FlushPins {
+        backend: BackendKind::Stack,
+        parallel: false,
+        work: 144,
+        trap_pcs: [36, 64],
+        loop_work: &[13, 19, 57, 95, 133],
+        iter_costs: &[],
+    },
+    FlushPins {
+        backend: BackendKind::Reg,
+        parallel: false,
+        work: 90,
+        trap_pcs: [4, 64],
+        loop_work: &[11, 14, 37, 60, 83],
+        iter_costs: &[],
+    },
+    FlushPins {
+        backend: BackendKind::Stack,
+        parallel: true,
+        work: 109,
+        trap_pcs: [6, 58],
+        loop_work: &[],
+        iter_costs: &[(1, 15, 10), (1, 15, 10), (1, 15, 10)],
+    },
+    FlushPins {
+        backend: BackendKind::Reg,
+        parallel: true,
+        work: 79,
+        trap_pcs: [32, 58],
+        loop_work: &[],
+        iter_costs: &[(1, 11, 7), (1, 11, 7), (1, 11, 7)],
+    },
+];
+
+#[test]
+fn instruction_count_is_exact_at_every_flush_point() {
+    for pins in FLUSH_PINS {
+        let what = format!("{:?}, parallel lowering: {}", pins.backend, pins.parallel);
+        let doacross = ParLoopSpec {
+            mode: ParMode::DoAcross,
+            sync_window: Some((0, 0)),
+        };
+        let vm = |max_instructions| {
+            let config = VmConfig {
+                backend: pins.backend,
+                max_instructions,
+                record_iteration_costs: true,
+                ..Default::default()
+            };
+            Vm::new(
+                lower(FLUSH_SRC, pins.parallel.then(|| doacross.clone())),
+                config,
+            )
+            .expect("vm")
+        };
+        let mut unlimited = vm(u64::MAX);
+        let mut seen = LoopWork::default();
+        let report = unlimited
+            .run_with_observer(&mut seen)
+            .expect("unlimited run");
+        let work = report.counters.work;
+        assert_eq!(work, pins.work, "{what}: instructions retired");
+        assert_eq!(seen.0, pins.loop_work, "{what}: `work` seen by on_loop");
+        let costs: Vec<(u64, u64, u64)> = unlimited
+            .iteration_costs()
+            .values()
+            .flatten()
+            .flatten()
+            .map(|c| (c.pre, c.window, c.post))
+            .collect();
+        assert_eq!(costs, pins.iter_costs, "{what}: recorded iteration costs");
+        // The budget is exact to the instruction: `work` of them fit, one
+        // fewer does not, and a trap mid-run names the instruction that
+        // would have been one too many.
+        vm(work)
+            .run()
+            .expect("a budget of exactly `work` completes");
+        for (budget, pc) in [work / 2, work - 1].into_iter().zip(pins.trap_pcs) {
+            let err = vm(budget).run().expect_err("over budget");
+            assert!(
+                err.msg.contains("instruction budget exceeded"),
+                "{what}: {err}"
+            );
+            assert_eq!(err.pc, pc, "{what}: budget {budget} of {work}");
+        }
+    }
+}
+
+/// A parallel loop reached in the middle of an expression — `f` is called
+/// with `1000 +` pending — must leave the caller's operands alone. The
+/// stack interpreter's region `Ret` used to pop one per iteration on the
+/// master and on any inline run: `operand stack underflow`, or a silently
+/// wrong sum.
+#[test]
+fn loop_body_return_leaves_the_callers_operands() {
+    let src = "long f(long n) {
+            long *a; a = malloc(8 * sizeof(long));
+            #pragma candidate fill
+            for (int i = 0; i < 8; i++) { a[i] = i * n; }
+            long s; s = a[7] + a[1];
+            free(a);
+            return s; }
+        int main() { return (int)(1000 + f(3)); }";
+    for backend in [BackendKind::Stack, BackendKind::Reg] {
+        for nthreads in [1, 4] {
+            let config = VmConfig {
+                nthreads,
+                ..cfg(backend)
+            };
+            let report = Vm::new(compile(src), config).expect("vm").run();
+            let value = report.map(|r| r.return_value);
+            assert_eq!(
+                value,
+                Ok(Some(dse_runtime::Value::I(1024))),
+                "{backend:?}, {nthreads} thread(s)"
+            );
+        }
     }
 }
 

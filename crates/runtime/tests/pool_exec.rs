@@ -122,13 +122,21 @@ fn back_to_back_dispatches_reuse_workers() {
 /// the worker that reaches it — only the outer loop is dispatched.
 #[test]
 fn nested_parallel_loops_run_inline() {
-    let src = "int main() {
-        int *a; a = malloc(16 * 16 * sizeof(int));
-        #pragma candidate outer
-        for (int i = 0; i < 16; i++) {
+    // The inner loop sits in a callee so its induction slot `j` lives in a
+    // frame on the worker's own stack. Written inside `main`'s outer body
+    // it would sit in the one frame all four workers share (nothing here
+    // runs the expansion pass), and one worker's post-loop `j = hi` store
+    // could land between another's `j = 0` and its read of the lower
+    // bound, skipping that worker's whole inner loop.
+    let src = "int row(int *a, int i) {
             #pragma candidate inner
             for (int j = 0; j < 16; j++) { a[i * 16 + j] = i + j; }
+            return 0;
         }
+        int main() {
+        int *a; a = malloc(16 * 16 * sizeof(int));
+        #pragma candidate outer
+        for (int i = 0; i < 16; i++) { row(a, i); }
         int s; s = 0;
         for (int k = 0; k < 16 * 16; k++) { s += a[k]; }
         free(a);

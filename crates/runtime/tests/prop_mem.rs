@@ -97,6 +97,47 @@ fn memory_matches_byte_oracle() {
     }
 }
 
+/// The checked accessors every interpreted load and store goes through:
+/// at every width, for every address within 16 bytes of either end of the
+/// memory and at the top of the address space, `try_read`/`try_write`
+/// succeed exactly when `in_bounds` holds and then do what `read`/`write`
+/// do; a refused write — `len - 3` at width 8 has its first word in bounds
+/// and its second out — leaves every byte as it was.
+#[test]
+fn checked_access_is_exactly_the_bounds_check() {
+    let mem = SharedMem::new(4099);
+    let twin = SharedMem::new(4099); // written with `write` only
+    let len = mem.len();
+    for addr in 0..len {
+        mem.write(addr, 1, addr * 37 + 11);
+        twin.write(addr, 1, addr * 37 + 11);
+    }
+    let bytes = |m: &SharedMem| -> Vec<u8> { (0..len).map(|a| m.read(a, 1) as u8).collect() };
+    let addrs = (0..16)
+        .chain(len - 16..len + 16)
+        .chain((0..16).map(|k| u64::MAX - k));
+    let mut refused_straddle = false;
+    for width in 1..=8u32 {
+        for addr in addrs.clone() {
+            let ok = mem.in_bounds(addr, width as u64);
+            let expect = ok.then(|| twin.read(addr, width));
+            assert_eq!(mem.try_read(addr, width), expect, "w={width} a={addr}");
+            let val = !(addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ width as u64);
+            assert_eq!(mem.try_write(addr, width, val), ok, "w={width} a={addr}");
+            if ok {
+                twin.write(addr, width, val);
+            } else {
+                refused_straddle |= mem.in_bounds(addr, 1) && addr % 8 + width as u64 > 8;
+            }
+            assert_eq!(bytes(&mem), bytes(&twin), "w={width} a={addr}");
+        }
+    }
+    assert!(
+        refused_straddle,
+        "a store refused at its second word was tried"
+    );
+}
+
 /// Live allocations never overlap, interior-pointer lookup agrees with
 /// the allocation bounds, and freeing everything allows a maximal
 /// reallocation (full coalescing).

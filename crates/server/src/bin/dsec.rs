@@ -481,15 +481,15 @@ fn check_backend(o: &Opts, store: &ArtifactStore, outcome: &mut Outcome) -> Resu
     let serial = &art.analysis.serial;
     let lowering =
         |e: &dyn std::fmt::Display| Failure::diag(format!("register lowering failed: {e}"));
+    let parallel = outcome
+        .transformed
+        .as_ref()
+        .map(|t| &t.transformed.parallel);
     match o.sabotage {
         None => {
             // Verify both executable encodings of both programs, through
             // the cached `regverify` phase like the implicit run gate.
             let pipeline = Pipeline::new(store);
-            let parallel = outcome
-                .transformed
-                .as_ref()
-                .map(|t| &t.transformed.parallel);
             for prog in std::iter::once(serial).chain(parallel) {
                 let regart = pipeline
                     .reglower(prog, &mut outcome.trace)
@@ -504,9 +504,17 @@ fn check_backend(o: &Opts, store: &ArtifactStore, outcome: &mut Outcome) -> Resu
                 let mut p = serial.clone();
                 sabotage::sabotage_stack(&mut p, kind).then(|| dse_verify::check_stack(&p))
             } else {
-                let mut rp = dse_ir::regcode::translate(serial).map_err(|e| lowering(&e))?;
-                sabotage::sabotage_reg(serial, &mut rp, kind)
-                    .then(|| dse_verify::check_backend(serial, &rp))
+                // The first of the two programs that offers a site: only
+                // the transformed one has tid-addressed accesses.
+                let mut seeded = None;
+                for prog in std::iter::once(serial).chain(parallel) {
+                    let mut rp = dse_ir::regcode::translate(prog).map_err(|e| lowering(&e))?;
+                    if sabotage::sabotage_reg(prog, &mut rp, kind) {
+                        seeded = Some(dse_verify::check_backend(prog, &rp));
+                        break;
+                    }
+                }
+                seeded
             };
             report.extend(seeded.ok_or_else(|| {
                 Failure::usage(format!(

@@ -120,22 +120,22 @@ pub fn check_verdict(report: &Report, strict: bool) -> Result<(), Failure> {
 /// `run` (`trace`, `opcode_profile`, ring capacity); the program, thread
 /// count, inputs, backend and strictness always come from `req`. `obs`
 /// watches the run's serial portions.
-pub fn execute(
+pub fn execute<O: Observer + ?Sized>(
     store: &ArtifactStore,
     req: &Request,
     instruments: VmConfig,
-    obs: &mut dyn Observer,
+    obs: &mut O,
 ) -> Outcome {
     let mut out = Outcome::default();
     out.failure = drive(store, req, instruments, obs, &mut out).err();
     out
 }
 
-fn drive(
+fn drive<O: Observer + ?Sized>(
     store: &ArtifactStore,
     req: &Request,
     instruments: VmConfig,
-    obs: &mut dyn Observer,
+    obs: &mut O,
     out: &mut Outcome,
 ) -> Result<(), Failure> {
     if req.threads == 0 {

@@ -32,17 +32,21 @@ pub enum Kind {
     DropSpill,
     /// Swap the operands of an integer binop.
     SwapReg,
+    /// Double the stride of a fused tid access, so thread 1 lands on
+    /// thread 2's replica.
+    TidStride,
     /// Replace a promoted narrow store's sign-extension with a no-op move.
     SkipSext,
 }
 
 /// All kinds, in lint-code order — the CI mutation-smoke step iterates this.
-pub const ALL: [Kind; 6] = [
+pub const ALL: [Kind; 7] = [
     Kind::StackDepth,
     Kind::BadJump,
     Kind::ShrinkWindow,
     Kind::DropSpill,
     Kind::SwapReg,
+    Kind::TidStride,
     Kind::SkipSext,
 ];
 
@@ -55,6 +59,7 @@ impl Kind {
             Kind::ShrinkWindow => "shrink-window",
             Kind::DropSpill => "drop-spill",
             Kind::SwapReg => "swap-reg",
+            Kind::TidStride => "tid-stride",
             Kind::SkipSext => "skip-sext",
         }
     }
@@ -71,7 +76,7 @@ impl Kind {
             Kind::BadJump => Code::StackBounds,
             Kind::ShrinkWindow => Code::RegWindowBounds,
             Kind::DropSpill => Code::RegDefUse,
-            Kind::SwapReg => Code::TranslationDivergence,
+            Kind::SwapReg | Kind::TidStride => Code::TranslationDivergence,
             Kind::SkipSext => Code::TranslationPrecision,
         }
     }
@@ -158,6 +163,15 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
                         std::mem::swap(l, r);
                         return true;
                     }
+                }
+            }
+            false
+        }
+        Kind::TidStride => {
+            for ins in rp.code.iter_mut() {
+                if let RInstr::LdTid { stride, .. } | RInstr::StTid { stride, .. } = ins {
+                    *stride = stride.wrapping_mul(2);
+                    return true;
                 }
             }
             false

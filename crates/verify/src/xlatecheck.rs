@@ -11,7 +11,10 @@
 //! * every promoted scalar's logical value matches its dedicated register,
 //! * the memory/observer *effect* sequences (stores, copies, calls,
 //!   parallel regions, synchronization, loop marks) are identical, site
-//!   ids included, and
+//!   ids included — a fused tid access (`LdTid`/`StTid`) is modelled as
+//!   the address term its stack-side producer pushes plus the plain load
+//!   or store, and the block must form as many tid addresses on either
+//!   side, so `counters.private_direct` cannot drift — and
 //! * the exits themselves correspond — same kind, same branch condition
 //!   and polarity, and the register target is exactly the translation of
 //!   the stack target (branches into a promoted function entry must land
@@ -470,6 +473,20 @@ impl<'p> Validator<'p> {
             ));
         }
 
+        // A fused tid access forms its address where the stack side's
+        // consumer is, so formation is not an ordered effect; but each one
+        // bumps `counters.private_direct`, and a block is a straight line.
+        if stack_side.tid_addrs != reg_side.tid_addrs {
+            report.push(Diagnostic::new(
+                Code::TranslationDivergence,
+                format!(
+                    "{loc}: {} tid-strided address(es) formed on the stack side but {} \
+                     on the register side (`counters.private_direct` would differ)",
+                    stack_side.tid_addrs, reg_side.tid_addrs
+                ),
+            ));
+        }
+
         // Live operand slots.
         for (k, &s) in stack_side.stack.iter().enumerate() {
             if let Term::FrameAddr(off) = self.arena.get(s) {
@@ -610,6 +627,7 @@ impl<'p> Validator<'p> {
             stack,
             logical,
             effects: Vec::new(),
+            tid_addrs: 0,
             exit: Exit::Fall,
         };
         for pc in b.start..b.end {
@@ -640,9 +658,11 @@ impl<'p> Validator<'p> {
                     s.push(self.arena.mk(Term::TidSpanScaled { z, span }));
                 }
                 Instr::FrameAddrTid { offset, stride } => {
+                    s.tid_addrs += 1;
                     s.push(self.arena.mk(Term::FrameAddrTid { offset, stride }))
                 }
                 Instr::GlobalAddrTid { addr, stride } => {
+                    s.tid_addrs += 1;
                     s.push(self.arena.mk(Term::GlobalAddrTid { addr, stride }))
                 }
                 Instr::Load {
@@ -845,6 +865,7 @@ impl<'p> Validator<'p> {
             regs,
             home,
             effects: Vec::new(),
+            tid_addrs: 0,
             exit: Exit::Fall,
         };
         let loc = format!("stack block {}..{}", b.start, b.end);
@@ -879,9 +900,11 @@ impl<'p> Validator<'p> {
                     r.w(d, self.arena.mk(Term::TidSpanScaled { z, span }));
                 }
                 RInstr::FrameAddrTid { d, offset, stride } => {
+                    r.tid_addrs += 1;
                     r.w(d, self.arena.mk(Term::FrameAddrTid { offset, stride }))
                 }
                 RInstr::GlobalAddrTid { d, addr, stride } => {
+                    r.tid_addrs += 1;
                     r.w(d, self.arena.mk(Term::GlobalAddrTid { addr, stride }))
                 }
                 RInstr::IterIdx { d, depth } => r.w(d, self.arena.mk(Term::IterIdx(depth))),
@@ -948,6 +971,47 @@ impl<'p> Validator<'p> {
                             epoch,
                         }),
                     );
+                }
+                RInstr::LdTid {
+                    d,
+                    frame,
+                    base,
+                    stride,
+                    width,
+                    is_float,
+                    site,
+                } => {
+                    let addr = r.tid_addr(&mut self.arena, frame, base, stride);
+                    let epoch = r.effects.len() as u32;
+                    r.w(
+                        d,
+                        self.arena.mk(Term::Load {
+                            addr,
+                            width,
+                            is_float,
+                            site,
+                            epoch,
+                        }),
+                    );
+                }
+                RInstr::StTid {
+                    frame,
+                    base,
+                    stride,
+                    v,
+                    width,
+                    is_float,
+                    site,
+                } => {
+                    let a = r.tid_addr(&mut self.arena, frame, base, stride);
+                    let vt = r.read(&mut self.arena, v);
+                    r.effects.push(Effect::Store {
+                        a,
+                        v: vt,
+                        width,
+                        is_float,
+                        site,
+                    });
                 }
                 RInstr::Store {
                     a,
@@ -1213,6 +1277,9 @@ struct StackSide {
     stack: Vec<TermId>,
     logical: HashMap<u32, TermId>,
     effects: Vec<Effect>,
+    /// `FrameAddrTid`/`GlobalAddrTid` executed: the block's contribution
+    /// to `counters.private_direct`.
+    tid_addrs: u32,
     exit: Exit,
 }
 
@@ -1237,10 +1304,25 @@ struct RegSide {
     regs: Vec<Option<TermId>>,
     home: HashMap<u32, TermId>,
     effects: Vec<Effect>,
+    /// Tid-strided addresses formed, by a producer or inside a fused access.
+    tid_addrs: u32,
     exit: Exit,
 }
 
 impl RegSide {
+    /// The address a fused tid access forms: the term its stack-side
+    /// producer pushed.
+    fn tid_addr(&mut self, arena: &mut Arena, frame: bool, base: u32, stride: i64) -> TermId {
+        self.tid_addrs += 1;
+        arena.mk(if frame {
+            Term::FrameAddrTid {
+                offset: base,
+                stride,
+            }
+        } else {
+            Term::GlobalAddrTid { addr: base, stride }
+        })
+    }
     fn read(&mut self, arena: &mut Arena, r: Reg) -> TermId {
         match self.regs.get(r as usize).copied().flatten() {
             Some(t) => t,

@@ -6,12 +6,13 @@
 
 use dse_core::{Analysis, OptLevel};
 use dse_ir::bytecode::CompiledProgram;
+use dse_ir::{RInstr, RegProgram};
 use dse_runtime::VmConfig;
 use dse_workloads::Scale;
 
 const LEVELS: [OptLevel; 3] = [OptLevel::None, OptLevel::NoConstSpan, OptLevel::Full];
 
-fn assert_backend_clean(name: &str, prog: &CompiledProgram) {
+fn assert_backend_clean(name: &str, prog: &CompiledProgram) -> RegProgram {
     let rp =
         dse_ir::regcode::translate(prog).unwrap_or_else(|e| panic!("{name}: reglower failed: {e}"));
     let report = dse_verify::check_backend(prog, &rp);
@@ -20,6 +21,7 @@ fn assert_backend_clean(name: &str, prog: &CompiledProgram) {
         "{name}: backend verification found:\n{}",
         report.render_text()
     );
+    rp
 }
 
 #[test]
@@ -32,7 +34,20 @@ fn workloads_verify_clean_under_both_backends() {
             let t = analysis
                 .transform(opt, 4)
                 .unwrap_or_else(|e| panic!("{} @ {opt:?}: transform failed: {e}", w.name));
-            assert_backend_clean(&format!("{} @ {opt:?} (parallel)", w.name), &t.parallel);
+            let rp = assert_backend_clean(&format!("{} @ {opt:?} (parallel)", w.name), &t.parallel);
+            // The proof above covers the fused tid forms only if they are
+            // there: every fully optimized workload reads and writes a
+            // private scalar replica through `v[__tid()]`.
+            if opt != OptLevel::Full {
+                continue;
+            }
+            let has = |f: fn(&RInstr) -> bool| rp.code.iter().any(f);
+            assert!(
+                has(|i| matches!(i, RInstr::LdTid { .. }))
+                    && has(|i| matches!(i, RInstr::StTid { .. })),
+                "{} @ {opt:?}: no fused tid load or no fused tid store emitted",
+                w.name
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! downstream noise.
 
 use dse_core::Analysis;
-use dse_ir::RegProgram;
+use dse_ir::{RInstr, RegProgram};
 use dse_runtime::VmConfig;
 use dse_verify::diag::Severity;
 use dse_verify::sabotage;
@@ -14,10 +14,14 @@ use dse_verify::sabotage;
 /// A program with every mutation site the sabotage kinds need: promoted
 /// `int` locals (narrow stores → `Sext` canonicalization), a call with the
 /// promoted scalars live across it (spill/reload sequences), loops
-/// (branches to retarget), and integer arithmetic (operands to swap).
+/// (branches to retarget), integer arithmetic (operands to swap), and a
+/// private replica written and read through `__tid()` as the expansion
+/// pass would emit it (fused tid accesses whose stride to corrupt).
 const SOURCE: &str = r#"
+long replica[4];
 long helper(long x) {
-  return x * 2 + 1;
+  replica[__tid()] = x * 2;
+  return replica[__tid()] + 1;
 }
 int main() {
   int acc; acc = 0;
@@ -55,6 +59,11 @@ fn fixture_is_clean_before_sabotage() {
     assert!(
         rp.promo.spills.iter().any(|s| !s.is_empty()),
         "fixture must spill around its call"
+    );
+    let has = |f: fn(&RInstr) -> bool| rp.code.iter().any(f);
+    assert!(
+        has(|i| matches!(i, RInstr::LdTid { .. })) && has(|i| matches!(i, RInstr::StTid { .. })),
+        "fixture must fuse a tid load and a tid store"
     );
 }
 
