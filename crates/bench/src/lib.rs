@@ -67,6 +67,26 @@ fn serial_work(analysis: &Analysis, w: &Workload, scale: Scale) -> f64 {
     timed_run(&analysis.serial, w, scale, 1).1.counters.work as f64
 }
 
+/// A one-thread run on the reference stack interpreter, whatever
+/// `DSE_EXEC_BACKEND` says. Figures 10 and 13 charge the
+/// runtime-privatization baseline 20 instructions per monitored access,
+/// and `Counters::private_direct` counts those on the stack encoding (the
+/// register encoding forms no tid address for a replica it keeps in a
+/// register), so everything those figures divide is measured there.
+fn stack_config(w: &Workload, scale: Scale) -> dse_runtime::VmConfig {
+    let mut cfg = w.vm_config(scale);
+    cfg.nthreads = 1;
+    cfg.backend = dse_runtime::BackendKind::Stack;
+    cfg
+}
+
+/// The counters of a [`stack_config`] run of `compiled`.
+fn stack_counters(compiled: &CompiledProgram, w: &Workload, scale: Scale) -> Counters {
+    let mut vm = Vm::new(compiled.clone(), stack_config(w, scale)).expect("vm");
+    let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
+    report.counters
+}
+
 /// Harmonic mean of a positive series (the paper's average of choice).
 pub fn harmonic_mean(xs: impl IntoIterator<Item = f64>) -> f64 {
     let (mut n, mut s) = (0usize, 0.0);
@@ -94,13 +114,9 @@ pub fn table4(workloads: &[Workload]) -> Table {
         // whole-program denominator must retire the same encoding no
         // matter what DSE_EXEC_BACKEND says — the register backend
         // retires far fewer instructions for the same program.
-        let mut cfg = w.vm_config(Scale::Profile);
-        cfg.nthreads = 1;
-        cfg.backend = dse_runtime::BackendKind::Stack;
-        let mut vm = Vm::new(analysis.serial.clone(), cfg).expect("vm");
-        let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
+        let work = stack_counters(&analysis.serial, w, Scale::Profile).work;
         let in_loops: u64 = analysis.profile.loops.iter().map(|l| l.instructions).sum();
-        let time_pct = 100.0 * in_loops as f64 / report.counters.work as f64;
+        let time_pct = 100.0 * in_loops as f64 / work as f64;
         let mode = analysis.classifications[0].mode;
         vec![
             name(w),
@@ -187,21 +203,21 @@ pub fn fig9(workloads: &[Workload], opt: OptLevel, scale: Scale) -> Table {
 pub fn fig10(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
-        let base = serial_work(&analysis, w, scale);
+        let base = stack_counters(&analysis.serial, w, scale).work as f64;
         let t = analysis.transform(OptLevel::Full, 1).expect("transform");
-        let (_, rt, _) = timed_run(&t.parallel, w, scale, 1);
+        let rt = stack_counters(&t.parallel, w, scale);
         let b = analysis.baseline_parallel(1).expect("baseline");
-        let (_, rp, _) = timed_run(&b.parallel, w, scale, 1);
+        let rp = stack_counters(&b.parallel, w, scale);
         // The baseline's cost model: every monitored private access
         // (heap translations and statically privatized accesses alike,
         // per SpiceC's all-accesses monitoring) costs a runtime lookup
         // (≈ 20 native instructions), plus the bytes copied in/out.
-        let priv_cost = rp.counters.work as f64
-            + 20.0 * (rp.counters.localize_calls + rp.counters.private_direct) as f64
-            + 0.25 * rp.counters.localize_copied_bytes as f64;
+        let priv_cost = rp.work as f64
+            + 20.0 * (rp.localize_calls + rp.private_direct) as f64
+            + 0.25 * rp.localize_copied_bytes as f64;
         vec![
             name(w),
-            col("expansion", "expansion", 10).of(Cell::Times(rt.counters.work as f64 / base, 3)),
+            col("expansion", "expansion", 10).of(Cell::Times(rt.work as f64 / base, 3)),
             col("runtime-priv", "runtime_priv", 13).of(Cell::Times(priv_cost / base, 3)),
         ]
     };
@@ -214,13 +230,19 @@ pub type LoopTraces = std::collections::HashMap<u32, Vec<Vec<dse_runtime::vm::It
 pub type LoopModes = std::collections::HashMap<u32, ParMode>;
 
 /// Runs a program serially with iteration-cost recording, returning the
-/// instruction total, per-loop traces, and per-loop modes.
+/// instruction total, per-loop traces, and per-loop modes. `pin_stack`
+/// makes it a [`stack_config`] run (the traces carry `private_direct`).
 fn record_traces(
     compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
+    pin_stack: bool,
 ) -> (u64, LoopTraces, LoopModes, Counters) {
-    let mut cfg = w.vm_config(scale);
+    let mut cfg = if pin_stack {
+        stack_config(w, scale)
+    } else {
+        w.vm_config(scale)
+    };
     cfg.nthreads = 1;
     cfg.record_iteration_costs = true;
     let mut vm = Vm::new(compiled.clone(), cfg).expect("vm");
@@ -250,7 +272,7 @@ fn sim_speedups(
     parallel: impl Fn(u32) -> CompiledProgram,
 ) -> (Vec<f64>, Vec<f64>) {
     let sims = CORE_COUNTS.map(|n| {
-        let (tot, traces, modes, _) = record_traces(&parallel(n), w, scale);
+        let (tot, traces, modes, _) = record_traces(&parallel(n), w, scale, charge_localize);
         sim::simulate_program(tot, &traces, &modes, n, charge_localize)
     });
     let loop_only = sims
@@ -326,7 +348,7 @@ pub fn fig13_sim(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
         let baseline = |n| analysis.baseline_parallel(n).expect("baseline").parallel;
-        let serial_ref = serial_work(&analysis, w, scale);
+        let serial_ref = stack_counters(&analysis.serial, w, scale).work as f64;
         speedup_row(w, sim_speedups(w, scale, serial_ref, true, baseline))
     };
     Table::new(workloads.iter().map(row).collect())
@@ -339,7 +361,7 @@ pub fn fig12_sim(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
         let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-        let (tot, traces, modes, counters) = record_traces(&t.parallel, w, scale);
+        let (tot, traces, modes, counters) = record_traces(&t.parallel, w, scale, false);
         let ps = sim::simulate_program(tot, &traces, &modes, 8, false);
         let outside = (tot as f64
             - traces
@@ -399,7 +421,7 @@ fn doacross_traces(
         .filter(|w| w.paper.parallelism == ParMode::DoAcross);
     doacross.map(move |w| {
         let t = analyze(w).transform(OptLevel::Full, 8).expect("transform");
-        let (_, traces, modes, _) = record_traces(&t.parallel, w, scale);
+        let (_, traces, modes, _) = record_traces(&t.parallel, w, scale, false);
         (w, traces, modes)
     })
 }

@@ -9,10 +9,21 @@
 //! results on every thread count**. Non-privatizable patterns must come
 //! out shared/DOACROSS-ordered, not broken. Cases come from the
 //! workspace's deterministic PRNG, so failures reproduce exactly.
+//!
+//! Every lowering also runs on the register backend — its translation
+//! proven by `check_backend` first — and must be indistinguishable from
+//! the stack run of the same code: the grammar carries what the register
+//! translator's promotion keys on (an indexed array beside scalars, a
+//! struct local accessed by field, `+=`/`++` on a private scalar, a call
+//! from the body, a scalar the body only reads).
 
 use dse_core::{Analysis, OptLevel};
+use dse_ir::bytecode::CompiledProgram;
+use dse_ir::loops::ParMode;
+use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
 use dse_runtime::{Vm, VmConfig};
 use dse_workloads::rng::Rng;
+use std::sync::Arc;
 
 /// A generated integer expression over the loop's names.
 #[derive(Debug, Clone)]
@@ -23,6 +34,12 @@ enum GExpr {
     B,
     Glob,
     Acc,
+    /// `k0`: written before the loop, only read inside it.
+    Outer,
+    /// `pt.x` / `pt.y`: fields of the body's struct local.
+    Field(bool),
+    /// `mix(l, r)`: a call from the body.
+    Call(Box<GExpr>, Box<GExpr>),
     Loc(Box<GExpr>),
     Heap(Box<GExpr>),
     Add(Box<GExpr>, Box<GExpr>),
@@ -39,6 +56,9 @@ impl GExpr {
             GExpr::B => "b".into(),
             GExpr::Glob => "gv".into(),
             GExpr::Acc => "(int)acc".into(),
+            GExpr::Outer => "k0".into(),
+            GExpr::Field(y) => if *y { "(int)pt.y" } else { "pt.x" }.into(),
+            GExpr::Call(l, r) => format!("mix({}, {})", l.render(), r.render()),
             GExpr::Loc(ix) => format!("locbuf[({}) & 7]", ix.render()),
             GExpr::Heap(ix) => format!("heapbuf[({}) & 15]", ix.render()),
             GExpr::Add(l, r) => format!("({} + {})", l.render(), r.render()),
@@ -59,6 +79,10 @@ enum GStmt {
     SetHeap(GExpr, GExpr),
     /// `acc += e;`
     BumpAcc(GExpr),
+    /// `a += e;` / `b++;` on a private scalar.
+    BumpScalar(bool, GExpr),
+    /// `pt.x = e;` / `pt.y = e;`
+    SetField(bool, GExpr),
     /// `if (e) { s } else { s }`
     If(GExpr, Box<GStmt>, Box<GStmt>),
     /// `for (int k = 0; k < 4; k++) { s }` with `k` available via `a`.
@@ -94,6 +118,14 @@ impl GStmt {
             GStmt::BumpAcc(e) => {
                 out.push_str(&format!("{pad}acc += {};\n", e.render()));
             }
+            GStmt::BumpScalar(true, _) => out.push_str(&format!("{pad}b++;\n")),
+            GStmt::BumpScalar(false, e) => {
+                out.push_str(&format!("{pad}a += {};\n", e.render()));
+            }
+            GStmt::SetField(y, e) => {
+                let f = if *y { "y" } else { "x" };
+                out.push_str(&format!("{pad}pt.{f} = {};\n", e.render()));
+            }
             GStmt::If(c, t, f) => {
                 out.push_str(&format!("{pad}if ({}) {{\n", c.render()));
                 t.render(out, depth + 1);
@@ -114,21 +146,24 @@ impl GStmt {
 fn gen_expr(rng: &mut Rng, depth: u32) -> GExpr {
     use GExpr::*;
     if depth == 0 || rng.gen_ratio(2, 5) {
-        return match rng.gen_index(6) {
+        return match rng.gen_index(8) {
             0 => Lit(rng.next_u64() as i8),
             1 => I,
             2 => A,
             3 => B,
             4 => Glob,
+            5 => Outer,
+            6 => Field(rng.gen_bool()),
             _ => Acc,
         };
     }
     let sub = |rng: &mut Rng| Box::new(gen_expr(rng, depth - 1));
-    match rng.gen_index(5) {
+    match rng.gen_index(6) {
         0 => Loc(sub(rng)),
         1 => Heap(sub(rng)),
         2 => Add(sub(rng), sub(rng)),
         3 => Mul(sub(rng), sub(rng)),
+        4 => Call(sub(rng), sub(rng)),
         _ => Xor(sub(rng), sub(rng)),
     }
 }
@@ -136,10 +171,12 @@ fn gen_expr(rng: &mut Rng, depth: u32) -> GExpr {
 fn gen_stmt(rng: &mut Rng, depth: u32) -> GStmt {
     use GStmt::*;
     if depth == 0 || rng.gen_ratio(3, 4) {
-        return match rng.gen_index(4) {
+        return match rng.gen_index(6) {
             0 => SetScalar(rng.next_u64() as u8, gen_expr(rng, 3)),
             1 => SetLoc(gen_expr(rng, 2), gen_expr(rng, 2)),
             2 => SetHeap(gen_expr(rng, 2), gen_expr(rng, 2)),
+            3 => BumpScalar(rng.gen_bool(), gen_expr(rng, 2)),
+            4 => SetField(rng.gen_bool(), gen_expr(rng, 2)),
             _ => BumpAcc(gen_expr(rng, 3)),
         };
     }
@@ -160,19 +197,23 @@ fn render_program(stmts: &[GStmt]) -> String {
         s.render(&mut body, 0);
     }
     format!(
-        "int gv;
+        "struct P {{ int x; long y; }};
+int gv;
+int mix(int x, int y) {{ return (x * 31) ^ y; }}
 int main() {{
   int *heapbuf; heapbuf = malloc(16 * sizeof(int));
   int *outv; outv = malloc(20 * sizeof(int));
   long acc; acc = 0;
+  int k0; k0 = 5;
   #pragma candidate fuzz
   for (int i = 0; i < 20; i++) {{
     int a; a = i;
     int b; b = 7;
     int locbuf[8];
+    struct P pt; pt.x = i; pt.y = 3;
     for (int z = 0; z < 8; z++) {{ locbuf[z] = 0; }}
 {body}
-    outv[i] = a ^ b ^ locbuf[i & 7] ^ heapbuf[i & 15];
+    outv[i] = a ^ b ^ locbuf[i & 7] ^ heapbuf[i & 15] ^ pt.x ^ (int)pt.y;
   }}
   long h; h = acc;
   for (int i = 0; i < 20; i++) {{ h = (h * 31 + outv[i]) & 0xffffffffff; }}
@@ -191,53 +232,135 @@ fn gen_case(seed: u64, max_stmts: i64) -> String {
     render_program(&stmts)
 }
 
-fn run(compiled: dse_ir::bytecode::CompiledProgram, n: u32) -> Vec<i64> {
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: n,
-            max_instructions: 80_000_000,
-            ..Default::default()
-        },
-    )
-    .expect("vm");
-    vm.run().expect("generated programs never trap");
-    vm.outputs_int()
+/// Everything a run shows the outside: outputs, console, and how it ended.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outputs_int: Vec<i64>,
+    outputs_float: Vec<f64>,
+    console: String,
+    /// The return value, or the trap.
+    end: Result<String, String>,
+}
+
+fn observe(mut vm: Vm) -> Observed {
+    let end = vm
+        .run()
+        .map(|r| format!("{:?}", r.return_value))
+        .map_err(|e| e.to_string());
+    Observed {
+        outputs_int: vm.outputs_int(),
+        outputs_float: vm.outputs_float(),
+        console: vm.console(),
+        end,
+    }
+}
+
+/// Runs `compiled` on `n` threads under the reference stack interpreter,
+/// then — after `check_backend` has proven the translation — under the
+/// register interpreter, which must show exactly the same. Returns the
+/// stack run's integer outputs.
+fn run(what: &str, compiled: &CompiledProgram, n: u32, src: &str) -> Vec<i64> {
+    let config = |backend| VmConfig {
+        nthreads: n,
+        max_instructions: 80_000_000,
+        backend,
+        ..Default::default()
+    };
+    let stack =
+        observe(Vm::new(compiled.clone(), config(dse_runtime::BackendKind::Stack)).expect("vm"));
+    assert!(stack.end.is_ok(), "{what}: generated programs never trap");
+    let rp = dse_ir::regcode::translate(compiled)
+        .unwrap_or_else(|e| panic!("{what}: reglower failed: {e}\n{src}"));
+    let report = dse_verify::check_backend(compiled, &rp);
+    assert!(
+        report.diagnostics.is_empty(),
+        "{what}: backend verification found:\n{}\n{src}",
+        report.render_text()
+    );
+    let reg = observe(
+        Vm::with_reg(
+            compiled.clone(),
+            Arc::new(rp),
+            config(dse_runtime::BackendKind::Reg),
+        )
+        .expect("vm"),
+    );
+    assert_eq!(reg, stack, "{what}: register run differs from stack\n{src}");
+    stack.outputs_int
+}
+
+/// Re-lowers a transformed program with every candidate loop DOACROSS: a
+/// loop classified DOACROSS keeps its ordered window, a DOALL one gets a
+/// window around its first statement (stricter than it needs, so still
+/// correct), and both run `Wait`/`Post` and chunk-1 claiming.
+fn forced_doacross(t: &dse_core::Transformed) -> CompiledProgram {
+    let mut opts = LowerOptions {
+        mode: LowerMode::Parallel,
+        ..Default::default()
+    };
+    for label in t.modes.keys() {
+        let window = t.sync_windows.get(label).copied().flatten();
+        opts.par.insert(
+            label.clone(),
+            ParLoopSpec {
+                mode: ParMode::DoAcross,
+                sync_window: window.or(Some((0, 0))),
+            },
+        );
+    }
+    dse_ir::lower_program(&t.program, &opts).expect("transformed programs lower")
+}
+
+/// One generated program through the whole matrix: every lowering agrees
+/// with the serial reference on the stack interpreter, and with itself on
+/// the register interpreter.
+fn check_case(src: &str) {
+    let analysis = Analysis::from_source(src, VmConfig::default())
+        .unwrap_or_else(|e| panic!("pipeline failed on generated program: {e}\n{src}"));
+    let reference = run("serial", &analysis.serial, 1, src);
+    for (opt, n) in [
+        (OptLevel::Full, 1u32),
+        (OptLevel::Full, 3u32),
+        (OptLevel::Full, 8u32),
+        (OptLevel::None, 2u32),
+    ] {
+        let t = analysis
+            .transform(opt, n)
+            .unwrap_or_else(|e| panic!("transform failed: {e}\n{src}"));
+        let got = run(&format!("{opt:?} n={n}"), &t.parallel, n, src);
+        assert_eq!(got, reference, "mismatch at {opt:?} n={n}\n{src}");
+        if opt == OptLevel::Full && n <= 3 {
+            let got = run(
+                &format!("forced DOACROSS n={n}"),
+                &forced_doacross(&t),
+                n,
+                src,
+            );
+            assert_eq!(got, reference, "forced DOACROSS mismatch at n={n}\n{src}");
+        }
+    }
+    // The runtime-privatization baseline must agree too.
+    let b = analysis
+        .baseline_parallel(4)
+        .unwrap_or_else(|e| panic!("baseline failed: {e}\n{src}"));
+    let got = run("baseline n=4", &b.parallel, 4, src);
+    assert_eq!(got, reference, "baseline mismatch\n{src}");
+    // Interleaved layout, when its structural limits allow it.
+    if let Ok(t) =
+        analysis.transform_with_layout(OptLevel::Full, 4, dse_core::LayoutMode::Interleaved)
+    {
+        let got = run("interleaved n=4", &t.parallel, 4, src);
+        assert_eq!(got, reference, "interleaved mismatch\n{src}");
+    }
 }
 
 /// The transformation preserves observable behavior for arbitrary
-/// generated loop bodies, at every optimization level and thread count.
+/// generated loop bodies, at every optimization level and thread count,
+/// on both backends.
 #[test]
 fn expansion_preserves_semantics() {
     for case in 0..48u64 {
-        let src = gen_case(0xE0_0115 + case, 5);
-        let analysis = Analysis::from_source(&src, VmConfig::default())
-            .unwrap_or_else(|e| panic!("pipeline failed on generated program: {e}\n{src}"));
-        let reference = run(analysis.serial.clone(), 1);
-        for (opt, n) in [
-            (OptLevel::Full, 3u32),
-            (OptLevel::Full, 8u32),
-            (OptLevel::None, 2u32),
-        ] {
-            let t = analysis
-                .transform(opt, n)
-                .unwrap_or_else(|e| panic!("transform failed: {e}\n{src}"));
-            let got = run(t.parallel, n);
-            assert_eq!(got, reference, "mismatch at {opt:?} n={n}\n{src}");
-        }
-        // The runtime-privatization baseline must agree too.
-        let b = analysis
-            .baseline_parallel(4)
-            .unwrap_or_else(|e| panic!("baseline failed: {e}\n{src}"));
-        let got = run(b.parallel, 4);
-        assert_eq!(got, reference, "baseline mismatch\n{src}");
-        // Interleaved layout, when its structural limits allow it.
-        if let Ok(t) =
-            analysis.transform_with_layout(OptLevel::Full, 4, dse_core::LayoutMode::Interleaved)
-        {
-            let got = run(t.parallel, 4);
-            assert_eq!(got, reference, "interleaved mismatch\n{src}");
-        }
+        check_case(&gen_case(0xE0_0115 + case, 5));
     }
 }
 
@@ -258,5 +381,28 @@ fn transformed_programs_reprint_consistently() {
                 reparsed.err()
             );
         }
+    }
+}
+
+/// Found while growing the grammar (1500 seeds, up to 7 statements): the
+/// runtime-privatization *baseline* is not deterministic on this program
+/// at 4 threads — on the stack interpreter, at the parent of the change
+/// that added the test too (15 of 40 runs printed the serial result). A
+/// carried dependence through `heapbuf` crosses iterations that localized
+/// it on different workers. It is the baseline's bug, not a backend's:
+/// un-ignore it with the fix (ROADMAP item 5).
+#[test]
+#[ignore = "the runtime-privatization baseline races on a carried heap dependence"]
+fn baseline_is_deterministic_on_a_carried_heap_dependence() {
+    let src = gen_case(0xE0_0115 + 566, 7);
+    let analysis = Analysis::from_source(&src, VmConfig::default()).expect("pipeline");
+    let reference = run("serial", &analysis.serial, 1, &src);
+    let b = analysis.baseline_parallel(4).expect("baseline");
+    for _ in 0..40 {
+        assert_eq!(
+            run("baseline n=4", &b.parallel, 4, &src),
+            reference,
+            "{src}"
+        );
     }
 }

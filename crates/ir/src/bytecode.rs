@@ -324,6 +324,11 @@ pub struct FuncInfo {
     pub frame_size: u32,
     /// Parameter slots in order: (frame offset, kind).
     pub params: Vec<(u32, ParamKind)>,
+    /// The declared locals (parameters first) as `(frame offset, size)`,
+    /// by ascending offset; no two share bytes. Scalar promotion treats
+    /// each as one C object: an address derived from it stays inside it.
+    /// Empty for hand-built bytecode, where the frame is one object.
+    pub locals: Vec<(u32, u32)>,
     /// Return shape.
     pub ret: RetKind,
     /// True when the scalar return value is a float (meaningless for
@@ -453,6 +458,7 @@ mod tests {
             entry: 0,
             frame_size: 0,
             params: vec![],
+            locals: vec![],
             ret: RetKind::Void,
             ret_float: false,
         });

@@ -12,7 +12,25 @@ pub fn disassemble(p: &CompiledProgram) -> String {
     let mut labels: Vec<(Pc, String)> = p
         .funcs
         .iter()
-        .map(|f| (f.entry, format!("fn {}(frame {}B)", f.name, f.frame_size)))
+        .map(|f| {
+            // The object boundaries are part of what the code means to the
+            // register translator, so they are part of the listing (and of
+            // every content key derived from it).
+            let locals: Vec<String> = f
+                .locals
+                .iter()
+                .map(|(off, size)| format!("{off}+{size}"))
+                .collect();
+            (
+                f.entry,
+                format!(
+                    "fn {}(frame {}B; locals {})",
+                    f.name,
+                    f.frame_size,
+                    locals.join(" ")
+                ),
+            )
+        })
         .collect();
     for (i, l) in p.loops.iter().enumerate() {
         if l.mode.is_some() {

@@ -28,7 +28,8 @@ pub use bytecode::{CompiledProgram, Instr};
 pub use loops::{CandidateLoop, ParMode};
 pub use lower::{lower_program, LowerError, LowerMode, LowerOptions, ParLoopSpec};
 pub use regcode::{
-    analyze_stack, for_each_dst, for_each_src, promotion_plan, pure_dst, AccessShape,
-    PromotionPlan, RInstr, Reg, RegLowerError, RegProgram, Slot, StackFlow, Ty, NO_OWNER,
+    access_near, analyze_stack, for_each_dst, for_each_src, global_replicas, promotion_plan,
+    promotion_report, pure_dst, AccessShape, Kept, Place, PromotedPlace, PromotionPlan, RInstr,
+    Reg, RegLowerError, RegProgram, Slot, StackFlow, Ty, Why, NO_OWNER,
 };
 pub use sites::{AccessKind, SiteId, SiteInfo, SiteTable, NO_SITE};

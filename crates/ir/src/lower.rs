@@ -107,6 +107,7 @@ pub fn lower_program(
         cand_counter: 0,
         par_ind_stack: Vec::new(),
         alloc_sites: std::collections::HashMap::new(),
+        label: 0,
     };
     let mut global_inits = Vec::new();
     for (gi, g) in program.globals.iter().enumerate() {
@@ -177,7 +178,7 @@ impl FrameLayout {
 
 /// Computes absolute addresses for globals (starting at [`GLOBAL_BASE`]) and
 /// the total globals-segment size.
-fn layout_globals(p: &Program) -> (Vec<u32>, u64) {
+pub fn layout_globals(p: &Program) -> (Vec<u32>, u64) {
     let mut addrs = Vec::with_capacity(p.globals.len());
     let mut addr = GLOBAL_BASE;
     for g in &p.globals {
@@ -245,6 +246,10 @@ struct Lowerer<'a> {
     par_ind_stack: Vec<usize>,
     /// pc -> eid of allocation calls (see `CompiledProgram::alloc_sites`).
     alloc_sites: std::collections::HashMap<Pc, u32>,
+    /// The highest position handed out as a jump target so far
+    /// ([`Lowerer::here`]): peephole rewrites of already-emitted
+    /// instructions stay strictly after it.
+    label: usize,
 }
 
 impl<'a> Lowerer<'a> {
@@ -257,8 +262,52 @@ impl<'a> Lowerer<'a> {
         self.code.len() - 1
     }
 
-    fn here(&self) -> Pc {
+    /// The current position, as something a jump may target.
+    fn here(&mut self) -> Pc {
+        self.label = self.code.len();
         self.code.len() as Pc
+    }
+
+    /// Adds the constant `k` to the address on top of the stack without
+    /// spending instructions where a native compiler would spend none.
+    /// When the address was formed by the instruction just emitted and
+    /// `inside` says the sum stays in the object it names (a member, an
+    /// in-bounds literal index), `k` folds into that producer: `x[tid].f`
+    /// is one `FrameAddrTid`. Otherwise it merges into a preceding
+    /// constant add, or costs `PushI; Add`. Never across a jump target.
+    fn emit_offset(&mut self, k: i64, inside: bool) {
+        if k == 0 {
+            return;
+        }
+        let n = self.code.len();
+        if inside && self.label < n {
+            let sum = |base: u32| u32::try_from(base as i64 + k).ok();
+            let folded = match self.code[n - 1] {
+                Instr::FrameAddr(off) => sum(off).map(Instr::FrameAddr),
+                Instr::GlobalAddr(addr) => sum(addr).map(Instr::GlobalAddr),
+                Instr::FrameAddrTid { offset, stride } => {
+                    sum(offset).map(|offset| Instr::FrameAddrTid { offset, stride })
+                }
+                Instr::GlobalAddrTid { addr, stride } => {
+                    sum(addr).map(|addr| Instr::GlobalAddrTid { addr, stride })
+                }
+                _ => None,
+            };
+            if let Some(producer) = folded {
+                self.code[n - 1] = producer;
+                return;
+            }
+        }
+        if self.label + 2 <= n {
+            if let (Instr::PushI(a), Instr::IBin(IBinOp::Add)) =
+                (self.code[n - 2], self.code[n - 1])
+            {
+                self.code[n - 2] = Instr::PushI(a.wrapping_add(k));
+                return;
+            }
+        }
+        self.emit(Instr::PushI(k));
+        self.emit(Instr::IBin(IBinOp::Add));
     }
 
     fn patch(&mut self, at: usize, target: Pc) {
@@ -363,11 +412,18 @@ impl<'a> Lowerer<'a> {
         } else {
             RetKind::Scalar
         };
+        let locals = f
+            .locals
+            .iter()
+            .zip(&self.frame.offsets)
+            .map(|(l, &off)| (off, self.types().size_of(&l.ty) as u32))
+            .collect();
         self.funcs.push(FuncInfo {
             name: f.name.clone(),
             entry,
             frame_size: self.frame.size,
             params,
+            locals,
             ret,
             ret_float: f.ret_ty != Type::Void && f.ret_ty.is_float(),
         });
@@ -802,11 +858,10 @@ impl<'a> Lowerer<'a> {
                         return Ok(());
                     }
                 }
+                self.push_var_addr(b);
                 if e.ty().is_aggregate() {
-                    self.push_var_addr(b);
                     return Ok(());
                 }
-                self.push_var_addr(b);
                 let (w, fl) = self.scalar_meta(e.ty());
                 let site = self.site(e.eid, AccessKind::Load, e.ty(), e.span);
                 self.maybe_localize(e.eid, &[AccessKind::Load], site);
@@ -989,10 +1044,11 @@ impl<'a> Lowerer<'a> {
                 // the paper's generated code.
                 if !self.opts.naive_redirection {
                     match &index.kind {
-                        ExprKind::IntLit(0) => return Ok(()),
                         ExprKind::IntLit(k) => {
-                            self.emit(Instr::PushI(k.wrapping_mul(es as i64)));
-                            self.emit(Instr::IBin(IBinOp::Add));
+                            // Element `k` of an array of `n` is inside it;
+                            // through a pointer nothing says where it is.
+                            let inside = matches!(bt, Type::Array(_, n) if (*k as u64) < *n);
+                            self.emit_offset(k.wrapping_mul(es as i64), inside);
                             return Ok(());
                         }
                         ExprKind::Call { name, args } if name == "__tid" && args.is_empty() => {
@@ -1022,10 +1078,7 @@ impl<'a> Lowerer<'a> {
                     .field(field)
                     .expect("sema checked field")
                     .offset;
-                if off != 0 {
-                    self.emit(Instr::PushI(off as i64));
-                    self.emit(Instr::IBin(IBinOp::Add));
-                }
+                self.emit_offset(off as i64, true);
                 Ok(())
             }
             other => Err(self.err(format!("expression is not addressable: {other:?}"))),
@@ -1819,6 +1872,75 @@ mod tests {
         // Argument 3 (int) must be converted to float.
         assert!(c.code.contains(&Instr::I2F));
         assert!(c.code.contains(&Instr::F2I));
+    }
+
+    #[test]
+    fn constant_offsets_fold_into_the_address_producer() {
+        let c = lower(
+            "struct S { long a; long b[3]; };
+             struct S g;
+             int main() { struct S s; struct S r[2];
+               s.b[2] = 1; g.b[1] = 2; r[__tid()].b[1] = 3;
+               return 0; }",
+        );
+        let s = c.func(c.main).locals[0].0;
+        let r = c.func(c.main).locals[1].0;
+        // Member and in-bounds literal index: no arithmetic at all.
+        assert!(c.code.contains(&Instr::FrameAddr(s + 8 + 16)));
+        assert!(c
+            .code
+            .contains(&Instr::GlobalAddr(GLOBAL_BASE as u32 + 8 + 8)));
+        assert!(c.code.contains(&Instr::FrameAddrTid {
+            offset: r + 8 + 8,
+            stride: 32
+        }));
+        assert!(!c.code.contains(&Instr::IBin(IBinOp::Add)));
+    }
+
+    #[test]
+    fn an_offset_that_may_leave_the_object_stays_arithmetic() {
+        // One past the end, and an index through a pointer: the producer
+        // keeps naming the object it was formed from (scalar promotion
+        // assumes an address stays inside its object), but consecutive
+        // constant adds still merge into one.
+        let c = lower(
+            "struct S { long a; long b; };
+             int main() { long a[2]; struct S *p; p = malloc(64);
+               a[2] = 1; p[1].b = 2;
+               free(p); return 0; }",
+        );
+        let a = c.func(c.main).locals[0].0;
+        let at = c.code.iter().position(|i| *i == Instr::FrameAddr(a));
+        let at = at.expect("the array's own address is formed");
+        assert_eq!(
+            c.code[at + 1..at + 3],
+            [Instr::PushI(16), Instr::IBin(IBinOp::Add)]
+        );
+        assert!(c.code.contains(&Instr::PushI(16 + 8)), "p[1].b is one add");
+        assert_eq!(
+            c.code
+                .iter()
+                .filter(|i| **i == Instr::IBin(IBinOp::Add))
+                .count(),
+            2
+        );
+    }
+
+    #[test]
+    fn folding_never_reaches_across_a_jump_target() {
+        // The conditional's join lands between the address producer of its
+        // false arm and the member offset: both arms must get the add.
+        let c = lower(
+            "struct S { long a; long b; };
+             int main() { struct S x; struct S y; long k; k = in_long(0);
+               (*(k ? &x : &y)).b = 7;
+               return 0; }",
+        );
+        let (x, y) = (c.func(c.main).locals[0].0, c.func(c.main).locals[1].0);
+        assert!(c.code.contains(&Instr::FrameAddr(x)));
+        assert!(c.code.contains(&Instr::FrameAddr(y)));
+        assert!(!c.code.contains(&Instr::FrameAddr(y + 8)));
+        assert!(c.code.contains(&Instr::IBin(IBinOp::Add)));
     }
 }
 

@@ -59,7 +59,8 @@ impl Vm {
         }
         let lc = &self.program.loops[id as usize];
         let mode = lc.mode.unwrap_or(ParMode::DoAll);
-        let body = lc.body_entry;
+        // Resolved here, once per loop: every iteration enters through it.
+        let body = self.resolve_entry(lc.body_entry)?;
         let sync = Arc::new(LoopSync::new(lo));
 
         // The pool exists iff `nthreads > 1`, and is open for the whole of
@@ -394,7 +395,8 @@ impl Vm {
         }
     }
 
-    /// Runs the outlined body region at `entry` to its `Ret`.
+    /// Runs the outlined body region at the resolved pc `entry`
+    /// ([`Vm::resolve_entry`]) to its `Ret`.
     pub(crate) fn exec_region<O: Observer + ?Sized>(
         &self,
         ctx: &mut ThreadCtx,
@@ -403,7 +405,7 @@ impl Vm {
     ) -> Result<(), VmError> {
         // A sentinel, not an activation: the region runs in the enclosing
         // function's frame.
-        ctx.save_frame(None);
+        ctx.save_frame(None, 0);
         let v = self.exec(ctx, entry, obs)?;
         debug_assert!(v.is_none(), "loop body regions return no value");
         Ok(())

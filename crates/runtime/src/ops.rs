@@ -164,12 +164,18 @@ impl ThreadCtx {
         Ok(self.tid as i64 * span / z * z)
     }
 
-    /// `base + tid * stride`: this thread's copy of an expanded variable,
-    /// counted as one redirected private direct access.
+    /// `base + tid * stride`: this thread's copy of an expanded variable.
+    #[inline]
+    pub(crate) fn replica_addr(&self, base: u64, stride: i64) -> i64 {
+        base as i64 + self.tid as i64 * stride
+    }
+
+    /// [`ThreadCtx::replica_addr`], counted as one redirected private
+    /// direct access.
     #[inline]
     pub(crate) fn private_addr(&mut self, base: u64, stride: i64) -> i64 {
         self.counters.private_direct += 1;
-        base as i64 + self.tid as i64 * stride
+        self.replica_addr(base, stride)
     }
 
     /// The iteration index `depth` levels out from the innermost `ParLoop`.
@@ -183,13 +189,15 @@ impl ThreadCtx {
 
     /// Saves what a `Ret` restores. `ret_pc: None` marks a sentinel (the
     /// toplevel `main` activation or a loop-body region): returning through
-    /// it ends the current `exec`.
-    pub(crate) fn save_frame(&mut self, ret_pc: Option<u32>) {
+    /// it ends the current `exec`. `ret_reg` is where the register
+    /// interpreter's `Ret` puts a value (unused otherwise).
+    pub(crate) fn save_frame(&mut self, ret_pc: Option<u32>, ret_reg: usize) {
         self.frames.push(Frame {
             ret_pc,
             saved_base: self.frame_base,
             saved_sp: self.sp,
             saved_rbase: self.reg_base,
+            ret_reg,
             saved_depth: self.ops.len(),
         });
     }
@@ -335,6 +343,7 @@ impl Vm {
         ctx: &mut ThreadCtx,
         callee: &FuncInfo,
         ret_pc: Option<u32>,
+        ret_reg: usize,
     ) -> Result<(), String> {
         let new_base = dse_lang::types::round_up(ctx.sp, 8);
         let new_sp = new_base + callee.frame_size as u64;
@@ -342,7 +351,7 @@ impl Vm {
             return Err(format!("stack overflow calling `{}`", callee.name));
         }
         self.mem.zero(new_base, callee.frame_size as u64);
-        ctx.save_frame(ret_pc);
+        ctx.save_frame(ret_pc, ret_reg);
         ctx.frame_base = new_base;
         ctx.sp = new_sp;
         Ok(())

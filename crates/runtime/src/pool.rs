@@ -72,7 +72,8 @@ pub(crate) struct LoopDispatch {
     pub id: u32,
     /// Scheduling mode of the loop.
     pub mode: ParMode,
-    /// Entry pc of the outlined body region.
+    /// Entry pc of the outlined body region, in the executing backend's
+    /// own pc space (`Vm::resolve_entry`).
     pub body: u32,
     /// One past the last iteration (DOACROSS claims stop here; the first
     /// iteration is `sync.next`'s initial value).

@@ -26,17 +26,20 @@
 //! compares only the backend-invariant counter classes.
 //!
 //! Register windows: a call does not save registers; the callee's window
-//! starts at the caller's argument base, and the caller's `Frame`
-//! remembers `saved_rbase`. Parallel loop bodies run with the window
-//! based at the loop-bound slot, and each worker reuses its register file
-//! across iterations (and across loops) without clearing — the register
-//! analogue of the frame-reuse the paper's executor applies to stacks.
+//! starts above everything the calling region uses (`Call::win`: its
+//! operands and its promoted places), and the `Frame` it pushes remembers
+//! `saved_rbase` and the caller's result register. Parallel loop bodies
+//! run with the window based at the loop-bound slot, and each worker
+//! reuses its register file across iterations (and across loops) without
+//! clearing — the register analogue of the frame-reuse the paper's
+//! executor applies to stacks.
 
 use crate::observer::Observer;
 use crate::ops;
 use crate::prof::OpClass;
 use crate::vm::{ThreadCtx, Value, Vm, VmError};
 use dse_ir::regcode::{RInstr, RegProgram};
+use dse_ir::sites::NO_SITE;
 
 /// The profiler class of one register instruction, bucketed to match
 /// [`crate::prof::class_of`] on the stack encoding (fused instructions
@@ -168,15 +171,22 @@ impl Vm {
         }
         // The address a fused tid access names: this thread's replica of an
         // expanded local (`frame`) or global, counted as one private direct
-        // access exactly as the `FrameAddrTid`/`GlobalAddrTid` it replaces.
+        // access exactly as the `FrameAddrTid`/`GlobalAddrTid` it replaces —
+        // unless it is unsited: the translator's own fill or write-back of
+        // a promoted replica, which is register traffic, not an access of
+        // the program's.
         macro_rules! replica {
-            ($frame:expr, $base:expr, $stride:expr) => {{
+            ($frame:expr, $base:expr, $stride:expr, $site:expr) => {{
                 let base = if $frame {
                     ctx.frame_addr($base)
                 } else {
                     $base as u64
                 };
-                ctx.private_addr(base, $stride) as u64
+                if $site == NO_SITE {
+                    ctx.replica_addr(base, $stride) as u64
+                } else {
+                    ctx.private_addr(base, $stride) as u64
+                }
             }};
         }
         // One dispatch point: every arm sets its successor pc and goes back
@@ -286,7 +296,7 @@ impl Vm {
                     is_float,
                     site,
                 } => {
-                    let addr = replica!(frame, base, stride);
+                    let addr = replica!(frame, base, stride, site);
                     set!(d, ok!(self.load(obs, ctx.sp, addr, width, is_float, site)))
                 }
                 // Registers already hold the raw bit pattern either way, so
@@ -321,7 +331,7 @@ impl Vm {
                     is_float: _,
                     site,
                 } => {
-                    let addr = replica!(frame, base, stride);
+                    let addr = replica!(frame, base, stride, site);
                     ok!(self.store(obs, ctx.sp, addr, width, site, rg!(v)));
                     step!();
                 }
@@ -377,18 +387,24 @@ impl Vm {
                     t,
                     on_true,
                 } => branch!(ops::fcmp(op, rgf!(l), rgf!(r)) == on_true, t),
-                RInstr::Call { target, fi, abase } => {
+                RInstr::Call {
+                    target,
+                    fi,
+                    abase,
+                    win,
+                } => {
                     let callee = self.program.func(fi);
-                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1)));
+                    let ret_reg = ctx.reg_base + abase as usize;
+                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1), ret_reg));
                     // Args sit in r[abase..abase+nargs] in parameter order;
                     // the translation proved their types, so the raw bits
                     // go straight to the parameter slots.
                     for (pi, &param) in callee.params.iter().enumerate() {
                         self.write_param(ctx, param, rg!(abase + pi as u16));
                     }
-                    // The callee's window starts at the argument base (the
-                    // frame just pushed remembers the caller's).
-                    ctx.reg_base += abase as usize;
+                    // The callee's window starts above every register this
+                    // region uses (the frame just pushed remembers where).
+                    ctx.reg_base += win as usize;
                     ctx.ensure_window(window);
                     goto!(target);
                 }
@@ -422,10 +438,7 @@ impl Vm {
                     match fr.ret_pc {
                         Some(t) => {
                             if has_val {
-                                // The callee window base is the caller's
-                                // abase slot: drop the result there, then
-                                // restore the caller's window.
-                                ctx.regs[ctx.reg_base] = bits;
+                                ctx.regs[fr.ret_reg] = bits;
                             }
                             ctx.reg_base = fr.saved_rbase;
                             goto!(t);

@@ -82,9 +82,12 @@ pub struct Counters {
     pub localize_calls: u64,
     /// Bytes copied in/out by runtime privatization.
     pub localize_copied_bytes: u64,
-    /// Redirected private *direct* accesses executed (fused `v[tid]`
-    /// addressing). Used by the baseline cost model that charges SpiceC's
-    /// full access monitoring.
+    /// Tid-strided addresses formed (`v[tid]` addressing). The *stack*
+    /// encoding defines it: there it is the number of redirected private
+    /// direct accesses executed, which the baseline cost model charges as
+    /// SpiceC's full access monitoring. Like `work`, it depends on the
+    /// encoding: the register backend forms no address for a replica it
+    /// keeps in a register, so it reads at most the stack count.
     pub private_direct: u64,
 }
 
@@ -301,6 +304,9 @@ pub(crate) struct Frame {
     /// Caller's register-window base (register backend only; the stack
     /// backend stores the current base and never reads it back).
     pub saved_rbase: usize,
+    /// Where a returned value goes: the absolute index of the caller's
+    /// result register (register backend calls only).
+    pub ret_reg: usize,
     /// Operand-stack depth at entry (stack backend only). Returning through
     /// a sentinel yields the operand above it, if any: a loop-body region
     /// entered in the middle of an expression (`x = f()` with the loop in
@@ -676,9 +682,9 @@ impl Vm {
         let mut ctx = ThreadCtx::new(0, self.stack_base_of(0), self.config.stack_bytes);
         self.arm_instruments(&mut ctx);
         let main = self.program.func(self.program.main);
-        let entry = main.entry;
-        self.push_frame(&mut ctx, main, None)
-            .map_err(|msg| VmError::new(entry as usize, msg))?;
+        self.push_frame(&mut ctx, main, None, 0)
+            .map_err(|msg| VmError::new(main.entry as usize, msg))?;
+        let entry = self.resolve_entry(main.entry)?;
         let this: &Vm = self;
         let ret = match &this.pool {
             // Parallel run: one thread scope for the whole program.
@@ -787,8 +793,24 @@ impl Vm {
         lock_clean(&self.console).clone()
     }
 
-    /// Executes code starting at stack-bytecode pc `entry` (a function or
-    /// outlined-region entry) until the current sentinel frame returns,
+    /// The executing backend's own pc for stack-bytecode pc `entry` (a
+    /// function or outlined-region entry): itself under the stack
+    /// interpreter, its translation under the register interpreter. The
+    /// loop runner resolves a body once per loop, not once per iteration.
+    pub(crate) fn resolve_entry(&self, entry: u32) -> Result<u32, VmError> {
+        match &self.backend {
+            Backend::Stack => Ok(entry),
+            Backend::Reg(rp) => rp.entry_map.get(&entry).copied().ok_or_else(|| {
+                VmError::new(
+                    entry as usize,
+                    format!("no register translation for entry pc {entry}"),
+                )
+            }),
+        }
+    }
+
+    /// Executes code starting at the resolved pc `entry`
+    /// ([`Vm::resolve_entry`]) until the current sentinel frame returns,
     /// under the configured backend — the executor and scheduler never
     /// need to know which encoding runs. Returns the `main`-style return
     /// value if one is produced.
@@ -802,13 +824,7 @@ impl Vm {
             Backend::Stack => self.exec_stack(ctx, entry, obs),
             // No Arc::clone here: this runs once per loop iteration, and a
             // refcount bump is a contended atomic RMW across all workers.
-            Backend::Reg(rp) => match rp.entry_map.get(&entry) {
-                Some(&rentry) => self.exec_reg(rp, ctx, rentry, obs),
-                None => Err(VmError::new(
-                    entry as usize,
-                    format!("no register translation for entry pc {entry}"),
-                )),
-            },
+            Backend::Reg(rp) => self.exec_reg(rp, ctx, entry, obs),
         }
     }
 
@@ -1006,7 +1022,7 @@ impl Vm {
                     if ctx.ops.len() < callee.params.len() {
                         trap!("operand stack underflow in call");
                     }
-                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1)));
+                    ok!(self.push_frame(ctx, callee, Some(pc as u32 + 1), 0));
                     // Pop args right-to-left into parameter slots.
                     let mut params = callee.params.iter().enumerate().rev();
                     ok!(params.try_for_each(|(pi, &param)| match ctx.ops.pop() {

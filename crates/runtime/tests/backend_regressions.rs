@@ -304,11 +304,23 @@ impl Observer for LoopWork {
     }
 }
 
-/// What one (backend, lowering) of [`FLUSH_SRC`] read at the commit before
-/// the interpreters moved `counters.work` into a local: the unlimited
+/// What one (backend, lowering) of [`FLUSH_SRC`] reads: the unlimited
 /// run's instruction count, where a budget of half of it and of one less
 /// than it trap, the `work` every `on_loop` saw, and the `(pre, window,
-/// post)` of every recorded iteration.
+/// post)` of every recorded iteration. The stack rows are what they were
+/// before the interpreters moved `counters.work` into a local. The
+/// register rows moved with the translator (PR 19), and only with it:
+///
+/// * serial, 90 → 69: `main` keeps `a`, `acc` and `i` in registers. Each
+///   of the three calls of `step` used to spill and reload all three
+///   (−18: a call's window now starts above its caller's registers), and
+///   the prologue used to load all three from their zeroed slots (−3: all
+///   are assigned before they are read, so none loads at entry; `step`
+///   still loads its parameter).
+/// * parallel, 79 → 79, each iteration `(1, 11, 7)` → `(2, 11, 6)`: the
+///   body now keeps the loop-invariant `a` in a register — one entry load
+///   before the `Wait` (+1 `pre`), one frame load fewer after the `Post`
+///   (−1 `post`). `acc` is stored by the body, so it stays in memory.
 struct FlushPins {
     backend: BackendKind,
     parallel: bool,
@@ -330,9 +342,9 @@ const FLUSH_PINS: &[FlushPins] = &[
     FlushPins {
         backend: BackendKind::Reg,
         parallel: false,
-        work: 90,
-        trap_pcs: [4, 64],
-        loop_work: &[11, 14, 37, 60, 83],
+        work: 69,
+        trap_pcs: [6, 64],
+        loop_work: &[8, 11, 28, 45, 62],
         iter_costs: &[],
     },
     FlushPins {
@@ -347,9 +359,9 @@ const FLUSH_PINS: &[FlushPins] = &[
         backend: BackendKind::Reg,
         parallel: true,
         work: 79,
-        trap_pcs: [32, 58],
+        trap_pcs: [6, 58],
         loop_work: &[],
-        iter_costs: &[(1, 11, 7), (1, 11, 7), (1, 11, 7)],
+        iter_costs: &[(2, 11, 6), (2, 11, 6), (2, 11, 6)],
     },
 ];
 
@@ -467,4 +479,96 @@ fn register_backend_matches_stack_on_a_recursive_workload() {
     }
     assert_eq!(outs[0], vec![6765]);
     assert_eq!(outs[0], outs[1]);
+}
+
+/// A body the register translator now keeps in registers — private
+/// replicas, a loop-invariant scalar — that calls a function (its window
+/// goes above them), dispatches a nested candidate loop (spill before,
+/// reload after) and divides by `n - i`: iteration `n` traps in the middle,
+/// after the call and the nested loop. Both backends finish the same or
+/// trap at the same stack pc with the same message.
+#[test]
+fn promoted_body_with_a_call_and_a_nested_loop_traps_like_the_stack_backend() {
+    let src = "long half(long x) { return x / 2; }
+        int main() {
+          long n; n = in_long(0);
+          long *out; out = malloc(8 * sizeof(long));
+          long t[4]; long u[4];
+          #pragma candidate outer
+          for (int i = 0; i < 4; i++) {
+            t[__tid()] = half(i * 4);
+            #pragma candidate inner
+            for (int j = 0; j < 2; j++) {
+              u[__tid()] = j;
+              out[i * 2 + j] = t[__tid()] + u[__tid()];
+            }
+            out[i * 2] = out[i * 2] + 100 / (n - i);
+          }
+          long s; s = 0;
+          for (int k = 0; k < 8; k++) { s = s + out[k]; }
+          out_long(s);
+          free(out);
+          return 0; }";
+    let prog = compile(src);
+    let rp = dse_ir::regcode::translate(&prog).expect("translates");
+    let bodies = &rp.promo.places[prog.funcs.len()..];
+    assert!(
+        bodies.iter().all(|b| !b.is_empty()),
+        "both bodies promote: {bodies:?}"
+    );
+    for nthreads in [1, 4] {
+        let run = |backend, n| {
+            let config = VmConfig {
+                nthreads,
+                inputs_int: vec![n],
+                ..cfg(backend)
+            };
+            let mut vm = Vm::new(prog.clone(), config).expect("vm");
+            let end = vm.run().map(|r| r.return_value);
+            (end, vm.outputs_int())
+        };
+        let clean = run(BackendKind::Stack, 9);
+        assert_eq!(clean.1.len(), 1, "{clean:?}");
+        assert_eq!(clean, run(BackendKind::Reg, 9), "{nthreads} thread(s)");
+        let trapped = run(BackendKind::Stack, 2);
+        let err = trapped.0.as_ref().expect_err("iteration 2 divides by zero");
+        assert!(err.msg.contains("division by zero"), "{err}");
+        assert_eq!(trapped, run(BackendKind::Reg, 2), "{nthreads} thread(s)");
+    }
+}
+
+/// What scalar promotion assumes, and C with it: an address derived from
+/// an object stays inside that object. `a[i]` with `i == 2` is one past
+/// `long a[2]` and lands on `x`'s slot. The stack interpreter keeps `x`
+/// there, so the store is visible; the register translator keeps `x` in a
+/// register — only `a`, whose address was used for arithmetic, stays in
+/// memory — so it is not. The program is undefined in C and the two
+/// backends may print different values for it; what both owe it is a run
+/// that neither panics nor traps (the slot is inside the frame), and
+/// agreement whenever the index is in bounds.
+#[test]
+fn indexing_past_a_local_array_is_outside_what_the_backends_agree_on() {
+    let prog = compile(
+        "int main() { long a[2]; long x; x = 5; long i; i = in_long(0);
+           a[i] = 9;
+           out_long(x + a[i]);
+           return 0; }",
+    );
+    let run = |backend, i| {
+        let config = VmConfig {
+            inputs_int: vec![i],
+            ..cfg(backend)
+        };
+        let mut vm = Vm::new(prog.clone(), config).expect("vm");
+        vm.run().expect("in-frame accesses never trap");
+        vm.outputs_int()
+    };
+    assert_eq!(run(BackendKind::Stack, 1), vec![14]);
+    assert_eq!(run(BackendKind::Reg, 1), vec![14]);
+    assert_eq!(
+        run(BackendKind::Stack, 2),
+        vec![18],
+        "the store reached `x`"
+    );
+    assert_eq!(run(BackendKind::Reg, 2), vec![14], "`x` was in a register");
 }

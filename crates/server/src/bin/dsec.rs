@@ -610,6 +610,9 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 for (label, mode) in &t.modes {
                     println!("  loop `{label}` scheduled {mode:?}");
                 }
+                if o.req.exec_backend == BackendKind::Reg {
+                    print!("{}", render_registers(&t.program, &t.parallel)?);
+                }
             }
             "source" => print!(
                 "{}",
@@ -664,6 +667,90 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
         }
     }
     Ok(())
+}
+
+/// `--emit report` under the register backend: per region of the
+/// transformed program, what its translation keeps in registers and, for
+/// each declared object (or global replica) it reaches in memory, why.
+fn render_registers(
+    program: &dse_lang::ast::Program,
+    prog: &dse_ir::bytecode::CompiledProgram,
+) -> Result<String, Failure> {
+    use dse_ir::{Place, Why};
+    let flow = dse_ir::analyze_stack(prog)
+        .map_err(|e| Failure::diag(format!("register lowering failed: {e}")))?;
+    let (plan, kept) = dse_ir::promotion_report(prog, &flow);
+    let replicas = dse_ir::global_replicas(prog, &flow);
+    let (global_addrs, _) = dse_ir::lower::layout_globals(program);
+    let at =
+        |span: Option<dse_lang::SourceSpan>| span.map_or(String::new(), |s| format!(" at {s}"));
+    let nf = prog.funcs.len();
+    let mut out = String::new();
+    for (o, places) in plan.places.iter().enumerate() {
+        let owner = o as u32;
+        let tid = places
+            .iter()
+            .filter(|p| matches!(p.place, Place::FrameTid { .. }))
+            .count();
+        let plain = places.len() - tid;
+        let promoted = match (tid, plain) {
+            (0, 0) => "nothing".to_string(),
+            (0, n) if o < nf => format!("{n} frame"),
+            (t, 0) => format!("{t} tid"),
+            (t, n) => format!("{t} tid, {n} read-only"),
+        };
+        // The function whose frame the region runs in names the objects.
+        let func = flow.func_of[o] as usize;
+        let name_of = |off: u32| {
+            let named = || {
+                let i = prog
+                    .funcs
+                    .get(func)?
+                    .locals
+                    .iter()
+                    .position(|&(o, _)| o == off)?;
+                Some(program.functions.get(func)?.locals.get(i)?.name.clone())
+            };
+            named().unwrap_or_else(|| format!("frame+{off}"))
+        };
+        let mut memory: Vec<String> = Vec::new();
+        let mut dispatches = false;
+        for k in kept.iter().filter(|k| k.owner == owner) {
+            let why = match k.why {
+                Why::Dispatches => {
+                    dispatches = true;
+                    continue;
+                }
+                Why::Escaped => "indexed or address taken".to_string(),
+                Why::StoredByBody(by) => format!("stored by {}", flow.owner_name(prog, by)),
+                Why::Mixed => "mixed access shapes".to_string(),
+            };
+            let span = dse_ir::access_near(prog, k.pc);
+            memory.push(format!("`{}` ({why}{})", name_of(k.off), at(span)));
+        }
+        for &(_, addr, span) in replicas.iter().filter(|r| r.0 == owner) {
+            let name = global_addrs
+                .iter()
+                .position(|&a| a == addr)
+                .and_then(|g| program.globals.get(g))
+                .map_or_else(|| format!("global@{addr}"), |g| g.name.clone());
+            memory.push(format!("`{name}` (global replica{})", at(span)));
+        }
+        let mut line = format!(
+            "  registers in {}: {promoted} promoted",
+            flow.owner_name(prog, owner)
+        );
+        if dispatches {
+            line.push_str(" (it dispatches a parallel loop)");
+        }
+        if !memory.is_empty() {
+            line.push_str("; in memory: ");
+            line.push_str(&memory.join(", "));
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 /// The hot-loop table: one row per loop (the VM pre-sorts by wall time,

@@ -89,3 +89,49 @@ fn every_fixture_answers_the_same_over_both_transports() {
     let status = daemon.wait().expect("dsed exit");
     assert!(status.success(), "dsed shutdown status {status}");
 }
+
+/// `--emit report` under the register backend says, region by region,
+/// what the translation keeps in registers and why the rest is in memory.
+/// The lines exist under that backend only, and no `--emit` travels over
+/// `--daemon`: the refusal is the same words for this one as for any.
+#[test]
+fn emit_report_explains_registers_under_the_register_backend_only() {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/backend_promote.cee");
+    let report = ["--emit", "report", "--threads", "2"];
+    let reg = [&report[..], &["--exec-backend", "reg"]].concat();
+    let (code, stdout, _) = dsec(&reg, &file, None);
+    assert_eq!(code, 0);
+    let lines: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("  registers in "))
+        .collect();
+    assert_eq!(lines.len(), 4, "one line per region:\n{stdout}");
+    assert_eq!(lines[2], "  registers in main: 3 frame promoted");
+    assert!(
+        lines[1]
+            .starts_with("  registers in scale: nothing promoted (it dispatches a parallel loop)"),
+        "{stdout}"
+    );
+    let body = lines[3];
+    for part in [
+        "registers in body of `scale`: 1 tid, 1 read-only promoted",
+        "`cell` (indexed or address taken at 26:",
+        "`sum` (stored by body of `scale` at 27:5)",
+        "`scratch` (global replica at 25:",
+    ] {
+        assert!(body.contains(part), "`{part}` missing from: {body}");
+    }
+
+    let (code, stdout, _) = dsec(&report, &file, None);
+    assert_eq!(code, 0);
+    assert!(!stdout.contains("registers in"), "stack backend:\n{stdout}");
+
+    let nowhere = std::env::temp_dir().join("dsec-parity-no-such.sock");
+    let refused = dsec(&reg, &file, Some(&nowhere));
+    assert_eq!(refused.0, 2, "{refused:?}");
+    assert_eq!(
+        refused,
+        dsec(&["--emit", "source"], &file, Some(&nowhere)),
+        "every --emit is refused over --daemon the same way"
+    );
+}

@@ -12,25 +12,26 @@
 //!   outlined parallel-body entries: the calling convention passes
 //!   arguments through frame memory, never through live-in registers),
 //!   proves no instruction reads a register that some path leaves
-//!   undefined. Calls clobber every register at or above their window base
-//!   (the callee window overlaps), parallel regions clobber at or above
-//!   the body window base, and builtins — which run inline — define only
-//!   their result register. On top of the dataflow, the *spill pairing*
-//!   structure is checked: each call site inside a region with promoted
-//!   scalars must be immediately preceded by the region's full spill
-//!   sequence and followed by its full reload sequence, and each function
-//!   prologue must load every promoted slot, exactly as
-//!   [`dse_ir::PromotionPlan::spills`] declares.
+//!   undefined — in particular a promoted place's register, which only a
+//!   store or the region's entry load defines. Calls clobber every
+//!   register from their window base `win` up (and nothing below it: the
+//!   callee window starts above the caller's promoted places), parallel
+//!   regions clobber at or above the body window base, and builtins —
+//!   which run inline — define only their result register. On top of the
+//!   dataflow, two structures are checked against the promotion plan:
+//!   every call's `win` is the first register above its region's operands
+//!   and promoted places, and every region entry starts with exactly the
+//!   entry loads [`dse_ir::PromotionPlan::places`] declares.
 
 use dse_ir::bytecode::{CompiledProgram, RetKind};
 use dse_ir::sites::NO_SITE;
-use dse_ir::{for_each_dst, for_each_src, RInstr, RegProgram, StackFlow, NO_OWNER};
+use dse_ir::{for_each_dst, for_each_src, Place, RInstr, RegProgram, StackFlow, NO_OWNER};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 
 /// Runs the window-bounds pass and, when it is clean, the def-before-use
-/// dataflow plus the spill-pairing structure check. Returns `true` when no
-/// error was added.
+/// dataflow plus the window and entry-load structure checks. Returns `true`
+/// when no error was added.
 pub fn check(
     prog: &CompiledProgram,
     rp: &RegProgram,
@@ -45,7 +46,8 @@ pub fn check(
         return false;
     }
     def_before_use(prog, rp, report);
-    spill_pairing(prog, rp, flow, report);
+    call_windows(rp, flow, report);
+    entry_loads(prog, rp, flow, report);
     report.count(Severity::Error) == before
 }
 
@@ -155,8 +157,8 @@ fn successors(ins: &RInstr, pc: usize, out: &mut Vec<usize>) {
 /// Applies an instruction's define/clobber behavior to a must-defined set.
 fn transfer(ins: &RInstr, prog: &CompiledProgram, set: &mut Defined) {
     match *ins {
-        RInstr::Call { fi, abase, .. } => {
-            set.clear_from(abase);
+        RInstr::Call { fi, abase, win, .. } => {
+            set.clear_from(win);
             if prog.func(fi).ret == RetKind::Scalar {
                 set.set(abase);
             }
@@ -225,91 +227,81 @@ fn def_before_use(prog: &CompiledProgram, rp: &RegProgram, report: &mut Report) 
     }
 }
 
-/// Checks the spill/reload sequences around calls and the prologue loads
-/// at function entries against the promotion plan's declared spill lists.
-fn spill_pairing(prog: &CompiledProgram, rp: &RegProgram, flow: &StackFlow, report: &mut Report) {
-    let spill_at = |pc: usize, k: usize| -> Option<&RInstr> { rp.code.get(pc.checked_sub(k)?) };
+/// Every call must place its callee's window exactly above the registers
+/// of the region it is in, as the promotion plan sizes them: lower would
+/// let the callee overwrite a promoted place, and nothing spills them.
+fn call_windows(rp: &RegProgram, flow: &StackFlow, report: &mut Report) {
     for (pc, ins) in rp.code.iter().enumerate() {
-        let RInstr::Call { .. } = ins else { continue };
-        let owner = flow
-            .owner
-            .get(rp.origin_pc(pc) as usize)
-            .copied()
-            .unwrap_or(NO_OWNER);
-        let Some(spills) = rp.promo.spills.get(owner as usize) else {
+        let RInstr::Call { win, .. } = *ins else {
             continue;
         };
-        let m = spills.len();
-        for (k, &(sreg, off, width, is_float)) in spills.iter().enumerate() {
-            let stored = matches!(
-                spill_at(pc, m - k),
-                Some(&RInstr::StFrame {
-                    off: o,
-                    width: w,
-                    is_float: f,
-                    site: NO_SITE,
-                    ..
-                }) if o == off && w == width && f == is_float
-            );
-            if !stored {
-                report.push(Diagnostic::new(
-                    Code::RegDefUse,
-                    format!(
-                        "call at reg pc {pc} (stack pc {}) is missing the spill of \
-                         promoted slot r{sreg} (frame offset {off}) declared by the \
-                         promotion plan",
-                        rp.origin_pc(pc)
-                    ),
-                ));
-            }
-            let reloaded = matches!(
-                rp.code.get(pc + 1 + k),
-                Some(&RInstr::LdFrame {
-                    d,
-                    off: o,
-                    width: w,
-                    is_float: f,
-                    site: NO_SITE,
-                }) if d == sreg && o == off && w == width && f == is_float
-            );
-            if !reloaded {
-                report.push(Diagnostic::new(
-                    Code::RegDefUse,
-                    format!(
-                        "call at reg pc {pc} (stack pc {}) is missing the reload of \
-                         promoted slot r{sreg} (frame offset {off}) declared by the \
-                         promotion plan",
-                        rp.origin_pc(pc)
-                    ),
-                ));
-            }
+        let origin = rp.origin_pc(pc);
+        let owner = flow.owner.get(origin as usize).copied().unwrap_or(NO_OWNER);
+        let want = rp.promo.win(owner);
+        if owner != NO_OWNER && win as u32 != want {
+            report.push(Diagnostic::new(
+                Code::RegDefUse,
+                format!(
+                    "call at reg pc {pc} (stack pc {origin}) places the callee window at \
+                     r{win}, but the promotion plan ends the region's registers at r{want}"
+                ),
+            ));
         }
     }
-    for (fi, f) in prog.funcs.iter().enumerate() {
-        let Some(spills) = rp.promo.spills.get(fi) else {
+}
+
+/// Every region entry — function or outlined body — must begin with the
+/// load of each promoted place the plan says some path reads before
+/// writing, in plan order.
+fn entry_loads(prog: &CompiledProgram, rp: &RegProgram, flow: &StackFlow, report: &mut Report) {
+    let nf = prog.funcs.len();
+    for (owner, places) in rp.promo.places.iter().enumerate() {
+        let stack_entry = match owner.checked_sub(nf) {
+            None => prog.funcs.get(owner).map(|f| f.entry),
+            Some(bi) => flow
+                .body_loops
+                .get(bi)
+                .and_then(|&li| prog.loops.get(li as usize))
+                .map(|l| l.body_entry),
+        };
+        let Some(&entry) = stack_entry.and_then(|e| rp.entry_map.get(&e)) else {
             continue;
         };
-        let Some(&entry) = rp.entry_map.get(&f.entry) else {
-            continue;
-        };
-        for (k, &(sreg, off, width, is_float)) in spills.iter().enumerate() {
-            let loaded = matches!(
-                rp.code.get(entry as usize + k),
-                Some(&RInstr::LdFrame {
-                    d,
-                    off: o,
-                    width: w,
-                    is_float: fl,
-                    site: NO_SITE,
-                }) if d == sreg && o == off && w == width && fl == is_float
-            );
+        for (k, p) in places.iter().filter(|p| p.entry_load).enumerate() {
+            let loaded = match (rp.code.get(entry as usize + k), p.place) {
+                (
+                    Some(&RInstr::LdFrame {
+                        d,
+                        off,
+                        width,
+                        is_float,
+                        site: NO_SITE,
+                    }),
+                    Place::Frame(o),
+                ) => (d, off, width, is_float) == (p.reg, o, p.width, p.is_float),
+                (
+                    Some(&RInstr::LdTid {
+                        d,
+                        frame: true,
+                        base,
+                        stride,
+                        width,
+                        is_float,
+                        site: NO_SITE,
+                    }),
+                    Place::FrameTid { off, stride: s },
+                ) => (d, base, stride, width, is_float) == (p.reg, off, s, p.width, p.is_float),
+                _ => false,
+            };
             if !loaded {
                 report.push(Diagnostic::new(
                     Code::RegDefUse,
                     format!(
-                        "prologue of `{}` is missing the load of promoted slot r{sreg} \
-                         (frame offset {off}) declared by the promotion plan",
-                        f.name
+                        "entry of {} is missing the load of promoted place r{} ({:?}) \
+                         declared by the promotion plan",
+                        flow.owner_name(prog, owner as u32),
+                        p.reg,
+                        p.place
                     ),
                 ));
             }

@@ -14,7 +14,7 @@
 
 use dse_ir::bytecode::{CompiledProgram, Instr};
 use dse_ir::sites::NO_SITE;
-use dse_ir::{for_each_dst, for_each_src, RInstr, RegProgram};
+use dse_ir::{for_each_dst, for_each_src, Place, PromotedPlace, RInstr, RegProgram};
 
 use crate::diag::Code;
 
@@ -27,9 +27,13 @@ pub enum Kind {
     BadJump,
     /// Shrink the declared register window below the highest register used.
     ShrinkWindow,
-    /// Overwrite the spill preceding a call, leaving the reload to
-    /// resurrect a stale promoted value.
-    DropSpill,
+    /// Declare — and consistently emit — the promotion of a plain slot
+    /// that an outlined body stores: every thread would keep its own copy
+    /// of a shared variable. The code matches the plan; the plan is wrong.
+    PromoteShared,
+    /// Remove one write-back in front of an outlined body's `Ret`: the
+    /// replica's memory keeps a stale value someone can look at.
+    DropWriteback,
     /// Swap the operands of an integer binop.
     SwapReg,
     /// Double the stride of a fused tid access, so thread 1 lands on
@@ -40,11 +44,12 @@ pub enum Kind {
 }
 
 /// All kinds, in lint-code order — the CI mutation-smoke step iterates this.
-pub const ALL: [Kind; 7] = [
+pub const ALL: [Kind; 8] = [
     Kind::StackDepth,
     Kind::BadJump,
     Kind::ShrinkWindow,
-    Kind::DropSpill,
+    Kind::PromoteShared,
+    Kind::DropWriteback,
     Kind::SwapReg,
     Kind::TidStride,
     Kind::SkipSext,
@@ -57,7 +62,8 @@ impl Kind {
             Kind::StackDepth => "stack-depth",
             Kind::BadJump => "bad-jump",
             Kind::ShrinkWindow => "shrink-window",
-            Kind::DropSpill => "drop-spill",
+            Kind::PromoteShared => "promote-shared",
+            Kind::DropWriteback => "drop-writeback",
             Kind::SwapReg => "swap-reg",
             Kind::TidStride => "tid-stride",
             Kind::SkipSext => "skip-sext",
@@ -75,8 +81,9 @@ impl Kind {
             Kind::StackDepth => Code::StackDiscipline,
             Kind::BadJump => Code::StackBounds,
             Kind::ShrinkWindow => Code::RegWindowBounds,
-            Kind::DropSpill => Code::RegDefUse,
-            Kind::SwapReg | Kind::TidStride => Code::TranslationDivergence,
+            Kind::PromoteShared | Kind::DropWriteback | Kind::SwapReg | Kind::TidStride => {
+                Code::TranslationDivergence
+            }
             Kind::SkipSext => Code::TranslationPrecision,
         }
     }
@@ -143,15 +150,66 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
                 None => false,
             }
         }
-        Kind::DropSpill => {
-            // A spill is the StFrame immediately before a Call; overwrite
-            // it so the paired reload restores a stale value.
-            for pc in 1..rp.code.len() {
-                if matches!(rp.code[pc], RInstr::Call { .. })
-                    && matches!(rp.code[pc - 1], RInstr::StFrame { site: NO_SITE, .. })
+        Kind::PromoteShared => {
+            let Ok(flow) = dse_ir::analyze_stack(prog) else {
+                return false;
+            };
+            let mut plan = rp.promo.clone();
+            let nf = prog.funcs.len() as u32;
+            let mut sites: Vec<(u32, Place, u8, bool)> = flow
+                .accesses
+                .iter()
+                .filter(|(&(owner, place), a)| {
+                    owner >= nf
+                        && a.stored
+                        && matches!(place, Place::Frame(_))
+                        && plan.get(owner, place).is_none()
+                })
+                .filter_map(|(&(owner, place), a)| {
+                    let (w, isf) = a.shape?;
+                    Some((owner, place, w, isf))
+                })
+                .collect();
+            sites.sort_unstable();
+            let Some(&(owner, place, width, is_float)) = sites.first() else {
+                return false;
+            };
+            let places = &mut plan.places[owner as usize];
+            let at = places.partition_point(|p| p.place < place);
+            places.insert(
+                at,
+                PromotedPlace {
+                    place,
+                    reg: 0,
+                    width,
+                    is_float,
+                    entry_load: true,
+                    write_back: true,
+                },
+            );
+            for (idx, p) in places.iter_mut().enumerate() {
+                p.reg = (plan.maxd[owner as usize] as usize + idx) as u16;
+            }
+            *rp = dse_ir::regcode::translate_with(prog, &flow, plan);
+            true
+        }
+        Kind::DropWriteback => {
+            // A write-back is the unsited tid store in front of a `Ret`
+            // (possibly behind the others of its region); a self-move of
+            // its source reads only what the store read.
+            for pc in 0..rp.code.len() {
+                if let RInstr::StTid {
+                    v, site: NO_SITE, ..
+                } = rp.code[pc]
                 {
-                    rp.code[pc - 1] = RInstr::Mov { d: 0, s: 0 };
-                    return true;
+                    let rest = &rp.code[pc + 1..];
+                    let to_ret = rest
+                        .iter()
+                        .position(|i| !matches!(i, RInstr::StTid { site: NO_SITE, .. }));
+                    if matches!(to_ret.map(|k| &rest[k]), Some(RInstr::Ret { .. })) {
+                        rp.code[pc] = RInstr::Mov { d: v, s: v };
+                        return true;
+                    }
                 }
             }
             false
@@ -168,10 +226,16 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
             false
         }
         Kind::TidStride => {
+            // A sited access: one the program makes, of a replica left in
+            // memory (the unsited ones are the translator's own fills and
+            // write-backs, whose shape DSE013 already pins to the plan).
             for ins in rp.code.iter_mut() {
-                if let RInstr::LdTid { stride, .. } | RInstr::StTid { stride, .. } = ins {
-                    *stride = stride.wrapping_mul(2);
-                    return true;
+                if let RInstr::LdTid { stride, site, .. } | RInstr::StTid { stride, site, .. } = ins
+                {
+                    if *site != NO_SITE {
+                        *stride = stride.wrapping_mul(2);
+                        return true;
+                    }
                 }
             }
             false
@@ -180,12 +244,7 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
             // Only the Sext instructions canonicalizing a promoted narrow
             // store feed the DSE015 path; collect the promoted registers
             // first and break the first Sext aimed at one of them.
-            let sregs: Vec<u16> = rp
-                .promo
-                .promoted
-                .values()
-                .map(|&(sreg, _, _)| sreg)
-                .collect();
+            let sregs: Vec<u16> = rp.promo.places.iter().flatten().map(|p| p.reg).collect();
             for ins in rp.code.iter_mut() {
                 if let RInstr::Sext { d, w } = *ins {
                     if w < 8 && sregs.contains(&d) {

@@ -44,16 +44,20 @@ pub fn check(prog: &CompiledProgram, report: &mut Report) -> bool {
         }
         Ok(flow) => {
             let mut bad: Vec<((u32, u32), u8)> = Vec::new();
-            for (&(owner, off), shape) in &flow.accesses {
+            for (&(owner, place), shape) in &flow.accesses {
                 let Some(f) = flow.owner_func(prog, owner) else {
                     continue;
                 };
+                // A replica is checked where thread 0's lies; the frame's
+                // owner sized it for the others.
+                let off = place.off();
                 let end = off as u64 + shape.max_width as u64;
                 if end > f.frame_size as u64 {
                     bad.push(((owner, off), shape.max_width));
                 }
             }
             bad.sort_unstable();
+            bad.dedup();
             for ((owner, off), width) in bad {
                 let f = flow.owner_func(prog, owner).expect("checked above");
                 report.push(Diagnostic::new(
@@ -149,6 +153,7 @@ mod tests {
                 entry: 0,
                 frame_size,
                 params: vec![],
+                locals: vec![],
                 ret: RetKind::Scalar,
                 ret_float: false,
             }],

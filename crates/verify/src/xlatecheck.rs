@@ -1,24 +1,31 @@
 //! DSE014/DSE015 — translation validation of the register backend.
 //!
 //! The stack→register translator ([`dse_ir::regcode`]) fuses opcodes,
-//! promotes clean frame scalars into dedicated registers, and coalesces
-//! copies. Rather than trusting those rewrites, this pass *symbolically
-//! executes* every stack basic block next to its register translation (the
-//! origin map gives the block correspondence) and proves the two abstract
+//! promotes clean frame places — plain scalars, and in outlined bodies the
+//! thread's own replicas — into dedicated registers, and coalesces copies.
+//! Rather than trusting those rewrites, this pass *symbolically executes*
+//! every stack basic block next to its register translation (the origin
+//! map gives the block correspondence) and proves the two abstract
 //! machines equivalent at every block exit:
 //!
 //! * live operand slots hold identical value terms (`slot k` ↔ `r[k]`),
-//! * every promoted scalar's logical value matches its dedicated register,
+//! * every promoted place's logical value matches its dedicated register,
 //! * the memory/observer *effect* sequences (stores, copies, calls,
 //!   parallel regions, synchronization, loop marks) are identical, site
 //!   ids included — a fused tid access (`LdTid`/`StTid`) is modelled as
 //!   the address term its stack-side producer pushes plus the plain load
-//!   or store, and the block must form as many tid addresses on either
-//!   side, so `counters.private_direct` cannot drift — and
+//!   or store, and the block must form as many tid addresses *of places
+//!   left in memory* on either side —
+//! * memory holds a promoted place's logical value wherever someone can
+//!   look: a region's entry loads read the place's memory *home*, a
+//!   nested `ParLoop` carries the homes of every stored place as part of
+//!   its effect (and both sides forget every replica after it), and at
+//!   each `Ret` of an outlined body the home of every place the plan
+//!   writes back equals its logical value — and
 //! * the exits themselves correspond — same kind, same branch condition
 //!   and polarity, and the register target is exactly the translation of
-//!   the stack target (branches into a promoted function entry must land
-//!   *after* the prologue loads).
+//!   the stack target (branches into a region entry must land *after* its
+//!   entry loads).
 //!
 //! Terms live in one hash-consed arena shared by both sides, so
 //! equivalence is pointer equality. Unknown memory reads are `Load` terms
@@ -26,13 +33,13 @@
 //! address separated by a store get distinct terms); call results and
 //! post-call/post-region register contents are opaque per-event terms.
 //!
-//! Divergence is `DSE014`. Two precision cases report `DSE015`: a narrow
+//! Divergence is `DSE014`. One precision case reports `DSE015`: a narrow
 //! promoted store whose register image misses the sign-extension
-//! canonicalization (one side's term is exactly `Sext` of the other), and
-//! a declared promotion inside an outlined parallel body, whose frame is
-//! shared across threads and must never promote. The declared
-//! [`dse_ir::PromotionPlan`] is also re-derived from the stack flow and
-//! compared, so an illegal *plan* is caught even when the code matches it.
+//! canonicalization (one side's term is exactly `Sext` of the other). The
+//! declared [`dse_ir::PromotionPlan`] — which places, which of them load at
+//! entry, which are written back — is also re-derived from the stack flow
+//! and compared, so an illegal *plan* is caught even when the code matches
+//! it.
 
 use std::collections::HashMap;
 
@@ -40,7 +47,9 @@ use dse_ir::bytecode::{
     Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, Instr, LoopEvent, Pc, RetKind,
 };
 use dse_ir::sites::{SiteId, NO_SITE};
-use dse_ir::{promotion_plan, RInstr, Reg, RegProgram, StackFlow, Ty, NO_OWNER};
+use dse_ir::{
+    promotion_plan, Place, PromotedPlace, RInstr, Reg, RegProgram, StackFlow, Ty, NO_OWNER,
+};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 
@@ -73,39 +82,36 @@ fn check_plan(
     flow: &StackFlow,
     report: &mut Report,
 ) -> bool {
-    let nf = prog.funcs.len();
-    let mut body_promos: Vec<(u32, u32)> = rp
-        .promo
-        .promoted
-        .keys()
-        .copied()
-        .filter(|&(own, _)| own as usize >= nf)
-        .collect();
-    body_promos.sort_unstable();
-    for (own, off) in &body_promos {
-        report.push(Diagnostic::new(
-            Code::TranslationPrecision,
-            format!(
-                "frame offset {off} is declared promoted inside {}, an outlined \
-                 parallel body whose frame is shared across worker threads",
-                flow.owner_name(prog, *own)
-            ),
-        ));
-    }
-    if !body_promos.is_empty() {
-        return false;
-    }
     let derived = promotion_plan(prog, flow);
-    if derived != rp.promo {
-        report.push(Diagnostic::new(
-            Code::TranslationDivergence,
-            "the declared promotion plan differs from the plan the stack \
-             dataflow justifies"
-                .to_string(),
-        ));
-        return false;
+    if derived == rp.promo {
+        return true;
     }
-    true
+    // Name the first place the two plans disagree on, if it is a place.
+    let unjustified = rp
+        .promo
+        .places
+        .iter()
+        .enumerate()
+        .find_map(|(o, declared)| {
+            let p = declared
+                .iter()
+                .find(|p| derived.get(o as u32, p.place) != Some(p))?;
+            Some(format!(
+                ": {:?} in {} is declared as {p:?}, the flow justifies {:?}",
+                p.place,
+                flow.owner_name(prog, o as u32),
+                derived.get(o as u32, p.place)
+            ))
+        });
+    report.push(Diagnostic::new(
+        Code::TranslationDivergence,
+        format!(
+            "the declared promotion plan differs from the plan the stack \
+             dataflow justifies{}",
+            unjustified.unwrap_or_default()
+        ),
+    ));
+    false
 }
 
 type TermId = u32;
@@ -116,13 +122,20 @@ type TermId = u32;
 enum Term {
     /// Operand slot `k`'s value at block entry.
     SlotVar(u16),
-    /// Promoted slot `off`'s logical value at (non-entry) block entry.
-    PromVar(u32),
-    /// Frame memory at `off` on function entry (zeroed or argument-carrying).
-    FrameVar(u32),
-    /// The (stale) frame home of promoted slot `off` at non-entry block
-    /// entry — on the register side the home only syncs at spill points.
-    StaleVar(u32),
+    /// The logical value, at block entry, of the promoted place whose
+    /// register is `r` (the register identifies the place in its region).
+    PromVar(u16),
+    /// That place's memory at region entry (zeroed, argument-carrying, or
+    /// what an earlier iteration left): what an entry load reads.
+    FrameVar(u16),
+    /// The (stale) memory home of that place at block entry — on the
+    /// register side the home only syncs where the translator stores it.
+    StaleVar(u16),
+    /// That place's memory after the nested parallel region of event `e`.
+    RegionMem {
+        e: u32,
+        r: u16,
+    },
     /// Register `r` after clobbering event number `e` (call or region).
     Havoc {
         e: u32,
@@ -205,10 +218,13 @@ enum Effect {
         args: Vec<TermId>,
         pc: Pc,
     },
+    /// `image`: what memory holds, when the region starts, for every
+    /// promoted place the dispatching body stores (in plan order).
     ParLoop {
         id: u32,
         lo: TermId,
         hi: TermId,
+        image: Vec<TermId>,
     },
     Wait(u32),
     Post(u32),
@@ -288,23 +304,116 @@ struct Validator<'p> {
     rp: &'p RegProgram,
     flow: &'p StackFlow,
     arena: Arena,
-    /// Stack pc → function index, for prologue-skipping branch targets.
-    func_entry: HashMap<Pc, u32>,
+    /// Region entry (stack pc) → owner, for the entry loads a branch to it
+    /// must skip.
+    region_entry: HashMap<Pc, u32>,
     leaders: Vec<usize>,
+}
+
+/// The promoted places of the region a block belongs to, and how the
+/// block sees them before it has touched them. A place is identified by
+/// its register, so the per-block maps are keyed by `Reg` and filled only
+/// for the places the block touches.
+#[derive(Clone, Copy)]
+struct Promo<'p> {
+    flow: &'p StackFlow,
+    own: u32,
+    places: &'p [PromotedPlace],
+    /// The block starts at the region's entry (runs its entry loads).
+    entry: bool,
+    /// The region is an outlined parallel body.
+    is_body: bool,
+}
+
+impl<'p> Promo<'p> {
+    fn by_place(&self, place: Place) -> Option<&'p PromotedPlace> {
+        let i = self.places.binary_search_by(|p| p.place.cmp(&place)).ok()?;
+        Some(&self.places[i])
+    }
+
+    fn by_reg(&self, r: Reg) -> Option<&'p PromotedPlace> {
+        let first = self.places.first()?.reg;
+        self.places.get(r.checked_sub(first)? as usize)
+    }
+
+    /// The promoted place an unsited frame access fills or empties — the
+    /// translator's own traffic, not an access of the program's.
+    fn synthetic(&self, place: Place, site: SiteId) -> Option<&'p PromotedPlace> {
+        self.by_place(place).filter(|_| site == NO_SITE)
+    }
+
+    /// [`Promo::synthetic`] for the fused tid forms (`frame`: a local
+    /// replica; a global one is never promoted).
+    fn synthetic_tid(
+        &self,
+        frame: bool,
+        base: u32,
+        stride: i64,
+        site: SiteId,
+    ) -> Option<&'p PromotedPlace> {
+        let place = Place::FrameTid { off: base, stride };
+        self.synthetic(place, site).filter(|_| frame)
+    }
+
+    /// The place an address term names, if it is promoted here.
+    fn by_addr(&self, t: Term) -> Option<&'p PromotedPlace> {
+        match t {
+            Term::FrameAddr(off) => self.by_place(Place::Frame(off)),
+            Term::FrameAddrTid { offset, stride } => self.by_place(Place::FrameTid {
+                off: offset,
+                stride,
+            }),
+            _ => None,
+        }
+    }
+
+    fn stored(&self, p: &PromotedPlace) -> bool {
+        self.flow
+            .accesses
+            .get(&(self.own, p.place))
+            .is_some_and(|a| a.stored)
+    }
+
+    /// The place's logical value where the block starts: its memory when
+    /// the entry loads are about to read it, an unknown both sides share
+    /// otherwise (a place with no entry load is never read before it is
+    /// written, which the re-derived plan establishes).
+    fn logical0(&self, arena: &mut Arena, p: &PromotedPlace) -> TermId {
+        arena.mk(if self.entry && p.entry_load {
+            Term::FrameVar(p.reg)
+        } else {
+            Term::PromVar(p.reg)
+        })
+    }
+
+    /// What the place's memory holds where the block starts: the logical
+    /// value if the region never stores it (or is about to load it),
+    /// something stale otherwise.
+    fn home0(&self, arena: &mut Arena, p: &PromotedPlace) -> TermId {
+        if (self.entry && p.entry_load) || !self.stored(p) {
+            self.logical0(arena, p)
+        } else {
+            arena.mk(Term::StaleVar(p.reg))
+        }
+    }
 }
 
 impl<'p> Validator<'p> {
     fn new(prog: &'p CompiledProgram, rp: &'p RegProgram, flow: &'p StackFlow) -> Validator<'p> {
-        let mut func_entry = HashMap::new();
+        let mut region_entry = HashMap::new();
         for (fi, f) in prog.funcs.iter().enumerate() {
-            func_entry.insert(f.entry, fi as u32);
+            region_entry.insert(f.entry, fi as u32);
+        }
+        for (bi, &li) in flow.body_loops.iter().enumerate() {
+            let owner = (prog.funcs.len() + bi) as u32;
+            region_entry.insert(prog.loops[li as usize].body_entry, owner);
         }
         let mut v = Validator {
             prog,
             rp,
             flow,
             arena: Arena::default(),
-            func_entry,
+            region_entry,
             leaders: Vec::new(),
         };
         v.leaders = v.compute_leaders();
@@ -377,20 +486,30 @@ impl<'p> Validator<'p> {
         self.rp.origin.partition_point(|&o| (o as usize) < stack_pc)
     }
 
-    /// The register pc a *branch* to `t` must land on: past the promoted
-    /// prologue when `t` is a function entry (calls enter at
-    /// [`Validator::reg_lo`] instead and run the prologue).
+    /// The register pc a *branch* to `t` must land on: past the entry
+    /// loads when `t` is a region entry (calls and iteration dispatches
+    /// enter at [`Validator::reg_lo`] instead and run them).
     fn expected_branch_target(&self, t: usize) -> usize {
         let base = self.reg_lo(t);
-        match self.func_entry.get(&(t as Pc)) {
-            Some(&fi) => base + self.rp.promo.spills[fi as usize].len(),
+        match self.region_entry.get(&(t as Pc)) {
+            Some(&own) => {
+                let places = &self.rp.promo.places[own as usize];
+                base + places.iter().filter(|p| p.entry_load).count()
+            }
             None => base,
         }
     }
 
     fn check_block(&mut self, b: Block, report: &mut Report) {
         let own = self.flow.owner[b.start];
-        let entry_block = self.func_entry.contains_key(&(b.start as Pc));
+        let rp = self.rp;
+        let promo = Promo {
+            flow: self.flow,
+            own,
+            places: &rp.promo.places[own as usize],
+            entry: self.region_entry.contains_key(&(b.start as Pc)),
+            is_body: own as usize >= self.prog.funcs.len(),
+        };
         let depth0 = self.flow.states[b.start]
             .as_ref()
             .map(|s| s.len())
@@ -399,49 +518,27 @@ impl<'p> Validator<'p> {
         // Block-entry bindings: slot k and r[k] are the same fresh
         // variable; a slot with surviving address provenance is bound to
         // the exact address term on both sides (the register may never
-        // materialize a promoted slot's dead address — such slots are
-        // exempt from exit comparison below).
+        // materialize a promoted place's dead address — such slots are
+        // exempt from exit comparison below). Promoted places bind lazily,
+        // through `Promo`, when a side first touches them.
         let mut stack_vals: Vec<TermId> = Vec::with_capacity(depth0);
         let mut regs: Vec<Option<TermId>> = vec![None; self.rp.frame_regs as usize];
         for (k, reg) in regs.iter_mut().enumerate().take(depth0) {
             let slot = self.flow.states[b.start].as_ref().expect("reachable")[k];
-            let t = match slot.addr_of {
-                Some(off) => self.arena.mk(Term::FrameAddr(off)),
-                None => self.arena.mk(Term::SlotVar(k as u16)),
-            };
+            let t = self.arena.mk(match slot.addr_of {
+                Some(Place::Frame(off)) => Term::FrameAddr(off),
+                Some(Place::FrameTid { off, stride }) => Term::FrameAddrTid {
+                    offset: off,
+                    stride,
+                },
+                None => Term::SlotVar(k as u16),
+            });
             stack_vals.push(t);
             *reg = Some(t);
         }
-        let promoted: Vec<(u32, Reg, u8, bool)> = {
-            let mut v: Vec<_> = self
-                .rp
-                .promo
-                .promoted
-                .iter()
-                .filter(|((o, _), _)| *o == own)
-                .map(|(&(_, off), &(sreg, w, isf))| (off, sreg, w, isf))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut logical: HashMap<u32, TermId> = HashMap::new();
-        let mut home: HashMap<u32, TermId> = HashMap::new();
-        for &(off, sreg, _, _) in &promoted {
-            if entry_block {
-                // The prologue loads bind r[sreg] from the frame below.
-                let init = self.arena.mk(Term::FrameVar(off));
-                logical.insert(off, init);
-                home.insert(off, init);
-            } else {
-                let cur = self.arena.mk(Term::PromVar(off));
-                logical.insert(off, cur);
-                regs[sreg as usize] = Some(cur);
-                home.insert(off, self.arena.mk(Term::StaleVar(off)));
-            }
-        }
 
-        let stack_side = self.run_stack(b, own, stack_vals, logical);
-        let reg_side = self.run_reg(b, own, regs, home, report);
+        let mut stack_side = self.run_stack(b, promo, stack_vals);
+        let mut reg_side = self.run_reg(b, promo, regs, report);
 
         let loc = format!("stack block {}..{}", b.start, b.end);
 
@@ -476,12 +573,13 @@ impl<'p> Validator<'p> {
         // A fused tid access forms its address where the stack side's
         // consumer is, so formation is not an ordered effect; but each one
         // bumps `counters.private_direct`, and a block is a straight line.
+        // (A promoted replica forms none, on either side.)
         if stack_side.tid_addrs != reg_side.tid_addrs {
             report.push(Diagnostic::new(
                 Code::TranslationDivergence,
                 format!(
                     "{loc}: {} tid-strided address(es) formed on the stack side but {} \
-                     on the register side (`counters.private_direct` would differ)",
+                     on the register side for places left in memory",
                     stack_side.tid_addrs, reg_side.tid_addrs
                 ),
             ));
@@ -489,10 +587,8 @@ impl<'p> Validator<'p> {
 
         // Live operand slots.
         for (k, &s) in stack_side.stack.iter().enumerate() {
-            if let Term::FrameAddr(off) = self.arena.get(s) {
-                if self.rp.promo.promoted.contains_key(&(own, off)) {
-                    continue; // dead address of a promoted slot
-                }
+            if promo.by_addr(self.arena.get(s)).is_some() {
+                continue; // dead address of a promoted place
             }
             let r = reg_side.regs.get(k).copied().flatten();
             if r != Some(s) {
@@ -506,19 +602,33 @@ impl<'p> Validator<'p> {
             }
         }
 
-        // Promoted scalars: logical value vs dedicated register.
-        for &(off, sreg, _, _) in &promoted {
-            let s = stack_side.logical[&off];
-            let r = reg_side.regs[sreg as usize];
+        // Promoted places: logical value vs dedicated register, for every
+        // place a side touched (and every place the entry loads owe).
+        // Where the region ends its registers die, and the coalescer has
+        // deleted the writes nothing reads: only memory matters there.
+        let region_ends = matches!(stack_side.exit, Exit::Ret { .. } | Exit::Halt { .. });
+        for p in promo.places.iter().filter(|_| !region_ends) {
+            let r = reg_side.regs[p.reg as usize];
+            let owed = promo.entry && p.entry_load;
+            if !stack_side.logical.contains_key(&p.reg) && r.is_none() && !owed {
+                continue;
+            }
+            let s = stack_side.logical(&mut self.arena, promo, p);
+            let r = match r {
+                None if !owed => Some(promo.logical0(&mut self.arena, p)),
+                r => r,
+            };
             if r == Some(s) {
                 continue;
             }
+            let sreg = p.reg;
+            let what = format!("{:?}", p.place);
             match r {
                 Some(r) if self.arena.sext_of(s, r) => {
                     report.push(Diagnostic::new(
                         Code::TranslationPrecision,
                         format!(
-                            "{loc}: promoted slot r{sreg} (frame offset {off}) exits \
+                            "{loc}: promoted place r{sreg} ({what}) exits \
                              without the sign-extension canonicalization of its \
                              narrow store"
                         ),
@@ -528,8 +638,26 @@ impl<'p> Validator<'p> {
                     report.push(Diagnostic::new(
                         Code::TranslationDivergence,
                         format!(
-                            "{loc}: promoted slot r{sreg} (frame offset {off}) exits \
+                            "{loc}: promoted place r{sreg} ({what}) exits \
                              out of sync with its stack-side value"
+                        ),
+                    ));
+                }
+            }
+        }
+
+        // A body's registers die at its `Ret`: every place the plan writes
+        // back must be in memory by then.
+        if promo.is_body && matches!(stack_side.exit, Exit::Ret { .. }) {
+            for p in promo.places.iter().filter(|p| p.write_back) {
+                let s = stack_side.logical(&mut self.arena, promo, p);
+                if reg_side.home(&mut self.arena, p) != s {
+                    report.push(Diagnostic::new(
+                        Code::TranslationDivergence,
+                        format!(
+                            "{loc}: the region returns with promoted place r{} ({:?}) \
+                             not written back: its memory does not hold its value",
+                            p.reg, p.place
                         ),
                     ));
                 }
@@ -616,16 +744,10 @@ impl<'p> Validator<'p> {
 
     // ---- stack side -----------------------------------------------------
 
-    fn run_stack(
-        &mut self,
-        b: Block,
-        own: u32,
-        stack: Vec<TermId>,
-        logical: HashMap<u32, TermId>,
-    ) -> StackSide {
+    fn run_stack(&mut self, b: Block, promo: Promo<'p>, stack: Vec<TermId>) -> StackSide {
         let mut s = StackSide {
             stack,
-            logical,
+            logical: HashMap::new(),
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
@@ -658,8 +780,10 @@ impl<'p> Validator<'p> {
                     s.push(self.arena.mk(Term::TidSpanScaled { z, span }));
                 }
                 Instr::FrameAddrTid { offset, stride } => {
-                    s.tid_addrs += 1;
-                    s.push(self.arena.mk(Term::FrameAddrTid { offset, stride }))
+                    let t = Term::FrameAddrTid { offset, stride };
+                    // A promoted replica's address is never formed.
+                    s.tid_addrs += promo.by_addr(t).is_none() as u32;
+                    s.push(self.arena.mk(t))
                 }
                 Instr::GlobalAddrTid { addr, stride } => {
                     s.tid_addrs += 1;
@@ -671,16 +795,8 @@ impl<'p> Validator<'p> {
                     site,
                 } => {
                     let addr = s.pop();
-                    let promoted_off = match self.arena.get(addr) {
-                        Term::FrameAddr(off)
-                            if self.rp.promo.promoted.contains_key(&(own, off)) =>
-                        {
-                            Some(off)
-                        }
-                        _ => None,
-                    };
-                    let t = match promoted_off {
-                        Some(off) => *s.logical.get(&off).expect("promoted offsets are pre-bound"),
+                    let t = match promo.by_addr(self.arena.get(addr)) {
+                        Some(p) => s.logical(&mut self.arena, promo, p),
                         None => {
                             let epoch = s.effects.len() as u32;
                             self.arena.mk(Term::Load {
@@ -701,16 +817,8 @@ impl<'p> Validator<'p> {
                 } => {
                     let v = s.pop();
                     let a = s.pop();
-                    let promoted_off = match self.arena.get(a) {
-                        Term::FrameAddr(off)
-                            if self.rp.promo.promoted.contains_key(&(own, off)) =>
-                        {
-                            Some(off)
-                        }
-                        _ => None,
-                    };
-                    match promoted_off {
-                        Some(off) => {
+                    match promo.by_addr(self.arena.get(a)) {
+                        Some(p) => {
                             // Narrow stores truncate in memory and reloads
                             // sign-extend; the logical value is canonical.
                             let stored = if !is_float && width < 8 {
@@ -718,7 +826,7 @@ impl<'p> Validator<'p> {
                             } else {
                                 v
                             };
-                            s.logical.insert(off, stored);
+                            s.logical.insert(p.reg, stored);
                         }
                         None => s.effects.push(Effect::Store {
                             a,
@@ -828,7 +936,23 @@ impl<'p> Validator<'p> {
                 Instr::ParLoop(id) => {
                     let hi = s.pop();
                     let lo = s.pop();
-                    s.effects.push(Effect::ParLoop { id, lo, hi });
+                    // The nested region runs against memory: it must hold
+                    // what the dispatching body stored, and afterwards
+                    // every replica is whatever the region left.
+                    let image = promo
+                        .places
+                        .iter()
+                        .filter(|p| promo.stored(p))
+                        .map(|p| s.logical(&mut self.arena, promo, p))
+                        .collect();
+                    s.effects.push(Effect::ParLoop { id, lo, hi, image });
+                    let e = s.effects.len() as u32 - 1;
+                    for p in promo.places {
+                        if matches!(p.place, Place::FrameTid { .. }) {
+                            let after = self.arena.mk(Term::RegionMem { e, r: p.reg });
+                            s.logical.insert(p.reg, after);
+                        }
+                    }
                 }
                 Instr::Wait(id) => s.effects.push(Effect::Wait(id)),
                 Instr::Post(id) => s.effects.push(Effect::Post(id)),
@@ -854,16 +978,16 @@ impl<'p> Validator<'p> {
     fn run_reg(
         &mut self,
         b: Block,
-        own: u32,
+        promo: Promo<'p>,
         regs: Vec<Option<TermId>>,
-        home: HashMap<u32, TermId>,
         report: &mut Report,
-    ) -> RegSide {
+    ) -> RegSide<'p> {
         let lo = self.reg_lo(b.start);
         let hi = self.reg_lo(b.end);
         let mut r = RegSide {
+            promo,
             regs,
-            home,
+            home: HashMap::new(),
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
@@ -934,8 +1058,8 @@ impl<'p> Validator<'p> {
                     is_float,
                     site,
                 } => {
-                    if site == NO_SITE && self.rp.promo.promoted.contains_key(&(own, off)) {
-                        let t = *r.home.get(&off).expect("promoted homes are pre-bound");
+                    if let Some(p) = promo.synthetic(Place::Frame(off), site) {
+                        let t = r.home(&mut self.arena, p);
                         r.w(d, t);
                     } else {
                         let addr = self.arena.mk(Term::FrameAddr(off));
@@ -981,18 +1105,23 @@ impl<'p> Validator<'p> {
                     is_float,
                     site,
                 } => {
-                    let addr = r.tid_addr(&mut self.arena, frame, base, stride);
-                    let epoch = r.effects.len() as u32;
-                    r.w(
-                        d,
-                        self.arena.mk(Term::Load {
-                            addr,
-                            width,
-                            is_float,
-                            site,
-                            epoch,
-                        }),
-                    );
+                    if let Some(p) = promo.synthetic_tid(frame, base, stride, site) {
+                        let t = r.home(&mut self.arena, p);
+                        r.w(d, t);
+                    } else {
+                        let addr = r.tid_addr(&mut self.arena, frame, base, stride);
+                        let epoch = r.effects.len() as u32;
+                        r.w(
+                            d,
+                            self.arena.mk(Term::Load {
+                                addr,
+                                width,
+                                is_float,
+                                site,
+                                epoch,
+                            }),
+                        );
+                    }
                 }
                 RInstr::StTid {
                     frame,
@@ -1003,15 +1132,19 @@ impl<'p> Validator<'p> {
                     is_float,
                     site,
                 } => {
-                    let a = r.tid_addr(&mut self.arena, frame, base, stride);
                     let vt = r.read(&mut self.arena, v);
-                    r.effects.push(Effect::Store {
-                        a,
-                        v: vt,
-                        width,
-                        is_float,
-                        site,
-                    });
+                    if let Some(p) = promo.synthetic_tid(frame, base, stride, site) {
+                        r.home.insert(p.reg, vt);
+                    } else {
+                        let a = r.tid_addr(&mut self.arena, frame, base, stride);
+                        r.effects.push(Effect::Store {
+                            a,
+                            v: vt,
+                            width,
+                            is_float,
+                            site,
+                        });
+                    }
                 }
                 RInstr::Store {
                     a,
@@ -1038,8 +1171,8 @@ impl<'p> Validator<'p> {
                     site,
                 } => {
                     let vt = r.read(&mut self.arena, v);
-                    if site == NO_SITE && self.rp.promo.promoted.contains_key(&(own, off)) {
-                        r.home.insert(off, vt);
+                    if let Some(p) = promo.synthetic(Place::Frame(off), site) {
+                        r.home.insert(p.reg, vt);
                     } else {
                         let a = self.arena.mk(Term::FrameAddr(off));
                         r.effects.push(Effect::Store {
@@ -1173,7 +1306,12 @@ impl<'p> Validator<'p> {
                     r.exit = Exit::Cond { c, on_true, t };
                     ended = true;
                 }
-                RInstr::Call { target, fi, abase } => {
+                RInstr::Call {
+                    target,
+                    fi,
+                    abase,
+                    win,
+                } => {
                     let nargs = self.prog.func(fi).params.len() as u16;
                     let args: Vec<TermId> = (0..nargs)
                         .map(|k| r.read(&mut self.arena, abase + k))
@@ -1191,9 +1329,19 @@ impl<'p> Validator<'p> {
                             ),
                         ));
                     }
-                    // The callee window overlaps the caller's at or above
-                    // the argument base.
-                    for k in abase as usize..r.regs.len() {
+                    // The callee window must start above everything this
+                    // region keeps in registers; it clobbers from there up.
+                    let want = self.rp.promo.win(promo.own);
+                    if win as u32 != want {
+                        report.push(Diagnostic::new(
+                            Code::TranslationDivergence,
+                            format!(
+                                "{loc}: call places the callee window at r{win}, but \
+                                 the region's registers end at r{want}"
+                            ),
+                        ));
+                    }
+                    for k in win as usize..r.regs.len() {
                         r.regs[k] = Some(self.arena.mk(Term::Havoc {
                             e: uid,
                             r: k as u16,
@@ -1234,14 +1382,32 @@ impl<'p> Validator<'p> {
                 RInstr::ParLoop { id, lo: rl, hi } => {
                     let lt = r.read(&mut self.arena, rl);
                     let ht = r.read(&mut self.arena, hi);
-                    r.effects.push(Effect::ParLoop { id, lo: lt, hi: ht });
+                    let image = promo
+                        .places
+                        .iter()
+                        .filter(|p| promo.stored(p))
+                        .map(|p| r.home(&mut self.arena, p))
+                        .collect();
+                    r.effects.push(Effect::ParLoop {
+                        id,
+                        lo: lt,
+                        hi: ht,
+                        image,
+                    });
                     let uid = r.effects.len() as u32 - 1;
-                    // The body region's window starts at `lo`.
+                    // The body region's window starts at `lo`, and it may
+                    // have written any replica.
                     for k in rl as usize..r.regs.len() {
                         r.regs[k] = Some(self.arena.mk(Term::Havoc {
                             e: uid,
                             r: k as u16,
                         }));
+                    }
+                    for p in promo.places {
+                        if matches!(p.place, Place::FrameTid { .. }) {
+                            let after = self.arena.mk(Term::RegionMem { e: uid, r: p.reg });
+                            r.home.insert(p.reg, after);
+                        }
                     }
                 }
                 RInstr::Wait { id } => r.effects.push(Effect::Wait(id)),
@@ -1275,15 +1441,23 @@ impl<'p> Validator<'p> {
 
 struct StackSide {
     stack: Vec<TermId>,
-    logical: HashMap<u32, TermId>,
+    /// Logical values of the promoted places the block touched, by the
+    /// place's register.
+    logical: HashMap<Reg, TermId>,
     effects: Vec<Effect>,
-    /// `FrameAddrTid`/`GlobalAddrTid` executed: the block's contribution
-    /// to `counters.private_direct`.
+    /// `FrameAddrTid`/`GlobalAddrTid` executed for places left in memory:
+    /// the block's contribution to `counters.private_direct`.
     tid_addrs: u32,
     exit: Exit,
 }
 
 impl StackSide {
+    fn logical(&mut self, arena: &mut Arena, promo: Promo<'_>, p: &PromotedPlace) -> TermId {
+        *self
+            .logical
+            .entry(p.reg)
+            .or_insert_with(|| promo.logical0(arena, p))
+    }
     fn push(&mut self, t: TermId) {
         self.stack.push(t);
     }
@@ -1300,16 +1474,27 @@ impl StackSide {
     }
 }
 
-struct RegSide {
+struct RegSide<'p> {
+    promo: Promo<'p>,
     regs: Vec<Option<TermId>>,
-    home: HashMap<u32, TermId>,
+    /// What memory holds for the promoted places whose home the block
+    /// read or wrote, by the place's register.
+    home: HashMap<Reg, TermId>,
     effects: Vec<Effect>,
     /// Tid-strided addresses formed, by a producer or inside a fused access.
     tid_addrs: u32,
     exit: Exit,
 }
 
-impl RegSide {
+impl RegSide<'_> {
+    fn home(&mut self, arena: &mut Arena, p: &PromotedPlace) -> TermId {
+        let promo = self.promo;
+        *self
+            .home
+            .entry(p.reg)
+            .or_insert_with(|| promo.home0(arena, p))
+    }
+
     /// The address a fused tid access forms: the term its stack-side
     /// producer pushed.
     fn tid_addr(&mut self, arena: &mut Arena, frame: bool, base: u32, stride: i64) -> TermId {
@@ -1324,9 +1509,15 @@ impl RegSide {
         })
     }
     fn read(&mut self, arena: &mut Arena, r: Reg) -> TermId {
-        match self.regs.get(r as usize).copied().flatten() {
-            Some(t) => t,
-            None => arena.mk(Term::Unbound(r)),
+        if let Some(t) = self.regs.get(r as usize).copied().flatten() {
+            return t;
+        }
+        // A promoted register the block has not written holds the place's
+        // value from before the block — unless the entry loads, which have
+        // not run yet, are what defines it.
+        match self.promo.by_reg(r) {
+            Some(p) if !(self.promo.entry && p.entry_load) => self.promo.logical0(arena, p),
+            _ => arena.mk(Term::Unbound(r)),
         }
     }
     fn w(&mut self, r: Reg, t: TermId) {

@@ -5,93 +5,86 @@
 //! validation) is what keeps one mutation from drowning the report in
 //! downstream noise.
 
-use dse_core::Analysis;
-use dse_ir::{RInstr, RegProgram};
+use dse_core::{Analysis, OptLevel};
+use dse_ir::bytecode::CompiledProgram;
+use dse_ir::{Place, RInstr, RegProgram};
 use dse_runtime::VmConfig;
 use dse_verify::diag::Severity;
 use dse_verify::sabotage;
 
-/// A program with every mutation site the sabotage kinds need: promoted
-/// `int` locals (narrow stores → `Sext` canonicalization), a call with the
-/// promoted scalars live across it (spill/reload sequences), loops
-/// (branches to retarget), integer arithmetic (operands to swap), and a
-/// private replica written and read through `__tid()` as the expansion
-/// pass would emit it (fused tid accesses whose stride to corrupt).
-const SOURCE: &str = r#"
-long replica[4];
-long helper(long x) {
-  replica[__tid()] = x * 2;
-  return replica[__tid()] + 1;
-}
-int main() {
-  int acc; acc = 0;
-  long t; t = 0;
-  for (int i = 0; i < 10; i++) {
-    acc = acc + i;
-    t = t + helper(t + i);
-    acc = acc - 1;
-  }
-  out_long(t + acc);
-  return 0;
-}
-"#;
+/// The CLI's fixture, which documents the mutation site it offers each
+/// kind: the serial program for the stack-side kinds and the promoted
+/// narrow stores, its transformed form for everything an outlined body is
+/// needed for.
+const SOURCE: &str = include_str!("../../server/tests/fixtures/backend_promote.cee");
 
-fn compiled() -> (dse_ir::bytecode::CompiledProgram, RegProgram) {
+/// (serial, transformed for two threads), each with its translation.
+fn compiled() -> [(CompiledProgram, RegProgram); 2] {
     let analysis = Analysis::from_source(SOURCE, VmConfig::default()).expect("fixture analyzes");
-    let rp = dse_ir::regcode::translate(&analysis.serial).expect("fixture translates");
-    (analysis.serial.clone(), rp)
+    let parallel = analysis
+        .transform(OptLevel::Full, 2)
+        .expect("fixture transforms")
+        .parallel;
+    [analysis.serial.clone(), parallel].map(|prog| {
+        let rp = dse_ir::regcode::translate(&prog).expect("fixture translates");
+        (prog, rp)
+    })
 }
 
 #[test]
 fn fixture_is_clean_before_sabotage() {
-    let (prog, rp) = compiled();
-    let report = dse_verify::check_backend(&prog, &rp);
-    assert!(
-        report.diagnostics.is_empty(),
-        "fixture must verify clean:\n{}",
-        report.render_text()
-    );
+    let [(_, serial), (parallel, rp)] = compiled();
+    for (prog, rp) in &compiled() {
+        let report = dse_verify::check_backend(prog, rp);
+        assert!(
+            report.diagnostics.is_empty(),
+            "fixture must verify clean:\n{}",
+            report.render_text()
+        );
+    }
     // Every mutation site the kinds below rely on must actually exist.
     assert!(
-        !rp.promo.promoted.is_empty(),
+        serial.promo.places.iter().any(|p| !p.is_empty()),
         "fixture must promote scalars"
-    );
-    assert!(
-        rp.promo.spills.iter().any(|s| !s.is_empty()),
-        "fixture must spill around its call"
     );
     let has = |f: fn(&RInstr) -> bool| rp.code.iter().any(f);
     assert!(
-        has(|i| matches!(i, RInstr::LdTid { .. })) && has(|i| matches!(i, RInstr::StTid { .. })),
-        "fixture must fuse a tid load and a tid store"
+        has(|i| matches!(i, RInstr::LdTid { site, .. } if *site != dse_ir::NO_SITE))
+            && has(|i| matches!(i, RInstr::StTid { site, .. } if *site != dse_ir::NO_SITE)),
+        "fixture must fuse a tid load and a tid store of a replica left in memory"
+    );
+    let body = &rp.promo.places[parallel.funcs.len()];
+    assert!(
+        body.iter()
+            .any(|p| matches!(p.place, Place::FrameTid { .. }) && p.write_back),
+        "fixture must write a promoted replica back: {body:?}"
+    );
+    assert!(
+        body.iter()
+            .any(|p| matches!(p.place, Place::Frame(_)) && p.entry_load),
+        "fixture must load a loop-invariant scalar at the body's entry: {body:?}"
     );
 }
 
 #[test]
 fn each_sabotage_fires_exactly_its_code() {
-    let (prog, rp) = compiled();
+    let programs = compiled();
     for kind in sabotage::ALL {
-        let (mutated_prog, mutated_rp);
-        let (p, r) = if kind.is_stack() {
-            let mut p = prog.clone();
-            assert!(
-                sabotage::sabotage_stack(&mut p, kind),
-                "{}: no mutation site in fixture",
-                kind.name()
-            );
-            mutated_prog = p;
-            (&mutated_prog, &rp)
-        } else {
-            let mut r = rp.clone();
-            assert!(
-                sabotage::sabotage_reg(&prog, &mut r, kind),
-                "{}: no mutation site in fixture",
-                kind.name()
-            );
-            mutated_rp = r;
-            (&prog, &mutated_rp)
-        };
-        let report = dse_verify::check_backend(p, r);
+        // The first of the two programs that offers a site, as the CLI does.
+        let report = programs
+            .iter()
+            .find_map(|(prog, rp)| {
+                if kind.is_stack() {
+                    let mut p = prog.clone();
+                    sabotage::sabotage_stack(&mut p, kind)
+                        .then(|| dse_verify::check_backend(&p, rp))
+                } else {
+                    let mut r = rp.clone();
+                    sabotage::sabotage_reg(prog, &mut r, kind)
+                        .then(|| dse_verify::check_backend(prog, &r))
+                }
+            })
+            .unwrap_or_else(|| panic!("{}: no mutation site in fixture", kind.name()));
         let errors: Vec<_> = report
             .diagnostics
             .iter()

@@ -6,7 +6,9 @@
 //! counter classes that are defined independently of the instruction
 //! encoding (`work` and wait spins/yields legitimately differ — fusion
 //! compresses the register encoding, and spin counts are scheduling
-//! noise).
+//! noise). `private_direct` counts tid addresses *formed*: the stack
+//! encoding forms one per private direct access, the register encoding
+//! none for a replica it keeps in a register, so it may only be smaller.
 
 use dse_core::{Analysis, OptLevel};
 use dse_ir::bytecode::CompiledProgram;
@@ -23,10 +25,10 @@ struct Observed {
     sync_ops: u64,
     localize_calls: u64,
     localize_copied_bytes: u64,
-    private_direct: u64,
 }
 
-fn observe(compiled: &CompiledProgram, mut cfg: VmConfig, backend: BackendKind) -> Observed {
+/// What a run shows, and its `private_direct` count.
+fn observe(compiled: &CompiledProgram, mut cfg: VmConfig, backend: BackendKind) -> (Observed, u64) {
     cfg.backend = backend;
     let mut vm = Vm::new(compiled.clone(), cfg)
         .unwrap_or_else(|e| panic!("{backend:?}: construction failed: {e}"));
@@ -35,7 +37,7 @@ fn observe(compiled: &CompiledProgram, mut cfg: VmConfig, backend: BackendKind) 
         Ok(report) => (format!("{:?}", report.return_value), None, report.counters),
         Err(e) => (String::new(), Some(e.to_string()), Default::default()),
     };
-    Observed {
+    let seen = Observed {
         return_value,
         trap,
         outputs_int: vm.outputs_int(),
@@ -44,14 +46,18 @@ fn observe(compiled: &CompiledProgram, mut cfg: VmConfig, backend: BackendKind) 
         sync_ops: counters.sync_ops,
         localize_calls: counters.localize_calls,
         localize_copied_bytes: counters.localize_copied_bytes,
-        private_direct: counters.private_direct,
-    }
+    };
+    (seen, counters.private_direct)
 }
 
 fn assert_backends_agree(label: &str, compiled: &CompiledProgram, cfg: VmConfig) {
-    let stack = observe(compiled, cfg.clone(), BackendKind::Stack);
-    let reg = observe(compiled, cfg, BackendKind::Reg);
+    let (stack, stack_direct) = observe(compiled, cfg.clone(), BackendKind::Stack);
+    let (reg, reg_direct) = observe(compiled, cfg, BackendKind::Reg);
     assert_eq!(stack, reg, "{label}: backends diverge");
+    assert!(
+        reg_direct <= stack_direct,
+        "{label}: the register run formed {reg_direct} tid addresses, the stack run {stack_direct}"
+    );
 }
 
 #[test]
@@ -117,8 +123,8 @@ fn baseline_workloads_agree_across_backends() {
             .unwrap_or_else(|e| panic!("{} baseline: {e}", w.name));
         let mut cfg = w.vm_config(Scale::Profile);
         cfg.nthreads = 4;
-        let mut stack = observe(&b.parallel, cfg.clone(), BackendKind::Stack);
-        let mut reg = observe(&b.parallel, cfg, BackendKind::Reg);
+        let (mut stack, _) = observe(&b.parallel, cfg.clone(), BackendKind::Stack);
+        let (mut reg, _) = observe(&b.parallel, cfg, BackendKind::Reg);
         // Copy-in bytes count per-*worker* first touches; with the
         // work-stealing pool, chunk-to-worker assignment is scheduling
         // noise, so this counter varies run-to-run on a single backend
