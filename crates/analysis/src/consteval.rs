@@ -7,19 +7,27 @@
 //! q may be found to always point to the same-sized data structure").
 
 use dse_lang::ast::*;
-use dse_lang::types::TypeTable;
+use dse_lang::types::{Type, TypeTable};
 use std::collections::HashMap;
 
 /// Folds `e` to an integer constant if possible. Handles literals,
 /// `sizeof`, unary minus/complement, and `+ - * / % << >> & | ^` over
 /// constant operands.
 pub fn const_eval(e: &Expr, types: &TypeTable) -> Option<i64> {
+    const_eval_with(e, &mut |t| types.size_of(t))
+}
+
+/// [`const_eval`] under a caller-chosen layout: `size_of` answers every
+/// `sizeof`. The expansion planner evaluates allocation sizes this way
+/// under the *promoted* layout, where a fat pointer field widens its
+/// record.
+pub fn const_eval_with(e: &Expr, size_of: &mut impl FnMut(&Type) -> u64) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(*v),
-        ExprKind::SizeofType(t) => Some(types.size_of(t) as i64),
-        ExprKind::SizeofExpr(inner) => Some(types.size_of(inner.ty.as_ref()?) as i64),
+        ExprKind::SizeofType(t) => Some(size_of(t) as i64),
+        ExprKind::SizeofExpr(inner) => Some(size_of(inner.ty.as_ref()?) as i64),
         ExprKind::Unary(op, a) => {
-            let v = const_eval(a, types)?;
+            let v = const_eval_with(a, size_of)?;
             match op {
                 UnOp::Neg => Some(v.wrapping_neg()),
                 UnOp::BitNot => Some(!v),
@@ -27,8 +35,8 @@ pub fn const_eval(e: &Expr, types: &TypeTable) -> Option<i64> {
             }
         }
         ExprKind::Cast(t, a) if t.is_integer() => {
-            let v = const_eval(a, types)?;
-            let w = types.size_of(t) as u32;
+            let v = const_eval_with(a, size_of)?;
+            let w = size_of(t) as u32;
             if w >= 8 {
                 Some(v)
             } else {
@@ -37,8 +45,8 @@ pub fn const_eval(e: &Expr, types: &TypeTable) -> Option<i64> {
             }
         }
         ExprKind::Binary(op, l, r) => {
-            let a = const_eval(l, types)?;
-            let b = const_eval(r, types)?;
+            let a = const_eval_with(l, size_of)?;
+            let b = const_eval_with(r, size_of)?;
             match op {
                 BinOp::Add => Some(a.wrapping_add(b)),
                 BinOp::Sub => Some(a.wrapping_sub(b)),
@@ -54,126 +62,53 @@ pub fn const_eval(e: &Expr, types: &TypeTable) -> Option<i64> {
             }
         }
         ExprKind::Cond(c, t, f) => {
-            let cv = const_eval(c, types)?;
+            let cv = const_eval_with(c, size_of)?;
             if cv != 0 {
-                const_eval(t, types)
+                const_eval_with(t, size_of)
             } else {
-                const_eval(f, types)
+                const_eval_with(f, size_of)
             }
         }
         _ => None,
     }
 }
 
-/// True when `ty` transitively contains a pointer, so `sizeof(ty)` may
-/// change under pointer promotion (fat pointers grow memory cells).
-pub fn type_contains_pointer(ty: &dse_lang::types::Type, types: &TypeTable) -> bool {
-    use dse_lang::types::Type;
-    match ty {
-        Type::Pointer(_) => true,
-        Type::Array(elem, _) => type_contains_pointer(elem, types),
-        Type::Struct(id) => types
-            .struct_def(*id)
-            .fields
-            .iter()
-            .any(|f| type_contains_pointer(&f.ty, types)),
-        _ => false,
-    }
-}
-
 /// Constant-size information about one allocation site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSizeInfo {
-    /// Folded byte size, when constant.
+    /// Folded byte size in the original layout, when constant.
     pub const_size: Option<u64>,
-    /// True when the size expression mentions `sizeof` of a type whose
-    /// layout may change under pointer promotion — such sizes cannot be
-    /// used as compile-time spans.
-    pub promotion_sensitive: bool,
 }
 
-fn expr_promotion_sensitive(e: &Expr, types: &TypeTable) -> bool {
-    let mut sensitive = false;
-    let mut probe = e.clone();
-    visit_exprs(&mut probe, &mut |x| match &x.kind {
-        ExprKind::SizeofType(t) => sensitive |= type_contains_pointer(t, types),
-        ExprKind::SizeofExpr(inner) => {
-            if let Some(t) = &inner.ty {
-                sensitive |= type_contains_pointer(t, types);
-            }
-        }
-        _ => {}
-    });
-    sensitive
-}
-
-/// Like [`alloc_const_sizes`], with promotion sensitivity per site.
-pub fn alloc_size_infos(program: &Program) -> HashMap<u32, AllocSizeInfo> {
-    let mut out = HashMap::new();
-    let types = &program.types;
-    let mut prog = program.clone();
-    for f in &mut prog.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| {
-            if let ExprKind::Call { name, args } = &e.kind {
-                let (size, sensitive) = match name.as_str() {
-                    "malloc" => (
-                        args.first().and_then(|a| const_eval(a, types)),
-                        args.first()
-                            .is_some_and(|a| expr_promotion_sensitive(a, types)),
-                    ),
-                    "realloc" => (
-                        args.get(1).and_then(|a| const_eval(a, types)),
-                        args.get(1)
-                            .is_some_and(|a| expr_promotion_sensitive(a, types)),
-                    ),
-                    "calloc" => {
-                        let n = args.first().and_then(|a| const_eval(a, types));
-                        let m = args.get(1).and_then(|a| const_eval(a, types));
-                        let s = match (n, m) {
-                            (Some(n), Some(m)) => n.checked_mul(m),
-                            _ => None,
-                        };
-                        (s, args.iter().any(|a| expr_promotion_sensitive(a, types)))
-                    }
-                    _ => return,
-                };
-                out.insert(
-                    e.eid,
-                    AllocSizeInfo {
-                        const_size: size.and_then(|s| u64::try_from(s).ok()),
-                        promotion_sensitive: sensitive,
-                    },
-                );
-            }
-        });
-    }
-    out
+/// The byte size the allocation call `call` (`malloc`/`calloc`/`realloc`)
+/// requests, folded under `size_of`. The outer `None` means "not an
+/// allocation call", the inner one "not a compile-time constant".
+pub fn alloc_call_size(call: &Expr, size_of: &mut impl FnMut(&Type) -> u64) -> Option<Option<u64>> {
+    let ExprKind::Call { name, args } = &call.kind else {
+        return None;
+    };
+    let mut arg = |i: usize| args.get(i).and_then(|a| const_eval_with(a, size_of));
+    let size = match name.as_str() {
+        "malloc" => arg(0),
+        "realloc" => arg(1),
+        "calloc" => match (arg(0), arg(1)) {
+            (Some(n), Some(m)) => n.checked_mul(m),
+            _ => None,
+        },
+        _ => return None,
+    };
+    Some(size.and_then(|s| u64::try_from(s).ok()))
 }
 
 /// For every allocation call in the program (`malloc`/`calloc`/`realloc`),
-/// maps the call expression's id to its statically known size in bytes
-/// (`None` when the size is not a compile-time constant).
-pub fn alloc_const_sizes(program: &Program) -> HashMap<u32, Option<u64>> {
+/// maps the call expression's id to its size facts.
+pub fn alloc_size_infos(program: &Program) -> HashMap<u32, AllocSizeInfo> {
     let mut out = HashMap::new();
     let types = &program.types;
-    let mut prog = program.clone();
-    for f in &mut prog.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| {
-            if let ExprKind::Call { name, args } = &e.kind {
-                let size = match name.as_str() {
-                    "malloc" => args.first().and_then(|a| const_eval(a, types)),
-                    "realloc" => args.get(1).and_then(|a| const_eval(a, types)),
-                    "calloc" => {
-                        let n = args.first().and_then(|a| const_eval(a, types));
-                        let m = args.get(1).and_then(|a| const_eval(a, types));
-                        match (n, m) {
-                            (Some(n), Some(m)) => n.checked_mul(m),
-                            _ => None,
-                        }
-                    }
-                    _ => return,
-                };
-                out.insert(e.eid, size.and_then(|s| u64::try_from(s).ok()));
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
+            if let Some(const_size) = alloc_call_size(e, &mut |t| types.size_of(t)) {
+                out.insert(e.eid, AllocSizeInfo { const_size });
             }
         });
     }
@@ -243,8 +178,8 @@ mod tests {
                free(a); free(b); free(c); return 0; }",
         )
         .unwrap();
-        let sizes = alloc_const_sizes(&p);
-        let mut vals: Vec<Option<u64>> = sizes.values().copied().collect();
+        let sizes = alloc_size_infos(&p);
+        let mut vals: Vec<Option<u64>> = sizes.values().map(|i| i.const_size).collect();
         vals.sort();
         assert_eq!(sizes.len(), 4);
         assert_eq!(vals, vec![None, Some(32), Some(40), Some(80)]);

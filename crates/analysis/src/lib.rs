@@ -15,10 +15,14 @@
 //!   (Andersen-style) interprocedural points-to analysis over the typed
 //!   Cee AST, with allocation-site abstraction.
 //! * [`consteval`] — compile-time constant folding for allocation-size
-//!   expressions (`sizeof` is already folded by the type table).
+//!   expressions, under the original or a promoted layout.
+//! * [`effects`] — which stores to a named variable an assignment does not
+//!   show (address taken, assigned by a callee), so a value derived from it
+//!   can be kept across statements.
 
 pub mod consteval;
+pub mod effects;
 pub mod points_to;
 
-pub use consteval::{alloc_const_sizes, const_eval};
+pub use consteval::const_eval;
 pub use points_to::{analyze, PointsTo, PtObj, VarId};

@@ -52,6 +52,7 @@
 pub mod access;
 pub mod cache;
 pub mod classify;
+pub mod hoist;
 pub mod phases;
 pub mod plan;
 pub mod xform;
@@ -286,24 +287,7 @@ impl Analysis {
         timer.start("xform");
         let sync_eids = self.shared_carried_eids();
         let result = expand_program(&self.program, &plan, &sync_eids)?;
-        let mut opts = LowerOptions {
-            mode: LowerMode::Parallel,
-            naive_redirection: opt == OptLevel::None,
-            ..Default::default()
-        };
-        let mut modes = HashMap::new();
-        for cls in &self.classifications {
-            let window = result.sync_windows.get(&cls.label).copied().flatten();
-            opts.par.insert(
-                cls.label.clone(),
-                ParLoopSpec {
-                    mode: cls.mode,
-                    sync_window: window,
-                },
-            );
-            modes.insert(cls.label.clone(), cls.mode);
-        }
-        let parallel = dse_ir::lower_program(&result.program, &opts)?;
+        let parallel = self.lower_parallel(&result.program, &result.sync_windows, opt)?;
         timer.finish();
         timer.stat(
             "privatized_structures",
@@ -315,6 +299,11 @@ impl Analysis {
         );
         timer.stat("instructions", parallel.code.len() as i64);
 
+        let modes = self
+            .classifications
+            .iter()
+            .map(|cls| (cls.label.clone(), cls.mode))
+            .collect();
         Ok(Transformed {
             program: result.program,
             parallel,
@@ -325,6 +314,38 @@ impl Analysis {
             eid_provenance: result.eid_provenance,
             phases: timer.into_spans(),
         })
+    }
+
+    /// Lowers a transformed program the way [`Analysis::apply_plan`] does:
+    /// each candidate loop scheduled per its classification, DOACROSS loops
+    /// ordered by `sync_windows` (top-level statement indices of the
+    /// transformed body). Public so a test can re-lower a program it has
+    /// corrupted on purpose.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering failures.
+    pub fn lower_parallel(
+        &self,
+        program: &Program,
+        sync_windows: &HashMap<String, Option<(usize, usize)>>,
+        opt: OptLevel,
+    ) -> Result<CompiledProgram, DseError> {
+        let mut opts = LowerOptions {
+            mode: LowerMode::Parallel,
+            naive_redirection: opt == OptLevel::None,
+            ..Default::default()
+        };
+        for cls in &self.classifications {
+            opts.par.insert(
+                cls.label.clone(),
+                ParLoopSpec {
+                    mode: cls.mode,
+                    sync_window: sync_windows.get(&cls.label).copied().flatten(),
+                },
+            );
+        }
+        Ok(dse_ir::lower_program(program, &opts)?)
     }
 
     /// Produces the runtime-privatization baseline executable (the

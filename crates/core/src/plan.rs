@@ -12,10 +12,25 @@
 //! [`OptLevel::Full`] only structures referenced by private accesses are
 //! expanded, pointers whose referents all share one static size keep their
 //! raw representation, and span bookkeeping is pruned (Figure 9b).
+//!
+//! Which pointers are fat and which sizes are constant depend on each
+//! other: `sizeof(struct T)` grows when a pointer field of `T` is promoted,
+//! and a pointer is promoted when the objects it reaches stop agreeing on
+//! one size. [`OptLevel::Full`] resolves the circle *optimistically*: it
+//! starts from the promotions nothing can avoid (`realloc` of an expanded
+//! structure), evaluates every size under the promoted layout that set
+//! implies ([`crate::xform::TypeMap`], the layout the transform will emit),
+//! promotes the base pointer of every private access whose objects then
+//! disagree, closes over span flow and repeats. A site that turned dynamic
+//! stays dynamic and the set only grows, so the iteration terminates; what
+//! it reaches is consistent — every [`ExpansionPlan::const_span`] is the
+//! size, in the transformed layout, of everything its access can reach —
+//! and no promotion in it lacks a recorded [`FatCause`].
 
 use crate::access::{access_root, AccessRoot};
 use crate::classify::LoopClassification;
-use dse_analysis::consteval::{type_contains_pointer, AllocSizeInfo};
+use crate::xform::TypeMap;
+use dse_analysis::consteval::{alloc_call_size, AllocSizeInfo};
 use dse_analysis::{PointsTo, PtObj, VarId};
 use dse_depprof::LoopDdg;
 use dse_ir::sites::SiteTable;
@@ -92,6 +107,39 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// Why a pointer type is promoted: the first reason the planner met.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FatCause {
+    /// Constant spans are not looked for at this optimization level.
+    OptLevel,
+    /// A private access through this type reaches the allocation `alloc`,
+    /// whose size is not a compile-time constant.
+    RuntimeSize {
+        /// The allocation call's eid.
+        alloc: u32,
+    },
+    /// A private access through this type reaches two objects of different
+    /// constant sizes (in the promoted layout).
+    DisagreeingSizes {
+        /// One object and its size in bytes.
+        a: (PtObj, u64),
+        /// Another, of a different size.
+        b: (PtObj, u64),
+    },
+    /// A pointer of this type is passed to the `realloc` call `alloc` of an
+    /// expanded structure, which moves each copy by its old span.
+    ReallocExpanded {
+        /// The `realloc` call's eid.
+        alloc: u32,
+    },
+    /// A value of this type is stored into the promoted type `into`, which
+    /// needs its span.
+    SpanFlow {
+        /// The promoted destination type.
+        into: Type,
+    },
+}
+
 /// The complete expansion plan consumed by the transformation.
 #[derive(Debug, Clone, Default)]
 pub struct ExpansionPlan {
@@ -101,16 +149,21 @@ pub struct ExpansionPlan {
     pub expanded: HashSet<PtObj>,
     /// Pointer types (the full `Type::Pointer`) promoted to fat records.
     pub fat_types: HashSet<Type>,
+    /// Per promoted pointer type: what forced the promotion.
+    pub fat_causes: HashMap<Type, FatCause>,
     /// Integer variables promoted to carry spans (pointer-difference
     /// bookkeeping, Table 3 rules "Pointer arithmetic 2/3").
     pub fat_ints: HashSet<VarId>,
     /// Private access eids (redirected to the thread's copy).
     pub private_eids: HashSet<u32>,
     /// Per private indirect eid: the constant span in bytes, when all its
-    /// referents share one statically known size.
+    /// referents share one statically known size — measured in the
+    /// *transformed* layout.
     pub const_span: HashMap<u32, u64>,
-    /// Whether the `p = p + 1` dead-span-store elimination is on.
-    pub elide_same_pointer_span_stores: bool,
+    /// Whether Section 3.4's span-work reductions are on: `p = p ± c` keeps
+    /// no span store, and a redirection is derived once per pointer
+    /// assignment instead of once per access.
+    pub prune_span_work: bool,
     /// Runtime-privatization baseline mode (Section 4.2.1): heap structures
     /// are NOT expanded; private indirect accesses are routed through the
     /// `__localize` runtime instead. Named variables are still expanded
@@ -200,9 +253,8 @@ fn all_pointer_types(program: &Program) -> HashSet<Type> {
             add_ty(&l.ty);
         }
     }
-    let mut prog = program.clone();
-    for f in &mut prog.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| {
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
             if let Some(t) = &e.ty {
                 add_ty(t);
             }
@@ -278,25 +330,12 @@ fn collect_span_flow(program: &Program) -> SpanFlow {
         edges: Vec::new(),
         arith_int_uses: Vec::new(),
     };
-    let mut prog = program.clone();
-    let sigs: Vec<(String, Vec<Type>, Type)> = program
-        .functions
-        .iter()
-        .map(|f| {
-            (
-                f.name.clone(),
-                f.params.iter().map(|p| p.ty.clone()).collect(),
-                f.ret_ty.clone(),
-            )
-        })
-        .collect();
-    for (fi, f) in prog.functions.iter_mut().enumerate() {
-        let ret_ty = f.ret_ty.clone();
+    for (fi, f) in program.functions.iter().enumerate() {
         // Returns: the function's return type receives the expr's span.
         collect_returns(&f.body, &mut |e: &Expr| {
-            record_flow(&mut sf, fi, &ret_ty, e);
+            record_flow(&mut sf, fi, &f.ret_ty, e);
         });
-        visit_exprs_in_block(&mut f.body, &mut |e| match &e.kind {
+        walk_exprs_in_block(&f.body, &mut |e| match &e.kind {
             ExprKind::Assign {
                 op: AssignOp::Set,
                 lhs,
@@ -307,17 +346,16 @@ fn collect_span_flow(program: &Program) -> SpanFlow {
                 }
             }
             ExprKind::Call { name, args } => {
-                if let Some((_, params, _)) = sigs.iter().find(|(n, _, _)| n == name) {
-                    for (a, pt) in args.iter().zip(params) {
-                        record_flow(&mut sf, fi, pt, a);
+                if let Some(callee) = program.function(name) {
+                    for (a, p) in args.iter().zip(&callee.params) {
+                        record_flow(&mut sf, fi, &p.ty, a);
                     }
                 }
             }
             _ => {}
         });
-        for s in collect_decl_inits(&f.body) {
-            let (ty, init) = s;
-            record_flow(&mut sf, fi, &ty, &init);
+        for (ty, init) in collect_decl_inits(&f.body) {
+            record_flow(&mut sf, fi, ty, init);
         }
     }
     sf
@@ -326,21 +364,8 @@ fn collect_span_flow(program: &Program) -> SpanFlow {
 fn record_flow(sf: &mut SpanFlow, func: usize, dst_ty: &Type, src: &Expr) {
     let dst_ty = dst_ty.decayed();
     if !dst_ty.is_pointer() {
-        // Pointer difference: i = p - q.
-        if dst_ty.is_integer() {
-            if let ExprKind::Binary(BinOp::Sub, l, r) = &src.kind {
-                if l.ty.as_ref().is_some_and(|t| t.decayed().is_pointer())
-                    && r.ty.as_ref().is_some_and(|t| t.decayed().is_pointer())
-                {
-                    // The destination must be a plain int variable for
-                    // promotion; the transform validates this later.
-                    // Record under both operand types.
-                    // The int var is unknown here (dst is a type only); the
-                    // caller of record_flow for assignments knows the lhs —
-                    // handled in collect via diff_defs in the Assign arm.
-                }
-            }
-        }
+        // Pointer differences `i = p - q` are collected by
+        // `collect_diff_defs`, which knows the destination variable.
         return;
     }
     let root = span_root(src);
@@ -355,12 +380,11 @@ fn record_flow(sf: &mut SpanFlow, func: usize, dst_ty: &Type, src: &Expr) {
     }
     // dst = q ± i with a variable i: i may need a span.
     if let ExprKind::Binary(BinOp::Add | BinOp::Sub, l, r) = &src.kind {
-        let (ptr_side, int_side) = if l.ty.as_ref().is_some_and(|t| t.decayed().is_pointer()) {
-            (l, r)
+        let int_side = if l.ty.as_ref().is_some_and(|t| t.decayed().is_pointer()) {
+            r
         } else {
-            (r, l)
+            l
         };
-        let _ = ptr_side;
         if let Some(v) = int_var_of(int_side, func) {
             sf.arith_int_uses.push((dst_ty.clone(), v));
         }
@@ -387,14 +411,14 @@ fn collect_returns(block: &Block, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-fn collect_decl_inits(block: &Block) -> Vec<(Type, Expr)> {
+fn collect_decl_inits(block: &Block) -> Vec<(&Type, &Expr)> {
     let mut out = Vec::new();
-    fn go(block: &Block, out: &mut Vec<(Type, Expr)>) {
+    fn go<'a>(block: &'a Block, out: &mut Vec<(&'a Type, &'a Expr)>) {
         for s in &block.stmts {
             match &s.kind {
                 StmtKind::Decl {
                     ty, init: Some(e), ..
-                } => out.push((ty.clone(), e.clone())),
+                } => out.push((ty, e)),
                 StmtKind::If { then, els, .. } => {
                     go(then, out);
                     if let Some(b) = els {
@@ -408,7 +432,7 @@ fn collect_decl_inits(block: &Block) -> Vec<(Type, Expr)> {
                             ty, init: Some(e), ..
                         } = &i.kind
                         {
-                            out.push((ty.clone(), e.clone()));
+                            out.push((ty, e));
                         }
                     }
                     go(body, out);
@@ -479,10 +503,9 @@ fn collect_diff_defs(program: &Program) -> Vec<(VarId, Type)> {
         }
     }
     let mut out = Vec::new();
-    let mut prog = program.clone();
-    for (fi, f) in prog.functions.iter_mut().enumerate() {
+    for (fi, f) in program.functions.iter().enumerate() {
         scan_block(&f.body, fi, &mut out);
-        visit_exprs_in_block(&mut f.body, &mut |e| {
+        walk_exprs_in_block(&f.body, &mut |e| {
             if let ExprKind::Assign {
                 op: AssignOp::Set,
                 lhs,
@@ -610,7 +633,6 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
         }
     }
 
-    // ---- constant spans per private indirect site ---------------------------
     // Interleaved layout (Fig. 2b): only named variables whose accesses
     // are all direct can interleave — the paper's own limitation.
     if inp.layout == LayoutMode::Interleaved {
@@ -653,153 +675,214 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
         }
     }
 
-    // A span may be treated as a compile-time constant only when it cannot
-    // change under pointer promotion (fat pointers grow memory layouts).
-    let object_const_size = |obj: &PtObj| -> Option<u64> {
-        match obj {
-            PtObj::Alloc(eid) => {
-                let info = inp.alloc_sizes.get(eid)?;
-                if info.promotion_sensitive {
-                    None
-                } else {
-                    info.const_size
-                }
-            }
-            PtObj::Var(v) => {
-                let ty = match v {
-                    VarId::Global(g) => &program.globals[*g].ty,
-                    VarId::Local(f, s) => &program.functions[*f].locals[*s].ty,
-                };
-                if type_contains_pointer(ty, &program.types) {
-                    None
-                } else {
-                    Some(program.types.size_of(ty))
-                }
-            }
-        }
-    };
-
-    let mut const_span: HashMap<u32, u64> = HashMap::new();
-    let mut dynamic_span_eids: HashSet<u32> = HashSet::new();
     if inp.heap_localize {
         // No spans needed: private indirect accesses use the runtime.
-        return finish(
-            inp,
-            expanded,
-            HashSet::new(),
-            HashSet::new(),
-            merged,
-            const_span,
-        );
+        return Ok(finish(inp, expanded, merged, Promotion::default()));
     }
+
+    // ---- fat pointer types and constant spans -------------------------------
+    // Private indirect accesses into expanded structures, with the pointer
+    // type each dereferences: the sites that need a span.
+    let mut span_sites: Vec<SpanSite> = Vec::new();
+    let base_tys = base_pointer_types_of_sites(program, &merged.private_eids);
     for &eid in &merged.private_eids {
         if !inp.pt.site_is_indirect(eid) {
             continue;
         }
-        let objs = inp.pt.objects_of_site(eid);
-        let touches_expanded = objs.iter().any(|o| expanded.contains(o));
-        if !touches_expanded {
+        let mut objs: Vec<PtObj> = inp.pt.objects_of_site(eid).into_iter().collect();
+        if !objs.iter().any(|o| expanded.contains(o)) {
             continue;
         }
-        let sizes: Vec<Option<u64>> = objs.iter().map(object_const_size).collect();
-        let all_same_const = inp.opt == OptLevel::Full
-            && !sizes.is_empty()
-            && sizes.iter().all(|s| s.is_some() && *s == sizes[0]);
-        if all_same_const {
-            const_span.insert(eid, sizes[0].expect("checked above"));
-        } else {
-            dynamic_span_eids.insert(eid);
-        }
+        objs.sort();
+        span_sites.push(SpanSite {
+            eid,
+            objs,
+            base_ty: base_tys.get(&eid).cloned(),
+        });
     }
+    span_sites.sort_by_key(|s| s.eid);
 
-    // ---- fat pointer types -------------------------------------------------
-    let mut fat_types: HashSet<Type> = HashSet::new();
+    let diffs = collect_diff_defs(program);
+    let mut promo = Promotion::default();
     match inp.opt {
         OptLevel::None => {
-            fat_types = all_pointer_types(program);
+            // Every pointer is fat and every difference integer carries a
+            // span; span flow has nothing left to add.
+            for t in all_pointer_types(program) {
+                promo.promote(t, FatCause::OptLevel);
+            }
+            promo.fat_ints = diffs.iter().map(|(v, _)| *v).collect();
         }
-        OptLevel::NoConstSpan | OptLevel::Full => {
-            // Seed with the base-pointer types of dynamic-span sites.
-            // The base type is the site expression's addressing pointer: we
-            // recover it from the AST by eid.
-            let base_tys = base_pointer_types_of_sites(program, &dynamic_span_eids);
-            fat_types.extend(base_tys);
-            // `realloc` of an expanded structure must move each thread's
-            // copy, which requires the old per-copy span at run time: the
-            // pointer being reallocated must be promoted.
-            fat_types.extend(expanded_realloc_arg_types(program, &expanded));
-            // Close over span flow.
+        OptLevel::NoConstSpan => {
+            for site in &span_sites {
+                promo.promote_base(site, FatCause::OptLevel);
+            }
+            seed_realloc_types(program, &expanded, &mut promo);
+            promo.close_over(&collect_span_flow(program), &diffs);
+        }
+        OptLevel::Full => {
+            seed_realloc_types(program, &expanded, &mut promo);
             let sf = collect_span_flow(program);
-            let diffs = collect_diff_defs(program);
-            let mut fat_ints: HashSet<VarId> = HashSet::new();
+            let alloc_calls = alloc_calls_by_eid(program);
+            let mut dynamic: HashSet<u32> = HashSet::new();
             loop {
-                let before = (fat_types.len(), fat_ints.len());
-                for (dst, src) in &sf.edges {
-                    if fat_types.contains(dst) {
-                        fat_types.insert(src.clone());
+                promo.close_over(&sf, &diffs);
+                // Sizes under the layout the current promotions imply.
+                let mut layout = TypeMap::build(&program.types, &promo.fat_types);
+                let mut grew = false;
+                promo.const_span.clear();
+                for site in &span_sites {
+                    if dynamic.contains(&site.eid) {
+                        continue;
+                    }
+                    match uniform_size(site, inp, &alloc_calls, &mut layout) {
+                        Ok(size) => {
+                            promo.const_span.insert(site.eid, size);
+                        }
+                        Err(cause) => {
+                            dynamic.insert(site.eid);
+                            grew |= promo.promote_base(site, cause);
+                        }
                     }
                 }
-                for (dst_ty, iv) in &sf.arith_int_uses {
-                    if fat_types.contains(dst_ty) && diffs.iter().any(|(v, _)| v == iv) {
-                        fat_ints.insert(*iv);
-                    }
-                }
-                for (iv, pty) in &diffs {
-                    if fat_ints.contains(iv) {
-                        fat_types.insert(pty.clone());
-                    }
-                }
-                if (fat_types.len(), fat_ints.len()) == before {
-                    return finish(inp, expanded, fat_types, fat_ints, merged, const_span);
+                if !grew {
+                    break;
                 }
             }
         }
     }
-    let sf = collect_span_flow(program);
-    let diffs = collect_diff_defs(program);
-    // With OptLevel::None every pointer is already fat; promote every
-    // difference integer too.
-    let fat_ints: HashSet<VarId> = diffs.iter().map(|(v, _)| *v).collect();
-    let _ = sf;
-    finish(inp, expanded, fat_types, fat_ints, merged, const_span)
+    Ok(finish(inp, expanded, merged, promo))
+}
+
+/// A private indirect access into an expanded structure.
+struct SpanSite {
+    eid: u32,
+    /// The objects it may reach, sorted.
+    objs: Vec<PtObj>,
+    /// The pointer type it dereferences.
+    base_ty: Option<Type>,
+}
+
+/// The promotion half of a plan while it is being decided.
+#[derive(Default)]
+struct Promotion {
+    fat_types: HashSet<Type>,
+    fat_causes: HashMap<Type, FatCause>,
+    fat_ints: HashSet<VarId>,
+    const_span: HashMap<u32, u64>,
+}
+
+impl Promotion {
+    /// Promotes `ty`; true when it was thin before.
+    fn promote(&mut self, ty: Type, cause: FatCause) -> bool {
+        let new = self.fat_types.insert(ty.clone());
+        if new {
+            self.fat_causes.insert(ty, cause);
+        }
+        new
+    }
+
+    fn promote_base(&mut self, site: &SpanSite, cause: FatCause) -> bool {
+        site.base_ty.clone().is_some_and(|t| self.promote(t, cause))
+    }
+
+    /// Closes the promoted set over span flow: a fat destination needs its
+    /// sources' spans, through pointer differences too (Table 3 "Pointer
+    /// arithmetic 2/3").
+    fn close_over(&mut self, sf: &SpanFlow, diffs: &[(VarId, Type)]) {
+        loop {
+            let before = (self.fat_types.len(), self.fat_ints.len());
+            for (dst, src) in &sf.edges {
+                if self.fat_types.contains(dst) {
+                    self.promote(src.clone(), FatCause::SpanFlow { into: dst.clone() });
+                }
+            }
+            for (dst_ty, iv) in &sf.arith_int_uses {
+                if self.fat_types.contains(dst_ty) {
+                    for (_, pty) in diffs.iter().filter(|(v, _)| v == iv) {
+                        self.fat_ints.insert(*iv);
+                        let into = dst_ty.clone();
+                        self.promote(pty.clone(), FatCause::SpanFlow { into });
+                    }
+                }
+            }
+            if (self.fat_types.len(), self.fat_ints.len()) == before {
+                return;
+            }
+        }
+    }
+}
+
+/// The one size, in bytes under `layout`, of every object `site` may
+/// reach — or why there is none.
+fn uniform_size(
+    site: &SpanSite,
+    inp: &PlanInputs<'_>,
+    alloc_calls: &HashMap<u32, &Expr>,
+    layout: &mut TypeMap,
+) -> Result<u64, FatCause> {
+    let mut first: Option<(PtObj, u64)> = None;
+    for &obj in &site.objs {
+        let size = match obj {
+            PtObj::Alloc(eid) => {
+                // A size that does not fold in the original layout does not
+                // fold in any; otherwise re-evaluate its `sizeof`s promoted.
+                let folds = inp
+                    .alloc_sizes
+                    .get(&eid)
+                    .is_some_and(|i| i.const_size.is_some());
+                alloc_calls
+                    .get(&eid)
+                    .filter(|_| folds)
+                    .and_then(|call| alloc_call_size(call, &mut |t| layout.size_of(t)).flatten())
+                    .ok_or(FatCause::RuntimeSize { alloc: eid })?
+            }
+            PtObj::Var(v) => {
+                let ty = match v {
+                    VarId::Global(g) => &inp.program.globals[g].ty,
+                    VarId::Local(f, s) => &inp.program.functions[f].locals[s].ty,
+                };
+                layout.size_of(ty)
+            }
+        };
+        match first {
+            None => first = Some((obj, size)),
+            Some((_, s)) if s == size => {}
+            Some(a) => return Err(FatCause::DisagreeingSizes { a, b: (obj, size) }),
+        }
+    }
+    // A site that reaches nothing has no span to be constant.
+    first.map(|(_, s)| s).ok_or(FatCause::OptLevel)
 }
 
 fn finish(
     inp: &PlanInputs<'_>,
     expanded: HashSet<PtObj>,
-    fat_types: HashSet<Type>,
-    fat_ints: HashSet<VarId>,
     merged: MergedClassification,
-    const_span: HashMap<u32, u64>,
-) -> Result<ExpansionPlan, PlanError> {
-    Ok(ExpansionPlan {
+    promo: Promotion,
+) -> ExpansionPlan {
+    ExpansionPlan {
         nthreads: inp.nthreads,
         expanded,
-        fat_types,
-        fat_ints,
+        fat_types: promo.fat_types,
+        fat_causes: promo.fat_causes,
+        fat_ints: promo.fat_ints,
         private_eids: merged.private_eids,
-        const_span,
-        elide_same_pointer_span_stores: inp.opt != OptLevel::None,
+        const_span: promo.const_span,
+        prune_span_work: inp.opt != OptLevel::None,
         heap_localize: inp.heap_localize,
         layout: inp.layout,
-    })
+    }
 }
 
-/// The decayed types of pointers passed to `realloc` calls whose
-/// allocation site is expanded.
-fn expanded_realloc_arg_types(program: &Program, expanded: &HashSet<PtObj>) -> HashSet<Type> {
-    let mut out = HashSet::new();
-    let mut prog = program.clone();
-    for f in &mut prog.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| {
-            if let ExprKind::Call { name, args } = &e.kind {
-                if name == "realloc" && expanded.contains(&PtObj::Alloc(e.eid)) {
-                    if let Some(t) = args.first().and_then(|a| a.ty.as_ref()) {
-                        let t = t.decayed();
-                        if t.is_pointer() {
-                            out.insert(t);
-                        }
-                    }
+/// Every `malloc`/`calloc`/`realloc` call, by eid.
+fn alloc_calls_by_eid(program: &Program) -> HashMap<u32, &Expr> {
+    let mut out = HashMap::new();
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
+            if let ExprKind::Call { name, .. } = &e.kind {
+                if matches!(name.as_str(), "malloc" | "calloc" | "realloc") {
+                    out.insert(e.eid, e);
                 }
             }
         });
@@ -807,15 +890,34 @@ fn expanded_realloc_arg_types(program: &Program, expanded: &HashSet<PtObj>) -> H
     out
 }
 
-/// The pointer types through which the given access eids dereference.
-fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashSet<Type> {
-    let mut out = HashSet::new();
+/// `realloc` of an expanded structure must move each thread's copy, which
+/// requires the old per-copy span at run time: the pointer being
+/// reallocated must be promoted.
+fn seed_realloc_types(program: &Program, expanded: &HashSet<PtObj>, promo: &mut Promotion) {
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
+            if let ExprKind::Call { name, args } = &e.kind {
+                if name == "realloc" && expanded.contains(&PtObj::Alloc(e.eid)) {
+                    if let Some(t) = args.first().and_then(|a| a.ty.as_ref()) {
+                        let t = t.decayed();
+                        if t.is_pointer() {
+                            promo.promote(t, FatCause::ReallocExpanded { alloc: e.eid });
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Per access eid in `eids`: the pointer type through which it dereferences.
+fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashMap<u32, Type> {
+    let mut out = HashMap::new();
     if eids.is_empty() {
         return out;
     }
-    let mut prog = program.clone();
-    for f in &mut prog.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| {
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
             if !eids.contains(&e.eid) {
                 return;
             }
@@ -823,7 +925,7 @@ fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashSe
                 if let Some(t) = &base.ty {
                     let t = t.decayed();
                     if t.is_pointer() {
-                        out.insert(t);
+                        out.insert(e.eid, t);
                     }
                 }
             }

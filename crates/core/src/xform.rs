@@ -20,14 +20,19 @@
 //! * **Redirection** (Table 2): private direct accesses index copy
 //!   `__tid()`; private indirect accesses offset the dereferenced pointer
 //!   by `__tid() * span / sizeof(*p)`; shared accesses use copy 0 (which is
-//!   the original storage).
+//!   the original storage). Under [`ExpansionPlan::prune_span_work`] the
+//!   offset of a *named* pointer is applied once per assignment of that
+//!   pointer instead of once per access: [`crate::hoist`] keeps the
+//!   redirected pointer in a body-scoped private `__rd_p[__tid()]`.
 //!
 //! The transformed program is an ordinary Cee AST: it is re-checked by
 //! `dse_lang::sema` (a strong internal-consistency gate) and can be lowered
 //! with parallel options or run serially.
 
 use crate::access::{access_root, AccessRoot};
+use crate::hoist;
 use crate::plan::{ExpansionPlan, LayoutMode};
+use dse_analysis::effects::HiddenStores;
 use dse_analysis::{PtObj, VarId};
 use dse_lang::ast::*;
 use dse_lang::types::{StructId, Type, TypeTable};
@@ -64,6 +69,12 @@ pub struct ExpansionReport {
     pub fat_int_vars: usize,
     /// Private access sites redirected.
     pub private_accesses_redirected: usize,
+    /// Of those, accesses that address through a hoisted `__rd_p` slot
+    /// instead of redirecting inline (Section 3.4).
+    pub redirections_hoisted: usize,
+    /// Derivations of a hoisted slot beyond each pointer's first: the
+    /// pointer or its span is assigned inside the candidate body.
+    pub redirections_rederived: usize,
     /// Span stores emitted (Table 3).
     pub span_stores_emitted: usize,
     /// Span stores elided by the `p = p ± c` rule (Section 3.4).
@@ -89,6 +100,7 @@ impl ExpansionReport {
             fat_pointer_types: self.fat_pointer_types as u64,
             fat_int_vars: self.fat_int_vars as u64,
             private_accesses_redirected: self.private_accesses_redirected as u64,
+            redirections_hoisted: self.redirections_hoisted as u64,
             span_stores_emitted: self.span_stores_emitted as u64,
             span_stores_elided: self.span_stores_elided as u64,
         }
@@ -141,6 +153,8 @@ pub fn expand_program(
         sync_windows: HashMap::new(),
         cand_ordinal: 0,
         report: ExpansionReport::default(),
+        redirections: None,
+        stores: None,
     };
 
     // ---- globals ----------------------------------------------------------
@@ -332,8 +346,10 @@ pub fn expand_program(
 // type mapping
 // ---------------------------------------------------------------------------
 
-/// Maps original types to promoted types over a fresh [`TypeTable`].
-struct TypeMap {
+/// Maps original types to promoted types over a fresh [`TypeTable`]: the
+/// layout the transformed program has under a given set of fat pointer
+/// types. The planner sizes objects with it; the rewriter emits it.
+pub(crate) struct TypeMap {
     table: TypeTable,
     struct_map: HashMap<StructId, StructId>,
     fat_map: HashMap<Type, StructId>,
@@ -341,7 +357,7 @@ struct TypeMap {
 }
 
 impl TypeMap {
-    fn build(orig: &TypeTable, fat: &HashSet<Type>) -> TypeMap {
+    pub(crate) fn build(orig: &TypeTable, fat: &HashSet<Type>) -> TypeMap {
         let mut tm = TypeMap {
             table: TypeTable::new(),
             struct_map: HashMap::new(),
@@ -367,6 +383,12 @@ impl TypeMap {
                 .expect("original structs are finite");
         }
         tm
+    }
+
+    /// Bytes a value of original type `ty` occupies in promoted memory.
+    pub(crate) fn size_of(&mut self, ty: &Type) -> u64 {
+        let t = self.mem(ty);
+        self.table.size_of(&t)
     }
 
     /// The promoted type as stored in memory (fat cells become structs).
@@ -548,6 +570,13 @@ struct Xf<'a> {
     /// `dse_ir::loops` so synthesized labels line up.
     cand_ordinal: usize,
     report: ExpansionReport,
+    /// While a candidate body is being rewritten with span-work pruning on:
+    /// the inline redirections of named pointers emitted so far, which
+    /// [`hoist`] may derive once per assignment instead.
+    redirections: Option<Vec<(VarId, Expr, Type)>>,
+    /// Who can store a variable behind a statement's back (computed on
+    /// first use).
+    stores: Option<HiddenStores>,
 }
 
 impl<'a> Xf<'a> {
@@ -920,23 +949,22 @@ impl<'a> Xf<'a> {
             .clone()
             .unwrap_or_else(|| format!("{}#{ordinal}", self.program.functions[self.cur_func].name));
         let sync_set = self.sync_eids.get(&label);
+        let collect = self.plan.prune_span_work && !self.plan.heap_localize;
+        let outer = std::mem::replace(&mut self.redirections, collect.then(Vec::new));
         let mut stmts = Vec::new();
-        let mut first: Option<usize> = None;
-        let mut last: Option<usize> = None;
+        // Per rewritten statement: does its source statement touch an
+        // ordered shared site?
+        let mut sync: Vec<bool> = Vec::new();
         for orig in &body.stmts {
-            let start = stmts.len();
             stmts.extend(self.rewrite_stmt(orig)?);
-            let end = stmts.len();
-            if let Some(set) = sync_set {
-                if stmt_mentions_eids(orig, set) {
-                    if first.is_none() {
-                        first = Some(start);
-                    }
-                    last = Some(end.saturating_sub(1).max(start));
-                }
-            }
+            let ordered = sync_set.is_some_and(|set| stmt_mentions_eids(orig, set));
+            sync.resize(stmts.len(), ordered);
         }
+        let redirections = std::mem::replace(&mut self.redirections, outer);
+        self.hoist_redirections(redirections.unwrap_or_default(), &mut stmts, &mut sync);
         if let Some(set) = sync_set {
+            let first = sync.iter().position(|&s| s);
+            let last = sync.iter().rposition(|&s| s);
             let window = match (first, last) {
                 (Some(f), Some(l)) => Some((f, l)),
                 // Sync sites exist but none found in the direct body (they
@@ -947,6 +975,75 @@ impl<'a> Xf<'a> {
             self.sync_windows.insert(label, window);
         }
         Ok(Block { stmts })
+    }
+
+    /// Section 3.4 on one rewritten candidate body: each named pointer the
+    /// body redirected inline in one consistent way is offered to
+    /// [`hoist::hoist`], in order of first use.
+    fn hoist_redirections(
+        &mut self,
+        redirections: Vec<(VarId, Expr, Type)>,
+        stmts: &mut Vec<Stmt>,
+        sync: &mut Vec<bool>,
+    ) {
+        let mut seen: Vec<VarId> = Vec::new();
+        for (v, inline, ptr_ty) in &redirections {
+            if seen.contains(v) {
+                continue;
+            }
+            seen.push(*v);
+            // One slot serves one pointer value: every redirection of `v`
+            // must read the same copy of it with the same span.
+            let consistent = redirections
+                .iter()
+                .all(|(w, other, _)| w != v || hoist::same_shape(other, inline));
+            if !consistent || !self.stores_are_visible(*v) {
+                continue;
+            }
+            let cand = hoist::Candidate {
+                name: self.var_name(*v).to_string(),
+                expanded: self.plan.var_expanded(*v),
+                inline: inline.clone(),
+                ptr_ty: ptr_ty.clone(),
+                killers: self.functions_storing(*v),
+            };
+            if let Some(h) = hoist::hoist(stmts, sync, &cand, self.plan.nthreads as u64) {
+                self.report.redirections_hoisted += h.uses;
+                self.report.redirections_rederived += h.derivations - 1;
+            }
+        }
+    }
+
+    /// Can every store to `v` be seen as an assignment naming it (or a call
+    /// to a function in [`Xf::functions_storing`])? Its address must never
+    /// be taken, and its name must mean one variable throughout the
+    /// function, because the hoisting pass works on the untyped output.
+    fn stores_are_visible(&mut self, v: VarId) -> bool {
+        let program = self.program;
+        let stores = self.stores.get_or_insert_with(|| HiddenStores::of(program));
+        if stores.addr_taken.contains(&v) {
+            return false;
+        }
+        let name = self.var_name(v);
+        let locals = &self.program.functions[self.cur_func].locals;
+        let homonyms = locals.iter().filter(|l| l.name == name).count()
+            + self
+                .program
+                .globals
+                .iter()
+                .filter(|g| g.name == name)
+                .count();
+        homonyms == 1
+    }
+
+    /// The user functions a call to which may assign the global `v`.
+    fn functions_storing(&mut self, v: VarId) -> HashSet<String> {
+        let VarId::Global(g) = v else {
+            return HashSet::new();
+        };
+        let program = self.program;
+        let stores = self.stores.get_or_insert_with(|| HiddenStores::of(program));
+        stores.functions_assigning(program, g)
     }
 
     /// Rewrites an expression statement, splitting span-carrying pointer
@@ -1049,7 +1146,7 @@ impl<'a> Xf<'a> {
     /// updated, because the span expression may read the destination (e.g.
     /// `p = p->next` reads `p`'s span for the redirection offset).
     fn emit_ptr_assign_var(&mut self, name: &str, rhs: &Expr) -> Result<Vec<Stmt>, XformError> {
-        if self.plan.elide_same_pointer_span_stores && span_preserving_self_update(rhs, name) {
+        if self.plan.prune_span_work && span_preserving_self_update(rhs, name) {
             self.report.span_stores_elided += 1;
             let r = self.rewrite_expr(rhs)?;
             return Ok(vec![estmt(assign(var(name), r))]);
@@ -1615,10 +1712,7 @@ impl<'a> Xf<'a> {
                 Box::new(call("__localize", vec![base])),
             )));
         }
-        let elem_size = {
-            let t = self.tymap.mem(&pointee);
-            self.tymap.table.size_of(&t)
-        };
+        let elem_size = self.tymap.size_of(&pointee);
         let span: Expr = if let Some(&c) = self.plan.const_span.get(&top_eid) {
             ilit(c as i64)
         } else if self.plan.is_fat(&ptr_ty) {
@@ -1631,7 +1725,18 @@ impl<'a> Xf<'a> {
         };
         // base + __tid() * span / sizeof(*p)
         let offset = bin(BinOp::Div, mul(tid(), span), ilit(elem_size as i64));
-        Ok(bin(BinOp::Add, base, offset))
+        let redirected = bin(BinOp::Add, base, offset);
+        if let ExprKind::Var {
+            binding: Some(b), ..
+        } = &p.kind
+        {
+            let v = self.var_id(*b);
+            let ptr_ty = self.tymap.mem(&pointee).ptr_to();
+            if let Some(seen) = &mut self.redirections {
+                seen.push((v, redirected.clone(), ptr_ty));
+            }
+        }
+        Ok(redirected)
     }
 
     /// The root expression for a named variable (expanded variables keep

@@ -448,6 +448,97 @@ pub fn visit_exprs(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
     f(e);
 }
 
+/// Read-only counterpart of [`visit_exprs`]: calls `f` on `e` and every
+/// expression below it, parents before children, handing out references
+/// that outlive the traversal.
+pub fn walk_exprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    f(e);
+    match &e.kind {
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::Var { .. }
+        | ExprKind::SizeofType(_) => {}
+        ExprKind::Unary(_, a)
+        | ExprKind::Deref(a)
+        | ExprKind::AddrOf(a)
+        | ExprKind::Cast(_, a)
+        | ExprKind::SizeofExpr(a)
+        | ExprKind::IncDec { target: a, .. } => walk_exprs(a, f),
+        ExprKind::Binary(_, a, b)
+        | ExprKind::Assign { lhs: a, rhs: b, .. }
+        | ExprKind::Index { base: a, index: b } => {
+            walk_exprs(a, f);
+            walk_exprs(b, f);
+        }
+        ExprKind::Cond(a, b, c) => {
+            walk_exprs(a, f);
+            walk_exprs(b, f);
+            walk_exprs(c, f);
+        }
+        ExprKind::Call { args, .. } => {
+            for a in args {
+                walk_exprs(a, f);
+            }
+        }
+        ExprKind::Field { base, .. } => walk_exprs(base, f),
+    }
+}
+
+/// Calls `f` on every expression in the statement, in program order.
+pub fn walk_exprs_in_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
+    match &stmt.kind {
+        StmtKind::Decl { init, .. } => {
+            if let Some(e) = init {
+                walk_exprs(e, f);
+            }
+        }
+        StmtKind::Expr(e) => walk_exprs(e, f),
+        StmtKind::If { cond, then, els } => {
+            walk_exprs(cond, f);
+            walk_exprs_in_block(then, f);
+            if let Some(b) = els {
+                walk_exprs_in_block(b, f);
+            }
+        }
+        StmtKind::While { cond, body, .. } => {
+            walk_exprs(cond, f);
+            walk_exprs_in_block(body, f);
+        }
+        StmtKind::DoWhile { body, cond, .. } => {
+            walk_exprs_in_block(body, f);
+            walk_exprs(cond, f);
+        }
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+            ..
+        } => {
+            if let Some(s) = init {
+                walk_exprs_in_stmt(s, f);
+            }
+            if let Some(c) = cond {
+                walk_exprs(c, f);
+            }
+            if let Some(s) = step {
+                walk_exprs(s, f);
+            }
+            walk_exprs_in_block(body, f);
+        }
+        StmtKind::Return(Some(e)) => walk_exprs(e, f),
+        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
+        StmtKind::Block(b) => walk_exprs_in_block(b, f),
+    }
+}
+
+/// Calls `f` on every expression in the block, in program order.
+pub fn walk_exprs_in_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
+    for s in &block.stmts {
+        walk_exprs_in_stmt(s, f);
+    }
+}
+
 /// Assigns a unique [`Expr::eid`] to every expression in the program, in
 /// deterministic order. Returns the number of ids assigned. Called once
 /// after sema; synthetic nodes created later keep [`NO_EID`].

@@ -45,6 +45,8 @@ pub struct ExpansionStats {
     pub fat_int_vars: u64,
     /// Private access sites redirected to `v[tid]` addressing.
     pub private_accesses_redirected: u64,
+    /// Of those, accesses addressing through a hoisted `__rd_p` slot.
+    pub redirections_hoisted: u64,
     /// Span stores emitted.
     pub span_stores_emitted: u64,
     /// Span stores elided by the `p = p ± c` rule.
@@ -611,6 +613,10 @@ impl RunMetrics {
                     Json::Int(e.private_accesses_redirected as i64),
                 ),
                 (
+                    "redirections_hoisted",
+                    Json::Int(e.redirections_hoisted as i64),
+                ),
+                (
                     "span_stores_emitted",
                     Json::Int(e.span_stores_emitted as i64),
                 ),
@@ -725,6 +731,7 @@ impl RunMetrics {
                     fat_pointer_types: int("fat_pointer_types")?,
                     fat_int_vars: int("fat_int_vars")?,
                     private_accesses_redirected: int("private_accesses_redirected")?,
+                    redirections_hoisted: int("redirections_hoisted")?,
                     span_stores_emitted: int("span_stores_emitted")?,
                     span_stores_elided: int("span_stores_elided")?,
                 })
@@ -836,6 +843,7 @@ mod tests {
                 fat_pointer_types: 5,
                 fat_int_vars: 6,
                 private_accesses_redirected: 7,
+                redirections_hoisted: 3,
                 span_stores_emitted: 8,
                 span_stores_elided: 9,
             }),

@@ -7,7 +7,9 @@
 //! * **Redirection (Table 2, `DSE003`/`DSE004`)** — an abstract
 //!   interpretation over the bytecode tracks, per operand-stack slot,
 //!   whether a value is derived from the worker id (`__tid()` and its
-//!   strength-reduced forms). Every access whose provenance maps to a
+//!   strength-reduced forms); a frame slot is tid-derived iff every store
+//!   to it stores a tid-derived value, which is how the pass sees through
+//!   a hoisted redirection. Every access whose provenance maps to a
 //!   thread-private source access must compute its address from the tid;
 //!   every other provenanced access must not (shared accesses resolve to
 //!   replica 0).
@@ -16,13 +18,22 @@
 //!   with a span store, come from a span-returning call, or be a
 //!   span-preserving self-update; a store to a fat cell's `.ptr` must have a
 //!   sibling `.span` store on the same cell.
+//!   A *constant* span must equal what the transformed program itself
+//!   allocates for every object the access can reach (a stale constant is
+//!   how optimistic planning goes wrong), and a *hoisted* redirection
+//!   (`__rd_p[__tid()]`, Section 3.4) must be re-derived on every path from
+//!   a store to `p` or its span to a use of the slot.
 //! * **DOACROSS windows (`DSE006`)** — each DOACROSS body region must
 //!   contain exactly one `Wait` before one `Post`, with every ordered shared
 //!   access between them; DOALL bodies must contain no synchronization.
 
 use std::collections::{HashMap, HashSet};
 
-use dse_analysis::PtObj;
+use dse_analysis::consteval::{alloc_call_size, const_eval};
+use dse_analysis::effects::{stored_variable, HiddenStores};
+use dse_analysis::{PtObj, VarId};
+use dse_core::access::{access_root, AccessRoot};
+use dse_core::hoist::RD_PREFIX;
 use dse_core::{Analysis, Transformed};
 use dse_ir::bytecode::{Builtin, CompiledProgram, Instr, Pc, RetKind};
 use dse_ir::loops::ParMode;
@@ -40,6 +51,8 @@ pub fn check(analysis: &Analysis, t: &Transformed, report: &mut Report) {
     let spans = source_spans(&analysis.program);
     check_redirection(analysis, t, &spans, report);
     check_span_maintenance(t, report);
+    check_constant_spans(analysis, t, &spans, report);
+    check_hoisted_redirections(t, report);
     check_sync_windows(analysis, t, &spans, report);
 }
 
@@ -54,22 +67,60 @@ fn source_spans(program: &Program) -> HashMap<u32, SourceSpan> {
 
 // ---- Table 2: redirection (DSE003 / DSE004) --------------------------------
 
-/// Per-pc abstract state: one taint flag per operand-stack slot (top last).
-type Stack = Vec<bool>;
+/// Abstract operand: is it derived from the worker id, and is it exactly
+/// the address of a frame tid place (`FrameAddrTid` at this offset)?
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Val {
+    tid: bool,
+    place: Option<u32>,
+}
 
-/// Fixpoint of the tid-taint dataflow over the whole code array. Regions are
-/// rooted at every function entry and every parallel-loop body entry with an
-/// empty stack (matching how the VM enters them).
-fn taint_fixpoint(prog: &CompiledProgram) -> HashMap<Pc, Stack> {
+const CLEAN: Val = Val {
+    tid: false,
+    place: None,
+};
+const TID: Val = Val {
+    tid: true,
+    place: None,
+};
+
+/// Per-pc abstract state: one [`Val`] per operand-stack slot (top last).
+type Stack = Vec<Val>;
+
+/// A frame tid place: (function index, frame offset).
+type Slot = (u32, u32);
+
+/// What one pass of the dataflow learned about frame tid places.
+#[derive(Default)]
+struct SlotFacts {
+    /// Per place: whether every value stored to it so far was tid-derived.
+    stores: HashMap<Slot, bool>,
+    /// Places whose address went anywhere but straight into a load or store.
+    escaped: HashSet<Slot>,
+}
+
+/// The tid-taint dataflow over the whole code array. Regions are rooted at
+/// every function entry and every parallel-loop body entry with an empty
+/// stack (matching how the VM enters them). A load from a place in
+/// `tid_slots` yields a tid-derived value.
+fn taint_fixpoint(
+    prog: &CompiledProgram,
+    tid_slots: &HashSet<Slot>,
+) -> (HashMap<Pc, Stack>, HashMap<Pc, u32>, SlotFacts) {
     let mut states: HashMap<Pc, Stack> = HashMap::new();
+    // The function whose frame each reached pc addresses.
+    let mut frame_of: HashMap<Pc, u32> = HashMap::new();
+    let mut facts = SlotFacts::default();
     let mut work: Vec<Pc> = Vec::new();
-    for f in &prog.funcs {
+    for (fi, f) in prog.funcs.iter().enumerate() {
         states.insert(f.entry, Vec::new());
+        frame_of.insert(f.entry, fi as u32);
         work.push(f.entry);
     }
     for l in &prog.loops {
         if l.mode.is_some() {
             states.insert(l.body_entry, Vec::new());
+            frame_of.insert(l.body_entry, l.func);
             work.push(l.body_entry);
         }
     }
@@ -77,8 +128,10 @@ fn taint_fixpoint(prog: &CompiledProgram) -> HashMap<Pc, Stack> {
         let Some(stack) = states.get(&pc).cloned() else {
             continue;
         };
-        let (next, succs) = step(prog, pc, stack);
+        let func = frame_of[&pc];
+        let (next, succs) = step(prog, pc, stack, func, tid_slots, &mut facts);
         for s in succs {
+            frame_of.entry(s).or_insert(func);
             let changed = match states.get_mut(&s) {
                 Some(old) => merge(old, &next),
                 None => {
@@ -91,11 +144,52 @@ fn taint_fixpoint(prog: &CompiledProgram) -> HashMap<Pc, Stack> {
             }
         }
     }
-    states
+    (states, frame_of, facts)
 }
 
-/// Joins `incoming` into `old` (pointwise OR, aligned from the stack top).
-/// Returns true when `old` changed.
+/// The frame tid places that hold tid-derived values: every store to the
+/// place stores one, its address never escapes, and nothing else addresses
+/// the declared local it lies in — the shape of the transform's `__rd_p`
+/// slots, proven from the bytecode alone.
+fn tid_derived_slots(
+    prog: &CompiledProgram,
+    frame_of: &HashMap<Pc, u32>,
+    facts: &SlotFacts,
+) -> HashSet<Slot> {
+    let mut good: HashSet<Slot> = facts
+        .stores
+        .iter()
+        .filter(|&(slot, &all_tid)| all_tid && !facts.escaped.contains(slot))
+        .map(|(&slot, _)| slot)
+        .collect();
+    if good.is_empty() {
+        return good;
+    }
+    let object_of = |func: u32, off: u32| {
+        let locals = &prog.func(func).locals;
+        locals
+            .iter()
+            .copied()
+            .find(|&(o, size)| o <= off && off < o + size)
+    };
+    good.retain(|&(func, off)| object_of(func, off).is_some());
+    for (&pc, &func) in frame_of {
+        let (off, tid_place) = match prog.code[pc as usize] {
+            Instr::FrameAddr(off) => (off, false),
+            Instr::FrameAddrTid { offset, .. } => (offset, true),
+            _ => continue,
+        };
+        let Some((lo, size)) = object_of(func, off) else {
+            continue;
+        };
+        good.retain(|&(f, o)| f != func || o < lo || o >= lo + size || (tid_place && o == off));
+    }
+    good
+}
+
+/// Joins `incoming` into `old` (pointwise, aligned from the stack top): tid
+/// taint is OR-ed, a place survives only if both sides agree on it. Returns
+/// true when `old` changed.
 fn merge(old: &mut Stack, incoming: &Stack) -> bool {
     let mut changed = false;
     if old.len() > incoming.len() {
@@ -107,8 +201,12 @@ fn merge(old: &mut Stack, incoming: &Stack) -> bool {
     }
     let skip = incoming.len() - old.len();
     for (o, i) in old.iter_mut().zip(incoming[skip..].iter()) {
-        if *i && !*o {
-            *o = true;
+        let joined = Val {
+            tid: o.tid || i.tid,
+            place: if o.place == i.place { o.place } else { None },
+        };
+        if joined != *o {
+            *o = joined;
             changed = true;
         }
     }
@@ -116,58 +214,86 @@ fn merge(old: &mut Stack, incoming: &Stack) -> bool {
 }
 
 /// Executes one instruction abstractly: returns the outgoing stack and the
-/// successor pcs.
-fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
-    let pop = |st: &mut Stack| st.pop().unwrap_or(false);
+/// successor pcs, recording what it learns about frame tid places.
+fn step(
+    prog: &CompiledProgram,
+    pc: Pc,
+    mut st: Stack,
+    func: u32,
+    tid_slots: &HashSet<Slot>,
+    facts: &mut SlotFacts,
+) -> (Stack, Vec<Pc>) {
+    // An operand consumed as a plain value: a place address among them has
+    // escaped the load/store discipline.
+    let mut pop = |st: &mut Stack| {
+        let v = st.pop().unwrap_or(CLEAN);
+        if let Some(off) = v.place {
+            facts.escaped.insert((func, off));
+        }
+        v.tid
+    };
     let next = vec![pc + 1];
     let succs = match prog.code[pc as usize] {
         Instr::PushI(_) | Instr::PushF(_) => {
-            st.push(false);
+            st.push(CLEAN);
             next
         }
         Instr::Dup => {
-            let t = *st.last().unwrap_or(&false);
+            let t = *st.last().unwrap_or(&CLEAN);
             st.push(t);
             next
         }
         Instr::Drop => {
-            pop(&mut st);
+            st.pop();
             next
         }
         Instr::Tuck => {
             // [a, b] -> [b, a, b]
-            let b = pop(&mut st);
-            let a = pop(&mut st);
+            let b = st.pop().unwrap_or(CLEAN);
+            let a = st.pop().unwrap_or(CLEAN);
             st.push(b);
             st.push(a);
             st.push(b);
             next
         }
         Instr::FrameAddr(_) | Instr::GlobalAddr(_) | Instr::IterIdx(_) => {
-            st.push(false);
+            st.push(CLEAN);
             next
         }
         Instr::TidScaled(_) => {
-            st.push(true);
+            st.push(TID);
             next
         }
         Instr::TidSpanScaled(_) => {
             pop(&mut st);
-            st.push(true);
+            st.push(TID);
             next
         }
-        Instr::FrameAddrTid { .. } | Instr::GlobalAddrTid { .. } => {
-            st.push(true);
+        Instr::FrameAddrTid { offset, .. } => {
+            st.push(Val {
+                tid: true,
+                place: Some(offset),
+            });
+            next
+        }
+        Instr::GlobalAddrTid { .. } => {
+            st.push(TID);
             next
         }
         Instr::Load { .. } => {
-            pop(&mut st);
-            st.push(false);
+            let addr = st.pop().unwrap_or(CLEAN);
+            let tid = addr
+                .place
+                .is_some_and(|off| tid_slots.contains(&(func, off)));
+            st.push(Val { tid, place: None });
             next
         }
         Instr::Store { .. } => {
-            pop(&mut st);
-            pop(&mut st);
+            let value = pop(&mut st);
+            let addr = st.pop().unwrap_or(CLEAN);
+            if let Some(off) = addr.place {
+                *facts.stores.entry((func, off)).or_insert(true) &= value;
+            }
             next
         }
         Instr::MemCpy { .. } => {
@@ -178,7 +304,10 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
         Instr::IBin(_) | Instr::FBin(_) | Instr::ICmp(_) | Instr::FCmp(_) => {
             let b = pop(&mut st);
             let a = pop(&mut st);
-            st.push(a || b);
+            st.push(Val {
+                tid: a || b,
+                place: None,
+            });
             next
         }
         Instr::INeg
@@ -188,8 +317,8 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
         | Instr::I2F
         | Instr::F2I
         | Instr::SextTrunc(_) => {
-            let t = pop(&mut st);
-            st.push(t);
+            let tid = pop(&mut st);
+            st.push(Val { tid, place: None });
             next
         }
         Instr::Jump(t) => vec![t],
@@ -205,7 +334,7 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
             // stack; redirection offsets are applied at access sites, so a
             // returned value is treated as tid-clean.
             if prog.func(f).ret == RetKind::Scalar {
-                st.push(false);
+                st.push(CLEAN);
             }
             next
         }
@@ -214,7 +343,7 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
                 pop(&mut st);
             }
             if b.has_result() {
-                st.push(b == Builtin::Tid);
+                st.push(if b == Builtin::Tid { TID } else { CLEAN });
             }
             next
         }
@@ -230,7 +359,7 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
             // The runtime-privatization hook translates an address into the
             // current worker's private copy — tid-derived by definition.
             pop(&mut st);
-            st.push(true);
+            st.push(TID);
             next
         }
     };
@@ -241,7 +370,7 @@ fn step(prog: &CompiledProgram, pc: Pc, mut st: Stack) -> (Stack, Vec<Pc>) {
 /// stack. `Load` pops the address from the top; `Store` pops value, then
 /// address; `MemCpy` pops destination, then source.
 fn addr_taints(instr: Instr, st: &Stack) -> Vec<(SiteId, bool)> {
-    let at = |depth: usize| st.iter().rev().nth(depth).copied().unwrap_or(false);
+    let at = |depth: usize| st.iter().rev().nth(depth).is_some_and(|v| v.tid);
     match instr {
         Instr::Load { site, .. } => vec![(site, at(0))],
         Instr::Store { site, .. } => vec![(site, at(1))],
@@ -260,7 +389,14 @@ fn check_redirection(
     spans: &HashMap<u32, SourceSpan>,
     report: &mut Report,
 ) {
-    let states = taint_fixpoint(&t.parallel);
+    // A hoisted redirection (`__rd_p[__tid()]`) reaches its accesses through
+    // a frame slot: first find the slots that provably hold tid-derived
+    // values, then let loads from them carry the taint.
+    let (mut states, frame_of, facts) = taint_fixpoint(&t.parallel, &HashSet::new());
+    let tid_slots = tid_derived_slots(&t.parallel, &frame_of, &facts);
+    if !tid_slots.is_empty() {
+        states = taint_fixpoint(&t.parallel, &tid_slots).0;
+    }
     let orig_index = walk::eid_index(&analysis.program);
     // One finding per original access, not per bytecode occurrence.
     let mut flagged: HashSet<(u32, Code)> = HashSet::new();
@@ -535,6 +671,450 @@ fn self_update(rhs: &Expr, name: &str) -> bool {
     }
 }
 
+// ---- Section 3.4: constant spans and hoisted redirections (DSE005) ----------
+
+/// `__tid()`.
+fn is_tid_call(e: &Expr) -> bool {
+    matches!(&e.kind, ExprKind::Call { name, args } if name == "__tid" && args.is_empty())
+}
+
+/// The stride `S` of a constant-span redirection `p + __tid() * S / Z`.
+fn constant_stride(e: &Expr) -> Option<u64> {
+    let ExprKind::Binary(BinOp::Add, _, offset) = &e.kind else {
+        return None;
+    };
+    let ExprKind::Binary(BinOp::Div, num, _) = &offset.kind else {
+        return None;
+    };
+    match &num.kind {
+        ExprKind::Binary(BinOp::Mul, tid, stride) if is_tid_call(tid) => match stride.kind {
+            ExprKind::IntLit(s) => u64::try_from(s).ok(),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The slot of a hoisted redirection, if `e` is `__rd_p[__tid()]`.
+fn hoisted_slot(e: &Expr) -> Option<VarBinding> {
+    match &e.kind {
+        ExprKind::Index { base, index } if is_tid_call(index) => match &base.kind {
+            ExprKind::Var {
+                name,
+                binding: Some(b),
+            } if name.starts_with(RD_PREFIX) => Some(*b),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// `__rd_p[__tid()] = <redirected pointer>`: the slot and the value.
+fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr)> {
+    let StmtKind::Expr(e) = &s.kind else {
+        return None;
+    };
+    match &e.kind {
+        ExprKind::Assign {
+            op: AssignOp::Set,
+            lhs,
+            rhs,
+        } => Some((hoisted_slot(lhs)?, rhs)),
+        _ => None,
+    }
+}
+
+/// Calls `f` on every statement under `b`, outer statements first.
+fn stmts_in_block<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+    for s in &b.stmts {
+        f(s);
+        match &s.kind {
+            StmtKind::If { then, els, .. } => {
+                stmts_in_block(then, f);
+                if let Some(e) = els {
+                    stmts_in_block(e, f);
+                }
+            }
+            StmtKind::While { body, .. }
+            | StmtKind::DoWhile { body, .. }
+            | StmtKind::For { body, .. } => stmts_in_block(body, f),
+            StmtKind::Block(inner) => stmts_in_block(inner, f),
+            _ => {}
+        }
+    }
+}
+
+/// Every constant the transform used as a span must be the size — in the
+/// transformed program's own layout, read off its own allocation calls and
+/// declarations — of each object the access may reach. The constants are
+/// taken from the output (inline redirections and the derivations of the
+/// slots accesses go through), not from the plan.
+fn check_constant_spans(
+    analysis: &Analysis,
+    t: &Transformed,
+    spans: &HashMap<u32, SourceSpan>,
+    report: &mut Report,
+) {
+    let p = &t.program;
+    let n = t.plan.nthreads.max(1) as u64;
+    // Transformed allocation calls by the source call they rewrite.
+    let mut allocs: HashMap<u32, &Expr> = HashMap::new();
+    for f in &p.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
+            if let (ExprKind::Call { .. }, Some(&orig)) = (&e.kind, t.eid_provenance.get(&e.eid)) {
+                allocs.insert(orig, e);
+            }
+        });
+    }
+    // Bytes one copy of the object occupies in the transformed program.
+    let copy_size = |obj: &PtObj| -> Option<u64> {
+        let copies = if t.plan.expanded.contains(obj) { n } else { 1 };
+        match obj {
+            PtObj::Alloc(a) => {
+                let call = allocs.get(a)?;
+                match &call.kind {
+                    ExprKind::Call { name, args } if name == "__realloc_expanded" => {
+                        u64::try_from(const_eval(args.get(1)?, &p.types)?).ok()
+                    }
+                    _ => alloc_call_size(call, &mut |ty| p.types.size_of(ty))
+                        .flatten()
+                        .map(|total| total / copies),
+                }
+            }
+            PtObj::Var(VarId::Global(g)) => {
+                let name = &analysis.program.globals[*g].name;
+                let (_, var) = p.global(name)?;
+                Some(p.types.size_of(&var.ty) / copies)
+            }
+            PtObj::Var(VarId::Local(fi, slot)) => {
+                let name = &analysis.program.functions[*fi].locals[*slot].name;
+                let var = p.functions[*fi].locals.iter().find(|l| &l.name == name)?;
+                Some(p.types.size_of(&var.ty) / copies)
+            }
+        }
+    };
+    let orig_index = walk::eid_index(&analysis.program);
+    let mut flagged: HashSet<u32> = HashSet::new();
+    for f in &p.functions {
+        // Constant strides of the slots' derivations in this function.
+        let mut slot_strides: HashMap<VarBinding, Vec<u64>> = HashMap::new();
+        stmts_in_block(&f.body, &mut |s| {
+            if let Some((slot, value)) = derivation(s) {
+                slot_strides
+                    .entry(slot)
+                    .or_default()
+                    .extend(constant_stride(value));
+            }
+        });
+        walk_exprs_in_block(&f.body, &mut |e| {
+            let Some(&orig) = t.eid_provenance.get(&e.eid) else {
+                return;
+            };
+            let Some(AccessRoot::Indirect(pointer)) = access_root(e) else {
+                return;
+            };
+            let strides: Vec<u64> = match hoisted_slot(pointer) {
+                Some(slot) => slot_strides.get(&slot).cloned().unwrap_or_default(),
+                None => constant_stride(pointer).into_iter().collect(),
+            };
+            let mut objs: Vec<PtObj> = analysis.pt.objects_of_site(orig).into_iter().collect();
+            objs.sort();
+            for stride in strides {
+                let Some(obj) = objs.iter().find(|o| copy_size(o) != Some(stride)) else {
+                    continue;
+                };
+                if !flagged.insert(orig) {
+                    continue;
+                }
+                let actual = copy_size(obj).map_or("a size that is not constant".into(), |s| {
+                    format!("{s} bytes")
+                });
+                let mut d = Diagnostic::new(
+                    Code::SpanNotMaintained,
+                    format!(
+                        "access `{}` is redirected by a constant span of {stride} bytes, \
+                         but the transformed program gives {obj:?} {actual} per copy \
+                         (stale constant span, Section 3.4)",
+                        describe(orig, &orig_index, &analysis.program)
+                    ),
+                );
+                if let Some(sp) = spans.get(&orig) {
+                    d = d.with_span(*sp);
+                }
+                report.push(d);
+            }
+        });
+    }
+}
+
+/// The slots valid at a program point; `None` is unreachable code.
+type Fresh = Option<HashSet<VarBinding>>;
+
+fn meet(a: Fresh, b: Fresh) -> Fresh {
+    match (a, b) {
+        (None, x) | (x, None) => x,
+        (Some(a), Some(b)) => Some(a.intersection(&b).copied().collect()),
+    }
+}
+
+/// Forward must-dataflow over one function's statements: which hoisted
+/// slots hold the redirection of their pointer's *current* value.
+struct Freshness<'a> {
+    func: &'a Function,
+    /// Per slot: the variables its derivations read.
+    deps: HashMap<VarBinding, HashSet<VarBinding>>,
+    /// Per global a slot depends on: the functions that may assign it.
+    assigners: HashMap<usize, HashSet<String>>,
+    /// `(break, continue)` states of the enclosing loops, innermost last.
+    loops: Vec<(Fresh, Fresh)>,
+    stale_uses: Vec<(VarBinding, SourceSpan)>,
+}
+
+impl Freshness<'_> {
+    /// Does evaluating `x` (this node alone) store `dep`?
+    fn stores(&self, x: &Expr, dep: VarBinding) -> bool {
+        match &x.kind {
+            ExprKind::Assign { lhs: cell, .. }
+            | ExprKind::IncDec { target: cell, .. }
+            | ExprKind::AddrOf(cell) => stored_variable(cell) == Some(dep),
+            ExprKind::Call { name, .. } => match dep {
+                VarBinding::Global(g) => self.assigners.get(&g).is_some_and(|f| f.contains(name)),
+                VarBinding::Local(_) => false,
+            },
+            _ => false,
+        }
+    }
+
+    /// Evaluates `e`: flags uses of slots that are not fresh, then drops
+    /// the slots whose pointer or span it stores.
+    fn eval(&mut self, e: &Expr, st: &mut Fresh) {
+        let Some(fresh) = st else { return };
+        walk_exprs(e, &mut |x| {
+            if let ExprKind::Var {
+                binding: Some(b), ..
+            } = &x.kind
+            {
+                if self.deps.contains_key(b) && !fresh.contains(b) {
+                    self.stale_uses.push((*b, x.span));
+                }
+            }
+        });
+        fresh.retain(|slot| {
+            let mut stored = false;
+            walk_exprs(e, &mut |x| {
+                stored |= self.deps[slot].iter().any(|&d| self.stores(x, d));
+            });
+            !stored
+        });
+    }
+
+    fn block(&mut self, b: &Block, mut st: Fresh) -> Fresh {
+        let declared: Vec<VarBinding> = b
+            .stmts
+            .iter()
+            .filter_map(|s| match &s.kind {
+                StmtKind::Decl { slot: Some(k), .. } => Some(VarBinding::Local(*k)),
+                _ => None,
+            })
+            .collect();
+        for s in &b.stmts {
+            st = self.stmt(s, st);
+        }
+        // Bindings are unique per declaration: leaving the scope only drops
+        // the block's own slots.
+        if let Some(fresh) = &mut st {
+            fresh.retain(|s| !declared.contains(s));
+        }
+        st
+    }
+
+    fn stmt(&mut self, s: &Stmt, mut st: Fresh) -> Fresh {
+        match &s.kind {
+            StmtKind::Decl { init, .. } => {
+                if let Some(e) = init {
+                    self.eval(e, &mut st);
+                }
+                st
+            }
+            StmtKind::Expr(e) => {
+                match derivation(s) {
+                    Some((slot, value)) => {
+                        self.eval(value, &mut st);
+                        if let Some(fresh) = &mut st {
+                            fresh.insert(slot);
+                        }
+                    }
+                    None => self.eval(e, &mut st),
+                }
+                st
+            }
+            StmtKind::If { cond, then, els } => {
+                self.eval(cond, &mut st);
+                let a = self.block(then, st.clone());
+                let b = match els {
+                    Some(b) => self.block(b, st),
+                    None => st,
+                };
+                meet(a, b)
+            }
+            StmtKind::While { cond, body, .. } => self.looping(Some(cond), body, None, false, st),
+            StmtKind::DoWhile { body, cond, .. } => self.looping(Some(cond), body, None, true, st),
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+                mark,
+            } => {
+                if let Some(i) = init {
+                    st = self.stmt(i, st);
+                }
+                if mark.candidate {
+                    // Iterations may run on other workers, each with its own
+                    // slot: nothing is fresh on entry, nothing survives.
+                    st = st.map(|_| HashSet::new());
+                }
+                let out = self.looping(cond.as_ref(), body, step.as_ref(), false, st);
+                if mark.candidate {
+                    out.map(|_| HashSet::new())
+                } else {
+                    out
+                }
+            }
+            StmtKind::Break => {
+                if let Some((brk, _)) = self.loops.last_mut() {
+                    *brk = meet(brk.take(), st);
+                }
+                None
+            }
+            StmtKind::Continue => {
+                if let Some((_, cont)) = self.loops.last_mut() {
+                    *cont = meet(cont.take(), st);
+                }
+                None
+            }
+            StmtKind::Return(e) => {
+                if let Some(e) = e {
+                    self.eval(e, &mut st);
+                }
+                None
+            }
+            StmtKind::Block(b) => self.block(b, st),
+        }
+    }
+
+    /// A loop: the state at its head is the meet of the entry state and
+    /// every back edge, found by iterating (the sets only shrink).
+    fn looping(
+        &mut self,
+        cond: Option<&Expr>,
+        body: &Block,
+        step: Option<&Expr>,
+        body_first: bool,
+        entry: Fresh,
+    ) -> Fresh {
+        let mut head = entry;
+        loop {
+            self.loops.push((None, None));
+            let mut st = head.clone();
+            if !body_first {
+                if let Some(c) = cond {
+                    self.eval(c, &mut st);
+                }
+            }
+            let exit_at_head = st.clone();
+            st = self.block(body, st);
+            let (brk, cont) = self.loops.pop().expect("pushed above");
+            st = meet(st, cont);
+            if let Some(e) = step {
+                self.eval(e, &mut st);
+            }
+            if body_first {
+                if let Some(c) = cond {
+                    self.eval(c, &mut st);
+                }
+            }
+            let next = meet(head.clone(), st.clone());
+            if next == head {
+                let exit = if body_first { st } else { exit_at_head };
+                return meet(exit, brk);
+            }
+            head = next;
+        }
+    }
+}
+
+/// Section 3.4's hoisted redirections: `__rd_p[__tid()]` holds `p`
+/// redirected, so no use of the slot may be reachable from a store to `p`
+/// or its span — an assignment, an address handed out, a callee that
+/// assigns the global — without a derivation in between.
+fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
+    let p = &t.program;
+    let mut hidden: Option<HiddenStores> = None;
+    for f in &p.functions {
+        let mut deps: HashMap<VarBinding, HashSet<VarBinding>> = HashMap::new();
+        stmts_in_block(&f.body, &mut |s| {
+            if let Some((slot, value)) = derivation(s) {
+                let reads = deps.entry(slot).or_default();
+                walk_exprs(value, &mut |x| {
+                    if let ExprKind::Var {
+                        binding: Some(b), ..
+                    } = &x.kind
+                    {
+                        reads.insert(*b);
+                    }
+                });
+            }
+        });
+        // A slot that is declared but never derived still has uses to flag.
+        for (k, l) in f.locals.iter().enumerate() {
+            if l.name.starts_with(RD_PREFIX) {
+                deps.entry(VarBinding::Local(k)).or_default();
+            }
+        }
+        if deps.is_empty() {
+            continue;
+        }
+        let mut assigners: HashMap<usize, HashSet<String>> = HashMap::new();
+        for d in deps.values().flatten() {
+            if let VarBinding::Global(g) = d {
+                let hs = hidden.get_or_insert_with(|| HiddenStores::of(p));
+                assigners
+                    .entry(*g)
+                    .or_insert_with(|| hs.functions_assigning(p, *g));
+            }
+        }
+        let mut flow = Freshness {
+            func: f,
+            deps,
+            assigners,
+            loops: Vec::new(),
+            stale_uses: Vec::new(),
+        };
+        flow.block(&f.body, Some(HashSet::new()));
+        let mut seen: HashSet<VarBinding> = HashSet::new();
+        for (slot, span) in std::mem::take(&mut flow.stale_uses) {
+            if !seen.insert(slot) {
+                continue;
+            }
+            let VarBinding::Local(k) = slot else { continue };
+            let name = &flow.func.locals[k].name;
+            report.push(
+                Diagnostic::new(
+                    Code::SpanNotMaintained,
+                    format!(
+                        "hoisted redirection `{name}` is used where a store to `{}` or \
+                         its span may have happened since the slot was derived \
+                         (Section 3.4 violation)",
+                        name.trim_start_matches(RD_PREFIX)
+                    ),
+                )
+                .with_span(span),
+            );
+        }
+    }
+}
+
 // ---- DOACROSS sync windows (DSE006) ----------------------------------------
 
 fn check_sync_windows(
@@ -644,10 +1224,22 @@ mod tests {
 
     #[test]
     fn merge_is_pointwise_or_from_top() {
-        let mut a = vec![false, false];
-        assert!(merge(&mut a, &vec![true, false, true]));
-        assert_eq!(a, vec![false, true]);
-        assert!(!merge(&mut a, &vec![false, false]));
+        let mut a = vec![CLEAN, CLEAN];
+        assert!(merge(&mut a, &vec![TID, CLEAN, TID]));
+        assert_eq!(a, vec![CLEAN, TID]);
+        assert!(!merge(&mut a, &vec![CLEAN, CLEAN]));
+    }
+
+    #[test]
+    fn merge_keeps_a_place_only_when_both_sides_agree() {
+        let place = |off| Val {
+            tid: true,
+            place: Some(off),
+        };
+        let mut a = vec![place(8)];
+        assert!(!merge(&mut a, &vec![place(8)]));
+        assert!(merge(&mut a, &vec![place(16)]));
+        assert_eq!(a, vec![TID]);
     }
 
     #[test]

@@ -626,7 +626,7 @@ fn is_var(e: &Expr, b: VarBinding) -> bool {
 /// True when any variable reference under `e` resolves to `b`.
 fn mentions_binding(e: &Expr, b: VarBinding) -> bool {
     let mut found = false;
-    walk::exprs(e, &mut |n| {
+    dse_lang::ast::walk_exprs(e, &mut |n| {
         if is_var(n, b) {
             found = true;
         }

@@ -1,107 +1,13 @@
-//! Read-only AST traversal helpers.
-//!
-//! `dse_lang::ast` ships mutable visitors (they exist to renumber eids);
-//! the verifier only inspects programs, so these walkers borrow the tree
-//! immutably and can hand out `&'a Expr` references that outlive the
-//! traversal.
+//! Read-only AST lookups over `dse_lang::ast`'s borrowing walkers.
 
 use dse_lang::ast::*;
 use dse_lang::source::SourceSpan;
-
-/// Calls `f` on `e` and every expression below it, parents before children.
-pub fn exprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::Var { .. }
-        | ExprKind::SizeofType(_) => {}
-        ExprKind::Unary(_, a)
-        | ExprKind::Deref(a)
-        | ExprKind::AddrOf(a)
-        | ExprKind::Cast(_, a)
-        | ExprKind::SizeofExpr(a)
-        | ExprKind::IncDec { target: a, .. } => exprs(a, f),
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign { lhs: a, rhs: b, .. }
-        | ExprKind::Index { base: a, index: b } => {
-            exprs(a, f);
-            exprs(b, f);
-        }
-        ExprKind::Cond(a, b, c) => {
-            exprs(a, f);
-            exprs(b, f);
-            exprs(c, f);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                exprs(a, f);
-            }
-        }
-        ExprKind::Field { base, .. } => exprs(base, f),
-    }
-}
-
-/// Calls `f` on every expression in the statement, in program order.
-pub fn exprs_in_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
-    match &stmt.kind {
-        StmtKind::Decl { init, .. } => {
-            if let Some(e) = init {
-                exprs(e, f);
-            }
-        }
-        StmtKind::Expr(e) => exprs(e, f),
-        StmtKind::If { cond, then, els } => {
-            exprs(cond, f);
-            exprs_in_block(then, f);
-            if let Some(b) = els {
-                exprs_in_block(b, f);
-            }
-        }
-        StmtKind::While { cond, body, .. } => {
-            exprs(cond, f);
-            exprs_in_block(body, f);
-        }
-        StmtKind::DoWhile { body, cond, .. } => {
-            exprs_in_block(body, f);
-            exprs(cond, f);
-        }
-        StmtKind::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(s) = init {
-                exprs_in_stmt(s, f);
-            }
-            if let Some(c) = cond {
-                exprs(c, f);
-            }
-            if let Some(s) = step {
-                exprs(s, f);
-            }
-            exprs_in_block(body, f);
-        }
-        StmtKind::Return(Some(e)) => exprs(e, f),
-        StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-        StmtKind::Block(b) => exprs_in_block(b, f),
-    }
-}
-
-/// Calls `f` on every expression in the block, in program order.
-pub fn exprs_in_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    for s in &block.stmts {
-        exprs_in_stmt(s, f);
-    }
-}
 
 /// Builds an eid → expression index over a whole program.
 pub fn eid_index(program: &Program) -> std::collections::HashMap<u32, &Expr> {
     let mut map = std::collections::HashMap::new();
     for f in &program.functions {
-        exprs_in_block(&f.body, &mut |e| {
+        walk_exprs_in_block(&f.body, &mut |e| {
             if e.eid != NO_EID {
                 map.insert(e.eid, e);
             }
