@@ -20,8 +20,9 @@
 //! both, and a derivation whose pointer read is an ordered DOACROSS site
 //! lands inside the statement group (hence the `Wait`/`Post` window) of
 //! the access it serves. Inside a compound statement that uses the slot,
-//! derivations are eager: immediately after each statement that stores `p`
-//! or its span, or calls a function that may.
+//! and inside a branch met while the slot is valid, derivations are eager:
+//! immediately after each statement that stores `p` or its span, or calls
+//! a function that may.
 //!
 //! **What is left alone.** An expression base (`walk->next`) keeps the
 //! inline form: nothing names when it changes. A pointer is skipped when a
@@ -224,9 +225,12 @@ impl Hoist<'_> {
                 i += 1;
                 valid = true;
             }
-            // Inside a statement that uses the slot it must stay valid;
-            // elsewhere the next using statement re-derives.
-            if self.stmt(&mut stmts[i], depth, uses)? {
+            // A valid slot stays valid through a statement that uses it and
+            // through a branch (a rare `realloc` re-derives where it
+            // happens); after a loop that only stores, or a plain
+            // assignment, the next using statement re-derives.
+            let is_loop = stmts[i].kind.loop_mark().is_some();
+            if self.stmt(&mut stmts[i], depth, valid && (uses || !is_loop))? {
                 valid = false;
             }
             i += 1;

@@ -189,6 +189,61 @@ impl ExpansionPlan {
     pub fn is_fat(&self, ptr_ty: &Type) -> bool {
         self.fat_types.contains(ptr_ty)
     }
+
+    /// One line per promoted pointer type of `program` (the program this
+    /// plan was built for): what forced the promotion, naming the
+    /// allocation site (`line:col`) where there is one. Sorted.
+    pub fn fat_cause_lines(&self, program: &Program) -> Vec<String> {
+        let mut at: HashMap<u32, dse_lang::SourceSpan> = HashMap::new();
+        for f in &program.functions {
+            walk_exprs_in_block(&f.body, &mut |e| {
+                if let ExprKind::Call { .. } = &e.kind {
+                    at.insert(e.eid, e.span);
+                }
+            });
+        }
+        let site = |eid: &u32| at.get(eid).map_or("?".to_string(), |s| s.start.to_string());
+        let name = |ty: &Type| dse_lang::printer::type_name(ty, &program.types);
+        let object = |(obj, size): &(PtObj, u64)| match obj {
+            PtObj::Alloc(eid) => format!("{size} bytes allocated at {}", site(eid)),
+            PtObj::Var(VarId::Global(g)) => {
+                format!("{size} bytes of `{}`", program.globals[*g].name)
+            }
+            PtObj::Var(VarId::Local(f, s)) => {
+                format!(
+                    "{size} bytes of `{}`",
+                    program.functions[*f].locals[*s].name
+                )
+            }
+        };
+        let mut lines: Vec<String> = self
+            .fat_causes
+            .iter()
+            .map(|(ty, cause)| {
+                let why = match cause {
+                    FatCause::OptLevel => "constant spans are not looked for at this --opt".into(),
+                    FatCause::RuntimeSize { alloc } => {
+                        format!("reaches an allocation of runtime size at {}", site(alloc))
+                    }
+                    FatCause::DisagreeingSizes { a, b } => format!(
+                        "reaches objects of different sizes: {}, {}",
+                        object(a),
+                        object(b)
+                    ),
+                    FatCause::ReallocExpanded { alloc } => format!(
+                        "passed to the realloc of an expanded structure at {}",
+                        site(alloc)
+                    ),
+                    FatCause::SpanFlow { into } => {
+                        format!("its span flows into `{}`", name(into))
+                    }
+                };
+                format!("`{}`: {why}", name(ty))
+            })
+            .collect();
+        lines.sort();
+        lines
+    }
 }
 
 /// Merges per-loop classifications into eid-keyed sets.
@@ -932,4 +987,185 @@ fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashMa
         });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Analysis;
+    use dse_runtime::VmConfig;
+
+    /// A per-iteration linked list of `struct N`, every node allocated by
+    /// `malloc(sizeof(struct N))`; `extra` is spliced into the body before
+    /// the walk.
+    fn list_program(extra: &str) -> String {
+        format!(
+            "struct N {{ int v; struct N *next; }};
+             int main() {{
+               int n; n = 6;
+               long total; total = 0;
+               #pragma candidate build
+               for (int i = 0; i < 8; i++) {{
+                 struct N *head; head = 0;
+                 for (int k = 0; k < 4; k++) {{
+                   struct N *node; node = malloc(sizeof(struct N));
+                   node->v = i + k; node->next = head; head = node;
+                 }}
+                 {extra}
+                 int s; s = 0;
+                 while (head) {{
+                   struct N *dead; dead = head;
+                   s += head->v; head = head->next; free(dead);
+                 }}
+                 total += s;
+               }}
+               out_long(total);
+               return n;
+             }}"
+        )
+    }
+
+    fn plan_of(src: &str, opt: OptLevel) -> (Analysis, ExpansionPlan) {
+        let analysis = Analysis::from_source(src, VmConfig::default()).expect("analysis");
+        let plan = analysis.plan(opt, 4).expect("plan");
+        (analysis, plan)
+    }
+
+    fn pointer_to(analysis: &Analysis, name: &str) -> Type {
+        let id = analysis.program.types.struct_by_name(name).expect("struct");
+        Type::Struct(id).ptr_to()
+    }
+
+    #[test]
+    fn list_node_allocated_by_one_sizeof_stays_thin() {
+        let (analysis, plan) = plan_of(&list_program(""), OptLevel::Full);
+        assert!(
+            !plan.is_fat(&pointer_to(&analysis, "N")),
+            "{:?}",
+            plan.fat_causes
+        );
+        assert!(plan.fat_types.is_empty());
+        // Every access through a node pointer strides one thin node.
+        assert!(!plan.const_span.is_empty());
+        assert!(
+            plan.const_span.values().all(|&s| s == 16),
+            "{:?}",
+            plan.const_span
+        );
+    }
+
+    #[test]
+    fn one_runtime_sized_allocation_turns_the_node_fat_and_is_named() {
+        // A block of `n` nodes reaches the same accesses as the single ones.
+        let extra = "struct N *blk; blk = malloc(n * sizeof(struct N));
+                     blk->v = 0; blk->next = head; head = blk;";
+        let (analysis, plan) = plan_of(&list_program(extra), OptLevel::Full);
+        let node_ptr = pointer_to(&analysis, "N");
+        assert!(plan.is_fat(&node_ptr));
+        let mut runtime_sized = None;
+        for f in &analysis.program.functions {
+            walk_exprs_in_block(&f.body, &mut |e| {
+                if let Some(None) = alloc_call_size(e, &mut |t| analysis.program.types.size_of(t)) {
+                    runtime_sized = Some(e.eid);
+                }
+            });
+        }
+        let alloc = runtime_sized.expect("the n-node block");
+        assert_eq!(plan.fat_causes[&node_ptr], FatCause::RuntimeSize { alloc });
+        // The fixpoint ran on: `node` still reaches only the single-node
+        // site, whose constant is re-measured in the layout the promotion
+        // made — a node is 24 bytes now.
+        assert!(!plan.const_span.is_empty());
+        assert!(
+            plan.const_span.values().all(|&s| s == 24),
+            "{:?}",
+            plan.const_span
+        );
+    }
+
+    #[test]
+    fn two_record_types_pointing_at_each_other_converge() {
+        // Cee has no forward declarations: `A` points at `B` through a
+        // `void *` it casts back.
+        let src = |a_size: &str| {
+            format!(
+                "struct A {{ void *b; int x; }};
+                 struct B {{ struct A *a; long y; long z; }};
+                 int main() {{
+                   int n; n = 3;
+                   long total; total = 0;
+                   #pragma candidate pair
+                   for (int i = 0; i < 8; i++) {{
+                     struct A *a; a = malloc({a_size});
+                     struct B *b; b = malloc(sizeof(struct B));
+                     a->b = b; a->x = i; b->a = a; b->y = i; b->z = 1;
+                     struct B *back; back = (struct B*)a->b;
+                     total += back->y + b->a->x;
+                     free(a); free(b);
+                   }}
+                   out_long(total);
+                   return n;
+                 }}"
+            )
+        };
+        // Both by `sizeof`: both thin, each span its own record.
+        let (_, plan) = plan_of(&src("sizeof(struct A)"), OptLevel::Full);
+        assert!(plan.fat_types.is_empty(), "{:?}", plan.fat_causes);
+        let spans: HashSet<u64> = plan.const_span.values().copied().collect();
+        assert_eq!(spans, HashSet::from([16, 24]));
+        // `A` allocated with a runtime size: `struct A *` turns fat, which
+        // widens `struct B` (its `a` field) to 32 bytes — and `struct B *`
+        // stays thin with the *new* size as its constant span.
+        let (analysis, plan) = plan_of(&src("n * sizeof(struct A)"), OptLevel::Full);
+        assert!(plan.is_fat(&pointer_to(&analysis, "A")));
+        assert!(
+            !plan.is_fat(&pointer_to(&analysis, "B")),
+            "{:?}",
+            plan.fat_causes
+        );
+        let spans: HashSet<u64> = plan.const_span.values().copied().collect();
+        assert_eq!(spans, HashSet::from([32]));
+    }
+
+    #[test]
+    fn pointer_carrying_local_behind_a_private_pointer_has_a_constant_span() {
+        let src = "struct S { int *data; int n; };
+                   int main() {
+                     struct S s; struct S *ps; ps = &s;
+                     long total; total = 0;
+                     #pragma candidate fill
+                     for (int i = 0; i < 8; i++) {
+                       ps->n = i; ps->data = 0;
+                       total += ps->n;
+                     }
+                     out_long(total);
+                     return 0;
+                   }";
+        let (analysis, plan) = plan_of(src, OptLevel::Full);
+        assert!(
+            !plan.is_fat(&pointer_to(&analysis, "S")),
+            "{:?}",
+            plan.fat_causes
+        );
+        assert!(!plan.const_span.is_empty());
+        assert!(plan.const_span.values().all(|&s| s == 16));
+    }
+
+    #[test]
+    fn levels_without_constant_spans_plan_as_before() {
+        let (analysis, none) = plan_of(&list_program(""), OptLevel::None);
+        assert_eq!(none.fat_types, all_pointer_types(&analysis.program));
+        assert!(none.fat_causes.values().all(|c| *c == FatCause::OptLevel));
+        assert!(none.const_span.is_empty() && !none.prune_span_work);
+
+        let (analysis, noconst) = plan_of(&list_program(""), OptLevel::NoConstSpan);
+        assert_eq!(
+            noconst.fat_types,
+            HashSet::from([pointer_to(&analysis, "N")])
+        );
+        assert!(noconst.const_span.is_empty() && noconst.prune_span_work);
+        // Same structures expanded as at full optimization.
+        let full = analysis.plan(OptLevel::Full, 4).unwrap();
+        assert_eq!(noconst.expanded, full.expanded);
+    }
 }

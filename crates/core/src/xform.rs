@@ -957,7 +957,7 @@ impl<'a> Xf<'a> {
         let mut sync: Vec<bool> = Vec::new();
         for orig in &body.stmts {
             stmts.extend(self.rewrite_stmt(orig)?);
-            let ordered = sync_set.is_some_and(|set| stmt_mentions_eids(orig, set));
+            let ordered = sync_set.is_some_and(|set| stmt_mentions_eids(self.program, orig, set));
             sync.resize(stmts.len(), ordered);
         }
         let redirections = std::mem::replace(&mut self.redirections, outer);
@@ -1797,15 +1797,25 @@ fn lvalue_is_pure(e: &Expr) -> bool {
     dse_ir::loops::expr_is_pure(e)
 }
 
-/// Does the statement mention any of the given eids?
-fn stmt_mentions_eids(stmt: &Stmt, eids: &HashSet<u32>) -> bool {
+/// Does the statement touch any of the given eids — itself, or inside a
+/// function it calls? (An ordered access in a callee orders the call.)
+fn stmt_mentions_eids(program: &Program, stmt: &Stmt, eids: &HashSet<u32>) -> bool {
     let mut found = false;
-    let mut probe = stmt.clone();
-    visit_exprs_in_stmt(&mut probe, &mut |e| {
-        if eids.contains(&e.eid) {
-            found = true;
+    // Indices of the functions reachable from the statement.
+    let mut callees: Vec<usize> = Vec::new();
+    let mut scan = |e: &Expr, callees: &mut Vec<usize>| {
+        found |= eids.contains(&e.eid);
+        if let ExprKind::Call { name, .. } = &e.kind {
+            let callee = program.functions.iter().position(|f| &f.name == name);
+            callees.extend(callee.filter(|c| !callees.contains(c)));
         }
-    });
+    };
+    walk_exprs_in_stmt(stmt, &mut |e| scan(e, &mut callees));
+    let mut next = 0;
+    while let Some(&f) = callees.get(next) {
+        walk_exprs_in_block(&program.functions[f].body, &mut |e| scan(e, &mut callees));
+        next += 1;
+    }
     found
 }
 

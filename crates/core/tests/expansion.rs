@@ -832,3 +832,331 @@ fn unlabeled_candidate_gets_sync_window() {
         assert_eq!(run_outputs(t.parallel, n, &[]), reference, "n={n}");
     }
 }
+
+// ---- Section 3.4: one derivation per pointer assignment ---------------------
+
+/// The transformed source at full optimization for 4 threads, with its
+/// report, after checking every configuration against the original.
+fn hoisted(src: &str) -> (String, dse_core::ExpansionReport) {
+    let analysis = check_equivalence(src, &[]);
+    let t = analysis.transform(OptLevel::Full, 4).unwrap();
+    (dse_lang::printer::print_program(&t.program), t.report)
+}
+
+fn count(haystack: &str, needle: &str) -> usize {
+    haystack.matches(needle).count()
+}
+
+/// A pointer the body only reads is derived once per iteration, before its
+/// first use, and every access goes through the slot.
+#[test]
+fn read_only_base_is_derived_once() {
+    let (out, report) = hoisted(
+        "int main() {
+           int n; n = 8;
+           int *scratch; scratch = malloc(n * sizeof(int));
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             for (int k = 0; k < n; k++) { scratch[k] = i + k; }
+             int s; s = 0;
+             for (int k = 0; k < n; k++) { s += scratch[k]; }
+             total += s;
+           }
+           out_long(total);
+           free(scratch);
+           return 0; }",
+    );
+    assert_eq!(count(&out, "__rd_scratch[__tid()] = "), 1, "{out}");
+    assert_eq!(count(&out, "__tid() * __sp_scratch"), 1, "{out}");
+    assert_eq!(
+        (report.redirections_hoisted, report.redirections_rederived),
+        (2, 0)
+    );
+    // The derivation precedes the loop of the first use.
+    let derive = out.find("__rd_scratch[__tid()] = ").unwrap();
+    assert!(derive < out.find("__rd_scratch[__tid()][").unwrap());
+}
+
+/// A buffer used, conditionally `realloc`ed, and used again: derived before
+/// the first use and again inside the branch, right after the assignment.
+#[test]
+fn conditional_realloc_rederives_inside_the_branch() {
+    let (out, report) = hoisted(
+        "int main() {
+           int *buf; buf = malloc(4 * sizeof(int));
+           int cap; cap = 4;
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             int need; need = 4 + (i % 5);
+             buf[0] = i;
+             buf[1] = buf[0] + 1;
+             if (need > cap) {
+               buf = realloc(buf, (long)need * sizeof(int));
+               cap = need;
+             }
+             for (int k = 0; k < need; k++) { buf[k] = i + k; }
+             int b; b = 0;
+             for (int k = 0; k < need; k++) { b += buf[k]; }
+             total += b;
+           }
+           out_long(total);
+           free(buf);
+           return 0; }",
+    );
+    assert_eq!(count(&out, "__rd_buf[__tid()] = "), 2, "{out}");
+    assert_eq!(report.redirections_rederived, 1);
+    // The second derivation follows the span store inside the branch.
+    let branch = out.find("__realloc_expanded").unwrap();
+    let span_store = branch + out[branch..].find("__sp_buf = ").unwrap();
+    let rederive = out.rfind("__rd_buf[__tid()] = ").unwrap();
+    let after_branch = out.find("cap = need").unwrap();
+    assert!(span_store < rederive && rederive < after_branch, "{out}");
+}
+
+/// When every use follows the conditional `realloc`, one derivation after
+/// the branch serves both paths.
+#[test]
+fn realloc_before_every_use_needs_one_derivation() {
+    let (out, report) = hoisted(
+        "int main() {
+           int *buf; buf = malloc(4 * sizeof(int));
+           int cap; cap = 4;
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             int need; need = 4 + (i % 5);
+             if (need > cap) {
+               buf = realloc(buf, (long)need * sizeof(int));
+               cap = need;
+             }
+             for (int k = 0; k < need; k++) { buf[k] = i + k; }
+             int b; b = 0;
+             for (int k = 0; k < need; k++) { b += buf[k]; }
+             total += b;
+           }
+           out_long(total);
+           free(buf);
+           return 0; }",
+    );
+    assert_eq!(count(&out, "__rd_buf[__tid()] = "), 1, "{out}");
+    assert_eq!(report.redirections_rederived, 0);
+    assert!(out.find("cap = need").unwrap() < out.find("__rd_buf[__tid()] = ").unwrap());
+}
+
+/// One use per assignment is not worth a slot.
+#[test]
+fn single_use_pointer_keeps_the_inline_form() {
+    let (out, report) = hoisted(
+        "int main() {
+           int n; n = 8;
+           int *cell; cell = malloc(n * sizeof(int));
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             cell[0] = i;
+             total += i;
+           }
+           out_long(total + cell[0]);
+           free(cell);
+           return 0; }",
+    );
+    assert_eq!(count(&out, "__rd_"), 0, "{out}");
+    assert_eq!(report.redirections_hoisted, 0);
+}
+
+/// A pointer carried from iteration to iteration (`realloc`ed in the body)
+/// is read under the DOACROSS order: its derivation lies inside the
+/// `Wait`/`Post` window.
+#[test]
+fn carried_pointer_is_derived_inside_the_window() {
+    let src = "int main() {
+           int *buf; buf = malloc(4 * sizeof(int));
+           int cap; cap = 4;
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             int need; need = 4 + (i % 5);
+             int pre; pre = need * 3;
+             if (need > cap) {
+               buf = realloc(buf, (long)need * sizeof(int));
+               cap = need;
+             }
+             for (int k = 0; k < need; k++) { buf[k] = i + k + pre; }
+             int b; b = 0;
+             for (int k = 0; k < need; k++) { b += buf[k]; }
+             total += b;
+           }
+           out_long(total);
+           free(buf);
+           return 0; }";
+    let analysis = check_equivalence(src, &[]);
+    let t = analysis.transform(OptLevel::Full, 4).unwrap();
+    let (first, last) = t.sync_windows["hot"].expect("ordered loop");
+    let main = &t.program.functions[0];
+    let body = main
+        .body
+        .stmts
+        .iter()
+        .find_map(|s| match &s.kind {
+            dse_lang::ast::StmtKind::For { body, mark, .. } if mark.candidate => Some(body),
+            _ => None,
+        })
+        .unwrap();
+    let is_derivation = |s: &dse_lang::ast::Stmt| match &s.kind {
+        dse_lang::ast::StmtKind::Expr(e) => {
+            dse_lang::printer::expr(e, &t.program).contains("__rd_buf[__tid()] = ")
+        }
+        _ => false,
+    };
+    let derive = body.stmts.iter().position(is_derivation).expect("hoisted");
+    assert!(
+        first < derive && derive <= last,
+        "{derive} not in {first}..={last}"
+    );
+}
+
+/// A nested candidate loop hoists within its own body; the outer body does
+/// not reach into it.
+#[test]
+fn nested_candidate_loops_hoist_separately() {
+    let (out, report) = hoisted(
+        "int main() {
+           int n; n = 6;
+           int *outer_buf; outer_buf = malloc(n * sizeof(int));
+           int *inner_buf; inner_buf = malloc(n * sizeof(int));
+           int *out; out = malloc(4 * 6 * sizeof(int));
+           #pragma candidate outer
+           for (int a = 0; a < 4; a++) {
+             for (int k = 0; k < n; k++) { outer_buf[k] = a + k; }
+             #pragma candidate inner
+             for (int c = 0; c < 5; c++) {
+               for (int k = 0; k < n; k++) { inner_buf[k] = a * c + k; }
+               int s; s = 0;
+               for (int k = 0; k < n; k++) { s += inner_buf[k]; }
+               out[a * 6 + c] = s;
+             }
+             int t; t = 0;
+             for (int k = 0; k < n; k++) { t += outer_buf[k]; }
+             out[a * 6 + 5] = t;
+           }
+           long total; total = 0;
+           for (int i = 0; i < 24; i++) { total += out[i]; }
+           out_long(total);
+           free(outer_buf); free(inner_buf); free(out);
+           return 0; }",
+    );
+    assert_eq!(report.redirections_hoisted, 4, "{out}");
+    // Each slot lives in the body that derives it.
+    let inner = out.find("#pragma candidate inner").unwrap();
+    let after_inner = out.find("int t[4];").unwrap();
+    let (before, inside, after) = (&out[..inner], &out[inner..after_inner], &out[after_inner..]);
+    assert_eq!(count(inside, "__rd_outer_buf"), 0, "{out}");
+    assert_eq!(
+        count(before, "__rd_inner_buf") + count(after, "__rd_inner_buf"),
+        0,
+        "{out}"
+    );
+    assert_eq!(count(inside, "__rd_inner_buf[__tid()] = "), 1, "{out}");
+    assert_eq!(count(before, "__rd_outer_buf[__tid()] = "), 1, "{out}");
+    assert_eq!(count(after, "__rd_outer_buf[__tid()] = "), 0, "{out}");
+}
+
+/// A callee that reassigns a global pointer ends a derivation's validity
+/// exactly as an assignment in the body does.
+#[test]
+fn callee_that_reassigns_the_pointer_forces_a_rederivation() {
+    let (out, report) = hoisted(
+        "int *work;
+         int cap;
+         void grow(int need) {
+           if (need > cap) { work = realloc(work, (long)need * sizeof(int)); cap = need; }
+         }
+         int main() {
+           cap = 4;
+           work = malloc(4 * sizeof(int));
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             int need; need = 4 + (i % 5);
+             work[0] = i;
+             work[1] = work[0] * 2;
+             grow(need);
+             for (int k = 0; k < need; k++) { work[k] = i + k; }
+             int b; b = 0;
+             for (int k = 0; k < need; k++) { b += work[k]; }
+             total += b;
+           }
+           out_long(total);
+           free(work);
+           return 0; }",
+    );
+    assert_eq!(count(&out, "__rd_work[__tid()] = "), 2, "{out}");
+    assert_eq!(report.redirections_rederived, 1);
+    let call = out.find("grow(need").unwrap();
+    assert!(call < out.rfind("__rd_work[__tid()] = ").unwrap(), "{out}");
+    assert!(out.find("__rd_work[__tid()] = ").unwrap() < call, "{out}");
+}
+
+/// An ordered shared access inside a callee orders the call: the `Wait`
+/// comes before `grow(need)`, whose `realloc` of the global carries the
+/// pointer from iteration to iteration. (Found by `prop_equivalence`'s
+/// extended grammar: with the call ahead of the window, two workers ran
+/// `realloc` on the same block.)
+#[test]
+fn ordered_access_in_a_callee_orders_the_call() {
+    let src = "int *work;
+         int cap;
+         void grow(int need) {
+           if (need > cap) { work = realloc(work, (long)need * sizeof(int)); cap = need; }
+         }
+         int main() {
+           cap = 4;
+           work = malloc(4 * sizeof(int));
+           long total; total = 0;
+           #pragma candidate hot
+           for (int i = 0; i < 12; i++) {
+             int need; need = 4 + (i % 5);
+             grow(need);
+             for (int k = 0; k < need; k++) { work[k] = i + k; }
+             int b; b = 0;
+             for (int k = 0; k < need; k++) { b += work[k]; }
+             total += b;
+           }
+           out_long(total);
+           free(work);
+           return 0; }";
+    let analysis = check_equivalence(src, &[]);
+    let t = analysis.transform(OptLevel::Full, 4).unwrap();
+    let (first, _) = t.sync_windows["hot"].expect("ordered loop");
+    let main = t
+        .program
+        .functions
+        .iter()
+        .find(|f| f.name == "main")
+        .unwrap();
+    let body = main
+        .body
+        .stmts
+        .iter()
+        .find_map(|s| match &s.kind {
+            dse_lang::ast::StmtKind::For { body, mark, .. } if mark.candidate => Some(body),
+            _ => None,
+        })
+        .unwrap();
+    let call = body
+        .stmts
+        .iter()
+        .position(|s| match &s.kind {
+            dse_lang::ast::StmtKind::Expr(e) => {
+                dse_lang::printer::expr(e, &t.program).starts_with("grow(")
+            }
+            _ => false,
+        })
+        .expect("the call is a top-level statement");
+    assert!(
+        first <= call,
+        "window starts at {first}, the call is statement {call}"
+    );
+}

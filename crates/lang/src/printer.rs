@@ -164,7 +164,8 @@ fn base_type_name(ty: &Type, types: &TypeTable) -> String {
     }
 }
 
-fn type_name(ty: &Type, types: &TypeTable) -> String {
+/// The type as a cast spells it (`struct QNode*`, `int[4]`).
+pub fn type_name(ty: &Type, types: &TypeTable) -> String {
     match ty {
         Type::Pointer(inner) => format!("{}*", type_name(inner, types)),
         Type::Array(inner, n) => format!("{}[{n}]", type_name(inner, types)),

@@ -598,6 +598,9 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 println!("    aggregate locals:         {}", r.expanded_locals);
                 println!("  expanded scalars:           {}", r.expanded_scalar_locals);
                 println!("  fat pointer types:          {}", r.fat_pointer_types);
+                for line in t.plan.fat_cause_lines(&analysis.program) {
+                    println!("    {line}");
+                }
                 println!("  span-carrying integers:     {}", r.fat_int_vars);
                 println!(
                     "  span stores inserted:       {} ({} elided)",
@@ -606,6 +609,10 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 println!(
                     "  private accesses redirected: {}",
                     r.private_accesses_redirected
+                );
+                println!(
+                    "  redirections hoisted:       {} ({} re-derived)",
+                    r.redirections_hoisted, r.redirections_rederived
                 );
                 for (label, mode) in &t.modes {
                     println!("  loop `{label}` scheduled {mode:?}");

@@ -111,6 +111,12 @@ fn metrics_cover_phases_and_per_thread_counters() {
         .as_ref()
         .expect("transform populates expansion stats");
     assert!(e.privatized_structures() >= 1);
+    // The scratch buffer's redirection is derived once per iteration; the
+    // accesses through the slot are a subset of the redirected ones.
+    assert!(
+        e.redirections_hoisted >= 1 && e.redirections_hoisted <= e.private_accesses_redirected,
+        "{e:?}"
+    );
     assert!(m
         .loops
         .iter()

@@ -135,3 +135,40 @@ fn emit_report_explains_registers_under_the_register_backend_only() {
         "every --emit is refused over --daemon the same way"
     );
 }
+
+/// `--emit report` names, per promoted pointer type, the allocation site
+/// and the reason that forced the promotion, and counts the redirections
+/// derived once per assignment instead of once per access. (The same
+/// fixture goes over the daemon transport in
+/// `every_fixture_answers_the_same_over_both_transports`; `--emit` itself
+/// does not travel, see above.)
+#[test]
+fn emit_report_says_why_each_pointer_is_fat() {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/span_reasons.cee");
+    let (code, stdout, _) = dsec(&["--emit", "report", "--threads", "2"], &file, None);
+    assert_eq!(code, 0);
+    for line in [
+        "  fat pointer types:          3",
+        "    `int*`: passed to the realloc of an expanded structure at 16:13",
+        "    `long*`: reaches objects of different sizes: 16 bytes allocated at 29:25, \
+         32 bytes allocated at 29:53",
+        "    `short*`: reaches an allocation of runtime size at 10:19",
+        "  redirections hoisted:       10 (1 re-derived)",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l == line),
+            "`{line}` missing:\n{stdout}"
+        );
+    }
+    // The list nodes are allocated by one `sizeof`: `struct N*` is not there.
+    assert!(!stdout.contains("struct N"), "{stdout}");
+
+    // Without constant spans every private pointer is fat, and says so.
+    let noconst = ["--emit", "report", "--threads", "2", "--opt", "noconst"];
+    let (code, stdout, _) = dsec(&noconst, &file, None);
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains("`struct N*`: constant spans are not looked for at this --opt"),
+        "{stdout}"
+    );
+}

@@ -5,9 +5,7 @@
 
 use dse_core::{Analysis, OptLevel, Transformed};
 use dse_ir::bytecode::{Instr, LoopEvent};
-use dse_lang::ast::{
-    visit_exprs_in_block, AssignOp, BinOp, Block, Expr, ExprKind, Stmt, StmtKind,
-};
+use dse_lang::ast::{visit_exprs_in_block, AssignOp, BinOp, Block, Expr, ExprKind, Stmt, StmtKind};
 use dse_verify::diag::Code;
 use dse_workloads::Scale;
 
@@ -31,7 +29,10 @@ fn codes(analysis: &Analysis, t: &Transformed) -> Vec<Code> {
 fn new_codes(analysis: &Analysis, clean: &[Code], sabotaged: &Transformed) -> Vec<Code> {
     let mut after = codes(analysis, sabotaged);
     for c in clean {
-        let at = after.iter().position(|x| x == c).expect("a finding vanished");
+        let at = after
+            .iter()
+            .position(|x| x == c)
+            .expect("a finding vanished");
         after.remove(at);
     }
     after.dedup();
@@ -68,7 +69,10 @@ fn find_block(t: &mut Transformed, f: &mut impl FnMut(&mut Block) -> bool) -> bo
             _ => false,
         })
     }
-    t.program.functions.iter_mut().any(|func| go(&mut func.body, f))
+    t.program
+        .functions
+        .iter_mut()
+        .any(|func| go(&mut func.body, f))
 }
 
 /// A constant span that no longer matches what the transformed program
@@ -92,7 +96,10 @@ fn stale_constant_span_is_flagged() {
             }
         });
     }
-    assert!(corrupted, "expected a constant 16-byte QNode span in the output");
+    assert!(
+        corrupted,
+        "expected a constant 16-byte QNode span in the output"
+    );
     assert_eq!(new_codes(&analysis, &clean, &t), [Code::SpanNotMaintained]);
 }
 
@@ -124,7 +131,10 @@ fn derivation_above_wait_is_flagged() {
         let Some(at) = b.stmts.iter().position(|s| is_derivation(s, "zptr")) else {
             return false;
         };
-        assert!(window.0 <= at && at <= window.1, "derived inside the window");
+        assert!(
+            window.0 <= at && at <= window.1,
+            "derived inside the window"
+        );
         let early = b.stmts[at].clone();
         b.stmts.insert(window.0, early);
         true
@@ -137,7 +147,10 @@ fn derivation_above_wait_is_flagged() {
     t.parallel = analysis
         .lower_parallel(&t.program, &windows, OptLevel::Full)
         .unwrap();
-    assert_eq!(new_codes(&analysis, &clean, &t), [Code::SyncWindowViolation]);
+    assert_eq!(
+        new_codes(&analysis, &clean, &t),
+        [Code::SyncWindowViolation]
+    );
 }
 
 /// Un-redirecting a private access (TidScaled offset replaced by a constant

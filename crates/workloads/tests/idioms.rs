@@ -30,9 +30,23 @@ fn dijkstra_rebuilds_heap_structures() {
         "queue nodes, dist, visited must expand: {:?}",
         plan.expanded
     );
-    // The struct Node pointer type must be promoted (list links carry
-    // pointers into expanded heap chunks of varying provenance).
-    assert!(!plan.fat_types.is_empty());
+    // Every queue node is `malloc(sizeof(struct QNode))`: the node pointer
+    // stays thin with a 16-byte constant span (Section 3.4); only `int *`
+    // — `dist`/`visited`, sized by the input — carries a span.
+    let t = a.transform(OptLevel::Full, 4).unwrap();
+    let node = a.program.types.struct_by_name("QNode").unwrap();
+    assert!(!plan.is_fat(&dse_lang::types::Type::Struct(node).ptr_to()));
+    assert_eq!(
+        plan.fat_cause_lines(&a.program),
+        ["`int*`: reaches an allocation of runtime size at 26:10"]
+    );
+    assert_eq!(t.report.fat_pointer_types, 1);
+    assert_eq!(t.report.span_stores_emitted, 3, "adj, dist, visited");
+    assert_eq!(t.report.private_accesses_redirected, 96);
+    // dist, visited, first, cur, item and walk are derived once per
+    // assignment; `queue` has one use per assignment and stays inline.
+    assert_eq!(t.report.redirections_hoisted, 23);
+    assert_eq!(t.report.redirections_rederived, 1, "`walk = walk->next`");
 }
 
 /// md5: the global block buffer X is the expanded structure (Table 1's
