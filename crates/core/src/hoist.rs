@@ -87,23 +87,25 @@ pub(crate) fn hoist(
         cand,
         deps,
         place: index(var(&slot), call("__tid")),
+        apply: false,
         uses: 0,
         derivations: 0,
         use_weight: 0,
         derive_weight: 0,
     };
-    let mut trial = stmts.clone();
-    let mut trial_sync = sync.clone();
-    if !h
-        .in_scope_block(&mut trial, 0, Some(&mut trial_sync))
-        .ok()?
-    {
-        h.scope_block(&mut trial, 0, 0, Some(&mut trial_sync))
-            .ok()?;
-    }
+    // A dry run decides; only a pointer worth hoisting rewrites the body.
+    h.body(stmts, sync).ok()?;
     if h.use_weight <= h.derive_weight {
         return None;
     }
+    h = Hoist {
+        apply: true,
+        uses: 0,
+        derivations: 0,
+        ..h
+    };
+    h.body(stmts, sync)
+        .unwrap_or_else(|Unhoistable| unreachable!("the dry run walked the same statements"));
     let decl = Stmt {
         kind: StmtKind::Decl {
             name: slot,
@@ -113,10 +115,8 @@ pub(crate) fn hoist(
         },
         span: SourceSpan::default(),
     };
-    trial.insert(0, decl);
-    trial_sync.insert(0, false);
-    *stmts = trial;
-    *sync = trial_sync;
+    stmts.insert(0, decl);
+    sync.insert(0, false);
     Some(Hoisted {
         uses: h.uses,
         derivations: h.derivations,
@@ -134,6 +134,8 @@ struct Hoist<'a> {
     deps: Vec<String>,
     /// `__rd_p[__tid()]`.
     place: Expr,
+    /// Rewrite the body, or only count what rewriting it would do.
+    apply: bool,
     uses: usize,
     derivations: usize,
     use_weight: u64,
@@ -146,9 +148,23 @@ fn weight(depth: u32) -> u64 {
 }
 
 impl Hoist<'_> {
-    fn derivation(&mut self, depth: u32) -> Stmt {
+    /// The whole body: within the block that declares the pointer, or from
+    /// the body's first statement for a pointer declared outside it.
+    fn body(&mut self, stmts: &mut Vec<Stmt>, sync: &mut Vec<bool>) -> Result<(), Unhoistable> {
+        if !self.in_scope_block(stmts, 0, Some(sync))? {
+            self.scope_block(stmts, 0, 0, Some(sync))?;
+        }
+        Ok(())
+    }
+
+    /// Derives the slot before `stmts[at]`; returns how many statements
+    /// that put there.
+    fn derive(&mut self, stmts: &mut Vec<Stmt>, at: usize, depth: u32) -> usize {
         self.derivations += 1;
         self.derive_weight += weight(depth);
+        if !self.apply {
+            return 0;
+        }
         let e = Expr::new(
             ExprKind::Assign {
                 op: AssignOp::Set,
@@ -157,10 +173,12 @@ impl Hoist<'_> {
             },
             SourceSpan::default(),
         );
-        Stmt {
+        let derivation = Stmt {
             kind: StmtKind::Expr(e),
             span: SourceSpan::default(),
-        }
+        };
+        stmts.insert(at, derivation);
+        1
     }
 
     /// Finds the block declaring the pointer and hoists within it; false
@@ -218,11 +236,11 @@ impl Hoist<'_> {
         while i < stmts.len() {
             let uses = self.mentions(&stmts[i]);
             if uses && !valid {
-                stmts.insert(i, self.derivation(depth));
-                if let Some(sync) = sync.as_deref_mut() {
+                let derived = self.derive(stmts, i, depth);
+                if let Some(sync) = sync.as_deref_mut().filter(|_| derived == 1) {
                     sync.insert(i, sync[i]);
                 }
-                i += 1;
+                i += derived;
                 valid = true;
             }
             // A valid slot stays valid through a statement that uses it and
@@ -252,8 +270,7 @@ impl Hoist<'_> {
         while i < stmts.len() {
             if self.stmt(&mut stmts[i], depth, eager)? {
                 if eager {
-                    i += 1;
-                    stmts.insert(i, self.derivation(depth));
+                    i += self.derive(stmts, i + 1, depth);
                 } else {
                     stale = true;
                 }
@@ -297,7 +314,10 @@ impl Hoist<'_> {
                     if declares || self.stores_in_stmt(init) {
                         return Err(Unhoistable);
                     }
-                    self.replace_in_stmt(init, depth);
+                    if let StmtKind::Decl { init: Some(e), .. } | StmtKind::Expr(e) = &mut init.kind
+                    {
+                        self.replace(e, depth);
+                    }
                 }
                 for e in cond.iter_mut().chain(step.iter_mut()) {
                     self.header(e, depth + 1)?;
@@ -439,22 +459,21 @@ impl Hoist<'_> {
         }
     }
 
+    /// Routes every use in `e` through the slot.
     fn replace(&mut self, e: &mut Expr, depth: u32) {
         let mut n = 0;
-        visit_exprs(e, &mut |x| {
-            if same_shape(x, &self.cand.inline) {
-                *x = self.place.clone();
-                n += 1;
-            }
-        });
+        if self.apply {
+            visit_exprs(e, &mut |x| {
+                if same_shape(x, &self.cand.inline) {
+                    *x = self.place.clone();
+                    n += 1;
+                }
+            });
+        } else {
+            walk_exprs(e, &mut |x| n += same_shape(x, &self.cand.inline) as usize);
+        }
         self.uses += n;
         self.use_weight += n as u64 * weight(depth);
-    }
-
-    fn replace_in_stmt(&mut self, s: &mut Stmt, depth: u32) {
-        if let StmtKind::Decl { init: Some(e), .. } | StmtKind::Expr(e) = &mut s.kind {
-            self.replace(e, depth);
-        }
     }
 }
 
@@ -471,7 +490,7 @@ fn is_pointer_assignment_block(b: &Block) -> bool {
 
 /// Structural equality of the expression shapes a redirection is built
 /// from, ignoring eids, spans and types.
-pub fn same_shape(a: &Expr, b: &Expr) -> bool {
+pub(crate) fn same_shape(a: &Expr, b: &Expr) -> bool {
     match (&a.kind, &b.kind) {
         (ExprKind::IntLit(x), ExprKind::IntLit(y)) => x == y,
         (ExprKind::Var { name: x, .. }, ExprKind::Var { name: y, .. }) => x == y,

@@ -879,19 +879,10 @@ fn uniform_size(
     let mut first: Option<(PtObj, u64)> = None;
     for &obj in &site.objs {
         let size = match obj {
-            PtObj::Alloc(eid) => {
-                // A size that does not fold in the original layout does not
-                // fold in any; otherwise re-evaluate its `sizeof`s promoted.
-                let folds = inp
-                    .alloc_sizes
-                    .get(&eid)
-                    .is_some_and(|i| i.const_size.is_some());
-                alloc_calls
-                    .get(&eid)
-                    .filter(|_| folds)
-                    .and_then(|call| alloc_call_size(call, &mut |t| layout.size_of(t)).flatten())
-                    .ok_or(FatCause::RuntimeSize { alloc: eid })?
-            }
+            PtObj::Alloc(eid) => alloc_calls
+                .get(&eid)
+                .and_then(|call| alloc_call_size(call, &mut |t| layout.size_of(t)).flatten())
+                .ok_or(FatCause::RuntimeSize { alloc: eid })?,
             PtObj::Var(v) => {
                 let ty = match v {
                     VarId::Global(g) => &inp.program.globals[g].ty,

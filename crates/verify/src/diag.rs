@@ -30,7 +30,10 @@ pub enum Code {
     /// (Table 2 violation).
     SharedNotReplicaZero,
     /// A store to an expanded pointer is not paired with the span bookkeeping
-    /// Table 3 requires.
+    /// Table 3 requires — or what Section 3.4 derives from a span is out of
+    /// date: a constant span that is not the transformed size of an object
+    /// its access reaches, or a hoisted redirection used after its pointer
+    /// or span was stored.
     SpanNotMaintained,
     /// A DOACROSS synchronization window does not cover an ordered shared
     /// access, or a DOALL body contains synchronization.
