@@ -21,8 +21,9 @@
 //! key on (Tables 1–3, Section 3.4): a self-referential record allocated by
 //! `malloc(sizeof(struct Node))`, pushed and walked in the body; a buffer
 //! `realloc`ed to a runtime size inside a branch and indexed after it; a
-//! `(short*)` view of the `int` heap buffer; and a callee that reassigns a
-//! global pointer the body indexes. Extended programs also pass
+//! `(short*)` view of the `int` heap buffer; a callee that reassigns a
+//! global pointer the body indexes; and a candidate loop nested in the
+//! candidate loop. Extended programs also pass
 //! `check_all` (DSE001–DSE008) without an error. Classic seeds generate
 //! exactly what they always did.
 
@@ -108,6 +109,9 @@ enum GStmt {
     If(GExpr, Box<GStmt>, Box<GStmt>),
     /// `for (int k = 0; k < 4; k++) { s }` with `k` available via `a`.
     Loop(Box<GStmt>),
+    /// The same loop, followed by a candidate loop of its own nested in
+    /// `fuzz` (extended).
+    Nested(Box<GStmt>),
     /// Push a `malloc(sizeof(struct Node))` node holding `e` (extended).
     ListPush(GExpr),
     /// Walk the list, summing into `a` (extended).
@@ -170,11 +174,29 @@ impl GStmt {
                 f.render(out, depth + 1);
                 out.push_str(&format!("{pad}}}\n"));
             }
-            GStmt::Loop(body) => {
+            GStmt::Loop(body) | GStmt::Nested(body) => {
                 out.push_str(&format!("{pad}for (int k = 0; k < 4; k++) {{\n"));
                 out.push_str(&format!("{pad}  a = a + k;\n"));
                 body.render(out, depth + 1);
                 out.push_str(&format!("{pad}}}\n"));
+                if matches!(self, GStmt::Nested(_)) {
+                    // The planner refuses a program in which one access is
+                    // private to one candidate loop and shared in another
+                    // (DSE007), so the nested body touches only what both
+                    // loops see alike: a row of `grid` written once (DOALL)
+                    // or `acc` (DOACROSS in both). The text so far is as
+                    // good a unique label, and coin, as any.
+                    let n = out.len();
+                    let stmt = if n % 2 == 0 {
+                        "grid[i * 4 + q] = (i ^ q) + k0;"
+                    } else {
+                        "acc += (i * q) ^ k0;"
+                    };
+                    out.push_str(&format!(
+                        "{pad}#pragma candidate nest{n}\n\
+                         {pad}for (int q = 0; q < 4; q++) {{ {stmt} }}\n"
+                    ));
+                }
             }
             GStmt::ListPush(e) => {
                 out.push_str(&format!(
@@ -289,7 +311,15 @@ fn gen_stmt(rng: &mut Rng, depth: u32, g: Grammar) -> GStmt {
             Box::new(gen_stmt(rng, depth - 1, g)),
         )
     } else {
-        Loop(Box::new(gen_stmt(rng, depth - 1, g)))
+        // A loop at the top of an extended body brings a nested candidate
+        // loop along; the draws are the same either way, so the rest of a
+        // seed's program is what it was.
+        let body = Box::new(gen_stmt(rng, depth - 1, g));
+        if g == Grammar::Extended && depth == 2 {
+            Nested(body)
+        } else {
+            Loop(body)
+        }
     }
 }
 
@@ -315,6 +345,8 @@ void regrow(int need) {
 ",
             "  int *gbuf; int gcap; gcap = 4; gbuf = malloc(gcap * sizeof(int));
   gpcap = 4; gp = malloc(gpcap * sizeof(int));
+  int *grid; grid = malloc(80 * sizeof(int));
+  for (int z = 0; z < 80; z++) { grid[z] = z; }
 ",
             "    struct Node *head; head = 0;
     struct Node *nn;
@@ -325,7 +357,10 @@ void regrow(int need) {
             "    while (head) { w = head; head = head->next; free(w); }
     b ^= gbuf[i & 3] ^ gp[i & 3] ^ view[i & 31];
 ",
-            "  free(gbuf); free(gp);
+            "  long gsum; gsum = 0;
+  for (int z = 0; z < 80; z++) { gsum = gsum * 3 + grid[z]; }
+  out_long(gsum);
+  free(gbuf); free(gp); free(grid);
 ",
         ],
     };
@@ -514,7 +549,7 @@ fn expansion_preserves_semantics() {
 
 /// The same matrix over the extended grammar: linked records allocated by
 /// `sizeof`, a buffer `realloc`ed in a branch, a recast view, a callee that
-/// reassigns a global pointer.
+/// reassigns a global pointer, a nested candidate loop.
 #[test]
 fn expansion_preserves_semantics_of_pointer_structures() {
     for case in 0..48u64 {

@@ -172,6 +172,9 @@ impl Vm {
         let mut costs: Vec<crate::vm::IterCost> = Vec::new();
         let was_in_parallel = ctx.in_parallel;
         ctx.in_parallel = true;
+        // An enclosing loop's iteration is in flight when this one is
+        // nested: the iterations below overwrite its ordering state.
+        let enclosing = (ctx.posted, ctx.wait_mark, ctx.post_mark);
         ctx.sync_stack.push((id, Arc::clone(sync)));
         let prof_prev = ctx.prof.as_deref_mut().map(|p| p.enter_loop(id));
         let wall_t0 = ctx.prof.is_some().then(Instant::now);
@@ -229,7 +232,12 @@ impl Vm {
         self.trace_loop_span(ctx, id, span_t0, result.as_ref().err());
         ctx.sync_stack.pop();
         ctx.in_parallel = was_in_parallel;
-        self.commit_private_copies(ctx);
+        (ctx.posted, ctx.wait_mark, ctx.post_mark) = enclosing;
+        // A nested loop's end is the middle of an enclosing iteration,
+        // whose private copies are still in use.
+        if !was_in_parallel {
+            self.commit_private_copies(ctx);
+        }
         result
     }
 

@@ -321,6 +321,15 @@ impl Observer for LoopWork {
 ///   body now keeps the loop-invariant `a` in a register — one entry load
 ///   before the `Wait` (+1 `pre`), one frame load fewer after the `Post`
 ///   (−1 `post`). `acc` is stored by the body, so it stays in memory.
+///
+/// and once more when `main`, which dispatches the loop, stopped being
+/// refused promotion (PR 24): parallel, 79 → 83, iterations unchanged.
+/// `main` keeps `a`, `acc` and `i` in registers and a `ParLoop` spills what
+/// the region stored and reloads everything: three spills stand where the
+/// three stores were, `malloc`'s pinned result needs a move (+1), three
+/// reloads follow the loop (+3) and the two loads of `a` after it are
+/// gone, one of them into its use (−1), the other to a move. Three
+/// iterations do not pay for a spill; `mpeg2dec`'s and `lbm`'s do.
 struct FlushPins {
     backend: BackendKind,
     parallel: bool,
@@ -358,7 +367,7 @@ const FLUSH_PINS: &[FlushPins] = &[
     FlushPins {
         backend: BackendKind::Reg,
         parallel: true,
-        work: 79,
+        work: 83,
         trap_pcs: [6, 58],
         loop_work: &[],
         iter_costs: &[(2, 11, 6), (2, 11, 6), (2, 11, 6)],
@@ -571,4 +580,60 @@ fn indexing_past_a_local_array_is_outside_what_the_backends_agree_on() {
         "the store reached `x`"
     );
     assert_eq!(run(BackendKind::Reg, 2), vec![14], "`x` was in a register");
+}
+
+/// A DOACROSS loop nested in a DOACROSS loop runs inline on whichever
+/// worker has the outer iteration. Its last `Post` used to leave that
+/// worker's "this iteration has posted" flag set, so the outer iteration
+/// never posted and every later `Wait` of the outer loop spun forever —
+/// at one thread too.
+#[test]
+fn nested_doacross_loops_return() {
+    let ast = dse_lang::compile_to_ast(
+        "int main() { long total; total = 0; long inner; inner = 0;
+           #pragma candidate outer
+           for (int i = 0; i < 8; i++) {
+             #pragma candidate nested
+             for (int k = 0; k < 4; k++) { inner += i * k; }
+             total += inner;
+           }
+           out_long(total);
+           return 0; }",
+    )
+    .expect("frontend");
+    let ordered = |window| ParLoopSpec {
+        mode: ParMode::DoAcross,
+        sync_window: Some(window),
+    };
+    let opts = LowerOptions {
+        mode: LowerMode::Parallel,
+        par: [("outer", (0, 1)), ("nested", (0, 0))]
+            .into_iter()
+            .map(|(label, window)| (label.to_string(), ordered(window)))
+            .collect(),
+        ..Default::default()
+    };
+    let prog = dse_ir::lower_program(&ast, &opts).expect("lowering");
+    for backend in [BackendKind::Stack, BackendKind::Reg] {
+        for nthreads in [1, 2, 4] {
+            let config = VmConfig {
+                nthreads,
+                ..cfg(backend)
+            };
+            let mut vm = Vm::new(prog.clone(), config).expect("vm");
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let end = vm.run().map(|_| vm.outputs_int());
+                let _ = done.send(end);
+            });
+            let end = finished
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{backend:?}, {nthreads} thread(s): the run hangs"));
+            assert_eq!(
+                end.expect("runs"),
+                vec![504],
+                "{backend:?}, {nthreads} thread(s)"
+            );
+        }
+    }
 }

@@ -721,11 +721,11 @@ fn render_registers(
             named().unwrap_or_else(|| format!("frame+{off}"))
         };
         let mut memory: Vec<String> = Vec::new();
-        let mut dispatches = false;
+        let mut shares_code = false;
         for k in kept.iter().filter(|k| k.owner == owner) {
             let why = match k.why {
-                Why::Dispatches => {
-                    dispatches = true;
+                Why::SharedCode => {
+                    shares_code = true;
                     continue;
                 }
                 Why::Escaped => "indexed or address taken".to_string(),
@@ -747,8 +747,8 @@ fn render_registers(
             "  registers in {}: {promoted} promoted",
             flow.owner_name(prog, owner)
         );
-        if dispatches {
-            line.push_str(" (it dispatches a parallel loop)");
+        if shares_code {
+            line.push_str(" (it shares code with another region)");
         }
         if !memory.is_empty() {
             line.push_str("; in memory: ");

@@ -173,3 +173,37 @@ fn strict_vm_refuses_unverified_translation_and_accepts_verified() {
     reference.run().expect("reference runs");
     assert_eq!(vm.outputs_int(), reference.outputs_int());
 }
+
+/// The whole pipeline classifies both loops of `nested_doacross.cee`
+/// DOACROSS; `dsec --run` returns with the serial result at every thread
+/// count on both backends (it used to spin in the outer loop's `Wait`).
+#[test]
+fn nested_doacross_loops_run_to_completion() {
+    let f = fixture_dir().join("nested_doacross.cee");
+    for backend in ["stack", "reg"] {
+        for threads in ["1", "2", "4"] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_dsec"))
+                .arg(&f)
+                .args(["--run", "--threads", threads, "--exec-backend", backend])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::null())
+                .spawn()
+                .expect("spawn dsec");
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while child.try_wait().expect("try_wait").is_none() {
+                if std::time::Instant::now() > deadline {
+                    child.kill().expect("kill");
+                    panic!("{backend}, {threads} thread(s): dsec --run hangs");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let out = child.wait_with_output().expect("output");
+            assert!(out.status.success(), "{backend}, {threads} thread(s)");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                "out_long: [504]\n",
+                "{backend}, {threads} thread(s)"
+            );
+        }
+    }
+}

@@ -107,9 +107,9 @@ fn emit_report_explains_registers_under_the_register_backend_only() {
         .collect();
     assert_eq!(lines.len(), 4, "one line per region:\n{stdout}");
     assert_eq!(lines[2], "  registers in main: 3 frame promoted");
+    // `scale` dispatches the loop and promotes like any function.
     assert!(
-        lines[1]
-            .starts_with("  registers in scale: nothing promoted (it dispatches a parallel loop)"),
+        lines[1].starts_with("  registers in scale: 4 frame promoted; in memory: `cell` ("),
         "{stdout}"
     );
     let body = lines[3];

@@ -969,17 +969,25 @@ impl Freshness<'_> {
                 if let Some(i) = init {
                     st = self.stmt(i, st);
                 }
-                if mark.candidate {
-                    // Iterations may run on other workers, each with its own
-                    // slot: nothing is fresh on entry, nothing survives.
-                    st = st.map(|_| HashSet::new());
+                if !mark.candidate {
+                    return self.looping(cond.as_ref(), body, step.as_ref(), false, st);
                 }
-                let out = self.looping(cond.as_ref(), body, step.as_ref(), false, st);
-                if mark.candidate {
-                    out.map(|_| HashSet::new())
-                } else {
-                    out
+                // Iterations may run on other workers, each with its own
+                // slots: nothing is fresh inside. The slots of the thread
+                // that dispatched the loop outlive it, except those whose
+                // pointer or span some iteration stores.
+                let inside = st.as_ref().map(|_| HashSet::new());
+                self.looping(cond.as_ref(), body, step.as_ref(), false, inside);
+                if let Some(fresh) = &mut st {
+                    fresh.retain(|slot| {
+                        let mut stored = false;
+                        walk_exprs_in_stmt(s, &mut |x| {
+                            stored |= self.deps[slot].iter().any(|&d| self.stores(x, d));
+                        });
+                        !stored
+                    });
                 }
+                st
             }
             StmtKind::Break => {
                 if let Some((brk, _)) = self.loops.last_mut() {

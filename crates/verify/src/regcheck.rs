@@ -24,6 +24,7 @@
 //!   entry loads [`dse_ir::PromotionPlan::places`] declares.
 
 use dse_ir::bytecode::{CompiledProgram, RetKind};
+use dse_ir::regcode::Control;
 use dse_ir::sites::NO_SITE;
 use dse_ir::{for_each_dst, for_each_src, Place, RInstr, RegProgram, StackFlow, NO_OWNER};
 
@@ -140,17 +141,14 @@ impl Defined {
 
 fn successors(ins: &RInstr, pc: usize, out: &mut Vec<usize>) {
     out.clear();
-    match *ins {
-        RInstr::Jump { t } => out.push(t as usize),
-        RInstr::Ret { .. } | RInstr::Halt { .. } | RInstr::Unreachable => {}
+    let mut ins = *ins;
+    match ins.operands_mut().control {
+        Control::Jump(t) => out.push(*t as usize),
+        Control::End => {}
         // A call transfers to the callee entry, but the *window's* dataflow
         // resumes at the return point; the callee is its own seeded entry.
-        RInstr::Call { .. } => out.push(pc + 1),
-        // Conditional branches add their taken edge to the fallthrough.
-        _ => {
-            out.extend(ins.jump_target().map(|t| t as usize));
-            out.push(pc + 1);
-        }
+        Control::Next | Control::Call(_) => out.push(pc + 1),
+        Control::Branch(t) => out.extend([*t as usize, pc + 1]),
     }
 }
 

@@ -107,3 +107,40 @@ fn each_sabotage_fires_exactly_its_code() {
         }
     }
 }
+
+/// A function that dispatches a parallel loop hands the loop memory: what
+/// it stored to a promoted place is spilled in front of the `ParLoop`.
+/// Drop one spill and the bodies read a stale frame; the translation
+/// validator must see the `ParLoop` effect's memory differ, and nothing
+/// else may fire. (A test-side mutation: the CLI's kinds stay at eight.)
+#[test]
+fn a_dropped_spill_before_a_parallel_loop_fires_exactly_one_code() {
+    let [_, (prog, clean)] = compiled();
+    let at = clean
+        .code
+        .iter()
+        .position(|i| matches!(i, RInstr::ParLoop { .. }))
+        .expect("the transformed fixture dispatches a loop");
+    let RInstr::StFrame { v, site, .. } = clean.code[at - 1] else {
+        panic!(
+            "no spill in front of the dispatch: {:?}",
+            clean.code[at - 1]
+        );
+    };
+    assert_eq!(site, dse_ir::NO_SITE, "the store is the translator's own");
+    let mut rp = clean.clone();
+    rp.code[at - 1] = RInstr::Mov { d: v, s: v };
+    let report = dse_verify::check_backend(&prog, &rp);
+    let codes: std::collections::BTreeSet<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(
+        codes.into_iter().collect::<Vec<_>>(),
+        [dse_verify::diag::Code::TranslationDivergence],
+        "{}",
+        report.render_text()
+    );
+}
