@@ -32,11 +32,12 @@
 //! `PoisonError` panic.
 
 use dse_telemetry::hash::ContentHash;
+pub use dse_telemetry::{CacheOutcome, PhaseOutcome};
 use dse_telemetry::{PhaseCacheStat, ServerStats};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Canonical phase ordering for stats reporting.
 pub const PHASES: [&str; 9] = [
@@ -58,54 +59,11 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// How one phase of one request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Computed here (and published for later requests).
-    Miss,
-    /// Served from a ready artifact.
-    Hit,
-    /// Waited for a concurrent identical computation, then shared it.
-    Deduped,
-}
-
-impl CacheOutcome {
-    /// Wire name used in the daemon protocol and telemetry stream.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Deduped => "dedup",
-        }
-    }
-
-    /// True when the requester did not run the phase itself.
-    pub fn served_from_cache(&self) -> bool {
-        !matches!(self, CacheOutcome::Miss)
-    }
-}
-
-/// One phase of one request: which artifact, how it was satisfied, and how
-/// long this requester waited for it (compute time on a miss, lock/park
-/// time otherwise).
-#[derive(Debug, Clone)]
-pub struct PhaseOutcome {
-    /// Phase name.
-    pub phase: &'static str,
-    /// The artifact's content key.
-    pub key: ContentHash,
-    /// Hit, miss or dedup.
-    pub outcome: CacheOutcome,
-    /// Wall time this requester spent obtaining the artifact.
-    pub wall: Duration,
-    /// Offset of this phase's start from the store's creation
-    /// ([`ArtifactStore::epoch`]) — places the phase on a trace timeline
-    /// (chrome-trace export of pipeline spans next to runtime events).
-    pub at: Duration,
-}
-
 /// The per-request trace of phase outcomes, appended to by the pipeline.
 pub type Trace = Vec<PhaseOutcome>;
+
+/// A phase's integer size stats, as its computation reports them.
+pub type Stats = Vec<(&'static str, i64)>;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseCounters {
@@ -118,8 +76,8 @@ struct PhaseCounters {
 enum Slot {
     /// A computation is running; waiters park on the store condvar.
     InFlight,
-    /// The artifact, shared by every requester.
-    Ready(Arc<dyn Any + Send + Sync>),
+    /// The artifact, shared by every requester, and its stats.
+    Ready(Arc<dyn Any + Send + Sync>, Arc<[(&'static str, i64)]>),
 }
 
 struct Entry {
@@ -143,7 +101,7 @@ impl Inner {
     fn ready_count(&self) -> usize {
         self.map
             .values()
-            .filter(|e| matches!(e.slot, Slot::Ready(_)))
+            .filter(|e| matches!(e.slot, Slot::Ready(..)))
             .count()
     }
 
@@ -153,7 +111,7 @@ impl Inner {
             let victim = self
                 .map
                 .iter()
-                .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
+                .filter(|(_, e)| matches!(e.slot, Slot::Ready(..)))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, e)| (*k, e.phase));
             match victim {
@@ -221,9 +179,11 @@ impl ArtifactStore {
         self.len() == 0
     }
 
-    /// Looks up `key`, computing (and publishing) the artifact on a miss.
-    /// Concurrent requests for the same key block until the first finishes
-    /// and then share its artifact. Appends the outcome to `trace`.
+    /// Looks up `key`, computing (and publishing) the artifact and its
+    /// size stats on a miss. Concurrent requests for the same key block
+    /// until the first finishes and then share its artifact. Appends the
+    /// outcome — timed here, once, with the artifact's stats on a hit too —
+    /// to `trace`.
     ///
     /// # Errors
     ///
@@ -243,10 +203,10 @@ impl ArtifactStore {
     ) -> Result<Arc<T>, E>
     where
         T: Any + Send + Sync,
-        F: FnOnce() -> Result<T, E>,
+        F: FnOnce() -> Result<(T, Stats), E>,
     {
         enum Found {
-            Ready(Arc<dyn Any + Send + Sync>),
+            Ready(Arc<dyn Any + Send + Sync>, Arc<[(&'static str, i64)]>),
             InFlight,
             Vacant,
         }
@@ -257,13 +217,13 @@ impl ArtifactStore {
         loop {
             let found = match st.map.get(&key) {
                 Some(e) => match &e.slot {
-                    Slot::Ready(v) => Found::Ready(Arc::clone(v)),
+                    Slot::Ready(v, stats) => Found::Ready(Arc::clone(v), Arc::clone(stats)),
                     Slot::InFlight => Found::InFlight,
                 },
                 None => Found::Vacant,
             };
             match found {
-                Found::Ready(v) => {
+                Found::Ready(v, stats) => {
                     st.tick += 1;
                     let tick = st.tick;
                     st.map.get_mut(&key).unwrap().last_used = tick;
@@ -281,6 +241,7 @@ impl ArtifactStore {
                         outcome,
                         wall: started.elapsed(),
                         at,
+                        stats,
                     });
                     return Ok(v
                         .downcast::<T>()
@@ -318,12 +279,16 @@ impl ArtifactStore {
                     guard.armed = false;
                     let mut st = lock_clean(&self.inner);
                     match result {
-                        Ok(v) => {
+                        Ok((v, stats)) => {
                             let v: Arc<T> = Arc::new(v);
+                            let stats: Arc<[(&'static str, i64)]> = stats.into();
                             st.tick += 1;
                             let tick = st.tick;
                             let entry = st.map.get_mut(&key).expect("in-flight entry present");
-                            entry.slot = Slot::Ready(Arc::clone(&v) as Arc<dyn Any + Send + Sync>);
+                            entry.slot = Slot::Ready(
+                                Arc::clone(&v) as Arc<dyn Any + Send + Sync>,
+                                Arc::clone(&stats),
+                            );
                             entry.last_used = tick;
                             st.evict_to(self.capacity);
                             drop(st);
@@ -334,6 +299,7 @@ impl ArtifactStore {
                                 outcome: CacheOutcome::Miss,
                                 wall: started.elapsed(),
                                 at,
+                                stats,
                             });
                             return Ok(v);
                         }
@@ -437,17 +403,23 @@ mod tests {
         let mut trace = Trace::new();
         let a: Arc<String> = store
             .get_or_compute("parse", key(1), &mut trace, || {
-                Ok::<_, String>("hello".to_string())
+                Ok::<_, String>(("hello".to_string(), vec![("bytes", 5)]))
             })
             .unwrap();
         let b: Arc<String> = store
-            .get_or_compute("parse", key(1), &mut trace, || -> Result<String, String> {
-                panic!("second lookup must not compute")
-            })
+            .get_or_compute(
+                "parse",
+                key(1),
+                &mut trace,
+                || -> Result<(String, Stats), String> { panic!("second lookup must not compute") },
+            )
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(trace[0].outcome, CacheOutcome::Miss);
         assert_eq!(trace[1].outcome, CacheOutcome::Hit);
+        // The stats live beside the artifact: the hit reports them too.
+        assert_eq!(&*trace[0].stats, [("bytes", 5)]);
+        assert_eq!(trace[1].stats, trace[0].stats);
         let s = store.stats();
         assert_eq!(s.phases[0].phase, "parse");
         assert_eq!((s.phases[0].hits, s.phases[0].misses), (1, 1));
@@ -463,7 +435,9 @@ mod tests {
         assert!(trace.is_empty());
         // The failed slot is gone: the next request computes fresh.
         let v: Arc<u32> = store
-            .get_or_compute("plan", key(2), &mut trace, || Ok::<_, String>(7))
+            .get_or_compute("plan", key(2), &mut trace, || {
+                Ok::<_, String>((7, Stats::new()))
+            })
             .unwrap();
         assert_eq!(*v, 7);
         assert_eq!(trace[0].outcome, CacheOutcome::Miss);
@@ -475,7 +449,9 @@ mod tests {
         let mut trace = Trace::new();
         for n in 0..3u64 {
             let _: Arc<u64> = store
-                .get_or_compute("lower", key(n), &mut trace, || Ok::<_, String>(n))
+                .get_or_compute("lower", key(n), &mut trace, || {
+                    Ok::<_, String>((n, Stats::new()))
+                })
                 .unwrap();
         }
         assert_eq!(store.len(), 2);
@@ -483,14 +459,19 @@ mod tests {
         // key(0) was the LRU victim; re-requesting it recomputes.
         let mut trace = Trace::new();
         let _: Arc<u64> = store
-            .get_or_compute("lower", key(0), &mut trace, || Ok::<_, String>(0))
+            .get_or_compute("lower", key(0), &mut trace, || {
+                Ok::<_, String>((0, Stats::new()))
+            })
             .unwrap();
         assert_eq!(trace[0].outcome, CacheOutcome::Miss);
         // key(2) is still resident.
         let _: Arc<u64> = store
-            .get_or_compute("lower", key(2), &mut trace, || -> Result<u64, String> {
-                panic!("resident")
-            })
+            .get_or_compute(
+                "lower",
+                key(2),
+                &mut trace,
+                || -> Result<(u64, Stats), String> { panic!("resident") },
+            )
             .unwrap();
         assert_eq!(trace[1].outcome, CacheOutcome::Hit);
     }
@@ -501,23 +482,33 @@ mod tests {
         let mut trace = Trace::new();
         for n in 0..2u64 {
             let _: Arc<u64> = store
-                .get_or_compute("lower", key(n), &mut trace, || Ok::<_, String>(n))
+                .get_or_compute("lower", key(n), &mut trace, || {
+                    Ok::<_, String>((n, Stats::new()))
+                })
                 .unwrap();
         }
         // Touch key(0) so key(1) becomes the LRU victim.
         let _: Arc<u64> = store
-            .get_or_compute("lower", key(0), &mut trace, || -> Result<u64, String> {
-                panic!("resident")
-            })
+            .get_or_compute(
+                "lower",
+                key(0),
+                &mut trace,
+                || -> Result<(u64, Stats), String> { panic!("resident") },
+            )
             .unwrap();
         let _: Arc<u64> = store
-            .get_or_compute("lower", key(9), &mut trace, || Ok::<_, String>(9))
+            .get_or_compute("lower", key(9), &mut trace, || {
+                Ok::<_, String>((9, Stats::new()))
+            })
             .unwrap();
         let mut trace = Trace::new();
         let _: Arc<u64> = store
-            .get_or_compute("lower", key(0), &mut trace, || -> Result<u64, String> {
-                panic!("survived")
-            })
+            .get_or_compute(
+                "lower",
+                key(0),
+                &mut trace,
+                || -> Result<(u64, Stats), String> { panic!("survived") },
+            )
             .unwrap();
         assert_eq!(trace[0].outcome, CacheOutcome::Hit);
     }
@@ -528,9 +519,12 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut trace = Trace::new();
             let _: Arc<u32> = store
-                .get_or_compute("xform", key(3), &mut trace, || -> Result<u32, String> {
-                    panic!("lowering bug")
-                })
+                .get_or_compute(
+                    "xform",
+                    key(3),
+                    &mut trace,
+                    || -> Result<(u32, Stats), String> { panic!("lowering bug") },
+                )
                 .unwrap();
         }));
         assert!(r.is_err());
@@ -539,7 +533,9 @@ mod tests {
         // forever or dying with a PoisonError.
         let mut trace = Trace::new();
         let v: Arc<u32> = store
-            .get_or_compute("xform", key(3), &mut trace, || Ok::<_, String>(11))
+            .get_or_compute("xform", key(3), &mut trace, || {
+                Ok::<_, String>((11, Stats::new()))
+            })
             .unwrap();
         assert_eq!(*v, 11);
         assert_eq!(trace[0].outcome, CacheOutcome::Miss);
@@ -557,11 +553,16 @@ mod tests {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut trace = Trace::new();
                     let _: Arc<u32> = store
-                        .get_or_compute("verify", key(4), &mut trace, || -> Result<u32, String> {
-                            gate.store(true, std::sync::atomic::Ordering::SeqCst);
-                            std::thread::sleep(std::time::Duration::from_millis(30));
-                            panic!("worker trapped")
-                        })
+                        .get_or_compute(
+                            "verify",
+                            key(4),
+                            &mut trace,
+                            || -> Result<(u32, Stats), String> {
+                                gate.store(true, std::sync::atomic::Ordering::SeqCst);
+                                std::thread::sleep(std::time::Duration::from_millis(30));
+                                panic!("worker trapped")
+                            },
+                        )
                         .unwrap();
                 }));
             })
@@ -573,7 +574,9 @@ mod tests {
         // it when the computer unwinds, and it then computes fresh.
         let mut trace = Trace::new();
         let v: Arc<u32> = store
-            .get_or_compute("verify", key(4), &mut trace, || Ok::<_, String>(5))
+            .get_or_compute("verify", key(4), &mut trace, || {
+                Ok::<_, String>((5, Stats::new()))
+            })
             .unwrap();
         assert_eq!(*v, 5);
         computer.join().unwrap();
@@ -593,7 +596,7 @@ mod tests {
                     .get_or_compute("profile", key(5), &mut trace, || {
                         computes.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok::<_, String>(99)
+                        Ok::<_, String>((99, Stats::new()))
                     })
                     .unwrap();
                 (*v, trace[0].outcome)

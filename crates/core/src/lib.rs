@@ -69,7 +69,6 @@ use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
 use dse_lang::ast::Program;
 use dse_runtime::VmConfig;
-use dse_telemetry::{PhaseSpan, PhaseTimer};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -118,9 +117,6 @@ pub struct Analysis {
     pub pt: dse_analysis::PointsTo,
     /// Allocation-size facts.
     pub alloc_sizes: HashMap<u32, dse_analysis::consteval::AllocSizeInfo>,
-    /// Wall-clock spans of the analysis phases (parse, lower, profile,
-    /// classify), with size stats per phase.
-    pub phases: Vec<PhaseSpan>,
 }
 
 /// A transformed program ready to execute.
@@ -144,8 +140,6 @@ pub struct Transformed {
     /// Transformed expression id → original expression id for rebuilt
     /// access/allocation nodes (see [`XformResult::eid_provenance`]).
     pub eid_provenance: HashMap<u32, u32>,
-    /// Wall-clock spans of the transform phases (plan, xform).
-    pub phases: Vec<PhaseSpan>,
 }
 
 impl Analysis {
@@ -156,16 +150,16 @@ impl Analysis {
     ///
     /// Propagates frontend, lowering and VM errors.
     pub fn from_source(source: &str, profile_config: VmConfig) -> Result<Analysis, DseError> {
-        let (program, parse_span) = phases::parse_phase(source)?;
-        let (serial, lower_span) = phases::lower_phase(&program)?;
-        let (profile, profile_span) = phases::profile_phase(serial.clone(), profile_config)?;
-        let (classified, classify_span) = phases::classify_phase(&program, &profile);
+        let (program, _) = phases::parse_phase(source)?;
+        let (serial, _) = phases::lower_phase(&program)?;
+        let (profile, _) = phases::profile_phase(serial.clone(), profile_config)?;
+        let (classified, _) = phases::classify_phase(&program, &profile);
         Ok(phases::assemble_analysis(
             program,
             serial,
             profile,
             classified,
-            vec![parse_span, lower_span, profile_span, classify_span],
+            Trace::new(),
         ))
     }
 
@@ -263,14 +257,8 @@ impl Analysis {
         nthreads: u32,
         layout: LayoutMode,
     ) -> Result<Transformed, DseError> {
-        let mut timer = PhaseTimer::new();
-        let plan = timer.time("plan", || self.plan_with_layout(opt, nthreads, layout))?;
-        timer.stat("nthreads", nthreads as i64);
-        let mut t = self.apply_plan(plan, opt)?;
-        let mut phases = timer.into_spans();
-        phases.append(&mut t.phases);
-        t.phases = phases;
-        Ok(t)
+        let plan = self.plan_with_layout(opt, nthreads, layout)?;
+        self.apply_plan(plan, opt)
     }
 
     /// The xform phase: executes an already-built expansion plan
@@ -283,22 +271,9 @@ impl Analysis {
     ///
     /// Propagates transformation and lowering failures.
     pub fn apply_plan(&self, plan: ExpansionPlan, opt: OptLevel) -> Result<Transformed, DseError> {
-        let mut timer = PhaseTimer::new();
-        timer.start("xform");
         let sync_eids = self.shared_carried_eids();
         let result = expand_program(&self.program, &plan, &sync_eids)?;
         let parallel = self.lower_parallel(&result.program, &result.sync_windows, opt)?;
-        timer.finish();
-        timer.stat(
-            "privatized_structures",
-            result.report.privatized_structures() as i64,
-        );
-        timer.stat(
-            "accesses_redirected",
-            result.report.private_accesses_redirected as i64,
-        );
-        timer.stat("instructions", parallel.code.len() as i64);
-
         let modes = self
             .classifications
             .iter()
@@ -312,7 +287,6 @@ impl Analysis {
             plan,
             sync_windows: result.sync_windows,
             eid_provenance: result.eid_provenance,
-            phases: timer.into_spans(),
         })
     }
 

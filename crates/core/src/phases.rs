@@ -1,11 +1,12 @@
 //! The pipeline split into explicit, independently cacheable phases.
 //!
-//! [`Analysis::from_source`] and [`Analysis::transform`] used to be
-//! monolithic drives; this module factors them into one function per
-//! phase — parse, lower, profile, classify, plan, xform — each returning
-//! its artifact plus a [`PhaseSpan`]. The standalone driver composes them
-//! directly (so single-process reuse is free), while [`Pipeline`] composes
-//! them through a shared [`ArtifactStore`] keyed by content hashes:
+//! One function per analysis phase — parse, lower, profile, classify —
+//! each returning its artifact plus the integer size [`Stats`] the phase
+//! record carries. [`Analysis::from_source`] composes them directly (and
+//! drops the stats), while [`Pipeline`] composes them, and plan, xform and
+//! reglower, through a shared [`ArtifactStore`] keyed by content hashes.
+//! The store times each phase, once, and appends its
+//! [`crate::PhaseOutcome`] to the request's [`Trace`]:
 //!
 //! ```text
 //! parse    key = H("parse", source)
@@ -24,7 +25,7 @@
 //! comment-only edit re-parses, rediscovers the same `ast_hash`, and every
 //! later phase is a cache hit.
 
-use crate::cache::{ArtifactStore, Trace};
+use crate::cache::{ArtifactStore, Stats, Trace};
 use crate::classify::{classify_loop, LoopClassification};
 use crate::plan::{ExpansionPlan, OptLevel};
 use crate::{Analysis, DseError, Transformed};
@@ -34,7 +35,6 @@ use dse_ir::loops::ParMode;
 use dse_lang::ast::Program;
 use dse_runtime::VmConfig;
 use dse_telemetry::hash::{ContentHash, ContentHasher};
-use dse_telemetry::{PhaseSpan, PhaseTimer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -55,12 +55,13 @@ pub struct Classified {
 /// # Errors
 ///
 /// Propagates frontend errors.
-pub fn parse_phase(source: &str) -> Result<(Program, PhaseSpan), DseError> {
-    let mut timer = PhaseTimer::new();
-    let program = timer.time("parse", || dse_lang::compile_to_ast(source))?;
-    timer.stat("source_bytes", source.len() as i64);
-    timer.stat("functions", program.functions.len() as i64);
-    Ok((program, timer.into_spans().remove(0)))
+pub fn parse_phase(source: &str) -> Result<(Program, Stats), DseError> {
+    let program = dse_lang::compile_to_ast(source)?;
+    let stats = vec![
+        ("source_bytes", source.len() as i64),
+        ("functions", program.functions.len() as i64),
+    ];
+    Ok((program, stats))
 }
 
 /// Phase 2: typed AST → serial bytecode (with profiler loop marks).
@@ -68,15 +69,14 @@ pub fn parse_phase(source: &str) -> Result<(Program, PhaseSpan), DseError> {
 /// # Errors
 ///
 /// Propagates lowering errors.
-pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, PhaseSpan), DseError> {
-    let mut timer = PhaseTimer::new();
-    let serial = timer.time("lower", || {
-        dse_ir::lower_program(program, &dse_ir::lower::LowerOptions::default())
-    })?;
-    timer.stat("instructions", serial.code.len() as i64);
-    timer.stat("sites", serial.sites.len() as i64);
-    timer.stat("candidate_loops", serial.loops.len() as i64);
-    Ok((serial, timer.into_spans().remove(0)))
+pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, Stats), DseError> {
+    let serial = dse_ir::lower_program(program, &dse_ir::lower::LowerOptions::default())?;
+    let stats = vec![
+        ("instructions", serial.code.len() as i64),
+        ("sites", serial.sites.len() as i64),
+        ("candidate_loops", serial.loops.len() as i64),
+    ];
+    Ok((serial, stats))
 }
 
 /// Phase 3: serial bytecode → per-loop dependence graphs, by running the
@@ -88,65 +88,51 @@ pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, PhaseSpan), Ds
 pub fn profile_phase(
     serial: CompiledProgram,
     mut profile_config: VmConfig,
-) -> Result<(ProfileResult, PhaseSpan), DseError> {
+) -> Result<(ProfileResult, Stats), DseError> {
     // Profiles are measured on the reference stack encoding: per-loop
     // instruction counts feed classification and the simulator, and they
     // must not shift when `DSE_EXEC_BACKEND=reg` runs the same pipeline
     // (register fusion retires fewer, fatter instructions).
     profile_config.backend = dse_runtime::BackendKind::Stack;
-    let mut timer = PhaseTimer::new();
-    let (profile, _vm) = timer.time("profile", || {
-        dse_depprof::profile_program(serial, profile_config)
-    })?;
-    timer.stat("loops_profiled", profile.loops.len() as i64);
+    let (profile, _vm) = dse_depprof::profile_program(serial, profile_config)?;
     let (iterations, accesses, edges) = profile.totals();
-    timer.stat("iterations", iterations as i64);
-    timer.stat("accesses", accesses as i64);
-    timer.stat("edges", edges as i64);
-    Ok((profile, timer.into_spans().remove(0)))
+    let stats = vec![
+        ("loops_profiled", profile.loops.len() as i64),
+        ("iterations", iterations as i64),
+        ("accesses", accesses as i64),
+        ("edges", edges as i64),
+    ];
+    Ok((profile, stats))
 }
 
 /// Phase 4: profile → access-class classifications, plus the points-to and
 /// allocation-size side analyses.
-pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified, PhaseSpan) {
-    let mut timer = PhaseTimer::new();
-    let classified = timer.time("classify", || {
-        let classifications: Vec<LoopClassification> =
-            profile.loops.iter().map(classify_loop).collect();
-        let pt = dse_analysis::analyze(program);
-        let alloc_sizes = dse_analysis::consteval::alloc_size_infos(program);
-        Classified {
-            classifications,
-            pt,
-            alloc_sizes,
-        }
-    });
-    timer.stat(
-        "doall",
-        classified
-            .classifications
-            .iter()
-            .filter(|c| c.mode == ParMode::DoAll)
-            .count() as i64,
-    );
-    timer.stat(
-        "doacross",
-        classified
-            .classifications
-            .iter()
-            .filter(|c| c.mode == ParMode::DoAcross)
-            .count() as i64,
-    );
-    (classified, timer.into_spans().remove(0))
+pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified, Stats) {
+    let classifications: Vec<LoopClassification> =
+        profile.loops.iter().map(classify_loop).collect();
+    let mode_count =
+        |mode: ParMode| classifications.iter().filter(|c| c.mode == mode).count() as i64;
+    let stats = vec![
+        ("doall", mode_count(ParMode::DoAll)),
+        ("doacross", mode_count(ParMode::DoAcross)),
+    ];
+    let classified = Classified {
+        classifications,
+        pt: dse_analysis::analyze(program),
+        alloc_sizes: dse_analysis::consteval::alloc_size_infos(program),
+    };
+    (classified, stats)
 }
 
-/// Assembles an [`Analysis`] from the four analysis-phase artifacts.
+/// Assembles an [`Analysis`] from the four analysis-phase artifacts. The
+/// trace parameter is unused: a request's phase records live in its own
+/// [`Trace`], and the argument goes when `benchmark/` stops passing it.
 pub fn assemble_analysis(
     program: Program,
     serial: CompiledProgram,
     profile: ProfileResult,
     classified: Classified,
-    phases: Vec<PhaseSpan>,
+    _phases: Trace,
 ) -> Analysis {
     Analysis {
         program,
@@ -155,7 +141,6 @@ pub fn assemble_analysis(
         classifications: classified.classifications,
         pt: classified.pt,
         alloc_sizes: classified.alloc_sizes,
-        phases,
     }
 }
 
@@ -198,8 +183,6 @@ pub struct ParseArt {
     pub program: Program,
     /// Fingerprint of the printed AST (the lower key's input).
     pub ast_hash: ContentHash,
-    /// The phase's original timing span.
-    pub span: PhaseSpan,
 }
 
 /// The lower artifact.
@@ -208,8 +191,6 @@ pub struct LowerArt {
     pub serial: CompiledProgram,
     /// Fingerprint of the disassembly (the profile key's input).
     pub code_hash: ContentHash,
-    /// The phase's original timing span.
-    pub span: PhaseSpan,
 }
 
 /// The profile artifact.
@@ -218,12 +199,9 @@ pub struct ProfileArt {
     pub profile: ProfileResult,
     /// Fingerprint of the canonical profile summary.
     pub profile_hash: ContentHash,
-    /// The phase's original timing span.
-    pub span: PhaseSpan,
 }
 
-/// The classify artifact: the fully assembled [`Analysis`] (its `phases`
-/// carry the original parse/lower/profile/classify spans) plus its chained
+/// The classify artifact: the fully assembled [`Analysis`] plus its chained
 /// content key, which downstream plan/xform/verify keys build on.
 pub struct AnalysisArt {
     /// The assembled analysis.
@@ -236,14 +214,12 @@ pub struct AnalysisArt {
 pub struct PlanArt {
     /// The expansion plan.
     pub plan: ExpansionPlan,
-    /// The phase's original timing span.
-    pub span: PhaseSpan,
 }
 
 /// The xform artifact: the transformed program plus its chained content
 /// key (the verify key's input).
 pub struct TransformArt {
-    /// The transformed program (its `phases` carry plan and xform spans).
+    /// The transformed program.
     pub transformed: Transformed,
     /// The xform phase's content key.
     pub key: ContentHash,
@@ -255,8 +231,6 @@ pub struct TransformArt {
 pub struct RegArt {
     /// The translated register module.
     pub reg: Arc<dse_ir::RegProgram>,
-    /// The phase's original timing span.
-    pub span: PhaseSpan,
     /// The reglower phase's content key; the backend-verification phase
     /// (`regverify`, in `dse-verify`) chains its own key through this.
     pub key: ContentHash,
@@ -296,25 +270,17 @@ impl<'a> Pipeline<'a> {
     ) -> Result<Arc<AnalysisArt>, DseError> {
         let parse_key = ContentHasher::new("parse").str(source).finish();
         let parsed: Arc<ParseArt> = self.store.get_or_compute("parse", parse_key, trace, || {
-            let (program, span) = parse_phase(source)?;
+            let (program, stats) = parse_phase(source)?;
             let ast_hash = ast_fingerprint(&program);
-            Ok::<_, DseError>(ParseArt {
-                program,
-                ast_hash,
-                span,
-            })
+            Ok::<_, DseError>((ParseArt { program, ast_hash }, stats))
         })?;
 
         let lower_key = ContentHasher::new("lower").hash(parsed.ast_hash).finish();
         let lowered: Arc<LowerArt> =
             self.store.get_or_compute("lower", lower_key, trace, || {
-                let (serial, span) = lower_phase(&parsed.program)?;
+                let (serial, stats) = lower_phase(&parsed.program)?;
                 let code_hash = code_fingerprint(&serial);
-                Ok::<_, DseError>(LowerArt {
-                    serial,
-                    code_hash,
-                    span,
-                })
+                Ok::<_, DseError>((LowerArt { serial, code_hash }, stats))
             })?;
 
         let profile_key = ContentHasher::new("profile")
@@ -325,14 +291,14 @@ impl<'a> Pipeline<'a> {
         let profiled: Arc<ProfileArt> =
             self.store
                 .get_or_compute("profile", profile_key, trace, || {
-                    let (profile, span) =
+                    let (profile, stats) =
                         profile_phase(lowered.serial.clone(), profile_config.clone())?;
                     let profile_hash = profile_fingerprint(&profile);
-                    Ok::<_, DseError>(ProfileArt {
+                    let art = ProfileArt {
                         profile,
                         profile_hash,
-                        span,
-                    })
+                    };
+                    Ok::<_, DseError>((art, stats))
                 })?;
 
         let classify_key = ContentHasher::new("classify")
@@ -342,23 +308,19 @@ impl<'a> Pipeline<'a> {
             .finish();
         self.store
             .get_or_compute("classify", classify_key, trace, || {
-                let (classified, span) = classify_phase(&parsed.program, &profiled.profile);
-                let phases = vec![
-                    parsed.span.clone(),
-                    lowered.span.clone(),
-                    profiled.span.clone(),
-                    span,
-                ];
-                Ok::<_, DseError>(AnalysisArt {
-                    analysis: assemble_analysis(
-                        parsed.program.clone(),
-                        lowered.serial.clone(),
-                        profiled.profile.clone(),
-                        classified,
-                        phases,
-                    ),
+                let (classified, stats) = classify_phase(&parsed.program, &profiled.profile);
+                let analysis = assemble_analysis(
+                    parsed.program.clone(),
+                    lowered.serial.clone(),
+                    profiled.profile.clone(),
+                    classified,
+                    Trace::new(),
+                );
+                let art = AnalysisArt {
+                    analysis,
                     key: classify_key,
-                })
+                };
+                Ok::<_, DseError>((art, stats))
             })
     }
 
@@ -382,16 +344,14 @@ impl<'a> Pipeline<'a> {
             .hash(code_fingerprint(program))
             .finish();
         self.store.get_or_compute("reglower", key, trace, || {
-            let mut timer = PhaseTimer::new();
-            let reg = timer.time("reglower", || dse_ir::regcode::translate(program))?;
-            timer.stat("reg_instructions", reg.code.len() as i64);
-            timer.stat("frame_regs", reg.frame_regs as i64);
-            timer.stat("entries", reg.entry_map.len() as i64);
-            Ok::<_, DseError>(RegArt {
-                reg: Arc::new(reg),
-                span: timer.into_spans().remove(0),
-                key,
-            })
+            let reg = dse_ir::regcode::translate(program)?;
+            let stats = vec![
+                ("reg_instructions", reg.code.len() as i64),
+                ("frame_regs", reg.frame_regs as i64),
+                ("entries", reg.entry_map.len() as i64),
+            ];
+            let reg = Arc::new(reg);
+            Ok::<_, DseError>((RegArt { reg, key }, stats))
         })
     }
 
@@ -416,19 +376,12 @@ impl<'a> Pipeline<'a> {
             .bool(baseline)
             .finish();
         let planned: Arc<PlanArt> = self.store.get_or_compute("plan", plan_key, trace, || {
-            let mut timer = PhaseTimer::new();
-            let plan = timer.time("plan", || {
-                if baseline {
-                    art.analysis.baseline_plan(nthreads)
-                } else {
-                    art.analysis.plan(opt, nthreads)
-                }
-            })?;
-            timer.stat("nthreads", nthreads as i64);
-            Ok::<_, DseError>(PlanArt {
-                plan,
-                span: timer.into_spans().remove(0),
-            })
+            let plan = if baseline {
+                art.analysis.baseline_plan(nthreads)
+            } else {
+                art.analysis.plan(opt, nthreads)
+            }?;
+            Ok::<_, DseError>((PlanArt { plan }, vec![("nthreads", nthreads as i64)]))
         })?;
 
         // The baseline plan privatizes through the `__localize` runtime
@@ -437,12 +390,23 @@ impl<'a> Pipeline<'a> {
         let apply_opt = if baseline { OptLevel::Full } else { opt };
         let xform_key = ContentHasher::new("xform").hash(plan_key).finish();
         self.store.get_or_compute("xform", xform_key, trace, || {
-            let mut t = art.analysis.apply_plan(planned.plan.clone(), apply_opt)?;
-            t.phases.insert(0, planned.span.clone());
-            Ok::<_, DseError>(TransformArt {
-                transformed: t,
+            let transformed = art.analysis.apply_plan(planned.plan.clone(), apply_opt)?;
+            let stats = vec![
+                (
+                    "privatized_structures",
+                    transformed.report.privatized_structures() as i64,
+                ),
+                (
+                    "accesses_redirected",
+                    transformed.report.private_accesses_redirected as i64,
+                ),
+                ("instructions", transformed.parallel.code.len() as i64),
+            ];
+            let art = TransformArt {
+                transformed,
                 key: xform_key,
-            })
+            };
+            Ok::<_, DseError>((art, stats))
         })
     }
 }

@@ -187,7 +187,7 @@ impl GStmt {
                     // or `acc` (DOACROSS in both). The text so far is as
                     // good a unique label, and coin, as any.
                     let n = out.len();
-                    let stmt = if n % 2 == 0 {
+                    let stmt = if n.is_multiple_of(2) {
                         "grid[i * 4 + q] = (i ^ q) + k0;"
                     } else {
                         "acc += (i * q) ^ k0;"

@@ -919,9 +919,9 @@ mod tests {
             }
             _ => None,
         };
-        let spilled: Vec<Place> = code[..at].iter().rev().map_while(|i| off(i)).collect();
+        let spilled: Vec<Place> = code[..at].iter().rev().map_while(off).collect();
         assert_eq!(spilled, [i, tot, n], "{code:?}");
-        let reloaded: Vec<Place> = code[at + 1..].iter().map_while(|i| off(i)).collect();
+        let reloaded: Vec<Place> = code[at + 1..].iter().map_while(off).collect();
         assert_eq!(reloaded, [lim, n, tot, i], "{code:?}");
         // The entry load, three spills, four reloads: nothing else of `f`
         // touches memory.

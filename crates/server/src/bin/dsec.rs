@@ -48,8 +48,10 @@
 //! Exit codes: `0` clean; `1` verifier errors (or warnings under
 //! `--strict`), compile or runtime failures; `2` usage or I/O errors.
 //!
-//! `--timing` prints the phase timeline (parse, lower, profile, classify,
-//! plan, xform) to stderr. `--metrics` writes a `RunMetrics` JSON document
+//! `--timing` prints the request's phase trace to stderr: one line per
+//! phase the request ran (parse … xform, verify, and under the register
+//! backend reglower and regverify) with its wall time, hit or miss, and
+//! size stats. `--metrics` writes a `RunMetrics` JSON document
 //! (see DESIGN.md, "Observability") to a file, or to stdout with `-`.
 //! `--emit trace` executes the *serial* program under a trace observer and
 //! streams each sited access, loop event and heap event as one JSON object
@@ -406,31 +408,10 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
             }
         }
     }
-    if !(o.timing || o.metrics.is_some()) {
-        return Ok(exit);
-    }
-
-    // Phase timeline: analysis phases followed by transform phases.
-    let analysis = &outcome
-        .analysis
-        .as_ref()
-        .expect("request succeeded")
-        .analysis;
-    let phases: Vec<dse_telemetry::PhaseSpan> = analysis
-        .phases
-        .iter()
-        .chain(
-            outcome
-                .transformed
-                .iter()
-                .flat_map(|t| t.transformed.phases.iter()),
-        )
-        .cloned()
-        .collect();
     if o.timing {
         let mut out = String::new();
-        for p in &phases {
-            p.render(0, &mut out);
+        for p in &outcome.trace {
+            p.render(&mut out);
         }
         eprint!("{out}");
     }
@@ -441,8 +422,13 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
             program: o.path.clone(),
             threads: if o.req.serial { 1 } else { o.req.threads },
             opt: o.req.opt.name().to_string(),
-            phases,
-            loops: analysis.loop_stats(),
+            phases: outcome.trace.clone(),
+            loops: outcome
+                .analysis
+                .as_ref()
+                .expect("request succeeded")
+                .analysis
+                .loop_stats(),
             expansion: outcome
                 .transformed
                 .as_ref()
@@ -637,18 +623,8 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 let (events, dropped) = traced
                     .as_ref()
                     .expect("traced emits make the request a run");
-                // Phase outcomes in the exporter's neutral span form, named
-                // `phase (outcome)` and placed at their store-epoch offsets.
-                let spans: Vec<_> = outcome
-                    .trace
-                    .iter()
-                    .map(|p| dse_telemetry::PipelineSpan {
-                        name: format!("{} ({})", p.phase, p.outcome.as_str()),
-                        ts_ns: p.at.as_nanos() as u64,
-                        dur_ns: p.wall.as_nanos() as u64,
-                    })
-                    .collect();
-                println!("{}", dse_telemetry::chrome_trace(events, &spans, *dropped));
+                let doc = dse_telemetry::chrome_trace(events, &outcome.trace, *dropped);
+                println!("{doc}");
                 eprintln!("[chrome-trace: {} events, {dropped} dropped]", events.len());
             }
             "trace" => {

@@ -89,13 +89,16 @@ fn repeated_request_skips_every_phase() {
 
     let warm = drive(&store, PROG);
     assert_eq!(phase_names(&warm), phase_names(&cold));
-    for p in &warm {
+    for (p, computed) in warm.iter().zip(&cold) {
         assert_eq!(
             p.outcome,
             CacheOutcome::Hit,
             "phase `{}` recomputed on a repeated request",
             p.phase
         );
+        // The record of a hit carries the stats the miss computed.
+        assert!(!p.stats.is_empty(), "phase `{}` reports no stats", p.phase);
+        assert_eq!(p.stats, computed.stats, "phase `{}`", p.phase);
     }
     // The store's counters tell the same story: one compute per phase.
     let stats = store.stats();

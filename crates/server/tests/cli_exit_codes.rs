@@ -97,11 +97,11 @@ fn metrics_carry_lint_counts() {
         .lines()
         .find(|l| l.starts_with('{'))
         .expect("metrics JSON");
-    let m = dse_telemetry::RunMetrics::from_json(
-        &dse_telemetry::Json::parse(line).expect("valid JSON"),
-    )
-    .expect("well-formed metrics");
-    let lints = m.lints.expect("lint counts present after a transform");
-    assert_eq!(lints.errors, 0);
-    assert_eq!(lints.warnings, 1);
+    let m = dse_telemetry::Json::parse(line).expect("valid JSON");
+    let lints = m
+        .get("lints")
+        .expect("lint counts present after a transform");
+    let count = |name| lints.get(name).and_then(dse_telemetry::Json::as_i64);
+    assert_eq!(count("errors"), Some(0));
+    assert_eq!(count("warnings"), Some(1));
 }

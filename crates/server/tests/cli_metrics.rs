@@ -1,7 +1,7 @@
 //! End-to-end checks of `dsec`'s telemetry flags (`--timing`,
 //! `--metrics`, `--emit trace`) against the bundled example program.
 
-use dse_telemetry::{Json, RunMetrics};
+use dse_telemetry::Json;
 use std::process::Command;
 
 fn example() -> String {
@@ -28,6 +28,18 @@ fn metrics_line(stdout: &str) -> &str {
         .expect("metrics JSON on stdout")
 }
 
+/// Follows `path` through nested objects.
+fn field<'j>(doc: &'j Json, path: &[&str]) -> &'j Json {
+    path.iter().fold(doc, |j, key| {
+        j.get(key)
+            .unwrap_or_else(|| panic!("no `{key}` in the metrics document"))
+    })
+}
+
+fn int(doc: &Json, path: &[&str]) -> i64 {
+    field(doc, path).as_i64().expect("an integer")
+}
+
 #[test]
 fn metrics_cover_phases_and_per_thread_counters() {
     let prog = example();
@@ -41,64 +53,67 @@ fn metrics_cover_phases_and_per_thread_counters() {
         "-",
     ]);
 
-    let parsed = Json::parse(metrics_line(&stdout)).expect("valid metrics JSON");
-    let m = RunMetrics::from_json(&parsed).expect("well-formed metrics");
+    let m = Json::parse(metrics_line(&stdout)).expect("valid metrics JSON");
 
-    // All six pipeline phases, in order.
-    let names: Vec<&str> = m.phases.iter().map(|p| p.name.as_str()).collect();
+    // The request's phase trace, in execution order: the six pipeline
+    // phases and the verifier (a register-backend run adds two, below).
+    let phases = field(&m, &["phases"]).as_arr().expect("phase records");
+    let names: Vec<&str> = phases
+        .iter()
+        .map(|p| p.get("phase").and_then(Json::as_str).expect("a name"))
+        .collect();
     assert_eq!(
-        names,
-        ["parse", "lower", "profile", "classify", "plan", "xform"]
+        names[..7],
+        ["parse", "lower", "profile", "classify", "plan", "xform", "verify"]
     );
-    assert!(m.phases.iter().all(|p| p.duration.as_nanos() > 0));
+    assert!(phases.iter().all(|p| int(p, &["ns"]) > 0));
+    // One record per phase: what it took, whether it was computed, and
+    // the artifact's size.
+    assert_eq!(
+        field(&phases[0], &["cache"]).as_str(),
+        Some("miss"),
+        "a fresh process computes everything"
+    );
+    assert!(int(&phases[1], &["stats", "instructions"]) > 0);
 
     // Per-thread Figure-12 counters: one entry per worker, summing to the
     // aggregate, which in turn matches the human-readable VM report line.
-    let vm = m.vm.as_ref().expect("--run populates vm stats");
-    assert_eq!(m.threads, 4);
-    assert_eq!(vm.per_thread.len(), 4);
-    let work_sum: u64 = vm.per_thread.iter().map(|c| c.work).sum();
-    assert_eq!(work_sum, vm.totals.work);
-    assert!(vm.per_thread.iter().all(|c| c.work > 0), "every worker ran");
-    let reported: u64 = stderr
+    assert_eq!(int(&m, &["threads"]), 4);
+    let per_thread = field(&m, &["vm", "per_thread"]).as_arr().expect("array");
+    assert_eq!(per_thread.len(), 4);
+    let work: Vec<i64> = per_thread.iter().map(|c| int(c, &["work"])).collect();
+    let total_work = int(&m, &["vm", "totals", "work"]);
+    assert_eq!(work.iter().sum::<i64>(), total_work);
+    assert!(work.iter().all(|&w| w > 0), "every worker ran");
+    let reported: i64 = stderr
         .lines()
         .find_map(|l| l.strip_prefix('[')?.split(' ').next()?.parse().ok())
         .expect("instruction count on stderr");
-    assert_eq!(vm.totals.work, reported);
+    assert_eq!(total_work, reported);
 
     // Allocator contention counters ride along: every heap allocation is
     // either a front-end cache hit or a miss, and the example program
     // allocates, so the counters are live (not just present-but-zero).
+    let hc = |name| int(&m, &["vm", "heap_contention", name]);
     assert!(
-        metrics_line(&stdout).contains("heap_contention"),
-        "metrics JSON carries the allocator contention block"
-    );
-    let hc = &vm.heap_contention;
-    assert!(
-        hc.cache_hits + hc.cache_misses > 0,
-        "allocations flow through the front-end caches: {hc:?}"
+        hc("cache_hits") + hc("cache_misses") > 0,
+        "allocations flow through the front-end caches"
     );
     assert!(
-        hc.cache_misses == 0 || hc.backend_locks > 0,
-        "every miss takes the backend lock: {hc:?}"
+        hc("cache_misses") == 0 || hc("backend_locks") > 0,
+        "every miss takes the backend lock"
     );
 
     // Executor pool counters: a 4-thread run keeps 3 persistent workers,
     // every parallel loop goes through the dispatcher, and each dispatch
     // wakes each worker exactly once.
-    let pool = &vm.pool;
+    let pool = |name| int(&m, &["vm", "pool", name]);
+    assert_eq!(pool("workers"), 3, "N-1 persistent workers, no churn");
+    assert!(pool("dispatches") >= 1, "the hot loop was dispatched");
     assert_eq!(
-        pool.workers, 3,
-        "N-1 persistent workers, no churn: {pool:?}"
-    );
-    assert!(
-        pool.dispatches >= 1,
-        "the hot loop was dispatched: {pool:?}"
-    );
-    assert_eq!(
-        pool.wakeups,
-        pool.dispatches * pool.workers,
-        "each dispatch wakes each worker once: {pool:?}"
+        pool("wakeups"),
+        pool("dispatches") * pool("workers"),
+        "each dispatch wakes each worker once"
     );
     assert!(
         stderr.lines().any(|l| l.starts_with("[pool:")),
@@ -106,26 +121,62 @@ fn metrics_cover_phases_and_per_thread_counters() {
     );
 
     // The expansion happened and is accounted for.
-    let e = m
-        .expansion
-        .as_ref()
-        .expect("transform populates expansion stats");
-    assert!(e.privatized_structures() >= 1);
+    let e = |name| int(&m, &["expansion", name]);
+    assert!(e("privatized_structures") >= 1);
     // The scratch buffer's redirection is derived once per iteration; the
     // accesses through the slot are a subset of the redirected ones.
-    assert!(
-        e.redirections_hoisted >= 1 && e.redirections_hoisted <= e.private_accesses_redirected,
-        "{e:?}"
-    );
-    assert!(m
-        .loops
+    let hoisted = e("redirections_hoisted");
+    assert!(hoisted >= 1 && hoisted <= e("private_accesses_redirected"));
+    let loops = field(&m, &["loops"]).as_arr().expect("loop stats");
+    assert!(loops
         .iter()
-        .any(|l| l.label == "hot" && l.iterations == 400));
+        .any(|l| field(l, &["label"]).as_str() == Some("hot") && int(l, &["iterations"]) == 400));
 
-    // --timing renders the same phases to stderr.
+    // --timing renders the same trace to stderr, one line per phase.
     for phase in names {
-        assert!(stderr.contains(phase), "--timing output mentions {phase}");
+        let line = stderr.lines().find(|l| l.starts_with(phase));
+        assert!(
+            line.is_some_and(|l| l.contains(" ms  miss")),
+            "--timing line for {phase}:\n{stderr}"
+        );
     }
+}
+
+/// Under the register backend a run is nine phases, and `--timing` says so:
+/// the translation and its verification are on the timeline with their
+/// hit/miss like the rest (they used to run untimed).
+#[test]
+fn timing_shows_the_register_phases_with_their_cache_outcome() {
+    let prog = example();
+    let (_, stderr) = dsec(&[&prog, "--run", "--timing", "--exec-backend", "reg"]);
+    let timed: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains(" ms  "))
+        .map(|l| l.split_whitespace().next().expect("a phase name"))
+        .collect();
+    assert_eq!(
+        timed,
+        [
+            "parse",
+            "lower",
+            "profile",
+            "classify",
+            "plan",
+            "xform",
+            "verify",
+            "reglower",
+            "regverify"
+        ],
+        "{stderr}"
+    );
+    let line = |phase: &str| {
+        stderr
+            .lines()
+            .find(|l| l.starts_with(phase))
+            .expect("timed above")
+    };
+    assert!(line("reglower").contains("miss   (reg_instructions="));
+    assert!(line("regverify").contains("miss   (diagnostics=0)"));
 }
 
 #[test]
@@ -137,11 +188,14 @@ fn metrics_file_and_serial_run() {
     let path_str = path.to_str().unwrap();
     dsec(&[&prog, "--run", "--serial", "--metrics", path_str]);
     let text = std::fs::read_to_string(&path).unwrap();
-    let m = RunMetrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-    assert_eq!(m.threads, 1);
-    let vm = m.vm.unwrap();
-    assert_eq!(vm.per_thread.len(), 1);
-    assert_eq!(vm.per_thread[0].work, vm.totals.work);
+    let m = Json::parse(&text).unwrap();
+    assert_eq!(int(&m, &["threads"]), 1);
+    let per_thread = field(&m, &["vm", "per_thread"]).as_arr().expect("array");
+    assert_eq!(per_thread.len(), 1);
+    assert_eq!(
+        int(&per_thread[0], &["work"]),
+        int(&m, &["vm", "totals", "work"])
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

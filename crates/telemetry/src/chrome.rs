@@ -14,21 +14,9 @@
 //! frame, parked time per worker, and allocator scavenges.
 
 use crate::json::Json;
+use crate::metrics::PhaseOutcome;
 use dse_runtime::{EventKind, TraceEvent, HEAP_TID};
 use std::collections::BTreeMap;
-
-/// One compilation-pipeline phase span on the shared trace timeline
-/// (produced by the driver from the pipeline's phase trace; `dse-core`
-/// sits above this crate, so the exporter takes the neutral form).
-#[derive(Debug, Clone)]
-pub struct PipelineSpan {
-    /// Display name, e.g. `"lower (computed)"`.
-    pub name: String,
-    /// Start offset from the trace epoch, nanoseconds.
-    pub ts_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-}
 
 /// Synthetic pid of the pipeline track.
 const PIPELINE_PID: i64 = 1;
@@ -80,11 +68,12 @@ fn describe(ev: &TraceEvent) -> (String, Vec<(&'static str, Json)>) {
     }
 }
 
-/// Renders runtime events plus pipeline phase spans as a Chrome
-/// trace-event JSON document. `dropped` is the count of events lost to
-/// ring overwrites, surfaced under `otherData` so a truncated trace is
-/// never mistaken for a complete one.
-pub fn chrome_trace(events: &[TraceEvent], pipeline: &[PipelineSpan], dropped: u64) -> Json {
+/// Renders runtime events plus the request's phase trace (one span per
+/// phase, named `phase (hit|miss|dedup)`, at its offset from the store's
+/// epoch) as a Chrome trace-event JSON document. `dropped` is the count of
+/// events lost to ring overwrites, surfaced under `otherData` so a
+/// truncated trace is never mistaken for a complete one.
+pub fn chrome_trace(events: &[TraceEvent], pipeline: &[PhaseOutcome], dropped: u64) -> Json {
     let mut out: Vec<Json> = Vec::with_capacity(events.len() + pipeline.len() + 8);
     out.push(meta(PIPELINE_PID, "pipeline"));
     let mut seen_worker: BTreeMap<u32, ()> = BTreeMap::new();
@@ -104,15 +93,16 @@ pub fn chrome_trace(events: &[TraceEvent], pipeline: &[PipelineSpan], dropped: u
     if events.iter().any(|e| e.tid == HEAP_TID) {
         out.push(meta(HEAP_PID, "heap"));
     }
-    for span in pipeline {
+    for p in pipeline {
+        let name = format!("{} ({})", p.phase, p.outcome.as_str());
         out.push(Json::obj(vec![
-            ("name", Json::Str(span.name.clone())),
+            ("name", Json::Str(name)),
             ("cat", Json::Str("pipeline".into())),
             ("ph", Json::Str("X".into())),
             ("pid", Json::Int(PIPELINE_PID)),
             ("tid", Json::Int(0)),
-            ("ts", us(span.ts_ns)),
-            ("dur", us(span.dur_ns)),
+            ("ts", us(p.at.as_nanos() as u64)),
+            ("dur", us(p.wall.as_nanos() as u64)),
         ]));
     }
     for ev in events {
@@ -216,10 +206,13 @@ mod tests {
             ev(EventKind::LoopRun, 1, 150, 4_800, 3, 0),
             ev(EventKind::Refill, HEAP_TID, 400, 0, 2, 32),
         ];
-        let pipeline = vec![PipelineSpan {
-            name: "parse (computed)".into(),
-            ts_ns: 0,
-            dur_ns: 50,
+        let pipeline = vec![PhaseOutcome {
+            phase: "parse",
+            key: crate::ContentHasher::new("parse").finish(),
+            outcome: crate::CacheOutcome::Miss,
+            wall: std::time::Duration::from_nanos(50),
+            at: std::time::Duration::ZERO,
+            stats: std::sync::Arc::new([]),
         }];
         let doc = chrome_trace(&events, &pipeline, 7);
         // Byte-stable output that the in-tree reader can parse back.

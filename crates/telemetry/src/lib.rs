@@ -1,16 +1,14 @@
 //! Telemetry for the expansion pipeline.
 //!
-//! Three pieces, all dependency-free (the JSON layer is hand-rolled so the
+//! Five pieces, all dependency-free (the JSON layer is hand-rolled so the
 //! workspace builds offline):
 //!
-//! * [`phase`] — a nestable wall-clock timer. The compiler records one
-//!   [`phase::PhaseSpan`] per pipeline stage (parse, lower, profile,
-//!   classify, plan, xform), each carrying size stats such as AST nodes or
-//!   instruction counts.
-//! * [`metrics`] — [`metrics::RunMetrics`], a serializable snapshot of one
-//!   `dsec` invocation: phase timeline, the VM's aggregate and per-thread
-//!   Figure-12 counters, peak heap, per-loop profile stats, and the
-//!   expansion tallies.
+//! * [`metrics`] — [`metrics::PhaseOutcome`], the one record of a pipeline
+//!   phase (which artifact, hit or miss, how long, its size stats), and
+//!   [`metrics::RunMetrics`], a serializable snapshot of one `dsec`
+//!   invocation: the request's phase trace, the VM's aggregate and
+//!   per-thread Figure-12 counters, peak heap, per-loop profile stats, and
+//!   the expansion tallies.
 //! * [`trace`] — [`trace::TraceObserver`], a [`dse_runtime::Observer`]
 //!   that streams every sited access, candidate-loop event and heap event
 //!   as one JSON object per line (JSONL).
@@ -30,16 +28,14 @@ pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod phase;
 pub mod trace;
 
-pub use chrome::{chrome_trace, flamegraph_folded, PipelineSpan};
+pub use chrome::{chrome_trace, flamegraph_folded};
 pub use hash::{ContentHash, ContentHasher};
 pub use hist::LogHistogram;
 pub use json::Json;
 pub use metrics::{
-    prometheus_text, ExpansionStats, LatencyStats, LintStats, LoopStat, PhaseCacheStat, RunMetrics,
-    ServerStats, VmStats,
+    prometheus_text, CacheOutcome, ExpansionStats, LatencyStats, LintStats, LoopStat,
+    PhaseCacheStat, PhaseOutcome, RunMetrics, ServerStats, VmStats,
 };
-pub use phase::{PhaseSpan, PhaseTimer};
 pub use trace::TraceObserver;

@@ -98,7 +98,9 @@ pub fn check_cached(
     let key = ContentHasher::new("verify").hash(xform.key).finish();
     store
         .get_or_compute("verify", key, trace, || {
-            Ok::<_, std::convert::Infallible>(check_all(analysis, Some(&xform.transformed)))
+            let report = check_all(analysis, Some(&xform.transformed));
+            let stats = vec![("diagnostics", report.diagnostics.len() as i64)];
+            Ok::<_, std::convert::Infallible>((report, stats))
         })
         .unwrap_or_else(|e| match e {})
 }
@@ -148,7 +150,9 @@ pub fn check_backend_cached(
     let key = ContentHasher::new("regverify").hash(regart.key).finish();
     let report = store
         .get_or_compute("regverify", key, trace, || {
-            Ok::<_, std::convert::Infallible>(check_backend(prog, &regart.reg))
+            let report = check_backend(prog, &regart.reg);
+            let stats = vec![("diagnostics", report.diagnostics.len() as i64)];
+            Ok::<_, std::convert::Infallible>((report, stats))
         })
         .unwrap_or_else(|e| match e {});
     if report.count(diag::Severity::Error) == 0 {
