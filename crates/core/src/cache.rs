@@ -32,7 +32,7 @@
 //! `PoisonError` panic.
 
 use dse_telemetry::hash::ContentHash;
-pub use dse_telemetry::{CacheOutcome, PhaseOutcome};
+pub use dse_telemetry::{CacheOutcome, PhaseOutcome, PhaseStats};
 use dse_telemetry::{PhaseCacheStat, ServerStats};
 use std::any::Any;
 use std::collections::HashMap;
@@ -62,9 +62,6 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The per-request trace of phase outcomes, appended to by the pipeline.
 pub type Trace = Vec<PhaseOutcome>;
 
-/// A phase's integer size stats, as its computation reports them.
-pub type Stats = Vec<(&'static str, i64)>;
-
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseCounters {
     hits: u64,
@@ -77,7 +74,7 @@ enum Slot {
     /// A computation is running; waiters park on the store condvar.
     InFlight,
     /// The artifact, shared by every requester, and its stats.
-    Ready(Arc<dyn Any + Send + Sync>, Arc<[(&'static str, i64)]>),
+    Ready(Arc<dyn Any + Send + Sync>, PhaseStats),
 }
 
 struct Entry {
@@ -203,10 +200,10 @@ impl ArtifactStore {
     ) -> Result<Arc<T>, E>
     where
         T: Any + Send + Sync,
-        F: FnOnce() -> Result<(T, Stats), E>,
+        F: FnOnce() -> Result<(T, PhaseStats), E>,
     {
         enum Found {
-            Ready(Arc<dyn Any + Send + Sync>, Arc<[(&'static str, i64)]>),
+            Ready(Arc<dyn Any + Send + Sync>, PhaseStats),
             InFlight,
             Vacant,
         }
@@ -281,7 +278,6 @@ impl ArtifactStore {
                     match result {
                         Ok((v, stats)) => {
                             let v: Arc<T> = Arc::new(v);
-                            let stats: Arc<[(&'static str, i64)]> = stats.into();
                             st.tick += 1;
                             let tick = st.tick;
                             let entry = st.map.get_mut(&key).expect("in-flight entry present");
@@ -403,7 +399,7 @@ mod tests {
         let mut trace = Trace::new();
         let a: Arc<String> = store
             .get_or_compute("parse", key(1), &mut trace, || {
-                Ok::<_, String>(("hello".to_string(), vec![("bytes", 5)]))
+                Ok::<_, String>(("hello".to_string(), [("bytes", 5)].into()))
             })
             .unwrap();
         let b: Arc<String> = store
@@ -411,7 +407,9 @@ mod tests {
                 "parse",
                 key(1),
                 &mut trace,
-                || -> Result<(String, Stats), String> { panic!("second lookup must not compute") },
+                || -> Result<(String, PhaseStats), String> {
+                    panic!("second lookup must not compute")
+                },
             )
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -436,7 +434,7 @@ mod tests {
         // The failed slot is gone: the next request computes fresh.
         let v: Arc<u32> = store
             .get_or_compute("plan", key(2), &mut trace, || {
-                Ok::<_, String>((7, Stats::new()))
+                Ok::<_, String>((7, PhaseStats::default()))
             })
             .unwrap();
         assert_eq!(*v, 7);
@@ -450,7 +448,7 @@ mod tests {
         for n in 0..3u64 {
             let _: Arc<u64> = store
                 .get_or_compute("lower", key(n), &mut trace, || {
-                    Ok::<_, String>((n, Stats::new()))
+                    Ok::<_, String>((n, PhaseStats::default()))
                 })
                 .unwrap();
         }
@@ -460,7 +458,7 @@ mod tests {
         let mut trace = Trace::new();
         let _: Arc<u64> = store
             .get_or_compute("lower", key(0), &mut trace, || {
-                Ok::<_, String>((0, Stats::new()))
+                Ok::<_, String>((0, PhaseStats::default()))
             })
             .unwrap();
         assert_eq!(trace[0].outcome, CacheOutcome::Miss);
@@ -470,7 +468,7 @@ mod tests {
                 "lower",
                 key(2),
                 &mut trace,
-                || -> Result<(u64, Stats), String> { panic!("resident") },
+                || -> Result<(u64, PhaseStats), String> { panic!("resident") },
             )
             .unwrap();
         assert_eq!(trace[1].outcome, CacheOutcome::Hit);
@@ -483,7 +481,7 @@ mod tests {
         for n in 0..2u64 {
             let _: Arc<u64> = store
                 .get_or_compute("lower", key(n), &mut trace, || {
-                    Ok::<_, String>((n, Stats::new()))
+                    Ok::<_, String>((n, PhaseStats::default()))
                 })
                 .unwrap();
         }
@@ -493,12 +491,12 @@ mod tests {
                 "lower",
                 key(0),
                 &mut trace,
-                || -> Result<(u64, Stats), String> { panic!("resident") },
+                || -> Result<(u64, PhaseStats), String> { panic!("resident") },
             )
             .unwrap();
         let _: Arc<u64> = store
             .get_or_compute("lower", key(9), &mut trace, || {
-                Ok::<_, String>((9, Stats::new()))
+                Ok::<_, String>((9, PhaseStats::default()))
             })
             .unwrap();
         let mut trace = Trace::new();
@@ -507,7 +505,7 @@ mod tests {
                 "lower",
                 key(0),
                 &mut trace,
-                || -> Result<(u64, Stats), String> { panic!("survived") },
+                || -> Result<(u64, PhaseStats), String> { panic!("survived") },
             )
             .unwrap();
         assert_eq!(trace[0].outcome, CacheOutcome::Hit);
@@ -523,7 +521,7 @@ mod tests {
                     "xform",
                     key(3),
                     &mut trace,
-                    || -> Result<(u32, Stats), String> { panic!("lowering bug") },
+                    || -> Result<(u32, PhaseStats), String> { panic!("lowering bug") },
                 )
                 .unwrap();
         }));
@@ -534,7 +532,7 @@ mod tests {
         let mut trace = Trace::new();
         let v: Arc<u32> = store
             .get_or_compute("xform", key(3), &mut trace, || {
-                Ok::<_, String>((11, Stats::new()))
+                Ok::<_, String>((11, PhaseStats::default()))
             })
             .unwrap();
         assert_eq!(*v, 11);
@@ -557,7 +555,7 @@ mod tests {
                             "verify",
                             key(4),
                             &mut trace,
-                            || -> Result<(u32, Stats), String> {
+                            || -> Result<(u32, PhaseStats), String> {
                                 gate.store(true, std::sync::atomic::Ordering::SeqCst);
                                 std::thread::sleep(std::time::Duration::from_millis(30));
                                 panic!("worker trapped")
@@ -575,7 +573,7 @@ mod tests {
         let mut trace = Trace::new();
         let v: Arc<u32> = store
             .get_or_compute("verify", key(4), &mut trace, || {
-                Ok::<_, String>((5, Stats::new()))
+                Ok::<_, String>((5, PhaseStats::default()))
             })
             .unwrap();
         assert_eq!(*v, 5);
@@ -596,7 +594,7 @@ mod tests {
                     .get_or_compute("profile", key(5), &mut trace, || {
                         computes.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        Ok::<_, String>((99, Stats::new()))
+                        Ok::<_, String>((99, PhaseStats::default()))
                     })
                     .unwrap();
                 (*v, trace[0].outcome)

@@ -1,7 +1,7 @@
 //! The pipeline split into explicit, independently cacheable phases.
 //!
 //! One function per analysis phase — parse, lower, profile, classify —
-//! each returning its artifact plus the integer size [`Stats`] the phase
+//! each returning its artifact plus the integer size [`PhaseStats`] the phase
 //! record carries. [`Analysis::from_source`] composes them directly (and
 //! drops the stats), while [`Pipeline`] composes them, and plan, xform and
 //! reglower, through a shared [`ArtifactStore`] keyed by content hashes.
@@ -25,7 +25,7 @@
 //! comment-only edit re-parses, rediscovers the same `ast_hash`, and every
 //! later phase is a cache hit.
 
-use crate::cache::{ArtifactStore, Stats, Trace};
+use crate::cache::{ArtifactStore, PhaseStats, Trace};
 use crate::classify::{classify_loop, LoopClassification};
 use crate::plan::{ExpansionPlan, OptLevel};
 use crate::{Analysis, DseError, Transformed};
@@ -55,12 +55,13 @@ pub struct Classified {
 /// # Errors
 ///
 /// Propagates frontend errors.
-pub fn parse_phase(source: &str) -> Result<(Program, Stats), DseError> {
+pub fn parse_phase(source: &str) -> Result<(Program, PhaseStats), DseError> {
     let program = dse_lang::compile_to_ast(source)?;
-    let stats = vec![
+    let stats = [
         ("source_bytes", source.len() as i64),
         ("functions", program.functions.len() as i64),
-    ];
+    ]
+    .into();
     Ok((program, stats))
 }
 
@@ -69,13 +70,14 @@ pub fn parse_phase(source: &str) -> Result<(Program, Stats), DseError> {
 /// # Errors
 ///
 /// Propagates lowering errors.
-pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, Stats), DseError> {
+pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, PhaseStats), DseError> {
     let serial = dse_ir::lower_program(program, &dse_ir::lower::LowerOptions::default())?;
-    let stats = vec![
+    let stats = [
         ("instructions", serial.code.len() as i64),
         ("sites", serial.sites.len() as i64),
         ("candidate_loops", serial.loops.len() as i64),
-    ];
+    ]
+    .into();
     Ok((serial, stats))
 }
 
@@ -88,7 +90,7 @@ pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, Stats), DseErr
 pub fn profile_phase(
     serial: CompiledProgram,
     mut profile_config: VmConfig,
-) -> Result<(ProfileResult, Stats), DseError> {
+) -> Result<(ProfileResult, PhaseStats), DseError> {
     // Profiles are measured on the reference stack encoding: per-loop
     // instruction counts feed classification and the simulator, and they
     // must not shift when `DSE_EXEC_BACKEND=reg` runs the same pipeline
@@ -96,26 +98,28 @@ pub fn profile_phase(
     profile_config.backend = dse_runtime::BackendKind::Stack;
     let (profile, _vm) = dse_depprof::profile_program(serial, profile_config)?;
     let (iterations, accesses, edges) = profile.totals();
-    let stats = vec![
+    let stats = [
         ("loops_profiled", profile.loops.len() as i64),
         ("iterations", iterations as i64),
         ("accesses", accesses as i64),
         ("edges", edges as i64),
-    ];
+    ]
+    .into();
     Ok((profile, stats))
 }
 
 /// Phase 4: profile → access-class classifications, plus the points-to and
 /// allocation-size side analyses.
-pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified, Stats) {
+pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified, PhaseStats) {
     let classifications: Vec<LoopClassification> =
         profile.loops.iter().map(classify_loop).collect();
     let mode_count =
         |mode: ParMode| classifications.iter().filter(|c| c.mode == mode).count() as i64;
-    let stats = vec![
+    let stats = [
         ("doall", mode_count(ParMode::DoAll)),
         ("doacross", mode_count(ParMode::DoAcross)),
-    ];
+    ]
+    .into();
     let classified = Classified {
         classifications,
         pt: dse_analysis::analyze(program),
@@ -345,11 +349,12 @@ impl<'a> Pipeline<'a> {
             .finish();
         self.store.get_or_compute("reglower", key, trace, || {
             let reg = dse_ir::regcode::translate(program)?;
-            let stats = vec![
+            let stats = [
                 ("reg_instructions", reg.code.len() as i64),
                 ("frame_regs", reg.frame_regs as i64),
                 ("entries", reg.entry_map.len() as i64),
-            ];
+            ]
+            .into();
             let reg = Arc::new(reg);
             Ok::<_, DseError>((RegArt { reg, key }, stats))
         })
@@ -381,7 +386,7 @@ impl<'a> Pipeline<'a> {
             } else {
                 art.analysis.plan(opt, nthreads)
             }?;
-            Ok::<_, DseError>((PlanArt { plan }, vec![("nthreads", nthreads as i64)]))
+            Ok::<_, DseError>((PlanArt { plan }, [("nthreads", nthreads as i64)].into()))
         })?;
 
         // The baseline plan privatizes through the `__localize` runtime
@@ -391,7 +396,7 @@ impl<'a> Pipeline<'a> {
         let xform_key = ContentHasher::new("xform").hash(plan_key).finish();
         self.store.get_or_compute("xform", xform_key, trace, || {
             let transformed = art.analysis.apply_plan(planned.plan.clone(), apply_opt)?;
-            let stats = vec![
+            let stats = [
                 (
                     "privatized_structures",
                     transformed.report.privatized_structures() as i64,
@@ -401,7 +406,8 @@ impl<'a> Pipeline<'a> {
                     transformed.report.private_accesses_redirected as i64,
                 ),
                 ("instructions", transformed.parallel.code.len() as i64),
-            ];
+            ]
+            .into();
             let art = TransformArt {
                 transformed,
                 key: xform_key,

@@ -8,7 +8,7 @@ use crate::bytecode::{Builtin, CompiledProgram, Instr, Pc};
 use crate::sites::NO_SITE;
 use std::collections::HashMap;
 
-/// Emits the register form of `prog` under `plan`: [`translate`] with the
+/// Emits the register form of `prog` under `plan`: [`super::translate`] with the
 /// promotion decisions supplied by the caller. The emitted code is
 /// consistent with whatever `plan` says, so a verifier test can declare
 /// an illegal promotion and see the plan — not the code — rejected.

@@ -123,7 +123,7 @@ pub struct StackFlow {
     /// exactly once, in its own basic block, as the address operand of a
     /// `Load` or `Store` (whose [`Slot::tid_of`] names it): the translator
     /// emits nothing for the producer and one fused
-    /// [`RInstr::LdTid`]/[`RInstr::StTid`] for the consumer, so the access
+    /// [`super::RInstr::LdTid`]/[`super::RInstr::StTid`] for the consumer, so the access
     /// is still counted once. (A producer whose place is promoted emits
     /// nothing either way.)
     pub unfused_tid: HashSet<Pc>,
@@ -529,7 +529,7 @@ impl<'p> Flow<'p> {
 /// to its fixed point, seeded with the empty stack at every function entry
 /// and outlined parallel-body entry.
 ///
-/// This is the queryable form of the invariant [`translate`] builds on:
+/// This is the queryable form of the invariant [`super::translate`] builds on:
 /// the stack verifier re-runs it to prove the depth discipline, and the
 /// translation validator uses its per-pc states and owner map to line
 /// stack blocks up with their register translations.

@@ -406,7 +406,7 @@ impl RInstr {
     /// register checks derive from it. Read-only users call it on a copy.
     pub fn operands_mut(&mut self) -> Operands<'_> {
         use Control::{Branch, Call, End, Jump, Next};
-        let srcs_free = !matches!(self, RInstr::ParLoop { .. });
+        let mut srcs_free = true;
         let free = Write::Free { pure: false };
         let pure = Write::Free { pure: true };
         let (dst, srcs, control) = match self {
@@ -468,7 +468,10 @@ impl RInstr {
             RInstr::Ret { src, has_val, .. } | RInstr::Halt { src, has_val, .. } => {
                 (None, [has_val.then_some(src), None], End)
             }
-            RInstr::ParLoop { lo, hi, .. } => (None, [Some(lo), Some(hi)], Next),
+            RInstr::ParLoop { lo, hi, .. } => {
+                srcs_free = false;
+                (None, [Some(lo), Some(hi)], Next)
+            }
             RInstr::LoopMark { .. } | RInstr::Wait { .. } | RInstr::Post { .. } => {
                 (None, [None, None], Next)
             }

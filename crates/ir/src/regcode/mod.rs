@@ -83,6 +83,15 @@
 //! redirect at emission, hot loop bodies over promoted scalars compile to
 //! register-only arithmetic with no shuffle traffic.
 //!
+//! **Layout.** The translator is its phases, one module each: `isa` (the
+//! instruction set, [`RegProgram`], and [`RInstr::operands_mut`] — the one
+//! table of every variant's register operands and control transfer, which
+//! [`for_each_dst`], [`for_each_src`], [`pure_dst`], the coalescer's
+//! renaming and `dse-verify`'s register checks derive from), `flow`
+//! ([`analyze_stack`]), `plan` ([`promotion_plan`] and the report of what
+//! stays in memory and why), `emit` ([`translate_with`]) and `coalesce`.
+//! [`translate`] below is their composition.
+//!
 //! Site ids, loop marks, and builtin call pcs are preserved verbatim
 //! (each register instruction remembers the stack pc it came from in
 //! [`RegProgram::origin`]), so the dependence profiler, the opcode

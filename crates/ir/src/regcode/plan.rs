@@ -28,7 +28,7 @@ pub struct PromotedPlace {
 
 /// Scalar-promotion decisions for one translation. Derivable from the
 /// [`StackFlow`] alone via [`promotion_plan`], and recorded on the emitted
-/// [`RegProgram`] so a verifier can check the code against the declared
+/// [`super::RegProgram`] so a verifier can check the code against the declared
 /// intent and the intent against the flow.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PromotionPlan {
@@ -145,8 +145,8 @@ fn object_at(objects: &[(u32, u32)], off: u32) -> Option<usize> {
 /// object; any other place — a temporary assigned before use — never
 /// touches memory.
 ///
-/// [`translate`] emits under exactly this plan; the verifier re-derives it
-/// to prove a [`RegProgram::promo`] is justified.
+/// [`super::translate`] emits under exactly this plan; the verifier re-derives it
+/// to prove a [`super::RegProgram::promo`] is justified.
 pub fn promotion_plan(prog: &CompiledProgram, flow: &StackFlow) -> PromotionPlan {
     decide(prog, flow, &mut None)
 }

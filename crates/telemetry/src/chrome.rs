@@ -212,7 +212,7 @@ mod tests {
             outcome: crate::CacheOutcome::Miss,
             wall: std::time::Duration::from_nanos(50),
             at: std::time::Duration::ZERO,
-            stats: std::sync::Arc::new([]),
+            stats: [].into(),
         }];
         let doc = chrome_trace(&events, &pipeline, 7);
         // Byte-stable output that the in-tree reader can parse back.

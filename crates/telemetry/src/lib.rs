@@ -36,6 +36,6 @@ pub use hist::LogHistogram;
 pub use json::Json;
 pub use metrics::{
     prometheus_text, CacheOutcome, ExpansionStats, LatencyStats, LintStats, LoopStat,
-    PhaseCacheStat, PhaseOutcome, RunMetrics, ServerStats, VmStats,
+    PhaseCacheStat, PhaseOutcome, PhaseStats, RunMetrics, ServerStats, VmStats,
 };
 pub use trace::TraceObserver;

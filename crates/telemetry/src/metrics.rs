@@ -46,6 +46,10 @@ impl CacheOutcome {
     }
 }
 
+/// A phase's integer size stats (instructions, sites, candidate loops, …),
+/// shared between the stored artifact and every record that reports it.
+pub type PhaseStats = Arc<[(&'static str, i64)]>;
+
 /// One phase of one request: which artifact, how it was satisfied, how
 /// long this requester waited for it (compute time on a miss, lock/park
 /// time otherwise), and the artifact's size stats.
@@ -63,9 +67,9 @@ pub struct PhaseOutcome {
     /// phase on a trace timeline (chrome-trace export of pipeline spans
     /// next to runtime events).
     pub at: Duration,
-    /// Integer size stats of the artifact (instructions, sites, candidate
-    /// loops, …), stored beside it: a hit reports what the miss computed.
-    pub stats: Arc<[(&'static str, i64)]>,
+    /// The artifact's size stats, stored beside it: a hit reports what the
+    /// miss computed.
+    pub stats: PhaseStats,
 }
 
 impl PhaseOutcome {
@@ -725,7 +729,7 @@ mod tests {
                 outcome: CacheOutcome::Hit,
                 wall: Duration::from_nanos(98_765),
                 at: Duration::from_nanos(1_200),
-                stats: Arc::new([("source_bytes", 420), ("functions", 2)]),
+                stats: [("source_bytes", 420), ("functions", 2)].into(),
             }],
             loops: vec![LoopStat {
                 loop_id: 0,

@@ -899,12 +899,16 @@ impl Freshness<'_> {
                 }
             }
         });
+        let mut nodes = Vec::new();
+        walk_exprs(e, &mut |x| nodes.push(x));
+        self.drop_stored(fresh, &nodes);
+    }
+
+    /// Drops the slots whose pointer or span one of `nodes` stores.
+    fn drop_stored(&self, fresh: &mut HashSet<VarBinding>, nodes: &[&Expr]) {
         fresh.retain(|slot| {
-            let mut stored = false;
-            walk_exprs(e, &mut |x| {
-                stored |= self.deps[slot].iter().any(|&d| self.stores(x, d));
-            });
-            !stored
+            let stored = |&d| nodes.iter().any(|x| self.stores(x, d));
+            !self.deps[slot].iter().any(stored)
         });
     }
 
@@ -979,13 +983,9 @@ impl Freshness<'_> {
                 let inside = st.as_ref().map(|_| HashSet::new());
                 self.looping(cond.as_ref(), body, step.as_ref(), false, inside);
                 if let Some(fresh) = &mut st {
-                    fresh.retain(|slot| {
-                        let mut stored = false;
-                        walk_exprs_in_stmt(s, &mut |x| {
-                            stored |= self.deps[slot].iter().any(|&d| self.stores(x, d));
-                        });
-                        !stored
-                    });
+                    let mut nodes = Vec::new();
+                    walk_exprs_in_stmt(s, &mut |x| nodes.push(x));
+                    self.drop_stored(fresh, &nodes);
                 }
                 st
             }

@@ -99,7 +99,7 @@ pub fn check_cached(
     store
         .get_or_compute("verify", key, trace, || {
             let report = check_all(analysis, Some(&xform.transformed));
-            let stats = vec![("diagnostics", report.diagnostics.len() as i64)];
+            let stats = [("diagnostics", report.diagnostics.len() as i64)].into();
             Ok::<_, std::convert::Infallible>((report, stats))
         })
         .unwrap_or_else(|e| match e {})
@@ -151,7 +151,7 @@ pub fn check_backend_cached(
     let report = store
         .get_or_compute("regverify", key, trace, || {
             let report = check_backend(prog, &regart.reg);
-            let stats = vec![("diagnostics", report.diagnostics.len() as i64)];
+            let stats = [("diagnostics", report.diagnostics.len() as i64)].into();
             Ok::<_, std::convert::Infallible>((report, stats))
         })
         .unwrap_or_else(|e| match e {});
