@@ -404,6 +404,7 @@ impl RInstr {
     /// The one place a variant's registers and control transfer are
     /// declared: everything below, the coalescer and `dse-verify`'s
     /// register checks derive from it. Read-only users call it on a copy.
+    #[inline(always)]
     pub fn operands_mut(&mut self) -> Operands<'_> {
         use Control::{Branch, Call, End, Jump, Next};
         let mut srcs_free = true;
@@ -487,6 +488,7 @@ impl RInstr {
 
     /// The register pc encoded in this instruction, for rewriting: a
     /// branch's target or a call's callee entry.
+    #[inline]
     pub fn jump_target_mut(&mut self) -> Option<&mut u32> {
         match self.operands_mut().control {
             Control::Jump(t) | Control::Branch(t) | Control::Call(t) => Some(t),
@@ -495,6 +497,7 @@ impl RInstr {
     }
 
     /// The register pc [`RInstr::jump_target_mut`] would expose.
+    #[inline]
     pub fn jump_target(&self) -> Option<u32> {
         let mut ins = *self;
         ins.jump_target_mut().copied()
@@ -503,6 +506,7 @@ impl RInstr {
 
 /// Calls `f` for every register an instruction overwrites (in-place
 /// updates included).
+#[inline]
 pub fn for_each_dst(ins: &RInstr, f: &mut impl FnMut(Reg)) {
     let mut ins = *ins;
     if let Some((write, d)) = ins.operands_mut().dst {
@@ -512,6 +516,7 @@ pub fn for_each_dst(ins: &RInstr, f: &mut impl FnMut(Reg)) {
 
 /// Calls `f` for every register an instruction reads (in-place operands
 /// and call-convention argument ranges included).
+#[inline]
 pub fn for_each_src(ins: &RInstr, prog: &CompiledProgram, f: &mut impl FnMut(Reg)) {
     let mut ins = *ins;
     let ops = ins.operands_mut();
@@ -524,6 +529,7 @@ pub fn for_each_src(ins: &RInstr, prog: &CompiledProgram, f: &mut impl FnMut(Reg
 /// Renames free (non-in-place) source operands through `m`. Calling
 /// conventions pin argument ranges and `ParLoop` bounds double as the body
 /// window base, so those stay untouched.
+#[inline]
 pub(super) fn rewrite_srcs(ins: &mut RInstr, m: impl Fn(Reg) -> Reg) {
     let ops = ins.operands_mut();
     if ops.srcs_free {
@@ -533,6 +539,7 @@ pub(super) fn rewrite_srcs(ins: &mut RInstr, m: impl Fn(Reg) -> Reg) {
 
 /// Pure register writes (no memory, no traps, no observer events) that the
 /// coalescer may delete outright when the destination is provably dead.
+#[inline]
 pub fn pure_dst(ins: &RInstr) -> Option<Reg> {
     let mut ins = *ins;
     match ins.operands_mut().dst {
@@ -545,6 +552,7 @@ pub fn pure_dst(ins: &RInstr) -> Option<Reg> {
 /// destination register, so a following promoted-slot store needs no
 /// `Mov`. In-place ops and calls (whose result register is fixed by
 /// convention) refuse.
+#[inline]
 pub(super) fn redirect_dst(ins: &mut RInstr, from: Reg, to: Reg) -> bool {
     match ins.operands_mut().dst {
         Some((Write::Free { .. }, d)) if *d == from => {
