@@ -29,7 +29,7 @@ pub mod table;
 use dse_core::{Analysis, OptLevel};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
-use dse_runtime::{Counters, Vm};
+use dse_runtime::{Counters, LoopProfile, Vm};
 use dse_workloads::{Scale, Workload};
 use std::time::{Duration, Instant};
 use table::{col, series, Cell, Col, Row, Table};
@@ -224,27 +224,26 @@ pub fn fig10(workloads: &[Workload], scale: Scale) -> Table {
     Table::new(workloads.iter().map(row).collect())
 }
 
-/// Per-loop iteration-cost traces: one cost vector per dynamic loop entry.
-pub type LoopTraces = std::collections::HashMap<u32, Vec<Vec<dse_runtime::vm::IterCost>>>;
 /// Scheduling mode per loop id.
 pub type LoopModes = std::collections::HashMap<u32, ParMode>;
 
-/// Runs a program serially with iteration-cost recording, returning the
-/// instruction total, per-loop traces, and per-loop modes. `pin_stack`
-/// makes it a [`stack_config`] run (the traces carry `private_direct`).
-fn record_traces(
+/// Runs a program serially with the loop record on, returning the
+/// instruction total, the record (one cost vector per dynamic loop entry),
+/// and per-loop modes. `pin_stack` makes it a [`stack_config`] run (the
+/// costs carry `private_direct`).
+fn record_profile(
     compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
     pin_stack: bool,
-) -> (u64, LoopTraces, LoopModes, Counters) {
+) -> (u64, Vec<LoopProfile>, LoopModes, Counters) {
     let mut cfg = if pin_stack {
         stack_config(w, scale)
     } else {
         w.vm_config(scale)
     };
     cfg.nthreads = 1;
-    cfg.record_iteration_costs = true;
+    cfg.profile = true;
     let mut vm = Vm::new(compiled.clone(), cfg).expect("vm");
     let report = vm.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let modes = compiled
@@ -253,12 +252,7 @@ fn record_traces(
         .enumerate()
         .map(|(i, l)| (i as u32, l.mode.unwrap_or(ParMode::DoAll)))
         .collect();
-    (
-        report.counters.work,
-        vm.iteration_costs(),
-        modes,
-        report.counters,
-    )
+    (report.counters.work, vm.profile(), modes, report.counters)
 }
 
 /// The program `parallel(n)` builds for `n` threads, replayed by the
@@ -272,8 +266,8 @@ fn sim_speedups(
     parallel: impl Fn(u32) -> CompiledProgram,
 ) -> (Vec<f64>, Vec<f64>) {
     let sims = CORE_COUNTS.map(|n| {
-        let (tot, traces, modes, _) = record_traces(&parallel(n), w, scale, charge_localize);
-        sim::simulate_program(tot, &traces, &modes, n, charge_localize)
+        let (tot, profile, modes, _) = record_profile(&parallel(n), w, scale, charge_localize);
+        sim::simulate_program(tot, &profile, &modes, n, charge_localize)
     });
     let loop_only = sims
         .iter()
@@ -361,16 +355,9 @@ pub fn fig12_sim(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
         let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-        let (tot, traces, modes, counters) = record_traces(&t.parallel, w, scale, false);
-        let ps = sim::simulate_program(tot, &traces, &modes, 8, false);
-        let outside = (tot as f64
-            - traces
-                .values()
-                .flatten()
-                .flatten()
-                .map(|c| (c.pre + c.window + c.post) as f64)
-                .sum::<f64>())
-        .max(0.0);
+        let (tot, profile, modes, counters) = record_profile(&t.parallel, w, scale, false);
+        let ps = sim::simulate_program(tot, &profile, &modes, 8, false);
+        let outside = (tot as f64 - sim::recorded_instructions(&profile) as f64).max(0.0);
         let sync = counters.sync_ops as f64;
         let work = outside + ps.busy - sync;
         let total = work + ps.idle + sync;
@@ -410,37 +397,37 @@ pub fn fig14(workloads: &[Workload], scale: Scale) -> Table {
     Table::new(workloads.iter().map(row).collect())
 }
 
-/// Each DOACROSS workload with the iteration traces of its 8-thread
+/// Each DOACROSS workload with the loop record of its 8-thread
 /// transformation — what both DOACROSS ablations replay.
-fn doacross_traces(
+fn doacross_profiles(
     workloads: &[Workload],
     scale: Scale,
-) -> impl Iterator<Item = (&Workload, LoopTraces, LoopModes)> {
+) -> impl Iterator<Item = (&Workload, Vec<LoopProfile>, LoopModes)> {
     let doacross = workloads
         .iter()
         .filter(|w| w.paper.parallelism == ParMode::DoAcross);
     doacross.map(move |w| {
         let t = analyze(w).transform(OptLevel::Full, 8).expect("transform");
-        let (_, traces, modes, _) = record_traces(&t.parallel, w, scale, false);
-        (w, traces, modes)
+        let (_, profile, modes, _) = record_profile(&t.parallel, w, scale, false);
+        (w, profile, modes)
     })
 }
 
 /// Simulated 8-core loop speedup over every recorded loop entry, with each
 /// iteration reshaped by `shape` and claimed `chunk` at a time.
 fn loop_speedup_8c(
-    traces: &LoopTraces,
+    profile: &[LoopProfile],
     modes: &LoopModes,
     chunk: usize,
     shape: impl Fn(sim::SimIter) -> sim::SimIter,
 ) -> f64 {
     let (mut serial, mut time) = (0.0, 0.0);
-    for (loop_id, entries) in traces {
-        for entry in entries {
+    for p in profile {
+        for entry in &p.costs {
             let iters = entry.iter().map(|c| shape(sim::to_sim_iter(c, false)));
             let iters: Vec<sim::SimIter> = iters.collect();
             serial += iters.iter().map(sim::SimIter::total).sum::<f64>();
-            time += sim::simulate_entry_chunked(modes[loop_id], &iters, 8, chunk).time;
+            time += sim::simulate_entry_chunked(modes[&p.loop_id], &iters, 8, chunk).time;
         }
     }
     serial / time.max(1e-9)
@@ -449,16 +436,16 @@ fn loop_speedup_8c(
 /// Ablation: the DOACROSS claim size (the paper fixes it at 1, Section
 /// 4.3), swept over the DOACROSS workloads.
 pub fn ablation_chunk(workloads: &[Workload], scale: Scale) -> Table {
-    let row = |(w, traces, modes): (&Workload, LoopTraces, LoopModes)| {
+    let row = |(w, profile, modes): (&Workload, Vec<LoopProfile>, LoopModes)| {
         let sweep = [1usize, 2, 4, 8, 16]
-            .map(|chunk| (chunk, loop_speedup_8c(&traces, &modes, chunk, |it| it)));
+            .map(|chunk| (chunk, loop_speedup_8c(&profile, &modes, chunk, |it| it)));
         let speedups = Cell::Sweep("chunk", sweep.to_vec());
         vec![
             name(w),
             col("speedup per claim size", "speedups", -1).of(speedups),
         ]
     };
-    Table::new(doacross_traces(workloads, scale).map(row).collect())
+    Table::new(doacross_profiles(workloads, scale).map(row).collect())
 }
 
 /// Ablation: the DOACROSS synchronization *placement* (Section 4.3: "we
@@ -472,16 +459,16 @@ pub fn ablation_sync(workloads: &[Workload], scale: Scale) -> Table {
         window: it.window + (it.pre + it.post),
         post: 0.0,
     };
-    let row = |(w, traces, modes): (&Workload, LoopTraces, LoopModes)| {
-        let with_window = loop_speedup_8c(&traces, &modes, 1, |it| it);
-        let without_window = loop_speedup_8c(&traces, &modes, 1, whole_body);
+    let row = |(w, profile, modes): (&Workload, Vec<LoopProfile>, LoopModes)| {
+        let with_window = loop_speedup_8c(&profile, &modes, 1, |it| it);
+        let without_window = loop_speedup_8c(&profile, &modes, 1, whole_body);
         vec![
             name(w),
             col("window", "with_window", 8).of(Cell::Times(with_window, 2)),
             col("whole-body", "without_window", 10).of(Cell::Times(without_window, 2)),
         ]
     };
-    Table::new(doacross_traces(workloads, scale).map(row).collect())
+    Table::new(doacross_profiles(workloads, scale).map(row).collect())
 }
 
 /// Ablation: the Section 3.1 layout comparison — sequential instruction

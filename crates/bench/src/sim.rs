@@ -5,9 +5,10 @@
 //! are often single-core), where wall-clock "parallel" timing measures
 //! time-slicing artifacts instead of the transformation. The simulator
 //! replaces the physical testbed: it replays each candidate loop's
-//! *measured per-iteration instruction costs* (recorded by the VM under
-//! [`dse_runtime::vm::VmConfig::record_iteration_costs`]) through the
-//! executor's exact scheduling policies:
+//! *measured per-iteration instruction costs* — the exact
+//! [`IterCost`]s of the VM's loop record ([`dse_runtime::Vm::profile`],
+//! the same record `dsec profile` prints), taken from a single-threaded
+//! run — through the executor's exact scheduling policies:
 //!
 //! * **DOALL** — the executor's own claim policy, not a model of it: each
 //!   worker, earliest-free first, runs whatever
@@ -27,7 +28,7 @@
 
 use dse_ir::loops::ParMode;
 use dse_runtime::pool::DoallShares;
-use dse_runtime::vm::IterCost;
+use dse_runtime::{IterCost, LoopProfile};
 
 /// Cost of one iteration in simulated cycles, split at the ordered-window
 /// boundaries.
@@ -172,13 +173,21 @@ pub struct ProgramSim {
     pub idle: f64,
 }
 
+/// Instructions the recorded iterations of `profile` retired: everything
+/// a simulation replays, as opposed to the serial remainder around it.
+pub fn recorded_instructions(profile: &[LoopProfile]) -> u64 {
+    let costs = profile.iter().flat_map(|p| p.costs.iter().flatten());
+    costs.map(IterCost::total).sum()
+}
+
 /// Simulates a program at `n` cores from (a) its serial instruction total
-/// and (b) the per-entry iteration traces of its candidate loops.
+/// and (b) the loop record of a single-threaded run: one cost vector per
+/// dynamic entry of each candidate loop.
 ///
 /// `loop_modes` gives the scheduling mode per loop id.
 pub fn simulate_program(
     serial_total: u64,
-    traces: &std::collections::HashMap<u32, Vec<Vec<IterCost>>>,
+    profile: &[LoopProfile],
     loop_modes: &std::collections::HashMap<u32, ParMode>,
     n: u32,
     charge_localize: bool,
@@ -187,9 +196,12 @@ pub fn simulate_program(
     let mut loop_time = 0.0;
     let mut busy = 0.0;
     let mut idle = 0.0;
-    for (loop_id, entries) in traces {
-        let mode = loop_modes.get(loop_id).copied().unwrap_or(ParMode::DoAll);
-        for entry in entries {
+    for p in profile {
+        let mode = loop_modes
+            .get(&p.loop_id)
+            .copied()
+            .unwrap_or(ParMode::DoAll);
+        for entry in &p.costs {
             let iters: Vec<SimIter> = entry
                 .iter()
                 .map(|c| to_sim_iter(c, charge_localize))
@@ -204,13 +216,7 @@ pub fn simulate_program(
     }
     // Outside the loops the program runs serially; charge localize extras
     // only inside loops (that is where private accesses live).
-    let outside = serial_total as f64
-        - traces
-            .values()
-            .flatten()
-            .flatten()
-            .map(|c| (c.pre + c.window + c.post) as f64)
-            .sum::<f64>();
+    let outside = serial_total as f64 - recorded_instructions(profile) as f64;
     ProgramSim {
         total_time: outside.max(0.0) + loop_time,
         loop_time,
@@ -301,22 +307,20 @@ mod tests {
 
     #[test]
     fn program_sim_accounts_serial_remainder() {
-        let mut traces = std::collections::HashMap::new();
-        traces.insert(
-            0u32,
-            vec![vec![
+        let profile = [LoopProfile {
+            loop_id: 0,
+            costs: vec![vec![
                 IterCost {
                     pre: 100,
-                    window: 0,
-                    post: 0,
                     ..Default::default()
                 };
                 4
             ]],
-        );
+            ..Default::default()
+        }];
         let mut modes = std::collections::HashMap::new();
         modes.insert(0u32, ParMode::DoAll);
-        let sim = simulate_program(1000, &traces, &modes, 4, false);
+        let sim = simulate_program(1000, &profile, &modes, 4, false);
         // 600 serial outside + 100 parallel loop.
         assert_eq!(sim.total_time, 700.0);
         assert_eq!(sim.loop_serial, 400.0);

@@ -1,8 +1,10 @@
 //! Bytecode disassembler: a readable listing of a compiled program with
-//! function/loop-region boundaries and site annotations (`dsec --emit
-//! bytecode` uses it; tests use it to assert code shapes).
+//! function/loop-region boundaries and site annotations, and of its
+//! register translation (`dsec --emit bytecode` prints both; tests use
+//! them to assert code shapes).
 
 use crate::bytecode::*;
+use crate::regcode::RegProgram;
 use std::fmt::Write;
 
 /// Renders the whole program as an annotated listing.
@@ -49,6 +51,22 @@ pub fn disassemble(p: &CompiledProgram) -> String {
         }
         let _ = writeln!(out, "  {pc:5}  {}", render_instr(p, *instr));
     }
+    out
+}
+
+/// Renders a register translation under a `-- reg (N instrs) --` header:
+/// one line per instruction with the stack pc it was translated from (the
+/// final `Unreachable` names the pc one past the stack code), then the
+/// entry map and the window size.
+pub fn disassemble_reg(rp: &RegProgram) -> String {
+    let mut out = format!("-- reg ({} instrs) --\n", rp.code.len());
+    for (pc, instr) in rp.code.iter().enumerate() {
+        let _ = writeln!(out, "  {pc:5} (pc {:5})  {instr}", rp.origin_pc(pc));
+    }
+    let mut entries: Vec<_> = rp.entry_map.iter().collect();
+    entries.sort();
+    let _ = writeln!(out, "entries (stack pc -> reg pc): {entries:?}");
+    let _ = writeln!(out, "window registers: {}", rp.frame_regs);
     out
 }
 

@@ -158,22 +158,28 @@ fn scan_stmt(
 
 /// Extracts the induction slot from a `for` init statement.
 pub fn induction_slot_of_init(init: Option<&Stmt>) -> Option<usize> {
+    induction_of_init(init).map(|(slot, _)| slot)
+}
+
+/// Extracts the induction slot and the value it starts at from a `for`
+/// init statement (`int i = v` or `i = v`).
+pub fn induction_of_init(init: Option<&Stmt>) -> Option<(usize, &Expr)> {
     match init.map(|s| &s.kind) {
         Some(StmtKind::Decl {
             slot: Some(slot),
-            init: Some(_),
+            init: Some(v),
             ..
-        }) => Some(*slot),
+        }) => Some((*slot, v)),
         Some(StmtKind::Expr(e)) => match &e.kind {
             ExprKind::Assign {
                 op: AssignOp::Set,
                 lhs,
-                ..
+                rhs,
             } => match &lhs.kind {
                 ExprKind::Var {
                     binding: Some(VarBinding::Local(slot)),
                     ..
-                } => Some(*slot),
+                } => Some((*slot, rhs)),
                 _ => None,
             },
             _ => None,

@@ -749,16 +749,27 @@ impl<'a> Lowerer<'a> {
                     induction_offset: ind_off,
                     induction_width: ind_w,
                 });
-                if let Some(i) = init {
-                    self.lower_stmt(i)?;
+                // lo = the initial value of i. Inside another loop's body
+                // the induction slot is one frame slot shared by every
+                // worker (induction variables are never expanded), so a
+                // store and reload would race with the other workers' runs
+                // of this loop: the value goes straight to the operand
+                // stack, truncated as the store would.
+                if self.par_ind_stack.is_empty() {
+                    if let Some(i) = init {
+                        self.lower_stmt(i)?;
+                    }
+                    self.emit(Instr::FrameAddr(ind_off));
+                    self.emit(Instr::Load {
+                        width: ind_w,
+                        is_float: false,
+                        site: NO_SITE,
+                    });
+                } else {
+                    let (_, v) = loops::induction_of_init(init).expect("validated candidate init");
+                    self.lower_value(v)?;
+                    self.emit_convert(v.ty(), &ind_ty, true);
                 }
-                // lo = current value of i.
-                self.emit(Instr::FrameAddr(ind_off));
-                self.emit(Instr::Load {
-                    width: ind_w,
-                    is_float: false,
-                    site: NO_SITE,
-                });
                 // hi = bound (+1 when `<=`).
                 self.lower_value(bound)?;
                 if inclusive {
@@ -1837,6 +1848,53 @@ mod tests {
         // Inner body reads j at depth 0 and i at depth 1.
         assert!(c.code.contains(&Instr::IterIdx(0)));
         assert!(c.code.contains(&Instr::IterIdx(1)));
+    }
+
+    /// Every worker running the outer body shares the inner loop's
+    /// induction slot, so the inner lower bound must not go through it: a
+    /// peer's inner loop may store its final value between the init and
+    /// the reload, and the inner loop then runs no iterations.
+    #[test]
+    fn nested_parallel_lower_bound_bypasses_the_shared_induction_slot() {
+        let p = compile_to_ast(
+            "int main() { int *g; g = malloc(64);
+               #pragma candidate outer
+               for (int i = 0; i < 4; i++) {
+                 #pragma candidate inner
+                 for (int j = i; j < 4; j++) { g[i * 4 + j] = j; }
+               }
+               return g[5]; }",
+        )
+        .unwrap();
+        let mut opts = LowerOptions {
+            mode: LowerMode::Parallel,
+            ..Default::default()
+        };
+        for l in ["outer", "inner"] {
+            opts.par.insert(
+                l.into(),
+                ParLoopSpec {
+                    mode: ParMode::DoAll,
+                    sync_window: None,
+                },
+            );
+        }
+        let c = lower_program(&p, &opts).unwrap();
+        let j_off = c.loops[1].induction_offset;
+        let start = c.loops[0].body_entry as usize;
+        let dispatch = c.code.iter().position(|i| *i == Instr::ParLoop(1)).unwrap();
+        let before = &c.code[start..dispatch];
+        assert!(
+            !before.contains(&Instr::FrameAddr(j_off)),
+            "the inner bound goes through `j`'s slot: {before:?}"
+        );
+        // lo = i, read as the outer loop's iteration and truncated to
+        // `int` as a store to `j` would; then hi = 4.
+        assert_eq!(
+            before[before.len() - 3..],
+            [Instr::IterIdx(0), Instr::SextTrunc(4), Instr::PushI(4)],
+            "{before:?}"
+        );
     }
 
     #[test]

@@ -21,10 +21,16 @@
 //! Nested `ParLoop`s (or runs configured with one thread) execute inline on
 //! the current thread, preserving semantics and letting the overhead
 //! experiments of Figure 9 run transformed code serially.
+//!
+//! Every way of running a loop is a *share* — one thread's part of one
+//! loop — opened by [`Vm::enter_share`], closed by [`Vm::leave_share`],
+//! and run one iteration at a time by [`Vm::run_iteration`]: the master's
+//! and each worker's share of a dispatch, and an inline run.
 
 use crate::observer::{NullObserver, Observer};
 use crate::pool::{DoallShares, LoopDispatch};
-use crate::tracebuf::{EventKind, TraceEvent};
+use crate::prof::IterCost;
+use crate::tracebuf::{EventKind, TraceEvent, TraceSink};
 use crate::vm::{lock_clean, LoopSync, ThreadCtx, Vm, VmError};
 use dse_ir::loops::ParMode;
 use std::sync::atomic::Ordering;
@@ -45,6 +51,39 @@ fn record_error(slot: &Mutex<Option<VmError>>, e: VmError) {
     }
 }
 
+/// The error a worker stops with when a peer trapped.
+fn aborted(sync: &LoopSync) -> Result<(), VmError> {
+    if sync.abort.load(Ordering::Relaxed) {
+        return Err(VmError::new(u32::MAX as usize, ABORTED));
+    }
+    Ok(())
+}
+
+/// One thread's share of one loop, from [`Vm::enter_share`] to
+/// [`Vm::leave_share`]: what [`Vm::run_iteration`] runs an iteration
+/// with, and what it accumulates.
+struct Share<'a> {
+    id: u32,
+    /// Resolved entry pc of the loop body.
+    body: u32,
+    /// DOACROSS: an iteration posts its ordered section when it ends.
+    ordered: bool,
+    sync: &'a Arc<LoopSync>,
+    /// Not nested inside an iteration of another loop on this thread.
+    outermost: bool,
+    /// The enclosing iteration's ordering state (`posted`, `wait_mark`,
+    /// `post_mark`), which a nested share's iterations overwrite.
+    enclosing: (bool, Option<u64>, Option<u64>),
+    /// The loop the profiler charged before this share (profiling only).
+    prof_prev: Option<u32>,
+    /// Start of the `LoopRun` span (tracing only).
+    span_t0: Option<u64>,
+    /// Iterations this thread ran.
+    iters: u64,
+    /// Their costs, kept when profiling an outermost share.
+    costs: Option<Vec<IterCost>>,
+}
+
 impl Vm {
     /// Executes candidate loop `id` for iterations `lo..hi`.
     pub(crate) fn run_par_loop(
@@ -62,296 +101,213 @@ impl Vm {
         // Resolved here, once per loop: every iteration enters through it.
         let body = self.resolve_entry(lc.body_entry)?;
         let sync = Arc::new(LoopSync::new(lo));
-
-        // The pool exists iff `nthreads > 1`, and is open for the whole of
-        // `Vm::run` — the only way execution gets here.
-        let pool = match self.pool() {
-            Some(pool) if !ctx.in_parallel => pool,
-            _ => return self.run_inline(ctx, id, body, lo, hi, &sync),
-        };
-
-        let n = self.config.nthreads;
-        // Wall time per dynamic loop entry, attributed by the master
-        // (profiling only; `Instant::now` is off the disabled path).
+        // Wall time per dynamic loop entry, attributed by the thread that
+        // entered it (profiling only; `Instant::now` is off the disabled
+        // path).
         let wall_t0 = ctx.prof.is_some().then(Instant::now);
-        if let (Some(sink), true) = (self.trace_sink(), ctx.trace.is_some()) {
-            let ev = TraceEvent {
-                ts_ns: sink.now_ns(),
-                dur_ns: 0,
-                a: id as u64,
-                b: n as u64,
-                tid: ctx.tid,
-                kind: EventKind::Dispatch,
-            };
-            ctx.emit(ev);
-        }
-        let d = Arc::new(LoopDispatch {
-            id,
-            mode,
-            body,
-            hi,
-            frame_base: ctx.frame_base,
-            sync: Arc::clone(&sync),
-            shares: (mode == ParMode::DoAll).then(|| DoallShares::new(lo, hi, n)),
-            err: Mutex::new(None),
-        });
 
-        pool.begin(Arc::clone(&d));
-        self.master_share(ctx, &d);
-        pool.wait_done();
+        let r = match self.pool() {
+            // The pool exists iff `nthreads > 1`, and is open for the whole
+            // of `Vm::run` — the only way execution gets here.
+            Some(pool) if !ctx.in_parallel => {
+                let n = self.config.nthreads;
+                if let (Some(sink), true) = (self.trace_sink(), ctx.trace.is_some()) {
+                    let ev = TraceEvent {
+                        ts_ns: sink.now_ns(),
+                        dur_ns: 0,
+                        a: id as u64,
+                        b: n as u64,
+                        tid: ctx.tid,
+                        kind: EventKind::Dispatch,
+                    };
+                    ctx.emit(ev);
+                }
+                let d = Arc::new(LoopDispatch {
+                    id,
+                    mode,
+                    body,
+                    hi,
+                    frame_base: ctx.frame_base,
+                    sync,
+                    shares: (mode == ParMode::DoAll).then(|| DoallShares::new(lo, hi, n)),
+                    err: Mutex::new(None),
+                });
+                pool.begin(Arc::clone(&d));
+                self.dispatched_share(ctx, &d, 0);
+                pool.wait_done();
+                let first_err = lock_clean(&d.err).take();
+                first_err.map_or(Ok(()), Err)
+            }
+            // Nested loops, and every loop of a single-threaded run, run
+            // inline on the current thread.
+            _ => {
+                let mut share = self.enter_share(ctx, id, body, mode, &sync);
+                let r = (lo..hi).try_for_each(|i| self.run_iteration(ctx, &mut share, i));
+                self.leave_share(ctx, share, r.as_ref().err());
+                r
+            }
+        };
         if let (Some(t0), Some(p)) = (wall_t0, ctx.prof.as_deref_mut()) {
-            let prev = p.enter_loop(id);
-            p.add_wall(t0.elapsed().as_nanos() as u64);
-            p.exit_loop(prev);
+            p.add_wall(id, t0.elapsed().as_nanos() as u64);
         }
-        let first_err = lock_clean(&d.err).take();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        r
+    }
+
+    /// Opens this thread's share of loop `id`. The context is marked as
+    /// inside a loop for the share's duration, so a nested candidate loop
+    /// neither re-enters the scheduler nor records its own iteration costs
+    /// (its cost is part of this loop's iterations; recording it twice
+    /// would skew the simulator's serial-remainder accounting). Pushes the
+    /// loop's ordering state, switches the profiler's attribution and
+    /// starts the `LoopRun` span.
+    fn enter_share<'a>(
+        &self,
+        ctx: &mut ThreadCtx,
+        id: u32,
+        body: u32,
+        mode: ParMode,
+        sync: &'a Arc<LoopSync>,
+    ) -> Share<'a> {
+        let outermost = !ctx.in_parallel;
+        ctx.in_parallel = true;
+        ctx.sync_stack.push((id, Arc::clone(sync)));
+        let prof_prev = ctx.prof.as_deref_mut().map(|p| p.enter_loop(id));
+        let span_t0 = self.trace_sink().filter(|_| ctx.trace.is_some());
+        Share {
+            id,
+            body,
+            ordered: mode == ParMode::DoAcross,
+            sync,
+            outermost,
+            enclosing: (ctx.posted, ctx.wait_mark, ctx.post_mark),
+            prof_prev,
+            span_t0: span_t0.map(TraceSink::now_ns),
+            iters: 0,
+            costs: (outermost && prof_prev.is_some()).then(Vec::new),
         }
     }
 
-    /// Emits one worker's participation span for a loop (and a trap
-    /// instant if the worker itself trapped — abort-induced bailouts of
-    /// its peers carry the `u32::MAX` sentinel pc and are skipped).
-    fn trace_loop_span(
-        &self,
-        ctx: &mut ThreadCtx,
-        loop_id: u32,
-        t0: Option<u64>,
-        err: Option<&VmError>,
-    ) {
-        let Some(sink) = self.trace_sink() else {
-            return;
-        };
-        let now = sink.now_ns();
-        if let Some(t0) = t0 {
-            let ev = TraceEvent {
-                ts_ns: t0,
-                dur_ns: now.saturating_sub(t0),
-                a: loop_id as u64,
-                b: 0,
-                tid: ctx.tid,
-                kind: EventKind::LoopRun,
-            };
-            ctx.emit(ev);
+    /// Closes a share [`Vm::enter_share`] opened: records its iterations
+    /// (and their costs) in the profile, emits its `LoopRun` span — plus a
+    /// trap instant if this thread itself trapped; abort-induced bailouts
+    /// carry the `u32::MAX` sentinel pc and are skipped — and restores what
+    /// the entry changed. An outermost share commits its privatized
+    /// copies; a nested one ends in the middle of an enclosing iteration,
+    /// whose copies are still in use.
+    fn leave_share(&self, ctx: &mut ThreadCtx, share: Share, err: Option<&VmError>) {
+        if let Some(prev) = share.prof_prev {
+            let p = ctx.prof.as_deref_mut().expect("profiler armed");
+            p.exit_loop(prev, share.iters, share.costs);
         }
-        if let Some(e) = err {
-            if e.pc != u32::MAX {
+        if let Some(sink) = self.trace_sink() {
+            let now = sink.now_ns();
+            if let Some(t0) = share.span_t0 {
+                let ev = TraceEvent {
+                    ts_ns: t0,
+                    dur_ns: now.saturating_sub(t0),
+                    a: share.id as u64,
+                    b: share.iters,
+                    tid: ctx.tid,
+                    kind: EventKind::LoopRun,
+                };
+                ctx.emit(ev);
+            }
+            if let Some(e) = err.filter(|e| e.pc != u32::MAX) {
                 let ev = TraceEvent {
                     ts_ns: now,
                     dur_ns: 0,
                     a: e.pc as u64,
-                    b: loop_id as u64,
+                    b: share.id as u64,
                     tid: ctx.tid,
                     kind: EventKind::Trap,
                 };
                 ctx.emit(ev);
             }
         }
-    }
-
-    /// Inline serial execution on the current thread (nested loops and
-    /// single-threaded runs). The loop is marked "in parallel" for its
-    /// duration so nested candidate loops neither re-enter the scheduler
-    /// nor record their own iteration costs (their cost is part of this
-    /// loop's iterations; double-recording would skew the simulator's
-    /// serial-remainder accounting).
-    fn run_inline(
-        &self,
-        ctx: &mut ThreadCtx,
-        id: u32,
-        body: u32,
-        lo: i64,
-        hi: i64,
-        sync: &Arc<LoopSync>,
-    ) -> Result<(), VmError> {
-        let record = self.config.record_iteration_costs && !ctx.in_parallel;
-        // Costs are buffered locally and flushed once per loop: the trace
-        // map's mutex is off the per-iteration path.
-        let mut costs: Vec<crate::vm::IterCost> = Vec::new();
-        let was_in_parallel = ctx.in_parallel;
-        ctx.in_parallel = true;
-        // An enclosing loop's iteration is in flight when this one is
-        // nested: the iterations below overwrite its ordering state.
-        let enclosing = (ctx.posted, ctx.wait_mark, ctx.post_mark);
-        ctx.sync_stack.push((id, Arc::clone(sync)));
-        let prof_prev = ctx.prof.as_deref_mut().map(|p| p.enter_loop(id));
-        let wall_t0 = ctx.prof.is_some().then(Instant::now);
-        let span_t0 = match (self.trace_sink(), &ctx.trace) {
-            (Some(sink), Some(_)) => Some(sink.now_ns()),
-            _ => None,
-        };
-        let mut obs = NullObserver;
-        let mut result = Ok(());
-        for i in lo..hi {
-            ctx.iter_stack.push(i);
-            ctx.posted = false;
-            let start = ctx.counters;
-            ctx.wait_mark = None;
-            ctx.post_mark = None;
-            let r = self.exec_region(ctx, body, &mut obs);
-            ctx.iter_stack.pop();
-            if let Some(p) = ctx.prof.as_deref_mut() {
-                p.record_iter(ctx.counters.work - start.work);
-            }
-            if record {
-                let end = ctx.counters.work;
-                let wait = ctx.wait_mark.unwrap_or(end).clamp(start.work, end);
-                let post = ctx.post_mark.unwrap_or(end).clamp(wait, end);
-                costs.push(crate::vm::IterCost {
-                    pre: wait - start.work,
-                    window: post - wait,
-                    post: end - post,
-                    localize_calls: ctx.counters.localize_calls - start.localize_calls,
-                    localize_bytes: ctx.counters.localize_copied_bytes
-                        - start.localize_copied_bytes,
-                    private_direct: ctx.counters.private_direct - start.private_direct,
-                });
-            }
-            if let Err(e) = r {
-                result = Err(e);
-                break;
-            }
-            self.post_iteration(ctx, sync, i);
-        }
-        if record {
-            // One vector per dynamic entry, partial on error (matching the
-            // iterations that actually ran).
-            lock_clean(&self.iter_trace)
-                .entry(id)
-                .or_default()
-                .push(costs);
-        }
-        if let Some(prev) = prof_prev {
-            let wall = wall_t0.expect("profiling measured wall").elapsed();
-            let p = ctx.prof.as_deref_mut().expect("profiler armed");
-            p.add_wall(wall.as_nanos() as u64);
-            p.exit_loop(prev);
-        }
-        self.trace_loop_span(ctx, id, span_t0, result.as_ref().err());
         ctx.sync_stack.pop();
-        ctx.in_parallel = was_in_parallel;
-        (ctx.posted, ctx.wait_mark, ctx.post_mark) = enclosing;
-        // A nested loop's end is the middle of an enclosing iteration,
-        // whose private copies are still in use.
-        if !was_in_parallel {
+        ctx.in_parallel = !share.outermost;
+        (ctx.posted, ctx.wait_mark, ctx.post_mark) = share.enclosing;
+        if share.outermost {
             self.commit_private_copies(ctx);
         }
-        result
     }
 
-    /// The master's participation in a dispatched loop (worker 0, on its
-    /// own live context).
-    fn master_share(&self, ctx: &mut ThreadCtx, d: &LoopDispatch) {
-        ctx.in_parallel = true;
-        ctx.sync_stack.push((d.id, Arc::clone(&d.sync)));
-        let prof_prev = ctx.prof.as_deref_mut().map(|p| p.enter_loop(d.id));
-        let span_t0 = match (self.trace_sink(), &ctx.trace) {
-            (Some(sink), Some(_)) => Some(sink.now_ns()),
-            _ => None,
-        };
-        let r = self.worker_loop(ctx, d, 0);
-        if let Some(prev) = prof_prev {
-            ctx.prof
-                .as_deref_mut()
-                .expect("profiler armed")
-                .exit_loop(prev);
+    /// Runs iteration `i` of a share's loop — the body, then for a DOACROSS
+    /// loop the end-of-iteration post — and records what it cost.
+    fn run_iteration(&self, ctx: &mut ThreadCtx, share: &mut Share, i: i64) -> Result<(), VmError> {
+        ctx.iter_stack.push(i);
+        ctx.posted = false;
+        ctx.wait_mark = None;
+        ctx.post_mark = None;
+        let start = ctx.counters;
+        let r = self.exec_region(ctx, share.body, &mut NullObserver);
+        if share.ordered && r.is_ok() {
+            self.post_iteration(ctx, share.sync, i);
         }
-        self.trace_loop_span(ctx, d.id, span_t0, r.as_ref().err());
-        ctx.sync_stack.pop();
-        ctx.in_parallel = false;
-        self.commit_private_copies(ctx);
-        if let Err(e) = r {
-            record_error(&d.err, e);
+        ctx.iter_stack.pop();
+        share.iters += 1;
+        if let Some(costs) = share.costs.as_mut() {
+            let end = &ctx.counters;
+            let wait = ctx
+                .wait_mark
+                .unwrap_or(end.work)
+                .clamp(start.work, end.work);
+            let post = ctx.post_mark.unwrap_or(end.work).clamp(wait, end.work);
+            costs.push(IterCost {
+                pre: wait - start.work,
+                window: post - wait,
+                post: end.work - post,
+                localize_calls: end.localize_calls - start.localize_calls,
+                localize_bytes: end.localize_copied_bytes - start.localize_copied_bytes,
+                private_direct: end.private_direct - start.private_direct,
+            });
         }
+        r
     }
 
-    /// One non-master worker's participation: reset the pooled context
-    /// for this dispatch, run, commit privatized copies, flush
-    /// counters to the lock-free per-worker slot.
-    fn worker_share(&self, wctx: &mut ThreadCtx, d: &LoopDispatch, wid: u32) {
-        wctx.reset_for_dispatch(d.frame_base);
-        self.arm_instruments(wctx);
-        wctx.sync_stack.push((d.id, Arc::clone(&d.sync)));
-        let prof_prev = wctx.prof.as_deref_mut().map(|p| p.enter_loop(d.id));
-        let span_t0 = match (self.trace_sink(), &wctx.trace) {
-            (Some(sink), Some(_)) => Some(sink.now_ns()),
-            _ => None,
-        };
-        let r = self.worker_loop(wctx, d, wid);
-        if let Some(prev) = prof_prev {
-            wctx.prof
-                .as_deref_mut()
-                .expect("profiler armed")
-                .exit_loop(prev);
-        }
-        self.trace_loop_span(wctx, d.id, span_t0, r.as_ref().err());
-        wctx.sync_stack.pop();
-        self.commit_private_copies(wctx);
-        self.flush_worker_counters(wid, wctx);
-        // Ring drain and profile merge ride the same once-per-dispatch
-        // boundary as the counter flush.
-        self.drain_instruments(wctx);
-        if let Err(e) = r {
-            record_error(&d.err, e);
-        }
-    }
-
-    /// Pool-dispatch entry: runs `worker_share` on worker `wid`'s
-    /// persistent context (called from [`crate::pool::worker_entry`]).
+    /// Pool-dispatch entry: worker `wid`'s share on its persistent context
+    /// (called from [`crate::pool::worker_entry`]). The context is reset
+    /// for this dispatch; counters, ring and profile flush at its end.
     pub(crate) fn run_dispatch_worker(&self, wid: u32, d: &LoopDispatch) {
         let pool = self.pool().expect("pool dispatch without a pool");
         let mut wctx = pool.ctx(wid).lock().unwrap();
-        self.worker_share(&mut wctx, d, wid);
+        wctx.reset_for_dispatch(d.frame_base);
+        self.arm_instruments(&mut wctx);
+        self.dispatched_share(&mut wctx, d, wid);
+        self.flush_worker_counters(wid, &mut wctx);
+        // Ring drain and profile merge ride the same once-per-dispatch
+        // boundary as the counter flush.
+        self.drain_instruments(&mut wctx);
     }
 
-    /// One worker's share of the loop. Sets the abort flag before returning
-    /// an error so peers spinning in `Wait` escape.
-    fn worker_loop(&self, ctx: &mut ThreadCtx, d: &LoopDispatch, wid: u32) -> Result<(), VmError> {
-        let res = match d.mode {
-            ParMode::DoAll => self.doall_stealing(ctx, d, wid),
-            ParMode::DoAcross => self.doacross(ctx, d),
+    /// Worker `wid`'s share of a dispatched loop (the master is worker 0,
+    /// on its own live context). A trap sets the abort flag, so peers
+    /// spinning in `Wait` escape, and lands in the dispatch's error slot.
+    fn dispatched_share(&self, ctx: &mut ThreadCtx, d: &LoopDispatch, wid: u32) {
+        let mut share = self.enter_share(ctx, d.id, d.body, d.mode, &d.sync);
+        let r = match d.mode {
+            ParMode::DoAll => self.doall_stealing(ctx, d, wid, &mut share),
+            ParMode::DoAcross => self.doacross(ctx, d.hi, &mut share),
         };
-        if res.is_err() {
+        let err = r.err();
+        if err.is_some() {
             d.sync.abort.store(true, Ordering::Relaxed);
         }
-        res
-    }
-
-    /// Runs the chunk `[s, e)` of a DOALL loop, checking the abort flag
-    /// before each iteration.
-    fn run_chunk(
-        &self,
-        ctx: &mut ThreadCtx,
-        d: &LoopDispatch,
-        s: i64,
-        e: i64,
-    ) -> Result<(), VmError> {
-        let mut obs = NullObserver;
-        for i in s..e {
-            if d.sync.abort.load(Ordering::Relaxed) {
-                return Err(VmError::new(u32::MAX as usize, ABORTED));
-            }
-            ctx.iter_stack.push(i);
-            let w0 = ctx.counters.work;
-            let step = self.exec_region(ctx, d.body, &mut obs);
-            ctx.iter_stack.pop();
-            if let Some(p) = ctx.prof.as_deref_mut() {
-                p.record_iter(ctx.counters.work - w0);
-            }
-            step?;
+        self.leave_share(ctx, share, err.as_ref());
+        if let Some(e) = err {
+            record_error(&d.err, e);
         }
-        Ok(())
     }
 
     /// DOALL: run every claim the loop's shares hand this worker, counting
-    /// (and tracing) the ones a steal produced.
+    /// (and tracing) the ones a steal produced, and checking the abort
+    /// flag before each iteration.
     fn doall_stealing(
         &self,
         ctx: &mut ThreadCtx,
         d: &LoopDispatch,
         wid: u32,
+        share: &mut Share,
     ) -> Result<(), VmError> {
         let shares = d.shares.as_ref().expect("a DOALL dispatch has shares");
         while let Some(claim) = shares.claim(wid) {
@@ -371,35 +327,24 @@ impl Vm {
                     ctx.emit(ev);
                 }
             }
-            self.run_chunk(ctx, d, claim.lo, claim.hi)?;
+            for i in claim.lo..claim.hi {
+                aborted(share.sync)?;
+                self.run_iteration(ctx, share, i)?;
+            }
         }
         Ok(())
     }
 
-    /// DOACROSS: ordered chunk-1 claiming through the shared counter, with
-    /// `Wait`/post cross-iteration ordering.
-    fn doacross(&self, ctx: &mut ThreadCtx, d: &LoopDispatch) -> Result<(), VmError> {
-        let mut obs = NullObserver;
+    /// DOACROSS: ordered chunk-1 claiming of iterations below `hi` through
+    /// the shared counter, with `Wait`/post cross-iteration ordering.
+    fn doacross(&self, ctx: &mut ThreadCtx, hi: i64, share: &mut Share) -> Result<(), VmError> {
         loop {
-            let i = d.sync.next.fetch_add(1, Ordering::Relaxed);
-            if i >= d.hi {
+            let i = share.sync.next.fetch_add(1, Ordering::Relaxed);
+            if i >= hi {
                 return Ok(());
             }
-            if d.sync.abort.load(Ordering::Relaxed) {
-                return Err(VmError::new(u32::MAX as usize, ABORTED));
-            }
-            ctx.iter_stack.push(i);
-            ctx.posted = false;
-            let w0 = ctx.counters.work;
-            let step = self.exec_region(ctx, d.body, &mut obs);
-            if step.is_ok() {
-                self.post_iteration(ctx, &d.sync, i);
-            }
-            ctx.iter_stack.pop();
-            if let Some(p) = ctx.prof.as_deref_mut() {
-                p.record_iter(ctx.counters.work - w0);
-            }
-            step?;
+            aborted(share.sync)?;
+            self.run_iteration(ctx, share, i)?;
         }
     }
 

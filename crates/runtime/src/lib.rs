@@ -33,8 +33,9 @@
 //!   per-worker ring buffers of fixed-size binary events (dispatch,
 //!   steal, park/wake, loop spans, DOACROSS wait/post, allocator slow
 //!   paths), drained into one sink at dispatch end.
-//! * [`prof`] — the attributing opcode profiler: retired instructions per
-//!   (loop id, opcode class) and per-iteration cost histograms.
+//! * [`prof`] — the loop record: retired instructions per (loop id, opcode
+//!   class), iteration counts, and the exact cost of every outermost
+//!   iteration, on either backend.
 //!
 //! ```
 //! use dse_runtime::{Vm, VmConfig};
@@ -68,7 +69,7 @@ pub use backend::BackendKind;
 pub use mem::SharedMem;
 pub use observer::{NullObserver, Observer};
 pub use pool::PoolStats;
-pub use prof::{class_of, LoopProfile, OpClass, Pow2Hist, CLASS_NAMES, NCLASS, SERIAL_LOOP};
+pub use prof::{class_of, IterCost, LoopProfile, OpClass, CLASS_NAMES, NCLASS, SERIAL_LOOP};
 pub use taskpool::{TaskPool, TaskPoolStats};
 pub use tracebuf::{EventBuf, EventKind, TraceEvent, TraceSink, HEAP_TID};
 pub use vm::{Counters, RunReport, ThreadCtx, Value, Vm, VmConfig, VmError};

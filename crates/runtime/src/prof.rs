@@ -1,18 +1,21 @@
-//! The attributing (sampling-free) opcode profiler.
+//! The loop record: one instrument for `dsec profile` and the schedule
+//! simulator.
 //!
-//! When [`crate::vm::VmConfig::opcode_profile`] is set, the interpreter
-//! charges every retired instruction to its [`OpClass`] under the loop the
-//! thread is currently executing (`u32::MAX` = outside any candidate
-//! loop, i.e. serial code). Attribution is exact, not sampled: the hot
-//! path is one array increment on thread-local state; per-loop maps merge
-//! into the VM once per dispatch, mirroring the counter flush.
+//! When [`crate::vm::VmConfig::profile`] is set, the interpreter charges
+//! every retired instruction to its [`OpClass`] under the loop the thread is
+//! currently executing (`u32::MAX` = outside any candidate loop, i.e.
+//! serial code). Both backends charge through [`class_of`]: the register
+//! interpreter looks up the stack instruction each register instruction was
+//! translated from. Attribution is exact, not sampled: the hot path is one
+//! array increment on thread-local state.
 //!
-//! Per-iteration costs (instructions retired by one iteration) feed a
-//! power-of-two histogram per loop, so `dsec profile` can show the
-//! iteration cost distribution (p50/p90/p99) next to the class mix, and
-//! the master adds each dynamic loop entry's wall time. Together these
-//! answer "where does this loop's time go" without any tracing overhead
-//! when the flag is off.
+//! Per loop the record also keeps an iteration count, the master's wall
+//! time, and the exact [`IterCost`] of every iteration a thread ran as its
+//! *outermost* loop — the loop a worker was dispatched, or the outermost
+//! loop a serial run entered. A nested candidate loop runs inline inside
+//! such an iteration, so its cost is already part of that iteration's and
+//! is not recorded twice. Threads accumulate privately and merge into the
+//! VM once per dispatch, next to the counter flush.
 
 use dse_ir::bytecode::Instr;
 use std::collections::HashMap;
@@ -93,120 +96,97 @@ pub fn class_of(instr: &Instr) -> OpClass {
     }
 }
 
-/// A power-of-two histogram over `u64` values: bucket `i` holds values
-/// with `i` significant bits (bucket 0 = the value 0), i.e. value `v > 0`
-/// lands in bucket `floor(log2 v) + 1`. Coarse (2x relative error) but
-/// allocation-free and 65 slots — right-sized for per-iteration
-/// instruction counts on the per-thread hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pow2Hist {
-    counts: [u64; 65],
-    count: u64,
-    sum: u64,
+/// Cost segments of one loop iteration, in retired instructions of the
+/// executing backend. `pre` precedes the DOACROSS ordered window, `window`
+/// is inside it, `post` follows it (DOALL iterations are all `pre`). The
+/// schedule simulator replays them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IterCost {
+    /// Instructions before the ordered window.
+    pub pre: u64,
+    /// Instructions inside the ordered window.
+    pub window: u64,
+    /// Instructions after the window.
+    pub post: u64,
+    /// Runtime-privatization calls during the iteration.
+    pub localize_calls: u64,
+    /// Bytes copied by runtime privatization during the iteration.
+    pub localize_bytes: u64,
+    /// Redirected private direct accesses during the iteration.
+    pub private_direct: u64,
 }
 
-impl Pow2Hist {
-    /// An empty histogram.
-    pub fn new() -> Pow2Hist {
-        Pow2Hist {
-            counts: [0; 65],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one value.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.counts[(64 - v.leading_zeros()) as usize] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Adds `other`'s recordings into `self`.
-    pub fn merge(&mut self, other: &Pow2Hist) {
-        for (s, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *s += *o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    /// Total recordings.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 <= q <= 1.0`); 0 when empty.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Bucket i holds values with i significant bits; its
-                // largest member is 2^i - 1 (bucket 0 holds only 0).
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        u64::MAX
+impl IterCost {
+    /// Instructions the iteration retired: `pre + window + post`.
+    pub fn total(&self) -> u64 {
+        self.pre + self.window + self.post
     }
 }
 
-impl Default for Pow2Hist {
-    fn default() -> Self {
-        Pow2Hist::new()
-    }
-}
-
-/// Accumulated profile of one loop (or of serial code under
-/// [`SERIAL_LOOP`]).
+/// One loop's record (or serial code's, under [`SERIAL_LOOP`]), as
+/// [`crate::Vm::profile`] surfaces it.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct LoopProf {
-    pub(crate) class_counts: [u64; NCLASS],
-    pub(crate) iters: u64,
-    pub(crate) iter_hist: Pow2Hist,
-    pub(crate) wall_ns: u64,
+pub struct LoopProfile {
+    /// Candidate loop id, or [`SERIAL_LOOP`] for serial code.
+    pub loop_id: u32,
+    /// Wall time across this loop's dynamic entries, each measured by the
+    /// thread that entered it — the master, for a dispatched loop (0 for
+    /// the serial bucket — its wall is the rest of the run).
+    pub wall_ns: u64,
+    /// Iterations executed (summed over workers and entries).
+    pub iters: u64,
+    /// Retired instructions per [`OpClass`] (index by `OpClass as usize`).
+    pub class_counts: [u64; NCLASS],
+    /// Every iteration the loop ran as its thread's outermost loop: one
+    /// vector per thread's share of a dynamic entry, in the order that
+    /// thread ran them. A serial run therefore has one vector per dynamic
+    /// entry, in iteration order. Empty for a loop that only ever ran
+    /// nested and for the serial bucket.
+    pub costs: Vec<Vec<IterCost>>,
 }
 
-impl LoopProf {
-    fn default_hist() -> LoopProf {
-        LoopProf {
-            class_counts: [0; NCLASS],
-            iters: 0,
-            iter_hist: Pow2Hist::new(),
-            wall_ns: 0,
+impl LoopProfile {
+    fn new(loop_id: u32) -> LoopProfile {
+        LoopProfile {
+            loop_id,
+            ..LoopProfile::default()
         }
     }
 
-    fn merge(&mut self, other: &LoopProf) {
-        for (s, o) in self.class_counts.iter_mut().zip(other.class_counts.iter()) {
-            *s += *o;
+    /// Total retired instructions across all classes.
+    pub fn total_instructions(&self) -> u64 {
+        self.class_counts.iter().sum()
+    }
+
+    /// The exact `q`-quantile (`0.0 <= q <= 1.0`) of the recorded iteration
+    /// costs: the `ceil(q * n)`-th smallest of the `n` totals. `None` when
+    /// no iteration cost was recorded.
+    pub fn cost_quantile(&self, q: f64) -> Option<u64> {
+        let mut totals: Vec<u64> = self.costs.iter().flatten().map(IterCost::total).collect();
+        totals.sort_unstable();
+        let rank = (q * totals.len() as f64).ceil() as usize;
+        totals.get(rank.max(1) - 1).copied()
+    }
+
+    fn merge(&mut self, other: LoopProfile) {
+        for (s, o) in self.class_counts.iter_mut().zip(other.class_counts) {
+            *s += o;
         }
         self.iters += other.iters;
-        self.iter_hist.merge(&other.iter_hist);
         self.wall_ns += other.wall_ns;
+        self.costs.extend(other.costs);
     }
 }
 
 /// Per-thread profiler state: a flat pending-count array for the loop
-/// currently executing (the hot path touches only this) plus the map it
-/// flushes into on loop switches. Boxed into `ThreadCtx` so the disabled
+/// currently executing (the hot path touches only this) plus the records
+/// it flushes into on loop switches. Boxed into `ThreadCtx` so the disabled
 /// case costs one null check per instruction.
 #[derive(Debug)]
 pub(crate) struct ProfState {
     cur: u32,
     pending: [u64; NCLASS],
-    per_loop: HashMap<u32, LoopProf>,
+    per_loop: HashMap<u32, LoopProfile>,
 }
 
 impl ProfState {
@@ -224,18 +204,21 @@ impl ProfState {
         self.pending[class as usize] += 1;
     }
 
+    fn record(&mut self, loop_id: u32) -> &mut LoopProfile {
+        self.per_loop
+            .entry(loop_id)
+            .or_insert_with(|| LoopProfile::new(loop_id))
+    }
+
     fn flush_pending(&mut self) {
         if self.pending.iter().all(|&c| c == 0) {
             return;
         }
-        let entry = self
-            .per_loop
-            .entry(self.cur)
-            .or_insert_with(LoopProf::default_hist);
-        for (e, p) in entry.class_counts.iter_mut().zip(self.pending.iter()) {
-            *e += *p;
+        let pending = std::mem::replace(&mut self.pending, [0; NCLASS]);
+        let record = self.record(self.cur);
+        for (e, p) in record.class_counts.iter_mut().zip(pending) {
+            *e += p;
         }
-        self.pending = [0; NCLASS];
     }
 
     /// Switches attribution to `loop_id`, returning the previous loop for
@@ -245,67 +228,33 @@ impl ProfState {
         std::mem::replace(&mut self.cur, loop_id)
     }
 
-    /// Restores attribution to `prev` (the value `enter_loop` returned).
-    pub(crate) fn exit_loop(&mut self, prev: u32) {
+    /// Closes this thread's share of the current loop — `iters` iterations
+    /// and, for an outermost share, their `costs` — and restores
+    /// attribution to `prev` (the value `enter_loop` returned).
+    pub(crate) fn exit_loop(&mut self, prev: u32, iters: u64, costs: Option<Vec<IterCost>>) {
         self.flush_pending();
+        let record = self.record(self.cur);
+        record.iters += iters;
+        record.costs.extend(costs.filter(|c| !c.is_empty()));
         self.cur = prev;
     }
 
-    /// Records one finished iteration of the current loop costing
-    /// `instructions` retired instructions.
-    #[inline]
-    pub(crate) fn record_iter(&mut self, instructions: u64) {
-        let entry = self
-            .per_loop
-            .entry(self.cur)
-            .or_insert_with(LoopProf::default_hist);
-        entry.iters += 1;
-        entry.iter_hist.record(instructions);
+    /// Adds `wall_ns` to `loop_id` (once per dynamic loop entry, by the
+    /// thread that entered it).
+    pub(crate) fn add_wall(&mut self, loop_id: u32, wall_ns: u64) {
+        self.record(loop_id).wall_ns += wall_ns;
     }
 
-    /// Adds `wall_ns` to the current loop (master only, once per dynamic
-    /// loop entry).
-    pub(crate) fn add_wall(&mut self, wall_ns: u64) {
-        let entry = self
-            .per_loop
-            .entry(self.cur)
-            .or_insert_with(LoopProf::default_hist);
-        entry.wall_ns += wall_ns;
-    }
-
-    /// Merges everything accumulated so far into the VM-wide map and
+    /// Merges everything accumulated so far into the VM-wide records and
     /// resets (called at dispatch end, next to the counter flush).
-    pub(crate) fn flush_into(&mut self, global: &mut HashMap<u32, LoopProf>) {
+    pub(crate) fn flush_into(&mut self, global: &mut HashMap<u32, LoopProfile>) {
         self.flush_pending();
-        for (id, prof) in self.per_loop.drain() {
+        for (id, record) in self.per_loop.drain() {
             global
                 .entry(id)
-                .or_insert_with(LoopProf::default_hist)
-                .merge(&prof);
+                .or_insert_with(|| LoopProfile::new(id))
+                .merge(record);
         }
-    }
-}
-
-/// One loop's profile as surfaced to tools (`Vm::opcode_profile`).
-#[derive(Debug, Clone)]
-pub struct LoopProfile {
-    /// Candidate loop id, or [`SERIAL_LOOP`] for serial code.
-    pub loop_id: u32,
-    /// Wall time the master observed across this loop's dynamic entries
-    /// (0 for the serial bucket — its wall is the rest of the run).
-    pub wall_ns: u64,
-    /// Iterations executed (summed over workers).
-    pub iters: u64,
-    /// Retired instructions per [`OpClass`] (index by `OpClass as usize`).
-    pub class_counts: [u64; NCLASS],
-    /// Distribution of per-iteration instruction costs.
-    pub iter_hist: Pow2Hist,
-}
-
-impl LoopProfile {
-    /// Total retired instructions across all classes.
-    pub fn total_instructions(&self) -> u64 {
-        self.class_counts.iter().sum()
     }
 }
 
@@ -313,35 +262,13 @@ impl LoopProfile {
 mod tests {
     use super::*;
 
-    #[test]
-    fn pow2_hist_buckets_and_percentiles() {
-        let mut h = Pow2Hist::new();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1000] {
-            h.record(v);
+    fn cost(pre: u64, window: u64, post: u64) -> IterCost {
+        IterCost {
+            pre,
+            window,
+            post,
+            ..IterCost::default()
         }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 1025);
-        assert_eq!(h.percentile(0.0), 0);
-        // 4th of 8 values is 3 -> bucket of 2..=3 -> upper bound 3.
-        assert_eq!(h.percentile(0.5), 3);
-        assert_eq!(h.percentile(1.0), 1023);
-    }
-
-    #[test]
-    fn pow2_hist_merge_matches_combined() {
-        let mut a = Pow2Hist::new();
-        let mut b = Pow2Hist::new();
-        let mut c = Pow2Hist::new();
-        for v in [5, 17, 90] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [2, 300] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, c);
     }
 
     #[test]
@@ -353,15 +280,35 @@ mod tests {
         p.tick(OpClass::Mem);
         let inner_prev = p.enter_loop(4);
         p.tick(OpClass::Sync);
-        p.exit_loop(inner_prev);
+        p.exit_loop(inner_prev, 2, None);
         p.tick(OpClass::Mem);
-        p.record_iter(4);
-        p.exit_loop(prev);
+        p.exit_loop(prev, 1, Some(vec![cost(4, 0, 0)]));
         let mut global = HashMap::new();
         p.flush_into(&mut global);
         assert_eq!(global[&SERIAL_LOOP].class_counts[OpClass::Alu as usize], 1);
         assert_eq!(global[&3].class_counts[OpClass::Mem as usize], 3);
         assert_eq!(global[&3].iters, 1);
+        assert_eq!(global[&3].costs, [vec![cost(4, 0, 0)]]);
         assert_eq!(global[&4].class_counts[OpClass::Sync as usize], 1);
+        assert_eq!(global[&4].iters, 2);
+        assert!(
+            global[&4].costs.is_empty(),
+            "a nested share records no costs"
+        );
+    }
+
+    #[test]
+    fn cost_quantiles_are_exact_ranks() {
+        let mut p = LoopProfile::new(0);
+        assert_eq!(p.cost_quantile(0.5), None, "nothing recorded");
+        p.costs = vec![
+            vec![cost(1, 0, 0), cost(2, 1, 0), cost(3, 0, 0)],
+            vec![cost(0, 0, 4), cost(5, 2, 1), cost(10, 0, 0)],
+        ];
+        // Totals 1, 3, 3, 4, 8, 10.
+        assert_eq!(p.cost_quantile(0.0), Some(1));
+        assert_eq!(p.cost_quantile(0.5), Some(3));
+        assert_eq!(p.cost_quantile(0.9), Some(10));
+        assert_eq!(p.cost_quantile(1.0), Some(10));
     }
 }

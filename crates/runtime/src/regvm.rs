@@ -20,10 +20,14 @@
 //! is the same call. This loop only reads operands from and writes results
 //! to registers — builtins take their argument registers directly — and
 //! traps report the *originating stack pc* through [`RegProgram::origin`],
-//! so diagnostics are identical under either backend. Where the two
-//! encodings can't match exactly — `Counters::work` and the opcode
-//! profiler count fused super-instructions as one — the differential suite
-//! compares only the backend-invariant counter classes.
+//! so diagnostics are identical under either backend. The profiler
+//! charges each retired register instruction through the same table, to
+//! the class of the stack instruction it came from — the translator's own
+//! fills, spills and write-backs to the one they were emitted for. Where
+//! the two encodings can't match exactly — `Counters::work`, the class
+//! counts and the loop record's iteration costs count a fused
+//! super-instruction as one — the differential suite compares only the
+//! backend-invariant counter classes; iteration counts agree exactly.
 //!
 //! Register windows: a call does not save registers; the callee's window
 //! starts above everything the calling region uses (`Call::win`: its
@@ -36,71 +40,10 @@
 
 use crate::observer::Observer;
 use crate::ops;
-use crate::prof::OpClass;
+use crate::prof::{class_of, OpClass};
 use crate::vm::{ThreadCtx, Value, Vm, VmError};
 use dse_ir::regcode::{RInstr, RegProgram};
 use dse_ir::sites::NO_SITE;
-
-/// The profiler class of one register instruction, bucketed to match
-/// [`crate::prof::class_of`] on the stack encoding (fused instructions
-/// count once, under the class of their primary effect).
-#[inline]
-fn rclass_of(instr: &RInstr) -> OpClass {
-    match instr {
-        RInstr::LdcI { .. } | RInstr::LdcF { .. } | RInstr::Mov { .. } | RInstr::Tuck { .. } => {
-            OpClass::Stack
-        }
-        RInstr::FrameAddr { .. }
-        | RInstr::GlobalAddr { .. }
-        | RInstr::TidScaled { .. }
-        | RInstr::TidSpanScaled { .. }
-        | RInstr::FrameAddrTid { .. }
-        | RInstr::GlobalAddrTid { .. }
-        | RInstr::IterIdx { .. } => OpClass::Addr,
-        RInstr::Load { .. }
-        | RInstr::LdFrame { .. }
-        | RInstr::LdGlobal { .. }
-        | RInstr::LdTid { .. }
-        | RInstr::Store { .. }
-        | RInstr::StFrame { .. }
-        | RInstr::StTid { .. }
-        | RInstr::MemCpy { .. } => OpClass::Mem,
-        RInstr::IBin { .. }
-        | RInstr::IBinImm { .. }
-        | RInstr::FBin { .. }
-        | RInstr::ICmp { .. }
-        | RInstr::ICmpImm { .. }
-        | RInstr::FCmp { .. }
-        | RInstr::INeg { .. }
-        | RInstr::FNeg { .. }
-        | RInstr::BNot { .. }
-        | RInstr::LNot { .. }
-        | RInstr::I2F { .. }
-        | RInstr::F2I { .. }
-        | RInstr::Sext { .. } => OpClass::Alu,
-        RInstr::Jump { .. }
-        | RInstr::JumpIfZ { .. }
-        | RInstr::JumpIfNZ { .. }
-        | RInstr::JumpICmp { .. }
-        | RInstr::JumpICmpImm { .. }
-        | RInstr::JumpFCmp { .. }
-        | RInstr::Call { .. }
-        | RInstr::Ret { .. }
-        | RInstr::LoopMark { .. }
-        | RInstr::ParLoop { .. }
-        | RInstr::Halt { .. }
-        | RInstr::Unreachable => OpClass::Ctl,
-        RInstr::Wait { .. } | RInstr::Post { .. } => OpClass::Sync,
-        // Inlined hot builtins keep their stack-encoding class so per-class
-        // profiles stay comparable across backends.
-        RInstr::CallBuiltin { .. }
-        | RInstr::Fsqrt { .. }
-        | RInstr::Fabs { .. }
-        | RInstr::Tid { .. }
-        | RInstr::NThreads { .. } => OpClass::Builtin,
-        RInstr::Localize { .. } => OpClass::Localize,
-    }
-}
 
 impl ThreadCtx {
     /// Grows the register file to cover a `window`-register window at the
@@ -114,6 +57,20 @@ impl ThreadCtx {
 }
 
 impl Vm {
+    /// The profiler's hook: charges the register instruction at `pc` as
+    /// the stack instruction it was translated from, so both backends
+    /// share one class table. (The pc one past the end of the stack code
+    /// is the final `Unreachable`'s.) Out of line, so the dispatch loop
+    /// keeps its shape when profiling is off.
+    #[cold]
+    #[inline(never)]
+    fn tick_origin(&self, rp: &RegProgram, ctx: &mut ThreadCtx, pc: usize) {
+        if let Some(p) = ctx.prof.as_deref_mut() {
+            let origin = self.program.code.get(rp.origin_pc(pc) as usize);
+            p.tick(origin.map_or(OpClass::Ctl, class_of));
+        }
+    }
+
     /// Executes register code starting at register pc `entry` until the
     /// current sentinel frame returns; see the module docs for how the
     /// encodings are kept observationally equivalent.
@@ -228,9 +185,7 @@ impl Vm {
             }
             let instr = &code[pc];
             if profiling {
-                if let Some(p) = ctx.prof.as_deref_mut() {
-                    p.tick(rclass_of(instr));
-                }
+                self.tick_origin(rp, ctx, pc);
             }
             match *instr {
                 RInstr::LdcI { d, v } => set!(d, v as u64),

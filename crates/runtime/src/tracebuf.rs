@@ -26,9 +26,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Span: one worker's participation in one loop dispatch.
-    /// `a` = loop id, `b` = iterations executed by this worker (0 if not
-    /// tracked).
+    /// Span: one worker's participation in one loop dispatch (or one inline
+    /// run of a loop). `a` = loop id, `b` = iterations executed by this
+    /// worker.
     LoopRun = 0,
     /// Instant: the master published a loop to the executor.
     /// `a` = loop id, `b` = worker count.
@@ -83,6 +83,10 @@ impl EventKind {
         )
     }
 }
+
+/// Events each worker's ring holds between drains. A full ring overwrites
+/// its oldest event and counts the drop.
+pub const RING_CAPACITY: usize = 8192;
 
 /// Pseudo worker id used for events not tied to a VM thread (allocator
 /// backend activity). The chrome exporter gives these their own track.

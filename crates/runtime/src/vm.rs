@@ -12,8 +12,8 @@ use crate::observer::Observer;
 use crate::ops;
 use crate::pool::{PoolState, PoolStats};
 use crate::privatize::PrivCopy;
-use crate::prof::{class_of, LoopProf, LoopProfile, ProfState};
-use crate::tracebuf::{EventBuf, TraceEvent, TraceSink};
+use crate::prof::{class_of, LoopProfile, ProfState};
+use crate::tracebuf::{EventBuf, TraceEvent, TraceSink, RING_CAPACITY};
 use dse_ir::bytecode::*;
 use std::collections::HashMap;
 use std::fmt;
@@ -196,10 +196,6 @@ pub struct VmConfig {
     pub inputs_float: Vec<f64>,
     /// Trap after this many instructions on any one thread (runaway guard).
     pub max_instructions: u64,
-    /// Record per-iteration cost segments of parallel-lowered loops during
-    /// single-threaded execution, for the multicore schedule simulator
-    /// (the host may not have 8 physical cores; the paper's Opteron did).
-    pub record_iteration_costs: bool,
     /// Instruction encoding/interpreter the run executes with: the
     /// reference stack interpreter or the register backend (see
     /// [`crate::backend`]). Defaults from the `DSE_EXEC_BACKEND`
@@ -207,15 +203,16 @@ pub struct VmConfig {
     pub backend: BackendKind,
     /// Record runtime trace events (dispatch/steal/park/wake, loop spans,
     /// DOACROSS wait/post, allocator slow paths) into per-worker ring
-    /// buffers. Always compiled in, off by default; see
-    /// [`crate::tracebuf`].
+    /// buffers of [`RING_CAPACITY`] events. Always compiled in, off by
+    /// default; see [`crate::tracebuf`].
     pub trace: bool,
-    /// Capacity of each worker's trace ring (events). A full ring
-    /// overwrites its oldest event and counts the drop.
-    pub trace_capacity: usize,
-    /// Attribute every retired instruction to (loop id, opcode class) and
-    /// record per-iteration cost histograms; see [`crate::prof`].
-    pub opcode_profile: bool,
+    /// Keep the loop record ([`Vm::profile`]): every retired instruction
+    /// attributed to (loop id, opcode class), iteration counts, and the
+    /// exact cost of every outermost iteration — what `dsec profile`
+    /// prints and the multicore schedule simulator replays (the host may
+    /// not have 8 physical cores; the paper's Opteron did). See
+    /// [`crate::prof`].
+    pub profile: bool,
     /// Refuse to execute a register translation that has not been marked
     /// verified by the backend verifier (`dse-verify`'s `DSE010`–`DSE015`
     /// passes). Only meaningful with [`VmConfig::backend`] `Reg` and a
@@ -233,11 +230,9 @@ impl Default for VmConfig {
             inputs_int: Vec::new(),
             inputs_float: Vec::new(),
             max_instructions: u64::MAX,
-            record_iteration_costs: false,
             backend: BackendKind::from_env(),
             trace: false,
-            trace_capacity: 8192,
-            opcode_profile: false,
+            profile: false,
             strict: false,
         }
     }
@@ -329,7 +324,7 @@ pub struct ThreadCtx {
     pub(crate) iter_stack: Vec<i64>,
     pub(crate) sync_stack: Vec<(u32, Arc<LoopSync>)>,
     /// Instruction counts at the first `Wait` / first `Post` of the current
-    /// iteration (cost-trace recording).
+    /// iteration (the loop record's `pre`/`window`/`post` split).
     pub(crate) wait_mark: Option<u64>,
     pub(crate) post_mark: Option<u64>,
     pub(crate) posted: bool,
@@ -401,30 +396,11 @@ impl ThreadCtx {
         self.wait_mark = None;
         self.post_mark = None;
         self.posted = false;
-        self.in_parallel = true;
+        // Entering the dispatched loop's share marks the context.
+        self.in_parallel = false;
         self.reg_base = 0;
         debug_assert!(self.priv_map.is_empty(), "private copies leaked a loop");
     }
-}
-
-/// Cost segments of one loop iteration, measured in VM instructions during
-/// a single-threaded run of parallel-lowered code. `pre` precedes the
-/// DOACROSS ordered window, `window` is inside it, `post` follows it
-/// (DOALL iterations are all `pre`). Used by the schedule simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IterCost {
-    /// Instructions before the ordered window.
-    pub pre: u64,
-    /// Instructions inside the ordered window.
-    pub window: u64,
-    /// Instructions after the window.
-    pub post: u64,
-    /// Runtime-privatization calls during the iteration.
-    pub localize_calls: u64,
-    /// Bytes copied by runtime privatization during the iteration.
-    pub localize_bytes: u64,
-    /// Redirected private direct accesses during the iteration.
-    pub private_direct: u64,
 }
 
 /// Result of running a program to completion.
@@ -465,15 +441,12 @@ pub struct Vm {
     /// counters); present iff `nthreads > 1`. The worker *threads* live
     /// inside the scope `run` opens.
     pool: Option<PoolState>,
-    /// Per loop id: one cost vector per dynamic loop entry (recorded when
-    /// [`VmConfig::record_iteration_costs`] is set).
-    pub(crate) iter_trace: Mutex<HashMap<u32, Vec<Vec<IterCost>>>>,
     /// Trace event sink (present iff [`VmConfig::trace`]); workers drain
     /// their rings here once per dispatch.
     trace: Option<TraceSink>,
-    /// Merged opcode profiles (present iff [`VmConfig::opcode_profile`]);
-    /// threads flush their local maps here once per dispatch.
-    prof: Option<Mutex<HashMap<u32, LoopProf>>>,
+    /// The merged loop record (present iff [`VmConfig::profile`]);
+    /// threads flush their local records here once per dispatch.
+    prof: Option<Mutex<HashMap<u32, LoopProfile>>>,
     /// The encoding every thread executes (stack reference interpreter,
     /// or register interpreter with its translated module).
     backend: Backend,
@@ -569,7 +542,7 @@ impl Vm {
         if let Some(sink) = &trace {
             heap.enable_trace(sink.epoch());
         }
-        let prof = config.opcode_profile.then(|| Mutex::new(HashMap::new()));
+        let prof = config.profile.then(|| Mutex::new(HashMap::new()));
         Ok(Vm {
             program,
             config,
@@ -581,7 +554,6 @@ impl Vm {
             console: Mutex::new(String::new()),
             per_thread: (0..nthreads).map(|_| AtomicCounters::default()).collect(),
             pool,
-            iter_trace: Mutex::new(HashMap::new()),
             trace,
             prof,
             backend,
@@ -610,15 +582,15 @@ impl Vm {
     /// several places that do not see the config).
     pub(crate) fn arm_instruments(&self, ctx: &mut ThreadCtx) {
         if self.trace.is_some() && ctx.trace.is_none() {
-            ctx.trace = Some(EventBuf::new(self.config.trace_capacity));
+            ctx.trace = Some(EventBuf::new(RING_CAPACITY));
         }
         if self.prof.is_some() && ctx.prof.is_none() {
             ctx.prof = Some(Box::new(ProfState::new()));
         }
     }
 
-    /// Drains `ctx`'s trace ring into the sink and its profile map into
-    /// the merged map — once per dispatch, next to the counter flush.
+    /// Drains `ctx`'s trace ring into the sink and its loop records into
+    /// the merged ones — once per dispatch, next to the counter flush.
     pub(crate) fn drain_instruments(&self, ctx: &mut ThreadCtx) {
         if let (Some(sink), Some(buf)) = (&self.trace, ctx.trace.as_mut()) {
             sink.absorb(buf);
@@ -733,13 +705,6 @@ impl Vm {
         })
     }
 
-    /// Per-iteration cost traces recorded under
-    /// [`VmConfig::record_iteration_costs`]: for each candidate loop id,
-    /// one vector of iteration costs per dynamic entry of the loop.
-    pub fn iteration_costs(&self) -> HashMap<u32, Vec<Vec<IterCost>>> {
-        lock_clean(&self.iter_trace).clone()
-    }
-
     /// Takes the run's trace: events sorted by start time, plus the total
     /// count of events lost to ring overwrites. Empty when
     /// [`VmConfig::trace`] was off. Call after [`Vm::run`].
@@ -750,24 +715,14 @@ impl Vm {
         }
     }
 
-    /// The merged opcode profile, hottest loop (by wall time, then by
-    /// retired instructions) first. Empty when
-    /// [`VmConfig::opcode_profile`] was off. Call after [`Vm::run`].
-    pub fn opcode_profile(&self) -> Vec<LoopProfile> {
+    /// The merged loop record, hottest loop (by wall time, then by retired
+    /// instructions) first. Empty when [`VmConfig::profile`] was off. Call
+    /// after [`Vm::run`].
+    pub fn profile(&self) -> Vec<LoopProfile> {
         let Some(map) = &self.prof else {
             return Vec::new();
         };
-        let map = lock_clean(map);
-        let mut out: Vec<LoopProfile> = map
-            .iter()
-            .map(|(&loop_id, p)| LoopProfile {
-                loop_id,
-                wall_ns: p.wall_ns,
-                iters: p.iters,
-                class_counts: p.class_counts,
-                iter_hist: p.iter_hist.clone(),
-            })
-            .collect();
+        let mut out: Vec<LoopProfile> = lock_clean(map).values().cloned().collect();
         out.sort_by(|a, b| {
             (b.wall_ns, b.total_instructions(), a.loop_id).cmp(&(
                 a.wall_ns,

@@ -386,7 +386,7 @@ fn instruction_count_is_exact_at_every_flush_point() {
             let config = VmConfig {
                 backend: pins.backend,
                 max_instructions,
-                record_iteration_costs: true,
+                profile: true,
                 ..Default::default()
             };
             Vm::new(
@@ -404,10 +404,9 @@ fn instruction_count_is_exact_at_every_flush_point() {
         assert_eq!(work, pins.work, "{what}: instructions retired");
         assert_eq!(seen.0, pins.loop_work, "{what}: `work` seen by on_loop");
         let costs: Vec<(u64, u64, u64)> = unlimited
-            .iteration_costs()
-            .values()
-            .flatten()
-            .flatten()
+            .profile()
+            .iter()
+            .flat_map(|p| p.costs.iter().flatten())
             .map(|c| (c.pre, c.window, c.post))
             .collect();
         assert_eq!(costs, pins.iter_costs, "{what}: recorded iteration costs");

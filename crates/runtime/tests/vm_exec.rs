@@ -1041,14 +1041,18 @@ fn iteration_cost_recording_segments() {
     let mut vm = Vm::new(
         compiled,
         VmConfig {
-            record_iteration_costs: true,
+            profile: true,
             ..Default::default()
         },
     )
     .unwrap();
     vm.run().unwrap();
-    let traces = vm.iteration_costs();
-    let entries = &traces[&0];
+    let profile = vm.profile();
+    let entries = &profile
+        .iter()
+        .find(|p| p.loop_id == 0)
+        .expect("loop 0")
+        .costs;
     assert_eq!(entries.len(), 1, "one dynamic entry");
     assert_eq!(entries[0].len(), 10, "ten iterations");
     for c in &entries[0] {

@@ -9,7 +9,7 @@
 //!      [--opt none|noconst|full] [--in <ints,comma,separated>]
 //!      [--daemon <socket>]
 //! dsec profile <program.cee> [--threads N] [--opt none|noconst|full]
-//!      [--in <ints,comma,separated>]
+//!      [--exec-backend stack|reg] [--in <ints,comma,separated>]
 //! ```
 //!
 //! Examples:
@@ -23,6 +23,7 @@
 //! dsec prog.cee --emit trace > trace.jsonl    # serial execution as JSONL
 //! dsec prog.cee --emit chrome-trace > t.json  # Perfetto-loadable timeline
 //! dsec prog.cee --emit flamegraph > t.folded  # folded flamegraph stacks
+//! dsec prog.cee --emit bytecode --exec-backend reg  # + the register listing
 //! dsec prog.cee --run --daemon /tmp/dsed.sock # execute via a dsed daemon
 //! dsec check prog.cee                         # soundness lints, text
 //! dsec check prog.cee --strict --json         # CI gate, machine-readable
@@ -60,9 +61,14 @@
 //! (see DESIGN.md, "Tracing & profiling") and print a Chrome trace-event
 //! JSON document (pipeline phases and runtime events on one timeline) or
 //! folded flamegraph stacks. `dsec profile` runs the transformed program
-//! under the attributing opcode profiler and prints a hot-loop table:
-//! wall time, iterations, instruction-class mix and per-iteration cost
-//! quantiles per loop.
+//! with the runtime's loop record on, under either backend, and prints a
+//! hot-loop table: wall time, iterations, instruction-class mix and exact
+//! per-iteration cost quantiles per loop (`-` for a loop that only ran
+//! nested inside another's iterations, whose cost is part of those).
+//! `--emit bytecode` lists the transformed program's stack bytecode and,
+//! under `--exec-backend reg`, its register translation after it: each
+//! instruction with the stack pc it came from, the entry map and the
+//! window size.
 //!
 //! `dsec` is a client of the request path `dsed` serves (see DESIGN.md,
 //! "The request path"): one parser turns argv — whichever subcommand —
@@ -119,7 +125,7 @@ fn usage() -> ! {
          \x20      dsec check <program.cee> [--strict] [--json] [--backend] [--threads N] \
          [--opt none|noconst|full] [--in 1,2,3] [--daemon <socket>]\n\
          \x20      dsec profile <program.cee> [--threads N] \
-         [--opt none|noconst|full] [--in 1,2,3]"
+         [--opt none|noconst|full] [--exec-backend stack|reg] [--in 1,2,3]"
     );
     std::process::exit(EXIT_USAGE as i32)
 }
@@ -166,7 +172,6 @@ fn parse_args(args: &[String]) -> Opts {
         sabotage: None,
         daemon: None,
     };
-    let mut explicit_backend = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage()).as_str();
@@ -181,8 +186,7 @@ fn parse_args(args: &[String]) -> Opts {
                     .collect()
             }
             "--exec-backend" if !check => {
-                o.req.exec_backend = BackendKind::parse(value()).unwrap_or_else(|| usage());
-                explicit_backend = true;
+                o.req.exec_backend = BackendKind::parse(value()).unwrap_or_else(|| usage())
             }
             "--strict" if mode != Mode::Profile => o.req.strict = true,
             "--daemon" if mode != Mode::Profile => o.daemon = Some(value().to_string()),
@@ -238,29 +242,6 @@ fn parse_args(args: &[String]) -> Opts {
                  use the standalone driver for --emit/--timing/--metrics",
             );
         }
-    }
-    if mode == Mode::Profile && o.req.exec_backend == BackendKind::Reg {
-        // The opcode profiler attributes per stack opcode; the register
-        // backend's fused super-instructions would skew the table (DSE009).
-        // An explicit request is a usage error; the ambient environment
-        // default is overridden with a warning so `DSE_EXEC_BACKEND=reg`
-        // sweeps still profile meaningfully.
-        if explicit_backend {
-            eprintln!(
-                "dsec: error[DSE009]: {}",
-                dse_verify::diag::Code::ProfileBackendMismatch.summary()
-            );
-            reject(
-                "hint: fused register super-instructions skew per-opcode \
-                 attribution; drop `--exec-backend reg` to profile on the stack \
-                 (reference) encoding",
-            );
-        }
-        eprintln!(
-            "dsec: warning[DSE009]: DSE_EXEC_BACKEND=reg ignored for \
-             profiling; pinning to the stack backend"
-        );
-        o.req.exec_backend = BackendKind::Stack;
     }
     o.req.cmd = match mode {
         Mode::Check => Cmd::Check,
@@ -367,7 +348,7 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
     let store = ArtifactStore::new();
     let instruments = VmConfig {
         trace: o.traced(),
-        opcode_profile: o.mode == Mode::Profile,
+        profile: o.mode == Mode::Profile,
         ..Default::default()
     };
     let mut outcome = execute(&store, &o.req, instruments, &mut NullObserver);
@@ -389,7 +370,7 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
 
     if let Some((vm, report)) = &outcome.run {
         if o.mode == Mode::Profile {
-            print!("{}", render_profile(&vm.opcode_profile(), vm.program()));
+            print!("{}", render_profile(&vm.profile(), vm.program()));
         }
         if o.run {
             eprintln!(
@@ -611,7 +592,14 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 "{}",
                 dse_lang::printer::print_program(&transformed().program)
             ),
-            "bytecode" => print!("{}", dse_ir::disasm::disassemble(&transformed().parallel)),
+            "bytecode" => {
+                let parallel = &transformed().parallel;
+                print!("{}", dse_ir::disasm::disassemble(parallel));
+                if o.req.exec_backend == BackendKind::Reg {
+                    let rp = dse_ir::regcode::translate(parallel).map_err(Failure::diag)?;
+                    print!("{}", dse_ir::disasm::disassemble_reg(&rp));
+                }
+            }
             "flamegraph" => {
                 let (events, _) = traced
                     .as_ref()
@@ -737,7 +725,8 @@ fn render_registers(
 }
 
 /// The hot-loop table: one row per loop (the VM pre-sorts by wall time,
-/// then instructions), with the class mix and iteration-cost quantiles.
+/// then instructions), with the class mix and the exact quantiles of the
+/// recorded iteration costs (`-` where none were recorded).
 fn render_profile(
     profiles: &[dse_runtime::LoopProfile],
     prog: &dse_ir::bytecode::CompiledProgram,
@@ -783,6 +772,10 @@ fn render_profile(
             })
             .collect::<Vec<_>>()
             .join(", ");
+        let quantile = |q| {
+            p.cost_quantile(q)
+                .map_or("-".to_string(), |c| c.to_string())
+        };
         out.push_str(&format!(
             "{:<16} {:>9.3} {:>10} {:>12} {:>5.1}% {:>7} {:>7} {:>7}  {mix}\n",
             name,
@@ -790,9 +783,9 @@ fn render_profile(
             p.iters,
             instr,
             pct,
-            p.iter_hist.percentile(0.5),
-            p.iter_hist.percentile(0.9),
-            p.iter_hist.percentile(0.99),
+            quantile(0.5),
+            quantile(0.9),
+            quantile(0.99),
         ));
     }
     out

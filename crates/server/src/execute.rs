@@ -117,7 +117,7 @@ pub fn check_verdict(report: &Report, strict: bool) -> Result<(), Failure> {
 /// Executes a `run`, `compile` or `check` request against `store`.
 ///
 /// `instruments` supplies the VM instrumentation a caller wants on a
-/// `run` (`trace`, `opcode_profile`, ring capacity); the program, thread
+/// `run` (`trace`, `profile`); the program, thread
 /// count, inputs, backend and strictness always come from `req`. `obs`
 /// watches the run's serial portions.
 pub fn execute<O: Observer + ?Sized>(

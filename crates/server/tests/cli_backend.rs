@@ -3,10 +3,11 @@
 //! * `dsec check --backend` text and JSON goldens, clean and under each
 //!   seeded sabotage (`DSE010`–`DSE015`), with the 0/1/2 exit-code
 //!   contract pinned;
-//! * `dsec profile` refusing the register backend (`DSE009`): explicit
-//!   `--exec-backend reg` is a usage error, the `DSE_EXEC_BACKEND=reg`
-//!   ambient default downgrades to a stderr warning plus a stack-pinned
-//!   run;
+//! * `dsec profile` under the register backend, chosen by flag or by
+//!   `DSE_EXEC_BACKEND=reg`: the same loops and iteration counts as the
+//!   stack run, and the loop record of nested candidate loops;
+//! * `--emit bytecode --exec-backend reg`: the register listing after the
+//!   stack one, every instruction with the stack pc it came from;
 //! * the VM's `--strict` gate refusing an unverified register translation
 //!   and accepting the same translation once the verifier marks it.
 //!
@@ -19,8 +20,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use dse_core::Analysis;
-use dse_runtime::{Vm, VmConfig};
+use dse_core::{Analysis, OptLevel};
+use dse_runtime::{BackendKind, Vm, VmConfig};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -113,34 +114,151 @@ fn sabotage_flag_contract() {
     assert!(stderr.contains("unknown --sabotage"));
 }
 
-#[test]
-fn profile_rejects_explicit_register_backend_with_dse009() {
-    let f = fixture();
-    let (_, stderr, code) = run_dsec(&["profile", &f, "--exec-backend", "reg"], &[]);
-    assert_eq!(code, 2, "explicit reg profiling is a usage error");
-    assert!(
-        stderr.contains("error[DSE009]"),
-        "stderr must carry the DSE009 code:\n{stderr}"
+/// `(loop, iters)` of every row of a `dsec profile` table, sorted: rows
+/// are ordered by wall time, which differs from run to run.
+fn profile_rows(stdout: &str) -> Vec<(String, String)> {
+    let mut rows: Vec<(String, String)> = stdout
+        .lines()
+        .skip(1)
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols[0].to_string(), cols[2].to_string())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Runs `dsec profile` on `examples/pipeline_trace.cee` under the stack
+/// backend, then with `extra` arguments and `env`, which pick the register
+/// backend: that run must succeed without DSE009 and report the loops
+/// and iteration counts the stack run does.
+fn profile_under_reg_matches_stack(extra: &[&str], env: &[(&str, &str)]) {
+    let prog = format!(
+        "{}/../../examples/pipeline_trace.cee",
+        env!("CARGO_MANIFEST_DIR")
     );
-    assert!(
-        stderr.contains("hint:"),
-        "stderr must carry a hint:\n{stderr}"
+    let args = ["profile", prog.as_str(), "--threads", "4"];
+    let (stack, stderr, code) = run_dsec(&args, &[]);
+    assert_eq!(code, 0, "{stderr}");
+    let expected = profile_rows(&stack);
+    let names: Vec<&str> = expected.iter().map(|r| r.0.as_str()).collect();
+    assert_eq!(names, ["(serial)", "`chain`", "`fill`"], "{stack}");
+    let argv = [&args[..], extra].concat();
+    let (stdout, stderr, code) = run_dsec(&argv, env);
+    assert_eq!(code, 0, "{argv:?} {env:?}:\n{stderr}");
+    assert!(!stderr.contains("DSE009"), "{stderr}");
+    assert_eq!(
+        profile_rows(&stdout),
+        expected,
+        "{argv:?} {env:?}:\n{stdout}"
     );
 }
 
+/// `dsec profile --exec-backend reg` profiles the register backend.
 #[test]
-fn profile_pins_env_register_backend_to_stack_with_warning() {
+fn profile_runs_under_an_explicit_register_backend() {
+    profile_under_reg_matches_stack(&["--exec-backend", "reg"], &[]);
+}
+
+/// `DSE_EXEC_BACKEND=reg` picks the register backend for `dsec profile`
+/// too; it is no longer pinned to the stack backend.
+#[test]
+fn profile_runs_under_the_env_register_backend() {
+    profile_under_reg_matches_stack(&[], &[("DSE_EXEC_BACKEND", "reg")]);
+}
+
+/// The nested candidate loop of `nested_doacross.cee` runs inline inside
+/// the outer loop's iterations: the loop record keeps a cost for each of
+/// the 8 outer iterations and none for the 32 nested ones, whose cost is
+/// part of those, and `dsec profile` prints `-` for their quantiles.
+#[test]
+fn nested_loop_costs_stay_with_the_outer_loop() {
+    let f = fixture_dir().join("nested_doacross.cee");
+    let source = std::fs::read_to_string(&f).unwrap();
+    let analysis = Analysis::from_source(&source, VmConfig::default()).unwrap();
+    for backend in [BackendKind::Stack, BackendKind::Reg] {
+        for nthreads in [1, 2] {
+            let t = analysis.transform(OptLevel::Full, nthreads).unwrap();
+            let config = VmConfig {
+                nthreads,
+                backend,
+                profile: true,
+                ..Default::default()
+            };
+            let mut vm = Vm::new(t.parallel.clone(), config).unwrap();
+            vm.run().unwrap();
+            assert_eq!(vm.outputs_int(), [504]);
+            let profile = vm.profile();
+            let row = |label: &str| {
+                let id = t.parallel.loops.iter().position(|l| l.label == label);
+                profile
+                    .iter()
+                    .find(|p| Some(p.loop_id as usize) == id)
+                    .unwrap_or_else(|| panic!("`{label}` has a row"))
+            };
+            let (outer, nested) = (row("outer"), row("nested"));
+            let what = format!("{backend:?}, {nthreads} thread(s)");
+            assert_eq!(outer.iters, 8, "{what}");
+            assert_eq!(outer.costs.iter().flatten().count(), 8, "{what}");
+            assert_eq!(nested.iters, 32, "{what}");
+            assert!(nested.costs.is_empty(), "{what}");
+        }
+    }
+    let path = f.to_str().unwrap();
+    let (stdout, stderr, code) = run_dsec(&["profile", path, "--threads", "2"], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    let nested = stdout
+        .lines()
+        .find(|l| l.starts_with("`nested`"))
+        .expect("a `nested` row");
+    let cols: Vec<&str> = nested.split_whitespace().collect();
+    assert_eq!(cols[2], "32", "{nested}");
+    assert_eq!(cols[5..8], ["-", "-", "-"], "{nested}");
+}
+
+/// `--emit bytecode --exec-backend reg` prints the register translation
+/// after the stack listing: as many instruction lines as its header says,
+/// each naming a stack pc of the listing above it — only the closing
+/// `Unreachable` names the pc one past the end — then the entry map and
+/// the window size.
+#[test]
+fn bytecode_emit_lists_the_register_translation() {
     let f = fixture();
-    let (stdout, stderr, code) = run_dsec(&["profile", &f], &[("DSE_EXEC_BACKEND", "reg")]);
-    assert_eq!(
-        code, 0,
-        "env-selected reg downgrades to a warning:\n{stderr}"
+    let (stdout, stderr, code) = run_dsec(
+        &[
+            &f,
+            "--emit",
+            "bytecode",
+            "--exec-backend",
+            "reg",
+            "--threads",
+            "2",
+        ],
+        &[],
     );
-    assert!(
-        stderr.contains("warning[DSE009]"),
-        "stderr must warn about the pin:\n{stderr}"
-    );
-    assert!(stdout.contains("loop"), "profile table still prints");
+    assert_eq!(code, 0, "{stderr}");
+    let (stack, reg) = stdout.split_once("-- reg (").expect("a register listing");
+    let stack_len = stack.lines().filter(|l| l.starts_with("  ")).count() as u32;
+    let (count, body) = reg.split_once(" instrs) --\n").expect("header");
+    let count: usize = count.parse().expect("instruction count");
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), count + 2, "{reg}");
+    for (i, line) in lines[..count].iter().enumerate() {
+        let origin: u32 = line
+            .split_once("(pc ")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .and_then(|(pc, _)| pc.trim().parse().ok())
+            .unwrap_or_else(|| panic!("origin pc in {line:?}"));
+        if i + 1 == count {
+            assert!(line.ends_with("Unreachable"), "{line}");
+            assert_eq!(origin, stack_len, "{line}");
+        } else {
+            assert!(origin < stack_len, "{line}: stack listing has {stack_len}");
+        }
+    }
+    assert!(lines[count].starts_with("entries (stack pc -> reg pc): "));
+    assert!(lines[count + 1].starts_with("window registers: "));
 }
 
 #[test]

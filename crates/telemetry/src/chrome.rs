@@ -52,7 +52,7 @@ fn describe(ev: &TraceEvent) -> (String, Vec<(&'static str, Json)>) {
     let a = Json::Int(ev.a as i64);
     let b = Json::Int(ev.b as i64);
     match ev.kind {
-        EventKind::LoopRun => (format!("loop {}", ev.a), vec![("loop", a)]),
+        EventKind::LoopRun => (format!("loop {}", ev.a), vec![("loop", a), ("iters", b)]),
         EventKind::Dispatch => (
             format!("dispatch loop {}", ev.a),
             vec![("loop", a), ("workers", b)],
@@ -202,8 +202,8 @@ mod tests {
     fn chrome_trace_parses_and_tracks_pids() {
         let events = vec![
             ev(EventKind::Dispatch, 0, 100, 0, 3, 4),
-            ev(EventKind::LoopRun, 0, 120, 5_000, 3, 0),
-            ev(EventKind::LoopRun, 1, 150, 4_800, 3, 0),
+            ev(EventKind::LoopRun, 0, 120, 5_000, 3, 40),
+            ev(EventKind::LoopRun, 1, 150, 4_800, 3, 24),
             ev(EventKind::Refill, HEAP_TID, 400, 0, 2, 32),
         ];
         let pipeline = vec![PhaseOutcome {
@@ -227,6 +227,20 @@ mod tests {
             .map(|e| e.get("pid").unwrap().as_i64().unwrap())
             .collect();
         assert_eq!(pids, [1, 10, 10, 11, 2]);
+        // A worker's loop span says how many iterations it ran.
+        let iters: Vec<i64> = evs
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("loop 3"))
+            .map(|e| {
+                e.get("args")
+                    .unwrap()
+                    .get("iters")
+                    .unwrap()
+                    .as_i64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(iters, [40, 24]);
         assert_eq!(
             parsed
                 .get("otherData")

@@ -44,10 +44,8 @@ pub enum Code {
     /// A candidate loop executed zero iterations during profiling, so its
     /// classification is vacuous.
     ZeroIterationProfile,
-    /// The opcode profiler was asked to run under the register backend,
-    /// whose fused super-instructions would skew the per-opcode table;
-    /// profiles are only meaningful on the stack (reference) encoding.
-    ProfileBackendMismatch,
+    // `DSE009` is retired; codes are never reused, so the numbering keeps
+    // the gap.
     /// The stack bytecode violates the constant-depth discipline the
     /// register translation assumes: a depth or type mismatch at a
     /// control-flow join, an operand-stack underflow, or a return with
@@ -87,7 +85,6 @@ impl Code {
             Code::SyncWindowViolation => "DSE006",
             Code::ClassificationConflict => "DSE007",
             Code::ZeroIterationProfile => "DSE008",
-            Code::ProfileBackendMismatch => "DSE009",
             Code::StackDiscipline => "DSE010",
             Code::StackBounds => "DSE011",
             Code::RegWindowBounds => "DSE012",
@@ -110,7 +107,6 @@ impl Code {
             Code::SyncWindowViolation => "DOACROSS sync window violation",
             Code::ClassificationConflict => "conflicting classifications for one site",
             Code::ZeroIterationProfile => "candidate loop never iterated in profile",
-            Code::ProfileBackendMismatch => "opcode profiling requires the stack backend",
             Code::StackDiscipline => "operand-stack discipline violation",
             Code::StackBounds => "stack bytecode jump, call, or frame access out of bounds",
             Code::RegWindowBounds => "register outside the declared window",
@@ -134,8 +130,7 @@ impl Code {
             | Code::ClassificationConflict => Severity::Error,
             Code::ZeroIterationProfile => Severity::Warning,
             // Backend-verification findings are miscompiles, never advisory.
-            Code::ProfileBackendMismatch
-            | Code::StackDiscipline
+            Code::StackDiscipline
             | Code::StackBounds
             | Code::RegWindowBounds
             | Code::RegDefUse

@@ -51,13 +51,6 @@ use dse_telemetry::ContentHasher;
 
 use diag::{Code, Diagnostic, Report};
 
-/// Policy knobs for a verifier run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifyOptions {
-    /// Treat warnings as failures (`dsec check --strict`).
-    pub strict: bool,
-}
-
 /// Pass 1: checks the profiled classifications against the static
 /// approximation (`DSE001`/`DSE002`/`DSE008`) and for cross-loop
 /// consistency (`DSE007`). Runs before planning, on the [`Analysis`] alone.

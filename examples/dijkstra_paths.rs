@@ -53,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let serial_report = serial.run()?;
     let mut cfg = w.vm_config(Scale::Profile);
     cfg.nthreads = 8;
-    cfg.record_iteration_costs = false;
     let mut par = Vm::new(t.parallel.clone(), cfg)?;
     par.run()?;
     assert_eq!(serial.outputs_int(), par.outputs_int());
@@ -64,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulate the 8-core schedule from measured per-iteration costs.
     let mut cfg = w.vm_config(Scale::Profile);
-    cfg.record_iteration_costs = true;
+    cfg.profile = true;
     let mut tracer = Vm::new(t.parallel.clone(), cfg)?;
     let report = tracer.run()?;
     let modes = t
@@ -74,13 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .enumerate()
         .map(|(i, l)| (i as u32, l.mode.unwrap_or(dse_ir::loops::ParMode::DoAll)))
         .collect();
-    let ps = sim::simulate_program(
-        report.counters.work,
-        &tracer.iteration_costs(),
-        &modes,
-        8,
-        false,
-    );
+    let ps = sim::simulate_program(report.counters.work, &tracer.profile(), &modes, 8, false);
     println!(
         "simulated 8-core speedup: {:.2}x (loop-only {:.2}x)",
         serial_report.counters.work as f64 / ps.total_time,

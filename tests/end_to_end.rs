@@ -89,7 +89,7 @@ fn simulated_schedule_beats_serial_only_with_narrow_window() {
     let analysis = Analysis::from_source(KITCHEN_SINK, VmConfig::default()).unwrap();
     let t = analysis.transform(OptLevel::Full, 4).unwrap();
     let mut cfg = VmConfig {
-        record_iteration_costs: true,
+        profile: true,
         ..Default::default()
     };
     cfg.nthreads = 1;
@@ -102,9 +102,9 @@ fn simulated_schedule_beats_serial_only_with_narrow_window() {
         .enumerate()
         .map(|(i, l)| (i as u32, l.mode.unwrap_or(dse_ir::loops::ParMode::DoAll)))
         .collect();
-    let traces = vm.iteration_costs();
-    let s1 = sim::simulate_program(report.counters.work, &traces, &modes, 1, false);
-    let s4 = sim::simulate_program(report.counters.work, &traces, &modes, 4, false);
+    let profile = vm.profile();
+    let s1 = sim::simulate_program(report.counters.work, &profile, &modes, 1, false);
+    let s4 = sim::simulate_program(report.counters.work, &profile, &modes, 4, false);
     // The accumulator window is one statement at the end of the body: the
     // loop must pipeline well.
     let speedup = s1.total_time / s4.total_time;
