@@ -1,6 +1,6 @@
 //! Block-local register coalescing over the emitted code.
 
-use super::flow::{Slot, NO_OWNER};
+use super::flow::NO_OWNER;
 use super::isa::{for_each_dst, for_each_src, pure_dst, rewrite_srcs, RInstr, Reg};
 use crate::bytecode::{CompiledProgram, Pc};
 
@@ -15,17 +15,19 @@ use crate::bytecode::{CompiledProgram, Pc};
 /// maps and the entry registry are remapped.
 ///
 /// Exit liveness is exact because the translation keeps the stack-depth
-/// invariant: at a branch to `t`, registers `>= states[t].len()` hold
+/// invariant: entering register pc `t`, registers `>= live_depth[t]` hold
 /// popped temporaries, except a region's promoted places, which stay live
 /// — across calls too, whose windows start above them — until the region
-/// returns.
+/// returns. The emitter sets `live_depth` from the stack pc each branch
+/// names, and elsewhere from the stack pc the instruction was emitted for
+/// (`None`: unknown, everything live).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn coalesce(
     out: &mut Vec<RInstr>,
     origin: &mut Vec<Pc>,
     regpc: &mut [u32],
     prog: &CompiledProgram,
-    states: &[Option<Vec<Slot>>],
+    live_depth: &[Option<u16>],
     owner: &[u32],
     maxd: &[usize],
     n_promoted: &[usize],
@@ -64,10 +66,7 @@ pub(super) fn coalesce(
             .unwrap_or(NO_OWNER)
     };
     // Operand-stack depth entering the instruction at reg pc `t`.
-    let depth_at = |t: usize| -> Option<usize> {
-        let sp = *origin.get(t)? as usize;
-        states.get(sp)?.as_ref().map(|st| st.len())
-    };
+    let depth_at = |t: usize| live_depth.get(t).copied().flatten().map(usize::from);
 
     // -- forward: copy propagation --------------------------------------
     let mut copy: Vec<Option<Reg>> = vec![None; regs_cap];

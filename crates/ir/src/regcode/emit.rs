@@ -2,9 +2,9 @@
 
 use super::coalesce::coalesce;
 use super::flow::{Place, Slot, StackFlow, Ty};
-use super::isa::{redirect_dst, RInstr, Reg, RegProgram};
+use super::isa::{fold_sext, redirect_dst, RInstr, Reg, RegProgram};
 use super::plan::{PromotedPlace, PromotionPlan};
-use crate::bytecode::{Builtin, CompiledProgram, Instr, Pc};
+use crate::bytecode::{Builtin, CompiledProgram, IBinOp, Instr, Pc};
 use crate::sites::NO_SITE;
 use std::collections::HashMap;
 
@@ -86,6 +86,10 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
 
     let mut out: Vec<RInstr> = Vec::with_capacity(n);
     let mut origin: Vec<Pc> = Vec::with_capacity(n);
+    // Per emitted instruction: the operand depth live on entry to it (see
+    // `coalesce`). The depth of the stack pc it was emitted for, until the
+    // branches are patched below.
+    let mut live_depth: Vec<Option<u16>> = Vec::with_capacity(n);
     let mut regpc: Vec<u32> = vec![u32::MAX; n + 1];
     // Branch-resolution pcs: where a *branch* to a stack pc lands. This
     // differs from `regpc` only at region entries with entry loads — a
@@ -125,6 +129,7 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
             regpc_branch[i] = out.len() as u32;
             out.push(RInstr::Unreachable);
             origin.push(i as Pc);
+            live_depth.push(None);
             i += 1;
             continue;
         };
@@ -133,11 +138,18 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         let own = owner[i];
         let places: &[PromotedPlace] = plan.places.get(own as usize).map_or(&[], |p| p);
         macro_rules! emit {
-            ($ins:expr) => {{
+            ($ins:expr) => {
+                emit!($ins, pc)
+            };
+            ($ins:expr, $origin:expr) => {{
                 out.push($ins);
-                origin.push(pc);
+                origin.push($origin);
+                live_depth.push(Some(d));
             }};
         }
+        // No branch lands between the last emission and here: a fusion
+        // into that instruction stays on one straight line.
+        let straight = (last_emit_pc + 1..=i).all(|k| !target[k]);
         // Region entry: fill every place some path reads before writing
         // from its (zeroed, argument-carrying or previous-iteration)
         // memory. Calls and dispatches resolve through `regpc`, so they
@@ -185,6 +197,48 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
                         imm: v,
                     });
                     consumed = 1;
+                }
+                // `base + i * k`, and a load through it when one follows (an
+                // `IBin` result has no provenance, so the load is a plain
+                // one). Stores stay `AddScaled; Store`: the value they store
+                // is computed after the address, over the index register.
+                (Some(Instr::IBin(IBinOp::Mul)), Some(Instr::IBin(IBinOp::Add)))
+                    if i32::try_from(v).is_ok() =>
+                {
+                    let (k, b, x) = (v as i32, d - 2, d - 1);
+                    match consumable(i + 3).then(|| code[i + 3]) {
+                        Some(Instr::Load {
+                            width,
+                            is_float,
+                            site,
+                        }) => {
+                            // The load's pc, so a trap names the pc the stack
+                            // backend names.
+                            let at = (i + 3) as Pc;
+                            emit!(
+                                RInstr::LoadIdx {
+                                    d: b,
+                                    b,
+                                    i: x,
+                                    k,
+                                    width,
+                                    is_float,
+                                    site,
+                                },
+                                at
+                            );
+                            consumed = 3;
+                        }
+                        _ => {
+                            emit!(RInstr::AddScaled {
+                                d: b,
+                                l: b,
+                                r: x,
+                                k
+                            });
+                            consumed = 2;
+                        }
+                    }
                 }
                 (Some(Instr::IBin(op)), _) => {
                     emit!(RInstr::IBinImm {
@@ -345,9 +399,9 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
                     (Some(p), _, _) => {
                         let sreg = p.reg;
                         // If the value's producer immediately precedes on a
-                        // straight line (no branch lands between it and
-                        // here), write the promoted register directly.
-                        let fused = (last_emit_pc + 1..=i).all(|k| !target[k])
+                        // straight line, write the promoted register
+                        // directly.
+                        let fused = straight
                             && out
                                 .last_mut()
                                 .is_some_and(|prev| redirect_dst(prev, d - 1, sreg));
@@ -356,8 +410,14 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
                         }
                         // Narrow stores truncate in memory and sign-extend
                         // on reload; keep the register canonical the same
-                        // way.
-                        if !is_float && width < 8 {
+                        // way — inside the producer, when it is an integer
+                        // op (a `Mov` never folds).
+                        if !is_float
+                            && width < 8
+                            && !out
+                                .last_mut()
+                                .is_some_and(|prev| fold_sext(prev, sreg, width))
+                        {
                             emit!(RInstr::Sext { d: sreg, w: width });
                         }
                     }
@@ -427,7 +487,13 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
             Instr::LNot => emit!(RInstr::LNot { d: d - 1 }),
             Instr::I2F => emit!(RInstr::I2F { d: d - 1 }),
             Instr::F2I => emit!(RInstr::F2I { d: d - 1 }),
-            Instr::SextTrunc(w) => emit!(RInstr::Sext { d: d - 1, w }),
+            // Folded into the integer op that produced the value, when that
+            // is the last emission on this straight line.
+            Instr::SextTrunc(w) => {
+                if !(straight && out.last_mut().is_some_and(|prev| fold_sext(prev, d - 1, w))) {
+                    emit!(RInstr::Sext { d: d - 1, w })
+                }
+            }
             Instr::Jump(t) => {
                 patches.push((out.len(), t, false));
                 emit!(RInstr::Jump { t: 0 });
@@ -520,7 +586,14 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
     regpc_branch[n] = out.len() as u32;
     out.push(RInstr::Unreachable);
     origin.push(n as Pc);
+    live_depth.push(None);
 
+    // A branch target is live to the depth of the stack pc the branch
+    // names. The code there may have been emitted for a later, deeper pc —
+    // a target that emitted nothing, like a promoted place's dead address,
+    // passes its register pc on. Branches naming different pcs of one
+    // register pc keep the deepest.
+    let mut named: Vec<Option<u16>> = vec![None; out.len()];
     for (idx, stack_t, is_call) in patches {
         // Branches to a region entry must skip its entry loads: they
         // re-read memory that is stale once the place lives in its
@@ -534,6 +607,16 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         match out[idx].jump_target_mut() {
             Some(t) => *t = rt,
             None => unreachable!("patch target on {:?}", out[idx]),
+        }
+        if !is_call {
+            let st = states[stack_t as usize].as_ref();
+            let depth = st.expect("the flow reaches every branch target").len() as u16;
+            named[rt as usize] = named[rt as usize].max(Some(depth));
+        }
+    }
+    for (live, named) in live_depth.iter_mut().zip(named) {
+        if named.is_some() {
+            *live = named;
         }
     }
 
@@ -551,7 +634,7 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         &mut origin,
         &mut regpc,
         prog,
-        states,
+        &live_depth,
         owner,
         &maxd,
         &n_promoted,

@@ -123,6 +123,40 @@ pub enum RInstr {
         l: Reg,
         imm: i64,
     },
+    /// Fused `IBin;SextTrunc(w)`, or a promoted narrow store's
+    /// canonicalization folded into its producer:
+    /// `r[d] = sign_extend(truncate(r[l] op r[r], w))`.
+    IBinSext {
+        op: IBinOp,
+        d: Reg,
+        l: Reg,
+        r: Reg,
+        w: u8,
+    },
+    /// The immediate form of [`RInstr::IBinSext`]:
+    /// `r[d] = sign_extend(truncate(r[l] op imm, w))` (`i++` on an `int`).
+    IBinImmSext {
+        op: IBinOp,
+        d: Reg,
+        l: Reg,
+        imm: i64,
+        w: u8,
+    },
+    /// Fused `PushI(k);IBin(Mul);IBin(Add)`: `r[d] = r[l] + r[r] * k`
+    /// (wrapping), an indexed address `base + i * sizeof(T)`.
+    AddScaled { d: Reg, l: Reg, r: Reg, k: i32 },
+    /// Fused `AddScaled;Load`: `r[d] = mem[r[b] + r[i] * k]`. Its origin
+    /// is the `Load`'s stack pc, so a trap names the pc the stack backend
+    /// names.
+    LoadIdx {
+        d: Reg,
+        b: Reg,
+        i: Reg,
+        k: i32,
+        width: u8,
+        is_float: bool,
+        site: SiteId,
+    },
     /// `r[d] = r[l] op r[r]` (float).
     FBin { op: FBinOp, d: Reg, l: Reg, r: Reg },
     /// `r[d] = (r[l] op r[r]) as 0/1` (integer compare).
@@ -426,12 +460,15 @@ impl RInstr {
             | RInstr::Tid { d }
             | RInstr::NThreads { d } => (Some((free, d)), [None, None], Next),
             RInstr::IBin { d, l, r, .. }
+            | RInstr::IBinSext { d, l, r, .. }
             | RInstr::FBin { d, l, r, .. }
             | RInstr::ICmp { d, l, r, .. }
-            | RInstr::FCmp { d, l, r, .. } => (Some((free, d)), [Some(l), Some(r)], Next),
-            RInstr::IBinImm { d, l, .. } | RInstr::ICmpImm { d, l, .. } => {
-                (Some((free, d)), [Some(l), None], Next)
-            }
+            | RInstr::FCmp { d, l, r, .. }
+            | RInstr::LoadIdx { d, b: l, i: r, .. } => (Some((free, d)), [Some(l), Some(r)], Next),
+            RInstr::AddScaled { d, l, r, .. } => (Some((pure, d)), [Some(l), Some(r)], Next),
+            RInstr::IBinImm { d, l, .. }
+            | RInstr::IBinImmSext { d, l, .. }
+            | RInstr::ICmpImm { d, l, .. } => (Some((free, d)), [Some(l), None], Next),
             RInstr::TidSpanScaled { d, .. }
             | RInstr::Load { d, .. }
             | RInstr::INeg { d }
@@ -535,6 +572,18 @@ pub(super) fn rewrite_srcs(ins: &mut RInstr, m: impl Fn(Reg) -> Reg) {
     if ops.srcs_free {
         ops.srcs.into_iter().flatten().for_each(|s| *s = m(*s));
     }
+}
+
+/// Folds a sign-extension of register `reg` to `w` bytes into the
+/// just-emitted integer op that wrote it; anything else refuses.
+#[inline]
+pub(super) fn fold_sext(ins: &mut RInstr, reg: Reg, w: u8) -> bool {
+    *ins = match *ins {
+        RInstr::IBin { op, d, l, r } if d == reg => RInstr::IBinSext { op, d, l, r, w },
+        RInstr::IBinImm { op, d, l, imm } if d == reg => RInstr::IBinImmSext { op, d, l, imm, w },
+        _ => return false,
+    };
+    true
 }
 
 /// Pure register writes (no memory, no traps, no observer events) that the

@@ -29,9 +29,16 @@
 //! The emitter also fuses the hottest stack idioms into super-instructions:
 //! compare+branch (`ICmp;JumpIfZ` → one fused conditional branch),
 //! constant operands (`PushI;IBin` → `IBinImm`, `PushI;ICmp;JumpIf*` →
-//! `JumpICmpImm`), and address+load (`FrameAddr;Load` → `LdFrame`).
-//! Fusion only happens when the consumed instruction is not a jump target
-//! or region entry, so every branch still lands on a translated pc.
+//! `JumpICmpImm`), address+load (`FrameAddr;Load` → `LdFrame`), array
+//! indexing (`PushI(k);IBin(Mul);IBin(Add)` → `AddScaled`, and with the
+//! `Load` that follows → `LoadIdx`, whose origin is the `Load`'s pc) and
+//! sign-extending arithmetic (an `IBin`/`IBinImm` followed on a straight
+//! line by the `Sext` of its result — a cast's `SextTrunc`, or a promoted
+//! narrow store's canonicalization — → `IBinSext`/`IBinImmSext`). Fusion
+//! only happens when the consumed instruction is not a jump target or
+//! region entry, so every branch still lands on a translated pc. Stores
+//! stay `AddScaled;Store`: their value is computed after the address, and
+//! the one-pass emitter has reused the index register by then.
 //! A *private* scalar access that stays in memory — a global replica, or a
 //! local one promotion had to leave — fuses the same way:
 //! `FrameAddrTid`/`GlobalAddrTid` whose address reaches one `Load` or
@@ -79,7 +86,9 @@
 //! forward into operand positions and deletes pure register writes whose
 //! destination is provably dead — overwritten before any read, or above
 //! the live operand depth of every outgoing edge (exact, thanks to the
-//! constant-depth invariant). Together with a store-into-producer
+//! constant-depth invariant; a branch's edge is live to the depth of the
+//! stack pc it names, which may be shallower than the pc whose code it
+//! lands on). Together with a store-into-producer
 //! redirect at emission, hot loop bodies over promoted scalars compile to
 //! register-only arithmetic with no shuffle traffic.
 //!
@@ -252,6 +261,7 @@ mod tests {
         matches!(
             i,
             RInstr::Load { .. }
+                | RInstr::LoadIdx { .. }
                 | RInstr::LdFrame { .. }
                 | RInstr::LdGlobal { .. }
                 | RInstr::LdTid { .. }
@@ -947,6 +957,162 @@ mod tests {
         );
         assert!(!rp.code.iter().any(|i| matches!(i, RInstr::Tuck { .. })));
         assert!(!rp.code.iter().any(is_memory_op), "{:?}", rp.code);
+    }
+
+    /// The register of main's `k`-th declared local, which must be promoted.
+    fn main_reg(prog: &CompiledProgram, rp: &RegProgram, k: usize) -> Reg {
+        let place = Place::Frame(local(prog, "main", k));
+        rp.promo.get(0, place).expect("promoted").reg
+    }
+
+    #[test]
+    fn an_indexed_load_over_a_promoted_index_is_one_instruction() {
+        let (prog, _, rp) = translated(
+            "int main() { long a[4]; int i; long x;
+               for (i = 0; i < 4; i++) { a[i] = i; }
+               i = 3; x = a[i]; return (int)x; }",
+            &[],
+        );
+        let i = main_reg(&prog, &rp, 1);
+        let loads: Vec<&RInstr> = rp.code.iter().filter(|c| is_memory_op(c)).collect();
+        assert!(
+            matches!(loads[..], [RInstr::Store { .. }, RInstr::LoadIdx { i: r, k: 8, width: 8, .. }] if *r == i),
+            "{:?}",
+            rp.code
+        );
+    }
+
+    #[test]
+    fn an_increment_of_a_promoted_int_is_one_instruction() {
+        let (prog, _, rp) = translated("int main() { int i; i = 0; i++; return i; }", &[]);
+        let i = main_reg(&prog, &rp, 0);
+        let inc = RInstr::IBinImmSext {
+            op: IBinOp::Add,
+            d: i,
+            l: i,
+            imm: 1,
+            w: 4,
+        };
+        assert!(rp.code.contains(&inc), "{:?}", rp.code);
+        // `i = 0` still canonicalizes its constant with a `Sext`; `i++` has
+        // neither a plain add nor one of its own.
+        let n = |f: fn(&RInstr) -> bool| rp.code.iter().filter(|c| f(c)).count();
+        assert_eq!(n(|c| matches!(c, RInstr::IBinImm { .. })), 0);
+        assert_eq!(n(|c| matches!(c, RInstr::Sext { .. })), 1);
+    }
+
+    /// `*(4096 + 2 * k)` with the scale `k`, and optionally a branch that
+    /// lands on the `IBin(Add)` inside the pattern (both edges carry
+    /// `[base, index]`).
+    fn indexed_load(k: i64, branch_into: bool) -> Vec<RInstr> {
+        let load = Instr::Load {
+            width: 8,
+            is_float: false,
+            site: 1,
+        };
+        let mut code = vec![Instr::GlobalAddr(4096), Instr::PushI(2)];
+        if branch_into {
+            code.extend([Instr::PushI(0), Instr::JumpIfZ(6)]);
+        }
+        code.extend([
+            Instr::PushI(k),
+            Instr::IBin(IBinOp::Mul),
+            Instr::IBin(IBinOp::Add),
+            load,
+            Instr::Ret,
+        ]);
+        translate(&one_func(code)).expect("translates").code
+    }
+
+    fn fused(code: &[RInstr]) -> usize {
+        code.iter()
+            .filter(|c| matches!(c, RInstr::LoadIdx { .. } | RInstr::AddScaled { .. }))
+            .count()
+    }
+
+    #[test]
+    fn an_indexed_load_does_not_fuse_across_a_branch_target() {
+        let straight = indexed_load(8, false);
+        assert!(
+            straight
+                .iter()
+                .any(|c| matches!(c, RInstr::LoadIdx { k: 8, site: 1, .. })),
+            "{straight:?}"
+        );
+        let joined = indexed_load(8, true);
+        assert_eq!(fused(&joined), 0, "{joined:?}");
+        assert!(joined.iter().any(|c| matches!(c, RInstr::Load { .. })));
+    }
+
+    #[test]
+    fn an_indexed_load_does_not_fuse_a_scale_wider_than_i32() {
+        let wide = 1i64 << 40;
+        let code = indexed_load(wide, false);
+        assert_eq!(fused(&code), 0, "{code:?}");
+        assert!(code
+            .iter()
+            .any(|c| matches!(c, RInstr::IBinImm { op: IBinOp::Mul, imm, .. } if *imm == wide)));
+        assert_eq!(fused(&indexed_load(i32::MIN.into(), false)), 1);
+    }
+
+    #[test]
+    fn an_indexed_store_keeps_its_address_in_a_register() {
+        let (_, _, rp) = translated(
+            "int main() { long a[4]; int i; i = 2; a[i] = 7; return 0; }",
+            &[],
+        );
+        let addr = rp
+            .code
+            .iter()
+            .find_map(|c| match *c {
+                RInstr::AddScaled { d, k: 8, .. } => Some(d),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{:?}", rp.code));
+        assert!(
+            rp.code
+                .iter()
+                .any(|c| matches!(c, RInstr::Store { a, .. } if *a == addr)),
+            "{:?}",
+            rp.code
+        );
+        assert!(!rp.code.iter().any(|c| matches!(c, RInstr::LoadIdx { .. })));
+    }
+
+    #[test]
+    fn a_counted_loop_header_over_a_promoted_int_has_no_move() {
+        // The exit's first statement starts with `s`'s dead address, which
+        // emits nothing: the exit's code comes from the next pc, one slot
+        // deeper. Liveness at the exit is the depth of the pc the branch
+        // names, so the header's copy of `i` into the operand register dies.
+        let (_, _, rp) = translated(
+            "int main() { long s; s = 0;
+               for (int i = 0; i < 10; i++) { s = s + i; }
+               s = s * 2; return (int)s; }",
+            &[],
+        );
+        let header = rp
+            .code
+            .iter()
+            .find_map(|c| match *c {
+                RInstr::Jump { t } => Some(t as usize),
+                _ => None,
+            })
+            .expect("a back edge");
+        let block: Vec<&RInstr> = rp.code[header..]
+            .iter()
+            .take_while(|c| c.jump_target().is_none())
+            .collect();
+        assert!(
+            matches!(rp.code[header + block.len()], RInstr::JumpICmpImm { .. }),
+            "{:?}",
+            rp.code
+        );
+        assert!(
+            !block.iter().any(|c| matches!(c, RInstr::Mov { .. })),
+            "{:?}",
+            rp.code
+        );
     }
 
     #[test]

@@ -53,6 +53,13 @@ pub(crate) fn ibin(op: IBinOp, l: i64, r: i64) -> Result<i64, String> {
     })
 }
 
+/// `l + r * k`, wrapping: the `PushI(k); IBin(Mul); IBin(Add)` of an
+/// indexed address, which never traps.
+#[inline]
+pub(crate) fn add_scaled(l: u64, r: u64, k: i32) -> u64 {
+    l.wrapping_add(r.wrapping_mul(k as i64 as u64))
+}
+
 /// Float binary op (IEEE: division by zero yields ±inf/NaN, never a trap).
 #[inline]
 pub(crate) fn fbin(op: FBinOp, l: f64, r: f64) -> f64 {

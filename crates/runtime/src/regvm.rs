@@ -20,7 +20,11 @@
 //! is the same call. This loop only reads operands from and writes results
 //! to registers — builtins take their argument registers directly — and
 //! traps report the *originating stack pc* through [`RegProgram::origin`],
-//! so diagnostics are identical under either backend. The profiler
+//! so diagnostics are identical under either backend. A fused instruction
+//! originates where its trap can: `LoadIdx` at the `Load` it ends with
+//! (the same `ops` load, site and observer event as the pair), `IBinSext`
+//! at its `IBin` (a division by zero; the extension cannot trap), and
+//! `AddScaled` never traps. The profiler
 //! charges each retired register instruction through the same table, to
 //! the class of the stack instruction it came from — the translator's own
 //! fills, spills and write-backs to the one they were emitted for. Where
@@ -222,6 +226,18 @@ impl Vm {
                     d,
                     ok!(self.load(obs, ctx.sp, rg!(d), width, is_float, site))
                 ),
+                RInstr::LoadIdx {
+                    d,
+                    b,
+                    i,
+                    k,
+                    width,
+                    is_float,
+                    site,
+                } => {
+                    let addr = ops::add_scaled(rg!(b), rg!(i), k);
+                    set!(d, ok!(self.load(obs, ctx.sp, addr, width, is_float, site)))
+                }
                 RInstr::LdFrame {
                     d,
                     off,
@@ -307,6 +323,13 @@ impl Vm {
                 RInstr::IBinImm { op, d, l, imm } => {
                     set!(d, ok!(ops::ibin(op, rgi!(l), imm)) as u64)
                 }
+                RInstr::IBinSext { op, d, l, r, w } => {
+                    set!(d, ops::sext(ok!(ops::ibin(op, rgi!(l), rgi!(r))), w) as u64)
+                }
+                RInstr::IBinImmSext { op, d, l, imm, w } => {
+                    set!(d, ops::sext(ok!(ops::ibin(op, rgi!(l), imm)), w) as u64)
+                }
+                RInstr::AddScaled { d, l, r, k } => set!(d, ops::add_scaled(rg!(l), rg!(r), k)),
                 RInstr::FBin { op, d, l, r } => set!(d, ops::fbin(op, rgf!(l), rgf!(r)).to_bits()),
                 RInstr::ICmp { op, d, l, r } => set!(d, ops::icmp(op, rgi!(l), rgi!(r)) as u64),
                 RInstr::ICmpImm { op, d, l, imm } => set!(d, ops::icmp(op, rgi!(l), imm) as u64),

@@ -282,7 +282,7 @@ fn both_backends_trap_and_finish_identically() {
 /// A call, a builtin call and one candidate loop: `LoopMark`s in the serial
 /// lowering, an inline DOACROSS `ParLoop` with `Wait`/`Post` in the
 /// parallel one at one thread. Neither lowering has a tid-addressed access,
-/// so fusion leaves the register backend's counts where they were too.
+/// so tid fusion leaves the register backend's counts where they were too.
 const FLUSH_SRC: &str = "
     long step(long x) { return x * 3 + 1; }
     int main() {
@@ -330,6 +330,13 @@ impl Observer for LoopWork {
 /// reloads follow the loop (+3) and the two loads of `a` after it are
 /// gone, one of them into its use (−1), the other to a move. Three
 /// iterations do not pay for a spill; `mpeg2dec`'s and `lbm`'s do.
+///
+/// And once more with the indexed and sign-extending fusions: serial,
+/// 63 (−2 per iteration: `i++` on the promoted `int` is one `IBinImmSext`,
+/// `a[i]`'s address one `AddScaled`), so the 32nd instruction, over the
+/// half budget, is `step`'s `+ 1` (pc 4) instead of its `return` (pc 6);
+/// parallel, 80, each iteration `(2, 11, 5)` (the `AddScaled`, after the
+/// `Post`).
 struct FlushPins {
     backend: BackendKind,
     parallel: bool,
@@ -351,9 +358,9 @@ const FLUSH_PINS: &[FlushPins] = &[
     FlushPins {
         backend: BackendKind::Reg,
         parallel: false,
-        work: 69,
-        trap_pcs: [6, 64],
-        loop_work: &[8, 11, 28, 45, 62],
+        work: 63,
+        trap_pcs: [4, 64],
+        loop_work: &[8, 11, 26, 41, 56],
         iter_costs: &[],
     },
     FlushPins {
@@ -367,10 +374,10 @@ const FLUSH_PINS: &[FlushPins] = &[
     FlushPins {
         backend: BackendKind::Reg,
         parallel: true,
-        work: 83,
+        work: 80,
         trap_pcs: [6, 58],
         loop_work: &[],
-        iter_costs: &[(2, 11, 6), (2, 11, 6), (2, 11, 6)],
+        iter_costs: &[(2, 11, 5), (2, 11, 5), (2, 11, 5)],
     },
 ];
 

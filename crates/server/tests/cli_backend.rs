@@ -9,7 +9,10 @@
 //! * `--emit bytecode --exec-backend reg`: the register listing after the
 //!   stack one, every instruction with the stack pc it came from;
 //! * the VM's `--strict` gate refusing an unverified register translation
-//!   and accepting the same translation once the verifier marks it.
+//!   and accepting the same translation once the verifier marks it;
+//! * a trap inside a fused register instruction reported at the stack pc
+//!   the stack backend reports (`indexed_trap.cee`), and the access
+//!   counters of a clean run where they were before the fusions.
 //!
 //! Regenerate goldens after an intentional change with:
 //!
@@ -21,6 +24,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use dse_core::{Analysis, OptLevel};
+use dse_ir::bytecode::IBinOp;
+use dse_ir::RInstr;
 use dse_runtime::{BackendKind, Vm, VmConfig};
 
 fn fixture_dir() -> PathBuf {
@@ -259,6 +264,114 @@ fn bytecode_emit_lists_the_register_translation() {
     }
     assert!(lines[count].starts_with("entries (stack pc -> reg pc): "));
     assert!(lines[count + 1].starts_with("window registers: "));
+}
+
+/// `indexed_trap.cee` traps inside a fused register instruction: a
+/// `LoadIdx` (`--in 0`) or an `IBinSext` division (`--in 1`). Both
+/// backends must say the same — stdout, the `vm trap at pc N` line, the
+/// exit code — serially and at two threads. A request's profiling run is
+/// serial, so the program traps only at two threads; the serial program
+/// is also run directly at two, where it traps in the same instructions.
+#[test]
+fn fused_instructions_trap_where_the_stack_backend_does() {
+    let f = fixture_dir().join("indexed_trap.cee");
+    let path = f.to_str().unwrap();
+    let source = std::fs::read_to_string(&f).unwrap();
+    for (input, what) in [(0, "invalid load"), (1, "division by zero")] {
+        let arg = input.to_string();
+        for threads in [&["--serial"][..], &["--threads", "2"]] {
+            // (The `[N instructions, …]` line differs: that is the point.)
+            let run = |backend| {
+                let argv = [path, "--run", "--in", &arg, "--exec-backend", backend];
+                let (stdout, stderr, code) = run_dsec(&[&argv[..], threads].concat(), &[]);
+                let dsec: Vec<String> = stderr
+                    .lines()
+                    .filter(|l| l.starts_with("dsec: "))
+                    .map(String::from)
+                    .collect();
+                (stdout, dsec, code)
+            };
+            let stack = run("stack");
+            assert_eq!(run("reg"), stack, "--in {input} {threads:?}");
+            let trapped = matches!(&stack.1[..], [line]
+                if line.starts_with("dsec: vm trap at pc ") && line.contains(what));
+            assert_eq!(
+                trapped,
+                threads.len() == 2,
+                "--in {input} {threads:?}: {stack:?}"
+            );
+            assert_eq!(stack.2, trapped as i32, "--in {input} {threads:?}");
+        }
+        let config = VmConfig {
+            inputs_int: vec![input],
+            ..Default::default()
+        };
+        let serial = Analysis::from_source(&source, config.clone())
+            .unwrap()
+            .serial;
+        let trap = |backend| {
+            let config = VmConfig {
+                nthreads: 2,
+                backend,
+                ..config.clone()
+            };
+            let err = Vm::new(serial.clone(), config).unwrap().run().unwrap_err();
+            (err.pc, err.msg)
+        };
+        let stack = trap(BackendKind::Stack);
+        assert!(stack.1.contains(what), "{stack:?}");
+        assert_eq!(
+            trap(BackendKind::Reg),
+            stack,
+            "--in {input}, serial program"
+        );
+        // The register instruction that trapped is the fused one.
+        let rp = dse_ir::regcode::translate(&serial).unwrap();
+        let at = rp.origin.iter().position(|&o| o == stack.0);
+        let fused = at.map(|at| rp.code[at]);
+        assert!(
+            matches!(
+                (input, fused),
+                (0, Some(RInstr::LoadIdx { .. }))
+                    | (
+                        1,
+                        Some(RInstr::IBinSext {
+                            op: IBinOp::Div,
+                            ..
+                        })
+                    )
+            ),
+            "--in {input}: {fused:?}"
+        );
+    }
+}
+
+/// The counters a fused access could move, on a clean two-thread run of
+/// `backend_promote.cee`, read as at the commit before the indexed and
+/// sign-extending fusions: `private_direct` (tid-strided addresses formed
+/// — the register backend keeps replicas in registers, so it forms fewer)
+/// and `sync_ops`. The stack encoding is untouched, so its `work` is too.
+#[test]
+fn fusion_leaves_the_access_counters_alone() {
+    let f = fixture();
+    for (backend, private_direct, work) in [("stack", 40, Some(719)), ("reg", 16, None)] {
+        let argv = [&f, "--run", "--threads", "2", "--exec-backend", backend];
+        let (stdout, stderr, code) = run_dsec(&[&argv[..], &["--metrics", "-"]].concat(), &[]);
+        assert_eq!(code, 0, "{stderr}");
+        let doc = stdout.lines().last().expect("a metrics document");
+        let totals = dse_telemetry::Json::parse(doc)
+            .expect("valid JSON")
+            .get("vm")
+            .and_then(|vm| vm.get("totals"))
+            .cloned()
+            .expect("vm totals");
+        let count = |name| totals.get(name).and_then(dse_telemetry::Json::as_i64);
+        assert_eq!(count("private_direct"), Some(private_direct), "{backend}");
+        assert_eq!(count("sync_ops"), Some(16), "{backend}");
+        if let Some(work) = work {
+            assert_eq!(count("work"), Some(work), "{backend}");
+        }
+    }
 }
 
 #[test]

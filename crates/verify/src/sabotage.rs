@@ -39,7 +39,8 @@ pub enum Kind {
     /// Double the stride of a fused tid access, so thread 1 lands on
     /// thread 2's replica.
     TidStride,
-    /// Replace a promoted narrow store's sign-extension with a no-op move.
+    /// Drop a promoted narrow store's sign-extension: a `Sext` becomes a
+    /// no-op move, an `IBinSext`/`IBinImmSext` its plain op.
     SkipSext,
 }
 
@@ -241,17 +242,25 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
             false
         }
         Kind::SkipSext => {
-            // Only the Sext instructions canonicalizing a promoted narrow
-            // store feed the DSE015 path; collect the promoted registers
-            // first and break the first Sext aimed at one of them.
+            // Only the extensions canonicalizing a promoted narrow store
+            // feed the DSE015 path; collect the promoted registers first
+            // and break the first extension aimed at one of them — a `Sext`
+            // becomes a no-op move, one folded into its integer op the
+            // plain op.
             let sregs: Vec<u16> = rp.promo.places.iter().flatten().map(|p| p.reg).collect();
             for ins in rp.code.iter_mut() {
-                if let RInstr::Sext { d, w } = *ins {
-                    if w < 8 && sregs.contains(&d) {
-                        *ins = RInstr::Mov { d, s: d };
-                        return true;
+                let plain = match *ins {
+                    RInstr::Sext { d, w } if w < 8 && sregs.contains(&d) => RInstr::Mov { d, s: d },
+                    RInstr::IBinSext { op, d, l, r, w } if w < 8 && sregs.contains(&d) => {
+                        RInstr::IBin { op, d, l, r }
                     }
-                }
+                    RInstr::IBinImmSext { op, d, l, imm, w } if w < 8 && sregs.contains(&d) => {
+                        RInstr::IBinImm { op, d, l, imm }
+                    }
+                    _ => continue,
+                };
+                *ins = plain;
+                return true;
             }
             false
         }

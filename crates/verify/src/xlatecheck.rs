@@ -15,7 +15,9 @@
 //!   ids included — a fused tid access (`LdTid`/`StTid`) is modelled as
 //!   the address term its stack-side producer pushes plus the plain load
 //!   or store, and the block must form as many tid addresses *of places
-//!   left in memory* on either side —
+//!   left in memory* on either side; `AddScaled`/`LoadIdx` are the
+//!   `IBin(Add, b, IBin(Mul, i, k))` address (and the load through it),
+//!   and `IBinSext`/`IBinImmSext` are `Sext(w, IBin(..))` —
 //! * memory holds a promoted place's logical value wherever someone can
 //!   look: a region's entry loads read the place's memory *home*, a
 //!   nested `ParLoop` carries the homes of every stored place as part of
@@ -1211,6 +1213,47 @@ impl<'p> Validator<'p> {
                     let rt = self.arena.mk(Term::ConstI(imm));
                     r.w(d, self.arena.mk(Term::IBin(op, lt, rt)));
                 }
+                // The fused forms are the terms of the instructions they
+                // replace: `Sext(w, IBin(..))`, and the `PushI(k); IBin(Mul);
+                // IBin(Add)` address, loaded from by `LoadIdx`.
+                RInstr::IBinSext { op, d, l, r: rr, w } => {
+                    let lt = r.read(&mut self.arena, l);
+                    let rt = r.read(&mut self.arena, rr);
+                    let t = self.arena.mk(Term::IBin(op, lt, rt));
+                    r.w(d, self.arena.mk(Term::Sext(w, t)));
+                }
+                RInstr::IBinImmSext { op, d, l, imm, w } => {
+                    let lt = r.read(&mut self.arena, l);
+                    let rt = self.arena.mk(Term::ConstI(imm));
+                    let t = self.arena.mk(Term::IBin(op, lt, rt));
+                    r.w(d, self.arena.mk(Term::Sext(w, t)));
+                }
+                RInstr::AddScaled { d, l, r: rr, k } => {
+                    let t = r.scaled(&mut self.arena, l, rr, k);
+                    r.w(d, t);
+                }
+                RInstr::LoadIdx {
+                    d,
+                    b: rb,
+                    i,
+                    k,
+                    width,
+                    is_float,
+                    site,
+                } => {
+                    let addr = r.scaled(&mut self.arena, rb, i, k);
+                    let epoch = r.effects.len() as u32;
+                    r.w(
+                        d,
+                        self.arena.mk(Term::Load {
+                            addr,
+                            width,
+                            is_float,
+                            site,
+                            epoch,
+                        }),
+                    );
+                }
                 RInstr::FBin { op, d, l, r: rr } => {
                     let lt = r.read(&mut self.arena, l);
                     let rt = r.read(&mut self.arena, rr);
@@ -1507,6 +1550,14 @@ impl RegSide<'_> {
         } else {
             Term::GlobalAddrTid { addr: base, stride }
         })
+    }
+    /// `r[l] + r[x] * k`, as the stack side builds it.
+    fn scaled(&mut self, arena: &mut Arena, l: Reg, x: Reg, k: i32) -> TermId {
+        let lt = self.read(arena, l);
+        let xt = self.read(arena, x);
+        let kt = arena.mk(Term::ConstI(k.into()));
+        let prod = arena.mk(Term::IBin(IBinOp::Mul, xt, kt));
+        arena.mk(Term::IBin(IBinOp::Add, lt, prod))
     }
     fn read(&mut self, arena: &mut Arena, r: Reg) -> TermId {
         if let Some(t) = self.regs.get(r as usize).copied().flatten() {

@@ -130,7 +130,12 @@ fn a_dropped_spill_before_a_parallel_loop_fires_exactly_one_code() {
     assert_eq!(site, dse_ir::NO_SITE, "the store is the translator's own");
     let mut rp = clean.clone();
     rp.code[at - 1] = RInstr::Mov { d: v, s: v };
-    let report = dse_verify::check_backend(&prog, &rp);
+    assert_only_divergence(&prog, &rp);
+}
+
+/// Checks `rp` and asserts that it draws errors, all of them DSE014.
+fn assert_only_divergence(prog: &CompiledProgram, rp: &RegProgram) {
+    let report = dse_verify::check_backend(prog, rp);
     let codes: std::collections::BTreeSet<_> = report
         .diagnostics
         .iter()
@@ -143,4 +148,61 @@ fn a_dropped_spill_before_a_parallel_loop_fires_exactly_one_code() {
         "{}",
         report.render_text()
     );
+}
+
+/// The operands of the fused address mode and of a folded extension are
+/// proven, not trusted. On every workload whose serial translation offers
+/// the site, each mutation of its first instance draws DSE014 and nothing
+/// else: a `LoadIdx` with its scale doubled, or with base and index
+/// swapped, and an `IBinImmSext` extending to half its width. (Test-side,
+/// like the dropped spill. Dropping the extension altogether is
+/// `skip-sext`'s DSE015.)
+#[test]
+fn a_mutated_indexed_load_or_extension_fires_exactly_one_code() {
+    type Mutation = fn(&mut RInstr) -> bool;
+    let mutations: [(&str, Mutation); 3] = [
+        ("double k", |ins| match ins {
+            RInstr::LoadIdx { k, .. } => {
+                *k *= 2;
+                true
+            }
+            _ => false,
+        }),
+        ("swap b and i", |ins| match ins {
+            RInstr::LoadIdx { b, i, .. } if b != i => {
+                std::mem::swap(b, i);
+                true
+            }
+            _ => false,
+        }),
+        ("halve w", |ins| match ins {
+            RInstr::IBinImmSext { w, .. } if *w > 1 => {
+                *w /= 2;
+                true
+            }
+            _ => false,
+        }),
+    ];
+    let programs: Vec<(CompiledProgram, RegProgram)> = dse_workloads::all()
+        .iter()
+        .map(|w| {
+            let config = w.vm_config(dse_workloads::Scale::Profile);
+            let prog = Analysis::from_source(w.source, config)
+                .expect("workload analyzes")
+                .serial;
+            let rp = dse_ir::regcode::translate(&prog).expect("workload translates");
+            (prog, rp)
+        })
+        .collect();
+    for (what, mutate) in mutations {
+        let mut applied = 0;
+        for (prog, clean) in &programs {
+            let mut rp = clean.clone();
+            if rp.code.iter_mut().any(mutate) {
+                assert_only_divergence(prog, &rp);
+                applied += 1;
+            }
+        }
+        assert!(applied > 0, "{what}: no workload offers the site");
+    }
 }
