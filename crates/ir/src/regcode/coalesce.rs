@@ -11,8 +11,8 @@ use crate::bytecode::{CompiledProgram, Pc};
 /// followed by a backward dead-write sweep
 /// that deletes pure writes whose destination is overwritten — or falls
 /// above the live operand depth of every outgoing edge — before any read.
-/// Deleted instructions are compacted out; all jump targets, the pc→pc
-/// maps and the entry registry are remapped.
+/// Deleted instructions are compacted out ([`relayout`]); all jump targets,
+/// the pc→pc maps and the entry registry are remapped.
 ///
 /// Exit liveness is exact because the translation keeps the stack-depth
 /// invariant: entering register pc `t`, registers `>= live_depth[t]` hold
@@ -222,32 +222,41 @@ pub(super) fn coalesce(
         run_end = start;
     }
 
-    // -- compact and remap ----------------------------------------------
-    let mut new_idx = vec![0u32; len + 1];
-    let mut k = 0u32;
-    for j in 0..len {
-        new_idx[j] = k;
-        k += keep[j] as u32;
-    }
-    new_idx[len] = k;
-    for (j, ins) in out.iter_mut().enumerate() {
-        if !keep[j] {
-            continue;
+    let kept = (0..len)
+        .filter(|&j| keep[j])
+        .map(|j| (j, out[j], origin[j]))
+        .collect();
+    relayout(out, origin, regpc, kept);
+}
+
+/// Lays the code out anew as `next`: `(pc, instruction, origin)` in order,
+/// `pc` the instruction of the current code the entry stands for, jump
+/// targets still naming current pcs. A current pc resolves to its first
+/// entry — or, when it has none (deleted), to the next pc's — and every
+/// jump target and `regpc` entry is remapped through that.
+pub(super) fn relayout(
+    out: &mut Vec<RInstr>,
+    origin: &mut Vec<Pc>,
+    regpc: &mut [u32],
+    next: Vec<(usize, RInstr, Pc)>,
+) {
+    let mut new_idx = vec![next.len() as u32; out.len() + 1];
+    let mut resolved = 0usize;
+    for (k, &(pc, _, _)) in next.iter().enumerate() {
+        for idx in &mut new_idx[resolved..=pc] {
+            *idx = k as u32;
         }
+        resolved = pc + 1;
+    }
+    out.clear();
+    origin.clear();
+    for (_, mut ins, o) in next {
         if let Some(t) = ins.jump_target_mut() {
             *t = new_idx[*t as usize];
         }
+        out.push(ins);
+        origin.push(o);
     }
-    let mut w = 0usize;
-    for (j, &kept) in keep.iter().enumerate() {
-        if kept {
-            out.swap(w, j);
-            origin.swap(w, j);
-            w += 1;
-        }
-    }
-    out.truncate(w);
-    origin.truncate(w);
     for p in regpc.iter_mut() {
         if *p != u32::MAX {
             *p = new_idx[*p as usize];

@@ -4,6 +4,7 @@ use super::coalesce::coalesce;
 use super::flow::{Place, Slot, StackFlow, Ty};
 use super::isa::{fold_sext, redirect_dst, RInstr, Reg, RegProgram};
 use super::plan::{PromotedPlace, PromotionPlan};
+use super::rotate::rotate;
 use crate::bytecode::{Builtin, CompiledProgram, IBinOp, Instr, Pc};
 use crate::sites::NO_SITE;
 use std::collections::HashMap;
@@ -640,6 +641,8 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         &n_promoted,
         (max_window + 4) as usize,
     );
+    let entry_pcs: Vec<u32> = entries.keys().map(|&e| regpc[e]).collect();
+    rotate(&mut out, &mut origin, &mut regpc, &entry_pcs);
 
     let mut entry_map = HashMap::new();
     for &entry in entries.keys() {

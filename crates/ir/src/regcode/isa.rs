@@ -210,6 +210,30 @@ pub enum RInstr {
         t: u32,
         on_true: bool,
     },
+    /// A counted loop's back-edge: the induction increment and the rotated
+    /// header test as one instruction. `r[d] = sign_extend(truncate(r[d] +
+    /// step, w))` (wrapping; `w == 8` extends nothing), then jump to `t`
+    /// when `(r[d] op imm) == on_true`.
+    IncJumpICmpImm {
+        d: Reg,
+        step: i32,
+        w: u8,
+        op: CmpOp,
+        imm: i64,
+        t: u32,
+        on_true: bool,
+    },
+    /// [`RInstr::IncJumpICmpImm`] against a register bound: the compare
+    /// reads `r[r]` after `r[d]` is written.
+    IncJumpICmp {
+        d: Reg,
+        step: i32,
+        w: u8,
+        op: CmpOp,
+        r: Reg,
+        t: u32,
+        on_true: bool,
+    },
     /// Call function `fi` (register entry `target`): args in
     /// `r[abase..abase+nargs]` are written to the callee's memory parameter
     /// slots; the callee's register window starts at `win`, above every
@@ -493,6 +517,12 @@ impl RInstr {
                 (None, [Some(l), Some(r)], Branch(t))
             }
             RInstr::JumpICmpImm { l, t, .. } => (None, [Some(l), None], Branch(t)),
+            RInstr::IncJumpICmpImm { d, t, .. } => {
+                (Some((Write::InPlace, d)), [None, None], Branch(t))
+            }
+            RInstr::IncJumpICmp { d, r, t, .. } => {
+                (Some((Write::InPlace, d)), [Some(r), None], Branch(t))
+            }
             RInstr::Call {
                 target, fi, abase, ..
             } => {

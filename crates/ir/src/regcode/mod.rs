@@ -82,7 +82,7 @@
 //! temporary declared in the body and assigned before use — never touches
 //! memory.
 //!
-//! **Coalescing**: a final block-local pass propagates `Mov` copies
+//! **Coalescing**: a block-local pass propagates `Mov` copies
 //! forward into operand positions and deletes pure register writes whose
 //! destination is provably dead — overwritten before any read, or above
 //! the live operand depth of every outgoing edge (exact, thanks to the
@@ -92,14 +92,25 @@
 //! redirect at emission, hot loop bodies over promoted scalars compile to
 //! register-only arithmetic with no shuffle traffic.
 //!
+//! **Rotation**: a last pass makes every loop trip branch once. A
+//! back-edge `Jump` to a header that is a conditional branch to the
+//! instruction after the `Jump` — alone, or behind one instruction that
+//! cannot trap, which the back-edge copies — becomes that branch inverted,
+//! jumping into the body and falling through to the exit; an in-place
+//! `i += k` right before a rotated integer compare of `i` folds into it
+//! (`IncJumpICmpImm`/`IncJumpICmp`), unless a branch lands between them.
+//! What it writes keeps the `Jump`'s or the increment's origin, and none
+//! of it can trap.
+//!
 //! **Layout.** The translator is its phases, one module each: `isa` (the
 //! instruction set, [`RegProgram`], and [`RInstr::operands_mut`] — the one
 //! table of every variant's register operands and control transfer, which
 //! [`for_each_dst`], [`for_each_src`], [`pure_dst`], the coalescer's
 //! renaming and `dse-verify`'s register checks derive from), `flow`
 //! ([`analyze_stack`]), `plan` ([`promotion_plan`] and the report of what
-//! stays in memory and why), `emit` ([`translate_with`]) and `coalesce`.
-//! [`translate`] below is their composition.
+//! stays in memory and why), `emit` ([`translate_with`]), `coalesce` and
+//! `rotate`, which share one relayout of the code. [`translate`] below is
+//! their composition.
 //!
 //! Site ids, loop marks, and builtin call pcs are preserved verbatim
 //! (each register instruction remembers the stack pc it came from in
@@ -112,6 +123,7 @@ mod emit;
 mod flow;
 mod isa;
 mod plan;
+mod rotate;
 
 pub use emit::translate_with;
 pub use flow::{analyze_stack, AccessShape, Place, Slot, StackFlow, Ty, NO_OWNER};
@@ -1084,35 +1096,275 @@ mod tests {
         // The exit's first statement starts with `s`'s dead address, which
         // emits nothing: the exit's code comes from the next pc, one slot
         // deeper. Liveness at the exit is the depth of the pc the branch
-        // names, so the header's copy of `i` into the operand register dies.
+        // names, so the header's copy of `i` into the operand register dies:
+        // the entry test is one instruction, after the `Sext` of `i = 0`,
+        // and the back-edge folds `i++` into its rotated copy.
         let (_, _, rp) = translated(
             "int main() { long s; s = 0;
                for (int i = 0; i < 10; i++) { s = s + i; }
                s = s * 2; return (int)s; }",
             &[],
         );
-        let header = rp
-            .code
-            .iter()
-            .find_map(|c| match *c {
-                RInstr::Jump { t } => Some(t as usize),
+        let (back, body) = back_edge(&rp.code);
+        assert!(
+            matches!(
+                rp.code[body - 1],
+                RInstr::JumpICmpImm { on_true: false, .. }
+            ) && matches!(rp.code[body - 2], RInstr::Sext { .. }),
+            "{:?}",
+            rp.code
+        );
+        assert!(
+            !rp.code[body - 1..=back]
+                .iter()
+                .any(|c| matches!(c, RInstr::Mov { .. })),
+            "{:?}",
+            rp.code
+        );
+    }
+
+    /// The one fused back-edge of `code` and the body pc it branches to.
+    fn back_edge(code: &[RInstr]) -> (usize, usize) {
+        let edges: Vec<(usize, usize)> = (0..code.len())
+            .filter_map(|pc| match code[pc] {
+                RInstr::IncJumpICmpImm { t, .. } | RInstr::IncJumpICmp { t, .. } => {
+                    Some((pc, t as usize))
+                }
                 _ => None,
             })
-            .expect("a back edge");
-        let block: Vec<&RInstr> = rp.code[header..]
-            .iter()
-            .take_while(|c| c.jump_target().is_none())
             .collect();
+        match edges[..] {
+            [edge] => edge,
+            _ => panic!("one fused back-edge: {code:?}"),
+        }
+    }
+
+    fn count(code: &[RInstr], f: fn(&RInstr) -> bool) -> usize {
+        code.iter().filter(|c| f(c)).count()
+    }
+
+    #[test]
+    fn a_counted_loop_over_a_promoted_int_branches_once_per_trip() {
+        for bound in ["8", "n"] {
+            let (prog, _, rp) = translated(
+                &format!(
+                    "int main() {{ long a[8]; int n; n = 8;
+                       for (int i = 0; i < {bound}; i++) {{ a[i] = i; }}
+                       return (int)a[7]; }}"
+                ),
+                &[],
+            );
+            let (n, i) = (main_reg(&prog, &rp, 1), main_reg(&prog, &rp, 2));
+            let (back, body) = back_edge(&rp.code);
+            let fused = match rp.code[back] {
+                RInstr::IncJumpICmpImm {
+                    d,
+                    step: 1,
+                    w: 4,
+                    op: CmpOp::Lt,
+                    imm: 8,
+                    on_true: true,
+                    ..
+                } => d == i && bound == "8",
+                RInstr::IncJumpICmp {
+                    d,
+                    step: 1,
+                    w: 4,
+                    op: CmpOp::Lt,
+                    r,
+                    on_true: true,
+                    ..
+                } => d == i && r == n && bound == "n",
+                _ => false,
+            };
+            assert!(fused, "{bound}: {:?}", rp.code);
+            let lp = &rp.code[body..=back];
+            let jumps = count(lp, |c| matches!(c, RInstr::Jump { .. }));
+            assert_eq!(jumps, 0, "{bound}: {lp:?}");
+            let incs = count(&rp.code, |c| matches!(c, RInstr::IBinImmSext { .. }));
+            assert_eq!(incs, 0, "{bound}: {:?}", rp.code);
+            // The entry test is still there, once, exiting past the loop.
+            assert_eq!(rp.code[body - 1].jump_target(), Some(back as u32 + 1));
+        }
+    }
+
+    #[test]
+    fn a_long_counter_folds_without_an_extension() {
+        let (prog, _, rp) = translated(
+            "int main() { long s; s = 0;
+               for (long i = 0; i < 10; i += 3) { s = s + i; }
+               return (int)s; }",
+            &[],
+        );
+        let i = main_reg(&prog, &rp, 1);
+        let (back, _) = back_edge(&rp.code);
         assert!(
-            matches!(rp.code[header + block.len()], RInstr::JumpICmpImm { .. }),
+            matches!(rp.code[back], RInstr::IncJumpICmpImm { d, step: 3, w: 8, imm: 10, .. } if d == i),
             "{:?}",
             rp.code
         );
+    }
+
+    #[test]
+    fn a_truth_test_rotates_through_its_inverted_branch() {
+        // `p != 0` is a compare with an immediate; `p` alone is `JumpIfZ`.
+        // Neither decrement folds (only increments do), and neither loop
+        // keeps a `Jump`.
+        type Shape = fn(&RInstr) -> bool;
+        let shapes: [(&str, Shape); 2] = [
+            ("p != 0", |c| {
+                matches!(
+                    c,
+                    RInstr::JumpICmpImm {
+                        op: CmpOp::Ne,
+                        imm: 0,
+                        on_true: true,
+                        ..
+                    }
+                )
+            }),
+            ("p", |c| matches!(c, RInstr::JumpIfNZ { .. })),
+        ];
+        for (cond, rotated) in shapes {
+            let (_, _, rp) = translated(
+                &format!(
+                    "int main() {{ long p; long s; p = 5; s = 0;
+                       while ({cond}) {{ s = s + p; p = p - 1; }}
+                       return (int)s; }}"
+                ),
+                &[],
+            );
+            let back = rp
+                .code
+                .iter()
+                .rposition(rotated)
+                .expect("a rotated back-edge");
+            let body = rp.code[back].jump_target().expect("a branch") as usize;
+            assert!(body < back, "{cond}: {:?}", rp.code);
+            assert_eq!(
+                rp.code[body - 1].jump_target(),
+                Some(back as u32 + 1),
+                "{cond}"
+            );
+            assert_eq!(
+                count(&rp.code, |c| matches!(c, RInstr::Jump { .. })),
+                0,
+                "{cond}"
+            );
+            assert!(matches!(
+                rp.code[back - 1],
+                RInstr::IBinImm {
+                    op: IBinOp::Sub,
+                    ..
+                }
+            ));
+        }
+    }
+
+    #[test]
+    fn an_increment_a_branch_lands_behind_does_not_fold() {
+        // The `if` without `else` falls to the back-edge when `s <= 3`:
+        // folding `i++` into it would increment on that path too.
+        let (prog, _, rp) = translated(
+            "int main() { long s; int i; s = 0; i = 0;
+               while (i < 10) { s = s + 1; if (s > 3) { i++; } }
+               return (int)s; }",
+            &[],
+        );
+        let i = main_reg(&prog, &rp, 1);
+        assert_eq!(
+            count(&rp.code, |c| matches!(c, RInstr::IncJumpICmpImm { .. })),
+            0
+        );
+        assert_eq!(count(&rp.code, |c| matches!(c, RInstr::Jump { .. })), 0);
+        let back = rp
+            .code
+            .iter()
+            .position(|c| matches!(c, RInstr::JumpICmpImm { on_true: true, .. }))
+            .expect("the rotated back-edge");
         assert!(
-            !block.iter().any(|c| matches!(c, RInstr::Mov { .. })),
+            matches!(rp.code[back - 1], RInstr::IBinImmSext { op: IBinOp::Add, d, .. } if d == i),
             "{:?}",
             rp.code
         );
+        assert!(rp.code.iter().any(|c| c.jump_target() == Some(back as u32)));
+    }
+
+    #[test]
+    fn a_back_edge_whose_header_exits_elsewhere_stays_a_jump() {
+        // `continue` jumps to the header from the middle of the body, where
+        // the header's exit is not the next instruction; the back-edge at
+        // the end of the body still rotates.
+        let (_, _, rp) = translated(
+            "int main() { long s; int i; s = 0; i = 0;
+               while (i < 10) { s = s + i; if (s > 20) { i = i + 2; continue; } i++; }
+               return (int)s; }",
+            &[],
+        );
+        let jumps: Vec<usize> = (0..rp.code.len())
+            .filter(|&pc| matches!(rp.code[pc], RInstr::Jump { .. }))
+            .collect();
+        let [at] = jumps[..] else {
+            panic!("one jump: {:?}", rp.code)
+        };
+        let header = rp.code[at].jump_target().expect("a jump") as usize;
+        assert_ne!(rp.code[header].jump_target(), Some(at as u32 + 1));
+        assert!(matches!(
+            rp.code[at - 1],
+            RInstr::IBinImmSext { imm: 2, .. }
+        ));
+        back_edge(&rp.code);
+    }
+
+    #[test]
+    fn a_two_instruction_header_is_copied_unless_it_can_trap() {
+        let header = |bound: &str| {
+            translated(
+                &format!(
+                    "int main() {{ long s; long n; n = 7; s = 0;
+                       for (int i = 0; i < {bound}; i++) {{ s = s + i; }}
+                       return (int)s; }}"
+                ),
+                &[],
+            )
+            .2
+            .code
+        };
+        // `n * 2` cannot trap: the back-edge recomputes it and branches.
+        let code = header("n * 2");
+        assert_eq!(
+            count(&code, |c| matches!(c, RInstr::Jump { .. })),
+            0,
+            "{code:?}"
+        );
+        let muls = count(&code, |c| {
+            matches!(
+                c,
+                RInstr::IBinImm {
+                    op: IBinOp::Mul,
+                    ..
+                }
+            )
+        });
+        assert_eq!(muls, 2, "{code:?}");
+        // `n / 2` can: a copy would trap at the back-edge's pc, so the
+        // back-edge stays a `Jump` to the header.
+        let code = header("n / 2");
+        assert_eq!(
+            count(&code, |c| matches!(c, RInstr::Jump { .. })),
+            1,
+            "{code:?}"
+        );
+        let divs = count(&code, |c| {
+            matches!(
+                c,
+                RInstr::IBinImm {
+                    op: IBinOp::Div,
+                    ..
+                }
+            )
+        });
+        assert_eq!(divs, 1, "{code:?}");
     }
 
     #[test]

@@ -60,6 +60,13 @@ pub(crate) fn add_scaled(l: u64, r: u64, k: i32) -> u64 {
     l.wrapping_add(r.wrapping_mul(k as i64 as u64))
 }
 
+/// `sext(v + step, w)`, wrapping: the `i++` of a fused loop back-edge,
+/// which never traps.
+#[inline]
+pub(crate) fn increment(v: i64, step: i32, w: u8) -> i64 {
+    sext(v.wrapping_add(step.into()), w)
+}
+
 /// Float binary op (IEEE: division by zero yields ±inf/NaN, never a trap).
 #[inline]
 pub(crate) fn fbin(op: FBinOp, l: f64, r: f64) -> f64 {

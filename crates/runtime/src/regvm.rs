@@ -24,7 +24,9 @@
 //! originates where its trap can: `LoadIdx` at the `Load` it ends with
 //! (the same `ops` load, site and observer event as the pair), `IBinSext`
 //! at its `IBin` (a division by zero; the extension cannot trap), and
-//! `AddScaled` never traps. The profiler
+//! `AddScaled` never traps; nor does a rotated loop back-edge, whose
+//! `IncJumpICmpImm`/`IncJumpICmp` (`ops::increment`, then the compare)
+//! originates at the increment it folds. The profiler
 //! charges each retired register instruction through the same table, to
 //! the class of the stack instruction it came from — the translator's own
 //! fills, spills and write-backs to the one they were emitted for. Where
@@ -365,6 +367,32 @@ impl Vm {
                     t,
                     on_true,
                 } => branch!(ops::fcmp(op, rgf!(l), rgf!(r)) == on_true, t),
+                RInstr::IncJumpICmpImm {
+                    d,
+                    step,
+                    w,
+                    op,
+                    imm,
+                    t,
+                    on_true,
+                } => {
+                    let v = ops::increment(rgi!(d), step, w);
+                    rg!(d) = v as u64;
+                    branch!(ops::icmp(op, v, imm) == on_true, t)
+                }
+                RInstr::IncJumpICmp {
+                    d,
+                    step,
+                    w,
+                    op,
+                    r,
+                    t,
+                    on_true,
+                } => {
+                    let v = ops::increment(rgi!(d), step, w);
+                    rg!(d) = v as u64;
+                    branch!(ops::icmp(op, v, rgi!(r)) == on_true, t)
+                }
                 RInstr::Call {
                     target,
                     fi,

@@ -346,6 +346,37 @@ fn fused_instructions_trap_where_the_stack_backend_does() {
     }
 }
 
+/// `rotated_loops.cee` runs every loop-header shape the translation
+/// rotates into its back-edge, and the shapes it leaves alone: stdout and
+/// the exit code are the stack backend's, serially and at two threads, and
+/// `dsec profile` counts the same loops and iterations on both backends.
+#[test]
+fn rotated_loops_run_as_on_the_stack_backend() {
+    let f = fixture_dir().join("rotated_loops.cee");
+    let path = f.to_str().unwrap();
+    for threads in [&["--serial"][..], &["--threads", "2"]] {
+        let run = |backend| {
+            let argv = [path, "--run", "--exec-backend", backend];
+            let (stdout, _, code) = run_dsec(&[&argv[..], threads].concat(), &[]);
+            (stdout, code)
+        };
+        let stack = run("stack");
+        assert!(stack.0.starts_with("out_long: ["), "{threads:?}: {stack:?}");
+        assert_eq!(stack.1, 0, "{threads:?}");
+        assert_eq!(run("reg"), stack, "{threads:?}");
+    }
+    let profile = |backend| {
+        let argv = ["profile", path, "--threads", "2", "--exec-backend", backend];
+        let (stdout, stderr, code) = run_dsec(&argv, &[]);
+        assert_eq!(code, 0, "{backend}: {stderr}");
+        profile_rows(&stdout)
+    };
+    let stack = profile("stack");
+    let names: Vec<&str> = stack.iter().map(|r| r.0.as_str()).collect();
+    assert_eq!(names, ["(serial)", "`carried`", "`rows`"], "{stack:?}");
+    assert_eq!(profile("reg"), stack);
+}
+
 /// The counters a fused access could move, on a clean two-thread run of
 /// `backend_promote.cee`, read as at the commit before the indexed and
 /// sign-extending fusions: `private_direct` (tid-strided addresses formed

@@ -27,7 +27,16 @@
 //! * the exits themselves correspond — same kind, same branch condition
 //!   and polarity, and the register target is exactly the translation of
 //!   the stack target (branches into a region entry must land *after* its
-//!   entry loads).
+//!   entry loads). One composition is allowed: a stack block ending in
+//!   `Jump(h)` whose register image ends in a conditional branch is a
+//!   back-edge rotated into its loop's header. The stack side then runs on
+//!   through block `h`, which must add no effect and no tid address and
+//!   end in `Cond { c, on_true, t }` with `t` the back-edge block's end;
+//!   the register exit must be `Cond { c, !on_true }` into the translation
+//!   of the pc after block `h`. `IncJumpICmpImm`/`IncJumpICmp` are the
+//!   increment's `Sext(w, IBin(Add, d, step))` and the compare of it; the
+//!   composed block's slots, places and effects are compared as any
+//!   block's are.
 //!
 //! Terms live in one hash-consed arena shared by both sides, so
 //! equivalence is pointer equality. Unknown memory reads are `Load` terms
@@ -454,31 +463,28 @@ impl<'p> Validator<'p> {
     }
 
     fn blocks(&self) -> Vec<Block> {
+        self.leaders.iter().map(|&l| self.block_at(l)).collect()
+    }
+
+    /// The block that starts at leader `start`.
+    fn block_at(&self, start: usize) -> Block {
         let n = self.prog.code.len();
-        let mut out = Vec::with_capacity(self.leaders.len());
-        for &start in &self.leaders {
-            let mut pc = start;
-            loop {
-                let term = matches!(
-                    self.prog.code[pc],
-                    Instr::Jump(_)
-                        | Instr::JumpIfZ(_)
-                        | Instr::JumpIfNZ(_)
-                        | Instr::Ret
-                        | Instr::Halt
-                );
-                pc += 1;
-                if term
-                    || pc >= n
-                    || self.leaders.binary_search(&pc).is_ok()
-                    || self.flow.states[pc].is_none()
-                {
-                    break;
-                }
+        let mut pc = start;
+        loop {
+            let term = matches!(
+                self.prog.code[pc],
+                Instr::Jump(_) | Instr::JumpIfZ(_) | Instr::JumpIfNZ(_) | Instr::Ret | Instr::Halt
+            );
+            pc += 1;
+            if term
+                || pc >= n
+                || self.leaders.binary_search(&pc).is_ok()
+                || self.flow.states[pc].is_none()
+            {
+                break;
             }
-            out.push(Block { start, end: pc });
         }
-        out
+        Block { start, end: pc }
     }
 
     /// First register pc whose origin is ≥ the given stack pc. The origin
@@ -539,10 +545,20 @@ impl<'p> Validator<'p> {
             *reg = Some(t);
         }
 
-        let mut stack_side = self.run_stack(b, promo, stack_vals);
+        let mut stack_side = StackSide {
+            stack: stack_vals,
+            logical: HashMap::new(),
+            effects: Vec::new(),
+            tid_addrs: 0,
+            exit: Exit::Fall,
+        };
+        self.run_stack(b, promo, &mut stack_side);
         let mut reg_side = self.run_reg(b, promo, regs, report);
 
         let loc = format!("stack block {}..{}", b.start, b.end);
+        if let (&Exit::Jump(h), Exit::Cond { .. }) = (&stack_side.exit, &reg_side.exit) {
+            self.through_header(&loc, b, h as usize, promo, &mut stack_side, report);
+        }
 
         // Effects must agree exactly, in order.
         let ne = stack_side.effects.len().min(reg_side.effects.len());
@@ -746,14 +762,9 @@ impl<'p> Validator<'p> {
 
     // ---- stack side -----------------------------------------------------
 
-    fn run_stack(&mut self, b: Block, promo: Promo<'p>, stack: Vec<TermId>) -> StackSide {
-        let mut s = StackSide {
-            stack,
-            logical: HashMap::new(),
-            effects: Vec::new(),
-            tid_addrs: 0,
-            exit: Exit::Fall,
-        };
+    /// Runs the stack side of block `b` on from `s`.
+    fn run_stack(&mut self, b: Block, promo: Promo<'p>, s: &mut StackSide) {
+        s.exit = Exit::Fall;
         for pc in b.start..b.end {
             let depth = s.stack.len();
             match self.prog.code[pc] {
@@ -971,7 +982,47 @@ impl<'p> Validator<'p> {
                 }
             }
         }
-        s
+    }
+
+    /// A back-edge the register side rotated into its loop's header: the
+    /// stack side goes on through the header block `h`, which must be a
+    /// test and nothing else — no effect, no tid address — exiting to the
+    /// pc after the back-edge (`b.end`). The composed exit is that test
+    /// inverted, branching into the body, which is what the rotated
+    /// register branch must be.
+    fn through_header(
+        &mut self,
+        loc: &str,
+        b: Block,
+        h: usize,
+        promo: Promo<'p>,
+        s: &mut StackSide,
+        report: &mut Report,
+    ) {
+        let header = self.block_at(h);
+        let (effects, tid_addrs) = (s.effects.len(), s.tid_addrs);
+        self.run_stack(header, promo, s);
+        match s.exit {
+            Exit::Cond { c, on_true, t }
+                if t as usize == b.end
+                    && s.effects.len() == effects
+                    && s.tid_addrs == tid_addrs =>
+            {
+                s.exit = Exit::Cond {
+                    c,
+                    on_true: !on_true,
+                    t: header.end as u32,
+                };
+            }
+            _ => report.push(Diagnostic::new(
+                Code::TranslationDivergence,
+                format!(
+                    "{loc}: the register side rotates the back-edge into its header, but \
+                     stack block {}..{} is not a test without effects exiting to stack pc {}",
+                    header.start, header.end, b.end
+                ),
+            )),
+        }
     }
 
     // ---- register side --------------------------------------------------
@@ -1349,6 +1400,38 @@ impl<'p> Validator<'p> {
                     r.exit = Exit::Cond { c, on_true, t };
                     ended = true;
                 }
+                // The increment the stack side stores, `Sext(w, IBin(Add,
+                // d, step))`, then the compare of the new value.
+                RInstr::IncJumpICmpImm {
+                    d,
+                    step,
+                    w,
+                    op,
+                    imm,
+                    t,
+                    on_true,
+                } => {
+                    let lt = r.increment(&mut self.arena, d, step, w);
+                    let rt = self.arena.mk(Term::ConstI(imm));
+                    let c = self.arena.mk(Term::ICmp(op, lt, rt));
+                    r.exit = Exit::Cond { c, on_true, t };
+                    ended = true;
+                }
+                RInstr::IncJumpICmp {
+                    d,
+                    step,
+                    w,
+                    op,
+                    r: rr,
+                    t,
+                    on_true,
+                } => {
+                    let lt = r.increment(&mut self.arena, d, step, w);
+                    let rt = r.read(&mut self.arena, rr);
+                    let c = self.arena.mk(Term::ICmp(op, lt, rt));
+                    r.exit = Exit::Cond { c, on_true, t };
+                    ended = true;
+                }
                 RInstr::Call {
                     target,
                     fi,
@@ -1550,6 +1633,16 @@ impl RegSide<'_> {
         } else {
             Term::GlobalAddrTid { addr: base, stride }
         })
+    }
+    /// `r[d] = Sext(w, r[d] + step)`, as the stack side builds it; the new
+    /// value.
+    fn increment(&mut self, arena: &mut Arena, d: Reg, step: i32, w: u8) -> TermId {
+        let dt = self.read(arena, d);
+        let st = arena.mk(Term::ConstI(step.into()));
+        let sum = arena.mk(Term::IBin(IBinOp::Add, dt, st));
+        let t = arena.mk(Term::Sext(w, sum));
+        self.w(d, t);
+        t
     }
     /// `r[l] + r[x] * k`, as the stack side builds it.
     fn scaled(&mut self, arena: &mut Arena, l: Reg, x: Reg, k: i32) -> TermId {

@@ -9,7 +9,7 @@ use dse_core::{Analysis, OptLevel};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::{Place, RInstr, RegProgram};
 use dse_runtime::VmConfig;
-use dse_verify::diag::Severity;
+use dse_verify::diag::{Code, Severity};
 use dse_verify::sabotage;
 
 /// The CLI's fixture, which documents the mutation site it offers each
@@ -135,19 +135,59 @@ fn a_dropped_spill_before_a_parallel_loop_fires_exactly_one_code() {
 
 /// Checks `rp` and asserts that it draws errors, all of them DSE014.
 fn assert_only_divergence(prog: &CompiledProgram, rp: &RegProgram) {
+    assert_codes(prog, rp, &[Code::TranslationDivergence]);
+}
+
+/// Checks `rp` and asserts that the error codes it draws are `codes`.
+fn assert_codes(prog: &CompiledProgram, rp: &RegProgram, codes: &[Code]) {
     let report = dse_verify::check_backend(prog, rp);
-    let codes: std::collections::BTreeSet<_> = report
+    let drawn: std::collections::BTreeSet<_> = report
         .diagnostics
         .iter()
         .filter(|d| d.severity == Severity::Error)
         .map(|d| d.code)
         .collect();
     assert_eq!(
-        codes.into_iter().collect::<Vec<_>>(),
-        [dse_verify::diag::Code::TranslationDivergence],
+        drawn.into_iter().collect::<Vec<_>>(),
+        codes,
         "{}",
         report.render_text()
     );
+}
+
+/// The serial program of every workload, with its translation.
+fn workload_translations() -> Vec<(CompiledProgram, RegProgram)> {
+    dse_workloads::all()
+        .iter()
+        .map(|w| {
+            let config = w.vm_config(dse_workloads::Scale::Profile);
+            let prog = Analysis::from_source(w.source, config)
+                .expect("workload analyzes")
+                .serial;
+            let rp = dse_ir::regcode::translate(&prog).expect("workload translates");
+            (prog, rp)
+        })
+        .collect()
+}
+
+type Mutation = fn(&mut RInstr) -> bool;
+
+/// Applies each mutation to the first instance of its site in every
+/// workload that offers one, and asserts the codes it draws; at least one
+/// workload must offer each site.
+fn assert_mutations_draw(mutations: &[(&str, Mutation)], codes: &[Code]) {
+    let programs = workload_translations();
+    for &(what, mutate) in mutations {
+        let mut applied = 0;
+        for (prog, clean) in &programs {
+            let mut rp = clean.clone();
+            if rp.code.iter_mut().any(mutate) {
+                assert_codes(prog, &rp, codes);
+                applied += 1;
+            }
+        }
+        assert!(applied > 0, "{what}: no workload offers the site");
+    }
 }
 
 /// The operands of the fused address mode and of a folded extension are
@@ -159,7 +199,6 @@ fn assert_only_divergence(prog: &CompiledProgram, rp: &RegProgram) {
 /// `skip-sext`'s DSE015.)
 #[test]
 fn a_mutated_indexed_load_or_extension_fires_exactly_one_code() {
-    type Mutation = fn(&mut RInstr) -> bool;
     let mutations: [(&str, Mutation); 3] = [
         ("double k", |ins| match ins {
             RInstr::LoadIdx { k, .. } => {
@@ -183,26 +222,61 @@ fn a_mutated_indexed_load_or_extension_fires_exactly_one_code() {
             _ => false,
         }),
     ];
-    let programs: Vec<(CompiledProgram, RegProgram)> = dse_workloads::all()
-        .iter()
-        .map(|w| {
-            let config = w.vm_config(dse_workloads::Scale::Profile);
-            let prog = Analysis::from_source(w.source, config)
-                .expect("workload analyzes")
-                .serial;
-            let rp = dse_ir::regcode::translate(&prog).expect("workload translates");
-            (prog, rp)
-        })
-        .collect();
-    for (what, mutate) in mutations {
-        let mut applied = 0;
-        for (prog, clean) in &programs {
-            let mut rp = clean.clone();
-            if rp.code.iter_mut().any(mutate) {
-                assert_only_divergence(prog, &rp);
-                applied += 1;
+    assert_mutations_draw(&mutations, &[Code::TranslationDivergence]);
+}
+
+/// A rotated back-edge with the loop's increment folded in is proven
+/// against the stack block it replaces and its loop's header. On every
+/// workload whose serial translation offers the site, each mutation of
+/// its first fused back-edge draws DSE014 and nothing else: the branch's
+/// polarity flipped, its step doubled, its target moved to the header's
+/// own test (`t - 1`), and an immediate bound bumped. A fused back-edge
+/// that stops extending (`w` set to 8) also leaves the promoted `int`
+/// unextended, so it draws DSE015 beside DSE014: the compare reads the
+/// unextended value, and the place exits as the `Sext`-free image of its
+/// stack-side value.
+#[test]
+fn a_mutated_fused_back_edge_fires_exactly_one_code() {
+    let mutations: [(&str, Mutation); 4] = [
+        ("flip on_true", |ins| match ins {
+            RInstr::IncJumpICmpImm { on_true, .. } | RInstr::IncJumpICmp { on_true, .. } => {
+                *on_true = !*on_true;
+                true
             }
+            _ => false,
+        }),
+        ("double step", |ins| match ins {
+            RInstr::IncJumpICmpImm { step, .. } | RInstr::IncJumpICmp { step, .. } => {
+                *step *= 2;
+                true
+            }
+            _ => false,
+        }),
+        ("retarget to the header", |ins| match ins {
+            RInstr::IncJumpICmpImm { t, .. } | RInstr::IncJumpICmp { t, .. } => {
+                *t -= 1;
+                true
+            }
+            _ => false,
+        }),
+        ("bump the bound", |ins| match ins {
+            RInstr::IncJumpICmpImm { imm, .. } => {
+                *imm += 1;
+                true
+            }
+            _ => false,
+        }),
+    ];
+    assert_mutations_draw(&mutations, &[Code::TranslationDivergence]);
+    let unextended: [(&str, Mutation); 1] = [("w = 8", |ins| match ins {
+        RInstr::IncJumpICmpImm { w, .. } | RInstr::IncJumpICmp { w, .. } if *w < 8 => {
+            *w = 8;
+            true
         }
-        assert!(applied > 0, "{what}: no workload offers the site");
-    }
+        _ => false,
+    })];
+    assert_mutations_draw(
+        &unextended,
+        &[Code::TranslationDivergence, Code::TranslationPrecision],
+    );
 }
