@@ -19,7 +19,7 @@
 //! one size. [`OptLevel::Full`] resolves the circle *optimistically*: it
 //! starts from the promotions nothing can avoid (`realloc` of an expanded
 //! structure), evaluates every size under the promoted layout that set
-//! implies ([`crate::xform::TypeMap`], the layout the transform will emit),
+//! implies (`xform::TypeMap`, the layout the transform will emit),
 //! promotes the base pointer of every private access whose objects then
 //! disagree, closes over span flow and repeats. A site that turned dynamic
 //! stays dynamic and the set only grows, so the iteration terminates; what

@@ -1,37 +1,33 @@
-//! The scalable heap allocator: size-class segregated free lists with
-//! sharded front-end caches and a sharded allocation registry.
+//! The runtime heap: size-class segregated free lists over a coalescing
+//! free map, plus a registry of live allocations, all behind one lock.
 //!
-//! Every expanded access the transformation emits (Table 2 redirection and
-//! the Section 3.3 heap-prefix fast path) funnels through this subsystem,
-//! so its hot paths must not serialize workers:
+//! The expansion reaches a thread's replica by `tid * span` arithmetic
+//! (Table 2) and never asks the heap where an address lives. The heap
+//! serves the program's own `malloc`/`realloc`/`free` and the expansion's
+//! `__realloc_expanded`; the registry's one interior-pointer reader is the
+//! runtime-privatization baseline ([`crate::privatize`]). That traffic is
+//! light, so every operation takes the same `Mutex`:
 //!
 //! * **Allocation** rounds the request up to one of [`NCLASSES`] size
-//!   classes and pops a block from a *front-end magazine* — a small
-//!   per-shard stack keyed by the calling thread. The common case touches
-//!   one uncontended shard lock and is O(1). Magazine misses refill a
-//!   batch of blocks from the shared backend under a single lock
-//!   acquisition, amortizing the lock over [`REFILL_BATCH`] allocations.
-//! * **The registry** (live allocations, for `containing`/`at_base`
-//!   interior-pointer lookup) is sharded by address region with a
-//!   read-write lock per shard, so concurrent lookups from redirected
-//!   accesses proceed in parallel. A bitmap of occupied shards lets
-//!   lookups skip empty regions without locking them.
-//! * **Free** pushes the block back onto the caller's magazine; overflow
-//!   is flushed to the backend in batches. Address-space *coalescing*
-//!   happens lazily: when an allocation cannot be satisfied, the heap
-//!   *scavenges* — drains every magazine and bin into the coalesced free
-//!   map — and retries, so freeing everything always permits a
-//!   full-arena reallocation (the invariant the property tests assert).
+//!   classes and pops the class's free list (LIFO). An empty list is
+//!   refilled with `REFILL_BATCH` contiguous blocks carved from the free
+//!   map, lowest address handed out first. Requests above the largest
+//!   class are carved first-fit from the free map.
+//! * **Free** pushes a class block back onto its list, where the next
+//!   allocation of that class, from any thread, takes it. A large block
+//!   goes straight back into the free map, coalescing with its neighbours.
+//! * **Out of memory** first *scavenges*: every class list drains into the
+//!   free map, which coalesces, and the allocation retries once. Freeing
+//!   everything therefore always permits a full-arena allocation again
+//!   (the invariant the property tests assert).
 //!
-//! Contention telemetry (magazine hits/misses, backend lock acquisitions,
-//! scavenges) is exposed via [`Heap::contention`] and flows into
-//! `RunReport`/`dse-telemetry` metrics.
+//! The counters ([`Heap::contention`]) flow into `RunReport` and the
+//! `dse-telemetry` metrics.
 
 use crate::tracebuf::{EventKind, TraceEvent, HEAP_TID};
-use std::cell::Cell;
+use crate::vm::lock_clean;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Alignment of every heap allocation.
@@ -70,22 +66,12 @@ pub const CLASS_SIZES: [u64; NCLASSES] = [
     1280, 1536, 1792, 2048, 2560, 3072, 3584, 4096,
 ];
 
-/// Largest size served from a class; bigger requests go to the backend
-/// first-fit directly.
+/// Largest size served from a class; bigger requests are carved first-fit
+/// from the free map.
 const MAX_CLASS: u64 = 4096;
 
-/// Blocks fetched from the backend per magazine refill.
-const REFILL_BATCH: usize = 8;
-
-/// Magazine capacity per class; overflow flushes half back to the backend.
-const MAG_CAP: usize = 64;
-
-/// Front-end cache shards (threads are assigned round-robin).
-const NSHARDS: usize = 16;
-
-/// Registry shards (address-region partitioned; must stay <= 64 so the
-/// occupancy bitmap fits one word).
-const NREG: usize = 64;
+/// Blocks carved from the free map per refill of an empty class list.
+const REFILL_BATCH: u64 = 8;
 
 /// The smallest class whose block size is >= `want`, or `None` for large
 /// requests. `want` must already be `HEAP_ALIGN`-rounded.
@@ -96,63 +82,74 @@ fn class_of(want: u64) -> Option<usize> {
     Some(CLASS_SIZES.partition_point(|&c| c < want))
 }
 
-thread_local! {
-    /// This OS thread's front-shard assignment (`usize::MAX` = unassigned).
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Pins the calling OS thread's front-end cache shard. The executor pool
-/// pins each persistent worker to its pool worker id (and the master to 0)
-/// so magazine caches stay thread-affine across every loop of a run —
-/// blocks a worker freed in loop `k` are the blocks it reallocates in loop
-/// `k+1`, with no cross-shard migration.
-pub(crate) fn pin_front_shard(shard: usize) {
-    SHARD.with(|s| s.set(shard % NSHARDS));
-}
-
-/// This thread's front-shard: the pinned one, or a round-robin assignment
-/// fixed on first use (threads outside the executor pool).
-fn front_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT.fetch_add(1, Ordering::Relaxed) % NSHARDS;
-        s.set(v);
-        v
-    })
-}
-
-/// Allocator contention counters, exposed through `RunReport` and the
-/// telemetry `RunMetrics` document (`dsec --metrics`).
+/// Allocator counters, exposed through `RunReport` and the telemetry
+/// `RunMetrics` document (`dsec --metrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapContention {
-    /// Allocations served from a front-end magazine (O(1) fast path).
+    /// Class allocations served from the class's free list.
     pub cache_hits: u64,
-    /// Allocations that missed the magazine and refilled from the backend.
+    /// Class allocations that found the list empty and refilled it.
     pub cache_misses: u64,
-    /// Acquisitions of the shared backend lock (refills, large requests,
-    /// magazine flushes, scavenges).
+    /// Free-map operations: refills, large allocations and frees,
+    /// scavenges.
     pub backend_locks: u64,
-    /// Full scavenges (drain magazines + bins, coalesce) before retrying a
-    /// failed allocation.
+    /// Full scavenges (drain every class list into the free map) before
+    /// retrying a failed allocation.
     pub scavenges: u64,
 }
 
-/// The shared slow-path state: coalesced free address space plus
-/// uncoalesced per-class bins of flushed magazine blocks.
+/// Everything the heap's lock guards.
 #[derive(Debug)]
-struct Backend {
-    /// Free space by base address -> size, fully coalesced.
+struct State {
+    /// Free class blocks, one LIFO stack per class.
+    lists: Vec<Vec<u64>>,
+    /// Free address space outside the class lists: base -> size, fully
+    /// coalesced.
     free: BTreeMap<u64, u64>,
-    /// Per-class stacks of blocks returned by magazine overflow; reused by
-    /// refills without touching the free map.
-    bins: Vec<Vec<u64>>,
+    /// Live allocations by base address.
+    live: BTreeMap<u64, Allocation>,
+    /// Id of the next allocation; ids start at 1, one per allocation.
+    next_id: u64,
+    live_bytes: u64,
+    peak_live: u64,
+    counts: HeapContention,
+    /// Refill/scavenge events buffered until the VM drains them at run end
+    /// (`None` while tracing is off).
+    trace: Option<HeapTrace>,
 }
 
-impl Backend {
+/// Buffered allocator slow-path events (see [`Heap::enable_trace`]).
+#[derive(Debug)]
+struct HeapTrace {
+    epoch: Instant,
+    events: Vec<TraceEvent>,
+}
+
+impl State {
+    /// Start timestamp for a slow-path span, when tracing is armed.
+    fn trace_start(&self) -> Option<Instant> {
+        self.trace.as_ref().map(|_| Instant::now())
+    }
+
+    /// Buffers one slow-path event spanning `t0`..now.
+    fn trace_event(&mut self, kind: EventKind, t0: Option<Instant>, a: u64, b: u64) {
+        let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) else {
+            return;
+        };
+        tr.events.push(TraceEvent {
+            ts_ns: t0.duration_since(tr.epoch).as_nanos() as u64,
+            dur_ns: if kind.is_span() {
+                t0.elapsed().as_nanos() as u64
+            } else {
+                0
+            },
+            a,
+            b,
+            tid: HEAP_TID,
+            kind,
+        });
+    }
+
     /// Inserts `[base, base+size)` into the free map, coalescing with both
     /// neighbors.
     fn insert_free(&mut self, base: u64, size: u64) {
@@ -174,87 +171,84 @@ impl Backend {
         self.free.insert(nbase, nsize);
     }
 
-    /// First-fit carve of exactly `want` bytes from the free map.
-    fn carve_first_fit(&mut self, want: u64) -> Option<u64> {
-        let (&fbase, &fsize) = self.free.iter().find(|(_, &s)| s >= want)?;
-        self.free.remove(&fbase);
-        if fsize > want {
-            self.free.insert(fbase + want, fsize - want);
+    /// Carves up to `max` contiguous blocks of `size` bytes from the first
+    /// free range that holds one. Returns the first block's base and the
+    /// number of blocks.
+    fn carve(&mut self, size: u64, max: u64) -> Option<(u64, u64)> {
+        let (base, have) = self
+            .free
+            .iter()
+            .map(|(&b, &s)| (b, s))
+            .find(|&(_, s)| s >= size)?;
+        let n = (have / size).min(max);
+        self.free.remove(&base);
+        if have > n * size {
+            self.free.insert(base + n * size, have - n * size);
         }
-        Some(fbase)
+        Some((base, n))
     }
 
-    /// Carves up to `max` contiguous blocks of `class_size` from the first
-    /// fitting free range, pushing them onto `out` with the lowest address
-    /// last (so `pop` hands out ascending addresses).
-    fn carve_batch(&mut self, class_size: u64, max: usize, out: &mut Vec<u64>) {
-        let Some((&fbase, &fsize)) = self.free.iter().find(|(_, &s)| s >= class_size) else {
-            return;
-        };
-        let n = ((fsize / class_size) as usize).min(max) as u64;
-        self.free.remove(&fbase);
-        if fsize > n * class_size {
-            self.free
-                .insert(fbase + n * class_size, fsize - n * class_size);
+    /// Large allocation: first-fit on the free map, with one
+    /// scavenge-and-retry before giving up.
+    fn alloc_large(&mut self, want: u64) -> Option<u64> {
+        self.counts.backend_locks += 1;
+        if let Some((b, _)) = self.carve(want, 1) {
+            return Some(b);
         }
-        for i in (0..n).rev() {
-            out.push(fbase + i * class_size);
+        self.scavenge();
+        self.counts.backend_locks += 1;
+        self.carve(want, 1).map(|(b, _)| b)
+    }
+
+    /// Class allocation: list pop, then a refill, then scavenge-and-retry.
+    fn alloc_class(&mut self, c: usize) -> Option<u64> {
+        if let Some(b) = self.lists[c].pop() {
+            self.counts.cache_hits += 1;
+            return Some(b);
         }
+        self.counts.cache_misses += 1;
+        self.refill(c);
+        if self.lists[c].is_empty() {
+            self.scavenge();
+            self.refill(c);
+        }
+        self.lists[c].pop()
+    }
+
+    /// Refills class `c`'s list with up to `REFILL_BATCH` contiguous blocks
+    /// from the free map, pushed so the lowest address pops first.
+    fn refill(&mut self, c: usize) {
+        let t0 = self.trace_start();
+        self.counts.backend_locks += 1;
+        let size = CLASS_SIZES[c];
+        let (base, n) = self.carve(size, REFILL_BATCH).unwrap_or((0, 0));
+        self.lists[c].extend((0..n).rev().map(|i| base + i * size));
+        self.trace_event(EventKind::Refill, t0, c as u64, n);
+    }
+
+    /// Drains every class list into the coalesced free map. Called before
+    /// declaring out-of-memory so that freed class blocks can merge back
+    /// into large contiguous ranges.
+    fn scavenge(&mut self) {
+        let t0 = self.trace_start();
+        self.counts.scavenges += 1;
+        self.counts.backend_locks += 1;
+        for (c, &size) in CLASS_SIZES.iter().enumerate() {
+            for b in std::mem::take(&mut self.lists[c]) {
+                self.insert_free(b, size);
+            }
+        }
+        self.trace_event(EventKind::Scavenge, t0, 0, 0);
     }
 }
 
-/// A front-end cache shard: one magazine (stack of free blocks) per class.
-/// Cache-line aligned so neighboring shards do not false-share.
-#[repr(align(64))]
-#[derive(Debug)]
-struct FrontShard {
-    mags: Mutex<Vec<Vec<u64>>>,
-}
-
-/// A registry shard: the live allocations whose base falls in this shard's
-/// address region.
-#[repr(align(64))]
-#[derive(Debug)]
-struct RegShard {
-    live: RwLock<BTreeMap<u64, Allocation>>,
-}
-
-/// Thread-scalable heap allocator with an allocation registry supporting
-/// interior-pointer lookup (the paper's "heap prefix" fast path).
+/// The heap allocator, with a registry of live allocations answering
+/// interior-pointer lookups.
 #[derive(Debug)]
 pub struct Heap {
     base: u64,
     limit: u64,
-    /// Address-region width of one registry shard.
-    region: u64,
-    backend: Mutex<Backend>,
-    fronts: Vec<FrontShard>,
-    regs: Vec<RegShard>,
-    /// Bit `s` set while registry shard `s` is (probably) non-empty;
-    /// maintained under the shard's write lock, read without it.
-    occupied: AtomicU64,
-    next_id: AtomicU64,
-    live_bytes: AtomicU64,
-    peak_live: AtomicU64,
-    total_allocs: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    backend_locks: AtomicU64,
-    scavenges: AtomicU64,
-    /// Whether slow-path tracing is armed (checked with one relaxed load
-    /// before touching `trace`, so disabled runs never take the lock).
-    trace_on: AtomicBool,
-    /// Slow-path trace state: refill/scavenge events buffered until the VM
-    /// drains them at run end. Only touched on backend paths that already
-    /// serialize on a lock.
-    trace: Mutex<Option<HeapTraceState>>,
-}
-
-/// Buffered allocator slow-path events (see [`Heap::enable_trace`]).
-#[derive(Debug)]
-struct HeapTraceState {
-    epoch: Instant,
-    events: Vec<TraceEvent>,
+    state: Mutex<State>,
 }
 
 impl Heap {
@@ -265,77 +259,42 @@ impl Heap {
         if limit > base {
             free.insert(base, limit - base);
         }
-        let region = (limit.saturating_sub(base)).div_ceil(NREG as u64).max(1);
         Heap {
             base,
             limit,
-            region,
-            backend: Mutex::new(Backend {
+            state: Mutex::new(State {
+                lists: vec![Vec::new(); NCLASSES],
                 free,
-                bins: (0..NCLASSES).map(|_| Vec::new()).collect(),
+                live: BTreeMap::new(),
+                next_id: 1,
+                live_bytes: 0,
+                peak_live: 0,
+                counts: HeapContention::default(),
+                trace: None,
             }),
-            fronts: (0..NSHARDS)
-                .map(|_| FrontShard {
-                    mags: Mutex::new((0..NCLASSES).map(|_| Vec::new()).collect()),
-                })
-                .collect(),
-            regs: (0..NREG)
-                .map(|_| RegShard {
-                    live: RwLock::new(BTreeMap::new()),
-                })
-                .collect(),
-            occupied: AtomicU64::new(0),
-            next_id: AtomicU64::new(1),
-            live_bytes: AtomicU64::new(0),
-            peak_live: AtomicU64::new(0),
-            total_allocs: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            backend_locks: AtomicU64::new(0),
-            scavenges: AtomicU64::new(0),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
         }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, State> {
+        lock_clean(&self.state)
     }
 
     /// Arms slow-path event tracing on the timeline starting at `epoch`
     /// (the VM's trace-sink epoch, so allocator events line up with the
     /// rest of the trace).
     pub fn enable_trace(&self, epoch: Instant) {
-        *self.trace.lock().unwrap() = Some(HeapTraceState {
+        self.state().trace = Some(HeapTrace {
             epoch,
             events: Vec::new(),
         });
-        self.trace_on.store(true, Ordering::Release);
     }
 
     /// Takes every buffered slow-path event (empty when tracing is off).
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        match self.trace.lock().unwrap().as_mut() {
-            Some(st) => std::mem::take(&mut st.events),
+        match self.state().trace.as_mut() {
+            Some(tr) => std::mem::take(&mut tr.events),
             None => Vec::new(),
         }
-    }
-
-    /// Start timestamp for a slow-path span, when tracing is armed.
-    fn trace_start(&self) -> Option<Instant> {
-        self.trace_on.load(Ordering::Acquire).then(Instant::now)
-    }
-
-    /// Buffers one slow-path event spanning `t0`..now.
-    fn trace_event(&self, kind: EventKind, t0: Instant, a: u64, b: u64) {
-        let mut g = self.trace.lock().unwrap();
-        let Some(st) = g.as_mut() else { return };
-        let ts_ns = t0.duration_since(st.epoch).as_nanos() as u64;
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        st.events.push(TraceEvent {
-            ts_ns,
-            dur_ns: if kind.is_span() { dur_ns } else { 0 },
-            a,
-            b,
-            tid: HEAP_TID,
-            kind,
-        });
     }
 
     /// Start of the heap region (for address classification).
@@ -348,231 +307,76 @@ impl Heap {
         self.limit
     }
 
-    /// Registry shard index of `addr` (which must be >= `self.base`).
-    fn reg_index(&self, addr: u64) -> usize {
-        (((addr - self.base) / self.region) as usize).min(NREG - 1)
-    }
-
     /// Allocates `size` bytes (`size == 0` behaves like `size == 1`).
-    /// Returns the allocation record, or `None` when out of memory.
+    /// Returns the allocation record, or `None` when out of memory —
+    /// including a `size` too large to round up to `HEAP_ALIGN`.
     pub fn alloc(&self, size: u64) -> Option<Allocation> {
-        let want = dse_lang::types::round_up(size.max(1), HEAP_ALIGN);
+        let want = size.max(1).checked_next_multiple_of(HEAP_ALIGN)?;
+        let mut st = self.state();
         let (base, block) = match class_of(want) {
-            Some(c) => (self.alloc_class(c)?, CLASS_SIZES[c]),
-            None => (self.alloc_large(want)?, want),
+            Some(c) => (st.alloc_class(c)?, CLASS_SIZES[c]),
+            None => (st.alloc_large(want)?, want),
         };
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let a = Allocation {
             base,
             size,
             block,
-            id,
+            id: st.next_id,
         };
-        let s = self.reg_index(base);
-        {
-            let mut live = self.regs[s].live.write().unwrap();
-            live.insert(base, a);
-            self.occupied.fetch_or(1 << s, Ordering::SeqCst);
-        }
-        let live_now = self.live_bytes.fetch_add(block, Ordering::Relaxed) + block;
-        self.peak_live.fetch_max(live_now, Ordering::Relaxed);
-        self.total_allocs.fetch_add(1, Ordering::Relaxed);
+        st.next_id += 1;
+        st.live.insert(base, a);
+        st.live_bytes += block;
+        st.peak_live = st.peak_live.max(st.live_bytes);
         Some(a)
-    }
-
-    /// Class-sized allocation: magazine pop, then batched backend refill,
-    /// then scavenge-and-retry.
-    fn alloc_class(&self, c: usize) -> Option<u64> {
-        let f = front_shard();
-        {
-            let mut mags = self.fronts[f].mags.lock().unwrap();
-            if let Some(b) = mags[c].pop() {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(b);
-            }
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let mut batch = Vec::with_capacity(REFILL_BATCH);
-        self.refill(c, &mut batch);
-        if batch.is_empty() {
-            self.scavenge();
-            self.refill(c, &mut batch);
-        }
-        let ret = batch.pop();
-        if !batch.is_empty() {
-            let mut mags = self.fronts[f].mags.lock().unwrap();
-            mags[c].append(&mut batch);
-        }
-        ret
-    }
-
-    /// Pulls up to a batch of class-`c` blocks from the backend (bins
-    /// first, then a contiguous carve) under one lock acquisition.
-    fn refill(&self, c: usize, out: &mut Vec<u64>) {
-        let t0 = self.trace_start();
-        self.backend_locks.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut bk = self.backend.lock().unwrap();
-            while out.len() < REFILL_BATCH {
-                match bk.bins[c].pop() {
-                    Some(b) => out.push(b),
-                    None => break,
-                }
-            }
-            if out.is_empty() {
-                bk.carve_batch(CLASS_SIZES[c], REFILL_BATCH, out);
-            }
-        }
-        if let Some(t0) = t0 {
-            self.trace_event(EventKind::Refill, t0, c as u64, out.len() as u64);
-        }
-    }
-
-    /// Large allocation: straight first-fit on the backend, with one
-    /// scavenge-and-retry before giving up.
-    fn alloc_large(&self, want: u64) -> Option<u64> {
-        self.backend_locks.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = self.backend.lock().unwrap().carve_first_fit(want) {
-            return Some(b);
-        }
-        self.scavenge();
-        self.backend_locks.fetch_add(1, Ordering::Relaxed);
-        self.backend.lock().unwrap().carve_first_fit(want)
-    }
-
-    /// Drains every magazine and backend bin into the coalesced free map.
-    /// Called before declaring out-of-memory so that freed-but-cached
-    /// blocks can merge back into large contiguous ranges.
-    fn scavenge(&self) {
-        let t0 = self.trace_start();
-        self.scavenges.fetch_add(1, Ordering::Relaxed);
-        let mut drained: Vec<(u64, u64)> = Vec::new();
-        for fs in &self.fronts {
-            let mut mags = fs.mags.lock().unwrap();
-            for (c, m) in mags.iter_mut().enumerate() {
-                drained.extend(m.drain(..).map(|b| (b, CLASS_SIZES[c])));
-            }
-        }
-        self.backend_locks.fetch_add(1, Ordering::Relaxed);
-        let mut bk = self.backend.lock().unwrap();
-        for (c, &class_size) in CLASS_SIZES.iter().enumerate() {
-            let bin = std::mem::take(&mut bk.bins[c]);
-            for b in bin {
-                bk.insert_free(b, class_size);
-            }
-        }
-        for (b, s) in drained {
-            bk.insert_free(b, s);
-        }
-        drop(bk);
-        if let Some(t0) = t0 {
-            self.trace_event(EventKind::Scavenge, t0, 0, 0);
-        }
     }
 
     /// Frees the allocation starting exactly at `base`. Returns the freed
     /// record, or `None` if `base` is not a live allocation base.
     pub fn free(&self, base: u64) -> Option<Allocation> {
-        if base < self.base {
-            return None;
-        }
-        let s = self.reg_index(base);
-        let a = {
-            let mut live = self.regs[s].live.write().unwrap();
-            let a = live.remove(&base)?;
-            if live.is_empty() {
-                self.occupied.fetch_and(!(1u64 << s), Ordering::SeqCst);
-            }
-            a
-        };
-        self.live_bytes.fetch_sub(a.block, Ordering::Relaxed);
+        let mut st = self.state();
+        let a = st.live.remove(&base)?;
+        st.live_bytes -= a.block;
         match class_of(a.block) {
-            Some(c) => self.free_class(base, c),
+            Some(c) => st.lists[c].push(base),
             None => {
-                self.backend_locks.fetch_add(1, Ordering::Relaxed);
-                self.backend.lock().unwrap().insert_free(base, a.block);
+                st.counts.backend_locks += 1;
+                st.insert_free(base, a.block);
             }
         }
         Some(a)
     }
 
-    /// Returns a class block to the caller's magazine, flushing half to the
-    /// backend bins on overflow.
-    fn free_class(&self, base: u64, c: usize) {
-        let f = front_shard();
-        let mut overflow = Vec::new();
-        {
-            let mut mags = self.fronts[f].mags.lock().unwrap();
-            mags[c].push(base);
-            if mags[c].len() > MAG_CAP {
-                overflow = mags[c].split_off(MAG_CAP / 2);
-            }
-        }
-        if !overflow.is_empty() {
-            self.backend_locks.fetch_add(1, Ordering::Relaxed);
-            self.backend.lock().unwrap().bins[c].append(&mut overflow);
-        }
-    }
-
     /// Finds the live allocation containing `addr` (interior pointers ok,
     /// anywhere inside the allocation's `block`).
-    ///
-    /// Walks registry shards from `addr`'s region downward; the first shard
-    /// holding a base `<= addr` holds the unique candidate (allocations
-    /// never overlap). Empty shards are skipped via the occupancy bitmap
-    /// without locking.
     pub fn containing(&self, addr: u64) -> Option<Allocation> {
-        if addr < self.base {
-            return None;
-        }
-        let start = self.reg_index(addr);
-        let occ = self.occupied.load(Ordering::SeqCst);
-        for s in (0..=start).rev() {
-            if occ & (1 << s) == 0 {
-                continue;
-            }
-            let live = self.regs[s].live.read().unwrap();
-            if let Some((_, a)) = live.range(..=addr).next_back() {
-                return (addr < a.end()).then_some(*a);
-            }
-            // Occupied but every base here is > addr: only possible in
-            // `start` itself; earlier shards hold strictly smaller bases.
-        }
-        None
+        let st = self.state();
+        let (_, a) = st.live.range(..=addr).next_back()?;
+        (addr < a.end()).then_some(*a)
     }
 
     /// The live allocation starting exactly at `base`.
     pub fn at_base(&self, base: u64) -> Option<Allocation> {
-        if base < self.base {
-            return None;
-        }
-        let s = self.reg_index(base);
-        self.regs[s].live.read().unwrap().get(&base).copied()
+        self.state().live.get(&base).copied()
     }
 
     /// Current live heap bytes (block granularity).
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.state().live_bytes
     }
 
     /// High-water mark of live heap bytes.
     pub fn peak_live_bytes(&self) -> u64 {
-        self.peak_live.load(Ordering::Relaxed)
+        self.state().peak_live
     }
 
     /// Total number of allocations ever made.
     pub fn total_allocs(&self) -> u64 {
-        self.total_allocs.load(Ordering::Relaxed)
+        self.state().next_id - 1
     }
 
-    /// Snapshot of the allocator contention counters.
+    /// Snapshot of the allocator counters.
     pub fn contention(&self) -> HeapContention {
-        HeapContention {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            backend_locks: self.backend_locks.load(Ordering::Relaxed),
-            scavenges: self.scavenges.load(Ordering::Relaxed),
-        }
+        self.state().counts
     }
 }
 
@@ -609,7 +413,7 @@ mod tests {
         assert_ne!(a.id, b.id);
         h.free(a.base).unwrap();
         let c = h.alloc(100).unwrap();
-        assert_eq!(c.base, a.base, "magazine LIFO reuses the freed block");
+        assert_eq!(c.base, a.base, "class-list LIFO reuses the freed block");
     }
 
     #[test]
@@ -629,6 +433,28 @@ mod tests {
     fn heap_oom_returns_none() {
         let h = Heap::new(0, 64);
         assert!(h.alloc(128).is_none());
+    }
+
+    #[test]
+    fn sizes_that_cannot_round_up_are_oom() {
+        let h = Heap::new(0, 1 << 20);
+        for size in [u64::MAX, u64::MAX - 1, u64::MAX - 15] {
+            assert_eq!(h.alloc(size), None, "alloc({size:#x})");
+        }
+        assert_eq!(h.live_bytes(), 0);
+        assert!(h.alloc((1 << 20) - 16).is_some(), "the arena is untouched");
+    }
+
+    #[test]
+    fn refill_hands_out_ascending_contiguous_blocks() {
+        let h = Heap::new(0, 64 << 10);
+        let bases: Vec<u64> = (0..REFILL_BATCH)
+            .map(|_| h.alloc(48).unwrap().base)
+            .collect();
+        let want: Vec<u64> = (0..REFILL_BATCH).map(|i| i * 48).collect();
+        assert_eq!(bases, want);
+        let c = h.contention();
+        assert_eq!((c.cache_misses, c.cache_hits), (1, REFILL_BATCH - 1));
     }
 
     #[test]
@@ -656,9 +482,8 @@ mod tests {
 
     #[test]
     fn containing_walks_back_across_registry_shards() {
-        // A large allocation spans many address regions; interior pointers
-        // deep inside it must still resolve to the allocation, whose base
-        // is registered shards away.
+        // Interior pointers deep inside a large allocation must still
+        // resolve to it, however far above its base they lie.
         let h = Heap::new(0, 1 << 20);
         let a = h.alloc((1 << 20) - 16).unwrap();
         assert_eq!(h.containing(a.base + a.block - 1), Some(a));
@@ -701,7 +526,7 @@ mod tests {
         h.free(a.base);
         let _b = h.alloc(32).unwrap();
         let c = h.contention();
-        assert!(c.cache_misses >= 1, "first alloc misses the magazine");
+        assert!(c.cache_misses >= 1, "first alloc refills the class list");
         assert!(c.cache_hits >= 1, "freed block is re-served from cache");
         assert!(c.backend_locks >= 1);
     }

@@ -1,9 +1,9 @@
 //! Execution backends: which encoding of the program a [`crate::Vm`] runs.
 //!
-//! The stack interpreter ([`crate::Vm::exec_stack`]) is the *reference*
+//! The stack interpreter (`Vm::exec_stack`) is the *reference*
 //! backend — it executes the stack bytecode the lowering emits, which is
 //! also what the dependence profiler attributes sites to. The register
-//! backend ([`crate::Vm::exec_reg`]) executes the same program through the
+//! backend (`Vm::exec_reg`) executes the same program through the
 //! register translation in [`dse_ir::regcode`], over a flat per-thread
 //! register file. Both call [`crate::ops`] for what an instruction means,
 //! so they differ only in where operands live and in raw loop throughput;
@@ -11,7 +11,7 @@
 //! equivalence end to end.
 //!
 //! Both the master (`Vm::run`) and every pool worker dispatch through
-//! `Vm::exec`, which matches on the VM's [`Backend`] — so one flag
+//! `Vm::exec`, which matches on the VM's `Backend` — so one flag
 //! switches the encoding for serial code, inlined loops, and all parallel
 //! schedules at once.
 

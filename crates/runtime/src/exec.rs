@@ -23,8 +23,8 @@
 //! experiments of Figure 9 run transformed code serially.
 //!
 //! Every way of running a loop is a *share* — one thread's part of one
-//! loop — opened by [`Vm::enter_share`], closed by [`Vm::leave_share`],
-//! and run one iteration at a time by [`Vm::run_iteration`]: the master's
+//! loop — opened by `Vm::enter_share`, closed by `Vm::leave_share`, and
+//! run one iteration at a time by `Vm::run_iteration`: the master's
 //! and each worker's share of a dispatch, and an inline run.
 
 use crate::observer::{NullObserver, Observer};

@@ -5,10 +5,10 @@
 //!
 //! * [`mem`] — byte-addressable shared memory over atomic words (word-level
 //!   bulk copy/zero at any alignment).
-//! * [`alloc`] — the heap: size-class segregated free lists with
-//!   sharded front-end caches (O(1), mostly uncontended alloc/free) and a
-//!   sharded allocation registry (parallel interior-pointer lookup,
-//!   live/peak accounting for the Figure 14 memory experiments).
+//! * [`alloc`] — the heap: size-class segregated free lists over a
+//!   coalescing free map and a registry of live allocations
+//!   (interior-pointer lookup, live/peak accounting for the Figure 14
+//!   memory experiments), all behind one lock.
 //! * [`vm`] — the machine (memory, heap, I/O channels, per-thread cost
 //!   counters in the categories of the paper's Figure 12) and the
 //!   reference stack interpreter.
@@ -23,7 +23,7 @@
 //!   post/wait ordering (GOMP stand-in).
 //! * [`pool`] — the persistent worker pool behind [`exec`]: one spawn per
 //!   run, condvar-parked workers woken by loop-dispatch descriptors,
-//!   reusable per-worker contexts with thread-affine heap magazines.
+//!   reusable per-worker contexts.
 //! * [`privatize`] — the SpiceC-style runtime-privatization baseline
 //!   (Section 4.2.1): copy-in on first touch, address translation per
 //!   access, commit at loop end.

@@ -15,8 +15,8 @@
 //! CAS-spliced byte writes.
 //!
 //! The allocator lives in [`crate::alloc`] (size-class segregated free
-//! lists, sharded front-end caches, sharded registry) and is re-exported
-//! here.
+//! lists, a coalescing free map and a live-allocation registry under one
+//! lock) and is re-exported here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

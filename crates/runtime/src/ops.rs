@@ -1,7 +1,7 @@
 //! What each opcode and builtin *does* — the one definition both
 //! interpreters call.
 //!
-//! [`Vm::exec_stack`] and [`Vm::exec_reg`] decide only where operands live
+//! `Vm::exec_stack` and `Vm::exec_reg` decide only where operands live
 //! (pop/type-check/push on a tagged operand stack, or reads and writes of
 //! an untagged register window); everything an instruction means — bounds
 //! checks, observer callbacks, sign extension, frame bookkeeping, counter

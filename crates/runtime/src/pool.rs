@@ -6,19 +6,14 @@
 //!
 //! * **One spawn per run.** [`crate::vm::Vm::run`] opens a single thread
 //!   scope for the whole program; workers `1..N` park on a condvar between
-//!   loops and are woken by a [`LoopDispatch`] descriptor (loop id, range,
-//!   mode, shared [`LoopSync`]). The master participates as worker 0 on
+//!   loops and are woken by a `LoopDispatch` descriptor (loop id, range,
+//!   mode, shared `LoopSync`). The master participates as worker 0 on
 //!   its own live context, so its frame pointer still addresses the
 //!   enclosing function's frame.
 //! * **Reusable contexts.** Each worker owns a persistent
 //!   [`ThreadCtx`] (stack region, counters, sync stack) held in
-//!   [`PoolState`]; a dispatch resets the per-loop fields and keeps
+//!   `PoolState`; a dispatch resets the per-loop fields and keeps
 //!   everything else warm.
-//! * **Thread-affine heap magazines.** Worker `w` pins its allocator
-//!   front-end shard to `w` on thread start
-//!   ([`crate::alloc::pin_front_shard`]), so the PR 4 magazine caches are
-//!   *guaranteed* (not accidentally) reused across loops: the blocks a
-//!   worker freed in loop `k` are the blocks it allocates in loop `k+1`.
 //! * **Dynamic DOALL scheduling.** The iteration range is split into
 //!   one share per worker ([`DoallShares`]); owners claim chunks from the
 //!   front, idle workers steal the back half of a victim's remaining
@@ -351,11 +346,9 @@ impl Drop for ShutdownGuard<'_> {
     }
 }
 
-/// A pool worker's thread body: pin the heap magazine shard, then loop
-/// parking on the dispatch condvar and executing each published epoch
-/// exactly once until shutdown.
+/// A pool worker's thread body: park on the dispatch condvar and execute
+/// each published epoch exactly once until shutdown.
 pub(crate) fn worker_entry(vm: &crate::vm::Vm, wid: u32, mut seen_epoch: u64) {
-    crate::alloc::pin_front_shard(wid as usize);
     let pool = vm.pool().expect("worker_entry without a pool");
     pool.counters.spawned.fetch_add(1, Ordering::Relaxed);
     loop {

@@ -15,7 +15,7 @@
 //! parallel body compile with the access hook gone.
 //!
 //! What an instruction *does* is defined once, in [`crate::ops`], and
-//! shared with the reference stack interpreter ([`Vm::exec_stack`]): every
+//! shared with the reference stack interpreter (`Vm::exec_stack`): every
 //! trap condition, observer callback, counter increment and builtin effect
 //! is the same call. This loop only reads operands from and writes results
 //! to registers — builtins take their argument registers directly — and

@@ -50,10 +50,11 @@ pub enum EventKind {
     /// Instant: a VM trap. `a` = faulting pc, `b` = loop id (or
     /// `u64::MAX` outside a loop).
     Trap = 7,
-    /// Instant: allocator front-end magazine refill from the backend.
+    /// Instant: an empty size-class free list refilled from the free map.
     /// `a` = size class, `b` = blocks obtained.
     Refill = 8,
-    /// Span: allocator scavenge (magazine flush back to the backend).
+    /// Span: allocator scavenge (every class list drained into the free
+    /// map before an allocation retries).
     Scavenge = 9,
 }
 

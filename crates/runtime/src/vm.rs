@@ -416,8 +416,8 @@ pub struct RunReport {
     pub per_thread: Vec<Counters>,
     /// High-water mark of live heap bytes during the run.
     pub peak_heap_bytes: u64,
-    /// Allocator contention counters (magazine hits/misses, backend lock
-    /// acquisitions, scavenges) accumulated over the run.
+    /// Allocator counters (class-list hits and refills, free-map
+    /// operations, scavenges) accumulated over the run.
     pub heap_contention: HeapContention,
     /// Executor pool counters (all zero for serial runs).
     pub pool: PoolStats,
@@ -647,10 +647,6 @@ impl Vm {
         &mut self,
         obs: &mut O,
     ) -> Result<RunReport, VmError> {
-        // The master is pool worker 0; pin its allocator front-end shard to
-        // match (pool workers pin theirs on thread start), so each worker's
-        // magazine cache stays hot across every loop of the run.
-        crate::alloc::pin_front_shard(0);
         let mut ctx = ThreadCtx::new(0, self.stack_base_of(0), self.config.stack_bytes);
         self.arm_instruments(&mut ctx);
         let main = self.program.func(self.program.main);

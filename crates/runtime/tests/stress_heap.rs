@@ -1,13 +1,13 @@
-//! Concurrency stress and randomized property tests for the sharded heap.
+//! Concurrency stress and randomized property tests for the heap.
 //!
-//! The multi-threaded tests hammer one [`Heap`] from many threads at once —
-//! the scenario the size-class front-ends and the sharded registry exist
-//! for — while a shared interval map cross-checks that no two live
-//! allocations ever overlap. The single-threaded property test drives
-//! random alloc/free/realloc sequences and then verifies the two global
-//! invariants the allocator must keep: live blocks are disjoint, and
-//! freeing everything lets one maximal block be carved again (magazines
-//! and bins scavenge back into the coalesced free map).
+//! The multi-threaded tests hammer one [`Heap`] from many threads at once,
+//! as the workers of a parallel loop do, while a shared interval map
+//! cross-checks that no two live allocations ever overlap. The
+//! single-threaded property test drives random alloc/free/realloc
+//! sequences and then verifies the two global invariants the allocator
+//! must keep: live blocks are disjoint, and freeing everything lets one
+//! maximal block be carved again (the class lists scavenge back into the
+//! coalesced free map).
 //!
 //! All randomness comes from the workspace PRNG with fixed seeds, so any
 //! failure reproduces exactly.
@@ -69,7 +69,7 @@ fn concurrent_alloc_free_containing_stress() {
                     let roll = rng.gen_index(10);
                     if roll < 6 || live.is_empty() {
                         // Mostly class-sized, sometimes large enough to
-                        // bypass the front-end caches entirely.
+                        // bypass the class lists entirely.
                         let size = if rng.gen_index(8) == 0 {
                             rng.gen_range(4097, 32 << 10) as u64
                         } else {
@@ -106,14 +106,37 @@ fn concurrent_alloc_free_containing_stress() {
     });
 
     assert_eq!(heap.live_bytes(), 0);
-    // Everything the magazines and bins cached scavenges back; the arena
-    // must coalesce into one block big enough for a maximal request.
+    // Everything the class lists hold scavenges back; the arena must
+    // coalesce into one block big enough for a maximal request.
     assert!(
         heap.alloc(ARENA - 64).is_some(),
         "full-arena reuse after stress"
     );
     let c = heap.contention();
-    assert!(c.cache_hits + c.cache_misses > 0, "front-end saw traffic");
+    assert!(c.cache_hits + c.cache_misses > 0, "class lists saw traffic");
+}
+
+/// A block one thread frees is the next block of its class that any other
+/// thread gets, straight from the class list: no refill, and no scavenge
+/// needed to pry it loose from the thread that freed it.
+#[test]
+fn a_freed_block_is_not_held_by_its_thread() {
+    let heap = Heap::new(0, 1 << 20);
+    let freed = std::thread::scope(|s| {
+        s.spawn(|| {
+            let a = heap.alloc(200).unwrap();
+            heap.free(a.base).unwrap();
+            a.base
+        })
+        .join()
+        .unwrap()
+    });
+    let before = heap.contention();
+    let got = std::thread::scope(|s| s.spawn(|| heap.alloc(200).unwrap()).join().unwrap());
+    assert_eq!(got.base, freed, "another thread reuses the freed block");
+    let after = heap.contention();
+    assert_eq!(after.cache_misses, before.cache_misses);
+    assert_eq!(after.scavenges, 0);
 }
 
 /// Concurrent lookups while a single writer churns: `containing` must

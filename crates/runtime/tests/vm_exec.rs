@@ -935,26 +935,35 @@ fn realloc_expanded_inconsistent_span_traps() {
 
 /// Regression: `n * nthreads` was an unchecked multiply. 2^62 * 4 wraps to
 /// 0, so the VM allocated a minimal block and then *panicked* inside
-/// `SharedMem::copy` moving 16-byte replicas into it. It must be an OOM
-/// trap, and the same `Vm` must serve the next run.
+/// `SharedMem::copy` moving 16-byte replicas into it. A product that does
+/// not wrap but sits within 15 of `u64::MAX` (`i64::MAX * 2`) overflowed
+/// the heap's 16-byte rounding instead. Both must be an OOM trap, and the
+/// same `Vm` must serve the next run.
 #[test]
 fn realloc_expanded_size_overflow_traps() {
-    let src = "int main() {
-        long *p; p = malloc(64);
-        p = __realloc_expanded(p, 4611686018427387904, 16);
-        return 0; }";
-    let ast = dse_lang::compile_to_ast(src).unwrap();
-    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-    for backend in [BackendKind::Stack, BackendKind::Reg] {
-        let config = VmConfig {
-            nthreads: 4,
-            backend,
-            ..Default::default()
-        };
-        let mut vm = Vm::new(compiled.clone(), config).unwrap();
-        let e = vm.run().expect_err("overflowing size must trap");
-        assert_eq!(e.msg, "out of memory in expanded realloc", "{backend:?}");
-        assert_eq!(vm.run().expect_err("rerun traps identically"), e);
+    for (n, nthreads) in [(1i64 << 62, 4), (i64::MAX, 2)] {
+        let src = format!(
+            "int main() {{
+            long *p; p = malloc(64);
+            p = __realloc_expanded(p, {n}, 16);
+            return 0; }}"
+        );
+        let ast = dse_lang::compile_to_ast(&src).unwrap();
+        let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
+        for backend in [BackendKind::Stack, BackendKind::Reg] {
+            let config = VmConfig {
+                nthreads,
+                backend,
+                ..Default::default()
+            };
+            let mut vm = Vm::new(compiled.clone(), config).unwrap();
+            let e = vm.run().expect_err("overflowing size must trap");
+            assert_eq!(
+                e.msg, "out of memory in expanded realloc",
+                "{n} {backend:?}"
+            );
+            assert_eq!(vm.run().expect_err("rerun traps identically"), e);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! # dse-server — the request path, the `dsed` daemon and the `dsec` driver
 //!
-//! [`execute`] is the one way a [`Request`] becomes artifacts or a run:
+//! [`execute()`] is the one way a [`Request`] becomes artifacts or a run:
 //! analyze → transform → verify → (for register code) lower and verify
 //! again → execute, through a shared [`dse_core::ArtifactStore`]. The
 //! `dsec` binary calls it in-process; the `dsed` binary serves it.

@@ -91,17 +91,17 @@ fn metrics_cover_phases_and_per_thread_counters() {
         .expect("instruction count on stderr");
     assert_eq!(total_work, reported);
 
-    // Allocator contention counters ride along: every heap allocation is
-    // either a front-end cache hit or a miss, and the example program
-    // allocates, so the counters are live (not just present-but-zero).
+    // Allocator counters ride along: every class allocation is either a
+    // class-list hit or a miss, and the example program allocates, so the
+    // counters are live (not just present-but-zero).
     let hc = |name| int(&m, &["vm", "heap_contention", name]);
     assert!(
         hc("cache_hits") + hc("cache_misses") > 0,
-        "allocations flow through the front-end caches"
+        "allocations flow through the class lists"
     );
     assert!(
         hc("cache_misses") == 0 || hc("backend_locks") > 0,
-        "every miss takes the backend lock"
+        "every miss refills from the free map"
     );
 
     // Executor pool counters: a 4-thread run keeps 3 persistent workers,

@@ -246,8 +246,8 @@ pub struct VmStats {
     pub per_thread: Vec<Counters>,
     /// High-water mark of live heap bytes.
     pub peak_heap_bytes: u64,
-    /// Allocator contention counters (magazine hits/misses, backend lock
-    /// acquisitions, scavenges).
+    /// Allocator counters (class-list hits and refills, free-map
+    /// operations, scavenges).
     pub heap_contention: HeapContention,
     /// Executor pool counters (spawned workers, dispatches, steals, parks,
     /// wakeups); all zero for serial runs.
