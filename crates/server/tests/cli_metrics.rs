@@ -228,3 +228,66 @@ fn repeated_emit_values_print_once() {
     let headers = stdout.matches("expansion report").count();
     assert_eq!(headers, 1, "duplicate --emit values are collapsed");
 }
+
+/// Replaces what legitimately differs between two runs of one build with
+/// `"*"`: phase times (`ns`, `at_ns`) and the scheduling-dependent
+/// `vm.per_thread` and `vm.pool` values. Keys and array lengths stay.
+fn mask(v: &mut Json, parent: &str) {
+    fn all(v: &mut Json) {
+        match v {
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, v)| all(v)),
+            Json::Arr(items) => items.iter_mut().for_each(all),
+            scalar => *scalar = Json::Str("*".into()),
+        }
+    }
+    match v {
+        Json::Obj(pairs) => {
+            for (k, v) in pairs {
+                match k.as_str() {
+                    "ns" | "at_ns" => *v = Json::Str("*".into()),
+                    "per_thread" | "pool" if parent == "vm" => all(v),
+                    _ => mask(v, k),
+                }
+            }
+        }
+        Json::Arr(items) => items.iter_mut().for_each(|v| mask(v, parent)),
+        _ => {}
+    }
+}
+
+/// The whole `--metrics` document of the example, every key in order,
+/// pinned against a golden with only run-to-run variation masked. On an
+/// intentional change, the failure prints the new masked document; it
+/// replaces the golden file's one line.
+#[test]
+fn metrics_document_matches_golden() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for (args, golden) in [
+        (
+            &["--run", "--threads", "2", "--exec-backend", "reg"][..],
+            "scratch.metrics-t2-reg.json",
+        ),
+        (&["--run", "--serial"][..], "scratch.metrics-serial.json"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dsec"))
+            .current_dir(root)
+            // The serial run's backend would otherwise follow the env.
+            .env_remove("DSE_EXEC_BACKEND")
+            .arg("examples/scratch.cee")
+            .args(args)
+            .args(["--metrics", "-"])
+            .output()
+            .expect("spawn dsec");
+        assert!(out.status.success(), "dsec {args:?} failed");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let mut doc = Json::parse(metrics_line(&stdout)).expect("valid metrics JSON");
+        mask(&mut doc, "");
+        let path = format!("{}/tests/fixtures/{golden}", env!("CARGO_MANIFEST_DIR"));
+        let want = std::fs::read_to_string(&path).expect("golden file");
+        assert_eq!(
+            format!("{doc}\n"),
+            want,
+            "{args:?}: the --metrics document drifted from {golden}"
+        );
+    }
+}

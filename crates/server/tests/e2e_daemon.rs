@@ -53,6 +53,34 @@ fn req(id: &str, cmd: &str, source: &str, threads: i64) -> String {
     .to_string()
 }
 
+/// Follows `path` through nested objects.
+fn field<'j>(doc: &'j Json, path: &[&str]) -> &'j Json {
+    path.iter().fold(doc, |j, key| {
+        j.get(key).unwrap_or_else(|| panic!("no `{key}` in {j}"))
+    })
+}
+
+fn int(doc: &Json, path: &[&str]) -> i64 {
+    field(doc, path).as_i64().expect("an integer")
+}
+
+fn arr<'j>(doc: &'j Json, path: &[&str]) -> &'j [Json] {
+    field(doc, path).as_arr().expect("an array")
+}
+
+/// The `stats` payload of a raw response line.
+fn stats_payload(line: &str) -> Json {
+    let j = Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad JSON `{line}`: {e}"));
+    field(&j, &["stats"]).clone()
+}
+
+/// The value of one sample line of a Prometheus text exposition.
+fn sample(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no `{series}` sample in:\n{text}"))
+}
+
 fn parse_response(line: &str) -> Response {
     let j = Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad JSON `{line}`: {e}"));
     Response::from_json(&j).expect("well-formed response")
@@ -137,11 +165,13 @@ fn batch_eight_concurrent_mixed_requests() {
         .rev()
         .find(|l| l.trim_start().starts_with('{'))
         .expect("stats line on stderr");
-    let stats =
-        dse_telemetry::metrics::server_from_json(&Json::parse(stats_line.trim()).unwrap()).unwrap();
-    assert_eq!(stats.requests, 8);
-    assert_eq!(stats.failures, 0);
-    let total_hits: u64 = stats.phases.iter().map(|p| p.hits + p.dedups).sum();
+    let stats = Json::parse(stats_line.trim()).unwrap();
+    assert_eq!(int(&stats, &["requests"]), 8);
+    assert_eq!(int(&stats, &["failures"]), 0);
+    let total_hits: i64 = arr(&stats, &["phases"])
+        .iter()
+        .map(|p| int(p, &["hits"]) + int(p, &["dedups"]))
+        .sum();
     assert!(total_hits > 0);
 
     // Telemetry JSONL: one line per request, each with a phases array.
@@ -241,37 +271,30 @@ fn latency_histograms_cover_hundred_requests() {
     stdout.read_line(&mut line).unwrap();
     let st = parse_response(&line);
     assert!(st.ok, "stats failed: {:?}", st.error);
-    let stats = st.stats.expect("stats payload");
-    assert!(stats.requests >= N as u64);
-    let lat = &stats.latency;
+    let stats = stats_payload(&line);
+    assert!(int(&stats, &["requests"]) >= N as i64);
+    let e2e_count = int(&stats, &["latency", "e2e", "count"]);
     assert!(
-        lat.e2e.count() >= N as u64,
-        "every request recorded end-to-end: {}",
-        lat.e2e.count()
-    );
-    let (p50, p90, p99) = (
-        lat.e2e.percentile(0.5),
-        lat.e2e.percentile(0.9),
-        lat.e2e.percentile(0.99),
-    );
-    assert!(p50 > 0, "p50 nonzero");
-    assert!(
-        p50 <= p90 && p90 <= p99,
-        "quantiles ordered: {p50} {p90} {p99}"
+        e2e_count >= N as i64,
+        "every request recorded end-to-end: {e2e_count}"
     );
     assert!(
-        lat.queue.count() >= N as u64,
+        int(&stats, &["latency", "queue", "count"]) >= N as i64,
         "every request waited in (possibly empty) queue"
     );
-    assert!(!lat.phases.is_empty(), "per-phase histograms recorded");
+    let phases = arr(&stats, &["latency", "phases"]);
+    assert!(!phases.is_empty(), "per-phase histograms recorded");
     assert!(
-        lat.phases.iter().all(|(_, h)| h.count() > 0),
+        phases.iter().all(|p| p
+            .as_arr()
+            .and_then(|pair| pair.get(1))
+            .is_some_and(|h| int(h, &["count"]) > 0)),
         "no empty phase histogram is exported"
     );
     // Satellite counters: the task pool saw the whole batch.
-    assert!(stats.taskpool.submitted >= N as u64);
+    assert!(int(&stats, &["taskpool", "submitted"]) >= N as i64);
     assert!(
-        stats.taskpool.queued_peak >= 1,
+        int(&stats, &["taskpool", "queued_peak"]) >= 1,
         "the batch outran 8 workers"
     );
 
@@ -291,6 +314,19 @@ fn latency_histograms_cover_hundred_requests() {
     let text = m.metrics.expect("metrics text in protocol response");
     assert!(text.contains("dsed_request_latency_seconds_count"));
     assert!(text.contains("dsed_taskpool_submitted_total"));
+    // The same end-to-end histogram's quantiles (one request more).
+    let quantile = |q| {
+        sample(
+            &text,
+            &format!("dsed_request_latency_seconds{{quantile=\"{q}\"}}"),
+        )
+    };
+    let (p50, p90, p99) = (quantile("0.5"), quantile("0.9"), quantile("0.99"));
+    assert!(p50 > 0.0, "p50 nonzero");
+    assert!(
+        p50 <= p90 && p90 <= p99,
+        "quantiles ordered: {p50} {p90} {p99}"
+    );
 
     drop(stdin);
     let out = child.wait_with_output().expect("dsed exit");
@@ -326,14 +362,15 @@ fn socket_concurrent_clients_and_shutdown() {
         .expect("spawn dsed");
     wait_for_socket(&sock, &mut child);
 
-    let roundtrip = |line: String| -> Response {
+    let roundtrip_line = |line: String| -> String {
         let mut conn = UnixStream::connect(&sock).expect("connect");
         writeln!(conn, "{line}").unwrap();
         let mut reader = BufReader::new(conn);
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
-        parse_response(&resp)
+        resp
     };
+    let roundtrip = |line: String| parse_response(&roundtrip_line(line));
 
     let clients: Vec<_> = (0..8)
         .map(|n| {
@@ -354,18 +391,23 @@ fn socket_concurrent_clients_and_shutdown() {
         assert_eq!(r.out_long, vec![35500]);
     }
 
-    let stats_resp = roundtrip(
+    let stats_line = roundtrip_line(
         Json::obj(vec![
             ("id", Json::Str("st".into())),
             ("cmd", Json::Str("stats".into())),
         ])
         .to_string(),
     );
-    assert!(stats_resp.ok);
-    let stats = stats_resp.stats.expect("stats payload");
-    assert_eq!(stats.requests, 9); // 8 runs + this stats request
-    for ph in &stats.phases {
-        assert_eq!(ph.misses, 1, "phase `{}` computed twice", ph.phase);
+    assert!(parse_response(&stats_line).ok);
+    let stats = stats_payload(&stats_line);
+    assert_eq!(int(&stats, &["requests"]), 9); // 8 runs + this stats request
+    for ph in arr(&stats, &["phases"]) {
+        assert_eq!(
+            int(ph, &["misses"]),
+            1,
+            "phase `{}` computed twice",
+            field(ph, &["phase"])
+        );
     }
 
     let bye = roundtrip(
