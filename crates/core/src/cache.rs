@@ -32,8 +32,8 @@
 //! `PoisonError` panic.
 
 use dse_telemetry::hash::ContentHash;
+use dse_telemetry::PhaseCacheStat;
 pub use dse_telemetry::{CacheOutcome, PhaseOutcome, PhaseStats};
-use dse_telemetry::{PhaseCacheStat, ServerStats};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -51,6 +51,19 @@ pub const PHASES: [&str; 9] = [
     "verify",
     "regverify",
 ];
+
+/// What the store counts: the ready artifacts it holds, its capacity, and
+/// each phase's cache counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Ready artifacts currently resident.
+    pub entries: u64,
+    /// LRU capacity bound (ready-artifact count).
+    pub capacity: u64,
+    /// Per-phase hit/miss/dedup/eviction counters, in canonical phase
+    /// order (unknown phases appended alphabetically).
+    pub phases: Vec<PhaseCacheStat>,
+}
 
 /// Locks `m`, recovering the data if a previous holder panicked. The
 /// store's invariants hold between mutations (the map is only ever
@@ -311,9 +324,8 @@ impl ArtifactStore {
         }
     }
 
-    /// Snapshot of the per-phase cache counters, in canonical phase order
-    /// (unknown phases appended alphabetically).
-    pub fn stats(&self) -> ServerStats {
+    /// Snapshot of the store's counters.
+    pub fn stats(&self) -> StoreStats {
         let st = lock_clean(&self.inner);
         let mut phases: Vec<PhaseCacheStat> = Vec::new();
         let mut push = |name: &str, c: &PhaseCounters| {
@@ -340,13 +352,10 @@ impl ArtifactStore {
             let c = st.counters[*name];
             push(name, &c);
         }
-        ServerStats {
-            requests: 0,
-            failures: 0,
-            cache_entries: st.ready_count() as u64,
-            cache_capacity: self.capacity as u64,
+        StoreStats {
+            entries: st.ready_count() as u64,
+            capacity: self.capacity as u64,
             phases,
-            ..ServerStats::default()
         }
     }
 }

@@ -57,7 +57,7 @@ pub mod phases;
 pub mod plan;
 pub mod xform;
 
-pub use cache::{ArtifactStore, CacheOutcome, PhaseOutcome, Trace};
+pub use cache::{ArtifactStore, CacheOutcome, PhaseOutcome, StoreStats, Trace};
 pub use classify::{classify_loop, AccessBreakdown, LoopClassification, SiteClass};
 pub use phases::{AnalysisArt, Pipeline, RegArt, TransformArt};
 pub use plan::{build_plan, ExpansionPlan, LayoutMode, OptLevel, PlanError, PlanInputs};
@@ -335,22 +335,6 @@ impl Analysis {
     pub fn baseline_parallel(&self, nthreads: u32) -> Result<Transformed, DseError> {
         let plan = self.baseline_plan(nthreads)?;
         self.apply_plan(plan, OptLevel::Full)
-    }
-
-    /// Per-candidate-loop profile stats in telemetry form (for
-    /// [`dse_telemetry::RunMetrics`]).
-    pub fn loop_stats(&self) -> Vec<dse_telemetry::LoopStat> {
-        self.profile
-            .loops
-            .iter()
-            .map(|l| dse_telemetry::LoopStat {
-                loop_id: l.loop_id,
-                label: l.label.clone(),
-                iterations: l.iterations,
-                accesses: l.total_accesses,
-                instructions: l.instructions,
-            })
-            .collect()
     }
 
     /// Per loop label: eids of shared accesses involved in loop-carried

@@ -88,23 +88,6 @@ impl ExpansionReport {
     pub fn privatized_structures(&self) -> usize {
         self.expanded_allocs + self.expanded_globals + self.expanded_locals
     }
-
-    /// The report in telemetry form (plain counters, for
-    /// [`dse_telemetry::RunMetrics`]).
-    pub fn telemetry_stats(&self) -> dse_telemetry::ExpansionStats {
-        dse_telemetry::ExpansionStats {
-            expanded_allocs: self.expanded_allocs as u64,
-            expanded_globals: self.expanded_globals as u64,
-            expanded_locals: self.expanded_locals as u64,
-            expanded_scalar_locals: self.expanded_scalar_locals as u64,
-            fat_pointer_types: self.fat_pointer_types as u64,
-            fat_int_vars: self.fat_int_vars as u64,
-            private_accesses_redirected: self.private_accesses_redirected as u64,
-            redirections_hoisted: self.redirections_hoisted as u64,
-            span_stores_emitted: self.span_stores_emitted as u64,
-            span_stores_elided: self.span_stores_elided as u64,
-        }
-    }
 }
 
 /// Result of the transformation.

@@ -21,8 +21,8 @@
 //!   everything therefore always permits a full-arena allocation again
 //!   (the invariant the property tests assert).
 //!
-//! The counters ([`Heap::contention`]) flow into `RunReport` and the
-//! `dse-telemetry` metrics.
+//! The counters ([`Heap::contention`]) flow into `RunReport` and from
+//! there into `dsec --metrics` (`dse-server`'s metrics document).
 
 use crate::tracebuf::{EventKind, TraceEvent, HEAP_TID};
 use crate::vm::lock_clean;
@@ -82,8 +82,8 @@ fn class_of(want: u64) -> Option<usize> {
     Some(CLASS_SIZES.partition_point(|&c| c < want))
 }
 
-/// Allocator counters, exposed through `RunReport` and the telemetry
-/// `RunMetrics` document (`dsec --metrics`).
+/// Allocator counters, exposed through `RunReport` and the `dsec
+/// --metrics` document.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapContention {
     /// Class allocations served from the class's free list.

@@ -3,7 +3,7 @@
 //! The profiler (in `dse-depprof`) implements [`Observer`] and receives
 //! every *sited* memory access, candidate-loop event, and heap event during
 //! a serial run. Parallel regions run unobserved (the paper profiles the
-//! sequential program only). `dse-telemetry`'s `TraceObserver` implements
+//! sequential program only). `dse-server`'s `TraceObserver` implements
 //! the same trait to stream the event feed as JSONL (`dsec --emit trace`).
 
 use crate::mem::Allocation;

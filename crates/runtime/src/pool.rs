@@ -24,7 +24,7 @@
 //!   a time, through the shared counter.
 //!
 //! Dispatch/steal/park/wakeup counts are recorded in [`PoolStats`] and
-//! flow into `RunReport` → `dse-telemetry` → `dsec --metrics`.
+//! flow into `RunReport` → `dsec --metrics`.
 
 use crate::tracebuf::{EventKind, TraceEvent};
 use crate::vm::{LoopSync, ThreadCtx, VmError};

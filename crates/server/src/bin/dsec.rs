@@ -52,8 +52,9 @@
 //! `--timing` prints the request's phase trace to stderr: one line per
 //! phase the request ran (parse … xform, verify, and under the register
 //! backend reglower and regverify) with its wall time, hit or miss, and
-//! size stats. `--metrics` writes a `RunMetrics` JSON document
-//! (see DESIGN.md, "Observability") to a file, or to stdout with `-`.
+//! size stats. `--metrics` writes the request's metrics JSON document
+//! ([`dse_server::metrics::run_metrics`]; see DESIGN.md, "Observability")
+//! to a file, or to stdout with `-`.
 //! `--emit trace` executes the *serial* program under a trace observer and
 //! streams each sited access, loop event and heap event as one JSON object
 //! per line on stdout. `--emit chrome-trace` and `--emit flamegraph`
@@ -85,8 +86,8 @@ use dse_core::{ArtifactStore, OptLevel, Pipeline};
 use dse_runtime::{BackendKind, NullObserver, VmConfig};
 use dse_server::execute::{check_verdict, execute, Failure, Outcome, EXIT_USAGE};
 use dse_server::protocol::{Cmd, Request, Response};
-use dse_telemetry::{Json, LintStats, RunMetrics, TraceObserver};
-use dse_verify::diag::Severity;
+use dse_server::trace::TraceObserver;
+use dse_telemetry::Json;
 use dse_verify::sabotage;
 use std::io::Write;
 use std::process::ExitCode;
@@ -397,35 +398,8 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
         eprint!("{out}");
     }
     if let Some(dest) = &o.metrics {
-        let mut server = store.stats();
-        server.requests = 1;
-        let metrics = RunMetrics {
-            program: o.path.clone(),
-            threads: if o.req.serial { 1 } else { o.req.threads },
-            opt: o.req.opt.name().to_string(),
-            phases: outcome.trace.clone(),
-            loops: outcome
-                .analysis
-                .as_ref()
-                .expect("request succeeded")
-                .analysis
-                .loop_stats(),
-            expansion: outcome
-                .transformed
-                .as_ref()
-                .map(|t| t.transformed.report.telemetry_stats()),
-            lints: outcome.report.as_ref().map(|r| LintStats {
-                errors: r.count(Severity::Error) as u64,
-                warnings: r.count(Severity::Warning) as u64,
-                infos: r.count(Severity::Info) as u64,
-            }),
-            vm: outcome
-                .run
-                .as_ref()
-                .map(|(_, report)| dse_telemetry::metrics::VmStats::from_report(report)),
-            server: Some(server),
-        };
-        let text = format!("{}\n", metrics.to_json());
+        let doc = dse_server::metrics::run_metrics(&o.path, &o.req, &outcome, store.stats());
+        let text = format!("{doc}\n");
         if dest == "-" {
             std::io::stdout()
                 .write_all(text.as_bytes())
@@ -604,14 +578,14 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 let (events, _) = traced
                     .as_ref()
                     .expect("traced emits make the request a run");
-                print!("{}", dse_telemetry::flamegraph_folded(events));
+                print!("{}", dse_server::chrome::flamegraph_folded(events));
                 eprintln!("[flamegraph: {} events]", events.len());
             }
             "chrome-trace" => {
                 let (events, dropped) = traced
                     .as_ref()
                     .expect("traced emits make the request a run");
-                let doc = dse_telemetry::chrome_trace(events, &outcome.trace, *dropped);
+                let doc = dse_server::chrome::chrome_trace(events, &outcome.trace, *dropped);
                 println!("{doc}");
                 eprintln!("[chrome-trace: {} events, {dropped} dropped]", events.len());
             }

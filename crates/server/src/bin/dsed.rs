@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     };
     match served {
         Ok(stats) => {
-            eprintln!("{}", dse_telemetry::metrics::server_to_json(&stats));
+            eprintln!("{}", dse_server::metrics::server_to_json(&stats));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -13,9 +13,8 @@
 //! (worker, loop) with the DOACROSS wait share split out as a child
 //! frame, parked time per worker, and allocator scavenges.
 
-use crate::json::Json;
-use crate::metrics::PhaseOutcome;
 use dse_runtime::{EventKind, TraceEvent, HEAP_TID};
+use dse_telemetry::{Json, PhaseOutcome};
 use std::collections::BTreeMap;
 
 /// Synthetic pid of the pipeline track.
@@ -208,8 +207,8 @@ mod tests {
         ];
         let pipeline = vec![PhaseOutcome {
             phase: "parse",
-            key: crate::ContentHasher::new("parse").finish(),
-            outcome: crate::CacheOutcome::Miss,
+            key: dse_telemetry::ContentHasher::new("parse").finish(),
+            outcome: dse_telemetry::CacheOutcome::Miss,
             wall: std::time::Duration::from_nanos(50),
             at: std::time::Duration::ZERO,
             stats: [].into(),

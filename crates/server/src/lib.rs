@@ -24,15 +24,24 @@
 //!   outcomes; `--telemetry` streams one JSONL line per request (through
 //!   a size-capped [`rotate::RotatingWriter`], so an always-on daemon's
 //!   log stays bounded), and the `stats` command (or the end-of-batch
-//!   summary) reports the cumulative [`dse_telemetry::ServerStats`] —
+//!   summary) reports the cumulative [`metrics::ServerStats`] —
 //!   including end-to-end, queue-wait and per-phase latency histograms.
 //!   The `metrics` command and `--metrics-addr` serve the same numbers as
 //!   a Prometheus-style text exposition.
+//!
+//! The crate also renders what a request produced: [`metrics`] builds the
+//! `dsec --metrics` document from an [`Outcome`] and the daemon's stats
+//! documents, [`trace::TraceObserver`] streams a serial run as JSONL, and
+//! [`chrome`] exports the runtime trace ring as Chrome trace-event JSON or
+//! folded flamegraph stacks.
 
+pub mod chrome;
 pub mod execute;
+pub mod metrics;
 pub mod protocol;
 pub mod rotate;
 pub mod server;
+pub mod trace;
 
 pub use execute::{execute, Failure, Outcome};
 pub use protocol::{Cmd, PhaseLine, Request, Response};

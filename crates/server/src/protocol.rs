@@ -14,12 +14,15 @@
 //! Absent request fields take defaults (`threads` 4, `opt` full, flags
 //! false, empty inputs), so the minimal request is `{"cmd":"run",
 //! "source":"..."}`. A program is supplied either inline (`source`) or as
-//! a daemon-side path (`path`); inline wins when both are present.
+//! a daemon-side path (`path`); inline wins when both are present. A
+//! field that is present with the wrong type is an error naming it, on
+//! both sides of the wire; `null` reads as absent for the optional ones
+//! (`source`, `path`, `error`, `metrics`).
 
+use crate::metrics::{server_to_json, ServerStats};
 use dse_core::{CacheOutcome, OptLevel, PhaseOutcome, Trace};
 use dse_runtime::BackendKind;
-use dse_telemetry::metrics::{server_from_json, server_to_json};
-use dse_telemetry::{Json, ServerStats};
+use dse_telemetry::Json;
 
 /// What a request asks the daemon to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,32 +148,56 @@ impl Request {
     /// Returns a message suitable for an error response when `cmd` is
     /// missing or unknown, or a field has the wrong type.
     pub fn from_json(j: &Json) -> Result<Request, String> {
-        let cmd = j.get("cmd").and_then(Json::as_str).ok_or("missing `cmd`")?;
+        let cmd = typed(j, "cmd", Json::as_str)?.ok_or("missing `cmd`")?;
         let cmd = Cmd::parse(cmd).ok_or_else(|| format!("unknown cmd `{cmd}`"))?;
-        let mut r = Request::new(j.get("id").and_then(Json::as_str).unwrap_or(""), cmd);
-        r.source = j.get("source").and_then(Json::as_str).map(str::to_string);
-        r.path = j.get("path").and_then(Json::as_str).map(str::to_string);
-        if let Some(t) = j.get("threads").and_then(Json::as_i64) {
+        let mut r = Request::new(typed(j, "id", Json::as_str)?.unwrap_or(""), cmd);
+        r.source = nullable(j, "source", Json::as_str)?.map(str::to_string);
+        r.path = nullable(j, "path", Json::as_str)?.map(str::to_string);
+        if let Some(t) = typed(j, "threads", Json::as_i64)? {
             r.threads = u32::try_from(t).map_err(|_| "bad `threads`".to_string())?;
         }
-        if let Some(o) = j.get("opt").and_then(Json::as_str) {
+        if let Some(o) = typed(j, "opt", Json::as_str)? {
             r.opt = OptLevel::parse(o).ok_or_else(|| format!("unknown opt `{o}`"))?;
         }
-        r.baseline = j.get("baseline").and_then(Json::as_bool).unwrap_or(false);
-        r.serial = j.get("serial").and_then(Json::as_bool).unwrap_or(false);
-        r.strict = j.get("strict").and_then(Json::as_bool).unwrap_or(false);
-        if let Some(b) = j.get("exec_backend").and_then(Json::as_str) {
+        r.baseline = typed(j, "baseline", Json::as_bool)?.unwrap_or(false);
+        r.serial = typed(j, "serial", Json::as_bool)?.unwrap_or(false);
+        r.strict = typed(j, "strict", Json::as_bool)?.unwrap_or(false);
+        if let Some(b) = typed(j, "exec_backend", Json::as_str)? {
             r.exec_backend =
                 BackendKind::parse(b).ok_or_else(|| format!("unknown exec_backend `{b}`"))?;
         }
-        if let Some(v) = j.get("in") {
-            r.inputs = v
-                .as_arr()
-                .and_then(|a| a.iter().map(Json::as_i64).collect())
-                .ok_or("bad `in`")?;
-        }
+        r.inputs = typed(j, "in", |v| each(v, Json::as_i64))?.unwrap_or_default();
         Ok(r)
     }
+}
+
+/// `j[key]` read by `as_t`: `None` when absent, an error naming the field
+/// when it is present with another type.
+fn typed<'j, T>(
+    j: &'j Json,
+    key: &str,
+    as_t: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    j.get(key)
+        .map(|v| as_t(v).ok_or_else(|| format!("bad `{key}`")))
+        .transpose()
+}
+
+/// [`typed`] for an optional field, which `null` also leaves absent.
+fn nullable<'j, T>(
+    j: &'j Json,
+    key: &str,
+    as_t: impl FnOnce(&'j Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match j.get(key) {
+        Some(Json::Null) => Ok(None),
+        _ => typed(j, key, as_t),
+    }
+}
+
+/// An array whose every element `as_t` reads.
+fn each<'j, T>(v: &'j Json, as_t: impl FnMut(&'j Json) -> Option<T>) -> Option<Vec<T>> {
+    v.as_arr()?.iter().map(as_t).collect()
 }
 
 /// One phase outcome on the wire: which artifact, hit/miss/dedup, and the
@@ -329,54 +356,38 @@ impl Response {
         ])
     }
 
-    /// Parses a response object; absent fields take defaults.
+    /// Parses a response object; absent fields take defaults. The
+    /// `stats` payload is written for clients, never read back here.
     ///
     /// # Errors
     ///
-    /// Returns a message when a present field has the wrong type.
+    /// Returns a message naming the first present field that has the
+    /// wrong type.
     pub fn from_json(j: &Json) -> Result<Response, String> {
-        let mut r = Response {
-            id: j.get("id").and_then(Json::as_str).unwrap_or("").to_string(),
-            ok: j.get("ok").and_then(Json::as_bool).unwrap_or(false),
-            ..Response::default()
-        };
-        r.error = j
-            .get("error")
-            .filter(|e| !matches!(e, Json::Null))
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        if let Some(c) = j.get("console").and_then(Json::as_str) {
-            r.console = c.to_string();
-        }
-        if let Some(a) = j.get("out_long").and_then(Json::as_arr) {
-            r.out_long = a.iter().filter_map(Json::as_i64).collect();
-        }
-        if let Some(a) = j.get("out_float").and_then(Json::as_arr) {
-            r.out_float = a.iter().filter_map(Json::as_f64).collect();
-        }
-        r.exit = j.get("exit").and_then(Json::as_i64).unwrap_or(0);
-        if let Some(a) = j.get("diagnostics").and_then(Json::as_arr) {
-            r.diagnostics = a
-                .iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect();
-        }
-        if let Some(a) = j.get("phases").and_then(Json::as_arr) {
-            r.phases = a
-                .iter()
-                .map(|p| PhaseLine::from_json(p).ok_or("bad phase line"))
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(s) = j.get("stats").filter(|s| !matches!(s, Json::Null)) {
-            r.stats = Some(server_from_json(s).map_err(|e| e.to_string())?);
-        }
-        r.metrics = j
-            .get("metrics")
-            .filter(|m| !matches!(m, Json::Null))
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        Ok(r)
+        let string = |key| Ok::<_, String>(typed(j, key, Json::as_str)?.unwrap_or("").to_string());
+        Ok(Response {
+            id: string("id")?,
+            ok: typed(j, "ok", Json::as_bool)?.unwrap_or(false),
+            error: nullable(j, "error", Json::as_str)?.map(str::to_string),
+            console: string("console")?,
+            out_long: typed(j, "out_long", |v| each(v, Json::as_i64))?.unwrap_or_default(),
+            // The writer emits a non-finite float as `null`.
+            out_float: typed(j, "out_float", |v| {
+                each(v, |f| match f {
+                    Json::Null => Some(f64::NAN),
+                    f => f.as_f64(),
+                })
+            })?
+            .unwrap_or_default(),
+            exit: typed(j, "exit", Json::as_i64)?.unwrap_or(0),
+            diagnostics: typed(j, "diagnostics", |v| {
+                each(v, |d| d.as_str().map(str::to_string))
+            })?
+            .unwrap_or_default(),
+            phases: typed(j, "phases", |v| each(v, PhaseLine::from_json))?.unwrap_or_default(),
+            stats: None,
+            metrics: nullable(j, "metrics", Json::as_str)?.map(str::to_string),
+        })
     }
 }
 
@@ -434,7 +445,8 @@ mod tests {
             error: None,
             console: "hello\n".into(),
             out_long: vec![1, 2],
-            out_float: vec![0.5],
+            // A non-finite float travels as `null` and comes back as NaN.
+            out_float: vec![0.5, f64::NAN],
             exit: 0,
             diagnostics: vec!["warning: DSE001 ...".into()],
             phases: vec![PhaseLine {
@@ -451,8 +463,63 @@ mod tests {
         assert!(back.ok);
         assert_eq!(back.console, "hello\n");
         assert_eq!(back.out_long, vec![1, 2]);
+        assert_eq!(back.out_float.len(), 2);
+        assert!(back.out_float[0] == 0.5 && back.out_float[1].is_nan());
         assert_eq!(back.phases, r.phases);
         assert_eq!(back.cache_hits(), 0);
         assert_eq!(back.cache_misses(), 1);
+    }
+
+    #[test]
+    fn mistyped_fields_are_errors_naming_the_field() {
+        // Each row sets one field of a valid message to a wrong-typed value.
+        let request = r#"{"id":"1","cmd":"run","source":"x","threads":1,"opt":"full",
+            "baseline":false,"serial":false,"strict":false,"exec_backend":"stack","in":[1]}"#;
+        let response = r#"{"id":"1","ok":true,"error":null,"console":"","out_long":[1],
+            "out_float":[0.5],"exit":0,"diagnostics":["d"],
+            "phases":[{"phase":"parse","key":"k","cache":"miss","ns":1}],"stats":null,"metrics":null}"#;
+        let with = |doc: &str, key: &str, value: Json| {
+            let Ok(Json::Obj(mut pairs)) = Json::parse(doc) else {
+                panic!("a valid object");
+            };
+            pairs.iter_mut().find(|(k, _)| k == key).expect("a field").1 = value;
+            Json::Obj(pairs)
+        };
+        let s = |v: &str| Json::Str(v.into());
+        let arr = |v: Json| Json::Arr(vec![v]);
+        assert!(Request::from_json(&Json::parse(request).unwrap()).is_ok());
+        assert!(Response::from_json(&Json::parse(response).unwrap()).is_ok());
+        for (key, bad) in [
+            ("id", Json::Int(1)),
+            ("cmd", Json::Int(1)),
+            ("source", Json::Int(42)),
+            ("threads", s("1")),
+            ("opt", Json::Bool(true)),
+            ("baseline", s("yes")),
+            ("serial", s("yes")),
+            ("strict", Json::Int(1)),
+            ("exec_backend", Json::Int(0)),
+            ("in", arr(s("1"))),
+        ] {
+            let err = Request::from_json(&with(request, key, bad)).unwrap_err();
+            assert_eq!(err, format!("bad `{key}`"), "request `{key}`");
+        }
+        let path = Request::from_json(&with(request, "source", Json::Null)).unwrap();
+        assert_eq!(path.source, None, "null reads as absent");
+        for (key, bad) in [
+            ("id", Json::Int(1)),
+            ("ok", s("true")),
+            ("error", Json::Int(1)),
+            ("console", Json::Int(1)),
+            ("out_long", arr(Json::Float(1.5))),
+            ("out_float", arr(s("0.5"))),
+            ("exit", s("1")),
+            ("diagnostics", arr(Json::Int(1))),
+            ("phases", arr(Json::Int(1))),
+            ("metrics", Json::Int(1)),
+        ] {
+            let err = Response::from_json(&with(response, key, bad)).unwrap_err();
+            assert_eq!(err, format!("bad `{key}`"), "response `{key}`");
+        }
     }
 }

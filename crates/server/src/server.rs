@@ -3,11 +3,11 @@
 //! unix listener).
 
 use crate::execute::execute;
+use crate::metrics::{LatencyStats, ServerStats};
 use crate::protocol::{Cmd, PhaseLine, Request, Response};
 use dse_core::ArtifactStore;
 use dse_runtime::{NullObserver, TaskPool, VmConfig};
-use dse_telemetry::{Json, LatencyStats, LogHistogram, ServerStats};
-use std::collections::BTreeMap;
+use dse_telemetry::Json;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -31,16 +31,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Latency histograms the daemon accumulates, one lock around all three
-/// (recording is a few O(1) bucket increments per request, far off the
-/// request's own critical path).
-#[derive(Default)]
-struct Latency {
-    e2e: LogHistogram,
-    queue: LogHistogram,
-    phases: BTreeMap<String, LogHistogram>,
-}
-
 /// The shared daemon state: one artifact store, one task pool, cumulative
 /// counters, latency histograms, the shutdown flag, and the optional
 /// telemetry sink.
@@ -49,7 +39,9 @@ pub struct Server {
     pool: TaskPool,
     requests: AtomicU64,
     failures: AtomicU64,
-    latency: Mutex<Latency>,
+    /// All three histograms under one lock: recording is a few O(1)
+    /// bucket increments per request, far off its critical path.
+    latency: Mutex<LatencyStats>,
     shutdown: AtomicBool,
     telemetry: Option<Mutex<Box<dyn Write + Send>>>,
 }
@@ -62,7 +54,7 @@ impl Server {
             pool: TaskPool::new(config.workers),
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
-            latency: Mutex::new(Latency::default()),
+            latency: Mutex::new(LatencyStats::default()),
             shutdown: AtomicBool::new(false),
             telemetry: None,
         }
@@ -84,30 +76,25 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Cumulative stats: store counters, request totals, latency
-    /// histograms and task-pool counters.
+    /// Cumulative stats: what the store counts (resident artifacts,
+    /// capacity, per-phase cache counters) and what the daemon counts
+    /// (requests, failures, latency histograms, task-pool counters).
     pub fn stats(&self) -> ServerStats {
-        let mut s = self.store.stats();
-        s.requests = self.requests.load(Ordering::SeqCst);
-        s.failures = self.failures.load(Ordering::SeqCst);
-        let lat = self.latency.lock().unwrap();
-        s.latency = LatencyStats {
-            e2e: lat.e2e.clone(),
-            queue: lat.queue.clone(),
-            phases: lat
-                .phases
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        };
-        drop(lat);
-        s.taskpool = self.pool.stats();
-        s
+        let store = self.store.stats();
+        ServerStats {
+            requests: self.requests.load(Ordering::SeqCst),
+            failures: self.failures.load(Ordering::SeqCst),
+            cache_entries: store.entries,
+            cache_capacity: store.capacity,
+            phases: store.phases,
+            latency: self.latency.lock().unwrap().clone(),
+            taskpool: self.pool.stats(),
+        }
     }
 
     /// The Prometheus-style text exposition of [`Server::stats`].
     pub fn prometheus_text(&self) -> String {
-        dse_telemetry::prometheus_text(&self.stats())
+        crate::metrics::prometheus_text(&self.stats())
     }
 
     /// Executes one request to completion and returns its response. Safe

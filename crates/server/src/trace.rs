@@ -123,7 +123,7 @@ impl<W: Write> Observer for TraceObserver<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use dse_telemetry::Json;
 
     #[test]
     fn events_emit_parseable_jsonl() {

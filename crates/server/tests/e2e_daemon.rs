@@ -185,6 +185,44 @@ fn batch_eight_concurrent_mixed_requests() {
     let _ = std::fs::remove_file(&telemetry);
 }
 
+/// A request line nested past the JSON parser's depth cap is a bad
+/// request, not a stack overflow: the request after it is answered and the
+/// daemon exits cleanly.
+#[test]
+fn deeply_nested_line_is_a_bad_request() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .args(["--batch", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dsed");
+    let mut stdin = child.stdin.take().expect("stdin");
+    writeln!(stdin, "{}", "[".repeat(200_000)).unwrap();
+    writeln!(stdin, "{}", req("after", "run", PROG_SUM, 1)).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().expect("dsed exit");
+    assert!(out.status.success(), "dsed failed: {out:?}");
+    let responses: Vec<Response> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(parse_response)
+        .collect();
+    assert_eq!(responses.len(), 2);
+    let bad = responses.iter().find(|r| !r.ok).expect("a rejected line");
+    let error = bad.error.as_deref().unwrap_or("");
+    assert!(
+        error.starts_with("bad request: ") && error.contains("nesting deeper than 128"),
+        "{error}"
+    );
+    let after = responses
+        .iter()
+        .find(|r| r.id == "after")
+        .expect("answered");
+    assert!(after.ok, "{:?}", after.error);
+    assert_eq!(after.out_long, vec![35500]);
+}
+
 /// A hundred-plus-request batch populates the latency histograms: the
 /// stats payload reports nonzero p50/p90/p99 over every request, and the
 /// `--metrics-addr` HTTP endpoint serves matching Prometheus quantile

@@ -84,12 +84,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns a [`ParseError`] with a byte offset on malformed input,
+    /// trailing garbage, or arrays and objects nested more than
+    /// `MAX_DEPTH` (128) deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -180,9 +182,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects the parser accepts. The parser
+/// recurses once per level, so an unbounded line of `[` would overflow
+/// the stack of whichever thread reads it; the deepest document the
+/// workspace writes nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -227,12 +237,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -427,5 +450,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest =
+            |depth: usize, open: &str, close: &str| open.repeat(depth) + &close.repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH, "{\"k\":", "}").replacen("}", "0}", 1)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert_eq!(e.msg, "nesting deeper than 128");
+        assert_eq!(e.offset, MAX_DEPTH, "stops at the first level too deep");
+        // Far past the cap, without recursing that far.
+        let e = Json::parse(&"[{\"k\":".repeat(200_000)).unwrap_err();
+        assert_eq!(e.msg, "nesting deeper than 128");
     }
 }
