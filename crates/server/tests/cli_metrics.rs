@@ -284,10 +284,9 @@ fn metrics_document_matches_golden() {
         mask(&mut doc, "");
         let path = format!("{}/tests/fixtures/{golden}", env!("CARGO_MANIFEST_DIR"));
         let want = std::fs::read_to_string(&path).expect("golden file");
-        assert_eq!(
-            format!("{doc}\n"),
-            want,
-            "{args:?}: the --metrics document drifted from {golden}"
+        assert!(
+            format!("{doc}\n") == want,
+            "{args:?}: the --metrics document drifted from {golden}; it now reads\n{doc}"
         );
     }
 }
