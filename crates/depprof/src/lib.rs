@@ -22,6 +22,23 @@
 //! idiom, where an `int` buffer is read through a `short*`) produce correct
 //! dependences.
 //!
+//! A profiled run should cost close to what the interpreter costs, so the
+//! shadow state is laid out for the access stream rather than looked up:
+//!
+//! * each active loop entry shadows the address space with 4 KiB pages
+//!   mapped on first touch from a direct-mapped page table; a byte's 32
+//!   bytes hold its last writer, two reader slots and a handle to a spill
+//!   list for more readers;
+//! * an entry starts empty without clearing anything: bytes carry the
+//!   epoch of the entry that wrote them, and an ended entry's pages go back
+//!   to a pool, so an entry costs the pages it touched;
+//! * per-site counts, regions, allocation sites, exposure flags and edges
+//!   live in dense per-loop tables indexed by site id, updated once per
+//!   access (a run of bytes in the same state yields its edges once) and
+//!   turned into [`LoopDdg`]'s maps when the profile is finished;
+//! * the downward-exposure watch is paged the same way, and the live
+//!   allocation lookup keeps the last allocation it found.
+//!
 //! Two filters mirror how the transformed program will actually run:
 //!
 //! * Accesses to call frames created *after* the current iteration started
@@ -31,11 +48,10 @@
 //!   parallel lowering turns it into a scheduler-provided index.
 
 use dse_ir::bytecode::{CompiledProgram, LoopEvent};
-use dse_ir::sites::{AccessKind, SiteId};
+use dse_ir::sites::{AccessKind, SiteId, NO_SITE};
 use dse_runtime::observer::LayoutInfo;
 use dse_runtime::{Allocation, Observer, Vm, VmConfig, VmError};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Kind of data dependence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -225,40 +241,363 @@ pub fn profile_program(
 }
 
 // ---------------------------------------------------------------------------
-// the profiler
+// shadow state
 // ---------------------------------------------------------------------------
 
-/// Shadow state keyed by byte address. Every access probes these maps once
-/// per byte, so they hash with one multiply instead of SipHash; results do
-/// not depend on iteration order (std's `RandomState` already reseeds per
-/// process).
-type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+/// log2 of a shadow page: each page shadows 4 KiB of the VM's address
+/// space, one `Byte` per address.
+const PAGE_BITS: u32 = 12;
+const PAGE: usize = 1 << PAGE_BITS;
 
-/// One odd-constant multiply, then a rotate that brings the product's high
-/// bits — the ones that depend on every address bit — down to where
-/// hashbrown takes its bucket index, so power-of-two strides do not
-/// cluster (the finish of rustc-hash 2).
+/// The page-sized runs of `[addr, end)`: `(page number, offsets in it)`.
+fn page_runs(addr: u64, end: u64) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> {
+    let mut at = addr;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let page = (at >> PAGE_BITS) as usize;
+            let next = (((page as u64) + 1) << PAGE_BITS).min(end);
+            let lo = at as usize & (PAGE - 1);
+            let run = lo..lo + (next - at) as usize;
+            at = next;
+            (page, run)
+        })
+    })
+}
+
+/// A `(site, iteration)` access record; `site` is `NO_SITE` when empty.
+type Stamp = (SiteId, u32);
+const EMPTY: Stamp = (NO_SITE, 0);
+
+/// One shadowed byte of one loop entry (32 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Byte {
+    /// The loop entry this state belongs to: a byte stamped with any other
+    /// entry reads as untouched, so an entry starts empty without clearing
+    /// a page.
+    epoch: u32,
+    /// 1 + index of the spill list holding readers past `readers`; 0: none.
+    spill: u32,
+    /// Last write in this entry.
+    write: Stamp,
+    /// Reads since the last write, one per site (latest iteration kept).
+    readers: [Stamp; 2],
+}
+
+impl Byte {
+    const UNTOUCHED: Byte = Byte {
+        epoch: 0,
+        spill: 0,
+        write: EMPTY,
+        readers: [EMPTY; 2],
+    };
+}
+
+/// The byte states of one loop entry: a direct-mapped page table over the
+/// address space, whose pages come from (and go back to) the profiler's
+/// pool, so an entry costs the pages it touches, never the ones before it.
 #[derive(Default)]
-struct AddrHasher(u64);
+struct Shadow {
+    epoch: u32,
+    /// Page number → 1 + index into `pages` (0: not mapped).
+    dir: Vec<u32>,
+    pages: Vec<(usize, Box<[Byte]>)>,
+    /// Reader lists of bytes read by more than two sites since a store.
+    spill: Vec<Vec<Stamp>>,
+    free_spill: Vec<u32>,
+    /// Every byte this entry wrote, once (for the downward-exposure watch).
+    written: Vec<u64>,
+}
 
-impl Hasher for AddrHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("AddrMap keys are u64 addresses");
+impl Shadow {
+    /// Index into `pages` of page `page`, mapping it from `pool` if needed.
+    fn map(&mut self, page: usize, pool: &mut Vec<Box<[Byte]>>) -> usize {
+        if page >= self.dir.len() {
+            self.dir.resize(page + 1, 0);
+        }
+        if self.dir[page] == 0 {
+            let bytes = pool
+                .pop()
+                .unwrap_or_else(|| vec![Byte::UNTOUCHED; PAGE].into_boxed_slice());
+            self.pages.push((page, bytes));
+            self.dir[page] = self.pages.len() as u32;
+        }
+        self.dir[page] as usize - 1
     }
-    fn write_u64(&mut self, addr: u64) {
-        self.0 = addr.wrapping_mul(0xf135_7aea_2e62_a9c5);
+
+    /// The state of byte `addr`, which this entry wrote.
+    fn byte(&self, addr: u64) -> &Byte {
+        let slot = self.dir[(addr >> PAGE_BITS) as usize] as usize - 1;
+        &self.pages[slot].1[addr as usize & (PAGE - 1)]
     }
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+
+    /// Applies one access to the bytes `[addr, end)`, recording its edges
+    /// and upward exposure in `acc`. A byte whose prior state equals the
+    /// previous byte's yields the same edges and the same new state, so a
+    /// run of equal bytes (the 8 bytes of a `long` one store wrote) costs
+    /// one byte's work and copies.
+    fn access(
+        &mut self,
+        pool: &mut Vec<Box<[Byte]>>,
+        acc: &mut Accum,
+        site: SiteId,
+        kind: AccessKind,
+        (addr, end): (u64, u64),
+        iter: u32,
+    ) {
+        let epoch = self.epoch;
+        let dep = |src: Stamp, kind| DepEdge {
+            src: src.0,
+            dst: site,
+            kind,
+            carried: src.1 != iter,
+        };
+        // The previous byte's state before and after this access, while
+        // neither spills: a byte that starts equal ends equal.
+        let mut same: Option<(Byte, Byte)> = None;
+        for (page, run) in page_runs(addr, end) {
+            let slot = self.map(page, pool);
+            let base = (page as u64) << PAGE_BITS;
+            let Shadow {
+                pages,
+                spill,
+                free_spill,
+                written,
+                ..
+            } = self;
+            for (off, b) in pages[slot].1[run.clone()].iter_mut().enumerate() {
+                if b.epoch != epoch {
+                    *b = Byte {
+                        epoch,
+                        ..Byte::UNTOUCHED
+                    };
+                }
+                let before = *b;
+                if kind == AccessKind::Store && before.write.0 == NO_SITE {
+                    written.push(base + (run.start + off) as u64);
+                }
+                if let Some((pre, post)) = same {
+                    if before == pre {
+                        *b = post;
+                        continue;
+                    }
+                }
+                match kind {
+                    AccessKind::Load => {
+                        if b.write.0 == NO_SITE {
+                            acc.upward[site as usize] = true;
+                        } else {
+                            acc.edge(dep(b.write, DepKind::Flow));
+                        }
+                        if let Some(r) = b.readers.iter_mut().find(|r| r.0 == site) {
+                            r.1 = iter;
+                        } else if let Some(r) = b.readers.iter_mut().find(|r| r.0 == NO_SITE) {
+                            *r = (site, iter);
+                        } else {
+                            if b.spill == 0 {
+                                b.spill = 1 + free_spill.pop().unwrap_or_else(|| {
+                                    spill.push(Vec::new());
+                                    spill.len() as u32 - 1
+                                });
+                            }
+                            let list = &mut spill[b.spill as usize - 1];
+                            match list.iter_mut().find(|r| r.0 == site) {
+                                Some(r) => r.1 = iter,
+                                None => list.push((site, iter)),
+                            }
+                        }
+                    }
+                    AccessKind::Store => {
+                        if b.write.0 != NO_SITE {
+                            acc.edge(dep(b.write, DepKind::Output));
+                        }
+                        for &r in b.readers.iter().take_while(|r| r.0 != NO_SITE) {
+                            acc.edge(dep(r, DepKind::Anti));
+                        }
+                        if b.spill != 0 {
+                            let list = &mut spill[b.spill as usize - 1];
+                            for &r in list.iter() {
+                                acc.edge(dep(r, DepKind::Anti));
+                            }
+                            list.clear();
+                            free_spill.push(b.spill - 1);
+                        }
+                        *b = Byte {
+                            epoch,
+                            write: (site, iter),
+                            ..Byte::UNTOUCHED
+                        };
+                    }
+                }
+                same = (before.spill == 0 && b.spill == 0).then_some((before, *b));
+            }
+        }
+    }
+
+    /// Ends the entry: its pages go back to `pool` (their stale epochs
+    /// make them read as untouched to whichever entry maps them next).
+    fn release(&mut self, pool: &mut Vec<Box<[Byte]>>) {
+        for (page, bytes) in self.pages.drain(..) {
+            self.dir[page] = 0;
+            pool.push(bytes);
+        }
+        self.spill.clear();
+        self.free_spill.clear();
+        self.written.clear();
     }
 }
 
+/// The downward-exposure watch: per byte, the `(loop, site)` last writers
+/// of ended loop entries, until a store overwrites the byte. A load of a
+/// watched byte makes those sites downward-exposed. Paged like `Shadow`,
+/// one `u32` per byte: 1 + index of its watcher list, 0 when unwatched.
+#[derive(Default)]
+struct Watch {
+    dir: Vec<u32>,
+    pages: Vec<Box<[u32]>>,
+    lists: Vec<Vec<(u32, SiteId)>>,
+    free: Vec<u32>,
+    /// Bytes currently watched: while 0, accesses skip the watch.
+    live: usize,
+}
+
+impl Watch {
+    fn page(&self, page: usize) -> Option<usize> {
+        match self.dir.get(page) {
+            Some(&slot) if slot != 0 => Some(slot as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// Watches `addr` for `(loop_id, site)`.
+    fn add(&mut self, addr: u64, loop_id: u32, site: SiteId) {
+        let page = (addr >> PAGE_BITS) as usize;
+        let slot = self.page(page).unwrap_or_else(|| {
+            if page >= self.dir.len() {
+                self.dir.resize(page + 1, 0);
+            }
+            self.pages.push(vec![0; PAGE].into_boxed_slice());
+            self.dir[page] = self.pages.len() as u32;
+            self.pages.len() - 1
+        });
+        let handle = &mut self.pages[slot][addr as usize & (PAGE - 1)];
+        if *handle == 0 {
+            *handle = 1 + self.free.pop().unwrap_or_else(|| {
+                self.lists.push(Vec::new());
+                self.lists.len() as u32 - 1
+            });
+            self.live += 1;
+        }
+        self.lists[*handle as usize - 1].push((loop_id, site));
+    }
+
+    /// Calls `mark` for every watcher of a byte in `[addr, end)`.
+    fn load(&self, (addr, end): (u64, u64), mut mark: impl FnMut(u32, SiteId)) {
+        for (page, run) in page_runs(addr, end) {
+            let Some(slot) = self.page(page) else {
+                continue;
+            };
+            for &handle in &self.pages[slot][run] {
+                if handle != 0 {
+                    for &(loop_id, site) in &self.lists[handle as usize - 1] {
+                        mark(loop_id, site);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stops watching `[addr, end)`.
+    fn store(&mut self, (addr, end): (u64, u64)) {
+        for (page, run) in page_runs(addr, end) {
+            let Some(slot) = self.page(page) else {
+                continue;
+            };
+            for handle in &mut self.pages[slot][run] {
+                if *handle != 0 {
+                    self.lists[*handle as usize - 1].clear();
+                    self.free.push(*handle - 1);
+                    *handle = 0;
+                    self.live -= 1;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// the profiler
+// ---------------------------------------------------------------------------
+
+/// Per-site facts of one loop, dense over the program's site table.
 #[derive(Debug, Clone, Default)]
-struct ByteState {
-    /// Last write to this byte: (site, iteration).
-    last_write: Option<(SiteId, u32)>,
-    /// Reads since the last write, deduped by site (latest iteration kept).
-    readers: Vec<(SiteId, u32)>,
+struct SiteFacts {
+    count: u64,
+    regions: RegionMask,
+    allocs: Vec<u32>,
+}
+
+/// One candidate loop's profile as its entries add to it. Every fact is a
+/// union or a sum over entries, so entries record straight into it; it
+/// becomes a [`LoopDdg`] once, when the profile is finished.
+struct Accum {
+    label: String,
+    /// Edges by sink site: a sink has few distinct sources, so a short
+    /// scan finds a repeat.
+    edges: Vec<Vec<DepEdge>>,
+    upward: Vec<bool>,
+    downward: Vec<bool>,
+    sites: Vec<SiteFacts>,
+    iterations: u64,
+    total_accesses: u64,
+    instructions: u64,
+}
+
+impl Accum {
+    fn new(label: String, nsites: usize) -> Accum {
+        Accum {
+            label,
+            edges: vec![Vec::new(); nsites],
+            upward: vec![false; nsites],
+            downward: vec![false; nsites],
+            sites: vec![SiteFacts::default(); nsites],
+            iterations: 0,
+            total_accesses: 0,
+            instructions: 0,
+        }
+    }
+
+    fn edge(&mut self, e: DepEdge) {
+        let into = &mut self.edges[e.dst as usize];
+        if !into.contains(&e) {
+            into.push(e);
+        }
+    }
+
+    fn into_ddg(self, loop_id: u32) -> LoopDdg {
+        let marked = |flags: Vec<bool>| {
+            (0..)
+                .zip(flags)
+                .filter_map(|(s, on)| on.then_some(s))
+                .collect()
+        };
+        let counted = || (0..).zip(&self.sites).filter(|(_, f)| f.count > 0);
+        LoopDdg {
+            loop_id,
+            edges: self.edges.into_iter().flatten().collect(),
+            upward_exposed: marked(self.upward),
+            downward_exposed: marked(self.downward),
+            site_counts: counted().map(|(s, f)| (s, f.count)).collect(),
+            site_allocs: counted()
+                .filter(|(_, f)| !f.allocs.is_empty())
+                .map(|(s, f)| (s, f.allocs.iter().copied().collect()))
+                .collect(),
+            site_regions: counted().map(|(s, f)| (s, f.regions)).collect(),
+            iterations: self.iterations,
+            total_accesses: self.total_accesses,
+            instructions: self.instructions,
+            label: self.label,
+        }
+    }
 }
 
 struct ActiveLoop {
@@ -272,22 +611,31 @@ struct ActiveLoop {
     ind_range: (u64, u64),
     /// Thread instruction count at loop entry.
     begin_work: u64,
-    bytes: AddrMap<ByteState>,
-    ddg: LoopDdg,
+    shadow: Shadow,
 }
 
 /// Observer implementation that builds loop-level DDGs.
 pub struct Profiler {
     loops_meta: Vec<(String, u32, u8)>,
+    nsites: usize,
     alloc_site_eids: HashMap<u32, u32>,
     stack_lo: u64,
     stack_hi: u64,
     active: Vec<ActiveLoop>,
-    accum: HashMap<u32, LoopDdg>,
-    /// Bytes whose last in-loop writer is watched for downward exposure.
-    after_watch: AddrMap<Vec<(u32, SiteId)>>,
-    /// Live allocations: base -> (size, id, allocation-site eid).
-    live_allocs: BTreeMap<u64, (u64, u64, u32)>,
+    /// Per loop id, once entered.
+    accum: Vec<Option<Accum>>,
+    /// Last loop-entry epoch handed out.
+    epoch: u32,
+    /// Shadows of ended entries, kept for their page tables.
+    spare: Vec<Shadow>,
+    /// Unmapped shadow pages.
+    pool: Vec<Box<[Byte]>>,
+    watch: Watch,
+    /// Live allocations: base -> (size, allocation-site eid).
+    live_allocs: BTreeMap<u64, (u64, u32)>,
+    /// The last allocation found, `(base, end, eid)`, until the next
+    /// allocation or free.
+    last_alloc: Option<(u64, u64, u32)>,
 }
 
 impl Profiler {
@@ -299,92 +647,78 @@ impl Profiler {
                 .iter()
                 .map(|l| (l.label.clone(), l.induction_offset, l.induction_width))
                 .collect(),
+            nsites: program.sites.len(),
             alloc_site_eids: program.alloc_sites.clone(),
             stack_lo: layout.master_stack.0,
             stack_hi: layout.master_stack.1,
             active: Vec::new(),
-            accum: HashMap::new(),
-            after_watch: AddrMap::default(),
+            accum: program.loops.iter().map(|_| None).collect(),
+            epoch: 0,
+            spare: Vec::new(),
+            pool: Vec::new(),
+            watch: Watch::default(),
             live_allocs: BTreeMap::new(),
+            last_alloc: None,
         }
     }
 
     /// Finalizes the profile.
     pub fn into_result(mut self) -> ProfileResult {
         while let Some(al) = self.active.pop() {
-            Self::fold_loop(&mut self.accum, &mut self.after_watch, al);
+            self.fold_loop(al);
         }
-        let mut loops: Vec<LoopDdg> = self.accum.into_values().collect();
-        loops.retain(|l| !l.label.is_empty());
-        loops.sort_by_key(|l| l.loop_id);
+        let loops = (0..)
+            .zip(self.accum)
+            .filter_map(|(id, acc)| Some(acc?.into_ddg(id)))
+            .filter(|l| !l.label.is_empty())
+            .collect();
         ProfileResult { loops }
     }
 
-    fn fold_loop(
-        accum: &mut HashMap<u32, LoopDdg>,
-        after_watch: &mut AddrMap<Vec<(u32, SiteId)>>,
-        al: ActiveLoop,
-    ) {
-        for (addr, st) in &al.bytes {
-            if let Some((site, _)) = st.last_write {
-                after_watch
-                    .entry(*addr)
-                    .or_default()
-                    .push((al.loop_id, site));
-            }
+    /// Ends one loop entry: its iterations count, and every byte it wrote
+    /// is watched for a read after it.
+    fn fold_loop(&mut self, mut al: ActiveLoop) {
+        if let Some(acc) = &mut self.accum[al.loop_id as usize] {
+            acc.iterations += al.iter as u64;
         }
-        let entry = accum.entry(al.loop_id).or_default();
-        entry.label = al.ddg.label.clone();
-        entry.loop_id = al.loop_id;
-        entry.edges.extend(al.ddg.edges);
-        entry.upward_exposed.extend(al.ddg.upward_exposed);
-        entry.downward_exposed.extend(al.ddg.downward_exposed);
-        for (s, c) in al.ddg.site_counts {
-            *entry.site_counts.entry(s).or_default() += c;
+        for &addr in &al.shadow.written {
+            let site = al.shadow.byte(addr).write.0;
+            self.watch.add(addr, al.loop_id, site);
         }
-        for (s, a) in al.ddg.site_allocs {
-            entry.site_allocs.entry(s).or_default().extend(a);
-        }
-        for (s, r) in al.ddg.site_regions {
-            let e = entry.site_regions.entry(s).or_default();
-            e.heap |= r.heap;
-            e.global |= r.global;
-            e.stack |= r.stack;
-        }
-        entry.iterations += al.iter as u64;
-        entry.total_accesses += al.ddg.total_accesses;
-        entry.instructions += al.ddg.instructions;
+        al.shadow.release(&mut self.pool);
+        self.spare.push(al.shadow);
     }
 
-    fn allocation_of(&self, addr: u64) -> Option<(u64, u64, u32)> {
-        let (&base, &(size, id, eid)) = self.live_allocs.range(..=addr).next_back()?;
-        (addr < base + size.max(1)).then_some((base, id, eid))
+    fn allocation_of(&mut self, addr: u64) -> Option<u32> {
+        if let Some((base, end, eid)) = self.last_alloc {
+            if (base..end).contains(&addr) {
+                return Some(eid);
+            }
+        }
+        let (&base, &(size, eid)) = self.live_allocs.range(..=addr).next_back()?;
+        let end = base + size.max(1);
+        (addr < end).then(|| {
+            self.last_alloc = Some((base, end, eid));
+            eid
+        })
     }
 }
 
 impl Observer for Profiler {
     fn on_access(&mut self, site: SiteId, kind: AccessKind, addr: u64, width: u32, _sp: u64) {
+        let bytes = (addr, addr + width as u64);
         // Downward-exposure watch (applies after loop entries ended).
-        if !self.after_watch.is_empty() {
+        if self.watch.live != 0 {
             match kind {
                 AccessKind::Load => {
-                    for b in addr..addr + width as u64 {
-                        if let Some(watchers) = self.after_watch.get(&b) {
-                            for (loop_id, wsite) in watchers.clone() {
-                                self.accum
-                                    .entry(loop_id)
-                                    .or_default()
-                                    .downward_exposed
-                                    .insert(wsite);
-                            }
+                    let accum = &mut self.accum;
+                    self.watch.load(bytes, |loop_id, wsite| {
+                        if let Some(acc) = &mut accum[loop_id as usize] {
+                            acc.downward[wsite as usize] = true;
                         }
-                    }
+                    });
                 }
-                AccessKind::Store => {
-                    for b in addr..addr + width as u64 {
-                        self.after_watch.remove(&b);
-                    }
-                }
+                AccessKind::Store => self.watch.store(bytes),
             }
         }
 
@@ -397,72 +731,50 @@ impl Observer for Profiler {
         } else {
             self.allocation_of(addr)
         };
-        for al in &mut self.active {
+        let Profiler {
+            active,
+            accum,
+            pool,
+            nsites,
+            ..
+        } = self;
+        if site as usize >= *nsites {
+            // Hand-built bytecode may name sites past the table.
+            *nsites = site as usize + 1;
+            for acc in accum.iter_mut().flatten() {
+                acc.edges.resize(*nsites, Vec::new());
+                acc.upward.resize(*nsites, false);
+                acc.downward.resize(*nsites, false);
+                acc.sites.resize(*nsites, SiteFacts::default());
+            }
+        }
+        for al in active.iter_mut() {
             let (ilo, ihi) = al.ind_range;
-            if addr < ihi && addr + width as u64 > ilo {
+            if bytes.0 < ihi && bytes.1 > ilo {
                 continue; // the loop's own induction variable
             }
             if in_stack && addr >= al.iter_sp {
                 continue; // transient frame: thread-private at runtime
             }
-            *al.ddg.site_counts.entry(site).or_default() += 1;
-            al.ddg.total_accesses += 1;
-            let region = al.ddg.site_regions.entry(site).or_default();
+            let Some(acc) = &mut accum[al.loop_id as usize] else {
+                continue;
+            };
+            acc.total_accesses += 1;
+            let facts = &mut acc.sites[site as usize];
+            facts.count += 1;
             if in_stack {
-                region.stack = true;
+                facts.regions.stack = true;
             } else if alloc.is_some() {
-                region.heap = true;
+                facts.regions.heap = true;
             } else {
-                region.global = true;
+                facts.regions.global = true;
             }
-            if let Some((_, _, eid)) = alloc {
-                al.ddg.site_allocs.entry(site).or_default().insert(eid);
-            }
-            let iter = al.iter;
-            for b in addr..addr + width as u64 {
-                let st = al.bytes.entry(b).or_default();
-                match kind {
-                    AccessKind::Load => {
-                        match st.last_write {
-                            None => {
-                                al.ddg.upward_exposed.insert(site);
-                            }
-                            Some((wsite, witer)) => {
-                                al.ddg.edges.insert(DepEdge {
-                                    src: wsite,
-                                    dst: site,
-                                    kind: DepKind::Flow,
-                                    carried: witer != iter,
-                                });
-                            }
-                        }
-                        match st.readers.iter_mut().find(|(s, _)| *s == site) {
-                            Some(r) => r.1 = iter,
-                            None => st.readers.push((site, iter)),
-                        }
-                    }
-                    AccessKind::Store => {
-                        if let Some((wsite, witer)) = st.last_write {
-                            al.ddg.edges.insert(DepEdge {
-                                src: wsite,
-                                dst: site,
-                                kind: DepKind::Output,
-                                carried: witer != iter,
-                            });
-                        }
-                        for &(rsite, riter) in &st.readers {
-                            al.ddg.edges.insert(DepEdge {
-                                src: rsite,
-                                dst: site,
-                                kind: DepKind::Anti,
-                                carried: riter != iter,
-                            });
-                        }
-                        st.readers.clear();
-                        st.last_write = Some((site, iter));
-                    }
+            if let Some(eid) = alloc {
+                if !facts.allocs.contains(&eid) {
+                    facts.allocs.push(eid);
                 }
             }
+            al.shadow.access(pool, acc, site, kind, bytes, al.iter);
         }
     }
 
@@ -470,20 +782,27 @@ impl Observer for Profiler {
         match ev {
             LoopEvent::Begin => {
                 // `sp` is the enclosing frame base for Begin events.
-                let (label, ind_off, ind_w) = self.loops_meta[loop_id as usize].clone();
-                let ind_lo = sp + ind_off as u64;
+                let (label, ind_off, ind_w) = &self.loops_meta[loop_id as usize];
+                let ind_lo = sp + *ind_off as u64;
+                let ind_range = (ind_lo, ind_lo + *ind_w as u64);
+                let nsites = self.nsites;
+                self.accum[loop_id as usize]
+                    .get_or_insert_with(|| Accum::new(label.clone(), nsites));
+                // Epochs tell entries apart; on the (theoretical) wrap, the
+                // pooled pages' stamps could repeat, so they go.
+                self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+                    self.pool.clear();
+                    1
+                });
+                let mut shadow = self.spare.pop().unwrap_or_default();
+                shadow.epoch = self.epoch;
                 self.active.push(ActiveLoop {
                     loop_id,
                     iter: 0,
                     iter_sp: u64::MAX,
-                    ind_range: (ind_lo, ind_lo + ind_w as u64),
+                    ind_range,
                     begin_work: work,
-                    bytes: AddrMap::default(),
-                    ddg: LoopDdg {
-                        label,
-                        loop_id,
-                        ..Default::default()
-                    },
+                    shadow,
                 });
             }
             LoopEvent::IterStart => {
@@ -493,10 +812,12 @@ impl Observer for Profiler {
                 }
             }
             LoopEvent::End => {
-                while let Some(mut al) = self.active.pop() {
+                while let Some(al) = self.active.pop() {
                     let id = al.loop_id;
-                    al.ddg.instructions += work.saturating_sub(al.begin_work);
-                    Self::fold_loop(&mut self.accum, &mut self.after_watch, al);
+                    if let Some(acc) = &mut self.accum[id as usize] {
+                        acc.instructions += work.saturating_sub(al.begin_work);
+                    }
+                    self.fold_loop(al);
                     if id == loop_id {
                         break;
                     }
@@ -511,12 +832,13 @@ impl Observer for Profiler {
             .get(&pc)
             .copied()
             .unwrap_or(dse_lang::ast::NO_EID);
-        self.live_allocs
-            .insert(alloc.base, (alloc.size, alloc.id, eid));
+        self.live_allocs.insert(alloc.base, (alloc.size, eid));
+        self.last_alloc = None;
     }
 
     fn on_free(&mut self, alloc: Allocation) {
         self.live_allocs.remove(&alloc.base);
+        self.last_alloc = None;
     }
 }
 
@@ -530,26 +852,6 @@ mod tests {
         let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
         let (res, _) = profile_program(compiled, VmConfig::default()).unwrap();
         res
-    }
-
-    /// hashbrown indexes buckets with the hash's low bits: addresses a
-    /// power-of-two stride apart must still spread over them (a uniform
-    /// random hash fills ~647 of 1024; the multiply without the rotate
-    /// fills 1 from stride 1024 up).
-    #[test]
-    fn addr_hasher_spreads_power_of_two_strides() {
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<AddrHasher>::default();
-        for shift in [0, 1, 3, 4, 10, 12, 16, 20, 32] {
-            let buckets: HashSet<u64> = (0..1024u64)
-                .map(|i| build.hash_one(0x10_0000 + (i << shift)) & 1023)
-                .collect();
-            assert!(
-                buckets.len() > 400,
-                "stride 1<<{shift}: {} of 1024",
-                buckets.len()
-            );
-        }
     }
 
     /// Scratch variable written then read per iteration: privatizable
@@ -896,6 +1198,13 @@ mod more_tests {
         for s in &heap_sites {
             assert!(!carried_flow.contains(s), "covered float reads");
         }
+    }
+
+    /// A shadowed byte costs less than a per-byte hash-map entry would
+    /// (an 8-byte address key beside a 40-byte state).
+    #[test]
+    fn byte_shadow_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Byte>(), 32);
     }
 
     /// Instructions are attributed to loops for Table 4's %time.
