@@ -71,6 +71,7 @@ use dse_lang::ast::Program;
 use dse_runtime::VmConfig;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Any failure in the end-to-end pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +106,9 @@ from_err!(XformError);
 /// produce transformed executables at any optimization level and thread
 /// count.
 pub struct Analysis {
-    /// The original typed program.
-    pub program: Program,
+    /// The original typed program (shared with the parse artifact when the
+    /// analysis comes through the cache).
+    pub program: Arc<Program>,
     /// Serial lowering (with profiler loop marks).
     pub serial: CompiledProgram,
     /// Per-candidate-loop dependence graphs from the profiling run.

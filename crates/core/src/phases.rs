@@ -138,6 +138,17 @@ pub fn assemble_analysis(
     classified: Classified,
     _phases: Trace,
 ) -> Analysis {
+    assemble(Arc::new(program), serial, profile, classified)
+}
+
+/// [`assemble_analysis`] over a shared AST: the cached pipeline hands every
+/// analysis the parse artifact's program instead of a copy.
+fn assemble(
+    program: Arc<Program>,
+    serial: CompiledProgram,
+    profile: ProfileResult,
+    classified: Classified,
+) -> Analysis {
     Analysis {
         program,
         serial,
@@ -183,8 +194,8 @@ pub fn profile_fingerprint(profile: &ProfileResult) -> ContentHash {
 
 /// The parse artifact: the program plus its content fingerprint.
 pub struct ParseArt {
-    /// The typed AST.
-    pub program: Program,
+    /// The typed AST, shared with every [`Analysis`] built from it.
+    pub program: Arc<Program>,
     /// Fingerprint of the printed AST (the lower key's input).
     pub ast_hash: ContentHash,
 }
@@ -276,6 +287,7 @@ impl<'a> Pipeline<'a> {
         let parsed: Arc<ParseArt> = self.store.get_or_compute("parse", parse_key, trace, || {
             let (program, stats) = parse_phase(source)?;
             let ast_hash = ast_fingerprint(&program);
+            let program = Arc::new(program);
             Ok::<_, DseError>((ParseArt { program, ast_hash }, stats))
         })?;
 
@@ -313,12 +325,11 @@ impl<'a> Pipeline<'a> {
         self.store
             .get_or_compute("classify", classify_key, trace, || {
                 let (classified, stats) = classify_phase(&parsed.program, &profiled.profile);
-                let analysis = assemble_analysis(
-                    parsed.program.clone(),
+                let analysis = assemble(
+                    Arc::clone(&parsed.program),
                     lowered.serial.clone(),
                     profiled.profile.clone(),
                     classified,
-                    Trace::new(),
                 );
                 let art = AnalysisArt {
                     analysis,
