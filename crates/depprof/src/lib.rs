@@ -264,6 +264,62 @@ fn page_runs(addr: u64, end: u64) -> impl Iterator<Item = (usize, std::ops::Rang
     })
 }
 
+/// A direct-mapped table of 4 KiB pages over the address space, one `T`
+/// per address, each page mapped on first touch.
+struct Pages<T> {
+    /// Page number → 1 + index into `pages` (0: not mapped).
+    dir: Vec<u32>,
+    pages: Vec<(usize, Box<[T]>)>,
+}
+
+impl<T> Default for Pages<T> {
+    fn default() -> Self {
+        Pages {
+            dir: Vec::new(),
+            pages: Vec::new(),
+        }
+    }
+}
+
+impl<T> Pages<T> {
+    fn slot(&self, page: usize) -> Option<usize> {
+        match self.dir.get(page) {
+            Some(&slot) if slot != 0 => Some(slot as usize - 1),
+            _ => None,
+        }
+    }
+
+    fn get(&self, page: usize) -> Option<&[T]> {
+        Some(&self.pages[self.slot(page)?].1)
+    }
+
+    fn get_mut(&mut self, page: usize) -> Option<&mut [T]> {
+        let slot = self.slot(page)?;
+        Some(&mut self.pages[slot].1)
+    }
+
+    /// Page `page`, mapping `fresh()` there if it is not mapped.
+    fn map(&mut self, page: usize, fresh: impl FnOnce() -> Box<[T]>) -> &mut [T] {
+        let slot = self.slot(page).unwrap_or_else(|| {
+            if page >= self.dir.len() {
+                self.dir.resize(page + 1, 0);
+            }
+            self.pages.push((page, fresh()));
+            self.dir[page] = self.pages.len() as u32;
+            self.pages.len() - 1
+        });
+        &mut self.pages[slot].1
+    }
+
+    /// Unmaps every page, handing each to `keep`.
+    fn unmap_all(&mut self, mut keep: impl FnMut(Box<[T]>)) {
+        for (page, bytes) in self.pages.drain(..) {
+            self.dir[page] = 0;
+            keep(bytes);
+        }
+    }
+}
+
 /// A `(site, iteration)` access record; `site` is `NO_SITE` when empty.
 type Stamp = (SiteId, u32);
 const EMPTY: Stamp = (NO_SITE, 0);
@@ -292,15 +348,13 @@ impl Byte {
     };
 }
 
-/// The byte states of one loop entry: a direct-mapped page table over the
-/// address space, whose pages come from (and go back to) the profiler's
-/// pool, so an entry costs the pages it touches, never the ones before it.
+/// The byte states of one loop entry, whose pages come from (and go back
+/// to) the profiler's pool, so an entry costs the pages it touches, never
+/// the ones before it.
 #[derive(Default)]
 struct Shadow {
     epoch: u32,
-    /// Page number → 1 + index into `pages` (0: not mapped).
-    dir: Vec<u32>,
-    pages: Vec<(usize, Box<[Byte]>)>,
+    bytes: Pages<Byte>,
     /// Reader lists of bytes read by more than two sites since a store.
     spill: Vec<Vec<Stamp>>,
     free_spill: Vec<u32>,
@@ -309,25 +363,10 @@ struct Shadow {
 }
 
 impl Shadow {
-    /// Index into `pages` of page `page`, mapping it from `pool` if needed.
-    fn map(&mut self, page: usize, pool: &mut Vec<Box<[Byte]>>) -> usize {
-        if page >= self.dir.len() {
-            self.dir.resize(page + 1, 0);
-        }
-        if self.dir[page] == 0 {
-            let bytes = pool
-                .pop()
-                .unwrap_or_else(|| vec![Byte::UNTOUCHED; PAGE].into_boxed_slice());
-            self.pages.push((page, bytes));
-            self.dir[page] = self.pages.len() as u32;
-        }
-        self.dir[page] as usize - 1
-    }
-
     /// The state of byte `addr`, which this entry wrote.
     fn byte(&self, addr: u64) -> &Byte {
-        let slot = self.dir[(addr >> PAGE_BITS) as usize] as usize - 1;
-        &self.pages[slot].1[addr as usize & (PAGE - 1)]
+        let page = self.bytes.get((addr >> PAGE_BITS) as usize);
+        &page.expect("a written byte's page is mapped")[addr as usize & (PAGE - 1)]
     }
 
     /// Applies one access to the bytes `[addr, end)`, recording its edges
@@ -355,16 +394,19 @@ impl Shadow {
         // neither spills: a byte that starts equal ends equal.
         let mut same: Option<(Byte, Byte)> = None;
         for (page, run) in page_runs(addr, end) {
-            let slot = self.map(page, pool);
             let base = (page as u64) << PAGE_BITS;
             let Shadow {
-                pages,
+                bytes,
                 spill,
                 free_spill,
                 written,
                 ..
             } = self;
-            for (off, b) in pages[slot].1[run.clone()].iter_mut().enumerate() {
+            let page = bytes.map(page, || {
+                pool.pop()
+                    .unwrap_or_else(|| vec![Byte::UNTOUCHED; PAGE].into_boxed_slice())
+            });
+            for (off, b) in page[run.clone()].iter_mut().enumerate() {
                 if b.epoch != epoch {
                     *b = Byte {
                         epoch,
@@ -436,10 +478,7 @@ impl Shadow {
     /// Ends the entry: its pages go back to `pool` (their stale epochs
     /// make them read as untouched to whichever entry maps them next).
     fn release(&mut self, pool: &mut Vec<Box<[Byte]>>) {
-        for (page, bytes) in self.pages.drain(..) {
-            self.dir[page] = 0;
-            pool.push(bytes);
-        }
+        self.bytes.unmap_all(|page| pool.push(page));
         self.spill.clear();
         self.free_spill.clear();
         self.written.clear();
@@ -448,12 +487,11 @@ impl Shadow {
 
 /// The downward-exposure watch: per byte, the `(loop, site)` last writers
 /// of ended loop entries, until a store overwrites the byte. A load of a
-/// watched byte makes those sites downward-exposed. Paged like `Shadow`,
-/// one `u32` per byte: 1 + index of its watcher list, 0 when unwatched.
+/// watched byte makes those sites downward-exposed. One `u32` per byte:
+/// 1 + index of its watcher list, 0 when unwatched.
 #[derive(Default)]
 struct Watch {
-    dir: Vec<u32>,
-    pages: Vec<Box<[u32]>>,
+    handles: Pages<u32>,
     lists: Vec<Vec<(u32, SiteId)>>,
     free: Vec<u32>,
     /// Bytes currently watched: while 0, accesses skip the watch.
@@ -461,25 +499,11 @@ struct Watch {
 }
 
 impl Watch {
-    fn page(&self, page: usize) -> Option<usize> {
-        match self.dir.get(page) {
-            Some(&slot) if slot != 0 => Some(slot as usize - 1),
-            _ => None,
-        }
-    }
-
     /// Watches `addr` for `(loop_id, site)`.
     fn add(&mut self, addr: u64, loop_id: u32, site: SiteId) {
         let page = (addr >> PAGE_BITS) as usize;
-        let slot = self.page(page).unwrap_or_else(|| {
-            if page >= self.dir.len() {
-                self.dir.resize(page + 1, 0);
-            }
-            self.pages.push(vec![0; PAGE].into_boxed_slice());
-            self.dir[page] = self.pages.len() as u32;
-            self.pages.len() - 1
-        });
-        let handle = &mut self.pages[slot][addr as usize & (PAGE - 1)];
+        let handles = self.handles.map(page, || vec![0; PAGE].into_boxed_slice());
+        let handle = &mut handles[addr as usize & (PAGE - 1)];
         if *handle == 0 {
             *handle = 1 + self.free.pop().unwrap_or_else(|| {
                 self.lists.push(Vec::new());
@@ -493,10 +517,10 @@ impl Watch {
     /// Calls `mark` for every watcher of a byte in `[addr, end)`.
     fn load(&self, (addr, end): (u64, u64), mut mark: impl FnMut(u32, SiteId)) {
         for (page, run) in page_runs(addr, end) {
-            let Some(slot) = self.page(page) else {
+            let Some(handles) = self.handles.get(page) else {
                 continue;
             };
-            for &handle in &self.pages[slot][run] {
+            for &handle in &handles[run] {
                 if handle != 0 {
                     for &(loop_id, site) in &self.lists[handle as usize - 1] {
                         mark(loop_id, site);
@@ -509,10 +533,10 @@ impl Watch {
     /// Stops watching `[addr, end)`.
     fn store(&mut self, (addr, end): (u64, u64)) {
         for (page, run) in page_runs(addr, end) {
-            let Some(slot) = self.page(page) else {
+            let Some(handles) = self.handles.get_mut(page) else {
                 continue;
             };
-            for handle in &mut self.pages[slot][run] {
+            for handle in &mut handles[run] {
                 if *handle != 0 {
                     self.lists[*handle as usize - 1].clear();
                     self.free.push(*handle - 1);

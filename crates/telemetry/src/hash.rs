@@ -75,16 +75,17 @@ impl ContentHasher {
         ContentHasher { state: FNV_OFFSET }.str(tag)
     }
 
+    fn mix(&mut self, v: u64) {
+        self.state = (self.state ^ v as u128).wrapping_mul(FNV_PRIME);
+    }
+
     fn raw(mut self, bytes: &[u8]) -> ContentHasher {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
-            let word: [u8; 8] = word.try_into().expect("chunks of 8");
-            self.state ^= u64::from_le_bytes(word) as u128;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+            self.mix(u64::from_le_bytes(word.try_into().expect("chunks of 8")));
         }
         for &b in words.remainder() {
-            self.state ^= b as u128;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+            self.mix(b as u64);
         }
         self
     }
