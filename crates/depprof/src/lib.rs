@@ -487,12 +487,13 @@ impl Shadow {
 
 /// The downward-exposure watch: per byte, the `(loop, site)` last writers
 /// of ended loop entries, until a store overwrites the byte. A load of a
-/// watched byte makes those sites downward-exposed. One `u32` per byte:
-/// 1 + index of its watcher list, 0 when unwatched.
+/// watched byte makes those sites downward-exposed. One `u32` per byte
+/// heads its chain of watchers in `nodes` (1 + index; 0: unwatched).
 #[derive(Default)]
 struct Watch {
-    handles: Pages<u32>,
-    lists: Vec<Vec<(u32, SiteId)>>,
+    heads: Pages<u32>,
+    /// `(loop, site, 1 + index of the next node or 0)`.
+    nodes: Vec<(u32, SiteId, u32)>,
     free: Vec<u32>,
     /// Bytes currently watched: while 0, accesses skip the watch.
     live: usize,
@@ -502,29 +503,36 @@ impl Watch {
     /// Watches `addr` for `(loop_id, site)`.
     fn add(&mut self, addr: u64, loop_id: u32, site: SiteId) {
         let page = (addr >> PAGE_BITS) as usize;
-        let handles = self.handles.map(page, || vec![0; PAGE].into_boxed_slice());
-        let handle = &mut handles[addr as usize & (PAGE - 1)];
-        if *handle == 0 {
-            *handle = 1 + self.free.pop().unwrap_or_else(|| {
-                self.lists.push(Vec::new());
-                self.lists.len() as u32 - 1
-            });
+        let heads = self.heads.map(page, || vec![0; PAGE].into_boxed_slice());
+        let head = &mut heads[addr as usize & (PAGE - 1)];
+        if *head == 0 {
             self.live += 1;
         }
-        self.lists[*handle as usize - 1].push((loop_id, site));
+        let node = (loop_id, site, *head);
+        *head = 1 + match self.free.pop() {
+            Some(free) => {
+                self.nodes[free as usize] = node;
+                free
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+        };
     }
 
     /// Calls `mark` for every watcher of a byte in `[addr, end)`.
     fn load(&self, (addr, end): (u64, u64), mut mark: impl FnMut(u32, SiteId)) {
         for (page, run) in page_runs(addr, end) {
-            let Some(handles) = self.handles.get(page) else {
+            let Some(heads) = self.heads.get(page) else {
                 continue;
             };
-            for &handle in &handles[run] {
-                if handle != 0 {
-                    for &(loop_id, site) in &self.lists[handle as usize - 1] {
-                        mark(loop_id, site);
-                    }
+            for &head in &heads[run] {
+                let mut at = head;
+                while at != 0 {
+                    let (loop_id, site, next) = self.nodes[at as usize - 1];
+                    mark(loop_id, site);
+                    at = next;
                 }
             }
         }
@@ -533,15 +541,16 @@ impl Watch {
     /// Stops watching `[addr, end)`.
     fn store(&mut self, (addr, end): (u64, u64)) {
         for (page, run) in page_runs(addr, end) {
-            let Some(handles) = self.handles.get_mut(page) else {
+            let Some(heads) = self.heads.get_mut(page) else {
                 continue;
             };
-            for handle in &mut handles[run] {
-                if *handle != 0 {
-                    self.lists[*handle as usize - 1].clear();
-                    self.free.push(*handle - 1);
-                    *handle = 0;
+            for head in &mut heads[run] {
+                if *head != 0 {
                     self.live -= 1;
+                }
+                while *head != 0 {
+                    self.free.push(*head - 1);
+                    *head = self.nodes[*head as usize - 1].2;
                 }
             }
         }
