@@ -562,7 +562,7 @@ impl Watch {
 // ---------------------------------------------------------------------------
 
 /// Per-site facts of one loop, dense over the program's site table.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 struct SiteFacts {
     count: u64,
     regions: RegionMask,
