@@ -223,6 +223,71 @@ fn deeply_nested_line_is_a_bad_request() {
     assert_eq!(after.out_long, vec![35500]);
 }
 
+/// The ids of a telemetry file's lines, each of which must parse as one
+/// whole JSON record.
+fn telemetry_ids(path: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let j = Json::parse(l).unwrap_or_else(|e| panic!("torn telemetry line `{l}`: {e}"));
+            assert!(j.get("phases").and_then(Json::as_arr).is_some(), "{l}");
+            field(&j, &["id"]).as_str().expect("an id").to_string()
+        })
+        .collect()
+}
+
+/// Runs `dsed --batch` with `args` over `lines` and returns its output.
+fn batch(args: &[&str], lines: &[String]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .arg("--batch")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dsed");
+    let mut stdin = child.stdin.take().expect("stdin");
+    for l in lines {
+        writeln!(stdin, "{l}").unwrap();
+    }
+    drop(stdin);
+    child.wait_with_output().expect("dsed exit")
+}
+
+/// `--workers 0` still runs one worker: the request is answered.
+#[test]
+fn zero_workers_still_answer() {
+    let out = batch(&["--workers", "0"], &[req("z", "run", PROG_SUM, 1)]);
+    assert!(out.status.success(), "dsed failed: {out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let responses: Vec<Response> = stdout.lines().map(parse_response).collect();
+    assert_eq!(responses.len(), 1, "{stdout}");
+    assert!(responses[0].ok, "{:?}", responses[0].error);
+    assert_eq!(responses[0].out_long, vec![35500]);
+}
+
+/// A telemetry file is appended to, never truncated: two daemons in turn
+/// leave the records of both, each one whole.
+#[test]
+fn telemetry_file_appends_across_daemons() {
+    let telemetry = std::env::temp_dir().join(format!("dsed-append-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&telemetry);
+    let path = telemetry.to_str().expect("a UTF-8 temp path");
+    for (first, second) in [("a1", "a2"), ("b1", "b2")] {
+        let lines = [
+            req(first, "check", PROG_SUM, 2),
+            req(second, "compile", PROG_FILL, 2),
+        ];
+        let out = batch(&["--workers", "2", "--telemetry", path], &lines);
+        assert!(out.status.success(), "dsed failed: {out:?}");
+    }
+    let mut ids = telemetry_ids(&telemetry);
+    ids.sort_unstable();
+    assert_eq!(ids, ["a1", "a2", "b1", "b2"]);
+    let _ = std::fs::remove_file(&telemetry);
+}
+
 /// A hundred-plus-request batch populates the latency histograms: the
 /// stats payload reports nonzero p50/p90/p99 over every request, and the
 /// `--metrics-addr` HTTP endpoint serves matching Prometheus quantile
@@ -232,8 +297,12 @@ fn latency_histograms_cover_hundred_requests() {
     use std::io::Read as _;
     use std::net::TcpStream;
 
+    let telemetry = std::env::temp_dir().join(format!("dsed-latency-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&telemetry);
     let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
         .args(["--batch", "--workers", "8", "--metrics-addr", "127.0.0.1:0"])
+        .arg("--telemetry")
+        .arg(&telemetry)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -369,6 +438,16 @@ fn latency_histograms_cover_hundred_requests() {
     drop(stdin);
     let out = child.wait_with_output().expect("dsed exit");
     assert!(out.status.success(), "dsed failed: {out:?}");
+
+    // Eight workers wrote the telemetry file at once: still exactly one
+    // whole record per request.
+    let mut ids = telemetry_ids(&telemetry);
+    ids.sort_unstable();
+    let mut expected: Vec<String> = (0..N).map(|i| format!("r{i}")).collect();
+    expected.extend(["st".to_string(), "m".to_string()]);
+    expected.sort_unstable();
+    assert_eq!(ids, expected);
+    let _ = std::fs::remove_file(&telemetry);
 }
 
 fn wait_for_socket(path: &std::path::Path, child: &mut Child) {
