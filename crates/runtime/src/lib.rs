@@ -60,7 +60,6 @@ pub mod pool;
 pub mod privatize;
 pub mod prof;
 pub mod regvm;
-pub mod taskpool;
 pub mod tracebuf;
 pub mod vm;
 
@@ -70,6 +69,5 @@ pub use mem::SharedMem;
 pub use observer::{NullObserver, Observer};
 pub use pool::PoolStats;
 pub use prof::{class_of, IterCost, LoopProfile, OpClass, CLASS_NAMES, NCLASS, SERIAL_LOOP};
-pub use taskpool::{TaskPool, TaskPoolStats};
 pub use tracebuf::{EventBuf, EventKind, TraceEvent, TraceSink, HEAP_TID};
 pub use vm::{Counters, RunReport, ThreadCtx, Value, Vm, VmConfig, VmError};

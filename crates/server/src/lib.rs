@@ -17,17 +17,15 @@
 //!   cache hit, an edited program only re-runs the phases downstream of
 //!   the edit, and two concurrent submissions of the same program collapse
 //!   onto one computation.
-//! * **One [`dse_runtime::TaskPool`] for every request.** Request-level
-//!   concurrency is a fixed pool of worker threads, orthogonal to the
+//! * **A fixed set of request workers.** Each front end feeds one queue
+//!   that `--workers` scoped threads answer from, orthogonal to the
 //!   per-`Vm` loop pool a `run` request spins up internally.
 //! * **Shared telemetry.** Each response carries its per-phase cache
-//!   outcomes; `--telemetry` streams one JSONL line per request (through
-//!   a size-capped [`rotate::RotatingWriter`], so an always-on daemon's
-//!   log stays bounded), and the `stats` command (or the end-of-batch
-//!   summary) reports the cumulative [`metrics::ServerStats`] —
-//!   including end-to-end, queue-wait and per-phase latency histograms.
-//!   The `metrics` command and `--metrics-addr` serve the same numbers as
-//!   a Prometheus-style text exposition.
+//!   outcomes; `--telemetry` appends one JSONL line per request to a file
+//!   (or stderr), and the `stats` command (or the end-of-batch summary)
+//!   reports the cumulative [`metrics::ServerStats`] — including
+//!   end-to-end, queue-wait and per-phase latency histograms with their
+//!   p50/p90/p99.
 //!
 //! The crate also renders what a request produced: [`metrics`] builds the
 //! `dsec --metrics` document from an [`Outcome`] and the daemon's stats
@@ -39,11 +37,9 @@ pub mod chrome;
 pub mod execute;
 pub mod metrics;
 pub mod protocol;
-pub mod rotate;
 pub mod server;
 pub mod trace;
 
 pub use execute::{execute, Failure, Outcome};
 pub use protocol::{Cmd, PhaseLine, Request, Response};
-pub use rotate::RotatingWriter;
 pub use server::{Server, ServerConfig};

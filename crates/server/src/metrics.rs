@@ -7,9 +7,8 @@
 //!   (Figure 12's `vm.totals` and `vm.per_thread`) and the store's
 //!   counters.
 //! * [`ServerStats`] — the daemon's cumulative counters and latency
-//!   histograms, sent as the `stats` response ([`server_to_json`]), the
-//!   end-of-batch stderr line and, as Prometheus text
-//!   ([`prometheus_text`]), the `metrics` response and HTTP endpoint.
+//!   histograms, sent as the `stats` response and the end-of-batch stderr
+//!   line ([`server_to_json`]).
 //!
 //! The workspace writes these documents and never reads them back;
 //! readers take the fields they want through [`Json::get`].
@@ -18,7 +17,7 @@ use crate::execute::Outcome;
 use crate::protocol::Request;
 use dse_core::{ExpansionReport, StoreStats};
 use dse_runtime::vm::Counters;
-use dse_runtime::{RunReport, TaskPoolStats};
+use dse_runtime::RunReport;
 use dse_telemetry::{Json, LogHistogram, PhaseCacheStat, PhaseOutcome};
 use dse_verify::diag::{Report, Severity};
 use std::collections::BTreeMap;
@@ -30,14 +29,14 @@ use std::collections::BTreeMap;
 pub struct LatencyStats {
     /// End-to-end request handling time.
     pub e2e: LogHistogram,
-    /// Time a request spent queued behind the task pool.
+    /// Time a request spent queued before a worker picked it up.
     pub queue: LogHistogram,
     /// Wall time per pipeline phase, keyed by phase name.
     pub phases: BTreeMap<String, LogHistogram>,
 }
 
 /// Compile-service counters: requests served, the artifact store's
-/// per-phase cache behavior, latency and the request pool.
+/// per-phase cache behavior and latency.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Requests served (all commands).
@@ -52,8 +51,6 @@ pub struct ServerStats {
     pub phases: Vec<PhaseCacheStat>,
     /// Latency histograms; empty outside the daemon.
     pub latency: LatencyStats,
-    /// Request-level task-pool counters; zero outside the daemon.
-    pub taskpool: TaskPoolStats,
 }
 
 impl ServerStats {
@@ -86,17 +83,6 @@ pub fn latency_to_json(l: &LatencyStats) -> Json {
     ])
 }
 
-/// Serializes request-level task-pool counters.
-pub fn taskpool_to_json(t: &TaskPoolStats) -> Json {
-    Json::obj(vec![
-        ("workers", Json::Int(t.workers as i64)),
-        ("submitted", Json::Int(t.submitted as i64)),
-        ("completed", Json::Int(t.completed as i64)),
-        ("queued", Json::Int(t.queued as i64)),
-        ("queued_peak", Json::Int(t.queued_peak as i64)),
-    ])
-}
-
 /// Serializes compile-service cache counters.
 pub fn server_to_json(s: &ServerStats) -> Json {
     Json::obj(vec![
@@ -122,124 +108,7 @@ pub fn server_to_json(s: &ServerStats) -> Json {
             ),
         ),
         ("latency", latency_to_json(&s.latency)),
-        ("taskpool", taskpool_to_json(&s.taskpool)),
     ])
-}
-
-/// Renders [`ServerStats`] as a Prometheus-style text exposition:
-/// counters, gauges, and latency summaries (seconds) with p50/p90/p99
-/// quantiles, served by `dsed --metrics-addr` and the `metrics` request.
-pub fn prometheus_text(s: &ServerStats) -> String {
-    use std::fmt::Write as _;
-    fn scalar(out: &mut String, kind: &str, name: &str, help: &str, v: u64) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    fn summary(out: &mut String, name: &str, help: &str, labels: &str, h: &LogHistogram) {
-        let secs = |ns: u64| ns as f64 / 1e9;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} summary");
-        let sep = if labels.is_empty() { "" } else { "," };
-        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-            let _ = writeln!(
-                out,
-                "{name}{{{labels}{sep}quantile=\"{label}\"}} {}",
-                secs(h.percentile(q))
-            );
-        }
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", secs(h.sum()));
-        let _ = writeln!(out, "{name}_count{{{labels}}} {}", h.count());
-    }
-    let mut out = String::new();
-    for (name, help, v) in [
-        ("dsed_requests_total", "Requests served.", s.requests),
-        ("dsed_failures_total", "Requests that failed.", s.failures),
-        (
-            "dsed_taskpool_submitted_total",
-            "Tasks accepted by the request pool.",
-            s.taskpool.submitted,
-        ),
-        (
-            "dsed_taskpool_completed_total",
-            "Tasks the request pool finished.",
-            s.taskpool.completed,
-        ),
-    ] {
-        scalar(&mut out, "counter", name, help, v);
-    }
-    for (name, help, v) in [
-        (
-            "dsed_cache_entries",
-            "Ready artifacts resident in the store.",
-            s.cache_entries,
-        ),
-        (
-            "dsed_cache_capacity",
-            "Artifact-store LRU capacity.",
-            s.cache_capacity,
-        ),
-        (
-            "dsed_taskpool_workers",
-            "Request-pool worker threads.",
-            s.taskpool.workers,
-        ),
-        (
-            "dsed_taskpool_queued",
-            "Tasks waiting in the request queue.",
-            s.taskpool.queued,
-        ),
-        (
-            "dsed_taskpool_queued_peak",
-            "High-water mark of the request queue depth.",
-            s.taskpool.queued_peak,
-        ),
-    ] {
-        scalar(&mut out, "gauge", name, help, v);
-    }
-    let _ = writeln!(
-        out,
-        "# HELP dsed_phase_cache_total Artifact-cache outcomes per phase."
-    );
-    let _ = writeln!(out, "# TYPE dsed_phase_cache_total counter");
-    for p in &s.phases {
-        for (outcome, v) in [
-            ("hit", p.hits),
-            ("miss", p.misses),
-            ("dedup", p.dedups),
-            ("eviction", p.evictions),
-        ] {
-            let _ = writeln!(
-                out,
-                "dsed_phase_cache_total{{phase=\"{}\",outcome=\"{outcome}\"}} {v}",
-                p.phase
-            );
-        }
-    }
-    summary(
-        &mut out,
-        "dsed_request_latency_seconds",
-        "End-to-end request handling time.",
-        "",
-        &s.latency.e2e,
-    );
-    summary(
-        &mut out,
-        "dsed_queue_wait_seconds",
-        "Time requests spent queued behind the task pool.",
-        "",
-        &s.latency.queue,
-    );
-    for (phase, h) in &s.latency.phases {
-        summary(
-            &mut out,
-            "dsed_phase_latency_seconds",
-            "Wall time per pipeline phase.",
-            &format!("phase=\"{phase}\""),
-            h,
-        );
-    }
-    out
 }
 
 /// The `dsec --metrics` document of one request answered in-process:
@@ -490,7 +359,6 @@ mod tests {
         assert_eq!(int(&doc, &["server", "cache_entries"]), entries);
         assert_eq!(int(&doc, &["server", "phases", "0", "misses"]), 1);
         assert_eq!(int(&doc, &["server", "latency", "e2e", "count"]), 0);
-        assert_eq!(int(&doc, &["server", "taskpool", "submitted"]), 0);
     }
 
     #[test]
@@ -622,45 +490,18 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_renders_quantiles() {
-        let phase = |name: &str, hits, misses, dedups, evictions| PhaseCacheStat {
+    fn totals_count_dedups_as_hits() {
+        let phase = |name: &str, hits, misses, dedups| PhaseCacheStat {
             phase: name.into(),
             hits,
             misses,
             dedups,
-            evictions,
+            evictions: 0,
         };
-        let mut latency = LatencyStats::default();
-        for v in [1_000, 2_000, 1_000_000] {
-            latency.e2e.record(v);
-        }
-        latency.queue.record(500);
-        let mut parse = LogHistogram::new();
-        parse.record(10_000);
-        latency.phases = BTreeMap::from([("parse".into(), parse)]);
         let s = ServerStats {
-            requests: 12,
-            failures: 1,
-            cache_entries: 9,
-            cache_capacity: 256,
-            phases: vec![phase("parse", 10, 2, 1, 0), phase("verify", 11, 1, 0, 3)],
-            latency,
-            taskpool: TaskPoolStats {
-                workers: 4,
-                submitted: 12,
-                completed: 12,
-                queued: 0,
-                queued_peak: 3,
-            },
+            phases: vec![phase("parse", 10, 2, 1), phase("verify", 11, 1, 0)],
+            ..ServerStats::default()
         };
-        assert_eq!(s.total_hits(), 22);
-        assert_eq!(s.total_misses(), 3);
-        let text = prometheus_text(&s);
-        assert!(text.contains("dsed_requests_total 12"));
-        assert!(text.contains("dsed_taskpool_queued_peak 3"));
-        assert!(text.contains("dsed_phase_cache_total{phase=\"parse\",outcome=\"hit\"} 10"));
-        assert!(text.contains("dsed_request_latency_seconds{quantile=\"0.5\"}"));
-        assert!(text.contains("dsed_request_latency_seconds_count{} 3"));
-        assert!(text.contains("dsed_phase_latency_seconds{phase=\"parse\",quantile=\"0.99\"}"));
+        assert_eq!((s.total_hits(), s.total_misses()), (22, 3));
     }
 }

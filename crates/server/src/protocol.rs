@@ -17,7 +17,7 @@
 //! a daemon-side path (`path`); inline wins when both are present. A
 //! field that is present with the wrong type is an error naming it, on
 //! both sides of the wire; `null` reads as absent for the optional ones
-//! (`source`, `path`, `error`, `metrics`).
+//! (`source`, `path`, `error`).
 
 use crate::metrics::{server_to_json, ServerStats};
 use dse_core::{CacheOutcome, OptLevel, PhaseOutcome, Trace};
@@ -36,9 +36,6 @@ pub enum Cmd {
     Check,
     /// Report cumulative [`ServerStats`].
     Stats,
-    /// Report the Prometheus-style text exposition (counters, gauges and
-    /// latency summaries) in the response's `metrics` field.
-    Metrics,
     /// Stop accepting requests and shut the daemon down.
     Shutdown,
 }
@@ -51,7 +48,6 @@ impl Cmd {
             Cmd::Compile => "compile",
             Cmd::Check => "check",
             Cmd::Stats => "stats",
-            Cmd::Metrics => "metrics",
             Cmd::Shutdown => "shutdown",
         }
     }
@@ -63,7 +59,6 @@ impl Cmd {
             "compile" => Some(Cmd::Compile),
             "check" => Some(Cmd::Check),
             "stats" => Some(Cmd::Stats),
-            "metrics" => Some(Cmd::Metrics),
             "shutdown" => Some(Cmd::Shutdown),
             _ => None,
         }
@@ -278,8 +273,6 @@ pub struct Response {
     pub phases: Vec<PhaseLine>,
     /// Cumulative stats (`stats` command only).
     pub stats: Option<ServerStats>,
-    /// Prometheus-style text exposition (`metrics` command only).
-    pub metrics: Option<String>,
 }
 
 impl Response {
@@ -346,13 +339,6 @@ impl Response {
                     None => Json::Null,
                 },
             ),
-            (
-                "metrics",
-                match &self.metrics {
-                    Some(m) => Json::Str(m.clone()),
-                    None => Json::Null,
-                },
-            ),
         ])
     }
 
@@ -386,7 +372,6 @@ impl Response {
             .unwrap_or_default(),
             phases: typed(j, "phases", |v| each(v, PhaseLine::from_json))?.unwrap_or_default(),
             stats: None,
-            metrics: nullable(j, "metrics", Json::as_str)?.map(str::to_string),
         })
     }
 }
@@ -428,8 +413,11 @@ mod tests {
     fn bad_requests_are_rejected() {
         let missing = Json::parse(r#"{"source":"x"}"#).unwrap();
         assert!(Request::from_json(&missing).is_err());
-        let unknown = Json::parse(r#"{"cmd":"reboot"}"#).unwrap();
-        assert!(Request::from_json(&unknown).is_err());
+        for cmd in ["reboot", "metrics"] {
+            let unknown = Json::parse(&format!(r#"{{"cmd":"{cmd}"}}"#)).unwrap();
+            let err = Request::from_json(&unknown).unwrap_err();
+            assert_eq!(err, format!("unknown cmd `{cmd}`"));
+        }
         // A non-integer input must not be dropped and the rest run.
         for bad in [r#"[1,"x",3]"#, "[1.5]", "7"] {
             let j = Json::parse(&format!(r#"{{"cmd":"run","source":"x","in":{bad}}}"#)).unwrap();
@@ -456,7 +444,6 @@ mod tests {
                 ns: 123,
             }],
             stats: None,
-            metrics: None,
         };
         let back = Response::from_json(&r.to_json()).unwrap();
         assert_eq!(back.id, "7");
@@ -477,7 +464,7 @@ mod tests {
             "baseline":false,"serial":false,"strict":false,"exec_backend":"stack","in":[1]}"#;
         let response = r#"{"id":"1","ok":true,"error":null,"console":"","out_long":[1],
             "out_float":[0.5],"exit":0,"diagnostics":["d"],
-            "phases":[{"phase":"parse","key":"k","cache":"miss","ns":1}],"stats":null,"metrics":null}"#;
+            "phases":[{"phase":"parse","key":"k","cache":"miss","ns":1}],"stats":null}"#;
         let with = |doc: &str, key: &str, value: Json| {
             let Ok(Json::Obj(mut pairs)) = Json::parse(doc) else {
                 panic!("a valid object");
@@ -516,7 +503,6 @@ mod tests {
             ("exit", s("1")),
             ("diagnostics", arr(Json::Int(1))),
             ("phases", arr(Json::Int(1))),
-            ("metrics", Json::Int(1)),
         ] {
             let err = Response::from_json(&with(response, key, bad)).unwrap_err();
             assert_eq!(err, format!("bad `{key}`"), "response `{key}`");

@@ -1,22 +1,28 @@
 //! The daemon itself: request execution over the shared artifact store,
 //! plus the two front ends (`--batch` over stdin/stdout, `--socket` over a
-//! unix listener).
+//! unix listener). Each front end feeds one queue that a fixed number of
+//! scoped request workers answer from.
 
 use crate::execute::execute;
 use crate::metrics::{LatencyStats, ServerStats};
 use crate::protocol::{Cmd, PhaseLine, Request, Response};
 use dse_core::ArtifactStore;
-use dse_runtime::{NullObserver, TaskPool, VmConfig};
+use dse_runtime::{NullObserver, VmConfig};
 use dse_telemetry::Json;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::Scope;
 use std::time::Instant;
+
+/// One queued request: what was asked, when it was queued, and where its
+/// response goes.
+type Job = (Request, Instant, mpsc::Sender<Response>);
 
 /// Daemon knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Request-level worker threads.
+    /// Request-level worker threads (at least one runs).
     pub workers: usize,
     /// Artifact-store LRU capacity.
     pub capacity: usize,
@@ -31,12 +37,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// The shared daemon state: one artifact store, one task pool, cumulative
-/// counters, latency histograms, the shutdown flag, and the optional
-/// telemetry sink.
+/// The shared daemon state: one artifact store, the request-worker count,
+/// cumulative counters, latency histograms, the shutdown flag, and the
+/// optional telemetry sink.
 pub struct Server {
     store: ArtifactStore,
-    pool: TaskPool,
+    workers: usize,
     requests: AtomicU64,
     failures: AtomicU64,
     /// All three histograms under one lock: recording is a few O(1)
@@ -51,7 +57,7 @@ impl Server {
     pub fn new(config: &ServerConfig) -> Server {
         Server {
             store: ArtifactStore::with_capacity(config.capacity),
-            pool: TaskPool::new(config.workers),
+            workers: config.workers.max(1),
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             latency: Mutex::new(LatencyStats::default()),
@@ -78,7 +84,7 @@ impl Server {
 
     /// Cumulative stats: what the store counts (resident artifacts,
     /// capacity, per-phase cache counters) and what the daemon counts
-    /// (requests, failures, latency histograms, task-pool counters).
+    /// (requests, failures, latency histograms).
     pub fn stats(&self) -> ServerStats {
         let store = self.store.stats();
         ServerStats {
@@ -88,13 +94,7 @@ impl Server {
             cache_capacity: store.capacity,
             phases: store.phases,
             latency: self.latency.lock().unwrap().clone(),
-            taskpool: self.pool.stats(),
         }
-    }
-
-    /// The Prometheus-style text exposition of [`Server::stats`].
-    pub fn prometheus_text(&self) -> String {
-        crate::metrics::prometheus_text(&self.stats())
     }
 
     /// Executes one request to completion and returns its response. Safe
@@ -137,10 +137,6 @@ impl Server {
                 stats: Some(self.stats()),
                 ..ok
             },
-            Cmd::Metrics => Response {
-                metrics: Some(self.prometheus_text()),
-                ..ok
-            },
             Cmd::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 ok
@@ -172,93 +168,107 @@ impl Server {
         let _ = sink.flush();
     }
 
-    /// Submits a parsed request to the task pool; the response is sent on
-    /// `out`.
-    fn submit(self: &Arc<Self>, req: Request, out: mpsc::Sender<Response>) {
-        let server = Arc::clone(self);
-        let queued_at = Instant::now();
-        self.pool.submit(move || {
-            server
-                .latency
-                .lock()
-                .unwrap()
-                .queue
-                .record(queued_at.elapsed().as_nanos() as u64);
-            let _ = out.send(server.handle(&req));
-        });
+    /// Spawns the request workers into `scope` and returns their queue.
+    /// Each worker records the job's queue wait at pickup and answers it
+    /// through [`Server::handle`]. Dropping the last sender is the drain:
+    /// the workers answer what is queued, then exit.
+    fn spawn_workers<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) -> mpsc::Sender<Job> {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let queue = Arc::new(Mutex::new(queue));
+        for _ in 0..self.workers {
+            let queue = Arc::clone(&queue);
+            scope.spawn(move || loop {
+                // The guard is a temporary: the queue unlocks once a job is
+                // taken, before it is answered.
+                let next = queue
+                    .lock()
+                    .expect("no worker panics holding the queue")
+                    .recv();
+                let Ok((req, queued_at, out)) = next else {
+                    return;
+                };
+                self.latency
+                    .lock()
+                    .expect("no request panics holding the histograms")
+                    .queue
+                    .record(queued_at.elapsed().as_nanos() as u64);
+                let _ = out.send(self.handle(&req));
+            });
+        }
+        jobs
     }
 
     /// `--batch`: newline-delimited requests on `input`, responses on
     /// `output` as they complete (order is by completion, not submission —
-    /// clients correlate by id). Returns the cumulative stats.
+    /// clients correlate by id). Returns the cumulative stats once every
+    /// request read has been answered.
     pub fn serve_batch(
-        self: &Arc<Self>,
+        &self,
         input: impl BufRead,
-        output: impl Write + Send + 'static,
+        output: impl Write + Send,
     ) -> std::io::Result<ServerStats> {
-        let (tx, rx) = mpsc::channel::<Response>();
-        let writer = std::thread::spawn(move || -> std::io::Result<()> {
-            let mut output = output;
-            for resp in rx {
-                writeln!(output, "{}", resp.to_json())?;
-                output.flush()?;
-            }
-            Ok(())
-        });
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Json::parse(line.trim())
-                .map_err(|e| e.to_string())
-                .and_then(|j| Request::from_json(&j))
-            {
-                Ok(req) => self.submit(req, tx.clone()),
-                Err(e) => {
-                    let _ = tx.send(Response::failure("", format!("bad request: {e}")));
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel::<Response>();
+            let writer = s.spawn(move || -> std::io::Result<()> {
+                let mut output = output;
+                for resp in rx {
+                    writeln!(output, "{}", resp.to_json())?;
+                    output.flush()?;
+                }
+                Ok(())
+            });
+            let jobs = self.spawn_workers(s);
+            for line in input.lines() {
+                let line = line?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                match parse_request(&line) {
+                    Ok(req) => {
+                        let _ = jobs.send((req, Instant::now(), tx.clone()));
+                    }
+                    Err(e) => {
+                        let _ = tx.send(Response::failure("", e));
+                    }
+                }
+                if self.shutting_down() {
+                    break;
                 }
             }
-            if self.shutting_down() {
-                break;
-            }
-        }
-        self.pool.wait_idle();
-        drop(tx);
-        writer.join().expect("batch writer thread")?;
+            drop((jobs, tx));
+            writer.join().expect("batch writer thread")
+        })?;
         Ok(self.stats())
     }
 
     /// `--socket`: accepts connections on a unix listener; each connection
     /// carries any number of newline-delimited requests, answered in order
     /// on the same connection. Returns the cumulative stats after a
-    /// `shutdown` request.
-    pub fn serve_socket(self: &Arc<Self>, path: &str) -> std::io::Result<ServerStats> {
+    /// `shutdown` request, once every connection has closed.
+    pub fn serve_socket(&self, path: &str) -> std::io::Result<ServerStats> {
         use std::os::unix::net::UnixListener;
         // A stale socket file from a previous daemon would fail the bind.
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        let mut handlers = Vec::new();
-        for conn in listener.incoming() {
-            if self.shutting_down() {
-                break;
+        std::thread::scope(|s| {
+            let jobs = self.spawn_workers(s);
+            for conn in listener.incoming() {
+                if self.shutting_down() {
+                    break;
+                }
+                let Ok(conn) = conn else { continue };
+                let jobs = jobs.clone();
+                s.spawn(move || self.serve_connection(conn, &jobs));
+                if self.shutting_down() {
+                    break;
+                }
             }
-            let Ok(conn) = conn else { continue };
-            let server = Arc::clone(self);
-            handlers.push(std::thread::spawn(move || server.serve_connection(conn)));
-            if self.shutting_down() {
-                break;
-            }
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        self.pool.wait_idle();
+        });
         let _ = std::fs::remove_file(path);
         Ok(self.stats())
     }
 
-    fn serve_connection(self: Arc<Self>, conn: std::os::unix::net::UnixStream) {
+    fn serve_connection(&self, conn: std::os::unix::net::UnixStream, jobs: &mpsc::Sender<Job>) {
         let Ok(reader) = conn.try_clone() else { return };
         let mut writer = conn;
         let reader = std::io::BufReader::new(reader);
@@ -267,17 +277,14 @@ impl Server {
             if line.trim().is_empty() {
                 continue;
             }
-            let resp = match Json::parse(line.trim())
-                .map_err(|e| e.to_string())
-                .and_then(|j| Request::from_json(&j))
-            {
+            let resp = match parse_request(&line) {
                 Ok(req) => {
                     let (tx, rx) = mpsc::channel();
-                    self.submit(req, tx);
+                    let _ = jobs.send((req, Instant::now(), tx));
                     rx.recv()
                         .unwrap_or_else(|_| Response::failure("", "internal error: no response"))
                 }
-                Err(e) => Response::failure("", format!("bad request: {e}")),
+                Err(e) => Response::failure("", e),
             };
             let done = self.shutting_down();
             if writeln!(writer, "{}", resp.to_json()).is_err() {
@@ -297,6 +304,14 @@ impl Server {
             }
         }
     }
+}
+
+/// One request line, or the `bad request: …` error it is answered with.
+fn parse_request(line: &str) -> Result<Request, String> {
+    Json::parse(line.trim())
+        .map_err(|e| e.to_string())
+        .and_then(|j| Request::from_json(&j))
+        .map_err(|e| format!("bad request: {e}"))
 }
 
 #[cfg(test)]

@@ -146,19 +146,8 @@ impl LogHistogram {
         self.max
     }
 
-    /// Adds `other`'s recordings into `self` (bucket-exact: merging then
-    /// querying equals querying the concatenation of recordings).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (s, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *s += *o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Sparse JSON form: summary fields plus `[index, count]` pairs for
+    /// Sparse JSON form: summary fields, the p50/p90/p99 estimates of
+    /// [`LogHistogram::percentile`], and `[index, count]` pairs for
     /// non-empty buckets.
     pub fn to_json(&self) -> Json {
         let buckets: Vec<Json> = self
@@ -173,6 +162,9 @@ impl LogHistogram {
             ("sum", Json::Int(self.sum as i64)),
             ("min", Json::Int(self.min() as i64)),
             ("max", Json::Int(self.max as i64)),
+            ("p50", Json::Int(self.percentile(0.5) as i64)),
+            ("p90", Json::Int(self.percentile(0.9) as i64)),
+            ("p99", Json::Int(self.percentile(0.99) as i64)),
             ("buckets", Json::Arr(buckets)),
         ])
     }
@@ -245,13 +237,19 @@ mod tests {
             [int("count"), int("sum"), int("min"), int("max")],
             [4, 906, 0, 900].map(Some)
         );
+        // The quantiles are `percentile`'s: 3 is exact, 900's bucket is
+        // clamped to the recorded max.
+        assert_eq!(
+            [int("p50"), int("p90"), int("p99")],
+            [3, 900, 900].map(Some)
+        );
         let buckets = j.get("buckets").and_then(Json::as_arr).unwrap();
         let pair = |idx: usize, c: i64| Json::Arr(vec![Json::Int(idx as i64), Json::Int(c)]);
         assert_eq!(buckets, [pair(0, 1), pair(3, 2), pair(index_of(900), 1)]);
         // An empty histogram reports zeros, not its `u64::MAX` min sentinel.
         assert_eq!(
             LogHistogram::new().to_json().to_string(),
-            r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#
+            r#"{"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]}"#
         );
     }
 }
