@@ -7,8 +7,9 @@
 //!
 //! `--socket` listens on a unix socket; clients (`dsec --daemon <path>`,
 //! or anything speaking the newline-delimited JSON protocol in DESIGN.md)
-//! connect and exchange one JSON object per line. A `shutdown` request
-//! stops the daemon after in-flight requests drain.
+//! connect and exchange one JSON object per line. The path appears once
+//! the daemon is listening. A `shutdown` request stops the daemon after
+//! in-flight requests drain.
 //!
 //! `--batch` reads requests from stdin and writes responses to stdout,
 //! still executing concurrently on the request workers — responses come

@@ -247,9 +247,13 @@ impl Server {
     /// `shutdown` request, once every connection has closed.
     pub fn serve_socket(&self, path: &str) -> std::io::Result<ServerStats> {
         use std::os::unix::net::UnixListener;
-        // A stale socket file from a previous daemon would fail the bind.
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
+        // Bound under another name and renamed into place once listening:
+        // a client that sees `path` can connect. The rename also replaces
+        // a stale socket file from a previous daemon.
+        let staging = format!("{path}.tmp");
+        let _ = std::fs::remove_file(&staging);
+        let listener = UnixListener::bind(&staging)?;
+        std::fs::rename(&staging, path)?;
         std::thread::scope(|s| {
             let jobs = self.spawn_workers(s);
             for conn in listener.incoming() {
@@ -258,7 +262,7 @@ impl Server {
                 }
                 let Ok(conn) = conn else { continue };
                 let jobs = jobs.clone();
-                s.spawn(move || self.serve_connection(conn, &jobs));
+                s.spawn(move || self.serve_connection(conn, &jobs, path));
                 if self.shutting_down() {
                     break;
                 }
@@ -268,7 +272,12 @@ impl Server {
         Ok(self.stats())
     }
 
-    fn serve_connection(&self, conn: std::os::unix::net::UnixStream, jobs: &mpsc::Sender<Job>) {
+    fn serve_connection(
+        &self,
+        conn: std::os::unix::net::UnixStream,
+        jobs: &mpsc::Sender<Job>,
+        path: &str,
+    ) {
         let Ok(reader) = conn.try_clone() else { return };
         let mut writer = conn;
         let reader = std::io::BufReader::new(reader);
@@ -287,19 +296,14 @@ impl Server {
                 Err(e) => Response::failure("", e),
             };
             let done = self.shutting_down();
-            if writeln!(writer, "{}", resp.to_json()).is_err() {
+            let sent = writeln!(writer, "{}", resp.to_json()).and_then(|()| writer.flush());
+            if done {
+                // Unblock the accept loop so the daemon can exit, even if
+                // the client hung up before reading its answer.
+                let _ = std::os::unix::net::UnixStream::connect(path);
                 break;
             }
-            let _ = writer.flush();
-            if done {
-                // Unblock the accept loop so the daemon can exit.
-                if let Some(addr) = writer
-                    .local_addr()
-                    .ok()
-                    .and_then(|a| a.as_pathname().map(std::path::Path::to_path_buf))
-                {
-                    let _ = std::os::unix::net::UnixStream::connect(&addr);
-                }
+            if sent.is_err() {
                 break;
             }
         }

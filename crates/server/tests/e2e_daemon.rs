@@ -497,3 +497,40 @@ fn socket_concurrent_clients_and_shutdown() {
     }
     assert!(!sock.exists(), "socket file not cleaned up");
 }
+
+/// A client that sends `shutdown` and hangs up before reading the answer
+/// still stops the daemon: the failed write does not skip the wake-up of
+/// the accept loop.
+#[test]
+fn shutdown_from_a_client_that_hung_up_still_exits() {
+    use std::os::unix::net::UnixStream;
+    let sock = std::env::temp_dir().join(format!("dsed-hangup-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .arg("--socket")
+        .arg(&sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dsed");
+    wait_for_socket(&sock, &mut child);
+
+    let mut conn = UnixStream::connect(&sock).expect("connect");
+    // Closing our read half first makes the daemon's answer fail to send.
+    conn.shutdown(std::net::Shutdown::Read).unwrap();
+    writeln!(conn, r#"{{"id":"bye","cmd":"shutdown"}}"#).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("dsed did not exit after shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "dsed shutdown status {status}");
+    assert!(!sock.exists(), "socket file not cleaned up");
+}
