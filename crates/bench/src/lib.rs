@@ -29,7 +29,7 @@ pub mod table;
 use dse_core::{Analysis, OptLevel};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
-use dse_runtime::{Counters, LoopProfile, Vm};
+use dse_runtime::{BackendKind, Counters, LoopProfile, Vm, VmConfig};
 use dse_workloads::{Scale, Workload};
 use std::time::{Duration, Instant};
 use table::{col, series, Cell, Col, Row, Table};
@@ -47,44 +47,42 @@ pub fn analyze(w: &Workload) -> Analysis {
         .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
+/// The configuration of every VM `figures` builds: `w` at `scale` on
+/// `nthreads` threads, on the reference stack interpreter. The profiler
+/// counts Table 4's `in_loops` on the stack encoding, and Figures 10 and
+/// 13 charge the runtime-privatization baseline 20 instructions per
+/// `Counters::private_direct` access, which the register encoding does
+/// not form for a replica it keeps in a register; so every count the
+/// figures divide is measured there.
+fn vm_config(w: &Workload, scale: Scale, nthreads: u32) -> VmConfig {
+    VmConfig {
+        nthreads,
+        backend: BackendKind::Stack,
+        ..w.vm_config(scale)
+    }
+}
+
 fn timed_run(
     compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
     nthreads: u32,
 ) -> (Duration, dse_runtime::RunReport, Vec<i64>) {
-    let mut cfg = w.vm_config(scale);
-    cfg.nthreads = nthreads;
-    let mut vm = Vm::new(compiled.clone(), cfg).expect("vm");
+    let mut vm = Vm::new(compiled.clone(), vm_config(w, scale, nthreads)).expect("vm");
     let t0 = Instant::now();
     let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
     (t0.elapsed(), report, vm.outputs_int())
 }
 
+/// The counters of a one-thread run of `compiled`.
+fn counters(compiled: &CompiledProgram, w: &Workload, scale: Scale) -> Counters {
+    timed_run(compiled, w, scale, 1).1.counters
+}
+
 /// Instructions the original program retires at `scale` (the denominator
 /// of every overhead and simulated speedup).
 fn serial_work(analysis: &Analysis, w: &Workload, scale: Scale) -> f64 {
-    timed_run(&analysis.serial, w, scale, 1).1.counters.work as f64
-}
-
-/// A one-thread run on the reference stack interpreter, whatever
-/// `DSE_EXEC_BACKEND` says. Figures 10 and 13 charge the
-/// runtime-privatization baseline 20 instructions per monitored access,
-/// and `Counters::private_direct` counts those on the stack encoding (the
-/// register encoding forms no tid address for a replica it keeps in a
-/// register), so everything those figures divide is measured there.
-fn stack_config(w: &Workload, scale: Scale) -> dse_runtime::VmConfig {
-    let mut cfg = w.vm_config(scale);
-    cfg.nthreads = 1;
-    cfg.backend = dse_runtime::BackendKind::Stack;
-    cfg
-}
-
-/// The counters of a [`stack_config`] run of `compiled`.
-fn stack_counters(compiled: &CompiledProgram, w: &Workload, scale: Scale) -> Counters {
-    let mut vm = Vm::new(compiled.clone(), stack_config(w, scale)).expect("vm");
-    let report = vm.run().unwrap_or_else(|e| panic!("{} run: {e}", w.name));
-    report.counters
+    counters(&analysis.serial, w, scale).work as f64
 }
 
 /// Harmonic mean of a positive series (the paper's average of choice).
@@ -109,12 +107,9 @@ fn name(w: &Workload) -> (Col, Cell) {
 pub fn table4(workloads: &[Workload]) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
-        // `in_loops` is counted by the profiler over the stack encoding
-        // (profiling always pins the reference backend), so the
-        // whole-program denominator must retire the same encoding no
-        // matter what DSE_EXEC_BACKEND says — the register backend
-        // retires far fewer instructions for the same program.
-        let work = stack_counters(&analysis.serial, w, Scale::Profile).work;
+        // `in_loops` and this denominator are both stack-encoding counts
+        // (see `vm_config`).
+        let work = counters(&analysis.serial, w, Scale::Profile).work;
         let in_loops: u64 = analysis.profile.loops.iter().map(|l| l.instructions).sum();
         let time_pct = 100.0 * in_loops as f64 / work as f64;
         let mode = analysis.classifications[0].mode;
@@ -203,11 +198,11 @@ pub fn fig9(workloads: &[Workload], opt: OptLevel, scale: Scale) -> Table {
 pub fn fig10(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
-        let base = stack_counters(&analysis.serial, w, scale).work as f64;
+        let base = serial_work(&analysis, w, scale);
         let t = analysis.transform(OptLevel::Full, 1).expect("transform");
-        let rt = stack_counters(&t.parallel, w, scale);
+        let rt = counters(&t.parallel, w, scale);
         let b = analysis.baseline_parallel(1).expect("baseline");
-        let rp = stack_counters(&b.parallel, w, scale);
+        let rp = counters(&b.parallel, w, scale);
         // The baseline's cost model: every monitored private access
         // (heap translations and statically privatized accesses alike,
         // per SpiceC's all-accesses monitoring) costs a runtime lookup
@@ -229,21 +224,16 @@ pub type LoopModes = std::collections::HashMap<u32, ParMode>;
 
 /// Runs a program serially with the loop record on, returning the
 /// instruction total, the record (one cost vector per dynamic loop entry),
-/// and per-loop modes. `pin_stack` makes it a [`stack_config`] run (the
-/// costs carry `private_direct`).
+/// and per-loop modes.
 fn record_profile(
     compiled: &CompiledProgram,
     w: &Workload,
     scale: Scale,
-    pin_stack: bool,
 ) -> (u64, Vec<LoopProfile>, LoopModes, Counters) {
-    let mut cfg = if pin_stack {
-        stack_config(w, scale)
-    } else {
-        w.vm_config(scale)
+    let cfg = VmConfig {
+        profile: true,
+        ..vm_config(w, scale, 1)
     };
-    cfg.nthreads = 1;
-    cfg.profile = true;
     let mut vm = Vm::new(compiled.clone(), cfg).expect("vm");
     let report = vm.run().unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let modes = compiled
@@ -266,7 +256,7 @@ fn sim_speedups(
     parallel: impl Fn(u32) -> CompiledProgram,
 ) -> (Vec<f64>, Vec<f64>) {
     let sims = CORE_COUNTS.map(|n| {
-        let (tot, profile, modes, _) = record_profile(&parallel(n), w, scale, charge_localize);
+        let (tot, profile, modes, _) = record_profile(&parallel(n), w, scale);
         sim::simulate_program(tot, &profile, &modes, n, charge_localize)
     });
     let loop_only = sims
@@ -342,7 +332,7 @@ pub fn fig13_sim(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
         let baseline = |n| analysis.baseline_parallel(n).expect("baseline").parallel;
-        let serial_ref = stack_counters(&analysis.serial, w, scale).work as f64;
+        let serial_ref = serial_work(&analysis, w, scale);
         speedup_row(w, sim_speedups(w, scale, serial_ref, true, baseline))
     };
     Table::new(workloads.iter().map(row).collect())
@@ -355,7 +345,7 @@ pub fn fig12_sim(workloads: &[Workload], scale: Scale) -> Table {
     let row = |w: &Workload| {
         let analysis = analyze(w);
         let t = analysis.transform(OptLevel::Full, 8).expect("transform");
-        let (tot, profile, modes, counters) = record_profile(&t.parallel, w, scale, false);
+        let (tot, profile, modes, counters) = record_profile(&t.parallel, w, scale);
         let ps = sim::simulate_program(tot, &profile, &modes, 8, false);
         let outside = (tot as f64 - sim::recorded_instructions(&profile) as f64).max(0.0);
         let sync = counters.sync_ops as f64;
@@ -408,7 +398,7 @@ fn doacross_profiles(
         .filter(|w| w.paper.parallelism == ParMode::DoAcross);
     doacross.map(move |w| {
         let t = analyze(w).transform(OptLevel::Full, 8).expect("transform");
-        let (_, profile, modes, _) = record_profile(&t.parallel, w, scale, false);
+        let (_, profile, modes, _) = record_profile(&t.parallel, w, scale);
         (w, profile, modes)
     })
 }

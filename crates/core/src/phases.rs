@@ -89,13 +89,11 @@ pub fn lower_phase(program: &Program) -> Result<(CompiledProgram, PhaseStats), D
 /// Propagates VM errors.
 pub fn profile_phase(
     serial: CompiledProgram,
-    mut profile_config: VmConfig,
+    profile_config: VmConfig,
 ) -> Result<(ProfileResult, PhaseStats), DseError> {
-    // Profiles are measured on the reference stack encoding: per-loop
-    // instruction counts feed classification and the simulator, and they
-    // must not shift when `DSE_EXEC_BACKEND=reg` runs the same pipeline
-    // (register fusion retires fewer, fatter instructions).
-    profile_config.backend = dse_runtime::BackendKind::Stack;
+    // `profile_program` runs the reference stack encoding, whatever the
+    // config's backend: per-loop instruction counts feed classification
+    // and the simulator.
     let (profile, _vm) = dse_depprof::profile_program(serial, profile_config)?;
     let (iterations, accesses, edges) = profile.totals();
     let stats = [

@@ -927,10 +927,8 @@ impl<'a> Xf<'a> {
     ) -> Result<Block, XformError> {
         let ordinal = self.cand_ordinal;
         self.cand_ordinal += 1;
-        let label = mark
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("{}#{ordinal}", self.program.functions[self.cur_func].name));
+        let func = &self.program.functions[self.cur_func].name;
+        let label = dse_ir::loops::loop_label(mark, func, ordinal);
         let sync_set = self.sync_eids.get(&label);
         let collect = self.plan.prune_span_work && !self.plan.heap_localize;
         let outer = std::mem::replace(&mut self.redirections, collect.then(Vec::new));

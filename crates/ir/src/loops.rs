@@ -63,6 +63,16 @@ impl fmt::Display for CandidateError {
 
 impl std::error::Error for CandidateError {}
 
+/// The label of the candidate loop `mark` nominates in function `func`:
+/// its `#pragma candidate` name, else `<func>#<ordinal>`, where `ordinal`
+/// counts candidate loops across the whole program in pre-order. The
+/// lowering, the transform and the verifier all name loops by this rule.
+pub fn loop_label(mark: &LoopMark, func: &str, ordinal: usize) -> String {
+    mark.label
+        .clone()
+        .unwrap_or_else(|| format!("{func}#{ordinal}"))
+}
+
 /// Finds all `#pragma candidate` loops in the program, validating their
 /// normalized form.
 ///
@@ -74,12 +84,8 @@ pub fn find_candidate_loops(program: &Program) -> Result<Vec<CandidateLoop>, Can
     for (fi, f) in program.functions.iter().enumerate() {
         scan_block(&f.body, fi as u32, f, 0, &mut out)?;
     }
-    // Synthesize labels and check uniqueness.
     let mut seen = std::collections::HashSet::new();
-    for c in &mut out {
-        if c.label.is_empty() {
-            c.label = format!("{}#{}", program.functions[c.func as usize].name, c.ordinal);
-        }
+    for c in &out {
         if !seen.insert(c.label.clone()) {
             return Err(CandidateError(format!(
                 "duplicate loop label `{}`",
@@ -273,10 +279,7 @@ fn validate_candidate(
     level: u32,
     ordinal: usize,
 ) -> Result<CandidateLoop, CandidateError> {
-    let name = mark
-        .label
-        .clone()
-        .unwrap_or_else(|| format!("{}#{ordinal}", f.name));
+    let name = loop_label(mark, &f.name, ordinal);
     let fail = |msg: &str| CandidateError(format!("loop `{name}` in `{}`: {msg}", f.name));
 
     let slot = induction_slot_of_init(init)
@@ -296,7 +299,7 @@ fn validate_candidate(
     }
     check_body_stmts(body, slot, true, &fail)?;
     Ok(CandidateLoop {
-        label: mark.label.clone().unwrap_or_default(),
+        label: name,
         func,
         ordinal,
         induction_slot: slot,

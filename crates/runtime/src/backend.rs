@@ -18,34 +18,26 @@
 use dse_ir::RegProgram;
 use std::sync::Arc;
 
-/// Which execution backend a [`crate::VmConfig`] selects.
+/// Which execution backend a [`crate::VmConfig`] selects. The default is
+/// the register interpreter; a caller that needs the reference names
+/// [`BackendKind::Stack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The reference stack interpreter.
-    #[default]
     Stack,
     /// The register interpreter.
+    #[default]
     Reg,
 }
 
 impl BackendKind {
-    /// Parses a backend name as accepted by `--exec-backend`.
+    /// Parses a backend name as accepted by `--exec-backend`: exactly what
+    /// [`BackendKind::name`] prints.
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "stack" => Some(BackendKind::Stack),
-            "reg" | "register" => Some(BackendKind::Reg),
+            "reg" => Some(BackendKind::Reg),
             _ => None,
-        }
-    }
-
-    /// The default backend: `DSE_EXEC_BACKEND` if set to a valid name
-    /// (`stack`/`reg`), else [`BackendKind::Stack`]. Lets CI run the whole
-    /// suite under the register backend without threading a flag through
-    /// every test.
-    pub fn from_env() -> BackendKind {
-        match std::env::var("DSE_EXEC_BACKEND") {
-            Ok(s) => BackendKind::parse(&s).unwrap_or(BackendKind::Stack),
-            Err(_) => BackendKind::Stack,
         }
     }
 

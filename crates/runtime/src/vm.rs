@@ -198,8 +198,7 @@ pub struct VmConfig {
     pub max_instructions: u64,
     /// Instruction encoding/interpreter the run executes with: the
     /// reference stack interpreter or the register backend (see
-    /// [`crate::backend`]). Defaults from the `DSE_EXEC_BACKEND`
-    /// environment variable (`stack`/`reg`), falling back to `Stack`.
+    /// [`crate::backend`]). Defaults to [`BackendKind::default`].
     pub backend: BackendKind,
     /// Record runtime trace events (dispatch/steal/park/wake, loop spans,
     /// DOACROSS wait/post, allocator slow paths) into per-worker ring
@@ -230,7 +229,7 @@ impl Default for VmConfig {
             inputs_int: Vec::new(),
             inputs_float: Vec::new(),
             max_instructions: u64::MAX,
-            backend: BackendKind::from_env(),
+            backend: BackendKind::default(),
             trace: false,
             profile: false,
             strict: false,

@@ -475,12 +475,18 @@ fn loop_body_return_leaves_the_callers_operands() {
     }
 }
 
+/// The register backend is the default, and `parse` accepts exactly the
+/// names `name` prints.
 #[test]
-fn env_selects_the_register_backend() {
-    assert_eq!(BackendKind::parse("reg"), Some(BackendKind::Reg));
-    assert_eq!(BackendKind::parse("register"), Some(BackendKind::Reg));
-    assert_eq!(BackendKind::parse("stack"), Some(BackendKind::Stack));
-    assert_eq!(BackendKind::parse("asm"), None);
+fn register_is_the_default_and_parse_reads_what_name_prints() {
+    assert_eq!(BackendKind::default(), BackendKind::Reg);
+    assert_eq!(VmConfig::default().backend, BackendKind::Reg);
+    for kind in [BackendKind::Stack, BackendKind::Reg] {
+        assert_eq!(BackendKind::parse(kind.name()), Some(kind));
+    }
+    for other in ["register", "Reg", "asm", ""] {
+        assert_eq!(BackendKind::parse(other), None, "{other:?}");
+    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Executor-pool tests: iteration coverage under the work-stealing
 //! scheduler (awkward ranges, both loop modes), pool lifecycle across
 //! back-to-back dispatches, nested-loop inlining, and abort recovery.
+//! Every program runs on both interpreters.
 
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
-use dse_runtime::{RunReport, Value, Vm, VmConfig};
+use dse_runtime::{BackendKind, RunReport, Value, Vm, VmConfig};
 
 /// Compiles `src` with every candidate loop parallelized in `mode`.
 fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
@@ -27,13 +28,29 @@ fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
     dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
 
+/// Runs `compiled` under `config` on the stack interpreter and on the
+/// register one, which must return the same value; returns it with the
+/// register run's report.
 fn run_compiled(compiled: CompiledProgram, config: VmConfig) -> (i64, RunReport) {
-    let mut vm = Vm::new(compiled, config).expect("vm");
-    let report = vm.run().expect("run");
-    match report.return_value {
-        Some(Value::I(v)) => (v, report),
-        other => panic!("expected integer return, got {other:?}"),
-    }
+    let run = |backend| {
+        let config = VmConfig {
+            backend,
+            ..config.clone()
+        };
+        let mut vm = Vm::new(compiled.clone(), config).expect("vm");
+        let report = vm.run().expect("run");
+        match report.return_value {
+            Some(Value::I(v)) => (v, report),
+            other => panic!("expected integer return, got {other:?}"),
+        }
+    };
+    let (stack, _) = run(BackendKind::Stack);
+    let (reg, report) = run(BackendKind::Reg);
+    assert_eq!(
+        stack, reg,
+        "the stack (left) and register (right) interpreters disagree"
+    );
+    (reg, report)
 }
 
 /// A program whose return value counts coverage violations: cell `i` must
@@ -185,28 +202,35 @@ fn trapping_worker_aborts_peers_and_pool_stays_usable() {
         free(a);
         return s % 1000; }";
     let compiled = compile_parallel(src, ParMode::DoAll);
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
+    let mut traps = Vec::new();
+    for backend in [BackendKind::Stack, BackendKind::Reg] {
+        let config = VmConfig {
             nthreads: 4,
+            backend,
             ..Default::default()
-        },
-    )
-    .expect("vm");
-    let e = vm.run().expect_err("first run traps");
-    assert!(
-        e.msg.contains("division"),
-        "the real trap is reported, not the abort: {e}"
-    );
-    let report = vm.run().expect("second run succeeds on the reused pool");
-    // sum(0..64) * 2 = 4032
-    assert_eq!(report.return_value, Some(Value::I(32)));
-    assert_eq!(
-        report.pool.workers, 6,
-        "each run spawns its own scope of 3 workers: {:?}",
-        report.pool
-    );
-    assert_eq!(report.pool.dispatches, 2, "one loop dispatched per run");
+        };
+        let mut vm = Vm::new(compiled.clone(), config).expect("vm");
+        let e = vm.run().expect_err("first run traps");
+        assert!(
+            e.msg.contains("division"),
+            "{backend:?}: the real trap is reported, not the abort: {e}"
+        );
+        traps.push(e.pc);
+        let report = vm.run().expect("second run succeeds on the reused pool");
+        // sum(0..64) * 2 = 4032
+        assert_eq!(report.return_value, Some(Value::I(32)), "{backend:?}");
+        assert_eq!(
+            report.pool.workers, 6,
+            "{backend:?}: each run spawns its own scope of 3 workers: {:?}",
+            report.pool
+        );
+        assert_eq!(
+            report.pool.dispatches, 2,
+            "{backend:?}: one loop dispatched per run"
+        );
+    }
+    // Which iteration traps first is the schedule's choice; where is not.
+    assert_eq!(traps[0], traps[1], "both interpreters trap at one pc");
 }
 
 /// A skewed workload (early iterations vastly more expensive) produces the

@@ -10,15 +10,8 @@ fn run(src: &str) -> i64 {
 }
 
 fn run_with(src: &str, config: VmConfig) -> (i64, Vm) {
-    let ast = dse_lang::compile_to_ast(src).expect("frontend");
-    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).expect("lowering");
-    let mut vm = Vm::new(compiled, config).expect("vm");
-    let report = vm.run().expect("run");
-    let v = match report.return_value {
-        Some(Value::I(v)) => v,
-        other => panic!("expected integer return, got {other:?}"),
-    };
-    (v, vm)
+    let (result, vm) = run_both(compile(src, &LowerOptions::default()), config);
+    (int_return(result.expect("run")), vm)
 }
 
 fn run_err(src: &str) -> VmError {
@@ -26,10 +19,8 @@ fn run_err(src: &str) -> VmError {
 }
 
 fn run_err_with(src: &str, config: VmConfig) -> VmError {
-    let ast = dse_lang::compile_to_ast(src).expect("frontend");
-    let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).expect("lowering");
-    let mut vm = Vm::new(compiled, config).expect("vm");
-    vm.run().expect_err("expected trap")
+    let (result, _) = run_both(compile(src, &LowerOptions::default()), config);
+    result.expect_err("expected trap")
 }
 
 /// Compiles with every candidate loop parallelized (given mode) and runs on
@@ -51,16 +42,47 @@ fn run_parallel(src: &str, n: u32, mode: ParMode) -> i64 {
         );
     }
     let compiled = dse_ir::lower_program(&ast, &opts).expect("lowering");
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: n,
-            ..Default::default()
-        },
-    )
-    .expect("vm");
-    let report = vm.run().expect("run");
-    match report.return_value {
+    let config = VmConfig {
+        nthreads: n,
+        ..Default::default()
+    };
+    int_return(run_both(compiled, config).0.expect("run"))
+}
+
+fn compile(src: &str, opts: &LowerOptions) -> dse_ir::bytecode::CompiledProgram {
+    let ast = dse_lang::compile_to_ast(src).expect("frontend");
+    dse_ir::lower_program(&ast, opts).expect("lowering")
+}
+
+/// The two interpreters, the stack reference first.
+const BACKENDS: [BackendKind; 2] = [BackendKind::Stack, BackendKind::Reg];
+
+/// Runs `compiled` under `config` on the stack interpreter and on the
+/// register one, which must return the same value or trap the same way.
+/// Returns the register run's result and its `Vm`.
+fn run_both(
+    compiled: dse_ir::bytecode::CompiledProgram,
+    config: VmConfig,
+) -> (Result<Option<Value>, VmError>, Vm) {
+    let run = |backend| {
+        let config = VmConfig {
+            backend,
+            ..config.clone()
+        };
+        let mut vm = Vm::new(compiled.clone(), config).expect("vm");
+        (vm.run().map(|r| r.return_value), vm)
+    };
+    let (stack, _) = run(BackendKind::Stack);
+    let (reg, vm) = run(BackendKind::Reg);
+    assert_eq!(
+        stack, reg,
+        "the stack (left) and register (right) interpreters disagree"
+    );
+    (reg, vm)
+}
+
+fn int_return(value: Option<Value>) -> i64 {
+    match value {
         Some(Value::I(v)) => v,
         other => panic!("expected integer return, got {other:?}"),
     }
@@ -543,18 +565,25 @@ fn doacross_ordered_updates_match_serial() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    for n in [2, 4, 8] {
-        let mut vm = Vm::new(
-            compiled.clone(),
-            VmConfig {
-                nthreads: n,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let report = vm.run().unwrap();
-        assert_eq!(report.return_value, Some(Value::I(serial)), "n={n}");
-        assert!(report.counters.sync_ops > 0);
+    for backend in BACKENDS {
+        for n in [2, 4, 8] {
+            let mut vm = Vm::new(
+                compiled.clone(),
+                VmConfig {
+                    nthreads: n,
+                    backend,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let report = vm.run().unwrap();
+            assert_eq!(
+                report.return_value,
+                Some(Value::I(serial)),
+                "{backend:?} n={n}"
+            );
+            assert!(report.counters.sync_ops > 0, "{backend:?} n={n}");
+        }
     }
 }
 
@@ -618,16 +647,19 @@ fn worker_trap_propagates() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let e = vm.run().expect_err("expected trap");
-    assert!(e.msg.contains("division"), "{e}");
+    for backend in BACKENDS {
+        let mut vm = Vm::new(
+            compiled.clone(),
+            VmConfig {
+                nthreads: 4,
+                backend,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let e = vm.run().expect_err("expected trap");
+        assert!(e.msg.contains("division"), "{backend:?}: {e}");
+    }
 }
 
 #[test]
@@ -650,16 +682,19 @@ fn doacross_worker_trap_does_not_deadlock() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let e = vm.run().expect_err("expected trap");
-    assert!(e.msg.contains("division"), "{e}");
+    for backend in BACKENDS {
+        let mut vm = Vm::new(
+            compiled.clone(),
+            VmConfig {
+                nthreads: 4,
+                backend,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let e = vm.run().expect_err("expected trap");
+        assert!(e.msg.contains("division"), "{backend:?}: {e}");
+    }
 }
 
 #[test]
@@ -671,10 +706,18 @@ fn counters_report_work() {
     let _ = vm; // run_with already checked the value; counters are in the report.
     let ast = dse_lang::compile_to_ast("int main() { return 0; }").unwrap();
     let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-    let mut vm = Vm::new(compiled, VmConfig::default()).unwrap();
-    let report = vm.run().unwrap();
-    // `int main() { return 0; }` executes PushI + Ret.
-    assert_eq!(report.counters.work, 2);
+    let work = BACKENDS.map(|backend| {
+        let config = VmConfig {
+            backend,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(compiled.clone(), config).unwrap();
+        vm.run().unwrap().counters.work
+    });
+    // `int main() { return 0; }` executes PushI + Ret on the stack
+    // interpreter; the register code retires no more.
+    assert_eq!(work[0], 2);
+    assert!(work[1] <= work[0], "stack, reg: {work:?}");
 }
 
 #[test]
@@ -682,16 +725,19 @@ fn instruction_budget_traps() {
     let ast = dse_lang::compile_to_ast("int main() { int i; i = 0; while (1) { i++; } return i; }")
         .unwrap();
     let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            max_instructions: 10_000,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let e = vm.run().expect_err("expected trap");
-    assert!(e.msg.contains("budget"), "{e}");
+    for backend in BACKENDS {
+        let mut vm = Vm::new(
+            compiled.clone(),
+            VmConfig {
+                max_instructions: 10_000,
+                backend,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let e = vm.run().expect_err("expected trap");
+        assert!(e.msg.contains("budget"), "{backend:?}: {e}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -733,11 +779,17 @@ fn localize_translates_heap_accesses() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    let mut vm = Vm::new(compiled, VmConfig::default()).unwrap();
-    let report = vm.run().unwrap();
-    assert_eq!(report.return_value, Some(Value::I(45)));
-    assert!(report.counters.localize_calls > 0);
-    assert!(report.counters.localize_copied_bytes > 0);
+    for backend in BACKENDS {
+        let config = VmConfig {
+            backend,
+            ..Default::default()
+        };
+        let mut vm = Vm::new(compiled.clone(), config).unwrap();
+        let report = vm.run().unwrap();
+        assert_eq!(report.return_value, Some(Value::I(45)), "{backend:?}");
+        assert!(report.counters.localize_calls > 0, "{backend:?}");
+        assert!(report.counters.localize_copied_bytes > 0, "{backend:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -778,17 +830,20 @@ fn fused_frame_addr_tid_semantics() {
             .any(|i| matches!(i, dse_ir::Instr::FrameAddrTid { .. })),
         "peephole should fire for slots[__tid()]"
     );
-    for n in [1u32, 2, 4] {
-        let mut vm = Vm::new(
-            compiled.clone(),
-            VmConfig {
-                nthreads: n,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let report = vm.run().unwrap();
-        assert_eq!(report.return_value, Some(Value::I(40)), "n={n}");
+    for backend in BACKENDS {
+        for n in [1u32, 2, 4] {
+            let mut vm = Vm::new(
+                compiled.clone(),
+                VmConfig {
+                    nthreads: n,
+                    backend,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let report = vm.run().unwrap();
+            assert_eq!(report.return_value, Some(Value::I(40)), "{backend:?} n={n}");
+        }
     }
 }
 
@@ -818,7 +873,8 @@ fn tid_scaled_peephole_matches_naive() {
         free(buf);
         return 0; }";
     let ast = dse_lang::compile_to_ast(src).unwrap();
-    let mut results = Vec::new();
+    let mut outputs = Vec::new();
+    let mut stack_work = Vec::new();
     for naive in [false, true] {
         let mut opts = LowerOptions {
             mode: LowerMode::Parallel,
@@ -833,23 +889,34 @@ fn tid_scaled_peephole_matches_naive() {
             },
         );
         let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-        let mut vm = Vm::new(
-            compiled,
-            VmConfig {
-                nthreads: 3,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let report = vm.run().unwrap();
-        results.push((vm.outputs_int(), report.counters.work));
+        for backend in BACKENDS {
+            let mut vm = Vm::new(
+                compiled.clone(),
+                VmConfig {
+                    nthreads: 3,
+                    backend,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let report = vm.run().unwrap();
+            outputs.push(vm.outputs_int());
+            if backend == BackendKind::Stack {
+                stack_work.push(report.counters.work);
+            }
+        }
     }
-    assert_eq!(results[0].0, results[1].0, "same outputs");
     assert!(
-        results[0].1 < results[1].1,
+        outputs.iter().all(|o| *o == outputs[0]),
+        "same outputs: {outputs:?}"
+    );
+    // The peephole rewrites the stack encoding, so its count is the one
+    // that shows the saving.
+    assert!(
+        stack_work[0] < stack_work[1],
         "fused lowering must execute fewer instructions: {} vs {}",
-        results[0].1,
-        results[1].1
+        stack_work[0],
+        stack_work[1]
     );
 }
 
@@ -878,15 +945,11 @@ fn realloc_expanded_moves_every_copy() {
         return ok; }";
     let ast = dse_lang::compile_to_ast(src).unwrap();
     let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(vm.run().unwrap().return_value, Some(Value::I(1)));
+    let config = VmConfig {
+        nthreads: 3,
+        ..Default::default()
+    };
+    assert_eq!(run_both(compiled, config).0, Ok(Some(Value::I(1))));
 }
 
 /// Regression: a replica whose `src + keep` ran past the old allocation
@@ -950,7 +1013,7 @@ fn realloc_expanded_size_overflow_traps() {
         );
         let ast = dse_lang::compile_to_ast(&src).unwrap();
         let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-        for backend in [BackendKind::Stack, BackendKind::Reg] {
+        for backend in BACKENDS {
             let config = VmConfig {
                 nthreads,
                 backend,
@@ -1047,27 +1110,30 @@ fn iteration_cost_recording_segments() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            profile: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    vm.run().unwrap();
-    let profile = vm.profile();
-    let entries = &profile
-        .iter()
-        .find(|p| p.loop_id == 0)
-        .expect("loop 0")
-        .costs;
-    assert_eq!(entries.len(), 1, "one dynamic entry");
-    assert_eq!(entries[0].len(), 10, "ten iterations");
-    for c in &entries[0] {
-        assert!(c.pre > 0, "work before the window");
-        assert!(c.window > 0, "the ordered g update");
-        assert!(c.post > 0, "the a[i] store after the window");
+    for backend in BACKENDS {
+        let mut vm = Vm::new(
+            compiled.clone(),
+            VmConfig {
+                profile: true,
+                backend,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        vm.run().unwrap();
+        let profile = vm.profile();
+        let entries = &profile
+            .iter()
+            .find(|p| p.loop_id == 0)
+            .expect("loop 0")
+            .costs;
+        assert_eq!(entries.len(), 1, "{backend:?}: one dynamic entry");
+        assert_eq!(entries[0].len(), 10, "{backend:?}: ten iterations");
+        for c in &entries[0] {
+            assert!(c.pre > 0, "{backend:?}: work before the window");
+            assert!(c.window > 0, "{backend:?}: the ordered g update");
+            assert!(c.post > 0, "{backend:?}: the a[i] store after the window");
+        }
     }
 }
 
@@ -1113,18 +1179,21 @@ fn doacross_ordered_append_is_in_order() {
         },
     );
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
-    for n in [2u32, 4, 8] {
-        let mut vm = Vm::new(
-            compiled.clone(),
-            VmConfig {
-                nthreads: n,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let report = vm.run().unwrap();
-        assert_eq!(report.return_value, Some(Value::I(1)), "n={n}");
-        assert!(report.counters.sync_ops > 0);
+    for backend in BACKENDS {
+        for n in [2u32, 4, 8] {
+            let mut vm = Vm::new(
+                compiled.clone(),
+                VmConfig {
+                    nthreads: n,
+                    backend,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let report = vm.run().unwrap();
+            assert_eq!(report.return_value, Some(Value::I(1)), "{backend:?} n={n}");
+            assert!(report.counters.sync_ops > 0, "{backend:?} n={n}");
+        }
     }
 }
 
@@ -1135,13 +1204,9 @@ fn tid_and_nthreads_outside_parallel() {
     let src = "int main() { return (int)(__tid() * 100 + __nthreads()); }";
     let ast = dse_lang::compile_to_ast(src).unwrap();
     let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
-    let mut vm = Vm::new(
-        compiled,
-        VmConfig {
-            nthreads: 6,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(vm.run().unwrap().return_value, Some(Value::I(6)));
+    let config = VmConfig {
+        nthreads: 6,
+        ..Default::default()
+    };
+    assert_eq!(run_both(compiled, config).0, Ok(Some(Value::I(6))));
 }

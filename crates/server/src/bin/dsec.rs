@@ -23,7 +23,7 @@
 //! dsec prog.cee --emit trace > trace.jsonl    # serial execution as JSONL
 //! dsec prog.cee --emit chrome-trace > t.json  # Perfetto-loadable timeline
 //! dsec prog.cee --emit flamegraph > t.folded  # folded flamegraph stacks
-//! dsec prog.cee --emit bytecode --exec-backend reg  # + the register listing
+//! dsec prog.cee --emit bytecode              # stack and register listings
 //! dsec prog.cee --run --daemon /tmp/dsed.sock # execute via a dsed daemon
 //! dsec check prog.cee                         # soundness lints, text
 //! dsec check prog.cee --strict --json         # CI gate, machine-readable
@@ -55,9 +55,11 @@
 //! size stats. `--metrics` writes the request's metrics JSON document
 //! ([`dse_server::metrics::run_metrics`]; see DESIGN.md, "Observability")
 //! to a file, or to stdout with `-`.
-//! `--emit trace` executes the *serial* program under a trace observer and
-//! streams each sited access, loop event and heap event as one JSON object
-//! per line on stdout. `--emit chrome-trace` and `--emit flamegraph`
+//! `--exec-backend` defaults to `reg`; `stack` names the reference.
+//! `--emit trace` executes the *serial* program under a trace observer, on
+//! the stack encoding whatever `--exec-backend` says (as the profiler
+//! does), and streams each sited access, loop event and heap event as one
+//! JSON object per line on stdout. `--emit chrome-trace` and `--emit flamegraph`
 //! execute the *transformed* program with the runtime trace ring enabled
 //! (see DESIGN.md, "Tracing & profiling") and print a Chrome trace-event
 //! JSON document (pipeline phases and runtime events on one timeline) or
@@ -67,7 +69,7 @@
 //! per-iteration cost quantiles per loop (`-` for a loop that only ran
 //! nested inside another's iterations, whose cost is part of those).
 //! `--emit bytecode` lists the transformed program's stack bytecode and,
-//! under `--exec-backend reg`, its register translation after it: each
+//! under the register backend, its register translation after it: each
 //! instruction with the stack pc it came from, the entry map and the
 //! window size.
 //!
@@ -159,11 +161,7 @@ fn parse_args(args: &[String]) -> Opts {
     let mut o = Opts {
         mode,
         path: String::new(),
-        req: Request {
-            // `--exec-backend` overrides; otherwise DSE_EXEC_BACKEND decides.
-            exec_backend: BackendKind::from_env(),
-            ..Request::new("dsec", Cmd::Compile)
-        },
+        req: Request::new("dsec", Cmd::Compile),
         emit: Vec::new(),
         run: false,
         timing: false,
@@ -591,11 +589,14 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
             }
             "trace" => {
                 // The observer sees what the profiler sees: a serial
-                // execution (parallel regions run unobserved by design),
-                // through the same path and the same cached artifacts.
+                // execution on the stack encoding, whose accesses
+                // promotion does not elide (parallel regions run
+                // unobserved by design), through the same path and the
+                // same cached artifacts.
                 let serial = Request {
                     cmd: Cmd::Run,
                     serial: true,
+                    exec_backend: BackendKind::Stack,
                     ..o.req.clone()
                 };
                 let stdout = std::io::stdout();

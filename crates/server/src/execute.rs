@@ -141,15 +141,10 @@ fn drive<O: Observer + ?Sized>(
     if req.threads == 0 {
         return Err(Failure::usage("bad `threads`"));
     }
-    let read;
-    let source = match (&req.source, &req.path) {
-        (Some(s), _) => s,
-        (None, Some(p)) => {
-            read = std::fs::read_to_string(p).map_err(|e| Failure::usage(format!("{p}: {e}")))?;
-            &read
-        }
-        (None, None) => return Err(Failure::usage("request needs `source` or `path`")),
-    };
+    let source = req
+        .source
+        .as_deref()
+        .ok_or_else(|| Failure::usage("request needs `source`"))?;
     let profile_config = VmConfig {
         inputs_int: req.inputs.clone(),
         ..Default::default()

@@ -12,12 +12,11 @@
 //! ```
 //!
 //! Absent request fields take defaults (`threads` 4, `opt` full, flags
-//! false, empty inputs), so the minimal request is `{"cmd":"run",
-//! "source":"..."}`. A program is supplied either inline (`source`) or as
-//! a daemon-side path (`path`); inline wins when both are present. A
-//! field that is present with the wrong type is an error naming it, on
-//! both sides of the wire; `null` reads as absent for the optional ones
-//! (`source`, `path`, `error`).
+//! false, empty inputs, `exec_backend` reg), so the minimal request is `{"cmd":"run",
+//! "source":"..."}`. The program always travels as text (`source`): the
+//! daemon reads no files. A field that is present with the wrong type is
+//! an error naming it, on both sides of the wire; `null` reads as absent
+//! for the optional ones (`source`, `error`).
 
 use crate::metrics::{server_to_json, ServerStats};
 use dse_core::{CacheOutcome, OptLevel, PhaseOutcome, Trace};
@@ -72,10 +71,8 @@ pub struct Request {
     pub id: String,
     /// The command.
     pub cmd: Cmd,
-    /// Inline program text (takes precedence over `path`).
+    /// The program text (required: the daemon reads no files).
     pub source: Option<String>,
-    /// Daemon-side path to the program.
-    pub path: Option<String>,
     /// Worker threads for the transformed program.
     pub threads: u32,
     /// Optimization level.
@@ -89,7 +86,7 @@ pub struct Request {
     /// Integer inputs (profiling and execution).
     pub inputs: Vec<i64>,
     /// Execution backend for `run` (`"stack"` or `"reg"` on the wire;
-    /// absent means stack).
+    /// absent means [`BackendKind::default`]).
     pub exec_backend: BackendKind,
 }
 
@@ -100,14 +97,13 @@ impl Request {
             id: id.into(),
             cmd,
             source: None,
-            path: None,
             threads: 4,
             opt: OptLevel::Full,
             baseline: false,
             serial: false,
             strict: false,
             inputs: Vec::new(),
-            exec_backend: BackendKind::Stack,
+            exec_backend: BackendKind::default(),
         }
     }
 
@@ -119,9 +115,6 @@ impl Request {
         ];
         if let Some(s) = &self.source {
             pairs.push(("source", Json::Str(s.clone())));
-        }
-        if let Some(p) = &self.path {
-            pairs.push(("path", Json::Str(p.clone())));
         }
         pairs.push(("threads", Json::Int(self.threads as i64)));
         pairs.push(("opt", Json::Str(self.opt.name().into())));
@@ -147,7 +140,6 @@ impl Request {
         let cmd = Cmd::parse(cmd).ok_or_else(|| format!("unknown cmd `{cmd}`"))?;
         let mut r = Request::new(typed(j, "id", Json::as_str)?.unwrap_or(""), cmd);
         r.source = nullable(j, "source", Json::as_str)?.map(str::to_string);
-        r.path = nullable(j, "path", Json::as_str)?.map(str::to_string);
         if let Some(t) = typed(j, "threads", Json::as_i64)? {
             r.threads = u32::try_from(t).map_err(|_| "bad `threads`".to_string())?;
         }
@@ -491,8 +483,8 @@ mod tests {
             let err = Request::from_json(&with(request, key, bad)).unwrap_err();
             assert_eq!(err, format!("bad `{key}`"), "request `{key}`");
         }
-        let path = Request::from_json(&with(request, "source", Json::Null)).unwrap();
-        assert_eq!(path.source, None, "null reads as absent");
+        let absent = Request::from_json(&with(request, "source", Json::Null)).unwrap();
+        assert_eq!(absent.source, None, "null reads as absent");
         for (key, bad) in [
             ("id", Json::Int(1)),
             ("ok", s("true")),

@@ -3,9 +3,9 @@
 //! * `dsec check --backend` text and JSON goldens, clean and under each
 //!   seeded sabotage (`DSE010`–`DSE015`), with the 0/1/2 exit-code
 //!   contract pinned;
-//! * `dsec profile` under the register backend, chosen by flag or by
-//!   `DSE_EXEC_BACKEND=reg`: the same loops and iteration counts as the
-//!   stack run, and the loop record of nested candidate loops;
+//! * `dsec profile` under the register backend, by flag or by default:
+//!   the same loops and iteration counts as the stack run, and the loop
+//!   record of nested candidate loops;
 //! * `--emit bytecode --exec-backend reg`: the register listing after the
 //!   stack one, every instruction with the stack pc it came from;
 //! * the VM's `--strict` gate refusing an unverified register translation
@@ -40,13 +40,11 @@ fn fixture() -> String {
         .to_string()
 }
 
-fn run_dsec(args: &[&str], env: &[(&str, &str)]) -> (String, String, i32) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dsec"));
-    cmd.args(args).env_remove("DSE_EXEC_BACKEND");
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("spawn dsec");
+fn run_dsec(args: &[&str]) -> (String, String, i32) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dsec"))
+        .args(args)
+        .output()
+        .expect("spawn dsec");
     (
         String::from_utf8(out.stdout).expect("utf-8 stdout"),
         String::from_utf8(out.stderr).expect("utf-8 stderr"),
@@ -61,10 +59,10 @@ fn golden(name: &str) -> String {
 #[test]
 fn backend_check_clean_matches_goldens() {
     let f = fixture();
-    let (stdout, _, code) = run_dsec(&["check", &f, "--backend"], &[]);
+    let (stdout, _, code) = run_dsec(&["check", &f, "--backend"]);
     assert_eq!(stdout, golden("backend_promote.expected"));
     assert_eq!(code, 0);
-    let (stdout, _, code) = run_dsec(&["check", &f, "--backend", "--json"], &[]);
+    let (stdout, _, code) = run_dsec(&["check", &f, "--backend", "--json"]);
     assert_eq!(stdout, golden("backend_promote.expected.json"));
     assert_eq!(code, 0);
 }
@@ -74,7 +72,7 @@ fn backend_sabotages_match_goldens_and_exit_one() {
     let f = fixture();
     for kind in dse_verify::sabotage::ALL {
         let name = kind.name();
-        let (stdout, _, code) = run_dsec(&["check", &f, "--backend", "--sabotage", name], &[]);
+        let (stdout, _, code) = run_dsec(&["check", &f, "--backend", "--sabotage", name]);
         assert_eq!(
             stdout,
             golden(&format!("backend_promote.sabotage-{name}.expected")),
@@ -87,10 +85,8 @@ fn backend_sabotages_match_goldens_and_exit_one() {
             "{name}: expected {} in:\n{stdout}",
             kind.expected_code()
         );
-        let (json_out, _, code) = run_dsec(
-            &["check", &f, "--backend", "--sabotage", name, "--json"],
-            &[],
-        );
+        let (json_out, _, code) =
+            run_dsec(&["check", &f, "--backend", "--sabotage", name, "--json"]);
         assert_eq!(
             json_out,
             golden(&format!("backend_promote.sabotage-{name}.expected.json")),
@@ -111,10 +107,10 @@ fn backend_sabotages_match_goldens_and_exit_one() {
 fn sabotage_flag_contract() {
     let f = fixture();
     // --sabotage without --backend is a usage error.
-    let (_, _, code) = run_dsec(&["check", &f, "--sabotage", "skip-sext"], &[]);
+    let (_, _, code) = run_dsec(&["check", &f, "--sabotage", "skip-sext"]);
     assert_eq!(code, 2);
     // Unknown kinds are usage errors.
-    let (_, stderr, code) = run_dsec(&["check", &f, "--backend", "--sabotage", "nope"], &[]);
+    let (_, stderr, code) = run_dsec(&["check", &f, "--backend", "--sabotage", "nope"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("unknown --sabotage"));
 }
@@ -122,55 +118,66 @@ fn sabotage_flag_contract() {
 /// `(loop, iters)` of every row of a `dsec profile` table, sorted: rows
 /// are ordered by wall time, which differs from run to run.
 fn profile_rows(stdout: &str) -> Vec<(String, String)> {
+    profile_columns(stdout, 2)
+}
+
+/// `(loop, column col)` of every row of a `dsec profile` table, sorted.
+fn profile_columns(stdout: &str, col: usize) -> Vec<(String, String)> {
     let mut rows: Vec<(String, String)> = stdout
         .lines()
         .skip(1)
         .map(|l| {
             let cols: Vec<&str> = l.split_whitespace().collect();
-            (cols[0].to_string(), cols[2].to_string())
+            (cols[0].to_string(), cols[col].to_string())
         })
         .collect();
     rows.sort();
     rows
 }
 
-/// Runs `dsec profile` on `examples/pipeline_trace.cee` under the stack
-/// backend, then with `extra` arguments and `env`, which pick the register
-/// backend: that run must succeed without DSE009 and report the loops
-/// and iteration counts the stack run does.
-fn profile_under_reg_matches_stack(extra: &[&str], env: &[(&str, &str)]) {
+/// `dsec profile` of `examples/pipeline_trace.cee` at four threads, with
+/// `extra` arguments; it must succeed without DSE009.
+fn profile_pipeline_trace(extra: &[&str]) -> String {
     let prog = format!(
         "{}/../../examples/pipeline_trace.cee",
         env!("CARGO_MANIFEST_DIR")
     );
-    let args = ["profile", prog.as_str(), "--threads", "4"];
-    let (stack, stderr, code) = run_dsec(&args, &[]);
-    assert_eq!(code, 0, "{stderr}");
+    let argv = [&["profile", prog.as_str(), "--threads", "4"][..], extra].concat();
+    let (stdout, stderr, code) = run_dsec(&argv);
+    assert_eq!(code, 0, "{argv:?}:\n{stderr}");
+    assert!(!stderr.contains("DSE009"), "{stderr}");
+    stdout
+}
+
+/// Runs `dsec profile` under the stack backend, then with `extra`
+/// arguments, which pick the register backend: that run must report the
+/// loops and iteration counts the stack run does. Returns both tables.
+fn profile_under_reg_matches_stack(extra: &[&str]) -> (String, String) {
+    let stack = profile_pipeline_trace(&["--exec-backend", "stack"]);
     let expected = profile_rows(&stack);
     let names: Vec<&str> = expected.iter().map(|r| r.0.as_str()).collect();
     assert_eq!(names, ["(serial)", "`chain`", "`fill`"], "{stack}");
-    let argv = [&args[..], extra].concat();
-    let (stdout, stderr, code) = run_dsec(&argv, env);
-    assert_eq!(code, 0, "{argv:?} {env:?}:\n{stderr}");
-    assert!(!stderr.contains("DSE009"), "{stderr}");
-    assert_eq!(
-        profile_rows(&stdout),
-        expected,
-        "{argv:?} {env:?}:\n{stdout}"
-    );
+    let reg = profile_pipeline_trace(extra);
+    assert_eq!(profile_rows(&reg), expected, "{extra:?}:\n{reg}");
+    (stack, reg)
 }
 
 /// `dsec profile --exec-backend reg` profiles the register backend.
 #[test]
 fn profile_runs_under_an_explicit_register_backend() {
-    profile_under_reg_matches_stack(&["--exec-backend", "reg"], &[]);
+    profile_under_reg_matches_stack(&["--exec-backend", "reg"]);
 }
 
-/// `DSE_EXEC_BACKEND=reg` picks the register backend for `dsec profile`
-/// too; it is no longer pinned to the stack backend.
+/// With no `--exec-backend`, `dsec profile` runs the register backend:
+/// every loop retires exactly the instructions it retires under
+/// `--exec-backend reg`, and the table differs from the stack one.
 #[test]
-fn profile_runs_under_the_env_register_backend() {
-    profile_under_reg_matches_stack(&[], &[("DSE_EXEC_BACKEND", "reg")]);
+fn profile_runs_under_the_register_backend_with_no_flag() {
+    let (stack, default) = profile_under_reg_matches_stack(&[]);
+    let reg = profile_pipeline_trace(&["--exec-backend", "reg"]);
+    let instrs = |table: &str| profile_columns(table, 3);
+    assert_eq!(instrs(&default), instrs(&reg), "{default}\n{reg}");
+    assert_ne!(instrs(&default), instrs(&stack), "{default}\n{stack}");
 }
 
 /// The nested candidate loop of `nested_doacross.cee` runs inline inside
@@ -211,7 +218,7 @@ fn nested_loop_costs_stay_with_the_outer_loop() {
         }
     }
     let path = f.to_str().unwrap();
-    let (stdout, stderr, code) = run_dsec(&["profile", path, "--threads", "2"], &[]);
+    let (stdout, stderr, code) = run_dsec(&["profile", path, "--threads", "2"]);
     assert_eq!(code, 0, "{stderr}");
     let nested = stdout
         .lines()
@@ -230,18 +237,15 @@ fn nested_loop_costs_stay_with_the_outer_loop() {
 #[test]
 fn bytecode_emit_lists_the_register_translation() {
     let f = fixture();
-    let (stdout, stderr, code) = run_dsec(
-        &[
-            &f,
-            "--emit",
-            "bytecode",
-            "--exec-backend",
-            "reg",
-            "--threads",
-            "2",
-        ],
-        &[],
-    );
+    let (stdout, stderr, code) = run_dsec(&[
+        &f,
+        "--emit",
+        "bytecode",
+        "--exec-backend",
+        "reg",
+        "--threads",
+        "2",
+    ]);
     assert_eq!(code, 0, "{stderr}");
     let (stack, reg) = stdout.split_once("-- reg (").expect("a register listing");
     let stack_len = stack.lines().filter(|l| l.starts_with("  ")).count() as u32;
@@ -283,7 +287,7 @@ fn fused_instructions_trap_where_the_stack_backend_does() {
             // (The `[N instructions, …]` line differs: that is the point.)
             let run = |backend| {
                 let argv = [path, "--run", "--in", &arg, "--exec-backend", backend];
-                let (stdout, stderr, code) = run_dsec(&[&argv[..], threads].concat(), &[]);
+                let (stdout, stderr, code) = run_dsec(&[&argv[..], threads].concat());
                 let dsec: Vec<String> = stderr
                     .lines()
                     .filter(|l| l.starts_with("dsec: "))
@@ -357,7 +361,7 @@ fn rotated_loops_run_as_on_the_stack_backend() {
     for threads in [&["--serial"][..], &["--threads", "2"]] {
         let run = |backend| {
             let argv = [path, "--run", "--exec-backend", backend];
-            let (stdout, _, code) = run_dsec(&[&argv[..], threads].concat(), &[]);
+            let (stdout, _, code) = run_dsec(&[&argv[..], threads].concat());
             (stdout, code)
         };
         let stack = run("stack");
@@ -367,7 +371,7 @@ fn rotated_loops_run_as_on_the_stack_backend() {
     }
     let profile = |backend| {
         let argv = ["profile", path, "--threads", "2", "--exec-backend", backend];
-        let (stdout, stderr, code) = run_dsec(&argv, &[]);
+        let (stdout, stderr, code) = run_dsec(&argv);
         assert_eq!(code, 0, "{backend}: {stderr}");
         profile_rows(&stdout)
     };
@@ -387,7 +391,7 @@ fn fusion_leaves_the_access_counters_alone() {
     let f = fixture();
     for (backend, private_direct, work) in [("stack", 40, Some(719)), ("reg", 16, None)] {
         let argv = [&f, "--run", "--threads", "2", "--exec-backend", backend];
-        let (stdout, stderr, code) = run_dsec(&[&argv[..], &["--metrics", "-"]].concat(), &[]);
+        let (stdout, stderr, code) = run_dsec(&[&argv[..], &["--metrics", "-"]].concat());
         assert_eq!(code, 0, "{stderr}");
         let doc = stdout.lines().last().expect("a metrics document");
         let totals = dse_telemetry::Json::parse(doc)

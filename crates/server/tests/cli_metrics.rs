@@ -199,10 +199,19 @@ fn metrics_file_and_serial_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The trace is the profiler's event stream on every backend: the same
+/// lines under `--exec-backend stack` and `reg`.
 #[test]
 fn trace_emits_parseable_jsonl() {
     let prog = example();
-    let (stdout, stderr) = dsec(&[&prog, "--emit", "trace"]);
+    let (stdout, stderr) = dsec(&[&prog, "--emit", "trace", "--exec-backend", "stack"]);
+    let (reg, _) = dsec(&[&prog, "--emit", "trace", "--exec-backend", "reg"]);
+    assert!(
+        stdout == reg,
+        "the trace depends on --exec-backend: {} stack lines, {} reg lines",
+        stdout.lines().count(),
+        reg.lines().count()
+    );
     let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with('{')).collect();
     assert!(lines.len() > 1000, "trace of the example is substantial");
     let mut kinds = std::collections::HashSet::new();
@@ -267,12 +276,13 @@ fn metrics_document_matches_golden() {
             &["--run", "--threads", "2", "--exec-backend", "reg"][..],
             "scratch.metrics-t2-reg.json",
         ),
-        (&["--run", "--serial"][..], "scratch.metrics-serial.json"),
+        (
+            &["--run", "--serial", "--exec-backend", "stack"][..],
+            "scratch.metrics-serial.json",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dsec"))
             .current_dir(root)
-            // The serial run's backend would otherwise follow the env.
-            .env_remove("DSE_EXEC_BACKEND")
             .arg("examples/scratch.cee")
             .args(args)
             .args(["--metrics", "-"])

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 /// statistics only the in-process transport can print are not compared.
 fn dsec(args: &[&str], file: &Path, sock: Option<&Path>) -> (i32, String, Vec<String>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dsec"));
-    cmd.args(args).arg(file).env_remove("DSE_EXEC_BACKEND");
+    cmd.args(args).arg(file);
     if let Some(sock) = sock {
         cmd.arg("--daemon").arg(sock);
     }
@@ -35,7 +35,6 @@ fn every_fixture_answers_the_same_over_both_transports() {
     let mut daemon = Command::new(env!("CARGO_BIN_EXE_dsed"))
         .arg("--socket")
         .arg(&sock)
-        .env_remove("DSE_EXEC_BACKEND")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -62,7 +61,7 @@ fn every_fixture_answers_the_same_over_both_transports() {
 
     const MODES: [&[&str]; 4] = [
         &["--run"],
-        &["--run", "--serial"],
+        &["--run", "--serial", "--exec-backend", "stack"],
         &["--run", "--exec-backend", "reg", "--strict"],
         &["check", "--strict"],
     ];
@@ -122,7 +121,8 @@ fn emit_report_explains_registers_under_the_register_backend_only() {
         assert!(body.contains(part), "`{part}` missing from: {body}");
     }
 
-    let (code, stdout, _) = dsec(&report, &file, None);
+    let stack = [&report[..], &["--exec-backend", "stack"]].concat();
+    let (code, stdout, _) = dsec(&stack, &file, None);
     assert_eq!(code, 0);
     assert!(!stdout.contains("registers in"), "stack backend:\n{stdout}");
 

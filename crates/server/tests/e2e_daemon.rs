@@ -269,6 +269,65 @@ fn zero_workers_still_answer() {
     assert_eq!(responses[0].out_long, vec![35500]);
 }
 
+/// The daemon reads no files: a request that names a `path` instead of
+/// sending `source` is refused without opening it (a FIFO nobody writes
+/// would block the read forever), and the next request is still served.
+#[test]
+fn a_path_only_request_is_refused_unread() {
+    use std::io::Read;
+    let fifo = std::env::temp_dir().join(format!("dsed-fifo-{}", std::process::id()));
+    let _ = std::fs::remove_file(&fifo);
+    let made = Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("spawn mkfifo");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let path_only = Json::obj(vec![
+        ("id", Json::Str("p".into())),
+        ("cmd", Json::Str("check".into())),
+        (
+            "path",
+            Json::Str(fifo.to_str().expect("a UTF-8 temp path").into()),
+        ),
+    ]);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .args(["--batch", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dsed");
+    let mut stdin = child.stdin.take().expect("stdin");
+    writeln!(stdin, "{path_only}").unwrap();
+    writeln!(stdin, "{}", req("after", "run", PROG_SUM, 1)).unwrap();
+    drop(stdin);
+    let mut stdout = child.stdout.take().expect("stdout");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut text = String::new();
+        stdout.read_to_string(&mut text).expect("read responses");
+        let _ = tx.send(text);
+    });
+    let answered = rx.recv_timeout(Duration::from_secs(20));
+    if answered.is_err() {
+        let _ = child.kill();
+    }
+    let _ = child.wait();
+    let _ = std::fs::remove_file(&fifo);
+    let stdout = answered.expect("dsed answered within 20 s");
+    let responses: Vec<Response> = stdout.lines().map(parse_response).collect();
+    assert_eq!(responses.len(), 2, "{stdout}");
+    let refused = responses.iter().find(|r| r.id == "p").expect("answered");
+    assert!(!refused.ok);
+    assert_eq!(refused.error.as_deref(), Some("request needs `source`"));
+    let after = responses
+        .iter()
+        .find(|r| r.id == "after")
+        .expect("answered");
+    assert!(after.ok, "{:?}", after.error);
+    assert_eq!(after.out_long, vec![35500]);
+}
+
 /// A telemetry file is appended to, never truncated: two daemons in turn
 /// leave the records of both, each one whole.
 #[test]

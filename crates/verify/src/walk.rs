@@ -57,10 +57,7 @@ pub fn candidate_loops(program: &Program) -> Vec<CandidateLoop<'_>> {
                     if mark.candidate {
                         let this = *ordinal;
                         *ordinal += 1;
-                        let label = mark
-                            .label
-                            .clone()
-                            .unwrap_or_else(|| format!("{fn_name}#{this}"));
+                        let label = dse_ir::loops::loop_label(mark, fn_name, this);
                         out.push(CandidateLoop {
                             label,
                             func,
