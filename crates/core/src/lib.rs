@@ -65,7 +65,6 @@ pub use xform::{expand_program, ExpansionReport, XformError, XformResult};
 
 use dse_depprof::ProfileResult;
 use dse_ir::bytecode::CompiledProgram;
-use dse_ir::loops::ParMode;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
 use dse_lang::ast::Program;
 use dse_runtime::VmConfig;
@@ -131,8 +130,6 @@ pub struct Transformed {
     pub parallel: CompiledProgram,
     /// Expansion accounting (Table 5's privatized-structure counts).
     pub report: ExpansionReport,
-    /// Chosen mode per loop label.
-    pub modes: HashMap<String, ParMode>,
     /// The expansion plan the transform executed (inspectable; consumed by
     /// the `dse-verify` invariant checker).
     pub plan: ExpansionPlan,
@@ -276,16 +273,10 @@ impl Analysis {
         let sync_eids = self.shared_carried_eids();
         let result = expand_program(&self.program, &plan, &sync_eids)?;
         let parallel = self.lower_parallel(&result.program, &result.sync_windows, opt)?;
-        let modes = self
-            .classifications
-            .iter()
-            .map(|cls| (cls.label.clone(), cls.mode))
-            .collect();
         Ok(Transformed {
             program: result.program,
             parallel,
             report: result.report,
-            modes,
             plan,
             sync_windows: result.sync_windows,
             eid_provenance: result.eid_provenance,

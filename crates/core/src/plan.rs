@@ -387,8 +387,10 @@ fn collect_span_flow(program: &Program) -> SpanFlow {
     };
     for (fi, f) in program.functions.iter().enumerate() {
         // Returns: the function's return type receives the expr's span.
-        collect_returns(&f.body, &mut |e: &Expr| {
-            record_flow(&mut sf, fi, &f.ret_ty, e);
+        walk_stmts_in_block(&f.body, &mut |s| {
+            if let StmtKind::Return(Some(e)) = &s.kind {
+                record_flow(&mut sf, fi, &f.ret_ty, e);
+            }
         });
         walk_exprs_in_block(&f.body, &mut |e| match &e.kind {
             ExprKind::Assign {
@@ -409,9 +411,14 @@ fn collect_span_flow(program: &Program) -> SpanFlow {
             }
             _ => {}
         });
-        for (ty, init) in collect_decl_inits(&f.body) {
-            record_flow(&mut sf, fi, ty, init);
-        }
+        walk_stmts_in_block(&f.body, &mut |s| {
+            if let StmtKind::Decl {
+                ty, init: Some(e), ..
+            } = &s.kind
+            {
+                record_flow(&mut sf, fi, ty, e);
+            }
+        });
     }
     sf
 }
@@ -446,61 +453,6 @@ fn record_flow(sf: &mut SpanFlow, func: usize, dst_ty: &Type, src: &Expr) {
     }
 }
 
-fn collect_returns(block: &Block, f: &mut impl FnMut(&Expr)) {
-    for s in &block.stmts {
-        match &s.kind {
-            StmtKind::Return(Some(e)) => f(e),
-            StmtKind::If { then, els, .. } => {
-                collect_returns(then, f);
-                if let Some(b) = els {
-                    collect_returns(b, f);
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                collect_returns(body, f)
-            }
-            StmtKind::For { body, .. } => collect_returns(body, f),
-            StmtKind::Block(b) => collect_returns(b, f),
-            _ => {}
-        }
-    }
-}
-
-fn collect_decl_inits(block: &Block) -> Vec<(&Type, &Expr)> {
-    let mut out = Vec::new();
-    fn go<'a>(block: &'a Block, out: &mut Vec<(&'a Type, &'a Expr)>) {
-        for s in &block.stmts {
-            match &s.kind {
-                StmtKind::Decl {
-                    ty, init: Some(e), ..
-                } => out.push((ty, e)),
-                StmtKind::If { then, els, .. } => {
-                    go(then, out);
-                    if let Some(b) = els {
-                        go(b, out);
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => go(body, out),
-                StmtKind::For { init, body, .. } => {
-                    if let Some(i) = init {
-                        if let StmtKind::Decl {
-                            ty, init: Some(e), ..
-                        } = &i.kind
-                        {
-                            out.push((ty, e));
-                        }
-                    }
-                    go(body, out);
-                }
-                StmtKind::Block(b) => go(b, out),
-                _ => {}
-            }
-        }
-    }
-    go(block, &mut out);
-    out
-}
-
 /// Pointer-difference definitions `i = p - q` (assignments and
 /// declaration initializers), as (int var, pointee pointer type) pairs.
 fn collect_diff_defs(program: &Program) -> Vec<(VarId, Type)> {
@@ -512,54 +464,22 @@ fn collect_diff_defs(program: &Program) -> Vec<(VarId, Type)> {
         let rt = r.ty.as_ref()?.decayed();
         (lt.is_pointer() && rt.is_pointer()).then_some((lt, rt))
     }
-    fn scan_block(block: &Block, fi: usize, out: &mut Vec<(VarId, Type)>) {
-        for s in &block.stmts {
-            match &s.kind {
-                StmtKind::Decl {
-                    init: Some(e),
-                    slot: Some(slot),
-                    ty,
-                    ..
-                } if ty.is_integer() => {
-                    if let Some((lt, _)) = diff_operand_types(e) {
-                        out.push((VarId::Local(fi, *slot), lt));
-                    }
-                }
-                StmtKind::If { then, els, .. } => {
-                    scan_block(then, fi, out);
-                    if let Some(b) = els {
-                        scan_block(b, fi, out);
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                    scan_block(body, fi, out)
-                }
-                StmtKind::For { init, body, .. } => {
-                    if let Some(i) = init {
-                        if let StmtKind::Decl {
-                            init: Some(e),
-                            slot: Some(slot),
-                            ty,
-                            ..
-                        } = &i.kind
-                        {
-                            if ty.is_integer() {
-                                if let Some((lt, _)) = diff_operand_types(e) {
-                                    out.push((VarId::Local(fi, *slot), lt));
-                                }
-                            }
-                        }
-                    }
-                    scan_block(body, fi, out);
-                }
-                StmtKind::Block(b) => scan_block(b, fi, out),
-                _ => {}
-            }
-        }
-    }
     let mut out = Vec::new();
     for (fi, f) in program.functions.iter().enumerate() {
-        scan_block(&f.body, fi, &mut out);
+        walk_stmts_in_block(&f.body, &mut |s| {
+            let StmtKind::Decl {
+                init: Some(e),
+                slot: Some(slot),
+                ty,
+                ..
+            } = &s.kind
+            else {
+                return;
+            };
+            if let Some((lt, _)) = diff_operand_types(e).filter(|_| ty.is_integer()) {
+                out.push((VarId::Local(fi, *slot), lt));
+            }
+        });
         walk_exprs_in_block(&f.body, &mut |e| {
             if let ExprKind::Assign {
                 op: AssignOp::Set,

@@ -34,6 +34,7 @@ use crate::hoist;
 use crate::plan::{ExpansionPlan, LayoutMode};
 use dse_analysis::effects::HiddenStores;
 use dse_analysis::{PtObj, VarId};
+use dse_ir::loops::{find_candidate_loops, CandidateLoop};
 use dse_lang::ast::*;
 use dse_lang::types::{StructId, Type, TypeTable};
 use std::collections::{HashMap, HashSet};
@@ -126,6 +127,7 @@ pub fn expand_program(
 ) -> Result<XformResult, XformError> {
     let tymap = TypeMap::build(&program.types, &plan.fat_types);
     let any_fat_ret = program.functions.iter().any(|f| plan.is_fat(&f.ret_ty));
+    let candidates = find_candidate_loops(program).map_err(|e| XformError(e.to_string()))?;
     let mut xf = Xf {
         program,
         plan,
@@ -134,7 +136,7 @@ pub fn expand_program(
         any_fat_ret,
         sync_eids,
         sync_windows: HashMap::new(),
-        cand_ordinal: 0,
+        candidates,
         report: ExpansionReport::default(),
         redirections: None,
         stores: None,
@@ -549,9 +551,9 @@ struct Xf<'a> {
     any_fat_ret: bool,
     sync_eids: &'a HashMap<String, HashSet<u32>>,
     sync_windows: HashMap<String, Option<(usize, usize)>>,
-    /// Running candidate ordinal, matching the discovery walk in
-    /// `dse_ir::loops` so synthesized labels line up.
-    cand_ordinal: usize,
+    /// The program's candidate loops; a candidate `for` takes its label
+    /// from here.
+    candidates: Vec<CandidateLoop<'a>>,
     report: ExpansionReport,
     /// While a candidate body is being rewritten with span-work pruning on:
     /// the inline redirections of named pointers emitted so far, which
@@ -849,7 +851,7 @@ impl<'a> Xf<'a> {
                     None => None,
                 };
                 let body = if mark.candidate {
-                    self.rewrite_candidate_body(mark, body)?
+                    self.rewrite_candidate_body(s, body)?
                 } else {
                     self.rewrite_block(body)?
                 };
@@ -922,13 +924,15 @@ impl<'a> Xf<'a> {
     /// so DOACROSS sync windows survive statement splitting.
     fn rewrite_candidate_body(
         &mut self,
-        mark: &LoopMark,
+        for_stmt: &Stmt,
         body: &Block,
     ) -> Result<Block, XformError> {
-        let ordinal = self.cand_ordinal;
-        self.cand_ordinal += 1;
-        let func = &self.program.functions[self.cur_func].name;
-        let label = dse_ir::loops::loop_label(mark, func, ordinal);
+        let label = self
+            .candidates
+            .iter()
+            .find(|c| std::ptr::eq(c.stmt, for_stmt))
+            .map(|c| c.label.clone())
+            .ok_or_else(|| self.err("candidate loop outside the program's loop table"))?;
         let sync_set = self.sync_eids.get(&label);
         let collect = self.plan.prune_span_work && !self.plan.heap_localize;
         let outer = std::mem::replace(&mut self.redirections, collect.then(Vec::new));

@@ -461,15 +461,15 @@ fn run(what: &str, compiled: &CompiledProgram, n: u32, src: &str) -> Vec<i64> {
 /// loop classified DOACROSS keeps its ordered window, a DOALL one gets a
 /// window around its first statement (stricter than it needs, so still
 /// correct), and both run `Wait`/`Post` and chunk-1 claiming.
-fn forced_doacross(t: &dse_core::Transformed) -> CompiledProgram {
+fn forced_doacross(analysis: &Analysis, t: &dse_core::Transformed) -> CompiledProgram {
     let mut opts = LowerOptions {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    for label in t.modes.keys() {
-        let window = t.sync_windows.get(label).copied().flatten();
+    for cls in &analysis.classifications {
+        let window = t.sync_windows.get(&cls.label).copied().flatten();
         opts.par.insert(
-            label.clone(),
+            cls.label.clone(),
             ParLoopSpec {
                 mode: ParMode::DoAcross,
                 sync_window: window.or(Some((0, 0))),
@@ -507,7 +507,7 @@ fn check_case(src: &str, g: Grammar) {
         if opt == OptLevel::Full && n <= 3 {
             let got = run(
                 &format!("forced DOACROSS n={n}"),
-                &forced_doacross(&t),
+                &forced_doacross(&analysis, &t),
                 n,
                 src,
             );

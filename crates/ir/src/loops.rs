@@ -35,20 +35,31 @@ impl fmt::Display for ParMode {
     }
 }
 
-/// A validated candidate loop.
+/// A validated candidate loop, borrowed from the program it was found in.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CandidateLoop {
-    /// Label from the pragma, or `"<func>#<n>"` if none was given.
+pub struct CandidateLoop<'a> {
+    /// Label from the pragma, or `"<func>#<n>"` if none was given, where
+    /// `n` counts candidate loops across the whole program in pre-order.
+    /// Every later stage names a loop by this label.
     pub label: String,
     /// Index of the containing function in the program.
     pub func: u32,
-    /// Ordinal of this candidate in program order (used to match the
-    /// lowering walk with this discovery walk).
-    pub ordinal: usize,
     /// Local slot of the induction variable.
     pub induction_slot: usize,
     /// Loop nesting level within its function (1 = outermost).
     pub level: u32,
+    /// The `for` statement itself.
+    pub stmt: &'a Stmt,
+}
+
+impl<'a> CandidateLoop<'a> {
+    /// The loop body.
+    pub fn body(&self) -> &'a Block {
+        match &self.stmt.kind {
+            StmtKind::For { body, .. } => body,
+            _ => unreachable!("a candidate loop is a `for` statement"),
+        }
+    }
 }
 
 /// A candidate-loop validation error with a human-readable message.
@@ -63,23 +74,15 @@ impl fmt::Display for CandidateError {
 
 impl std::error::Error for CandidateError {}
 
-/// The label of the candidate loop `mark` nominates in function `func`:
-/// its `#pragma candidate` name, else `<func>#<ordinal>`, where `ordinal`
-/// counts candidate loops across the whole program in pre-order. The
-/// lowering, the transform and the verifier all name loops by this rule.
-pub fn loop_label(mark: &LoopMark, func: &str, ordinal: usize) -> String {
-    mark.label
-        .clone()
-        .unwrap_or_else(|| format!("{func}#{ordinal}"))
-}
-
-/// Finds all `#pragma candidate` loops in the program, validating their
-/// normalized form.
+/// Finds all `#pragma candidate` loops in the program, in pre-order,
+/// validating their normalized form. This is the one table of candidate
+/// loops and their labels: the lowering, the planner, the transform and
+/// the verifier all read it.
 ///
 /// # Errors
 ///
 /// Returns a [`CandidateError`] naming the first violated rule.
-pub fn find_candidate_loops(program: &Program) -> Result<Vec<CandidateLoop>, CandidateError> {
+pub fn find_candidate_loops(program: &Program) -> Result<Vec<CandidateLoop<'_>>, CandidateError> {
     let mut out = Vec::new();
     for (fi, f) in program.functions.iter().enumerate() {
         scan_block(&f.body, fi as u32, f, 0, &mut out)?;
@@ -96,12 +99,12 @@ pub fn find_candidate_loops(program: &Program) -> Result<Vec<CandidateLoop>, Can
     Ok(out)
 }
 
-fn scan_block(
-    block: &Block,
+fn scan_block<'a>(
+    block: &'a Block,
     func: u32,
     f: &Function,
     loop_depth: u32,
-    out: &mut Vec<CandidateLoop>,
+    out: &mut Vec<CandidateLoop<'a>>,
 ) -> Result<(), CandidateError> {
     for stmt in &block.stmts {
         scan_stmt(stmt, func, f, loop_depth, out)?;
@@ -109,12 +112,12 @@ fn scan_block(
     Ok(())
 }
 
-fn scan_stmt(
-    stmt: &Stmt,
+fn scan_stmt<'a>(
+    stmt: &'a Stmt,
     func: u32,
     f: &Function,
     loop_depth: u32,
-    out: &mut Vec<CandidateLoop>,
+    out: &mut Vec<CandidateLoop<'a>>,
 ) -> Result<(), CandidateError> {
     match &stmt.kind {
         StmtKind::If { then, els, .. } => {
@@ -141,18 +144,25 @@ fn scan_stmt(
             mark,
         } => {
             if mark.candidate {
-                let cand = validate_candidate(
+                let label = mark
+                    .label
+                    .clone()
+                    .unwrap_or_else(|| format!("{}#{}", f.name, out.len()));
+                let induction_slot = validate_candidate(
                     init.as_deref(),
                     cond.as_ref(),
                     step.as_ref(),
                     body,
-                    mark,
-                    func,
                     f,
-                    loop_depth + 1,
-                    out.len(),
+                    &label,
                 )?;
-                out.push(cand);
+                out.push(CandidateLoop {
+                    label,
+                    func,
+                    induction_slot,
+                    level: loop_depth + 1,
+                    stmt,
+                });
             }
             scan_block(body, func, f, loop_depth + 1, out)?;
         }
@@ -267,19 +277,16 @@ pub fn expr_is_pure(e: &Expr) -> bool {
     pure
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Checks the normalized form of the candidate loop labelled `name`;
+/// returns its induction slot.
 fn validate_candidate(
     init: Option<&Stmt>,
     cond: Option<&Expr>,
     step: Option<&Expr>,
     body: &Block,
-    mark: &LoopMark,
-    func: u32,
     f: &Function,
-    level: u32,
-    ordinal: usize,
-) -> Result<CandidateLoop, CandidateError> {
-    let name = loop_label(mark, &f.name, ordinal);
+    name: &str,
+) -> Result<usize, CandidateError> {
     let fail = |msg: &str| CandidateError(format!("loop `{name}` in `{}`: {msg}", f.name));
 
     let slot = induction_slot_of_init(init)
@@ -298,13 +305,7 @@ fn validate_candidate(
         return Err(fail("step must increment the induction variable by 1"));
     }
     check_body_stmts(body, slot, true, &fail)?;
-    Ok(CandidateLoop {
-        label: name,
-        func,
-        ordinal,
-        induction_slot: slot,
-        level,
-    })
+    Ok(slot)
 }
 
 /// Recursively validates candidate-body statements. `top` tracks whether a
@@ -429,8 +430,9 @@ mod tests {
     use super::*;
     use dse_lang::compile_to_ast;
 
-    fn find(src: &str) -> Result<Vec<CandidateLoop>, CandidateError> {
-        find_candidate_loops(&compile_to_ast(src).unwrap())
+    /// The table borrows the program, so each test's program lives on.
+    fn find(src: &str) -> Result<Vec<CandidateLoop<'static>>, CandidateError> {
+        find_candidate_loops(Box::leak(Box::new(compile_to_ast(src).unwrap())))
     }
 
     #[test]
@@ -599,6 +601,21 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c[0].label, "a");
         assert_eq!(c[1].label, "b");
-        assert_eq!(c[1].ordinal, 1);
+        // Each entry hands out its own `for` statement.
+        assert!(!std::ptr::eq(c[0].stmt, c[1].stmt));
+        assert!(c.iter().all(|c| c.body().stmts.is_empty()));
+    }
+
+    #[test]
+    fn unlabelled_loops_count_across_functions() {
+        let c = find(
+            "void f() { #pragma candidate\nfor (int i = 0; i < 4; i++) { } }
+             void g() { #pragma candidate\nfor (int j = 0; j < 4; j++) {
+               #pragma candidate\nfor (int k = 0; k < 4; k++) { } } }",
+        )
+        .unwrap();
+        let labels: Vec<&str> = c.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["f#0", "g#1", "g#2"]);
+        assert_eq!(c[2].level, 2);
     }
 }

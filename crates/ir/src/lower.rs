@@ -104,7 +104,6 @@ pub fn lower_program(
         cur_func: 0,
         frame: FrameLayout::default(),
         loop_stack: Vec::new(),
-        cand_counter: 0,
         par_ind_stack: Vec::new(),
         alloc_sites: std::collections::HashMap::new(),
         label: 0,
@@ -231,7 +230,7 @@ struct LoopFrame {
 struct Lowerer<'a> {
     program: &'a Program,
     opts: &'a LowerOptions,
-    candidates: Vec<CandidateLoop>,
+    candidates: Vec<CandidateLoop<'a>>,
     global_addrs: Vec<u32>,
     code: Vec<Instr>,
     funcs: Vec<FuncInfo>,
@@ -240,7 +239,6 @@ struct Lowerer<'a> {
     cur_func: u32,
     frame: FrameLayout,
     loop_stack: Vec<LoopFrame>,
-    cand_counter: usize,
     /// Stack of induction slots of enclosing parallel bodies (innermost
     /// last); reads become `IterIdx(depth)`.
     par_ind_stack: Vec<usize>,
@@ -561,6 +559,7 @@ impl<'a> Lowerer<'a> {
             } => {
                 if mark.candidate {
                     return self.lower_candidate_for(
+                        s,
                         init.as_deref(),
                         cond.as_ref(),
                         step.as_ref(),
@@ -646,15 +645,18 @@ impl<'a> Lowerer<'a> {
 
     fn lower_candidate_for(
         &mut self,
+        for_stmt: &Stmt,
         init: Option<&Stmt>,
         cond: Option<&Expr>,
         step: Option<&Expr>,
         body: &Block,
     ) -> Result<(), LowerError> {
-        let ordinal = self.cand_counter;
-        self.cand_counter += 1;
-        let cand = self.candidates[ordinal].clone();
-        debug_assert_eq!(cand.func, self.cur_func);
+        let cand = self
+            .candidates
+            .iter()
+            .find(|c| std::ptr::eq(c.stmt, for_stmt))
+            .cloned()
+            .ok_or_else(|| LowerError("candidate loop outside the program's loop table".into()))?;
         let slot = cand.induction_slot;
         let ind_off = self.frame.offsets[slot];
         let ind_ty = self.program.functions[self.cur_func as usize].locals[slot]

@@ -654,6 +654,5 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         origin,
         frame_regs: max_window + 4,
         promo: plan,
-        ..RegProgram::default()
     }
 }

@@ -6,7 +6,6 @@ use crate::bytecode::{Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, LoopEvent
 use crate::sites::SiteId;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A register index within the current window (operand-stack depth of the
 /// value in the reference encoding).
@@ -300,7 +299,7 @@ impl fmt::Display for RInstr {
 
 /// A register-translated program, executable by the runtime's register
 /// backend alongside the [`CompiledProgram`] it was derived from.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RegProgram {
     /// All register instructions; regions are contiguous ranges.
     pub code: Vec<RInstr>,
@@ -317,39 +316,12 @@ pub struct RegProgram {
     /// re-derives the plan from the stack flow to prove the intent itself
     /// was legal.
     pub promo: PromotionPlan,
-    /// Set once a static backend verification (DSE010–DSE015) has passed
-    /// over this exact program; the register VM can refuse unverified code
-    /// under `--strict`.
-    pub(super) verified: AtomicBool,
-}
-
-impl Clone for RegProgram {
-    fn clone(&self) -> RegProgram {
-        RegProgram {
-            code: self.code.clone(),
-            entry_map: self.entry_map.clone(),
-            origin: self.origin.clone(),
-            frame_regs: self.frame_regs,
-            promo: self.promo.clone(),
-            verified: AtomicBool::new(self.verified.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl RegProgram {
     /// The stack pc a register pc was translated from.
     pub fn origin_pc(&self, reg_pc: usize) -> Pc {
         self.origin.get(reg_pc).copied().unwrap_or(reg_pc as Pc)
-    }
-
-    /// Records that a static backend verification passed over this program.
-    pub fn mark_verified(&self) {
-        self.verified.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`RegProgram::mark_verified`] has been called.
-    pub fn is_verified(&self) -> bool {
-        self.verified.load(Ordering::Relaxed)
     }
 }
 

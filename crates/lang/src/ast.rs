@@ -7,6 +7,7 @@
 
 use crate::source::SourceSpan;
 use crate::types::{Type, TypeTable};
+use std::collections::HashMap;
 
 /// Binding of a name to a storage slot, resolved by semantic analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -539,6 +540,54 @@ pub fn walk_exprs_in_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
     }
 }
 
+/// Calls `f` on every statement under `block` in pre-order: a statement,
+/// then a `for`'s init, then the statements of its nested blocks.
+pub fn walk_stmts_in_block<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
+    for s in &block.stmts {
+        walk_stmt(s, f);
+    }
+}
+
+fn walk_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
+    f(s);
+    match &s.kind {
+        StmtKind::If { then, els, .. } => {
+            walk_stmts_in_block(then, f);
+            if let Some(b) = els {
+                walk_stmts_in_block(b, f);
+            }
+        }
+        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+            walk_stmts_in_block(body, f)
+        }
+        StmtKind::For { init, body, .. } => {
+            if let Some(i) = init {
+                walk_stmt(i, f);
+            }
+            walk_stmts_in_block(body, f);
+        }
+        StmtKind::Block(b) => walk_stmts_in_block(b, f),
+        StmtKind::Decl { .. }
+        | StmtKind::Expr(_)
+        | StmtKind::Break
+        | StmtKind::Continue
+        | StmtKind::Return(_) => {}
+    }
+}
+
+/// Every numbered expression of `program`, by its [`Expr::eid`].
+pub fn eid_index(program: &Program) -> HashMap<u32, &Expr> {
+    let mut map = HashMap::new();
+    for f in &program.functions {
+        walk_exprs_in_block(&f.body, &mut |e| {
+            if e.eid != NO_EID {
+                map.insert(e.eid, e);
+            }
+        });
+    }
+    map
+}
+
 /// Assigns a unique [`Expr::eid`] to every expression in the program, in
 /// deterministic order. Returns the number of ids assigned. Called once
 /// after sema; synthetic nodes created later keep [`NO_EID`].
@@ -588,6 +637,49 @@ mod tests {
         };
         assert_eq!(s.loop_mark(), Some(&mark));
         assert_eq!(StmtKind::Break.loop_mark(), None);
+    }
+
+    #[test]
+    fn statement_walk_is_pre_order_with_for_init_before_body() {
+        let src = "int f(int n) {
+            int a; a = 0;
+            if (n) { a = 1; } else { { a = 2; } }
+            for (int i = 0; i < n; i++) { while (a) { a = a - 1; } }
+            do { a = 3; } while (0);
+            return a;
+        }";
+        let program = crate::compile_to_ast(src).unwrap();
+        let mut kinds = Vec::new();
+        walk_stmts_in_block(&program.functions[0].body, &mut |s| {
+            kinds.push(match &s.kind {
+                StmtKind::Decl { name, .. } => format!("decl {name}"),
+                StmtKind::Expr(_) => "expr".into(),
+                StmtKind::If { .. } => "if".into(),
+                StmtKind::While { .. } => "while".into(),
+                StmtKind::DoWhile { .. } => "do".into(),
+                StmtKind::For { .. } => "for".into(),
+                StmtKind::Block(_) => "block".into(),
+                StmtKind::Return(_) => "return".into(),
+                StmtKind::Break | StmtKind::Continue => "jump".into(),
+            });
+        });
+        assert_eq!(
+            kinds,
+            [
+                "decl a", "expr", "if", "expr", "block", "expr", "for", "decl i", "while", "expr",
+                "do", "expr", "return"
+            ]
+        );
+    }
+
+    #[test]
+    fn eid_index_covers_every_numbered_expression() {
+        let program = crate::compile_to_ast("int f(int n) { return n + 1; }").unwrap();
+        let index = eid_index(&program);
+        assert_eq!(index.len(), 3, "`n`, `1` and `n + 1`");
+        for (eid, e) in index {
+            assert_eq!(e.eid, eid);
+        }
     }
 
     #[test]

@@ -212,12 +212,6 @@ pub struct VmConfig {
     /// not have 8 physical cores; the paper's Opteron did). See
     /// [`crate::prof`].
     pub profile: bool,
-    /// Refuse to execute a register translation that has not been marked
-    /// verified by the backend verifier (`dse-verify`'s `DSE010`–`DSE015`
-    /// passes). Only meaningful with [`VmConfig::backend`] `Reg` and a
-    /// pre-translated module; translations made by the VM itself have no
-    /// verification channel and are rejected outright under strict.
-    pub strict: bool,
 }
 
 impl Default for VmConfig {
@@ -232,7 +226,6 @@ impl Default for VmConfig {
             backend: BackendKind::default(),
             trace: false,
             profile: false,
-            strict: false,
         }
     }
 }
@@ -492,27 +485,15 @@ impl Vm {
         }
         let backend = match config.backend {
             BackendKind::Stack => Backend::Stack,
-            BackendKind::Reg => {
-                let rp = match reg {
-                    Some(rp) => rp,
-                    None => Arc::new(dse_ir::regcode::translate(&program).map_err(|e| {
-                        VmError::new(
-                            e.pc as usize,
-                            format!("register lowering failed: {}", e.msg),
-                        )
-                    })?),
-                };
-                if config.strict && !rp.is_verified() {
-                    return Err(VmError::new(
-                        0,
-                        "DSE010-DSE015: register translation is not verified; run it \
-                         through the backend verifier (`dsec check --backend`) before \
-                         executing under --strict"
-                            .to_string(),
-                    ));
-                }
-                Backend::Reg(rp)
-            }
+            BackendKind::Reg => Backend::Reg(match reg {
+                Some(rp) => rp,
+                None => Arc::new(dse_ir::regcode::translate(&program).map_err(|e| {
+                    VmError::new(
+                        e.pc as usize,
+                        format!("register lowering failed: {}", e.msg),
+                    )
+                })?),
+            }),
         };
         let globals_end = GLOBAL_BASE + program.globals_size;
         let stacks_base = dse_lang::types::round_up(globals_end, 4096);

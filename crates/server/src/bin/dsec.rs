@@ -43,8 +43,10 @@
 //! (`DSE012`/`DSE013`), and symbolic stack-vs-register translation
 //! validation (`DSE014`/`DSE015`). The same verification gates every
 //! register-backend execution automatically (cached as the `regverify`
-//! phase); `--run --exec-backend reg --strict` makes the VM itself refuse
-//! any translation the verifier has not marked clean.
+//! phase), and a translation with any finding never reaches a VM.
+//! `--strict` means one thing wherever the verifier runs: warnings fail
+//! the request as errors do, so a program `dsec check --strict` rejects
+//! is refused by `--run --strict` and `--emit … --strict` too.
 //!
 //! Exit codes: `0` clean; `1` verifier errors (or warnings under
 //! `--strict`), compile or runtime failures; `2` usage or I/O errors.
@@ -553,8 +555,8 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                     "  redirections hoisted:       {} ({} re-derived)",
                     r.redirections_hoisted, r.redirections_rederived
                 );
-                for (label, mode) in &t.modes {
-                    println!("  loop `{label}` scheduled {mode:?}");
+                for cls in &analysis.classifications {
+                    println!("  loop `{}` scheduled {:?}", cls.label, cls.mode);
                 }
                 if o.req.exec_backend == BackendKind::Reg {
                     print!("{}", render_registers(&t.program, &t.parallel)?);

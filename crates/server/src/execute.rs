@@ -175,10 +175,16 @@ fn drive<O: Observer + ?Sized>(
         if req.cmd == Cmd::Check {
             return check_verdict(&report, req.strict);
         }
-        if report.should_fail(false) {
+        if report.should_fail(req.strict) {
+            let findings = match report.count(Severity::Error) {
+                0 => format!(
+                    "{} warning(s) under --strict",
+                    report.count(Severity::Warning)
+                ),
+                errors => format!("{errors} error(s)"),
+            };
             return Err(Failure::diag(format!(
-                "verification failed with {} error(s); see `dsec check`",
-                report.count(Severity::Error)
+                "verification failed with {findings}; see `dsec check`"
             )));
         }
     }
@@ -194,7 +200,6 @@ fn drive<O: Observer + ?Sized>(
         nthreads,
         inputs_int: req.inputs.clone(),
         backend: req.exec_backend,
-        strict: req.strict,
         ..instruments
     };
     // Register code only ever runs verified: the lowering and its

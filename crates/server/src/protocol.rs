@@ -13,10 +13,11 @@
 //!
 //! Absent request fields take defaults (`threads` 4, `opt` full, flags
 //! false, empty inputs, `exec_backend` reg), so the minimal request is `{"cmd":"run",
-//! "source":"..."}`. The program always travels as text (`source`): the
-//! daemon reads no files. A field that is present with the wrong type is
-//! an error naming it, on both sides of the wire; `null` reads as absent
-//! for the optional ones (`source`, `error`).
+//! "source":"..."}`. `strict` fails a `run`, `compile` or `check` on the
+//! verifier's warnings exactly as on its errors. The program always
+//! travels as text (`source`): the daemon reads no files. A field that is
+//! present with the wrong type is an error naming it, on both sides of the
+//! wire; `null` reads as absent for the optional ones (`source`, `error`).
 
 use crate::metrics::{server_to_json, ServerStats};
 use dse_core::{CacheOutcome, OptLevel, PhaseOutcome, Trace};
@@ -81,7 +82,8 @@ pub struct Request {
     pub baseline: bool,
     /// Execute the serial program instead of the transformed one.
     pub serial: bool,
-    /// `check`: treat warnings as failures.
+    /// Treat the verifier's warnings as failures, on every command that
+    /// runs it (`check`, `compile`, and any `run` but a serial one).
     pub strict: bool,
     /// Integer inputs (profiling and execution).
     pub inputs: Vec<i64>,

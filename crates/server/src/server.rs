@@ -296,7 +296,9 @@ impl Server {
                 Err(e) => Response::failure("", e),
             };
             let done = self.shutting_down();
-            let sent = writeln!(writer, "{}", resp.to_json()).and_then(|()| writer.flush());
+            // One `write_all` of the whole line: a client's single read
+            // gets the response, not the first of many small writes.
+            let sent = writer.write_all(format!("{}\n", resp.to_json()).as_bytes());
             if done {
                 // Unblock the accept loop so the daemon can exit, even if
                 // the client hung up before reading its answer.

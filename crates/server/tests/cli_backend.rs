@@ -8,8 +8,8 @@
 //!   record of nested candidate loops;
 //! * `--emit bytecode --exec-backend reg`: the register listing after the
 //!   stack one, every instruction with the stack pc it came from;
-//! * the VM's `--strict` gate refusing an unverified register translation
-//!   and accepting the same translation once the verifier marks it;
+//! * the one gate on register code refusing a sabotaged translation it
+//!   finds in the artifact store, before any VM exists;
 //! * a trap inside a fused register instruction reported at the stack pc
 //!   the stack backend reports (`indexed_trap.cee`), and the access
 //!   counters of a clean run where they were before the fusions.
@@ -23,10 +23,14 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use dse_core::{Analysis, OptLevel};
+use dse_core::phases::code_fingerprint;
+use dse_core::{Analysis, ArtifactStore, CacheOutcome, OptLevel, Pipeline, RegArt, Trace};
 use dse_ir::bytecode::IBinOp;
 use dse_ir::RInstr;
-use dse_runtime::{BackendKind, Vm, VmConfig};
+use dse_runtime::{BackendKind, NullObserver, Vm, VmConfig};
+use dse_server::{execute, Cmd, Request};
+use dse_telemetry::ContentHasher;
+use dse_verify::sabotage;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -409,35 +413,59 @@ fn fusion_leaves_the_access_counters_alone() {
     }
 }
 
+/// Register code runs only through `dse_verify::verified_reg_vm`: a `run`
+/// that finds a sabotaged translation of its transformed program under the
+/// `reglower` key fails with the verifier's code and builds no VM.
 #[test]
-fn strict_vm_refuses_unverified_translation_and_accepts_verified() {
+fn a_sabotaged_cached_translation_fails_the_run_before_any_vm() {
     let source = std::fs::read_to_string(fixture()).unwrap();
-    let analysis = Analysis::from_source(&source, VmConfig::default()).unwrap();
-    let rp = std::sync::Arc::new(
-        dse_ir::regcode::translate(&analysis.serial).expect("fixture translates"),
-    );
-    let strict = VmConfig {
-        strict: true,
-        ..Default::default()
+    let req = Request {
+        source: Some(source.clone()),
+        threads: 2,
+        ..Request::new("gate", Cmd::Run)
     };
-    let err = Vm::with_reg(analysis.serial.clone(), rp.clone(), strict.clone())
-        .err()
-        .expect("strict must refuse an unverified translation");
+    assert_eq!(req.exec_backend, BackendKind::Reg);
+    let store = ArtifactStore::new();
+    let pipeline = Pipeline::new(&store);
+    let mut trace = Trace::new();
+    let art = pipeline
+        .analyze(&source, &VmConfig::default(), &mut trace)
+        .unwrap();
+    let t = pipeline
+        .transform(&art, req.opt, req.threads, req.baseline, &mut trace)
+        .unwrap();
+    let prog = &t.transformed.parallel;
+    let mut rp = dse_ir::regcode::translate(prog).unwrap();
+    let kind = sabotage::Kind::SwapReg;
     assert!(
-        err.to_string().contains("DSE010-DSE015"),
-        "refusal names the verification codes: {err}"
+        sabotage::sabotage_reg(prog, &mut rp, kind),
+        "no site for {kind:?}"
     );
-    // A clean verification marks the translation; strict then accepts it.
-    let report = dse_verify::check_backend(&analysis.serial, &rp);
-    assert!(report.diagnostics.is_empty(), "{}", report.render_text());
-    rp.mark_verified();
-    let mut vm = Vm::with_reg(analysis.serial.clone(), rp, strict)
-        .expect("strict accepts a verified translation");
-    vm.run().expect("fixture runs");
-    // Differential check against the reference stack interpreter.
-    let mut reference = Vm::new(analysis.serial.clone(), VmConfig::default()).unwrap();
-    reference.run().expect("reference runs");
-    assert_eq!(vm.outputs_int(), reference.outputs_int());
+    let key = ContentHasher::new("reglower")
+        .hash(code_fingerprint(prog))
+        .finish();
+    let reg = std::sync::Arc::new(rp);
+    store
+        .get_or_compute("reglower", key, &mut trace, || {
+            Ok::<_, std::convert::Infallible>((RegArt { reg, key }, [].into()))
+        })
+        .unwrap();
+
+    let out = execute(&store, &req, VmConfig::default(), &mut NullObserver);
+    let reglower = out.trace.iter().find(|p| p.phase == "reglower");
+    assert_eq!(
+        reglower.map(|p| p.outcome),
+        Some(CacheOutcome::Hit),
+        "the run found the seeded translation"
+    );
+    let failure = out.failure.expect("the gate refuses the translation");
+    let code = kind.expected_code().as_str();
+    assert!(
+        failure.message.contains("refusing to execute it") && failure.message.contains(code),
+        "the refusal names {code}: {}",
+        failure.message
+    );
+    assert!(out.run.is_none(), "no VM was built");
 }
 
 /// The whole pipeline classifies both loops of `nested_doacross.cee`

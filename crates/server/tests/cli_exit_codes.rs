@@ -105,3 +105,62 @@ fn metrics_carry_lint_counts() {
     assert_eq!(count("errors"), Some(0));
     assert_eq!(count("warnings"), Some(1));
 }
+
+/// `--strict` means one thing wherever the verifier runs: a program whose
+/// only findings are warnings exits 0 without it and 1 with it, under
+/// `check` and under `--run` alike, standalone and over `--daemon`.
+#[test]
+fn strict_fails_a_run_on_warnings_as_it_fails_a_check() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let sock = std::env::temp_dir().join(format!("dsec-strict-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .arg("--socket")
+        .arg(&sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dsed");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !sock.exists() {
+        assert!(daemon.try_wait().unwrap().is_none(), "dsed exited early");
+        assert!(Instant::now() < deadline, "socket never appeared");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let sock = sock.to_str().unwrap();
+
+    for (name, code) in [
+        ("profile_unsound.cee", "DSE001"),
+        ("zero_iter.cee", "DSE008"),
+    ] {
+        let f = fixture(name);
+        for daemon_args in [&[][..], &["--daemon", sock][..]] {
+            for (args, want) in [
+                (&["check", &f][..], 0),
+                (&["check", &f, "--strict"][..], 1),
+                (&[&f, "--run"][..], 0),
+                (&[&f, "--run", "--strict"][..], 1),
+            ] {
+                let argv = [args, daemon_args].concat();
+                let (got, stdout, stderr) = dsec(&argv);
+                assert_eq!(got, want, "dsec {argv:?}\n{stdout}{stderr}");
+                assert!(
+                    stdout.contains(code) || stderr.contains(code),
+                    "dsec {argv:?} names {code}"
+                );
+                if args[1] == "--run" && want == 1 {
+                    let why = "verification failed with 1 warning(s) under --strict";
+                    assert!(stderr.contains(why), "{stderr}");
+                }
+            }
+        }
+    }
+
+    let mut conn = std::os::unix::net::UnixStream::connect(sock).expect("connect");
+    use std::io::Write;
+    writeln!(conn, r#"{{"cmd":"shutdown"}}"#).expect("send shutdown");
+    let status = daemon.wait().expect("dsed exit");
+    assert!(status.success(), "dsed shutdown status {status}");
+}

@@ -173,3 +173,25 @@ fn profile_rejects_missing_file() {
         .expect("spawn dsec");
     assert!(!out.status.success());
 }
+
+/// `--emit report` lists its loops in program order: `fill` before
+/// `chain`, on every run (each run hashes its maps with a fresh seed).
+#[test]
+fn report_lists_loops_in_program_order() {
+    let ex = example();
+    for _ in 0..10 {
+        let (stdout, _) = dsec(&[&ex, "--emit", "report"]);
+        let loops: Vec<&str> = stdout
+            .lines()
+            .filter(|l| l.starts_with("  loop `"))
+            .collect();
+        assert_eq!(
+            loops,
+            [
+                "  loop `fill` scheduled DoAll",
+                "  loop `chain` scheduled DoAcross"
+            ],
+            "{stdout}"
+        );
+    }
+}

@@ -593,3 +593,55 @@ fn shutdown_from_a_client_that_hung_up_still_exits() {
     assert!(status.success(), "dsed shutdown status {status}");
     assert!(!sock.exists(), "socket file not cleaned up");
 }
+
+/// Each socket response leaves in one write: a client's first `read` of
+/// a large buffer returns the whole line, for runs, checks and stats.
+#[test]
+fn one_read_gets_the_whole_response_line() {
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
+    let sock = std::env::temp_dir().join(format!("dsed-oneread-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsed"))
+        .arg("--socket")
+        .arg(&sock)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dsed");
+    wait_for_socket(&sock, &mut child);
+
+    let mut conn = UnixStream::connect(&sock).expect("connect");
+    let stats = r#"{"id":"st","cmd":"stats"}"#.to_string();
+    let mut lines: Vec<String> = (0..10)
+        .map(|n| req(&format!("fill-{n}"), "run", PROG_FILL, 2))
+        .collect();
+    lines.push(req("sum-check", "check", PROG_SUM, 2));
+    lines.push(stats);
+    let mut buf = vec![0u8; 1 << 20];
+    for line in &lines {
+        writeln!(conn, "{line}").unwrap();
+        let n = conn.read(&mut buf).expect("read");
+        let got = std::str::from_utf8(&buf[..n]).expect("utf-8");
+        assert!(
+            got.ends_with('\n') && got.matches('\n').count() == 1,
+            "one read returned {n} bytes, not one whole line: {got:?}"
+        );
+        assert!(parse_response(got).ok, "{got}");
+    }
+
+    writeln!(conn, r#"{{"id":"bye","cmd":"shutdown"}}"#).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("dsed did not exit after shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "dsed shutdown status {status}");
+}

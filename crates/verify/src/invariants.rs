@@ -44,7 +44,6 @@ use dse_lang::source::SourceSpan;
 use dse_lang::types::Type;
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::walk;
 
 /// Runs all transform-invariant checks, appending findings to `report`.
 pub fn check(analysis: &Analysis, t: &Transformed, report: &mut Report) {
@@ -59,7 +58,7 @@ pub fn check(analysis: &Analysis, t: &Transformed, report: &mut Report) {
 /// eid → span index over the original program, for pointing diagnostics at
 /// the source access a transformed site descends from.
 fn source_spans(program: &Program) -> HashMap<u32, SourceSpan> {
-    walk::eid_index(program)
+    eid_index(program)
         .into_iter()
         .map(|(eid, e)| (eid, e.span))
         .collect()
@@ -397,7 +396,7 @@ fn check_redirection(
     if !tid_slots.is_empty() {
         states = taint_fixpoint(&t.parallel, &tid_slots).0;
     }
-    let orig_index = walk::eid_index(&analysis.program);
+    let orig_index = eid_index(&analysis.program);
     // One finding per original access, not per bytecode occurrence.
     let mut flagged: HashSet<(u32, Code)> = HashSet::new();
     for (&pc, st) in &states {
@@ -489,31 +488,14 @@ fn check_span_maintenance(t: &Transformed, report: &mut Report) {
                 shadows.insert(x.to_string());
             }
         }
-        collect_local_shadows(&f.body, &mut shadows);
-        check_block_spans(&f.body, &shadows, p, report);
-    }
-}
-
-fn collect_local_shadows(b: &Block, out: &mut HashSet<String>) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Decl { name, .. } => {
+        walk_stmts_in_block(&f.body, &mut |s| {
+            if let StmtKind::Decl { name, .. } = &s.kind {
                 if let Some(x) = name.strip_prefix("__sp_") {
-                    out.insert(x.to_string());
+                    shadows.insert(x.to_string());
                 }
             }
-            StmtKind::If { then, els, .. } => {
-                collect_local_shadows(then, out);
-                if let Some(e) = els {
-                    collect_local_shadows(e, out);
-                }
-            }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. } => collect_local_shadows(body, out),
-            StmtKind::Block(inner) => collect_local_shadows(inner, out),
-            _ => {}
-        }
+        });
+        check_block_spans(&f.body, &shadows, p, report);
     }
 }
 
@@ -724,26 +706,6 @@ fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr)> {
     }
 }
 
-/// Calls `f` on every statement under `b`, outer statements first.
-fn stmts_in_block<'a>(b: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
-    for s in &b.stmts {
-        f(s);
-        match &s.kind {
-            StmtKind::If { then, els, .. } => {
-                stmts_in_block(then, f);
-                if let Some(e) = els {
-                    stmts_in_block(e, f);
-                }
-            }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. } => stmts_in_block(body, f),
-            StmtKind::Block(inner) => stmts_in_block(inner, f),
-            _ => {}
-        }
-    }
-}
-
 /// Every constant the transform used as a span must be the size — in the
 /// transformed program's own layout, read off its own allocation calls and
 /// declarations — of each object the access may reach. The constants are
@@ -793,12 +755,12 @@ fn check_constant_spans(
             }
         }
     };
-    let orig_index = walk::eid_index(&analysis.program);
+    let orig_index = eid_index(&analysis.program);
     let mut flagged: HashSet<u32> = HashSet::new();
     for f in &p.functions {
         // Constant strides of the slots' derivations in this function.
         let mut slot_strides: HashMap<VarBinding, Vec<u64>> = HashMap::new();
-        stmts_in_block(&f.body, &mut |s| {
+        walk_stmts_in_block(&f.body, &mut |s| {
             if let Some((slot, value)) = derivation(s) {
                 slot_strides
                     .entry(slot)
@@ -1061,7 +1023,7 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
     let mut hidden: Option<HiddenStores> = None;
     for f in &p.functions {
         let mut deps: HashMap<VarBinding, HashSet<VarBinding>> = HashMap::new();
-        stmts_in_block(&f.body, &mut |s| {
+        walk_stmts_in_block(&f.body, &mut |s| {
             if let Some((slot, value)) = derivation(s) {
                 let reads = deps.entry(slot).or_default();
                 walk_exprs(value, &mut |x| {
@@ -1132,7 +1094,7 @@ fn check_sync_windows(
     report: &mut Report,
 ) {
     let ordered = analysis.shared_carried_eids();
-    let orig_index = walk::eid_index(&analysis.program);
+    let orig_index = eid_index(&analysis.program);
     for (loop_id, l) in t.parallel.loops.iter().enumerate() {
         let Some(mode) = l.mode else { continue };
         let region = body_region(&t.parallel, l.body_entry);

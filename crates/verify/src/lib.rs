@@ -34,7 +34,6 @@ pub mod regcheck;
 pub mod sabotage;
 pub mod stackcheck;
 pub mod staticdep;
-pub mod walk;
 pub mod xlatecheck;
 
 use std::collections::HashMap;
@@ -45,7 +44,7 @@ use dse_core::phases::{Pipeline, RegArt, TransformArt};
 use dse_core::{Analysis, ArtifactStore, SiteClass, Transformed};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::RegProgram;
-use dse_lang::ast::NO_EID;
+use dse_lang::ast::{eid_index, NO_EID};
 use dse_runtime::{Vm, VmConfig};
 use dse_telemetry::ContentHasher;
 
@@ -130,10 +129,7 @@ pub fn check_backend(prog: &CompiledProgram, rp: &RegProgram) -> Report {
 /// the pipeline's ninth cached phase, keyed `H("regverify", reglower_key)`.
 /// The reglower key fingerprints the stack code, so any program change
 /// re-verifies and any repeat (daemon warm path, `--threads` sweeps)
-/// reuses the stored report. A clean report marks the translation verified
-/// — on cache hits too, since a warm `RegArt` may be a fresh allocation
-/// whose flag was never set — which the register VM's `--strict` mode
-/// checks before accepting code.
+/// reuses the stored report.
 pub fn check_backend_cached(
     store: &ArtifactStore,
     prog: &CompiledProgram,
@@ -141,17 +137,13 @@ pub fn check_backend_cached(
     trace: &mut Trace,
 ) -> Arc<Report> {
     let key = ContentHasher::new("regverify").hash(regart.key).finish();
-    let report = store
+    store
         .get_or_compute("regverify", key, trace, || {
             let report = check_backend(prog, &regart.reg);
             let stats = [("diagnostics", report.diagnostics.len() as i64)].into();
             Ok::<_, std::convert::Infallible>((report, stats))
         })
-        .unwrap_or_else(|e| match e {});
-    if report.count(diag::Severity::Error) == 0 {
-        regart.reg.mark_verified();
-    }
-    report
+        .unwrap_or_else(|e| match e {})
 }
 
 /// The one way to get a VM that executes register code: translate
@@ -195,7 +187,7 @@ pub fn verified_reg_vm(
 /// programs, so surfacing the conflict as a lint keeps `dsec check` ahead
 /// of the transform's hard error.
 fn check_classification_conflicts(analysis: &Analysis, report: &mut Report) {
-    let index = walk::eid_index(&analysis.program);
+    let index = eid_index(&analysis.program);
     let mut seen: HashMap<u32, (SiteClass, String)> = HashMap::new();
     let mut conflicted: Vec<u32> = Vec::new();
     for c in &analysis.classifications {

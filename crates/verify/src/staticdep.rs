@@ -30,14 +30,13 @@ use std::collections::{HashMap, HashSet};
 use dse_analysis::PtObj;
 use dse_core::{Analysis, LoopClassification, SiteClass};
 use dse_depprof::LoopDdg;
-use dse_ir::loops::ParMode;
+use dse_ir::loops::{find_candidate_loops, CandidateLoop, ParMode};
 use dse_ir::sites::{AccessKind, SiteId};
 use dse_lang::ast::*;
 use dse_lang::printer;
 use dse_lang::source::SourceSpan;
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::walk::{self, CandidateLoop};
 
 /// One access class of a candidate loop, with the profiled verdict and the
 /// static one side by side (the `inspect_ddg` example renders these).
@@ -73,8 +72,8 @@ pub struct LoopDiff {
 
 /// Computes the static-vs-profiled dependence diff for every candidate loop.
 pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
-    let cands = walk::candidate_loops(&analysis.program);
-    let eids = walk::eid_index(&analysis.program);
+    let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
+    let eids = eid_index(&analysis.program);
     let mut out = Vec::new();
     for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
         let cand = cands.iter().find(|c| c.label == cls.label);
@@ -85,8 +84,8 @@ pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
 
 /// Runs the pass, appending findings to `report`.
 pub fn check(analysis: &Analysis, report: &mut Report) {
-    let cands = walk::candidate_loops(&analysis.program);
-    let eids = walk::eid_index(&analysis.program);
+    let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
+    let eids = eid_index(&analysis.program);
     for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
         let cand = cands.iter().find(|c| c.label == cls.label);
         if ddg.iterations == 0 {
@@ -97,7 +96,7 @@ pub fn check(analysis: &Analysis, report: &mut Report) {
             )
             .with_loop(&cls.label);
             if let Some(c) = cand {
-                d = d.with_span(c.span);
+                d = d.with_span(c.stmt.span);
             }
             report.push(d);
             continue;
@@ -200,7 +199,7 @@ fn diff_loop(
             seen_loads: HashSet::new(),
         };
         let mut st = KillState::default();
-        scanner.scan_block(c.body, &mut st, None);
+        scanner.scan_block(c.body(), &mut st, None);
         // Loads the body scan never reached (e.g. inside called functions)
         // are beyond the coverage argument.
         for (&eid, &rep) in &load_class {
