@@ -33,6 +33,7 @@
 //! Nested candidate loops are opaque: their bodies may run on other
 //! workers, whose slots this body never derives.
 
+use crate::xform::{idx, tid, var};
 use dse_lang::ast::*;
 use dse_lang::types::Type;
 use dse_lang::SourceSpan;
@@ -86,7 +87,7 @@ pub(crate) fn hoist(
     let mut h = Hoist {
         cand,
         deps,
-        place: index(var(&slot), call("__tid")),
+        place: idx(var(&slot), tid()),
         apply: false,
         uses: 0,
         derivations: 0,
@@ -522,34 +523,4 @@ pub(crate) fn same_shape(a: &Expr, b: &Expr) -> bool {
         }
         _ => false,
     }
-}
-
-fn var(name: &str) -> Expr {
-    Expr::new(
-        ExprKind::Var {
-            name: name.into(),
-            binding: None,
-        },
-        SourceSpan::default(),
-    )
-}
-
-fn call(name: &str) -> Expr {
-    Expr::new(
-        ExprKind::Call {
-            name: name.into(),
-            args: Vec::new(),
-        },
-        SourceSpan::default(),
-    )
-}
-
-fn index(base: Expr, i: Expr) -> Expr {
-    Expr::new(
-        ExprKind::Index {
-            base: Box::new(base),
-            index: Box::new(i),
-        },
-        SourceSpan::default(),
-    )
 }

@@ -189,23 +189,7 @@ impl Analysis {
         nthreads: u32,
         layout: LayoutMode,
     ) -> Result<ExpansionPlan, DseError> {
-        let loops: Vec<_> = self
-            .profile
-            .loops
-            .iter()
-            .zip(&self.classifications)
-            .collect();
-        Ok(build_plan(&PlanInputs {
-            program: &self.program,
-            sites: &self.serial.sites,
-            loops,
-            pt: &self.pt,
-            alloc_sizes: &self.alloc_sizes,
-            opt,
-            nthreads,
-            heap_localize: false,
-            layout,
-        })?)
+        Ok(build_plan(&self.plan_inputs(opt, nthreads, false, layout))?)
     }
 
     /// Builds the runtime-privatization baseline plan: named variables are
@@ -216,23 +200,34 @@ impl Analysis {
     ///
     /// Propagates planning failures.
     pub fn baseline_plan(&self, nthreads: u32) -> Result<ExpansionPlan, DseError> {
-        let loops: Vec<_> = self
-            .profile
-            .loops
-            .iter()
-            .zip(&self.classifications)
-            .collect();
-        Ok(build_plan(&PlanInputs {
+        let inputs = self.plan_inputs(OptLevel::Full, nthreads, true, LayoutMode::Bonded);
+        Ok(build_plan(&inputs)?)
+    }
+
+    /// The planner's inputs: every profiled loop of this analysis.
+    fn plan_inputs(
+        &self,
+        opt: OptLevel,
+        nthreads: u32,
+        heap_localize: bool,
+        layout: LayoutMode,
+    ) -> PlanInputs<'_> {
+        PlanInputs {
             program: &self.program,
             sites: &self.serial.sites,
-            loops,
+            loops: self
+                .profile
+                .loops
+                .iter()
+                .zip(&self.classifications)
+                .collect(),
             pt: &self.pt,
             alloc_sizes: &self.alloc_sizes,
-            opt: OptLevel::Full,
+            opt,
             nthreads,
-            heap_localize: true,
-            layout: LayoutMode::Bonded,
-        })?)
+            heap_localize,
+            layout,
+        }
     }
 
     /// Transforms the program (expansion + promotion + redirection) and

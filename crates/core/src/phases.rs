@@ -300,7 +300,6 @@ impl<'a> Pipeline<'a> {
         let profile_key = ContentHasher::new("profile")
             .hash(lowered.code_hash)
             .i64s(&profile_config.inputs_int)
-            .f64s(&profile_config.inputs_float)
             .finish();
         let profiled: Arc<ProfileArt> =
             self.store

@@ -442,7 +442,7 @@ fn u(kind: ExprKind) -> Expr {
     Expr::new(kind, dse_lang::SourceSpan::default())
 }
 
-fn var(name: &str) -> Expr {
+pub(crate) fn var(name: &str) -> Expr {
     u(ExprKind::Var {
         name: name.into(),
         binding: None,
@@ -460,11 +460,11 @@ fn call(name: &str, args: Vec<Expr>) -> Expr {
     })
 }
 
-fn tid() -> Expr {
+pub(crate) fn tid() -> Expr {
     call("__tid", vec![])
 }
 
-fn idx(base: Expr, i: Expr) -> Expr {
+pub(crate) fn idx(base: Expr, i: Expr) -> Expr {
     u(ExprKind::Index {
         base: Box::new(base),
         index: Box::new(i),

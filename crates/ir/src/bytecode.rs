@@ -73,8 +73,6 @@ pub enum Builtin {
     Free,
     /// `in_long(i)` — i-th host-provided integer input.
     InLong,
-    /// `in_float(i)` — i-th host-provided float input.
-    InFloat,
     /// `in_len()` — number of host inputs.
     InLen,
     /// `out_long(v)` — append to host-visible output.
@@ -127,7 +125,6 @@ impl Builtin {
             Builtin::ReallocExpanded => (&[I, I, I], Some(I)),
             Builtin::Free => (&[I], None),
             Builtin::InLong => (&[I], Some(I)),
-            Builtin::InFloat => (&[I], Some(F)),
             Builtin::InLen => (&[], Some(I)),
             Builtin::OutLong => (&[I], None),
             Builtin::OutFloat => (&[F], None),
@@ -160,7 +157,6 @@ impl Builtin {
             "realloc" => Builtin::Realloc,
             "free" => Builtin::Free,
             "in_long" => Builtin::InLong,
-            "in_float" => Builtin::InFloat,
             "in_len" => Builtin::InLen,
             "out_long" => Builtin::OutLong,
             "out_float" => Builtin::OutFloat,

@@ -51,10 +51,6 @@ pub fn builtin_signature(name: &str) -> Option<Signature> {
             params: vec![Type::Long],
             ret: Type::Long,
         },
-        "in_float" => Signature {
-            params: vec![Type::Long],
-            ret: Type::Float,
-        },
         "in_len" => Signature {
             params: vec![],
             ret: Type::Long,

@@ -664,14 +664,6 @@ impl Vm {
                     .and_then(|i| self.config.inputs_int.get(i));
                 *v.ok_or_else(|| format!("in_long({i}) out of range"))? as u64
             }
-            Builtin::InFloat => {
-                let i = int(0);
-                let v = usize::try_from(i)
-                    .ok()
-                    .and_then(|i| self.config.inputs_float.get(i));
-                v.ok_or_else(|| format!("in_float({i}) out of range"))?
-                    .to_bits()
-            }
             Builtin::InLen => self.config.inputs_int.len() as u64,
             Builtin::OutLong => {
                 lock_clean(&self.outputs_int).push(int(0));

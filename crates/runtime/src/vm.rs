@@ -192,8 +192,6 @@ pub struct VmConfig {
     pub nthreads: u32,
     /// Host-provided integer inputs, read by `in_long(i)`.
     pub inputs_int: Vec<i64>,
-    /// Host-provided float inputs, read by `in_float(i)`.
-    pub inputs_float: Vec<f64>,
     /// Trap after this many instructions on any one thread (runaway guard).
     pub max_instructions: u64,
     /// Instruction encoding/interpreter the run executes with: the
@@ -221,7 +219,6 @@ impl Default for VmConfig {
             stack_bytes: 1 << 20,
             nthreads: 1,
             inputs_int: Vec::new(),
-            inputs_float: Vec::new(),
             max_instructions: u64::MAX,
             backend: BackendKind::default(),
             trace: false,

@@ -496,12 +496,11 @@ fn inputs_and_outputs() {
         long s; s = 0;
         for (int i = 0; i < n; i++) { s += in_long(i); }
         out_long(s);
-        out_float(in_float(0) * 2.0);
+        out_float((float)in_long(0) / 4.0);
         print_long(s);
         return (int)s; }";
     let config = VmConfig {
         inputs_int: vec![10, 20, 30],
-        inputs_float: vec![1.25],
         ..Default::default()
     };
     let (ret, vm) = run_with(src, config);

@@ -16,6 +16,7 @@
 //!
 //! ```text
 //! dsec prog.cee --emit report                 # what would be privatized
+//! dsec prog.cee --emit ddg                    # dependences, classes, verdicts
 //! dsec prog.cee --emit source --threads 4     # the transformed program
 //! dsec prog.cee --run --threads 8             # transform and execute
 //! dsec prog.cee --run --serial                # reference run
@@ -58,10 +59,17 @@
 //! ([`dse_server::metrics::run_metrics`]; see DESIGN.md, "Observability")
 //! to a file, or to stdout with `-`.
 //! `--exec-backend` defaults to `reg`; `stack` names the reference.
-//! `--emit trace` executes the *serial* program under a trace observer, on
-//! the stack encoding whatever `--exec-backend` says (as the profiler
-//! does), and streams each sited access, loop event and heap event as one
-//! JSON object per line on stdout. `--emit chrome-trace` and `--emit flamegraph`
+//! `--emit ddg` prints, per candidate loop, the profiled dependence graph
+//! (edges per kind, loop-independent and loop-carried; upwards-exposed
+//! loads and downwards-exposed stores), the access classes it induced and
+//! each class's verdict: shared, private and statically confirmed, or
+//! private by profile only with the reason `check`'s `DSE001` gives. It
+//! needs only the analysis, so it prints even when the transform fails.
+//! `--emit trace` executes the request's *serial* program on its `--in`
+//! values under a trace observer, on the stack encoding whatever
+//! `--exec-backend` says (as the profiler does), and streams each sited
+//! access, loop event and heap event as one JSON object per line on
+//! stdout. `--emit chrome-trace` and `--emit flamegraph`
 //! execute the *transformed* program with the runtime trace ring enabled
 //! (see DESIGN.md, "Tracing & profiling") and print a Chrome trace-event
 //! JSON document (pipeline phases and runtime events on one timeline) or
@@ -71,9 +79,9 @@
 //! per-iteration cost quantiles per loop (`-` for a loop that only ran
 //! nested inside another's iterations, whose cost is part of those).
 //! `--emit bytecode` lists the transformed program's stack bytecode and,
-//! under the register backend, its register translation after it: each
-//! instruction with the stack pc it came from, the entry map and the
-//! window size.
+//! under the register backend, its cached register translation (the
+//! `reglower` phase) after it: each instruction with the stack pc it came
+//! from, the entry map and the window size.
 //!
 //! `dsec` is a client of the request path `dsed` serves (see DESIGN.md,
 //! "The request path"): one parser turns argv — whichever subcommand —
@@ -84,10 +92,11 @@
 //! offer (`--emit`, `--timing`, `--metrics`, the profile table,
 //! `check --json|--backend`) is read out of the same [`Outcome`] the
 //! response came from, so nothing is computed twice and nothing runs
-//! unverified.
+//! unverified. The one extra execution is `--emit trace`'s: it replays the
+//! profiling run of the outcome's serial program under its observer.
 
-use dse_core::{ArtifactStore, OptLevel, Pipeline};
-use dse_runtime::{BackendKind, NullObserver, VmConfig};
+use dse_core::{Analysis, ArtifactStore, OptLevel, Pipeline, Trace};
+use dse_runtime::{BackendKind, Vm, VmConfig};
 use dse_server::execute::{check_verdict, execute, Failure, Outcome, EXIT_USAGE};
 use dse_server::protocol::{Cmd, Request, Response};
 use dse_server::trace::TraceObserver;
@@ -344,15 +353,15 @@ fn daemon_request(sock: &str, req: &Request) -> Result<Response, Failure> {
 /// response renderer, `--emit` handlers, `--timing`, `--metrics`, the
 /// profile table — from the one [`Outcome`].
 fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
-    // One process-local artifact store: the request, the `--emit trace`
-    // re-run and `check --backend` share phase artifacts through it.
+    // One process-local artifact store: the request, `--emit bytecode`
+    // and `check --backend` share phase artifacts through it.
     let store = ArtifactStore::new();
     let instruments = VmConfig {
         trace: o.traced(),
         profile: o.mode == Mode::Profile,
         ..Default::default()
     };
-    let mut outcome = execute(&store, &o.req, instruments, &mut NullObserver);
+    let mut outcome = execute(&store, &o.req, instruments);
     if let Some(f) = outcome.failure.as_ref().filter(|f| f.exit == EXIT_USAGE) {
         return Err(f.clone());
     }
@@ -364,8 +373,15 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
         resp.diagnostics = vec![report.to_json().to_string()];
     }
     if !resp.ok {
+        // The profile is what explains a refused transform, and
+        // `--emit ddg` needs nothing after it.
+        if let (true, Some(art)) = (o.emit.iter().any(|e| e == "ddg"), &outcome.analysis) {
+            print_ddg(&art.analysis);
+        }
         return Ok(render(&resp, o));
     }
+    // `--metrics` counts the request's cache traffic, not the emits'.
+    let stats = store.stats();
     emit_all(o, &store, &outcome)?;
     let exit = render(&resp, o);
 
@@ -398,7 +414,7 @@ fn standalone(o: &Opts) -> Result<ExitCode, Failure> {
         eprint!("{out}");
     }
     if let Some(dest) = &o.metrics {
-        let doc = dse_server::metrics::run_metrics(&o.path, &o.req, &outcome, store.stats());
+        let doc = dse_server::metrics::run_metrics(&o.path, &o.req, &outcome, stats);
         let text = format!("{doc}\n");
         if dest == "-" {
             std::io::stdout()
@@ -506,26 +522,7 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
     });
     for emit in &o.emit {
         match emit.as_str() {
-            "ddg" => {
-                for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
-                    println!(
-                        "loop `{}`: {} iterations, {} sites, {} edges, mode {:?}",
-                        ddg.label,
-                        ddg.iterations,
-                        ddg.site_counts.len(),
-                        ddg.edges.len(),
-                        cls.mode
-                    );
-                    let b = cls.access_breakdown(ddg);
-                    let (f, e, c) = b.fractions();
-                    println!(
-                        "  accesses: {:.1}% free, {:.1}% expandable, {:.1}% carried",
-                        100.0 * f,
-                        100.0 * e,
-                        100.0 * c
-                    );
-                }
-            }
+            "ddg" => print_ddg(analysis),
             "report" => {
                 let t = transformed();
                 let r = &t.report;
@@ -570,8 +567,12 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 let parallel = &transformed().parallel;
                 print!("{}", dse_ir::disasm::disassemble(parallel));
                 if o.req.exec_backend == BackendKind::Reg {
-                    let rp = dse_ir::regcode::translate(parallel).map_err(Failure::diag)?;
-                    print!("{}", dse_ir::disasm::disassemble_reg(&rp));
+                    // The request's own cached translation (a hit after a
+                    // run); the lookup stays out of the request's trace.
+                    let art = Pipeline::new(store)
+                        .reglower(parallel, &mut Trace::new())
+                        .map_err(Failure::diag)?;
+                    print!("{}", dse_ir::disasm::disassemble_reg(&art.reg));
                 }
             }
             "flamegraph" => {
@@ -590,23 +591,19 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
                 eprintln!("[chrome-trace: {} events, {dropped} dropped]", events.len());
             }
             "trace" => {
-                // The observer sees what the profiler sees: a serial
-                // execution on the stack encoding, whose accesses
-                // promotion does not elide (parallel regions run
-                // unobserved by design), through the same path and the
-                // same cached artifacts.
-                let serial = Request {
-                    cmd: Cmd::Run,
-                    serial: true,
-                    exec_backend: BackendKind::Stack,
-                    ..o.req.clone()
+                // The observer sees what the profiler sees: the request's
+                // serial program on its inputs, on the stack encoding,
+                // whose accesses promotion does not elide (parallel
+                // regions run unobserved by design).
+                let config = VmConfig {
+                    inputs_int: o.req.inputs.clone(),
+                    backend: BackendKind::Stack,
+                    ..Default::default()
                 };
+                let mut vm = Vm::new(analysis.serial.clone(), config).map_err(Failure::diag)?;
                 let stdout = std::io::stdout();
                 let mut obs = TraceObserver::new(std::io::BufWriter::new(stdout.lock()));
-                let run = execute(store, &serial, VmConfig::default(), &mut obs);
-                if let Some(f) = run.failure {
-                    return Err(f);
-                }
+                vm.run_with_observer(&mut obs).map_err(Failure::diag)?;
                 let events = obs.events();
                 obs.finish().map_err(Failure::diag)?;
                 eprintln!("[trace: {events} events]");
@@ -615,6 +612,65 @@ fn emit_all(o: &Opts, store: &ArtifactStore, outcome: &Outcome) -> Result<(), Fa
         }
     }
     Ok(())
+}
+
+/// `--emit ddg`: per candidate loop, the profiled dependence graph's
+/// counts, the access classes it induced, and each class's verdict beside
+/// the static coverage argument (`dsec check`'s `DSE001` where they part).
+fn print_ddg(analysis: &Analysis) {
+    use dse_depprof::DepKind;
+    let diffs = dse_verify::staticdep::loop_diffs(analysis);
+    let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
+    for ((ddg, cls), diff) in loops.zip(&diffs) {
+        println!(
+            "loop `{}`: {} iterations, {} sites, {} edges, mode {:?}",
+            ddg.label,
+            ddg.iterations,
+            ddg.site_counts.len(),
+            ddg.edges.len(),
+            cls.mode
+        );
+        let (f, e, c) = cls.access_breakdown(ddg).fractions();
+        println!(
+            "  accesses: {:.1}% free, {:.1}% expandable, {:.1}% carried",
+            100.0 * f,
+            100.0 * e,
+            100.0 * c
+        );
+        for kind in [DepKind::Flow, DepKind::Anti, DepKind::Output] {
+            let of_kind = ddg.edges.iter().filter(|e| e.kind == kind);
+            let carried = of_kind.clone().filter(|e| e.carried).count();
+            let indep = of_kind.count() - carried;
+            println!("  {kind:?} edges: {indep} loop-independent, {carried} loop-carried");
+        }
+        println!(
+            "  {} dynamic accesses, {} upwards-exposed loads, {} downwards-exposed stores",
+            ddg.total_accesses,
+            ddg.upward_exposed.len(),
+            ddg.downward_exposed.len()
+        );
+        println!(
+            "  access classes: {} ({} private sites)",
+            diff.classes.len(),
+            cls.private_sites().count()
+        );
+        for class in &diff.classes {
+            let verdict = match (class.profiled_private, class.statically_confirmed) {
+                (true, true) => "private, statically confirmed".to_string(),
+                (true, false) => format!(
+                    "private by profile only: {}",
+                    class.reason.as_deref().unwrap_or("unconfirmed")
+                ),
+                (false, _) => "shared".to_string(),
+            };
+            let sites = class.eids.len();
+            let plural = if sites == 1 { "" } else { "s" };
+            println!(
+                "    class `{}` ({sites} site{plural}): {verdict}",
+                class.repr
+            );
+        }
+    }
 }
 
 /// `--emit report` under the register backend: per region of the

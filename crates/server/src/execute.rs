@@ -15,7 +15,7 @@
 
 use crate::protocol::{Cmd, PhaseLine, Request, Response};
 use dse_core::{AnalysisArt, ArtifactStore, Pipeline, Trace, TransformArt};
-use dse_runtime::{BackendKind, Observer, RunReport, Value, Vm, VmConfig};
+use dse_runtime::{BackendKind, RunReport, Value, Vm, VmConfig};
 use dse_verify::diag::{Report, Severity};
 use std::sync::Arc;
 
@@ -118,24 +118,17 @@ pub fn check_verdict(report: &Report, strict: bool) -> Result<(), Failure> {
 ///
 /// `instruments` supplies the VM instrumentation a caller wants on a
 /// `run` (`trace`, `profile`); the program, thread
-/// count, inputs, backend and strictness always come from `req`. `obs`
-/// watches the run's serial portions.
-pub fn execute<O: Observer + ?Sized>(
-    store: &ArtifactStore,
-    req: &Request,
-    instruments: VmConfig,
-    obs: &mut O,
-) -> Outcome {
+/// count, inputs, backend and strictness always come from `req`.
+pub fn execute(store: &ArtifactStore, req: &Request, instruments: VmConfig) -> Outcome {
     let mut out = Outcome::default();
-    out.failure = drive(store, req, instruments, obs, &mut out).err();
+    out.failure = drive(store, req, instruments, &mut out).err();
     out
 }
 
-fn drive<O: Observer + ?Sized>(
+fn drive(
     store: &ArtifactStore,
     req: &Request,
     instruments: VmConfig,
-    obs: &mut O,
     out: &mut Outcome,
 ) -> Result<(), Failure> {
     if req.threads == 0 {
@@ -212,7 +205,7 @@ fn drive<O: Observer + ?Sized>(
                 .map_err(Failure::diag)
         }
     }?;
-    let report = vm.run_with_observer(obs).map_err(Failure::diag)?;
+    let report = vm.run().map_err(Failure::diag)?;
     out.run = Some((vm, report));
     Ok(())
 }

@@ -244,7 +244,7 @@ mod tests {
     use crate::execute::execute;
     use crate::protocol::Cmd;
     use dse_core::ArtifactStore;
-    use dse_runtime::{HeapContention, NullObserver, PoolStats, VmConfig};
+    use dse_runtime::{HeapContention, PoolStats, VmConfig};
 
     /// A scratch-buffer loop: one heap structure and three scalars are
     /// privatized.
@@ -274,7 +274,7 @@ mod tests {
     /// Answers `req` on a fresh store.
     fn answer(req: &Request) -> (Outcome, StoreStats) {
         let store = ArtifactStore::new();
-        let outcome = execute(&store, req, VmConfig::default(), &mut NullObserver);
+        let outcome = execute(&store, req, VmConfig::default());
         assert_eq!(outcome.failure, None);
         (outcome, store.stats())
     }

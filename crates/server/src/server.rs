@@ -7,7 +7,7 @@ use crate::execute::execute;
 use crate::metrics::{LatencyStats, ServerStats};
 use crate::protocol::{Cmd, PhaseLine, Request, Response};
 use dse_core::ArtifactStore;
-use dse_runtime::{NullObserver, VmConfig};
+use dse_runtime::VmConfig;
 use dse_telemetry::Json;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -142,7 +142,7 @@ impl Server {
                 ok
             }
             Cmd::Run | Cmd::Compile | Cmd::Check => {
-                execute(&self.store, req, VmConfig::default(), &mut NullObserver).response(req)
+                execute(&self.store, req, VmConfig::default()).response(req)
             }
         }
     }

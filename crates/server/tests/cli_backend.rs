@@ -27,7 +27,7 @@ use dse_core::phases::code_fingerprint;
 use dse_core::{Analysis, ArtifactStore, CacheOutcome, OptLevel, Pipeline, RegArt, Trace};
 use dse_ir::bytecode::IBinOp;
 use dse_ir::RInstr;
-use dse_runtime::{BackendKind, NullObserver, Vm, VmConfig};
+use dse_runtime::{BackendKind, Vm, VmConfig};
 use dse_server::{execute, Cmd, Request};
 use dse_telemetry::ContentHasher;
 use dse_verify::sabotage;
@@ -451,7 +451,7 @@ fn a_sabotaged_cached_translation_fails_the_run_before_any_vm() {
         })
         .unwrap();
 
-    let out = execute(&store, &req, VmConfig::default(), &mut NullObserver);
+    let out = execute(&store, &req, VmConfig::default());
     let reglower = out.trace.iter().find(|p| p.phase == "reglower");
     assert_eq!(
         reglower.map(|p| p.outcome),

@@ -164,3 +164,30 @@ fn strict_fails_a_run_on_warnings_as_it_fails_a_check() {
     let status = daemon.wait().expect("dsed exit");
     assert!(status.success(), "dsed shutdown status {status}");
 }
+
+/// `--emit ddg` names the class only the profile makes private, with the
+/// reason `dsec check` gives for its `DSE001`.
+#[test]
+fn ddg_emit_gives_each_class_its_static_verdict() {
+    let f = fixture("profile_unsound.cee");
+    let (code, stdout, _) = dsec(&[&f, "--emit", "ddg"]);
+    assert_eq!(code, 0);
+    let reason = "load `scratch[k]` has no guaranteed same-iteration store before it";
+    let line = format!("    class `scratch[k]` (2 sites): private by profile only: {reason}");
+    assert!(stdout.lines().any(|l| l == line), "{stdout}");
+    for counts in ["  Flow edges: ", "  access classes: 10 (17 private sites)"] {
+        assert!(stdout.contains(counts), "no `{counts}`: {stdout}");
+    }
+    let (_, check, _) = dsec(&["check", &f]);
+    assert!(
+        check.contains("DSE001") && check.contains(reason),
+        "{check}"
+    );
+
+    // A refused transform still shows the profile that explains it.
+    let (code, stdout, stderr) = dsec(&[&fixture("conflict.cee"), "--emit", "ddg"]);
+    assert_eq!(code, 1, "{stderr}");
+    for label in ["reader", "writer"] {
+        assert!(stdout.contains(&format!("loop `{label}`")), "{stdout}");
+    }
+}

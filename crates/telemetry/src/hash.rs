@@ -110,11 +110,6 @@ impl ContentHasher {
         self.raw(&v.to_le_bytes())
     }
 
-    /// Mixes a float field by its bit pattern.
-    pub fn f64(self, v: f64) -> ContentHasher {
-        self.raw(&v.to_bits().to_le_bytes())
-    }
-
     /// Mixes a boolean field.
     pub fn bool(self, v: bool) -> ContentHasher {
         self.raw(&[v as u8])
@@ -128,11 +123,6 @@ impl ContentHasher {
     /// Mixes a slice of integers (length-prefixed).
     pub fn i64s(self, vs: &[i64]) -> ContentHasher {
         vs.iter().fold(self.u64(vs.len() as u64), |h, &v| h.i64(v))
-    }
-
-    /// Mixes a slice of floats (length-prefixed).
-    pub fn f64s(self, vs: &[f64]) -> ContentHasher {
-        vs.iter().fold(self.u64(vs.len() as u64), |h, &v| h.f64(v))
     }
 
     /// The finished hash.

@@ -114,9 +114,7 @@ pub fn check_stack(prog: &CompiledProgram) -> Report {
 /// exactly the code of the first checker able to see it.
 pub fn check_backend(prog: &CompiledProgram, rp: &RegProgram) -> Report {
     let mut report = Report::default();
-    if stackcheck::check(prog, &mut report) {
-        // stackcheck proved the flow converges; unwrap is safe.
-        let flow = dse_ir::analyze_stack(prog).expect("stackcheck proved discipline");
+    if let Some(flow) = stackcheck::check(prog, &mut report) {
         if regcheck::check(prog, rp, &flow, &mut report) {
             xlatecheck::check(prog, rp, &flow, &mut report);
         }

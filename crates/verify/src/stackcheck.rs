@@ -18,61 +18,60 @@
 //!   flow (`offset`, widest width) must lie inside `frame_size` of the
 //!   function owning the region.
 
-use dse_ir::analyze_stack;
 use dse_ir::bytecode::{CompiledProgram, Instr};
+use dse_ir::{analyze_stack, StackFlow};
 
 use crate::diag::{Code, Diagnostic, Report};
 
 /// Runs the structural pre-pass and, when it is clean, the depth dataflow
-/// and the frame-bounds check. Returns `true` when no error was added (the
-/// register checks downstream may rely on the flow converging).
-pub fn check(prog: &CompiledProgram, report: &mut Report) -> bool {
+/// and the frame-bounds check. Returns the converged flow when no error was
+/// added, for the register checks downstream to rely on.
+pub fn check(prog: &CompiledProgram, report: &mut Report) -> Option<StackFlow> {
     let before = report.count(crate::diag::Severity::Error);
     structural(prog, report);
     if report.count(crate::diag::Severity::Error) > before {
         // The dataflow assumes in-bounds control flow; do not run it over
         // code the structural pass already rejected.
-        return false;
+        return None;
     }
-    match analyze_stack(prog) {
+    let flow = match analyze_stack(prog) {
+        Ok(flow) => flow,
         Err(e) => {
             report.push(Diagnostic::new(
                 Code::StackDiscipline,
                 format!("stack pc {}: {}", e.pc, e.msg),
             ));
-            return false;
+            return None;
         }
-        Ok(flow) => {
-            let mut bad: Vec<((u32, u32), u8)> = Vec::new();
-            for (&(owner, place), shape) in &flow.accesses {
-                let Some(f) = flow.owner_func(prog, owner) else {
-                    continue;
-                };
-                // A replica is checked where thread 0's lies; the frame's
-                // owner sized it for the others.
-                let off = place.off();
-                let end = off as u64 + shape.max_width as u64;
-                if end > f.frame_size as u64 {
-                    bad.push(((owner, off), shape.max_width));
-                }
-            }
-            bad.sort_unstable();
-            bad.dedup();
-            for ((owner, off), width) in bad {
-                let f = flow.owner_func(prog, owner).expect("checked above");
-                report.push(Diagnostic::new(
-                    Code::StackBounds,
-                    format!(
-                        "direct frame access at offset {off} (width {width}) in {} \
-                         exceeds the declared frame of {} bytes",
-                        flow.owner_name(prog, owner),
-                        f.frame_size
-                    ),
-                ));
-            }
+    };
+    let mut bad: Vec<((u32, u32), u8)> = Vec::new();
+    for (&(owner, place), shape) in &flow.accesses {
+        let Some(f) = flow.owner_func(prog, owner) else {
+            continue;
+        };
+        // A replica is checked where thread 0's lies; the frame's
+        // owner sized it for the others.
+        let off = place.off();
+        let end = off as u64 + shape.max_width as u64;
+        if end > f.frame_size as u64 {
+            bad.push(((owner, off), shape.max_width));
         }
     }
-    report.count(crate::diag::Severity::Error) == before
+    bad.sort_unstable();
+    bad.dedup();
+    for ((owner, off), width) in bad {
+        let f = flow.owner_func(prog, owner).expect("checked above");
+        report.push(Diagnostic::new(
+            Code::StackBounds,
+            format!(
+                "direct frame access at offset {off} (width {width}) in {} \
+                 exceeds the declared frame of {} bytes",
+                flow.owner_name(prog, owner),
+                f.frame_size
+            ),
+        ));
+    }
+    (report.count(crate::diag::Severity::Error) == before).then_some(flow)
 }
 
 /// Range-checks every positional reference in the instruction stream and
@@ -169,7 +168,7 @@ mod tests {
     fn clean_program_has_no_findings() {
         let p = prog(0, vec![Instr::PushI(1), Instr::Ret]);
         let mut r = Report::default();
-        assert!(check(&p, &mut r));
+        assert!(check(&p, &mut r).is_some());
         assert!(r.diagnostics.is_empty(), "{:?}", codes(&r));
     }
 
@@ -186,7 +185,7 @@ mod tests {
             ],
         );
         let mut r = Report::default();
-        assert!(!check(&p, &mut r));
+        assert!(check(&p, &mut r).is_none());
         assert_eq!(codes(&r), vec![Code::StackDiscipline]);
     }
 
@@ -194,7 +193,7 @@ mod tests {
     fn out_of_bounds_jump_is_dse011_and_skips_flow() {
         let p = prog(0, vec![Instr::Jump(99)]);
         let mut r = Report::default();
-        assert!(!check(&p, &mut r));
+        assert!(check(&p, &mut r).is_none());
         assert_eq!(codes(&r), vec![Code::StackBounds]);
     }
 
@@ -213,7 +212,7 @@ mod tests {
             ],
         );
         let mut r = Report::default();
-        assert!(!check(&p, &mut r));
+        assert!(check(&p, &mut r).is_none());
         assert_eq!(codes(&r), vec![Code::StackBounds]);
     }
 
@@ -221,7 +220,7 @@ mod tests {
     fn missing_callee_is_dse011() {
         let p = prog(0, vec![Instr::Call(3), Instr::Halt]);
         let mut r = Report::default();
-        assert!(!check(&p, &mut r));
+        assert!(check(&p, &mut r).is_none());
         assert!(codes(&r).contains(&Code::StackBounds));
     }
 }

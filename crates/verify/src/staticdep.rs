@@ -39,7 +39,7 @@ use dse_lang::source::SourceSpan;
 use crate::diag::{Code, Diagnostic, Report};
 
 /// One access class of a candidate loop, with the profiled verdict and the
-/// static one side by side (the `inspect_ddg` example renders these).
+/// static one side by side (`dsec --emit ddg` renders these).
 #[derive(Debug, Clone)]
 pub struct ClassDiff {
     /// Printed representative access, e.g. `scratch[(k)]`.
@@ -258,7 +258,11 @@ fn diff_loop(
             }
         })
         .collect();
-    classes.sort_by(|a, b| b.eids.len().cmp(&a.eids.len()).then(a.repr.cmp(&b.repr)));
+    classes.sort_by(|a, b| {
+        (b.eids.len().cmp(&a.eids.len()))
+            .then(a.repr.cmp(&b.repr))
+            .then(a.eids.cmp(&b.eids))
+    });
     LoopDiff {
         label: cls.label.clone(),
         iterations: ddg.iterations,
