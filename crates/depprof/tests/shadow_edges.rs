@@ -307,3 +307,282 @@ fn narrower_store_clears_only_its_bytes() {
         &[],
     );
 }
+
+/// A 1-byte store into byte 1 of `w[0]` and a 2-byte store into bytes
+/// 1–2 of `w[1]`, then `int` loads of both: each load depends on the
+/// narrow store inside it, and, since the rest of each `int` is written
+/// only before the loop, is upward-exposed. Only `w[0]` is read after
+/// the loop, so only the 1-byte store is downward-exposed.
+#[test]
+fn narrow_stores_into_the_middle_of_an_int() {
+    let p = profile(
+        "int main() {
+  int *w; w = malloc(8);
+  char *c; c = (char*)w;
+  short *h; h = (short*)(c + 5);
+  long s; s = 0;
+  w[0] = 0; w[1] = 0;
+  #pragma candidate hot
+  for (int i = 0; i < 4; i++) {
+    c[1] = i;
+    h[0] = i;
+    s = s + w[0] + w[1];
+  }
+  out_long(s + w[0]);
+  return 0;
+}",
+    );
+    p.check(
+        "hot",
+        4,
+        &[
+            "10:5 h[0] store -> 10:5 h[0] store Output carried",
+            "10:5 h[0] store -> 11:20 w[1] load Flow",
+            "11:13 w[0] load -> 9:5 c[1] store Anti carried",
+            "11:20 w[1] load -> 10:5 h[0] store Anti carried",
+            "11:5 s store -> 11:5 s store Output carried",
+            "11:5 s store -> 11:9 s load Flow carried",
+            "11:9 s load -> 11:5 s store Anti",
+            "9:5 c[1] store -> 11:13 w[0] load Flow",
+            "9:5 c[1] store -> 9:5 c[1] store Output carried",
+        ],
+        &[
+            "10:5 h load",
+            "11:13 w load",
+            "11:13 w[0] load",
+            "11:20 w load",
+            "11:20 w[1] load",
+            "11:9 s load",
+            "9:5 c load",
+        ],
+        &["11:5 s store", "9:5 c[1] store"],
+    );
+}
+
+/// Four load sites read one `int`, more than a byte keeps inline, and a
+/// 1-byte store then clears byte 0 alone. Bytes 2–3 keep every reader, the
+/// spilled ones too: `s4` reads only in iterations 0 and 4, so its anti
+/// edge to the later `h[1]` store (bytes 2–3, iterations 1 and 5) is
+/// carried and comes from those bytes' own reader lists.
+#[test]
+fn three_readers_then_a_byte_store() {
+    let p = profile(
+        "int main() {
+  int *g; g = malloc(4);
+  char *c; c = (char*)g;
+  short *h; h = (short*)g;
+  g[0] = 7;
+  long s1; long s2; long s3; long s4; s1 = 0; s2 = 0; s3 = 0; s4 = 0;
+  #pragma candidate hot
+  for (int i = 0; i < 8; i++) {
+    s1 = s1 + g[0];
+    s2 = s2 + g[0];
+    s3 = s3 + g[0];
+    if (i % 4 == 0) { s4 = s4 + g[0]; }
+    c[0] = i;
+    if (i % 4 == 1) { h[1] = i; }
+  }
+  out_long(s1 + s2 + s3 + s4 + h[1]);
+  return 0;
+}",
+    );
+    p.check(
+        "hot",
+        8,
+        &[
+            "10:10 s2 load -> 10:5 s2 store Anti",
+            "10:15 g[0] load -> 13:5 c[0] store Anti",
+            "10:15 g[0] load -> 14:23 h[1] store Anti",
+            "10:5 s2 store -> 10:10 s2 load Flow carried",
+            "10:5 s2 store -> 10:5 s2 store Output carried",
+            "11:10 s3 load -> 11:5 s3 store Anti",
+            "11:15 g[0] load -> 13:5 c[0] store Anti",
+            "11:15 g[0] load -> 14:23 h[1] store Anti",
+            "11:5 s3 store -> 11:10 s3 load Flow carried",
+            "11:5 s3 store -> 11:5 s3 store Output carried",
+            "12:23 s4 store -> 12:23 s4 store Output carried",
+            "12:23 s4 store -> 12:28 s4 load Flow carried",
+            "12:28 s4 load -> 12:23 s4 store Anti",
+            "12:33 g[0] load -> 13:5 c[0] store Anti",
+            "12:33 g[0] load -> 14:23 h[1] store Anti carried",
+            "13:5 c[0] store -> 10:15 g[0] load Flow carried",
+            "13:5 c[0] store -> 11:15 g[0] load Flow carried",
+            "13:5 c[0] store -> 12:33 g[0] load Flow carried",
+            "13:5 c[0] store -> 13:5 c[0] store Output carried",
+            "13:5 c[0] store -> 9:15 g[0] load Flow carried",
+            "14:23 h[1] store -> 10:15 g[0] load Flow carried",
+            "14:23 h[1] store -> 11:15 g[0] load Flow carried",
+            "14:23 h[1] store -> 12:33 g[0] load Flow carried",
+            "14:23 h[1] store -> 14:23 h[1] store Output carried",
+            "14:23 h[1] store -> 9:15 g[0] load Flow carried",
+            "9:10 s1 load -> 9:5 s1 store Anti",
+            "9:15 g[0] load -> 13:5 c[0] store Anti",
+            "9:15 g[0] load -> 14:23 h[1] store Anti",
+            "9:5 s1 store -> 9:10 s1 load Flow carried",
+            "9:5 s1 store -> 9:5 s1 store Output carried",
+        ],
+        &[
+            "10:10 s2 load",
+            "10:15 g load",
+            "10:15 g[0] load",
+            "11:10 s3 load",
+            "11:15 g load",
+            "11:15 g[0] load",
+            "12:28 s4 load",
+            "12:33 g load",
+            "12:33 g[0] load",
+            "13:5 c load",
+            "14:23 h load",
+            "9:10 s1 load",
+            "9:15 g load",
+            "9:15 g[0] load",
+        ],
+        &[
+            "10:5 s2 store",
+            "11:5 s3 store",
+            "12:23 s4 store",
+            "14:23 h[1] store",
+            "9:5 s1 store",
+        ],
+    );
+}
+
+/// A 1-byte store splits `w[0]` from the rest of it, then an `int` store
+/// covers all of it: later loads of any byte depend on the `int` store
+/// alone, and only it is downward-exposed.
+#[test]
+fn full_width_store_over_a_split_int() {
+    let p = profile(
+        "int main() {
+  int *w; w = malloc(4);
+  char *c; c = (char*)w;
+  long s; s = 0;
+  #pragma candidate hot
+  for (int i = 0; i < 4; i++) {
+    s = s + c[0];
+    c[1] = i;
+    w[0] = i + 1;
+    s = s + w[0] + c[1];
+  }
+  out_long(s + w[0] + c[2]);
+  return 0;
+}",
+    );
+    p.check(
+        "hot",
+        4,
+        &[
+            "10:13 w[0] load -> 8:5 c[1] store Anti carried",
+            "10:13 w[0] load -> 9:5 w[0] store Anti carried",
+            "10:20 c[1] load -> 8:5 c[1] store Anti carried",
+            "10:5 s store -> 7:5 s store Output carried",
+            "10:5 s store -> 7:9 s load Flow carried",
+            "10:9 s load -> 10:5 s store Anti",
+            "7:13 c[0] load -> 9:5 w[0] store Anti",
+            "7:5 s store -> 10:5 s store Output",
+            "7:5 s store -> 10:9 s load Flow",
+            "7:9 s load -> 7:5 s store Anti",
+            "8:5 c[1] store -> 9:5 w[0] store Output",
+            "9:5 w[0] store -> 10:13 w[0] load Flow",
+            "9:5 w[0] store -> 10:20 c[1] load Flow",
+            "9:5 w[0] store -> 7:13 c[0] load Flow carried",
+            "9:5 w[0] store -> 8:5 c[1] store Output carried",
+            "9:5 w[0] store -> 9:5 w[0] store Output carried",
+        ],
+        &[
+            "10:13 w load",
+            "10:20 c load",
+            "7:13 c load",
+            "7:13 c[0] load",
+            "7:9 s load",
+            "8:5 c load",
+            "9:5 w load",
+        ],
+        &["10:5 s store", "9:5 w[0] store"],
+    );
+}
+
+/// A `long` at byte offset 3 of an `int` array covers byte 3 of `w[0]`,
+/// all of `w[1]` and bytes 0–2 of `w[2]`. Loaded, it depends on the
+/// stores of `w[0]` and `w[2]` and is upward-exposed through `w[1]`;
+/// stored, it reaches the `int` loads of `w[0]`, `w[1]` and `w[2]` but not
+/// `w[3]`, and it leaves `w[0]`'s low bytes upward-exposed.
+#[test]
+fn misaligned_long_straddles_granules() {
+    let p = profile(
+        "int main() {
+  int *w; w = malloc(16);
+  char *c; c = (char*)w;
+  long *l; l = (long*)(c + 3);
+  long s; s = 0;
+  w[0] = 0; w[1] = 0; w[2] = 0; w[3] = 0;
+  #pragma candidate load
+  for (int i = 0; i < 4; i++) {
+    w[0] = i;
+    w[2] = i;
+    s = s + l[0];
+  }
+  #pragma candidate store
+  for (int i = 0; i < 4; i++) {
+    if (i % 2 == 0) { l[0] = i; }
+    s = s + w[0] + w[1] + w[2] + w[3];
+  }
+  out_long(s + w[1]);
+  return 0;
+}",
+    );
+    p.check(
+        "load",
+        4,
+        &[
+            "10:5 w[2] store -> 10:5 w[2] store Output carried",
+            "10:5 w[2] store -> 11:13 l[0] load Flow",
+            "11:13 l[0] load -> 10:5 w[2] store Anti carried",
+            "11:13 l[0] load -> 9:5 w[0] store Anti carried",
+            "11:5 s store -> 11:5 s store Output carried",
+            "11:5 s store -> 11:9 s load Flow carried",
+            "11:9 s load -> 11:5 s store Anti",
+            "9:5 w[0] store -> 11:13 l[0] load Flow",
+            "9:5 w[0] store -> 9:5 w[0] store Output carried",
+        ],
+        &[
+            "10:5 w load",
+            "11:13 l load",
+            "11:13 l[0] load",
+            "11:9 s load",
+            "9:5 w load",
+        ],
+        &["10:5 w[2] store", "11:5 s store", "9:5 w[0] store"],
+    );
+    p.check(
+        "store",
+        4,
+        &[
+            "15:23 l[0] store -> 15:23 l[0] store Output carried",
+            "15:23 l[0] store -> 16:13 w[0] load Flow",
+            "15:23 l[0] store -> 16:13 w[0] load Flow carried",
+            "15:23 l[0] store -> 16:20 w[1] load Flow",
+            "15:23 l[0] store -> 16:20 w[1] load Flow carried",
+            "15:23 l[0] store -> 16:27 w[2] load Flow",
+            "15:23 l[0] store -> 16:27 w[2] load Flow carried",
+            "16:13 w[0] load -> 15:23 l[0] store Anti carried",
+            "16:20 w[1] load -> 15:23 l[0] store Anti carried",
+            "16:27 w[2] load -> 15:23 l[0] store Anti carried",
+            "16:5 s store -> 16:5 s store Output carried",
+            "16:5 s store -> 16:9 s load Flow carried",
+            "16:9 s load -> 16:5 s store Anti",
+        ],
+        &[
+            "15:23 l load",
+            "16:13 w load",
+            "16:13 w[0] load",
+            "16:20 w load",
+            "16:27 w load",
+            "16:27 w[2] load",
+            "16:34 w load",
+            "16:34 w[3] load",
+            "16:9 s load",
+        ],
+        &["15:23 l[0] store", "16:5 s store"],
+    );
+}
