@@ -18,7 +18,7 @@
 //!   allocation site, plus global/stack regions) — used for Table 5 and to
 //!   drive expansion decisions.
 //!
-//! Tracking is **byte-granular**, so recast buffers (the 256.bzip2 `zptr`
+//! Tracking is exact to the byte, so recast buffers (the 256.bzip2 `zptr`
 //! idiom, where an `int` buffer is read through a `short*`) produce correct
 //! dependences.
 //!
@@ -26,18 +26,23 @@
 //! shadow state is laid out for the access stream rather than looked up:
 //!
 //! * each active loop entry shadows the address space with 4 KiB pages
-//!   mapped on first touch from a direct-mapped page table; a byte's 32
-//!   bytes hold its last writer, two reader slots and a handle to a spill
-//!   list for more readers;
-//! * an entry starts empty without clearing anything: bytes carry the
-//!   epoch of the entry that wrote them, and an ended entry's pages go back
-//!   to a pool, so an entry costs the pages it touched;
+//!   mapped on first touch from a direct-mapped page table, one 36-byte
+//!   state per aligned 4-byte granule: its last writer, two reader slots
+//!   and a handle to a spill list for more readers. An access that covers
+//!   part of a granule splits it into four byte states (each with its own
+//!   copy of the spill list), and a store that covers a split granule
+//!   makes it uniform again, so an `int` array never splits and a page
+//!   holds 36 KiB where a state per byte took 128 KiB;
+//! * an entry starts empty without clearing anything: granules carry the
+//!   epoch of the entry that touched them, and an ended entry's pages go
+//!   back to a pool, so an entry costs the pages it touched;
 //! * per-site counts, regions, allocation sites, exposure flags and edges
 //!   live in dense per-loop tables indexed by site id, updated once per
-//!   access (a run of bytes in the same state yields its edges once) and
+//!   access (a run of states that agree yields its edges once) and
 //!   turned into [`LoopDdg`]'s maps when the profile is finished;
-//! * the downward-exposure watch is paged the same way, and the live
-//!   allocation lookup keeps the last allocation it found.
+//! * the downward-exposure watch is paged the same way, a chain head per
+//!   byte, and the live allocation lookup keeps the last allocation it
+//!   found.
 //!
 //! Two filters mirror how the transformed program will actually run:
 //!
@@ -245,9 +250,15 @@ pub fn profile_program(
 // ---------------------------------------------------------------------------
 
 /// log2 of a shadow page: each page shadows 4 KiB of the VM's address
-/// space, one `Byte` per address.
+/// space.
 const PAGE_BITS: u32 = 12;
 const PAGE: usize = 1 << PAGE_BITS;
+/// log2 of a granule: the dependence shadow keeps one state per aligned 4
+/// bytes, so an `int` array never splits.
+const GRANULE_BITS: u32 = 2;
+const GRANULE: usize = 1 << GRANULE_BITS;
+/// Granules per shadow page.
+const GRANULES: usize = PAGE >> GRANULE_BITS;
 
 /// The page-sized runs of `[addr, end)`: `(page number, offsets in it)`.
 fn page_runs(addr: u64, end: u64) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> {
@@ -264,8 +275,9 @@ fn page_runs(addr: u64, end: u64) -> impl Iterator<Item = (usize, std::ops::Rang
     })
 }
 
-/// A direct-mapped table of 4 KiB pages over the address space, one `T`
-/// per address, each page mapped on first touch.
+/// A direct-mapped table of 4 KiB pages over the address space, a slice
+/// of `T` per page (one per address or per granule), each page mapped on
+/// first touch.
 struct Pages<T> {
     /// Page number → 1 + index into `pages` (0: not mapped).
     dir: Vec<u32>,
@@ -324,12 +336,13 @@ impl<T> Pages<T> {
 type Stamp = (SiteId, u32);
 const EMPTY: Stamp = (NO_SITE, 0);
 
-/// One shadowed byte of one loop entry (32 bytes).
+/// The state of one shadowed byte of one loop entry (32 bytes); a uniform
+/// granule keeps the one state all four of its bytes share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Byte {
-    /// The loop entry this state belongs to: a byte stamped with any other
-    /// entry reads as untouched, so an entry starts empty without clearing
-    /// a page.
+    /// The loop entry this state belongs to: a state stamped with any
+    /// other entry reads as untouched, so an entry starts empty without
+    /// clearing a page.
     epoch: u32,
     /// 1 + index of the spill list holding readers past `readers`; 0: none.
     spill: u32,
@@ -348,35 +361,167 @@ impl Byte {
     };
 }
 
-/// The byte states of one loop entry, whose pages come from (and go back
-/// to) the profiler's pool, so an entry costs the pages it touches, never
-/// the ones before it.
+/// One aligned 4-byte granule of one loop entry (36 bytes): the state its
+/// bytes share, or, once an access covered part of it, its four byte
+/// states in the shadow's split table.
+#[derive(Debug, Clone, Copy)]
+struct Granule {
+    /// The bytes' common state while `split` is 0; its epoch is the
+    /// granule's either way.
+    state: Byte,
+    /// 1 + index of the granule's four byte states; 0: uniform.
+    split: u32,
+}
+
+impl Granule {
+    const UNTOUCHED: Granule = Granule {
+        state: Byte::UNTOUCHED,
+        split: 0,
+    };
+}
+
+/// Reader lists of states read by more than two sites since a store.
+#[derive(Default)]
+struct Spill {
+    lists: Vec<Vec<Stamp>>,
+    free: Vec<u32>,
+}
+
+impl Spill {
+    /// A new, empty list's handle.
+    fn alloc(&mut self) -> u32 {
+        1 + self.free.pop().unwrap_or_else(|| {
+            self.lists.push(Vec::new());
+            self.lists.len() as u32 - 1
+        })
+    }
+
+    /// A new list holding the readers of list `of`.
+    fn copy(&mut self, of: u32) -> u32 {
+        let handle = self.alloc();
+        let mut list = std::mem::take(&mut self.lists[handle as usize - 1]);
+        list.extend_from_slice(&self.lists[of as usize - 1]);
+        self.lists[handle as usize - 1] = list;
+        handle
+    }
+}
+
+/// One access applied state by state: its site, kind and iteration, and
+/// the previous state before and after it, while neither spills (a state
+/// that starts equal to the previous one ends equal and yields the same
+/// edges, so a run of equal states costs one state's work and copies).
+struct Step<'a> {
+    acc: &'a mut Accum,
+    spill: &'a mut Spill,
+    site: SiteId,
+    kind: AccessKind,
+    iter: u32,
+    same: Option<(Byte, Byte)>,
+}
+
+impl Step<'_> {
+    #[inline]
+    fn apply(&mut self, b: &mut Byte) {
+        let before = *b;
+        if let Some((pre, post)) = self.same {
+            if before == pre {
+                *b = post;
+                return;
+            }
+        }
+        let (site, iter) = (self.site, self.iter);
+        let dep = |src: Stamp, kind| DepEdge {
+            src: src.0,
+            dst: site,
+            kind,
+            carried: src.1 != iter,
+        };
+        match self.kind {
+            AccessKind::Load => {
+                if b.write.0 == NO_SITE {
+                    self.acc.upward[site as usize] = true;
+                } else {
+                    self.acc.edge(dep(b.write, DepKind::Flow));
+                }
+                if let Some(r) = b.readers.iter_mut().find(|r| r.0 == site) {
+                    r.1 = iter;
+                } else if let Some(r) = b.readers.iter_mut().find(|r| r.0 == NO_SITE) {
+                    *r = (site, iter);
+                } else {
+                    if b.spill == 0 {
+                        b.spill = self.spill.alloc();
+                    }
+                    let list = &mut self.spill.lists[b.spill as usize - 1];
+                    match list.iter_mut().find(|r| r.0 == site) {
+                        Some(r) => r.1 = iter,
+                        None => list.push((site, iter)),
+                    }
+                }
+            }
+            AccessKind::Store => {
+                if b.write.0 != NO_SITE {
+                    self.acc.edge(dep(b.write, DepKind::Output));
+                }
+                for &r in b.readers.iter().take_while(|r| r.0 != NO_SITE) {
+                    self.acc.edge(dep(r, DepKind::Anti));
+                }
+                if b.spill != 0 {
+                    let list = &mut self.spill.lists[b.spill as usize - 1];
+                    for &r in list.iter() {
+                        self.acc.edge(dep(r, DepKind::Anti));
+                    }
+                    list.clear();
+                    self.spill.free.push(b.spill - 1);
+                }
+                *b = Byte {
+                    epoch: b.epoch,
+                    write: (site, iter),
+                    ..Byte::UNTOUCHED
+                };
+            }
+        }
+        self.same = (before.spill == 0 && b.spill == 0).then_some((before, *b));
+    }
+}
+
+/// The granule states of one loop entry, whose pages come from (and go
+/// back to) the profiler's pool, so an entry costs the pages it touches,
+/// never the ones before it.
 #[derive(Default)]
 struct Shadow {
     epoch: u32,
-    bytes: Pages<Byte>,
-    /// Reader lists of bytes read by more than two sites since a store.
-    spill: Vec<Vec<Stamp>>,
-    free_spill: Vec<u32>,
-    /// Every byte this entry wrote, once (for the downward-exposure watch).
+    granules: Pages<Granule>,
+    /// The byte states of split granules.
+    splits: Vec<[Byte; GRANULE]>,
+    free_splits: Vec<u32>,
+    spill: Spill,
+    /// Every granule this entry wrote a byte of, once (for the
+    /// downward-exposure watch).
     written: Vec<u64>,
 }
 
 impl Shadow {
-    /// The state of byte `addr`, which this entry wrote.
-    fn byte(&self, addr: u64) -> &Byte {
-        let page = self.bytes.get((addr >> PAGE_BITS) as usize);
-        &page.expect("a written byte's page is mapped")[addr as usize & (PAGE - 1)]
+    /// The last writer of each byte of the granule at `addr`, which this
+    /// entry wrote (`NO_SITE` for a byte it did not).
+    fn writers(&self, addr: u64) -> [SiteId; GRANULE] {
+        let page = self.granules.get((addr >> PAGE_BITS) as usize);
+        let cell = &page.expect("a written granule's page is mapped")
+            [(addr as usize & (PAGE - 1)) >> GRANULE_BITS];
+        match cell.split {
+            0 => [cell.state.write.0; GRANULE],
+            split => self.splits[split as usize - 1].map(|b| b.write.0),
+        }
     }
 
     /// Applies one access to the bytes `[addr, end)`, recording its edges
-    /// and upward exposure in `acc`. A byte whose prior state equals the
-    /// previous byte's yields the same edges and the same new state, so a
-    /// run of equal bytes (the 8 bytes of a `long` one store wrote) costs
-    /// one byte's work and copies.
+    /// and upward exposure in `acc`. An access that covers a whole uniform
+    /// granule updates its one state; one that covers part of a granule
+    /// splits it into four byte states first (each with its own copy of
+    /// the granule's spill list), and a store that covers a split granule
+    /// makes it uniform again.
     fn access(
         &mut self,
-        pool: &mut Vec<Box<[Byte]>>,
+        pool: &mut Vec<Box<[Granule]>>,
         acc: &mut Accum,
         site: SiteId,
         kind: AccessKind,
@@ -384,103 +529,93 @@ impl Shadow {
         iter: u32,
     ) {
         let epoch = self.epoch;
-        let dep = |src: Stamp, kind| DepEdge {
-            src: src.0,
-            dst: site,
+        let Shadow {
+            granules,
+            splits,
+            free_splits,
+            spill,
+            written,
+            ..
+        } = self;
+        let mut step = Step {
+            acc,
+            spill,
+            site,
             kind,
-            carried: src.1 != iter,
+            iter,
+            same: None,
         };
-        // The previous byte's state before and after this access, while
-        // neither spills: a byte that starts equal ends equal.
-        let mut same: Option<(Byte, Byte)> = None;
+        let store = kind == AccessKind::Store;
         for (page, run) in page_runs(addr, end) {
             let base = (page as u64) << PAGE_BITS;
-            let Shadow {
-                bytes,
-                spill,
-                free_spill,
-                written,
-                ..
-            } = self;
-            let page = bytes.map(page, || {
+            let cells = granules.map(page, || {
                 pool.pop()
-                    .unwrap_or_else(|| vec![Byte::UNTOUCHED; PAGE].into_boxed_slice())
+                    .unwrap_or_else(|| vec![Granule::UNTOUCHED; GRANULES].into_boxed_slice())
             });
-            for (off, b) in page[run.clone()].iter_mut().enumerate() {
-                if b.epoch != epoch {
-                    *b = Byte {
+            let (first, last) = (run.start >> GRANULE_BITS, (run.end - 1) >> GRANULE_BITS);
+            let los = (first << GRANULE_BITS..).step_by(GRANULE);
+            for (lo, cell) in los.zip(&mut cells[first..=last]) {
+                let bytes = run.start.max(lo) - lo..run.end.min(lo + GRANULE) - lo;
+                let whole = bytes.len() == GRANULE;
+                if cell.state.epoch != epoch {
+                    cell.state = Byte {
                         epoch,
                         ..Byte::UNTOUCHED
                     };
+                    cell.split = 0;
                 }
-                let before = *b;
-                if kind == AccessKind::Store && before.write.0 == NO_SITE {
-                    written.push(base + (run.start + off) as u64);
-                }
-                if let Some((pre, post)) = same {
-                    if before == pre {
-                        *b = post;
+                if cell.split == 0 {
+                    if store && cell.state.write.0 == NO_SITE {
+                        written.push(base + lo as u64);
+                    }
+                    if whole {
+                        step.apply(&mut cell.state);
                         continue;
                     }
-                }
-                match kind {
-                    AccessKind::Load => {
-                        if b.write.0 == NO_SITE {
-                            acc.upward[site as usize] = true;
-                        } else {
-                            acc.edge(dep(b.write, DepKind::Flow));
-                        }
-                        if let Some(r) = b.readers.iter_mut().find(|r| r.0 == site) {
-                            r.1 = iter;
-                        } else if let Some(r) = b.readers.iter_mut().find(|r| r.0 == NO_SITE) {
-                            *r = (site, iter);
-                        } else {
-                            if b.spill == 0 {
-                                b.spill = 1 + free_spill.pop().unwrap_or_else(|| {
-                                    spill.push(Vec::new());
-                                    spill.len() as u32 - 1
-                                });
-                            }
-                            let list = &mut spill[b.spill as usize - 1];
-                            match list.iter_mut().find(|r| r.0 == site) {
-                                Some(r) => r.1 = iter,
-                                None => list.push((site, iter)),
-                            }
+                    let mut four = [cell.state; GRANULE];
+                    if cell.state.spill != 0 {
+                        for b in &mut four[1..] {
+                            b.spill = step.spill.copy(cell.state.spill);
                         }
                     }
-                    AccessKind::Store => {
-                        if b.write.0 != NO_SITE {
-                            acc.edge(dep(b.write, DepKind::Output));
+                    cell.split = 1 + match free_splits.pop() {
+                        Some(free) => {
+                            splits[free as usize] = four;
+                            free
                         }
-                        for &r in b.readers.iter().take_while(|r| r.0 != NO_SITE) {
-                            acc.edge(dep(r, DepKind::Anti));
+                        None => {
+                            splits.push(four);
+                            splits.len() as u32 - 1
                         }
-                        if b.spill != 0 {
-                            let list = &mut spill[b.spill as usize - 1];
-                            for &r in list.iter() {
-                                acc.edge(dep(r, DepKind::Anti));
-                            }
-                            list.clear();
-                            free_spill.push(b.spill - 1);
-                        }
-                        *b = Byte {
-                            epoch,
-                            write: (site, iter),
-                            ..Byte::UNTOUCHED
-                        };
-                    }
+                    };
+                } else if store
+                    && splits[cell.split as usize - 1]
+                        .iter()
+                        .all(|b| b.write.0 == NO_SITE)
+                {
+                    written.push(base + lo as u64);
                 }
-                same = (before.spill == 0 && b.spill == 0).then_some((before, *b));
+                let four = &mut splits[cell.split as usize - 1];
+                for b in &mut four[bytes] {
+                    step.apply(b);
+                }
+                if store && whole {
+                    cell.state = four[0];
+                    free_splits.push(cell.split - 1);
+                    cell.split = 0;
+                }
             }
         }
     }
 
     /// Ends the entry: its pages go back to `pool` (their stale epochs
     /// make them read as untouched to whichever entry maps them next).
-    fn release(&mut self, pool: &mut Vec<Box<[Byte]>>) {
-        self.bytes.unmap_all(|page| pool.push(page));
-        self.spill.clear();
-        self.free_spill.clear();
+    fn release(&mut self, pool: &mut Vec<Box<[Granule]>>) {
+        self.granules.unmap_all(|page| pool.push(page));
+        self.splits.clear();
+        self.free_splits.clear();
+        self.spill.lists.clear();
+        self.spill.free.clear();
         self.written.clear();
     }
 }
@@ -662,7 +797,7 @@ pub struct Profiler {
     /// Shadows of ended entries, kept for their page tables.
     spare: Vec<Shadow>,
     /// Unmapped shadow pages.
-    pool: Vec<Box<[Byte]>>,
+    pool: Vec<Box<[Granule]>>,
     watch: Watch,
     /// Live allocations: base -> (size, allocation-site eid).
     live_allocs: BTreeMap<u64, (u64, u32)>,
@@ -715,8 +850,12 @@ impl Profiler {
             acc.iterations += al.iter as u64;
         }
         for &addr in &al.shadow.written {
-            let site = al.shadow.byte(addr).write.0;
-            self.watch.add(addr, al.loop_id, site);
+            let writers = al.shadow.writers(addr);
+            for (byte, site) in (addr..).zip(writers) {
+                if site != NO_SITE {
+                    self.watch.add(byte, al.loop_id, site);
+                }
+            }
         }
         al.shadow.release(&mut self.pool);
         self.spare.push(al.shadow);
@@ -1238,6 +1377,15 @@ mod more_tests {
     #[test]
     fn byte_shadow_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Byte>(), 32);
+    }
+
+    /// A uniform granule shadows four bytes in 36, so a shadow page holds
+    /// 36 KiB for 4 KiB of address space where one state per byte took
+    /// 128 KiB.
+    #[test]
+    fn granule_shadow_is_36_bytes() {
+        assert_eq!(std::mem::size_of::<Granule>(), 36);
+        assert_eq!(GRANULES * std::mem::size_of::<Granule>(), 36 << 10);
     }
 
     /// Instructions are attributed to loops for Table 4's %time.
