@@ -36,15 +36,19 @@ pub mod stackcheck;
 pub mod staticdep;
 pub mod xlatecheck;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dse_core::cache::Trace;
 use dse_core::phases::{Pipeline, RegArt, TransformArt};
 use dse_core::{Analysis, ArtifactStore, SiteClass, Transformed};
 use dse_ir::bytecode::CompiledProgram;
+use dse_ir::loops::{find_candidate_loops, CandidateLoop};
 use dse_ir::RegProgram;
-use dse_lang::ast::{eid_index, NO_EID};
+use dse_lang::ast::{
+    eid_index, walk_exprs_in_block, walk_exprs_in_stmt, walk_stmts_in_block, AssignOp, Expr,
+    ExprKind, VarBinding, NO_EID,
+};
 use dse_runtime::{Vm, VmConfig};
 use dse_telemetry::ContentHasher;
 
@@ -56,6 +60,7 @@ use diag::{Code, Diagnostic, Report};
 pub fn check_analysis(analysis: &Analysis, report: &mut Report) {
     staticdep::check(analysis, report);
     check_classification_conflicts(analysis, report);
+    check_nested_induction_reads(analysis, report);
 }
 
 /// Pass 2: checks the transform's output against its Table 1–3 invariants
@@ -222,6 +227,77 @@ fn check_classification_conflicts(analysis: &Analysis, report: &mut Report) {
                 }
                 Some(_) => {}
             }
+        }
+    }
+}
+
+/// `DSE007`: an induction variable is never expanded, so a candidate loop
+/// nested in another's body keeps its induction variable in one frame
+/// slot that every worker running the outer body shares. A read of that
+/// variable in the outer body, outside the loops it indexes (whose reads
+/// go to the scheduler's index), sees whichever worker stored it last;
+/// the value a nested loop leaves behind is such a store.
+fn check_nested_induction_reads(analysis: &Analysis, report: &mut Report) {
+    let program = &analysis.program;
+    let Ok(cands) = find_candidate_loops(program) else {
+        return;
+    };
+    for outer in &cands {
+        let mut nested: Vec<&CandidateLoop<'_>> = Vec::new();
+        walk_stmts_in_block(outer.body(), &mut |s| {
+            nested.extend(cands.iter().find(|c| std::ptr::eq(c.stmt, s)));
+        });
+        let mut flagged: Vec<usize> = Vec::new();
+        for inner in &nested {
+            let slot = inner.induction_slot;
+            if flagged.contains(&slot) {
+                continue;
+            }
+            let mut indexed: HashSet<*const Expr> = HashSet::new();
+            for c in nested.iter().filter(|c| c.induction_slot == slot) {
+                walk_exprs_in_stmt(c.stmt, &mut |e| {
+                    indexed.insert(e);
+                });
+            }
+            let mut written: HashSet<*const Expr> = HashSet::new();
+            let mut read: Option<&Expr> = None;
+            walk_exprs_in_block(outer.body(), &mut |e| {
+                if indexed.contains(&(e as *const Expr)) {
+                    return;
+                }
+                match &e.kind {
+                    ExprKind::Assign {
+                        op: AssignOp::Set,
+                        lhs,
+                        ..
+                    } => {
+                        written.insert(&**lhs);
+                    }
+                    ExprKind::Var {
+                        binding: Some(VarBinding::Local(s)),
+                        ..
+                    } if *s == slot && !written.contains(&(e as *const Expr)) => {
+                        read = read.or(Some(e));
+                    }
+                    _ => {}
+                }
+            });
+            let Some(read) = read else { continue };
+            flagged.push(slot);
+            let var = &program.functions[inner.func as usize].locals[slot].name;
+            report.push(
+                Diagnostic::new(
+                    Code::ClassificationConflict,
+                    format!(
+                        "induction variable `{var}` of loop `{}` is read outside that \
+                         loop in the body of loop `{}`; an induction variable is never \
+                         expanded, so every worker running `{}` shares it",
+                        inner.label, outer.label, outer.label
+                    ),
+                )
+                .with_loop(&outer.label)
+                .with_span(read.span),
+            );
         }
     }
 }
