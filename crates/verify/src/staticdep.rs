@@ -46,6 +46,9 @@ pub struct ClassDiff {
     pub repr: String,
     /// Expression ids of the class's access sites.
     pub eids: Vec<u32>,
+    /// Where the class's access sites are, in source order: two classes
+    /// that print the same access tell apart by these.
+    pub site_spans: Vec<SourceSpan>,
     /// True when the profile classified the class thread-private.
     pub profiled_private: bool,
     /// True when the static coverage argument confirms every read is killed
@@ -224,6 +227,12 @@ fn diff_loop(
                 .collect();
             eids.sort_unstable();
             eids.dedup();
+            let mut site_spans: Vec<SourceSpan> = eids
+                .iter()
+                .filter_map(|e| Some(eid_index.get(e)?.span))
+                .collect();
+            site_spans.sort_by_key(|s| s.start);
+            site_spans.dedup();
             // Prefer a load's expression as the class's face: store sites
             // can be keyed by initializer sub-expressions, which print as
             // bare literals.
@@ -251,6 +260,7 @@ fn diff_loop(
             ClassDiff {
                 repr,
                 eids,
+                site_spans,
                 profiled_private,
                 statically_confirmed,
                 reason,
@@ -351,12 +361,23 @@ impl<'a> Scanner<'a> {
             }
             StmtKind::If { cond, then, els } => {
                 self.scan_expr(cond, st, canon);
-                // Branch kills may not execute: scan with throwaway clones.
+                // Branch kills may not execute: scan each arm on a clone.
                 let mut t = st.clone();
                 self.scan_block(then, &mut t, canon);
                 if let Some(b) = els {
-                    let mut e2 = st.clone();
-                    self.scan_block(b, &mut e2, canon);
+                    let mut e = st.clone();
+                    self.scan_block(b, &mut e, canon);
+                    // A kill both arms make holds after the `if`.
+                    st.scalars = t.scalars.intersection(&e.scalars).copied().collect();
+                    st.ranges = t
+                        .ranges
+                        .into_iter()
+                        .filter_map(|(root, spans)| {
+                            let both: HashSet<_> =
+                                spans.intersection(e.ranges.get(&root)?).cloned().collect();
+                            (!both.is_empty()).then_some((root, both))
+                        })
+                        .collect();
                 }
             }
             StmtKind::For {
