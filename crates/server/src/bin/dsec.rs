@@ -61,8 +61,8 @@
 //! `--exec-backend` defaults to `reg`; `stack` names the reference.
 //! `--emit ddg` prints, per candidate loop, the profiled dependence graph
 //! (edges per kind, loop-independent and loop-carried; upwards-exposed
-//! loads and downwards-exposed stores), the access classes it induced and
-//! each class's verdict: shared, private and statically confirmed, or
+//! loads and downwards-exposed stores), the access classes it induced,
+//! each with the source positions of its sites, and each class's verdict: shared, private and statically confirmed, or
 //! private by profile only with the reason `check`'s `DSE001` gives. It
 //! needs only the analysis, so it prints even when the transform fails.
 //! `--emit trace` executes the request's *serial* program on its `--in`
@@ -665,8 +665,13 @@ fn print_ddg(analysis: &Analysis) {
             };
             let sites = class.eids.len();
             let plural = if sites == 1 { "" } else { "s" };
+            let at: Vec<String> = class.site_spans.iter().map(|s| s.to_string()).collect();
+            let at = match at.is_empty() {
+                true => String::new(),
+                false => format!(" at {}", at.join(", ")),
+            };
             println!(
-                "    class `{}` ({sites} site{plural}): {verdict}",
+                "    class `{}` ({sites} site{plural}{at}): {verdict}",
                 class.repr
             );
         }
