@@ -243,6 +243,10 @@ fn check_nested_induction_reads(analysis: &Analysis, report: &mut Report) {
         return;
     };
     for outer in &cands {
+        let deeper = |c: &CandidateLoop<'_>| c.func == outer.func && c.level > outer.level;
+        if !cands.iter().any(deeper) {
+            continue;
+        }
         let mut nested: Vec<&CandidateLoop<'_>> = Vec::new();
         walk_stmts_in_block(outer.body(), &mut |s| {
             nested.extend(cands.iter().find(|c| std::ptr::eq(c.stmt, s)));
