@@ -39,7 +39,9 @@ pub enum Code {
     /// access, or a DOALL body contains synchronization.
     SyncWindowViolation,
     /// Two loops classify the same site inconsistently (private in one merge
-    /// partition, shared in another).
+    /// partition, shared in another), or a nested candidate loop's
+    /// induction variable, which is never expanded, is read outside that
+    /// loop in the enclosing candidate body that every worker shares.
     ClassificationConflict,
     /// A candidate loop executed zero iterations during profiling, so its
     /// classification is vacuous.
