@@ -11,14 +11,22 @@
 //! ```text
 //! parse    key = H("parse", source)
 //! lower    key = H("lower", ast_hash)             ast_hash    = H(printed AST)
-//! profile  key = H("profile", code_hash, inputs)  code_hash   = H(disassembly)
+//! profile  key = H("profile", code_hash, inputs)  code_hash   = H(disassembly, tables)
 //! classify key = H("classify", ast, code, prof)   prof_hash   = H(canonical DDG summary)
 //! plan     key = H("plan", classify_key, opt, threads, baseline)
 //! xform    key = H("xform", plan_key)
-//! reglower key = H("reglower", code fingerprint)  (register-backend runs)
+//! reglower key = H("reglower", code_hash of the program it translates)
 //! verify   key = H("verify", xform_key)           (dse-verify adds this layer)
 //! regverify key = H("regverify", reglower_key)    (backend verification, dse-verify)
 //! ```
+//!
+//! `code_hash` is [`code_fingerprint`]: the disassembly plus every table
+//! the listing leaves out (global initializers, loop records, sites,
+//! allocation sites, struct layouts). Each program is rendered once per
+//! artifact: the lower phase fingerprints the serial program
+//! ([`AnalysisArt::code_hash`]), and a transformed program fingerprints
+//! itself on its first register run ([`TransformArt::code_hash`]), so a
+//! warm `run` renders nothing.
 //!
 //! Downstream keys chain through *content* hashes of the upstream
 //! artifacts, not through the raw source hash — that gives early cutoff: a
@@ -30,13 +38,13 @@ use crate::classify::{classify_loop, LoopClassification};
 use crate::plan::{ExpansionPlan, OptLevel};
 use crate::{Analysis, DseError, Transformed};
 use dse_depprof::ProfileResult;
-use dse_ir::bytecode::CompiledProgram;
+use dse_ir::bytecode::{CompiledProgram, InitValue};
 use dse_ir::loops::ParMode;
 use dse_lang::ast::Program;
 use dse_runtime::VmConfig;
 use dse_telemetry::hash::{ContentHash, ContentHasher};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything the classify phase produces beyond the classifications
 /// themselves: the points-to results and allocation-size facts the planner
@@ -169,14 +177,66 @@ pub fn ast_fingerprint(program: &Program) -> ContentHash {
         .finish()
 }
 
-/// Content hash of a lowered program: its disassembly plus the site and
-/// candidate-loop table sizes.
-pub fn code_fingerprint(serial: &CompiledProgram) -> ContentHash {
-    ContentHasher::new("code")
-        .str(&dse_ir::disasm::disassemble(serial))
-        .u64(serial.sites.len() as u64)
-        .u64(serial.loops.len() as u64)
-        .finish()
+/// Content hash of a lowered program: its disassembly plus every field
+/// the listing leaves out — `main`, the globals segment and its
+/// initializers, each function's parameters and return shape, each
+/// candidate loop's full record, the allocation sites, the site table and
+/// the struct layouts. Two programs that can behave differently never share
+/// a key: a global initializer, for one, is invisible in the listing.
+pub fn code_fingerprint(program: &CompiledProgram) -> ContentHash {
+    let mut h = ContentHasher::new("code")
+        .str(&dse_ir::disasm::disassemble(program))
+        .u64(program.main as u64)
+        .u64(program.globals_size)
+        .u64(program.global_inits.len() as u64);
+    for &(addr, value) in &program.global_inits {
+        h = match value {
+            InitValue::Int(v, width) => h.u64(addr).bool(false).i64(v).u64(width as u64),
+            InitValue::Float(v) => h.u64(addr).bool(true).u64(v.to_bits()),
+        };
+    }
+    for f in &program.funcs {
+        h = h.str(&format!("{:?} {:?} {}", f.params, f.ret, f.ret_float));
+    }
+    h = h.u64(program.loops.len() as u64);
+    for l in &program.loops {
+        let mode = match l.mode {
+            None => 0,
+            Some(ParMode::DoAll) => 1,
+            Some(ParMode::DoAcross) => 2,
+        };
+        h = h
+            .str(&l.label)
+            .u64(l.func as u64)
+            .u64(mode)
+            .u64(l.body_entry as u64)
+            .u64(l.induction_offset as u64)
+            .u64(l.induction_width as u64);
+    }
+    let mut alloc_sites: Vec<(u32, u32)> = program
+        .alloc_sites
+        .iter()
+        .map(|(&pc, &eid)| (pc, eid))
+        .collect();
+    alloc_sites.sort_unstable();
+    h = h.u64(alloc_sites.len() as u64);
+    for (pc, eid) in alloc_sites {
+        h = h.u64(pc as u64).u64(eid as u64);
+    }
+    h = h.u64(program.sites.len() as u64);
+    for (_, site) in program.sites.iter() {
+        let span = site.span;
+        h = h
+            .u64(site.eid as u64)
+            .bool(site.kind == dse_ir::AccessKind::Store)
+            .u64(site.func as u64)
+            .u64(site.width as u64)
+            .u64(span.start.line as u64)
+            .u64(span.start.col as u64)
+            .u64(span.end.line as u64)
+            .u64(span.end.col as u64);
+    }
+    h.str(&format!("{:?}", program.types)).finish()
 }
 
 /// Content hash of a dependence profile: its canonical sorted summary.
@@ -202,7 +262,7 @@ pub struct ParseArt {
 pub struct LowerArt {
     /// Serial bytecode.
     pub serial: CompiledProgram,
-    /// Fingerprint of the disassembly (the profile key's input).
+    /// [`code_fingerprint`] of `serial` (the profile key's input).
     pub code_hash: ContentHash,
 }
 
@@ -221,6 +281,9 @@ pub struct AnalysisArt {
     pub analysis: Analysis,
     /// The classify phase's content key.
     pub key: ContentHash,
+    /// [`code_fingerprint`] of `analysis.serial`, as the lower phase
+    /// computed it: a serial run's `reglower` key input.
+    pub code_hash: ContentHash,
 }
 
 /// The plan artifact.
@@ -236,6 +299,18 @@ pub struct TransformArt {
     pub transformed: Transformed,
     /// The xform phase's content key.
     pub key: ContentHash,
+    code_hash: OnceLock<ContentHash>,
+}
+
+impl TransformArt {
+    /// [`code_fingerprint`] of `transformed.parallel`, computed on first
+    /// use and kept: every later run of this artifact looks up its
+    /// `reglower` key without rendering the program again.
+    pub fn code_hash(&self) -> ContentHash {
+        *self
+            .code_hash
+            .get_or_init(|| code_fingerprint(&self.transformed.parallel))
+    }
 }
 
 /// The reglower artifact: the register translation of one compiled
@@ -331,6 +406,7 @@ impl<'a> Pipeline<'a> {
                 let art = AnalysisArt {
                     analysis,
                     key: classify_key,
+                    code_hash: lowered.code_hash,
                 };
                 Ok::<_, DseError>((art, stats))
             })
@@ -352,9 +428,25 @@ impl<'a> Pipeline<'a> {
         program: &CompiledProgram,
         trace: &mut Trace,
     ) -> Result<Arc<RegArt>, DseError> {
-        let key = ContentHasher::new("reglower")
-            .hash(code_fingerprint(program))
-            .finish();
+        self.reglower_fingerprinted(program, code_fingerprint(program), trace)
+    }
+
+    /// [`Pipeline::reglower`] for a program whose artifact already holds
+    /// its fingerprint ([`AnalysisArt::code_hash`],
+    /// [`TransformArt::code_hash`]): the same key, without rendering the
+    /// program again. `code_hash` must be `code_fingerprint(program)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::reglower`].
+    pub fn reglower_fingerprinted(
+        &self,
+        program: &CompiledProgram,
+        code_hash: ContentHash,
+        trace: &mut Trace,
+    ) -> Result<Arc<RegArt>, DseError> {
+        debug_assert_eq!(code_hash, code_fingerprint(program), "a stale fingerprint");
+        let key = ContentHasher::new("reglower").hash(code_hash).finish();
         self.store.get_or_compute("reglower", key, trace, || {
             let reg = dse_ir::regcode::translate(program)?;
             let stats = [
@@ -419,6 +511,7 @@ impl<'a> Pipeline<'a> {
             let art = TransformArt {
                 transformed,
                 key: xform_key,
+                code_hash: OnceLock::new(),
             };
             Ok::<_, DseError>((art, stats))
         })

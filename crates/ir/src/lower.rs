@@ -772,12 +772,7 @@ impl<'a> Lowerer<'a> {
                     self.lower_value(v)?;
                     self.emit_convert(v.ty(), &ind_ty, true);
                 }
-                // hi = bound (+1 when `<=`).
-                self.lower_value(bound)?;
-                if inclusive {
-                    self.emit(Instr::PushI(1));
-                    self.emit(Instr::IBin(IBinOp::Add));
-                }
+                self.lower_hi(bound, inclusive)?;
                 self.emit(Instr::ParLoop(loop_id));
                 let jover = self.emit(Instr::Jump(0));
                 // ---- outlined body region ----
@@ -810,26 +805,74 @@ impl<'a> Lowerer<'a> {
                 }
                 assert!(frame.break_patches.is_empty(), "validated: no break");
                 self.par_ind_stack.pop();
-                // ---- after the loop: i = hi ----
+                // ---- after the loop: i = hi if it ran, lo if it did not ----
+                // Outside another loop's body the init stored lo in the
+                // slot. Inside one it did not (see above): lo is stored
+                // here, evaluated again, unless that would repeat a side
+                // effect; then `i = hi` stays unconditional.
                 let after = self.here();
                 self.patch(jover, after);
-                self.emit(Instr::FrameAddr(ind_off));
-                self.lower_value(bound)?;
-                if inclusive {
-                    self.emit(Instr::PushI(1));
-                    self.emit(Instr::IBin(IBinOp::Add));
+                let nested_lo = (!self.par_ind_stack.is_empty()).then(|| {
+                    loops::induction_of_init(init)
+                        .expect("validated candidate init")
+                        .1
+                });
+                let mut skip = None;
+                if nested_lo.is_none_or(loops::expr_is_pure) {
+                    match nested_lo {
+                        None => {
+                            self.emit(Instr::FrameAddr(ind_off));
+                            self.emit(Instr::Load {
+                                width: ind_w,
+                                is_float: false,
+                                site: NO_SITE,
+                            });
+                        }
+                        Some(v) => {
+                            self.emit(Instr::FrameAddr(ind_off));
+                            self.lower_value(v)?;
+                            self.emit_convert(v.ty(), &ind_ty, true);
+                            self.emit(Instr::Store {
+                                width: ind_w,
+                                is_float: false,
+                                site: NO_SITE,
+                            });
+                            self.lower_value(v)?;
+                            self.emit_convert(v.ty(), &ind_ty, true);
+                        }
+                    }
+                    self.lower_hi(bound, inclusive)?;
+                    self.emit(Instr::ICmp(CmpOp::Lt));
+                    skip = Some(self.emit(Instr::JumpIfZ(0)));
                 }
+                self.emit(Instr::FrameAddr(ind_off));
+                self.lower_hi(bound, inclusive)?;
                 self.emit(Instr::Store {
                     width: ind_w,
                     is_float: false,
                     site: NO_SITE,
                 });
+                if let Some(skip) = skip {
+                    let done = self.here();
+                    self.patch(skip, done);
+                }
                 Ok(())
             }
         }
     }
 
     // ---- expressions -------------------------------------------------------
+
+    /// Pushes an outlined loop's exclusive upper bound: the bound, plus 1
+    /// when the condition is `<=`.
+    fn lower_hi(&mut self, bound: &Expr, inclusive: bool) -> Result<(), LowerError> {
+        self.lower_value(bound)?;
+        if inclusive {
+            self.emit(Instr::PushI(1));
+            self.emit(Instr::IBin(IBinOp::Add));
+        }
+        Ok(())
+    }
 
     /// Lowers an expression in statement position (value discarded).
     fn lower_stmt_expr(&mut self, e: &Expr) -> Result<(), LowerError> {

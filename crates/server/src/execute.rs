@@ -185,9 +185,9 @@ fn drive(
         return Ok(());
     }
 
-    let (compiled, nthreads) = match &out.transformed {
-        Some(t) => (t.transformed.parallel.clone(), req.threads),
-        None => (art.analysis.serial.clone(), 1),
+    let (compiled, code_hash, nthreads) = match &out.transformed {
+        Some(t) => (t.transformed.parallel.clone(), t.code_hash(), req.threads),
+        None => (art.analysis.serial.clone(), art.code_hash, 1),
     };
     let config = VmConfig {
         nthreads,
@@ -197,11 +197,13 @@ fn drive(
     };
     // Register code only ever runs verified: the lowering and its
     // verification are cached phases, and a lowering bug surfaces as a
-    // failed request.
+    // failed request. Each artifact computes its program's fingerprint
+    // once, so a warm run finds its translation without rendering the
+    // program.
     let mut vm = match req.exec_backend {
         BackendKind::Stack => Vm::new(compiled, config).map_err(Failure::diag),
         BackendKind::Reg => {
-            dse_verify::verified_reg_vm(&pipeline, compiled, config, &mut out.trace)
+            dse_verify::verified_reg_vm(&pipeline, compiled, code_hash, config, &mut out.trace)
                 .map_err(Failure::diag)
         }
     }?;

@@ -12,7 +12,9 @@
 //!   finds in the artifact store, before any VM exists;
 //! * a trap inside a fused register instruction reported at the stack pc
 //!   the stack backend reports (`indexed_trap.cee`), and the access
-//!   counters of a clean run where they were before the fusions.
+//!   counters of a clean run where they were before the fusions;
+//! * an outlined loop that runs no iteration leaving its induction
+//!   variable where the serial loop does (`zero_trip_iv.cee`).
 //!
 //! Regenerate goldens after an intentional change with:
 //!
@@ -385,15 +387,41 @@ fn rotated_loops_run_as_on_the_stack_backend() {
     assert_eq!(profile("reg"), stack);
 }
 
+/// `zero_trip_iv.cee`'s candidate loops, one of them nested in another,
+/// leave their induction variables where the serial loops do: at the
+/// start value when they run no iteration (`--in 5`), past the bound when
+/// they run (`--in 1`). Serial and two-thread runs print the same on both
+/// backends.
+#[test]
+fn a_loop_that_runs_no_iteration_leaves_its_induction_variable_alone() {
+    let f = fixture_dir().join("zero_trip_iv.cee");
+    let path = f.to_str().unwrap();
+    for (input, want) in [
+        ("5", "out_long: [5, 5, 5, 0]\n"),
+        ("1", "out_long: [3, 4, 3, 18]\n"),
+    ] {
+        for backend in ["stack", "reg"] {
+            for threads in [&["--serial"][..], &["--threads", "2"]] {
+                let argv = [path, "--run", "--exec-backend", backend, "--in", input];
+                let (stdout, stderr, code) = run_dsec(&[&argv[..], threads].concat());
+                assert_eq!(code, 0, "--in {input} {backend} {threads:?}: {stderr}");
+                assert_eq!(stdout, want, "--in {input} {backend} {threads:?}");
+            }
+        }
+    }
+}
+
 /// The counters a fused access could move, on a clean two-thread run of
 /// `backend_promote.cee`, read as at the commit before the indexed and
 /// sign-extending fusions: `private_direct` (tid-strided addresses formed
 /// — the register backend keeps replicas in registers, so it forms fewer)
-/// and `sync_ops`. The stack encoding is untouched, so its `work` is too.
+/// and `sync_ops`. The stack encoding is untouched, so its `work` is too
+/// (719 then; 724 since its one outlined loop's exit tests for a zero
+/// trip count in five instructions).
 #[test]
 fn fusion_leaves_the_access_counters_alone() {
     let f = fixture();
-    for (backend, private_direct, work) in [("stack", 40, Some(719)), ("reg", 16, None)] {
+    for (backend, private_direct, work) in [("stack", 40, Some(724)), ("reg", 16, None)] {
         let argv = [&f, "--run", "--threads", "2", "--exec-backend", backend];
         let (stdout, stderr, code) = run_dsec(&[&argv[..], &["--metrics", "-"]].concat());
         assert_eq!(code, 0, "{stderr}");

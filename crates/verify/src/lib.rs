@@ -50,7 +50,7 @@ use dse_lang::ast::{
     ExprKind, VarBinding, NO_EID,
 };
 use dse_runtime::{Vm, VmConfig};
-use dse_telemetry::ContentHasher;
+use dse_telemetry::{ContentHash, ContentHasher};
 
 use diag::{Code, Diagnostic, Report};
 
@@ -150,7 +150,10 @@ pub fn check_backend_cached(
 }
 
 /// The one way to get a VM that executes register code: translate
-/// through the cached `reglower` phase, gate the translation through
+/// through the cached `reglower` phase (keyed by `code_hash`, the
+/// program's fingerprint, which its artifact already holds:
+/// [`dse_core::AnalysisArt::code_hash`] or
+/// [`dse_core::TransformArt::code_hash`]), gate the translation through
 /// [`check_backend_cached`], and build the VM only if no error-severity
 /// finding (`DSE010`–`DSE015`) came back. `dsec` and `dsed` both run
 /// register code through here, so they refuse the same programs with the
@@ -163,11 +166,12 @@ pub fn check_backend_cached(
 pub fn verified_reg_vm(
     pipeline: &Pipeline,
     compiled: CompiledProgram,
+    code_hash: ContentHash,
     config: VmConfig,
     trace: &mut Trace,
 ) -> Result<Vm, String> {
     let art = pipeline
-        .reglower(&compiled, trace)
+        .reglower_fingerprinted(&compiled, code_hash, trace)
         .map_err(|e| e.to_string())?;
     let report = check_backend_cached(pipeline.store(), &compiled, &art, trace);
     let errors = report.count(diag::Severity::Error);
