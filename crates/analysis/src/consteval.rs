@@ -7,8 +7,8 @@
 //! q may be found to always point to the same-sized data structure").
 
 use dse_lang::ast::*;
+use dse_lang::fasthash::HashMap;
 use dse_lang::types::{Type, TypeTable};
-use std::collections::HashMap;
 
 /// Folds `e` to an integer constant if possible. Handles literals,
 /// `sizeof`, unary minus/complement, and `+ - * / % << >> & | ^` over
@@ -103,7 +103,7 @@ pub fn alloc_call_size(call: &Expr, size_of: &mut impl FnMut(&Type) -> u64) -> O
 /// For every allocation call in the program (`malloc`/`calloc`/`realloc`),
 /// maps the call expression's id to its size facts.
 pub fn alloc_size_infos(program: &Program) -> HashMap<u32, AllocSizeInfo> {
-    let mut out = HashMap::new();
+    let mut out = HashMap::default();
     let types = &program.types;
     for f in &program.functions {
         walk_exprs_in_block(&f.body, &mut |e| {

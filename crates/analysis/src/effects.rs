@@ -8,8 +8,8 @@
 
 use crate::points_to::VarId;
 use dse_lang::ast::*;
+use dse_lang::fasthash::HashSet;
 use dse_lang::types::Type;
-use std::collections::HashSet;
 
 /// The variable an lvalue chain (`v`, `v.f`, `v[i]` on an array) stores
 /// into, if it names one rather than going through a pointer.
@@ -37,8 +37,8 @@ impl HiddenStores {
     /// Scans `program` once and closes the per-function sets over calls.
     pub fn of(program: &Program) -> HiddenStores {
         let n = program.functions.len();
-        let mut addr_taken = HashSet::new();
-        let mut assigned_globals = vec![HashSet::new(); n];
+        let mut addr_taken = HashSet::default();
+        let mut assigned_globals = vec![HashSet::default(); n];
         let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (fi, f) in program.functions.iter().enumerate() {
             walk_exprs_in_block(&f.body, &mut |e| match &e.kind {
@@ -116,10 +116,10 @@ mod tests {
         .unwrap();
         let hs = HiddenStores::of(&p);
         let f = |name: &str| p.functions.iter().position(|f| f.name == name).unwrap();
-        assert_eq!(hs.assigned_globals[f("grow")], HashSet::from([0]));
-        assert_eq!(hs.assigned_globals[f("outer")], HashSet::from([0, 1]));
+        assert_eq!(hs.assigned_globals[f("grow")], HashSet::from_iter([0]));
+        assert_eq!(hs.assigned_globals[f("outer")], HashSet::from_iter([0, 1]));
         assert!(hs.assigned_globals[f("pure")].is_empty());
-        assert_eq!(hs.assigned_globals[f("main")], HashSet::from([0, 1]));
+        assert_eq!(hs.assigned_globals[f("main")], HashSet::from_iter([0, 1]));
         let names = hs.functions_assigning(&p, 0);
         assert!(names.contains("grow") && names.contains("outer") && names.contains("main"));
         assert!(!names.contains("pure"));
@@ -129,6 +129,9 @@ mod tests {
             .iter()
             .position(|l| l.name == "a")
             .unwrap();
-        assert_eq!(hs.addr_taken, HashSet::from([VarId::Local(f("main"), a)]));
+        assert_eq!(
+            hs.addr_taken,
+            HashSet::from_iter([VarId::Local(f("main"), a)])
+        );
     }
 }

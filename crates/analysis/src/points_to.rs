@@ -20,8 +20,8 @@
 //! question in Section 3.4).
 
 use dse_lang::ast::*;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_lang::types::Type;
-use std::collections::{HashMap, HashSet};
 
 /// A named storage location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,60 +50,55 @@ enum Node {
     Content(PtObj),
     /// The return value of a function.
     Ret(usize),
-    /// A temporary for an expression's pointer value.
-    Temp(u32),
 }
 
 /// How a memory-access expression addresses storage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SiteAddr {
     /// Directly names a variable (possibly through fields/indices of it).
     Direct(VarId),
-    /// Dereferences the pointer value of this node.
-    ViaPointer(Node),
+    /// Dereferences the pointer value of this node (an index into `pts`).
+    ViaPointer(usize),
 }
 
 /// Results of the analysis.
 #[derive(Debug, Clone, Default)]
 pub struct PointsTo {
-    pts: HashMap<u64, HashSet<PtObj>>,
-    node_ids: HashMap<NodeKey, u64>,
-    site_addr: HashMap<u32, SiteAddrPub>,
+    /// Per constraint node: the objects its pointer value may reference.
+    pts: Vec<HashSet<PtObj>>,
+    /// The named nodes; expression temporaries have none.
+    nodes: HashMap<Node, usize>,
+    /// Per expression id: how the access addresses storage.
+    site_addr: Vec<Option<SiteAddr>>,
 }
-
-// Public mirror of SiteAddr using node ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SiteAddrPub {
-    Direct(VarId),
-    Via(u64),
-}
-
-type NodeKey = Node;
 
 impl PointsTo {
     /// The objects a variable's pointer value may reference.
     pub fn pts_of_var(&self, var: VarId) -> HashSet<PtObj> {
-        self.node_ids
+        self.nodes
             .get(&Node::Var(var))
-            .and_then(|id| self.pts.get(id))
-            .cloned()
+            .map(|&n| self.pts[n].clone())
             .unwrap_or_default()
+    }
+
+    fn site(&self, eid: u32) -> Option<SiteAddr> {
+        self.site_addr.get(eid as usize).copied().flatten()
     }
 
     /// The structures the access expression `eid` may touch: a direct
     /// variable, or the points-to set of the dereferenced pointer.
     pub fn objects_of_site(&self, eid: u32) -> HashSet<PtObj> {
-        match self.site_addr.get(&eid) {
-            Some(SiteAddrPub::Direct(v)) => [PtObj::Var(*v)].into_iter().collect(),
-            Some(SiteAddrPub::Via(node)) => self.pts.get(node).cloned().unwrap_or_default(),
-            None => HashSet::new(),
+        match self.site(eid) {
+            Some(SiteAddr::Direct(v)) => [PtObj::Var(v)].into_iter().collect(),
+            Some(SiteAddr::ViaPointer(node)) => self.pts[node].clone(),
+            None => HashSet::default(),
         }
     }
 
     /// True when the access `eid` addresses memory through a pointer value
     /// (rather than naming a variable directly).
     pub fn site_is_indirect(&self, eid: u32) -> bool {
-        matches!(self.site_addr.get(&eid), Some(SiteAddrPub::Via(_)))
+        matches!(self.site(eid), Some(SiteAddr::ViaPointer(_)))
     }
 }
 
@@ -111,43 +106,21 @@ impl PointsTo {
 pub fn analyze(program: &Program) -> PointsTo {
     let mut cx = Cx {
         program,
-        nodes: HashMap::new(),
+        nodes: HashMap::default(),
         pts: Vec::new(),
         copies: Vec::new(),
         loads: Vec::new(),
         stores: Vec::new(),
-        site_addr: HashMap::new(),
-        next_temp: u32::MAX,
+        site_addr: Vec::new(),
     };
-    let mut prog = program.clone();
-    for (fi, f) in prog.functions.iter_mut().enumerate() {
-        cx.collect_block(fi, &mut f.body.clone());
-        let _ = f;
+    for (fi, f) in program.functions.iter().enumerate() {
+        cx.collect_block(fi, &f.body);
     }
     cx.solve();
-    let mut node_ids = HashMap::new();
-    for (k, v) in &cx.nodes {
-        node_ids.insert(*k, *v as u64);
-    }
     PointsTo {
-        pts: cx
-            .pts
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u64, s.clone()))
-            .collect(),
-        node_ids,
-        site_addr: cx
-            .site_addr
-            .iter()
-            .map(|(eid, sa)| {
-                let pubsa = match sa {
-                    SiteAddr::Direct(v) => SiteAddrPub::Direct(*v),
-                    SiteAddr::ViaPointer(n) => SiteAddrPub::Via(cx.nodes[n] as u64),
-                };
-                (*eid, pubsa)
-            })
-            .collect(),
+        pts: cx.pts,
+        nodes: cx.nodes,
+        site_addr: cx.site_addr,
     }
 }
 
@@ -161,8 +134,7 @@ struct Cx<'a> {
     loads: Vec<(usize, usize)>,
     /// (ptr node, src node): Content(o) ⊇ src for o in pts(ptr).
     stores: Vec<(usize, usize)>,
-    site_addr: HashMap<u32, SiteAddr>,
-    next_temp: u32,
+    site_addr: Vec<Option<SiteAddr>>,
 }
 
 impl<'a> Cx<'a> {
@@ -170,16 +142,15 @@ impl<'a> Cx<'a> {
         if let Some(&i) = self.nodes.get(&n) {
             return i;
         }
-        let i = self.pts.len();
+        let i = self.fresh_temp();
         self.nodes.insert(n, i);
-        self.pts.push(HashSet::new());
         i
     }
 
+    /// A node for an expression's pointer value: nothing names it again.
     fn fresh_temp(&mut self) -> usize {
-        self.next_temp -= 1;
-        let t = self.next_temp;
-        self.node(Node::Temp(t))
+        self.pts.push(HashSet::default());
+        self.pts.len() - 1
     }
 
     fn seed(&mut self, n: usize, o: PtObj) {
@@ -212,15 +183,14 @@ impl<'a> Cx<'a> {
 
     // ---- collection -------------------------------------------------------
 
-    fn collect_block(&mut self, func: usize, block: &mut Block) {
-        let stmts = std::mem::take(&mut block.stmts);
-        for mut s in stmts {
-            self.collect_stmt(func, &mut s);
+    fn collect_block(&mut self, func: usize, block: &Block) {
+        for s in &block.stmts {
+            self.collect_stmt(func, s);
         }
     }
 
-    fn collect_stmt(&mut self, func: usize, stmt: &mut Stmt) {
-        match &mut stmt.kind {
+    fn collect_stmt(&mut self, func: usize, stmt: &Stmt) {
+        match &stmt.kind {
             StmtKind::Decl { init, slot, .. } => {
                 if let Some(e) = init {
                     let src = self.rvalue(func, e);
@@ -383,7 +353,7 @@ impl<'a> Cx<'a> {
                     Some(addr) => {
                         let sa = match &addr {
                             BaseAddr::Object(v) => SiteAddr::Direct(*v),
-                            BaseAddr::Pointer(pn) => SiteAddr::ViaPointer(self.node_key(*pn)),
+                            BaseAddr::Pointer(pn) => SiteAddr::ViaPointer(*pn),
                         };
                         self.record_site(e.eid, sa);
                         self.read_through(addr, e.ty())
@@ -393,7 +363,7 @@ impl<'a> Cx<'a> {
             }
             ExprKind::Deref(p) => {
                 let pn = self.rvalue(func, p);
-                self.record_site(e.eid, SiteAddr::ViaPointer(self.node_key(pn)));
+                self.record_site(e.eid, SiteAddr::ViaPointer(pn));
                 let t = self.fresh_temp();
                 self.loads.push((pn, t));
                 t
@@ -417,7 +387,7 @@ impl<'a> Cx<'a> {
                         self.node(Node::Var(v))
                     }
                     Some(BaseAddr::Pointer(pn)) => {
-                        self.record_site(e.eid, SiteAddr::ViaPointer(self.node_key(pn)));
+                        self.record_site(e.eid, SiteAddr::ViaPointer(pn));
                         let t = self.fresh_temp();
                         self.loads.push((pn, t));
                         t
@@ -428,17 +398,12 @@ impl<'a> Cx<'a> {
         }
     }
 
-    fn node_key(&self, idx: usize) -> Node {
-        *self
-            .nodes
-            .iter()
-            .find(|(_, &i)| i == idx)
-            .map(|(k, _)| k)
-            .expect("node exists")
-    }
-
     fn record_site(&mut self, eid: u32, sa: SiteAddr) {
-        self.site_addr.insert(eid, sa);
+        let at = eid as usize;
+        if at >= self.site_addr.len() {
+            self.site_addr.resize(at + 1, None);
+        }
+        self.site_addr[at] = Some(sa);
     }
 
     fn binding_var(&self, func: usize, b: VarBinding) -> VarId {
@@ -516,7 +481,7 @@ impl<'a> Cx<'a> {
                 }
             }
             Some(BaseAddr::Pointer(pn)) => {
-                self.record_site(lhs.eid, SiteAddr::ViaPointer(self.node_key(pn)));
+                self.record_site(lhs.eid, SiteAddr::ViaPointer(pn));
                 if lhs.ty().decayed().is_pointer() || lhs.ty().is_aggregate() {
                     self.stores.push((pn, src));
                 }
@@ -530,8 +495,8 @@ impl<'a> Cx<'a> {
     fn solve(&mut self) {
         // Iterate to fixpoint: propagate copies, then expand load/store
         // constraints into new copies as points-to sets grow.
-        let mut resolved_loads: HashSet<(usize, PtObj)> = HashSet::new();
-        let mut resolved_stores: HashSet<(usize, PtObj)> = HashSet::new();
+        let mut resolved_loads: HashSet<(usize, PtObj)> = HashSet::default();
+        let mut resolved_stores: HashSet<(usize, PtObj)> = HashSet::default();
         loop {
             let mut changed = false;
             // Copy propagation to fixpoint (full sweeps; graphs are small).

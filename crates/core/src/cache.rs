@@ -31,11 +31,11 @@
 //! a shared daemon store must not turn every subsequent request into a
 //! `PoisonError` panic.
 
+use dse_lang::fasthash::HashMap;
 use dse_telemetry::hash::ContentHash;
 use dse_telemetry::PhaseCacheStat;
 pub use dse_telemetry::{CacheOutcome, PhaseOutcome, PhaseStats};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -153,9 +153,9 @@ impl ArtifactStore {
     pub fn with_capacity(capacity: usize) -> ArtifactStore {
         ArtifactStore {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                map: HashMap::default(),
                 tick: 0,
-                counters: HashMap::new(),
+                counters: HashMap::default(),
             }),
             ready_cv: Condvar::new(),
             capacity: capacity.max(1),

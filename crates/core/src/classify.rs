@@ -17,12 +17,14 @@
 use dse_depprof::{DepKind, LoopDdg};
 use dse_ir::loops::ParMode;
 use dse_ir::sites::SiteId;
-use std::collections::{HashMap, HashSet};
+use dse_lang::fasthash::{HashMap, HashSet};
 
-/// Union-find over site ids.
+/// Union-find over site ids: a parent vector indexed by site, grown to the
+/// largest site it has seen. Site ids index the program's site table, so
+/// it stays as dense as that table.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    parent: HashMap<SiteId, SiteId>,
+    parent: Vec<SiteId>,
 }
 
 impl UnionFind {
@@ -33,12 +35,18 @@ impl UnionFind {
 
     /// Finds the representative of `x` (path-compressing).
     pub fn find(&mut self, x: SiteId) -> SiteId {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
+        if x as usize >= self.parent.len() {
+            let next = self.parent.len() as SiteId;
+            self.parent.extend(next..=x);
         }
-        let root = self.find(p);
-        self.parent.insert(x, root);
+        let mut root = x;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        let mut at = x;
+        while at != root {
+            at = std::mem::replace(&mut self.parent[at as usize], root);
+        }
         root
     }
 
@@ -47,7 +55,7 @@ impl UnionFind {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra as usize] = rb;
         }
     }
 }
@@ -169,7 +177,7 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
         carried_flow: bool,
         carried_anti_out: bool,
     }
-    let mut facts: HashMap<SiteId, ClassFacts> = HashMap::new();
+    let mut facts: HashMap<SiteId, ClassFacts> = HashMap::default();
     for &s in &all_sites {
         let rep = uf.find(s);
         let f = facts.entry(rep).or_default();
@@ -184,8 +192,8 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
         }
     }
     // 3. Definition 5.
-    let mut class_of = HashMap::new();
-    let mut site_class = HashMap::new();
+    let mut class_of = HashMap::default();
+    let mut site_class = HashMap::default();
     for &s in &all_sites {
         let rep = uf.find(s);
         class_of.insert(s, rep);

@@ -35,9 +35,9 @@
 
 use crate::xform::{idx, tid, var};
 use dse_lang::ast::*;
+use dse_lang::fasthash::HashSet;
 use dse_lang::types::Type;
 use dse_lang::SourceSpan;
-use std::collections::HashSet;
 
 /// One named pointer whose inline redirection may be hoisted.
 pub(crate) struct Candidate {

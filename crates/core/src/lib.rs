@@ -67,8 +67,8 @@ use dse_depprof::ProfileResult;
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::lower::{LowerMode, LowerOptions, ParLoopSpec};
 use dse_lang::ast::Program;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_runtime::VmConfig;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -136,9 +136,19 @@ pub struct Transformed {
     /// Per candidate-loop label: the DOACROSS `Wait`/`Post` window over
     /// transformed top-level body statement indices.
     pub sync_windows: HashMap<String, Option<(usize, usize)>>,
-    /// Transformed expression id → original expression id for rebuilt
-    /// access/allocation nodes (see [`XformResult::eid_provenance`]).
-    pub eid_provenance: HashMap<u32, u32>,
+    /// Per transformed expression id, the original expression id of a
+    /// rebuilt access/allocation node, else `NO_EID` (see
+    /// [`XformResult::eid_provenance`] and [`Transformed::provenance`]).
+    pub eid_provenance: Vec<u32>,
+}
+
+impl Transformed {
+    /// The original expression a transformed expression `eid` was rebuilt
+    /// from, if any.
+    pub fn provenance(&self, eid: u32) -> Option<u32> {
+        let orig = *self.eid_provenance.get(eid as usize)?;
+        (orig != dse_lang::ast::NO_EID).then_some(orig)
+    }
 }
 
 impl Analysis {
@@ -328,7 +338,7 @@ impl Analysis {
     /// Per loop label: eids of shared accesses involved in loop-carried
     /// dependences (the ordered section for DOACROSS).
     pub fn shared_carried_eids(&self) -> HashMap<String, HashSet<u32>> {
-        let mut out = HashMap::new();
+        let mut out = HashMap::default();
         for cls in &self.classifications {
             let eids: HashSet<u32> = cls
                 .shared_carried_sites

@@ -41,9 +41,9 @@ use dse_depprof::ProfileResult;
 use dse_ir::bytecode::{CompiledProgram, InitValue};
 use dse_ir::loops::ParMode;
 use dse_lang::ast::Program;
+use dse_lang::fasthash::HashMap;
 use dse_runtime::VmConfig;
 use dse_telemetry::hash::{ContentHash, ContentHasher};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Everything the classify phase produces beyond the classifications

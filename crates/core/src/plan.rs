@@ -35,8 +35,8 @@ use dse_analysis::{PointsTo, PtObj, VarId};
 use dse_depprof::LoopDdg;
 use dse_ir::sites::SiteTable;
 use dse_lang::ast::*;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_lang::types::Type;
-use std::collections::{HashMap, HashSet};
 
 /// Replica placement for expanded structures (paper Section 3.1, Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -194,7 +194,7 @@ impl ExpansionPlan {
     /// plan was built for): what forced the promotion, naming the
     /// allocation site (`line:col`) where there is one. Sorted.
     pub fn fat_cause_lines(&self, program: &Program) -> Vec<String> {
-        let mut at: HashMap<u32, dse_lang::SourceSpan> = HashMap::new();
+        let mut at: HashMap<u32, dse_lang::SourceSpan> = HashMap::default();
         for f in &program.functions {
             walk_exprs_in_block(&f.body, &mut |e| {
                 if let ExprKind::Call { .. } = &e.kind {
@@ -256,9 +256,9 @@ pub fn merge_classifications(
     sites: &SiteTable,
     parts: &[(&LoopDdg, &LoopClassification)],
 ) -> Result<MergedClassification, PlanError> {
-    let mut private = HashSet::new();
-    let mut shared = HashSet::new();
-    let mut seen = HashSet::new();
+    let mut private = HashSet::default();
+    let mut shared = HashSet::default();
+    let mut seen = HashSet::default();
     for (_, cls) in parts {
         for (site, class) in &cls.site_class {
             let info = sites.info(*site);
@@ -285,7 +285,7 @@ pub fn merge_classifications(
 
 /// All distinct pointer types appearing in declarations or expressions.
 fn all_pointer_types(program: &Program) -> HashSet<Type> {
-    let mut out = HashSet::new();
+    let mut out = HashSet::default();
     let mut add_ty = |ty: &Type| {
         let mut t = ty;
         loop {
@@ -536,7 +536,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
     let program = inp.program;
 
     // Induction variables of candidate loops must never be expanded.
-    let mut excluded_vars: HashSet<VarId> = HashSet::new();
+    let mut excluded_vars: HashSet<VarId> = HashSet::default();
     let cands =
         dse_ir::loops::find_candidate_loops(program).map_err(|e| PlanError(e.to_string()))?;
     for c in &cands {
@@ -544,7 +544,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
     }
 
     // ---- expansion set ----------------------------------------------------
-    let mut expanded: HashSet<PtObj> = HashSet::new();
+    let mut expanded: HashSet<PtObj> = HashSet::default();
     match inp.opt {
         OptLevel::None => {
             // Expand everything: all named variables (except parameters and
@@ -699,7 +699,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
             seed_realloc_types(program, &expanded, &mut promo);
             let sf = collect_span_flow(program);
             let alloc_calls = alloc_calls_by_eid(program);
-            let mut dynamic: HashSet<u32> = HashSet::new();
+            let mut dynamic: HashSet<u32> = HashSet::default();
             loop {
                 promo.close_over(&sf, &diffs);
                 // Sizes under the layout the current promotions imply.
@@ -843,7 +843,7 @@ fn finish(
 
 /// Every `malloc`/`calloc`/`realloc` call, by eid.
 fn alloc_calls_by_eid(program: &Program) -> HashMap<u32, &Expr> {
-    let mut out = HashMap::new();
+    let mut out = HashMap::default();
     for f in &program.functions {
         walk_exprs_in_block(&f.body, &mut |e| {
             if let ExprKind::Call { name, .. } = &e.kind {
@@ -878,7 +878,7 @@ fn seed_realloc_types(program: &Program, expanded: &HashSet<PtObj>, promo: &mut 
 
 /// Per access eid in `eids`: the pointer type through which it dereferences.
 fn base_pointer_types_of_sites(program: &Program, eids: &HashSet<u32>) -> HashMap<u32, Type> {
-    let mut out = HashMap::new();
+    let mut out = HashMap::default();
     if eids.is_empty() {
         return out;
     }
@@ -1023,7 +1023,7 @@ mod tests {
         let (_, plan) = plan_of(&src("sizeof(struct A)"), OptLevel::Full);
         assert!(plan.fat_types.is_empty(), "{:?}", plan.fat_causes);
         let spans: HashSet<u64> = plan.const_span.values().copied().collect();
-        assert_eq!(spans, HashSet::from([16, 24]));
+        assert_eq!(spans, HashSet::from_iter([16, 24]));
         // `A` allocated with a runtime size: `struct A *` turns fat, which
         // widens `struct B` (its `a` field) to 32 bytes — and `struct B *`
         // stays thin with the *new* size as its constant span.
@@ -1035,7 +1035,7 @@ mod tests {
             plan.fat_causes
         );
         let spans: HashSet<u64> = plan.const_span.values().copied().collect();
-        assert_eq!(spans, HashSet::from([32]));
+        assert_eq!(spans, HashSet::from_iter([32]));
     }
 
     #[test]
@@ -1072,7 +1072,7 @@ mod tests {
         let (analysis, noconst) = plan_of(&list_program(""), OptLevel::NoConstSpan);
         assert_eq!(
             noconst.fat_types,
-            HashSet::from([pointer_to(&analysis, "N")])
+            HashSet::from_iter([pointer_to(&analysis, "N")])
         );
         assert!(noconst.const_span.is_empty() && noconst.prune_span_work);
         // Same structures expanded as at full optimization.

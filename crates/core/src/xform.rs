@@ -36,8 +36,8 @@ use dse_analysis::effects::HiddenStores;
 use dse_analysis::{PtObj, VarId};
 use dse_ir::loops::{find_candidate_loops, CandidateLoop};
 use dse_lang::ast::*;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_lang::types::{StructId, Type, TypeTable};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A transformation failure (unsupported shape) with explanation.
@@ -99,11 +99,11 @@ pub struct XformResult {
     /// Per candidate-loop label: the DOACROSS `Wait`/`Post` window over
     /// *transformed* top-level body statement indices.
     pub sync_windows: HashMap<String, Option<(usize, usize)>>,
-    /// Transformed expression id → originating expression id in the input
-    /// program, for every rebuilt node that corresponds 1:1 to a source
-    /// access or allocation. Synthesized bookkeeping nodes (span stores,
-    /// copy indices, prologue code) have no entry.
-    pub eid_provenance: HashMap<u32, u32>,
+    /// Per transformed expression id, the originating expression id in the
+    /// input program, for every rebuilt node that corresponds 1:1 to a
+    /// source access or allocation. Synthesized bookkeeping nodes (span
+    /// stores, copy indices, prologue code) hold `NO_EID`.
+    pub eid_provenance: Vec<u32>,
     /// Accounting.
     pub report: ExpansionReport,
 }
@@ -135,7 +135,7 @@ pub fn expand_program(
         cur_func: 0,
         any_fat_ret,
         sync_eids,
-        sync_windows: HashMap::new(),
+        sync_windows: HashMap::default(),
         candidates,
         report: ExpansionReport::default(),
         redirections: None,
@@ -306,19 +306,13 @@ pub fn expand_program(
     dse_lang::sema::check(&mut out)
         .map_err(|e| XformError(format!("transformed program failed sema: {e}")))?;
     // Rebuilt access nodes still carry their *source* eids (stamped by the
-    // rewriter); collect them in the exact order `number_exprs` visits so
-    // the renumbered ids can be paired back to their origins.
-    let mut source_eids = Vec::new();
+    // rewriter); collect them in the exact order `number_exprs` visits, so
+    // the `i`-th is the origin of the node renumbered `i`.
+    let mut eid_provenance = Vec::new();
     for f in &mut out.functions {
-        visit_exprs_in_block(&mut f.body, &mut |e| source_eids.push(e.eid));
+        visit_exprs_in_block(&mut f.body, &mut |e| eid_provenance.push(e.eid));
     }
     dse_lang::ast::number_exprs(&mut out);
-    let eid_provenance: HashMap<u32, u32> = source_eids
-        .iter()
-        .enumerate()
-        .filter(|&(_, &old)| old != NO_EID)
-        .map(|(new, &old)| (new as u32, old))
-        .collect();
     Ok(XformResult {
         program: out,
         sync_windows,
@@ -345,8 +339,8 @@ impl TypeMap {
     pub(crate) fn build(orig: &TypeTable, fat: &HashSet<Type>) -> TypeMap {
         let mut tm = TypeMap {
             table: TypeTable::new(),
-            struct_map: HashMap::new(),
-            fat_map: HashMap::new(),
+            struct_map: HashMap::default(),
+            fat_map: HashMap::default(),
             fat_types: fat.clone(),
         };
         // Declare all original structs first so pointer fields can refer to
@@ -1024,7 +1018,7 @@ impl<'a> Xf<'a> {
     /// The user functions a call to which may assign the global `v`.
     fn functions_storing(&mut self, v: VarId) -> HashSet<String> {
         let VarId::Global(g) = v else {
-            return HashSet::new();
+            return HashSet::default();
         };
         let program = self.program;
         let stores = self.stores.get_or_insert_with(|| HiddenStores::of(program));
@@ -1848,7 +1842,7 @@ mod tests {
         assert!(matches!(def.field("data").unwrap().ty, Type::Struct(_)));
         assert_eq!(def.size, 8 + 16, "int (padded) + fat record");
         // Without fatness the layout is unchanged.
-        let tm2 = TypeMap::build(&orig, &HashSet::new());
+        let tm2 = TypeMap::build(&orig, &HashSet::default());
         let new_id2 = tm2.struct_map[&sid];
         assert_eq!(tm2.table.struct_def(new_id2).size, 16);
     }

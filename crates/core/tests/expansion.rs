@@ -631,7 +631,7 @@ fn overhead_ordering_none_vs_full() {
         let mut vm = Vm::new(analysis.serial.clone(), VmConfig::default()).unwrap();
         vm.run().unwrap().counters.work
     };
-    let mut cost = std::collections::HashMap::new();
+    let mut cost = dse_lang::fasthash::HashMap::default();
     for opt in [OptLevel::None, OptLevel::Full] {
         let t = analysis.transform(opt, 1).unwrap();
         let mut vm = Vm::new(t.parallel, VmConfig::default()).unwrap();

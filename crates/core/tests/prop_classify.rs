@@ -4,8 +4,8 @@
 
 use dse_core::classify::{classify_loop, SiteClass, UnionFind};
 use dse_depprof::{DepEdge, DepKind, LoopDdg};
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_workloads::rng::Rng;
-use std::collections::{HashMap, HashSet};
 
 const NSITES: u32 = 12;
 const CASES: u64 = 256;
@@ -98,7 +98,7 @@ fn definition5_holds() {
         let carried_flow = ddg.sites_in_carried(&[DepKind::Flow]);
         let carried_ao = ddg.sites_in_carried(&[DepKind::Anti, DepKind::Output]);
         // Group sites by class.
-        let mut classes: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut classes: HashMap<u32, Vec<u32>> = HashMap::default();
         for s in 0..NSITES {
             classes.entry(cls.class_of[&s]).or_default().push(s);
         }
@@ -242,4 +242,58 @@ fn breakdown_partitions_counts() {
         let total: u64 = ddg.site_counts.values().sum();
         assert_eq!(b.total(), total, "case {case}");
     }
+}
+
+/// The union-find as it stood keyed by a hash map: the reference the dense
+/// parent vector must agree with, representative for representative.
+#[derive(Default)]
+struct MapUnionFind(HashMap<u32, u32>);
+
+impl MapUnionFind {
+    fn find(&mut self, x: u32) -> u32 {
+        let p = *self.0.entry(x).or_insert(x);
+        if p == x {
+            return x;
+        }
+        let root = self.find(p);
+        self.0.insert(x, root);
+        root
+    }
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.0.insert(ra, rb);
+        }
+    }
+}
+
+/// On every candidate loop of the eight workloads, the finds and unions
+/// `classify_loop` makes, in its order, give every site the same
+/// representative under both union-finds, and it is the class
+/// `classify_loop` reports.
+#[test]
+fn union_find_matches_a_map_reference_on_workload_ddgs() {
+    let mut loops = 0;
+    for w in dse_workloads::all() {
+        let analysis =
+            dse_core::Analysis::from_source(w.source, w.vm_config(dse_workloads::Scale::Profile))
+                .unwrap();
+        for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
+            let (mut dense, mut reference) = (UnionFind::new(), MapUnionFind::default());
+            for &s in ddg.site_counts.keys() {
+                assert_eq!(dense.find(s), reference.find(s));
+            }
+            for e in ddg.edges.iter().filter(|e| !e.carried) {
+                dense.union(e.src, e.dst);
+                reference.union(e.src, e.dst);
+            }
+            for &s in ddg.site_counts.keys() {
+                let rep = reference.find(s);
+                assert_eq!(dense.find(s), rep, "{}: site {s}", ddg.label);
+                assert_eq!(cls.class_of[&s], rep, "{}: class of site {s}", ddg.label);
+            }
+            loops += 1;
+        }
+    }
+    assert!(loops >= 8, "every workload has a candidate loop");
 }

@@ -54,9 +54,10 @@
 
 use dse_ir::bytecode::{CompiledProgram, LoopEvent};
 use dse_ir::sites::{AccessKind, SiteId, NO_SITE};
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_runtime::observer::LayoutInfo;
 use dse_runtime::{Allocation, Observer, Vm, VmConfig, VmError};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Kind of data dependence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -125,7 +126,7 @@ pub struct LoopDdg {
 impl LoopDdg {
     /// All sites that appear in any carried edge of the given kinds.
     pub fn sites_in_carried(&self, kinds: &[DepKind]) -> HashSet<SiteId> {
-        let mut out = HashSet::new();
+        let mut out = HashSet::default();
         for e in &self.edges {
             if e.carried && kinds.contains(&e.kind) {
                 out.insert(e.src);

@@ -60,7 +60,7 @@ impl Profiled {
 
     fn exposed(&self, label: &str) -> (Vec<String>, Vec<String>) {
         let l = self.ddg(label);
-        let names = |set: &std::collections::HashSet<SiteId>| {
+        let names = |set: &dse_lang::fasthash::HashSet<SiteId>| {
             let mut v: Vec<String> = set.iter().map(|&s| self.name(s)).collect();
             v.sort();
             v

@@ -386,7 +386,7 @@ pub struct CompiledProgram {
     /// Maps the pc of each `malloc`/`calloc`/`realloc` `CallBuiltin`
     /// instruction to the AST expression id of the call, so the profiler
     /// can attribute dynamic allocations to source allocation sites.
-    pub alloc_sites: std::collections::HashMap<Pc, u32>,
+    pub alloc_sites: dse_lang::fasthash::HashMap<Pc, u32>,
 }
 
 impl CompiledProgram {

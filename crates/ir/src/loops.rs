@@ -87,7 +87,7 @@ pub fn find_candidate_loops(program: &Program) -> Result<Vec<CandidateLoop<'_>>,
     for (fi, f) in program.functions.iter().enumerate() {
         scan_block(&f.body, fi as u32, f, 0, &mut out)?;
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = dse_lang::fasthash::HashSet::default();
     for c in &out {
         if !seen.insert(c.label.clone()) {
             return Err(CandidateError(format!(
@@ -265,8 +265,7 @@ pub fn step_is_unit_increment(step: &Expr, slot: usize) -> bool {
 /// increments, or calls).
 pub fn expr_is_pure(e: &Expr) -> bool {
     let mut pure = true;
-    let mut probe = e.clone();
-    visit_exprs(&mut probe, &mut |x| {
+    walk_exprs(e, &mut |x| {
         if matches!(
             x.kind,
             ExprKind::Assign { .. } | ExprKind::IncDec { .. } | ExprKind::Call { .. }
@@ -364,34 +363,30 @@ fn check_body_stmts(
     Ok(())
 }
 
+/// Checks a statement without nested statements (a declaration, an
+/// expression, a `return`, a jump).
 fn check_stmt_exprs(
     stmt: &Stmt,
     ind_slot: usize,
     fail: &dyn Fn(&str) -> CandidateError,
 ) -> Result<(), CandidateError> {
-    let mut err = None;
-    let mut probe = stmt.clone();
-    visit_exprs_in_stmt(&mut probe, &mut |e| {
-        if err.is_none() {
-            if let Some(m) = induction_misuse(e, ind_slot) {
-                err = Some(m);
-            }
+    match &stmt.kind {
+        StmtKind::Decl { init: Some(e), .. } | StmtKind::Expr(e) | StmtKind::Return(Some(e)) => {
+            check_expr_uses(e, ind_slot, fail)
         }
-    });
-    match err {
-        Some(m) => Err(fail(m)),
-        None => Ok(()),
+        _ => Ok(()),
     }
 }
 
+/// Reports the first misuse children-first, as the rewriting visitor
+/// meets them.
 fn check_expr_uses(
     e: &Expr,
     ind_slot: usize,
     fail: &dyn Fn(&str) -> CandidateError,
 ) -> Result<(), CandidateError> {
     let mut err = None;
-    let mut probe = e.clone();
-    visit_exprs(&mut probe, &mut |x| {
+    walk_exprs_post(e, &mut |x| {
         if err.is_none() {
             if let Some(m) = induction_misuse(x, ind_slot) {
                 err = Some(m);
@@ -545,6 +540,20 @@ mod tests {
         let e = find("void f() { #pragma candidate\nfor (int i = 0; i < 4; i++) { i++; } }")
             .unwrap_err();
         assert!(e.0.contains("increment the induction"));
+    }
+
+    #[test]
+    fn nested_misuses_report_the_inner_one_first() {
+        // Children before parents: the increment inside the assignment's
+        // right-hand side is met before the assignment itself.
+        let e = find("void f() { #pragma candidate\nfor (int i = 0; i < 4; i++) { i = i++; } }")
+            .unwrap_err();
+        assert!(e.0.contains("increment the induction"), "{e}");
+        let e = find(
+            "void f(int n) { #pragma candidate\nfor (int i = 0; i < 4; i++) { if (i = n) { } } }",
+        )
+        .unwrap_err();
+        assert!(e.0.contains("assign the induction"), "{e}");
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::bytecode::*;
 use crate::loops::{self, CandidateLoop, ParMode};
 use crate::sites::{AccessKind, SiteId, SiteInfo, SiteTable, NO_SITE};
 use dse_lang::ast::*;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_lang::types::{Type, TypeTable};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Lowering failure (unsupported construct or invalid candidate loop).
@@ -105,7 +105,7 @@ pub fn lower_program(
         frame: FrameLayout::default(),
         loop_stack: Vec::new(),
         par_ind_stack: Vec::new(),
-        alloc_sites: std::collections::HashMap::new(),
+        alloc_sites: HashMap::default(),
         label: 0,
     };
     let mut global_inits = Vec::new();
@@ -243,7 +243,7 @@ struct Lowerer<'a> {
     /// last); reads become `IterIdx(depth)`.
     par_ind_stack: Vec<usize>,
     /// pc -> eid of allocation calls (see `CompiledProgram::alloc_sites`).
-    alloc_sites: std::collections::HashMap<Pc, u32>,
+    alloc_sites: HashMap<Pc, u32>,
     /// The highest position handed out as a jump target so far
     /// ([`Lowerer::here`]): peephole rewrites of already-emitted
     /// instructions stay strictly after it.

@@ -7,7 +7,7 @@ use super::plan::{PromotedPlace, PromotionPlan};
 use super::rotate::rotate;
 use crate::bytecode::{Builtin, CompiledProgram, IBinOp, Instr, Pc};
 use crate::sites::NO_SITE;
-use std::collections::HashMap;
+use dse_lang::fasthash::HashMap;
 
 /// Emits the register form of `prog` under `plan`: [`super::translate`] with the
 /// promotion decisions supplied by the caller. The emitted code is
@@ -74,15 +74,15 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         }
     }
     // Region entry pc → the region, for the entry loads.
-    let mut entries: HashMap<usize, u32> = HashMap::new();
+    let mut entries: Vec<Option<u32>> = vec![None; n];
     for (fi, f) in prog.funcs.iter().enumerate() {
         target[f.entry as usize] = true;
-        entries.insert(f.entry as usize, fi as u32);
+        entries[f.entry as usize] = Some(fi as u32);
     }
     for (bi, &li) in flow.body_loops.iter().enumerate() {
         let entry = prog.loops[li as usize].body_entry as usize;
         target[entry] = true;
-        entries.insert(entry, (nf + bi) as u32);
+        entries[entry] = Some((nf + bi) as u32);
     }
 
     let mut out: Vec<RInstr> = Vec::with_capacity(n);
@@ -105,7 +105,7 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
     // The `(frame, base, stride)` of the fused access a sited `Load`/`Store`
     // through address slot `a` becomes, when its producer emitted nothing.
     let fused_tid = |a: &Slot| {
-        let p = a.tid_of.filter(|p| !flow.unfused_tid.contains(p))?;
+        let p = a.tid_of.filter(|&p| !flow.unfused_tid.contains(p))?;
         match code[p as usize] {
             Instr::FrameAddrTid { offset, stride } => Some((true, offset, stride)),
             Instr::GlobalAddrTid { addr, stride } => Some((false, addr, stride)),
@@ -155,7 +155,7 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         // from its (zeroed, argument-carrying or previous-iteration)
         // memory. Calls and dispatches resolve through `regpc`, so they
         // land here first.
-        if let Some(region) = entries.get(&i).and_then(|&r| plan.places.get(r as usize)) {
+        if let Some(region) = entries[i].and_then(|r| plan.places.get(r as usize)) {
             for p in region.iter().filter(|p| p.entry_load) {
                 emit!(fill(p));
             }
@@ -347,7 +347,7 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
             // A tid address whose one consumer fuses (see
             // `StackFlow::unfused_tid`) is formed there, not here.
             Instr::FrameAddrTid { .. } | Instr::GlobalAddrTid { .. }
-                if !flow.unfused_tid.contains(&pc) => {}
+                if !flow.unfused_tid.contains(pc) => {}
             Instr::FrameAddrTid { offset, stride } => {
                 emit!(RInstr::FrameAddrTid { d, offset, stride })
             }
@@ -641,13 +641,11 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         &n_promoted,
         (max_window + 4) as usize,
     );
-    let entry_pcs: Vec<u32> = entries.keys().map(|&e| regpc[e]).collect();
+    let entry_at: Vec<usize> = (0..n).filter(|&pc| entries[pc].is_some()).collect();
+    let entry_pcs: Vec<u32> = entry_at.iter().map(|&e| regpc[e]).collect();
     rotate(&mut out, &mut origin, &mut regpc, &entry_pcs);
 
-    let mut entry_map = HashMap::new();
-    for &entry in entries.keys() {
-        entry_map.insert(entry as Pc, regpc[entry]);
-    }
+    let entry_map: HashMap<Pc, u32> = entry_at.iter().map(|&e| (e as Pc, regpc[e])).collect();
     RegProgram {
         code: out,
         entry_map,

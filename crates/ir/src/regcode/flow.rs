@@ -4,7 +4,38 @@
 use super::RegLowerError;
 use crate::bytecode::{CompiledProgram, FuncInfo, Instr, Pc, RetKind};
 use crate::sites::NO_SITE;
-use std::collections::{HashMap, HashSet};
+use dse_lang::fasthash::HashMap;
+
+/// A set of stack pcs: one bit per pc of the program.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PcSet(Vec<u64>);
+
+impl PcSet {
+    /// An empty set over a program of `n` pcs.
+    pub fn with_len(n: usize) -> PcSet {
+        PcSet(vec![0; n.div_ceil(64)])
+    }
+
+    /// Whether `pc` is in the set (`false` past the program's end).
+    pub fn contains(&self, pc: Pc) -> bool {
+        let pc = pc as usize;
+        self.0.get(pc / 64).is_some_and(|w| w >> (pc % 64) & 1 != 0)
+    }
+
+    /// Adds `pc`, which must lie within the program.
+    pub fn insert(&mut self, pc: Pc) {
+        let pc = pc as usize;
+        self.0[pc / 64] |= 1 << (pc % 64);
+    }
+}
+
+impl Extend<Pc> for PcSet {
+    fn extend<I: IntoIterator<Item = Pc>>(&mut self, pcs: I) {
+        for pc in pcs {
+            self.insert(pc);
+        }
+    }
+}
 
 /// Static type of one operand-stack slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +157,7 @@ pub struct StackFlow {
     /// [`super::RInstr::LdTid`]/[`super::RInstr::StTid`] for the consumer, so the access
     /// is still counted once. (A producer whose place is promoted emits
     /// nothing either way.)
-    pub unfused_tid: HashSet<Pc>,
+    pub unfused_tid: PcSet,
     /// Loop indices (into `prog.loops`) of the outlined parallel bodies, in
     /// owner order after the functions.
     pub body_loops: Vec<u32>,
@@ -181,7 +212,7 @@ struct Flow<'p> {
     /// (owner, place) → the shape of its direct accesses.
     accesses: HashMap<(u32, Place), AccessShape>,
     /// See [`StackFlow::unfused_tid`].
-    unfused_tid: HashSet<Pc>,
+    unfused_tid: PcSet,
 }
 
 impl<'p> Flow<'p> {
@@ -561,9 +592,9 @@ pub fn analyze_stack(prog: &CompiledProgram) -> Result<StackFlow, RegLowerError>
         func_of,
         work: Vec::new(),
         no_promote: vec![false; n_owners],
-        escapes: HashMap::new(),
-        accesses: HashMap::new(),
-        unfused_tid: HashSet::new(),
+        escapes: HashMap::default(),
+        accesses: HashMap::default(),
+        unfused_tid: PcSet::with_len(n),
     };
     for (fi, f) in prog.funcs.iter().enumerate() {
         flow.seed(f.entry, fi as u32)?;

@@ -4,7 +4,7 @@
 use super::PromotionPlan;
 use crate::bytecode::{Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, LoopEvent, Pc};
 use crate::sites::SiteId;
-use std::collections::HashMap;
+use dse_lang::fasthash::HashMap;
 use std::fmt;
 
 /// A register index within the current window (operand-stack depth of the

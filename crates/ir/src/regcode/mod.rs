@@ -126,7 +126,7 @@ mod plan;
 mod rotate;
 
 pub use emit::translate_with;
-pub use flow::{analyze_stack, AccessShape, Place, Slot, StackFlow, Ty, NO_OWNER};
+pub use flow::{analyze_stack, AccessShape, PcSet, Place, Slot, StackFlow, Ty, NO_OWNER};
 pub use isa::{
     for_each_dst, for_each_src, pure_dst, Arity, Control, Operands, RInstr, Reg, RegLowerError,
     RegProgram, Write,

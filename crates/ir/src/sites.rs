@@ -7,8 +7,8 @@
 //! kind, so the dependence profiler (which observes the lowered bytecode)
 //! and the expansion pass (which rewrites the AST) agree on identities.
 
+use dse_lang::fasthash::HashMap;
 use dse_lang::SourceSpan;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Bytecode-level site index (index into [`SiteTable`]).

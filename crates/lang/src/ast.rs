@@ -7,7 +7,6 @@
 
 use crate::source::SourceSpan;
 use crate::types::{Type, TypeTable};
-use std::collections::HashMap;
 
 /// Binding of a name to a storage slot, resolved by semantic analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -453,7 +452,18 @@ pub fn visit_exprs(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
 /// expression below it, parents before children, handing out references
 /// that outlive the traversal.
 pub fn walk_exprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
+    walk_exprs_ordered(e, false, f);
+}
+
+/// [`walk_exprs`] in [`visit_exprs`]' order: children before parents.
+pub fn walk_exprs_post<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    walk_exprs_ordered(e, true, f);
+}
+
+fn walk_exprs_ordered<'a>(e: &'a Expr, post: bool, f: &mut impl FnMut(&'a Expr)) {
+    if !post {
+        f(e);
+    }
     match &e.kind {
         ExprKind::IntLit(_)
         | ExprKind::FloatLit(_)
@@ -464,24 +474,27 @@ pub fn walk_exprs<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
         | ExprKind::AddrOf(a)
         | ExprKind::Cast(_, a)
         | ExprKind::SizeofExpr(a)
-        | ExprKind::IncDec { target: a, .. } => walk_exprs(a, f),
+        | ExprKind::IncDec { target: a, .. } => walk_exprs_ordered(a, post, f),
         ExprKind::Binary(_, a, b)
         | ExprKind::Assign { lhs: a, rhs: b, .. }
         | ExprKind::Index { base: a, index: b } => {
-            walk_exprs(a, f);
-            walk_exprs(b, f);
+            walk_exprs_ordered(a, post, f);
+            walk_exprs_ordered(b, post, f);
         }
         ExprKind::Cond(a, b, c) => {
-            walk_exprs(a, f);
-            walk_exprs(b, f);
-            walk_exprs(c, f);
+            walk_exprs_ordered(a, post, f);
+            walk_exprs_ordered(b, post, f);
+            walk_exprs_ordered(c, post, f);
         }
         ExprKind::Call { args, .. } => {
             for a in args {
-                walk_exprs(a, f);
+                walk_exprs_ordered(a, post, f);
             }
         }
-        ExprKind::Field { base, .. } => walk_exprs(base, f),
+        ExprKind::Field { base, .. } => walk_exprs_ordered(base, post, f),
+    }
+    if post {
+        f(e);
     }
 }
 
@@ -575,17 +588,41 @@ fn walk_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
     }
 }
 
+/// Every numbered expression of a program, at its [`Expr::eid`]: a vector
+/// over the dense ids [`number_exprs`] assigns.
+#[derive(Debug, Clone, Default)]
+pub struct EidIndex<'a>(Vec<Option<&'a Expr>>);
+
+impl<'a> EidIndex<'a> {
+    /// The expression numbered `eid`; `None` for [`NO_EID`] and for ids
+    /// the program does not hold.
+    pub fn get(&self, eid: u32) -> Option<&'a Expr> {
+        self.0.get(eid as usize).copied().flatten()
+    }
+
+    /// `(eid, expression)` in increasing eid order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &'a Expr)> + '_ {
+        (0u32..)
+            .zip(&self.0)
+            .filter_map(|(eid, e)| Some((eid, (*e)?)))
+    }
+}
+
 /// Every numbered expression of `program`, by its [`Expr::eid`].
-pub fn eid_index(program: &Program) -> HashMap<u32, &Expr> {
-    let mut map = HashMap::new();
+pub fn eid_index(program: &Program) -> EidIndex<'_> {
+    let mut index = Vec::new();
     for f in &program.functions {
         walk_exprs_in_block(&f.body, &mut |e| {
             if e.eid != NO_EID {
-                map.insert(e.eid, e);
+                let at = e.eid as usize;
+                if at >= index.len() {
+                    index.resize(at + 1, None);
+                }
+                index[at] = Some(e);
             }
         });
     }
-    map
+    EidIndex(index)
 }
 
 /// Assigns a unique [`Expr::eid`] to every expression in the program, in
@@ -676,10 +713,42 @@ mod tests {
     fn eid_index_covers_every_numbered_expression() {
         let program = crate::compile_to_ast("int f(int n) { return n + 1; }").unwrap();
         let index = eid_index(&program);
-        assert_eq!(index.len(), 3, "`n`, `1` and `n + 1`");
-        for (eid, e) in index {
+        assert_eq!(index.iter().count(), 3, "`n`, `1` and `n + 1`");
+        for (eid, e) in index.iter() {
             assert_eq!(e.eid, eid);
         }
+    }
+
+    #[test]
+    fn eid_index_holds_each_expression_at_its_eid_and_none_at_no_eid() {
+        let mut program = crate::compile_to_ast(
+            "int g; int f(int n) { int i; for (i = 0; i < n; i++) { g = g + i * 2; } return g; }",
+        )
+        .unwrap();
+        let numbered = number_exprs(&mut program);
+        // A synthetic node added after numbering keeps NO_EID.
+        let synthetic = Expr::new(ExprKind::IntLit(7), SourceSpan::default());
+        program.functions[0].body.stmts.push(Stmt {
+            kind: StmtKind::Expr(synthetic),
+            span: SourceSpan::default(),
+        });
+        let index = eid_index(&program);
+        let mut walked = 0;
+        walk_exprs_in_block(&program.functions[0].body, &mut |e| {
+            if e.eid == NO_EID {
+                return;
+            }
+            walked += 1;
+            assert!(std::ptr::eq(index.get(e.eid).unwrap(), e), "eid {}", e.eid);
+        });
+        assert_eq!(walked, numbered);
+        assert_eq!(index.iter().count() as u32, numbered);
+        assert!(
+            index.iter().map(|(eid, _)| eid).eq(0..numbered),
+            "dense, in order"
+        );
+        assert!(index.get(NO_EID).is_none());
+        assert!(index.get(numbered).is_none());
     }
 
     #[test]

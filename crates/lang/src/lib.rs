@@ -38,6 +38,7 @@
 
 pub mod ast;
 pub mod error;
+pub mod fasthash;
 pub mod lexer;
 pub mod parser;
 pub mod printer;

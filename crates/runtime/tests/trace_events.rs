@@ -331,7 +331,8 @@ fn iteration_costs_agree_across_thread_counts() {
             // Statement 1, `g = g + a[i]`, is the ordered window.
             ("chain".to_string(), spec(ParMode::DoAcross, Some((1, 1)))),
         ]
-        .into(),
+        .into_iter()
+        .collect(),
         ..Default::default()
     };
     let compiled = dse_ir::lower_program(&ast, &opts).expect("lowering");

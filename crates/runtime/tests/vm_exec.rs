@@ -761,7 +761,7 @@ fn localize_translates_heap_accesses() {
     let ast = dse_lang::compile_to_ast(src).unwrap();
     let compiled_plain = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
     // Find the buf[0] access sites.
-    let mut localize = std::collections::HashSet::new();
+    let mut localize = dse_lang::fasthash::HashSet::default();
     for (_, info) in compiled_plain.sites.iter() {
         localize.insert((info.eid, info.kind));
     }

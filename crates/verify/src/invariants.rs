@@ -27,7 +27,7 @@
 //!   contain exactly one `Wait` before one `Post`, with every ordered shared
 //!   access between them; DOALL bodies must contain no synchronization.
 
-use std::collections::{HashMap, HashSet};
+use dse_lang::fasthash::{HashMap, HashSet};
 
 use dse_analysis::consteval::{alloc_call_size, const_eval};
 use dse_analysis::effects::{stored_variable, HiddenStores};
@@ -46,22 +46,14 @@ use dse_lang::types::Type;
 use crate::diag::{Code, Diagnostic, Report};
 
 /// Runs all transform-invariant checks, appending findings to `report`.
-pub fn check(analysis: &Analysis, t: &Transformed, report: &mut Report) {
-    let spans = source_spans(&analysis.program);
-    check_redirection(analysis, t, &spans, report);
+/// `eids` indexes the original program, whose accesses (and spans) the
+/// findings name.
+pub fn check(analysis: &Analysis, t: &Transformed, eids: &EidIndex<'_>, report: &mut Report) {
+    check_redirection(analysis, t, eids, report);
     check_span_maintenance(t, report);
-    check_constant_spans(analysis, t, &spans, report);
+    check_constant_spans(analysis, t, eids, report);
     check_hoisted_redirections(t, report);
-    check_sync_windows(analysis, t, &spans, report);
-}
-
-/// eid → span index over the original program, for pointing diagnostics at
-/// the source access a transformed site descends from.
-fn source_spans(program: &Program) -> HashMap<u32, SourceSpan> {
-    eid_index(program)
-        .into_iter()
-        .map(|(eid, e)| (eid, e.span))
-        .collect()
+    check_sync_windows(analysis, t, eids, report);
 }
 
 // ---- Table 2: redirection (DSE003 / DSE004) --------------------------------
@@ -101,40 +93,41 @@ struct SlotFacts {
 /// The tid-taint dataflow over the whole code array. Regions are rooted at
 /// every function entry and every parallel-loop body entry with an empty
 /// stack (matching how the VM enters them). A load from a place in
-/// `tid_slots` yields a tid-derived value.
+/// `tid_slots` yields a tid-derived value. Returns, per pc, the state
+/// reaching it (`None`: unreached) and the function whose frame it
+/// addresses.
 fn taint_fixpoint(
     prog: &CompiledProgram,
     tid_slots: &HashSet<Slot>,
-) -> (HashMap<Pc, Stack>, HashMap<Pc, u32>, SlotFacts) {
-    let mut states: HashMap<Pc, Stack> = HashMap::new();
-    // The function whose frame each reached pc addresses.
-    let mut frame_of: HashMap<Pc, u32> = HashMap::new();
+) -> (Vec<Option<Stack>>, Vec<Option<u32>>, SlotFacts) {
+    let n = prog.code.len();
+    let mut states: Vec<Option<Stack>> = vec![None; n];
+    let mut frame_of: Vec<Option<u32>> = vec![None; n];
     let mut facts = SlotFacts::default();
     let mut work: Vec<Pc> = Vec::new();
-    for (fi, f) in prog.funcs.iter().enumerate() {
-        states.insert(f.entry, Vec::new());
-        frame_of.insert(f.entry, fi as u32);
-        work.push(f.entry);
-    }
-    for l in &prog.loops {
-        if l.mode.is_some() {
-            states.insert(l.body_entry, Vec::new());
-            frame_of.insert(l.body_entry, l.func);
-            work.push(l.body_entry);
-        }
+    let roots = prog
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| (f.entry, fi as u32));
+    let bodies = prog.loops.iter().filter(|l| l.mode.is_some());
+    for (entry, func) in roots.chain(bodies.map(|l| (l.body_entry, l.func))) {
+        states[entry as usize] = Some(Vec::new());
+        frame_of[entry as usize] = Some(func);
+        work.push(entry);
     }
     while let Some(pc) = work.pop() {
-        let Some(stack) = states.get(&pc).cloned() else {
+        let Some(stack) = states[pc as usize].clone() else {
             continue;
         };
-        let func = frame_of[&pc];
+        let func = frame_of[pc as usize].expect("a reached pc has a frame");
         let (next, succs) = step(prog, pc, stack, func, tid_slots, &mut facts);
         for s in succs {
-            frame_of.entry(s).or_insert(func);
-            let changed = match states.get_mut(&s) {
+            frame_of[s as usize].get_or_insert(func);
+            let changed = match &mut states[s as usize] {
                 Some(old) => merge(old, &next),
-                None => {
-                    states.insert(s, next.clone());
+                slot @ None => {
+                    *slot = Some(next.clone());
                     true
                 }
             };
@@ -152,7 +145,7 @@ fn taint_fixpoint(
 /// slots, proven from the bytecode alone.
 fn tid_derived_slots(
     prog: &CompiledProgram,
-    frame_of: &HashMap<Pc, u32>,
+    frame_of: &[Option<u32>],
     facts: &SlotFacts,
 ) -> HashSet<Slot> {
     let mut good: HashSet<Slot> = facts
@@ -172,8 +165,9 @@ fn tid_derived_slots(
             .find(|&(o, size)| o <= off && off < o + size)
     };
     good.retain(|&(func, off)| object_of(func, off).is_some());
-    for (&pc, &func) in frame_of {
-        let (off, tid_place) = match prog.code[pc as usize] {
+    for (pc, func) in frame_of.iter().enumerate() {
+        let Some(func) = *func else { continue };
+        let (off, tid_place) = match prog.code[pc] {
             Instr::FrameAddr(off) => (off, false),
             Instr::FrameAddrTid { offset, .. } => (offset, true),
             _ => continue,
@@ -385,22 +379,22 @@ fn addr_taints(instr: Instr, st: &Stack) -> Vec<(SiteId, bool)> {
 fn check_redirection(
     analysis: &Analysis,
     t: &Transformed,
-    spans: &HashMap<u32, SourceSpan>,
+    eids: &EidIndex<'_>,
     report: &mut Report,
 ) {
     // A hoisted redirection (`__rd_p[__tid()]`) reaches its accesses through
     // a frame slot: first find the slots that provably hold tid-derived
     // values, then let loads from them carry the taint.
-    let (mut states, frame_of, facts) = taint_fixpoint(&t.parallel, &HashSet::new());
+    let (mut states, frame_of, facts) = taint_fixpoint(&t.parallel, &HashSet::default());
     let tid_slots = tid_derived_slots(&t.parallel, &frame_of, &facts);
     if !tid_slots.is_empty() {
         states = taint_fixpoint(&t.parallel, &tid_slots).0;
     }
-    let orig_index = eid_index(&analysis.program);
     // One finding per original access, not per bytecode occurrence.
-    let mut flagged: HashSet<(u32, Code)> = HashSet::new();
-    for (&pc, st) in &states {
-        let instr = t.parallel.code[pc as usize];
+    let mut flagged: HashSet<(u32, Code)> = HashSet::default();
+    for (pc, st) in states.iter().enumerate() {
+        let Some(st) = st else { continue };
+        let instr = t.parallel.code[pc];
         for (site, tainted) in addr_taints(instr, st) {
             if site == NO_SITE {
                 continue;
@@ -409,7 +403,7 @@ fn check_redirection(
             if teid == NO_EID {
                 continue;
             }
-            let Some(&orig) = t.eid_provenance.get(&teid) else {
+            let Some(orig) = t.provenance(teid) else {
                 continue;
             };
             let private = t.plan.private_eids.contains(&orig);
@@ -423,11 +417,11 @@ fn check_redirection(
                         format!(
                             "thread-private access `{}` is not redirected through \
                              the thread id after expansion (Table 2 violation)",
-                            describe(orig, &orig_index, &analysis.program)
+                            describe(orig, eids, &analysis.program)
                         ),
                     );
-                    if let Some(sp) = spans.get(&orig) {
-                        d = d.with_span(*sp);
+                    if let Some(e) = eids.get(orig) {
+                        d = d.with_span(e.span);
                     }
                     report.push(d);
                 }
@@ -438,11 +432,11 @@ fn check_redirection(
                         "shared access `{}` computes its address from the thread \
                          id; shared accesses must resolve to replica 0 \
                          (Table 2 violation)",
-                        describe(orig, &orig_index, &analysis.program)
+                        describe(orig, eids, &analysis.program)
                     ),
                 );
-                if let Some(sp) = spans.get(&orig) {
-                    d = d.with_span(*sp);
+                if let Some(e) = eids.get(orig) {
+                    d = d.with_span(e.span);
                 }
                 report.push(d);
             }
@@ -464,9 +458,8 @@ fn must_redirect(analysis: &Analysis, t: &Transformed, orig_eid: u32) -> bool {
         .any(|o| matches!(o, PtObj::Var(_)) && t.plan.expanded.contains(o))
 }
 
-fn describe(eid: u32, index: &HashMap<u32, &Expr>, program: &Program) -> String {
-    index
-        .get(&eid)
+fn describe(eid: u32, eids: &EidIndex<'_>, program: &Program) -> String {
+    eids.get(eid)
         .map(|e| printer::expr(e, program))
         .unwrap_or_else(|| format!("eid#{eid}"))
 }
@@ -714,16 +707,16 @@ fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr)> {
 fn check_constant_spans(
     analysis: &Analysis,
     t: &Transformed,
-    spans: &HashMap<u32, SourceSpan>,
+    eids: &EidIndex<'_>,
     report: &mut Report,
 ) {
     let p = &t.program;
     let n = t.plan.nthreads.max(1) as u64;
     // Transformed allocation calls by the source call they rewrite.
-    let mut allocs: HashMap<u32, &Expr> = HashMap::new();
+    let mut allocs: HashMap<u32, &Expr> = HashMap::default();
     for f in &p.functions {
         walk_exprs_in_block(&f.body, &mut |e| {
-            if let (ExprKind::Call { .. }, Some(&orig)) = (&e.kind, t.eid_provenance.get(&e.eid)) {
+            if let (ExprKind::Call { .. }, Some(orig)) = (&e.kind, t.provenance(e.eid)) {
                 allocs.insert(orig, e);
             }
         });
@@ -755,11 +748,10 @@ fn check_constant_spans(
             }
         }
     };
-    let orig_index = eid_index(&analysis.program);
-    let mut flagged: HashSet<u32> = HashSet::new();
+    let mut flagged: HashSet<u32> = HashSet::default();
     for f in &p.functions {
         // Constant strides of the slots' derivations in this function.
-        let mut slot_strides: HashMap<VarBinding, Vec<u64>> = HashMap::new();
+        let mut slot_strides: HashMap<VarBinding, Vec<u64>> = HashMap::default();
         walk_stmts_in_block(&f.body, &mut |s| {
             if let Some((slot, value)) = derivation(s) {
                 slot_strides
@@ -769,7 +761,7 @@ fn check_constant_spans(
             }
         });
         walk_exprs_in_block(&f.body, &mut |e| {
-            let Some(&orig) = t.eid_provenance.get(&e.eid) else {
+            let Some(orig) = t.provenance(e.eid) else {
                 return;
             };
             let Some(AccessRoot::Indirect(pointer)) = access_root(e) else {
@@ -797,11 +789,11 @@ fn check_constant_spans(
                         "access `{}` is redirected by a constant span of {stride} bytes, \
                          but the transformed program gives {obj:?} {actual} per copy \
                          (stale constant span, Section 3.4)",
-                        describe(orig, &orig_index, &analysis.program)
+                        describe(orig, eids, &analysis.program)
                     ),
                 );
-                if let Some(sp) = spans.get(&orig) {
-                    d = d.with_span(*sp);
+                if let Some(e) = eids.get(orig) {
+                    d = d.with_span(e.span);
                 }
                 report.push(d);
             }
@@ -942,7 +934,7 @@ impl Freshness<'_> {
                 // slots: nothing is fresh inside. The slots of the thread
                 // that dispatched the loop outlive it, except those whose
                 // pointer or span some iteration stores.
-                let inside = st.as_ref().map(|_| HashSet::new());
+                let inside = st.as_ref().map(|_| HashSet::default());
                 self.looping(cond.as_ref(), body, step.as_ref(), false, inside);
                 if let Some(fresh) = &mut st {
                     let mut nodes = Vec::new();
@@ -1022,7 +1014,7 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
     let p = &t.program;
     let mut hidden: Option<HiddenStores> = None;
     for f in &p.functions {
-        let mut deps: HashMap<VarBinding, HashSet<VarBinding>> = HashMap::new();
+        let mut deps: HashMap<VarBinding, HashSet<VarBinding>> = HashMap::default();
         walk_stmts_in_block(&f.body, &mut |s| {
             if let Some((slot, value)) = derivation(s) {
                 let reads = deps.entry(slot).or_default();
@@ -1045,7 +1037,7 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
         if deps.is_empty() {
             continue;
         }
-        let mut assigners: HashMap<usize, HashSet<String>> = HashMap::new();
+        let mut assigners: HashMap<usize, HashSet<String>> = HashMap::default();
         for d in deps.values().flatten() {
             if let VarBinding::Global(g) = d {
                 let hs = hidden.get_or_insert_with(|| HiddenStores::of(p));
@@ -1061,8 +1053,8 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
             loops: Vec::new(),
             stale_uses: Vec::new(),
         };
-        flow.block(&f.body, Some(HashSet::new()));
-        let mut seen: HashSet<VarBinding> = HashSet::new();
+        flow.block(&f.body, Some(HashSet::default()));
+        let mut seen: HashSet<VarBinding> = HashSet::default();
         for (slot, span) in std::mem::take(&mut flow.stale_uses) {
             if !seen.insert(slot) {
                 continue;
@@ -1090,11 +1082,10 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
 fn check_sync_windows(
     analysis: &Analysis,
     t: &Transformed,
-    spans: &HashMap<u32, SourceSpan>,
+    eids: &EidIndex<'_>,
     report: &mut Report,
 ) {
     let ordered = analysis.shared_carried_eids();
-    let orig_index = eid_index(&analysis.program);
     for (loop_id, l) in t.parallel.loops.iter().enumerate() {
         let Some(mode) = l.mode else { continue };
         let region = body_region(&t.parallel, l.body_entry);
@@ -1108,7 +1099,7 @@ fn check_sync_windows(
                 Instr::Post(id) if id as usize == loop_id => posts.push(pc),
                 Instr::Load { site, .. } | Instr::Store { site, .. } if site != NO_SITE => {
                     let teid = t.parallel.sites.info(site).eid;
-                    if let Some(&orig) = t.eid_provenance.get(&teid) {
+                    if let Some(orig) = t.provenance(teid) {
                         if ordered_eids.contains(&orig) {
                             accesses.push((pc, orig));
                         }
@@ -1153,12 +1144,12 @@ fn check_sync_windows(
                             format!(
                                 "ordered shared access `{}` lies outside the \
                                  Wait/Post window of its DOACROSS loop",
-                                describe(orig, &orig_index, &analysis.program)
+                                describe(orig, eids, &analysis.program)
                             ),
                         )
                         .with_loop(&l.label);
-                        if let Some(sp) = spans.get(&orig) {
-                            d = d.with_span(*sp);
+                        if let Some(e) = eids.get(orig) {
+                            d = d.with_span(e.span);
                         }
                         report.push(d);
                     }

@@ -36,7 +36,7 @@ pub mod stackcheck;
 pub mod staticdep;
 pub mod xlatecheck;
 
-use std::collections::{HashMap, HashSet};
+use dse_lang::fasthash::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dse_core::cache::Trace;
@@ -46,8 +46,8 @@ use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::{find_candidate_loops, CandidateLoop};
 use dse_ir::RegProgram;
 use dse_lang::ast::{
-    eid_index, walk_exprs_in_block, walk_exprs_in_stmt, walk_stmts_in_block, AssignOp, Expr,
-    ExprKind, VarBinding, NO_EID,
+    eid_index, walk_exprs_in_block, walk_exprs_in_stmt, walk_stmts_in_block, AssignOp, EidIndex,
+    Expr, ExprKind, VarBinding, NO_EID,
 };
 use dse_runtime::{Vm, VmConfig};
 use dse_telemetry::{ContentHash, ContentHasher};
@@ -56,26 +56,33 @@ use diag::{Code, Diagnostic, Report};
 
 /// Pass 1: checks the profiled classifications against the static
 /// approximation (`DSE001`/`DSE002`/`DSE008`) and for cross-loop
-/// consistency (`DSE007`). Runs before planning, on the [`Analysis`] alone.
-pub fn check_analysis(analysis: &Analysis, report: &mut Report) {
-    staticdep::check(analysis, report);
-    check_classification_conflicts(analysis, report);
+/// consistency (`DSE007`). Runs before planning, on the [`Analysis`] alone;
+/// `eids` indexes `analysis.program`.
+pub fn check_analysis(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
+    staticdep::check(analysis, eids, report);
+    check_classification_conflicts(analysis, eids, report);
     check_nested_induction_reads(analysis, report);
 }
 
 /// Pass 2: checks the transform's output against its Table 1–3 invariants
-/// (`DSE003`–`DSE006`).
-pub fn check_transformed(analysis: &Analysis, t: &Transformed, report: &mut Report) {
-    invariants::check(analysis, t, report);
+/// (`DSE003`–`DSE006`); `eids` indexes `analysis.program`.
+pub fn check_transformed(
+    analysis: &Analysis,
+    t: &Transformed,
+    eids: &EidIndex<'_>,
+    report: &mut Report,
+) {
+    invariants::check(analysis, t, eids, report);
 }
 
 /// Runs every applicable pass and returns the sorted report: pass 1 always,
 /// pass 2 when a transformed program is supplied.
 pub fn check_all(analysis: &Analysis, transformed: Option<&Transformed>) -> Report {
     let mut report = Report::default();
-    check_analysis(analysis, &mut report);
+    let eids = eid_index(&analysis.program);
+    check_analysis(analysis, &eids, &mut report);
     if let Some(t) = transformed {
-        check_transformed(analysis, t, &mut report);
+        check_transformed(analysis, t, &eids, &mut report);
     }
     report.sort();
     report
@@ -193,9 +200,8 @@ pub fn verified_reg_vm(
 /// by one candidate loop and shared by another — plan merging refuses such
 /// programs, so surfacing the conflict as a lint keeps `dsec check` ahead
 /// of the transform's hard error.
-fn check_classification_conflicts(analysis: &Analysis, report: &mut Report) {
-    let index = eid_index(&analysis.program);
-    let mut seen: HashMap<u32, (SiteClass, String)> = HashMap::new();
+fn check_classification_conflicts(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
+    let mut seen: HashMap<u32, (SiteClass, String)> = HashMap::default();
     let mut conflicted: Vec<u32> = Vec::new();
     for c in &analysis.classifications {
         for (&site, &class) in &c.site_class {
@@ -223,7 +229,7 @@ fn check_classification_conflicts(analysis: &Analysis, report: &mut Report) {
                                  plan cannot satisfy both"
                             ),
                         );
-                        if let Some(e) = index.get(&eid) {
+                        if let Some(e) = eids.get(eid) {
                             d = d.with_span(e.span);
                         }
                         report.push(d);
@@ -261,13 +267,13 @@ fn check_nested_induction_reads(analysis: &Analysis, report: &mut Report) {
             if flagged.contains(&slot) {
                 continue;
             }
-            let mut indexed: HashSet<*const Expr> = HashSet::new();
+            let mut indexed: HashSet<*const Expr> = HashSet::default();
             for c in nested.iter().filter(|c| c.induction_slot == slot) {
                 walk_exprs_in_stmt(c.stmt, &mut |e| {
                     indexed.insert(e);
                 });
             }
-            let mut written: HashSet<*const Expr> = HashSet::new();
+            let mut written: HashSet<*const Expr> = HashSet::default();
             let mut read: Option<&Expr> = None;
             walk_exprs_in_block(outer.body(), &mut |e| {
                 if indexed.contains(&(e as *const Expr)) {

@@ -25,7 +25,7 @@
 //! the points-to graph despite the profile never observing it, and `DSE008`
 //! for candidate loops whose profile run never iterated.
 
-use std::collections::{HashMap, HashSet};
+use dse_lang::fasthash::{HashMap, HashSet};
 
 use dse_analysis::PtObj;
 use dse_core::{Analysis, LoopClassification, SiteClass};
@@ -85,10 +85,10 @@ pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
     out
 }
 
-/// Runs the pass, appending findings to `report`.
-pub fn check(analysis: &Analysis, report: &mut Report) {
+/// Runs the pass, appending findings to `report`. `eids` indexes
+/// `analysis.program`.
+pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
-    let eids = eid_index(&analysis.program);
     for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
         let cand = cands.iter().find(|c| c.label == cls.label);
         if ddg.iterations == 0 {
@@ -104,7 +104,7 @@ pub fn check(analysis: &Analysis, report: &mut Report) {
             report.push(d);
             continue;
         }
-        let diff = diff_loop(analysis, ddg, cls, cand, &eids);
+        let diff = diff_loop(analysis, ddg, cls, cand, eids);
         let shared_objs = shared_objects(analysis, cls);
         for class in &diff.classes {
             if !class.profiled_private {
@@ -173,16 +173,16 @@ fn diff_loop(
     ddg: &LoopDdg,
     cls: &LoopClassification,
     cand: Option<&CandidateLoop<'_>>,
-    eid_index: &HashMap<u32, &Expr>,
+    eid_index: &EidIndex<'_>,
 ) -> LoopDiff {
     // Group sites into classes.
-    let mut groups: HashMap<SiteId, Vec<SiteId>> = HashMap::new();
+    let mut groups: HashMap<SiteId, Vec<SiteId>> = HashMap::default();
     for (&site, &rep) in &cls.class_of {
         groups.entry(rep).or_default().push(site);
     }
 
     // Map load eid -> class rep for the private classes, then scan.
-    let mut load_class: HashMap<u32, SiteId> = HashMap::new();
+    let mut load_class: HashMap<u32, SiteId> = HashMap::default();
     for (&rep, sites) in &groups {
         if !cls.is_private(rep) {
             continue;
@@ -198,8 +198,8 @@ fn diff_loop(
         let mut scanner = Scanner {
             program: &analysis.program,
             load_class: &load_class,
-            uncovered: HashMap::new(),
-            seen_loads: HashSet::new(),
+            uncovered: HashMap::default(),
+            seen_loads: HashSet::default(),
         };
         let mut st = KillState::default();
         scanner.scan_block(c.body(), &mut st, None);
@@ -229,7 +229,7 @@ fn diff_loop(
             eids.dedup();
             let mut site_spans: Vec<SourceSpan> = eids
                 .iter()
-                .filter_map(|e| Some(eid_index.get(e)?.span))
+                .filter_map(|&e| Some(eid_index.get(e)?.span))
                 .collect();
             site_spans.sort_by_key(|s| s.start);
             site_spans.dedup();
@@ -282,12 +282,8 @@ fn diff_loop(
 }
 
 /// Span and printed form of the expression with the given eid.
-fn describe(
-    eid: u32,
-    eid_index: &HashMap<u32, &Expr>,
-    program: &Program,
-) -> (Option<SourceSpan>, String) {
-    match eid_index.get(&eid) {
+fn describe(eid: u32, eid_index: &EidIndex<'_>, program: &Program) -> (Option<SourceSpan>, String) {
+    match eid_index.get(eid) {
         Some(e) => (Some(e.span), printer::expr(e, program)),
         None => (None, format!("eid#{eid}")),
     }

@@ -52,7 +52,7 @@
 //! and compared, so an illegal *plan* is caught even when the code matches
 //! it.
 
-use std::collections::HashMap;
+use dse_lang::fasthash::HashMap;
 
 use dse_ir::bytecode::{
     Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, Instr, LoopEvent, Pc, RetKind,
@@ -411,7 +411,7 @@ impl<'p> Promo<'p> {
 
 impl<'p> Validator<'p> {
     fn new(prog: &'p CompiledProgram, rp: &'p RegProgram, flow: &'p StackFlow) -> Validator<'p> {
-        let mut region_entry = HashMap::new();
+        let mut region_entry = HashMap::default();
         for (fi, f) in prog.funcs.iter().enumerate() {
             region_entry.insert(f.entry, fi as u32);
         }
@@ -547,7 +547,7 @@ impl<'p> Validator<'p> {
 
         let mut stack_side = StackSide {
             stack: stack_vals,
-            logical: HashMap::new(),
+            logical: HashMap::default(),
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
@@ -1040,7 +1040,7 @@ impl<'p> Validator<'p> {
         let mut r = RegSide {
             promo,
             regs,
-            home: HashMap::new(),
+            home: HashMap::default(),
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
