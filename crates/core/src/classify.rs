@@ -16,8 +16,8 @@
 
 use dse_depprof::{DepKind, LoopDdg};
 use dse_ir::loops::ParMode;
-use dse_ir::sites::SiteId;
-use dse_lang::fasthash::{HashMap, HashSet};
+use dse_ir::sites::{SiteId, SiteTable};
+use dse_lang::ast::NO_EID;
 
 /// Union-find over site ids: a parent vector indexed by site, grown to the
 /// largest site it has seen. Site ids index the program's site table, so
@@ -70,58 +70,83 @@ pub enum SiteClass {
     Shared,
 }
 
+/// One access class (Definition 4) and its verdict (Definition 5).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessClass {
+    /// Member sites, ascending; the first names the class.
+    pub sites: Vec<SiteId>,
+    /// The members involved in a loop-carried dependence, ascending: empty
+    /// when the class carries none.
+    pub carried: Vec<SiteId>,
+    /// Definition 5's verdict, shared by every member.
+    pub verdict: SiteClass,
+}
+
+/// `LoopClassification::class_index` entry of a site the loop never
+/// accessed.
+const NO_CLASS: u32 = u32::MAX;
+
 /// The classification of one candidate loop's accesses.
 #[derive(Debug, Clone)]
 pub struct LoopClassification {
-    /// Loop label.
+    /// Loop label, for printing.
     pub label: String,
-    /// Class representative for each site.
-    pub class_of: HashMap<SiteId, SiteId>,
-    /// Classification per site.
-    pub site_class: HashMap<SiteId, SiteClass>,
-    /// Sites involved in *any* loop-carried dependence.
-    pub carried_sites: HashSet<SiteId>,
-    /// Shared sites involved in loop-carried dependences — these force
-    /// DOACROSS ordering and define the synchronized region.
-    pub shared_carried_sites: HashSet<SiteId>,
+    /// The loop's access classes, in order of their first site.
+    pub classes: Vec<AccessClass>,
+    /// Per site id: its class's index in `classes` (`NO_CLASS` past the
+    /// loop's sites).
+    class_index: Vec<u32>,
     /// Chosen parallelization mode.
     pub mode: ParMode,
 }
 
 impl LoopClassification {
+    /// The class a site belongs to, if the loop accessed it.
+    pub fn class_of(&self, site: SiteId) -> Option<&AccessClass> {
+        let at = *self.class_index.get(site as usize)?;
+        self.classes.get(at as usize)
+    }
+
     /// The private sites.
     pub fn private_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.site_class
+        self.classes
             .iter()
-            .filter(|(_, c)| **c == SiteClass::Private)
-            .map(|(s, _)| *s)
+            .filter(|c| c.verdict == SiteClass::Private)
+            .flat_map(|c| c.sites.iter().copied())
+    }
+
+    /// Shared sites involved in loop-carried dependences: they force
+    /// DOACROSS ordering and define the synchronized region.
+    pub fn shared_carried_sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.classes
+            .iter()
+            .filter(|c| c.verdict == SiteClass::Shared)
+            .flat_map(|c| c.carried.iter().copied())
     }
 
     /// True if the given site is classified private.
     pub fn is_private(&self, site: SiteId) -> bool {
-        self.site_class.get(&site) == Some(&SiteClass::Private)
+        self.class_of(site)
+            .is_some_and(|c| c.verdict == SiteClass::Private)
     }
 
     /// Figure 8 breakdown of this loop's *dynamic* accesses:
     /// `(free_of_carried, expandable, with_carried)` fractions of the total.
     pub fn access_breakdown(&self, ddg: &LoopDdg) -> AccessBreakdown {
-        let mut free = 0u64;
-        let mut expandable = 0u64;
-        let mut carried = 0u64;
-        for (site, count) in &ddg.site_counts {
-            if !self.carried_sites.contains(site) {
-                free += count;
-            } else if self.is_private(*site) {
-                expandable += count;
-            } else {
-                carried += count;
+        let mut b = AccessBreakdown::default();
+        for class in &self.classes {
+            for site in &class.sites {
+                let count = ddg.site_counts.get(site).copied().unwrap_or(0);
+                if class.carried.binary_search(site).is_err() {
+                    b.free += count;
+                } else if class.verdict == SiteClass::Private {
+                    b.expandable += count;
+                } else {
+                    b.carried += count;
+                }
             }
         }
-        AccessBreakdown {
-            free,
-            expandable,
-            carried,
-        }
+        b
     }
 }
 
@@ -157,76 +182,113 @@ impl AccessBreakdown {
 pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     // 1. Access classes: union over loop-independent dependences.
     let mut uf = UnionFind::new();
-    for site in ddg.site_counts.keys() {
-        uf.find(*site);
+    for e in ddg.edges.iter().filter(|e| !e.carried) {
+        uf.union(e.src, e.dst);
     }
-    for e in &ddg.edges {
-        if !e.carried {
-            uf.union(e.src, e.dst);
-        }
-    }
-    // 2. Gather per-class facts.
-    let all_sites: Vec<SiteId> = ddg.site_counts.keys().copied().collect();
+    let mut sites: Vec<SiteId> = ddg.site_counts.keys().copied().collect();
+    sites.sort_unstable();
     let carried_flow = ddg.sites_in_carried(&[DepKind::Flow]);
     let carried_anti_out = ddg.sites_in_carried(&[DepKind::Anti, DepKind::Output]);
-    let carried_sites: HashSet<SiteId> = carried_flow.union(&carried_anti_out).copied().collect();
-
-    #[derive(Default)]
-    struct ClassFacts {
-        exposed: bool,
-        carried_flow: bool,
-        carried_anti_out: bool,
-    }
-    let mut facts: HashMap<SiteId, ClassFacts> = HashMap::default();
-    for &s in &all_sites {
-        let rep = uf.find(s);
-        let f = facts.entry(rep).or_default();
-        if ddg.upward_exposed.contains(&s) || ddg.downward_exposed.contains(&s) {
-            f.exposed = true;
+    // 2. Gather the classes and their facts: (exposed, carried flow,
+    // carried anti/output).
+    let mut class_index = vec![NO_CLASS; sites.last().map_or(0, |&s| s as usize + 1)];
+    let mut of_rep: Vec<u32> = Vec::new();
+    let mut classes: Vec<AccessClass> = Vec::new();
+    let mut facts: Vec<[bool; 3]> = Vec::new();
+    for &s in &sites {
+        let rep = uf.find(s) as usize;
+        if rep >= of_rep.len() {
+            of_rep.resize(rep + 1, NO_CLASS);
         }
-        if carried_flow.contains(&s) {
-            f.carried_flow = true;
+        if of_rep[rep] == NO_CLASS {
+            of_rep[rep] = classes.len() as u32;
+            classes.push(AccessClass {
+                sites: Vec::new(),
+                carried: Vec::new(),
+                verdict: SiteClass::Shared,
+            });
+            facts.push([false; 3]);
         }
-        if carried_anti_out.contains(&s) {
-            f.carried_anti_out = true;
+        let at = of_rep[rep];
+        class_index[s as usize] = at;
+        let (class, f) = (&mut classes[at as usize], &mut facts[at as usize]);
+        class.sites.push(s);
+        f[0] |= ddg.upward_exposed.contains(&s) || ddg.downward_exposed.contains(&s);
+        f[1] |= carried_flow.contains(&s);
+        f[2] |= carried_anti_out.contains(&s);
+        if carried_flow.contains(&s) || carried_anti_out.contains(&s) {
+            class.carried.push(s);
         }
     }
     // 3. Definition 5.
-    let mut class_of = HashMap::default();
-    let mut site_class = HashMap::default();
-    for &s in &all_sites {
-        let rep = uf.find(s);
-        class_of.insert(s, rep);
-        let f = &facts[&rep];
-        let private = !f.exposed && !f.carried_flow && f.carried_anti_out;
-        site_class.insert(
-            s,
-            if private {
-                SiteClass::Private
-            } else {
-                SiteClass::Shared
-            },
-        );
+    for (class, [exposed, flow, anti_out]) in classes.iter_mut().zip(facts) {
+        if !exposed && !flow && anti_out {
+            class.verdict = SiteClass::Private;
+        }
     }
     // 4. Mode: shared sites still carrying dependences force DOACROSS.
-    let shared_carried_sites: HashSet<SiteId> = carried_sites
+    let ordered = classes
         .iter()
-        .filter(|s| site_class.get(s) == Some(&SiteClass::Shared))
-        .copied()
-        .collect();
-    let mode = if shared_carried_sites.is_empty() {
-        ParMode::DoAll
-    } else {
-        ParMode::DoAcross
-    };
+        .any(|c| c.verdict == SiteClass::Shared && !c.carried.is_empty());
     LoopClassification {
         label: ddg.label.clone(),
-        class_of,
-        site_class,
-        carried_sites,
-        shared_carried_sites,
-        mode,
+        classes,
+        class_index,
+        mode: if ordered {
+            ParMode::DoAcross
+        } else {
+            ParMode::DoAll
+        },
     }
+}
+
+/// How the classified loops judged one source access (an expression id):
+/// the candidate position of the first loop that found one of its sites
+/// private, and of the first that found one shared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EidVerdict {
+    /// First loop with a private site of this eid.
+    pub private_in: Option<u32>,
+    /// First loop with a shared site of this eid.
+    pub shared_in: Option<u32>,
+}
+
+impl EidVerdict {
+    /// `(private_in, shared_in)` when both exist: no single expansion plan
+    /// satisfies both loops.
+    pub fn conflict(&self) -> Option<(u32, u32)> {
+        Some((self.private_in?, self.shared_in?))
+    }
+}
+
+/// The per-eid verdict table across loops, indexed by expression id:
+/// `loops` yields each classified loop with its candidate position, in
+/// position order, and `sites` maps its sites to eids.
+pub fn eid_verdicts<'a>(
+    sites: &SiteTable,
+    loops: impl IntoIterator<Item = (u32, &'a LoopClassification)>,
+) -> Vec<EidVerdict> {
+    let mut table: Vec<EidVerdict> = Vec::new();
+    for (position, cls) in loops {
+        for class in &cls.classes {
+            for &site in &class.sites {
+                let eid = sites.info(site).eid;
+                if eid == NO_EID {
+                    continue;
+                }
+                if eid as usize >= table.len() {
+                    table.resize(eid as usize + 1, EidVerdict::default());
+                }
+                let v = &mut table[eid as usize];
+                let first = match class.verdict {
+                    SiteClass::Private => &mut v.private_in,
+                    SiteClass::Shared => &mut v.shared_in,
+                };
+                first.get_or_insert(position);
+            }
+        }
+    }
+    table
 }
 
 #[cfg(test)]
@@ -303,7 +365,7 @@ mod tests {
         assert!(!c.is_private(0));
         assert!(!c.is_private(1));
         assert_eq!(c.mode, ParMode::DoAcross);
-        assert!(c.shared_carried_sites.contains(&0));
+        assert!(c.shared_carried_sites().any(|s| s == 0));
     }
 
     /// Condition 1: an upwards-exposed load poisons its whole class.

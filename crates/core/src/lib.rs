@@ -58,7 +58,9 @@ pub mod plan;
 pub mod xform;
 
 pub use cache::{ArtifactStore, CacheOutcome, PhaseOutcome, StoreStats, Trace};
-pub use classify::{classify_loop, AccessBreakdown, LoopClassification, SiteClass};
+pub use classify::{
+    classify_loop, AccessBreakdown, AccessClass, EidVerdict, LoopClassification, SiteClass,
+};
 pub use phases::{AnalysisArt, Pipeline, RegArt, TransformArt};
 pub use plan::{build_plan, ExpansionPlan, LayoutMode, OptLevel, PlanError, PlanInputs};
 pub use xform::{expand_program, ExpansionReport, XformError, XformResult};
@@ -112,8 +114,16 @@ pub struct Analysis {
     pub serial: CompiledProgram,
     /// Per-candidate-loop dependence graphs from the profiling run.
     pub profile: ProfileResult,
-    /// Per-candidate-loop classifications, parallel to `profile.loops`.
+    /// Per-candidate-loop classifications, parallel to `profile.loops`:
+    /// the `i`-th belongs to candidate position `profile.loops[i].loop_id`.
     pub classifications: Vec<LoopClassification>,
+    /// Per candidate position: the expression ids of the loop's shared
+    /// accesses in loop-carried dependences, its DOACROSS ordered section
+    /// (empty for a loop the profile never entered).
+    pub ordered_eids: Vec<HashSet<u32>>,
+    /// Per expression id: the loops that judged its accesses private and
+    /// shared ([`classify::eid_verdicts`]).
+    pub verdicts: Vec<EidVerdict>,
     /// Points-to results.
     pub pt: dse_analysis::PointsTo,
     /// Allocation-size facts.
@@ -133,9 +143,9 @@ pub struct Transformed {
     /// The expansion plan the transform executed (inspectable; consumed by
     /// the `dse-verify` invariant checker).
     pub plan: ExpansionPlan,
-    /// Per candidate-loop label: the DOACROSS `Wait`/`Post` window over
+    /// Per candidate position: the DOACROSS `Wait`/`Post` window over
     /// transformed top-level body statement indices.
-    pub sync_windows: HashMap<String, Option<(usize, usize)>>,
+    pub sync_windows: Vec<Option<(usize, usize)>>,
     /// Per transformed expression id, the original expression id of a
     /// rebuilt access/allocation node, else `NO_EID` (see
     /// [`XformResult::eid_provenance`] and [`Transformed::provenance`]).
@@ -175,6 +185,17 @@ impl Analysis {
     /// The classification for a loop label.
     pub fn classification(&self, label: &str) -> Option<&LoopClassification> {
         self.classifications.iter().find(|c| c.label == label)
+    }
+
+    /// Each classification with its loop's candidate position.
+    pub fn positioned(&self) -> impl Iterator<Item = (u32, &LoopClassification)> + '_ {
+        let positions = self.profile.loops.iter().map(|ddg| ddg.loop_id);
+        positions.zip(&self.classifications)
+    }
+
+    /// The label of the candidate loop at `position`, for printing.
+    pub fn label(&self, position: u32) -> &str {
+        &self.serial.loops[position as usize].label
     }
 
     /// Builds the expansion plan at the given optimization level and
@@ -224,13 +245,7 @@ impl Analysis {
     ) -> PlanInputs<'_> {
         PlanInputs {
             program: &self.program,
-            sites: &self.serial.sites,
-            loops: self
-                .profile
-                .loops
-                .iter()
-                .zip(&self.classifications)
-                .collect(),
+            verdicts: &self.verdicts,
             pt: &self.pt,
             alloc_sizes: &self.alloc_sizes,
             opt,
@@ -275,8 +290,7 @@ impl Analysis {
     ///
     /// Propagates transformation and lowering failures.
     pub fn apply_plan(&self, plan: ExpansionPlan, opt: OptLevel) -> Result<Transformed, DseError> {
-        let sync_eids = self.shared_carried_eids();
-        let result = expand_program(&self.program, &plan, &sync_eids)?;
+        let result = expand_program(&self.program, &plan, &self.ordered_eids)?;
         let parallel = self.lower_parallel(&result.program, &result.sync_windows, opt)?;
         Ok(Transformed {
             program: result.program,
@@ -290,9 +304,9 @@ impl Analysis {
 
     /// Lowers a transformed program the way [`Analysis::apply_plan`] does:
     /// each candidate loop scheduled per its classification, DOACROSS loops
-    /// ordered by `sync_windows` (top-level statement indices of the
-    /// transformed body). Public so a test can re-lower a program it has
-    /// corrupted on purpose.
+    /// ordered by `sync_windows` (per candidate position, top-level
+    /// statement indices of the transformed body). Public so a test can
+    /// re-lower a program it has corrupted on purpose.
     ///
     /// # Errors
     ///
@@ -300,22 +314,20 @@ impl Analysis {
     pub fn lower_parallel(
         &self,
         program: &Program,
-        sync_windows: &HashMap<String, Option<(usize, usize)>>,
+        sync_windows: &[Option<(usize, usize)>],
         opt: OptLevel,
     ) -> Result<CompiledProgram, DseError> {
         let mut opts = LowerOptions {
             mode: LowerMode::Parallel,
+            par: vec![None; self.serial.loops.len()],
             naive_redirection: opt == OptLevel::None,
             ..Default::default()
         };
-        for cls in &self.classifications {
-            opts.par.insert(
-                cls.label.clone(),
-                ParLoopSpec {
-                    mode: cls.mode,
-                    sync_window: sync_windows.get(&cls.label).copied().flatten(),
-                },
-            );
+        for (k, cls) in self.positioned() {
+            opts.par[k as usize] = Some(ParLoopSpec {
+                mode: cls.mode,
+                sync_window: sync_windows.get(k as usize).copied().flatten(),
+            });
         }
         Ok(dse_ir::lower_program(program, &opts)?)
     }
@@ -333,21 +345,5 @@ impl Analysis {
     pub fn baseline_parallel(&self, nthreads: u32) -> Result<Transformed, DseError> {
         let plan = self.baseline_plan(nthreads)?;
         self.apply_plan(plan, OptLevel::Full)
-    }
-
-    /// Per loop label: eids of shared accesses involved in loop-carried
-    /// dependences (the ordered section for DOACROSS).
-    pub fn shared_carried_eids(&self) -> HashMap<String, HashSet<u32>> {
-        let mut out = HashMap::default();
-        for cls in &self.classifications {
-            let eids: HashSet<u32> = cls
-                .shared_carried_sites
-                .iter()
-                .map(|s| self.serial.sites.info(*s).eid)
-                .filter(|&e| e != dse_lang::ast::NO_EID)
-                .collect();
-            out.insert(cls.label.clone(), eids);
-        }
-        out
     }
 }

@@ -34,14 +34,14 @@
 //! later phase is a cache hit.
 
 use crate::cache::{ArtifactStore, PhaseStats, Trace};
-use crate::classify::{classify_loop, LoopClassification};
+use crate::classify::{classify_loop, eid_verdicts, LoopClassification};
 use crate::plan::{ExpansionPlan, OptLevel};
 use crate::{Analysis, DseError, Transformed};
 use dse_depprof::ProfileResult;
 use dse_ir::bytecode::{CompiledProgram, InitValue};
 use dse_ir::loops::ParMode;
 use dse_lang::ast::Program;
-use dse_lang::fasthash::HashMap;
+use dse_lang::fasthash::{HashMap, HashSet};
 use dse_runtime::VmConfig;
 use dse_telemetry::hash::{ContentHash, ContentHasher};
 use std::sync::{Arc, OnceLock};
@@ -134,7 +134,9 @@ pub fn classify_phase(program: &Program, profile: &ProfileResult) -> (Classified
     (classified, stats)
 }
 
-/// Assembles an [`Analysis`] from the four analysis-phase artifacts. The
+/// Assembles an [`Analysis`] from the four analysis-phase artifacts, and
+/// derives, once, what every later stage reads of the classifications:
+/// each candidate loop's ordered eids and the per-eid verdict table. The
 /// trace parameter is unused: a request's phase records live in its own
 /// [`Trace`], and the argument goes when `benchmark/` stops passing it.
 pub fn assemble_analysis(
@@ -155,14 +157,28 @@ fn assemble(
     profile: ProfileResult,
     classified: Classified,
 ) -> Analysis {
-    Analysis {
+    let mut analysis = Analysis {
         program,
         serial,
         profile,
         classifications: classified.classifications,
+        ordered_eids: Vec::new(),
+        verdicts: Vec::new(),
         pt: classified.pt,
         alloc_sizes: classified.alloc_sizes,
+    };
+    let sites = &analysis.serial.sites;
+    let mut ordered_eids = vec![HashSet::default(); analysis.serial.loops.len()];
+    for (k, cls) in analysis.positioned() {
+        ordered_eids[k as usize] = cls
+            .shared_carried_sites()
+            .map(|s| sites.info(s).eid)
+            .filter(|&e| e != dse_lang::ast::NO_EID)
+            .collect();
     }
+    analysis.verdicts = eid_verdicts(sites, analysis.positioned());
+    analysis.ordered_eids = ordered_eids;
+    analysis
 }
 
 // ---------------------------------------------------------------------------

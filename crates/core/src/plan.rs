@@ -28,12 +28,10 @@
 //! and no promotion in it lacks a recorded [`FatCause`].
 
 use crate::access::{access_root, AccessRoot};
-use crate::classify::LoopClassification;
+use crate::classify::EidVerdict;
 use crate::xform::TypeMap;
 use dse_analysis::consteval::{alloc_call_size, AllocSizeInfo};
 use dse_analysis::{PointsTo, PtObj, VarId};
-use dse_depprof::LoopDdg;
-use dse_ir::sites::SiteTable;
 use dse_lang::ast::*;
 use dse_lang::fasthash::{HashMap, HashSet};
 use dse_lang::types::Type;
@@ -83,16 +81,6 @@ impl OptLevel {
             .into_iter()
             .find(|o| o.name() == s)
     }
-}
-
-/// The per-site classification outcome, merged across parallelized loops
-/// and keyed by AST expression id.
-#[derive(Debug, Clone, Default)]
-pub struct MergedClassification {
-    /// Eids whose accesses are thread-private (either kind).
-    pub private_eids: HashSet<u32>,
-    /// Eids observed in any profiled loop (shared or private).
-    pub seen_eids: HashSet<u32>,
 }
 
 /// A planning failure with explanation.
@@ -246,41 +234,23 @@ impl ExpansionPlan {
     }
 }
 
-/// Merges per-loop classifications into eid-keyed sets.
+/// The eids whose accesses are thread-private, from the per-eid verdict
+/// table.
 ///
 /// # Errors
 ///
-/// Fails if a site is private in one parallelized loop but shared in
+/// Fails if an eid is private in one parallelized loop but shared in
 /// another (the transform could not satisfy both).
-pub fn merge_classifications(
-    sites: &SiteTable,
-    parts: &[(&LoopDdg, &LoopClassification)],
-) -> Result<MergedClassification, PlanError> {
-    let mut private = HashSet::default();
-    let mut shared = HashSet::default();
-    let mut seen = HashSet::default();
-    for (_, cls) in parts {
-        for (site, class) in &cls.site_class {
-            let info = sites.info(*site);
-            if info.eid == dse_lang::ast::NO_EID {
-                continue;
-            }
-            seen.insert(info.eid);
-            match class {
-                crate::classify::SiteClass::Private => private.insert(info.eid),
-                crate::classify::SiteClass::Shared => shared.insert(info.eid),
-            };
-        }
-    }
-    if let Some(conflict) = private.intersection(&shared).next() {
+pub fn merge_classifications(verdicts: &[EidVerdict]) -> Result<HashSet<u32>, PlanError> {
+    if let Some(conflict) = verdicts.iter().position(|v| v.conflict().is_some()) {
         return Err(PlanError(format!(
             "access (eid {conflict}) is private in one parallelized loop but shared in another"
         )));
     }
-    Ok(MergedClassification {
-        private_eids: private,
-        seen_eids: seen,
-    })
+    Ok((0..)
+        .zip(verdicts)
+        .filter_map(|(eid, v)| v.private_in.map(|_| eid))
+        .collect())
 }
 
 /// All distinct pointer types appearing in declarations or expressions.
@@ -506,10 +476,8 @@ fn collect_diff_defs(program: &Program) -> Vec<(VarId, Type)> {
 pub struct PlanInputs<'a> {
     /// The original typed program.
     pub program: &'a Program,
-    /// Serial-lowering site table (maps sites to eids).
-    pub sites: &'a SiteTable,
-    /// The DDG + classification of every loop being parallelized.
-    pub loops: Vec<(&'a LoopDdg, &'a LoopClassification)>,
+    /// Per eid: how the parallelized loops judged its accesses.
+    pub verdicts: &'a [EidVerdict],
     /// Points-to results.
     pub pt: &'a PointsTo,
     /// Allocation-size facts (from [`dse_analysis::consteval::alloc_size_infos`]).
@@ -532,7 +500,7 @@ pub struct PlanInputs<'a> {
 /// Fails on classification conflicts or unsupported shapes (e.g. a function
 /// parameter that would need expansion).
 pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
-    let merged = merge_classifications(inp.sites, &inp.loops)?;
+    let private_eids = merge_classifications(inp.verdicts)?;
     let program = inp.program;
 
     // Induction variables of candidate loops must never be expanded.
@@ -565,7 +533,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
         }
         OptLevel::NoConstSpan | OptLevel::Full => {
             // Only structures referenced by private accesses (Section 3.4).
-            for &eid in &merged.private_eids {
+            for &eid in &private_eids {
                 if inp.heap_localize {
                     // Baseline: only named variables reached directly are
                     // privatized at compile time; heap accesses go through
@@ -633,7 +601,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
                 }
             }
         }
-        for &eid in &merged.private_eids {
+        for &eid in &private_eids {
             if inp.pt.site_is_indirect(eid)
                 && inp
                     .pt
@@ -652,15 +620,15 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
 
     if inp.heap_localize {
         // No spans needed: private indirect accesses use the runtime.
-        return Ok(finish(inp, expanded, merged, Promotion::default()));
+        return Ok(finish(inp, expanded, private_eids, Promotion::default()));
     }
 
     // ---- fat pointer types and constant spans -------------------------------
     // Private indirect accesses into expanded structures, with the pointer
     // type each dereferences: the sites that need a span.
     let mut span_sites: Vec<SpanSite> = Vec::new();
-    let base_tys = base_pointer_types_of_sites(program, &merged.private_eids);
-    for &eid in &merged.private_eids {
+    let base_tys = base_pointer_types_of_sites(program, &private_eids);
+    for &eid in &private_eids {
         if !inp.pt.site_is_indirect(eid) {
             continue;
         }
@@ -726,7 +694,7 @@ pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
             }
         }
     }
-    Ok(finish(inp, expanded, merged, promo))
+    Ok(finish(inp, expanded, private_eids, promo))
 }
 
 /// A private indirect access into an expanded structure.
@@ -824,7 +792,7 @@ fn uniform_size(
 fn finish(
     inp: &PlanInputs<'_>,
     expanded: HashSet<PtObj>,
-    merged: MergedClassification,
+    private_eids: HashSet<u32>,
     promo: Promotion,
 ) -> ExpansionPlan {
     ExpansionPlan {
@@ -833,7 +801,7 @@ fn finish(
         fat_types: promo.fat_types,
         fat_causes: promo.fat_causes,
         fat_ints: promo.fat_ints,
-        private_eids: merged.private_eids,
+        private_eids,
         const_span: promo.const_span,
         prune_span_work: inp.opt != OptLevel::None,
         heap_localize: inp.heap_localize,

@@ -96,9 +96,9 @@ impl ExpansionReport {
 pub struct XformResult {
     /// The transformed, re-type-checked, renumbered program.
     pub program: Program,
-    /// Per candidate-loop label: the DOACROSS `Wait`/`Post` window over
+    /// Per candidate position: the DOACROSS `Wait`/`Post` window over
     /// *transformed* top-level body statement indices.
-    pub sync_windows: HashMap<String, Option<(usize, usize)>>,
+    pub sync_windows: Vec<Option<(usize, usize)>>,
     /// Per transformed expression id, the originating expression id in the
     /// input program, for every rebuilt node that corresponds 1:1 to a
     /// source access or allocation. Synthesized bookkeeping nodes (span
@@ -110,8 +110,8 @@ pub struct XformResult {
 
 /// Applies the expansion transformation.
 ///
-/// `sync_eids` maps each parallelized loop label to the expression ids of
-/// its shared loop-carried accesses (used to place the ordered section).
+/// `ordered_eids` holds, per candidate position, the expression ids of the
+/// loop's shared loop-carried accesses (used to place the ordered section).
 ///
 /// # Errors
 ///
@@ -123,7 +123,7 @@ pub struct XformResult {
 pub fn expand_program(
     program: &Program,
     plan: &ExpansionPlan,
-    sync_eids: &HashMap<String, HashSet<u32>>,
+    ordered_eids: &[HashSet<u32>],
 ) -> Result<XformResult, XformError> {
     let tymap = TypeMap::build(&program.types, &plan.fat_types);
     let any_fat_ret = program.functions.iter().any(|f| plan.is_fat(&f.ret_ty));
@@ -134,8 +134,8 @@ pub fn expand_program(
         tymap,
         cur_func: 0,
         any_fat_ret,
-        sync_eids,
-        sync_windows: HashMap::default(),
+        ordered_eids,
+        sync_windows: vec![None; candidates.len()],
         candidates,
         report: ExpansionReport::default(),
         redirections: None,
@@ -300,7 +300,6 @@ pub fn expand_program(
     }
     xf.report.fat_pointer_types = plan.fat_types.len();
     let report = xf.report.clone();
-    let sync_windows = xf.sync_windows.clone();
 
     // Internal consistency gate: the transformed program must type-check.
     dse_lang::sema::check(&mut out)
@@ -315,7 +314,7 @@ pub fn expand_program(
     dse_lang::ast::number_exprs(&mut out);
     Ok(XformResult {
         program: out,
-        sync_windows,
+        sync_windows: xf.sync_windows,
         eid_provenance,
         report,
     })
@@ -543,10 +542,10 @@ struct Xf<'a> {
     tymap: TypeMap,
     cur_func: usize,
     any_fat_ret: bool,
-    sync_eids: &'a HashMap<String, HashSet<u32>>,
-    sync_windows: HashMap<String, Option<(usize, usize)>>,
-    /// The program's candidate loops; a candidate `for` takes its label
-    /// from here.
+    ordered_eids: &'a [HashSet<u32>],
+    sync_windows: Vec<Option<(usize, usize)>>,
+    /// The program's candidate loops; a candidate `for`'s position here
+    /// indexes `ordered_eids` and `sync_windows`.
     candidates: Vec<CandidateLoop<'a>>,
     report: ExpansionReport,
     /// While a candidate body is being rewritten with span-work pruning on:
@@ -921,13 +920,12 @@ impl<'a> Xf<'a> {
         for_stmt: &Stmt,
         body: &Block,
     ) -> Result<Block, XformError> {
-        let label = self
+        let k = self
             .candidates
             .iter()
-            .find(|c| std::ptr::eq(c.stmt, for_stmt))
-            .map(|c| c.label.clone())
+            .position(|c| std::ptr::eq(c.stmt, for_stmt))
             .ok_or_else(|| self.err("candidate loop outside the program's loop table"))?;
-        let sync_set = self.sync_eids.get(&label);
+        let ordered = self.ordered_eids.get(k);
         let collect = self.plan.prune_span_work && !self.plan.heap_localize;
         let outer = std::mem::replace(&mut self.redirections, collect.then(Vec::new));
         let mut stmts = Vec::new();
@@ -936,23 +934,22 @@ impl<'a> Xf<'a> {
         let mut sync: Vec<bool> = Vec::new();
         for orig in &body.stmts {
             stmts.extend(self.rewrite_stmt(orig)?);
-            let ordered = sync_set.is_some_and(|set| stmt_mentions_eids(self.program, orig, set));
-            sync.resize(stmts.len(), ordered);
+            let mentions = ordered.is_some_and(|set| stmt_mentions_eids(self.program, orig, set));
+            sync.resize(stmts.len(), mentions);
         }
         let redirections = std::mem::replace(&mut self.redirections, outer);
         self.hoist_redirections(redirections.unwrap_or_default(), &mut stmts, &mut sync);
-        if let Some(set) = sync_set {
-            let first = sync.iter().position(|&s| s);
-            let last = sync.iter().rposition(|&s| s);
-            let window = match (first, last) {
-                (Some(f), Some(l)) => Some((f, l)),
-                // Sync sites exist but none found in the direct body (they
-                // hide in callees): order the whole body.
-                _ if !set.is_empty() && !stmts.is_empty() => Some((0, stmts.len() - 1)),
-                _ => None,
-            };
-            self.sync_windows.insert(label, window);
-        }
+        let first = sync.iter().position(|&s| s);
+        let last = sync.iter().rposition(|&s| s);
+        self.sync_windows[k] = match (first, last) {
+            (Some(f), Some(l)) => Some((f, l)),
+            // Sync sites exist but none found in the direct body (they hide
+            // in callees): order the whole body.
+            _ if ordered.is_some_and(|set| !set.is_empty()) && !stmts.is_empty() => {
+                Some((0, stmts.len() - 1))
+            }
+            _ => None,
+        };
         Ok(Block { stmts })
     }
 

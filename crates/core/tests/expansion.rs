@@ -336,7 +336,7 @@ fn doacross_accumulator_with_scratch() {
     );
     let cls = analysis.classification("hot").unwrap();
     assert_eq!(cls.mode, dse_ir::loops::ParMode::DoAcross);
-    assert!(!cls.shared_carried_sites.is_empty());
+    assert!(cls.shared_carried_sites().next().is_some());
 }
 
 /// Private accesses inside a helper function called from the loop;
@@ -821,9 +821,9 @@ fn unlabeled_candidate_gets_sync_window() {
     // The transform must produce a window (not auto-post-only) so the
     // private work before the accumulator overlaps.
     let plan = analysis.plan(OptLevel::Full, 4).unwrap();
-    let sync_eids = analysis.shared_carried_eids();
-    let result = dse_core::expand_program(&analysis.program, &plan, &sync_eids).unwrap();
-    let window = result.sync_windows.get(&label).copied().flatten();
+    let result =
+        dse_core::expand_program(&analysis.program, &plan, &analysis.ordered_eids).unwrap();
+    let window = result.sync_windows[0];
     assert!(window.is_some(), "sync window must exist for `{label}`");
     // And the parallel runs agree with serial.
     let reference = run_outputs(analysis.serial.clone(), 1, &[]);
@@ -993,7 +993,7 @@ fn carried_pointer_is_derived_inside_the_window() {
            return 0; }";
     let analysis = check_equivalence(src, &[]);
     let t = analysis.transform(OptLevel::Full, 4).unwrap();
-    let (first, last) = t.sync_windows["hot"].expect("ordered loop");
+    let (first, last) = t.sync_windows[0].expect("ordered loop");
     let main = &t.program.functions[0];
     let body = main
         .body
@@ -1129,7 +1129,7 @@ fn ordered_access_in_a_callee_orders_the_call() {
            return 0; }";
     let analysis = check_equivalence(src, &[]);
     let t = analysis.transform(OptLevel::Full, 4).unwrap();
-    let (first, _) = t.sync_windows["hot"].expect("ordered loop");
+    let (first, _) = t.sync_windows[0].expect("ordered loop");
     let main = t
         .program
         .functions

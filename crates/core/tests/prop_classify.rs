@@ -76,10 +76,11 @@ fn classes_are_connected_components() {
         let ddg = gen_ddg(0xC1A5 + case);
         let cls = classify_loop(&ddg);
         let reference = reference_components(&ddg);
+        let class = |s| cls.class_of(s).expect("every site is classified").sites[0];
         for a in 0..NSITES {
             for b in 0..NSITES {
                 let same_ref = reference[&a] == reference[&b];
-                let same_cls = cls.class_of[&a] == cls.class_of[&b];
+                let same_cls = class(a) == class(b);
                 assert_eq!(same_ref, same_cls, "case {case}, sites {a} {b}");
             }
         }
@@ -100,7 +101,8 @@ fn definition5_holds() {
         // Group sites by class.
         let mut classes: HashMap<u32, Vec<u32>> = HashMap::default();
         for s in 0..NSITES {
-            classes.entry(cls.class_of[&s]).or_default().push(s);
+            let class = cls.class_of(s).expect("every site is classified");
+            classes.entry(class.sites[0]).or_default().push(s);
         }
         for members in classes.values() {
             let exposed = members
@@ -111,7 +113,7 @@ fn definition5_holds() {
             let should_be_private = !exposed && !has_cf && has_cao;
             for s in members {
                 assert_eq!(
-                    cls.site_class[s] == SiteClass::Private,
+                    cls.is_private(*s),
                     should_be_private,
                     "case {case}, site {s} in class {members:?}"
                 );
@@ -132,15 +134,19 @@ fn mode_matches_shared_carried() {
             ddg.sites_in_carried(&[DepKind::Flow, DepKind::Anti, DepKind::Output]);
         let expect_doacross = carried
             .iter()
-            .any(|s| cls.site_class[s] == SiteClass::Shared);
+            .any(|s| cls.class_of(*s).unwrap().verdict == SiteClass::Shared);
         assert_eq!(
             cls.mode == dse_ir::loops::ParMode::DoAcross,
             expect_doacross,
             "case {case}"
         );
-        for s in &cls.shared_carried_sites {
-            assert!(carried.contains(s), "case {case}");
-            assert_eq!(cls.site_class[s], SiteClass::Shared, "case {case}");
+        for s in cls.shared_carried_sites() {
+            assert!(carried.contains(&s), "case {case}");
+            assert_eq!(
+                cls.class_of(s).unwrap().verdict,
+                SiteClass::Shared,
+                "case {case}"
+            );
         }
     }
 }
@@ -267,10 +273,10 @@ impl MapUnionFind {
     }
 }
 
-/// On every candidate loop of the eight workloads, the finds and unions
-/// `classify_loop` makes, in its order, give every site the same
-/// representative under both union-finds, and it is the class
-/// `classify_loop` reports.
+/// On every candidate loop of the eight workloads, the same finds and
+/// unions give every site the same representative under both
+/// union-finds, and the class `classify_loop` reports for it is named by
+/// a site with that representative.
 #[test]
 fn union_find_matches_a_map_reference_on_workload_ddgs() {
     let mut loops = 0;
@@ -290,7 +296,13 @@ fn union_find_matches_a_map_reference_on_workload_ddgs() {
             for &s in ddg.site_counts.keys() {
                 let rep = reference.find(s);
                 assert_eq!(dense.find(s), rep, "{}: site {s}", ddg.label);
-                assert_eq!(cls.class_of[&s], rep, "{}: class of site {s}", ddg.label);
+                let named = cls.class_of(s).expect("every site is classified").sites[0];
+                assert_eq!(
+                    reference.find(named),
+                    rep,
+                    "{}: class of site {s}",
+                    ddg.label
+                );
             }
             loops += 1;
         }

@@ -466,15 +466,12 @@ fn forced_doacross(analysis: &Analysis, t: &dse_core::Transformed) -> CompiledPr
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    for cls in &analysis.classifications {
-        let window = t.sync_windows.get(&cls.label).copied().flatten();
-        opts.par.insert(
-            cls.label.clone(),
-            ParLoopSpec {
-                mode: ParMode::DoAcross,
-                sync_window: window.or(Some((0, 0))),
-            },
-        );
+    opts.par = vec![None; analysis.serial.loops.len()];
+    for (k, _) in analysis.positioned() {
+        opts.par[k as usize] = Some(ParLoopSpec {
+            mode: ParMode::DoAcross,
+            sync_window: t.sync_windows[k as usize].or(Some((0, 0))),
+        });
     }
     dse_ir::lower_program(&t.program, &opts).expect("transformed programs lower")
 }
@@ -645,7 +642,7 @@ fn transformed_programs_reprint_consistently() {
 /// that added the test too (15 of 40 runs printed the serial result). A
 /// carried dependence through `heapbuf` crosses iterations that localized
 /// it on different workers. It is the baseline's bug, not a backend's:
-/// un-ignore it with the fix (ROADMAP item 5).
+/// un-ignore it with the fix (ROADMAP item 6(a)).
 #[test]
 #[ignore = "the runtime-privatization baseline races on a carried heap dependence"]
 fn baseline_is_deterministic_on_a_carried_heap_dependence() {

@@ -402,14 +402,6 @@ impl CompiledProgram {
             .position(|f| f.name == name)
             .map(|i| i as u32)
     }
-
-    /// Finds a candidate loop id by label.
-    pub fn loop_by_label(&self, label: &str) -> Option<u32> {
-        self.loops
-            .iter()
-            .position(|l| l.label == label)
-            .map(|i| i as u32)
-    }
 }
 
 impl fmt::Display for Instr {
@@ -458,17 +450,7 @@ mod tests {
             ret: RetKind::Void,
             ret_float: false,
         });
-        p.loops.push(LoopCode {
-            label: "hot".into(),
-            func: 0,
-            mode: None,
-            body_entry: 0,
-            induction_offset: 0,
-            induction_width: 4,
-        });
         assert_eq!(p.func_by_name("main"), Some(0));
         assert_eq!(p.func_by_name("f"), None);
-        assert_eq!(p.loop_by_label("hot"), Some(0));
-        assert_eq!(p.loop_by_label("cold"), None);
     }
 }

@@ -140,13 +140,10 @@ mod tests {
             mode: LowerMode::Parallel,
             ..Default::default()
         };
-        opts.par.insert(
-            "hot".into(),
-            ParLoopSpec {
-                mode: ParMode::DoAll,
-                sync_window: None,
-            },
-        );
+        opts.par = vec![Some(ParLoopSpec {
+            mode: ParMode::DoAll,
+            sync_window: None,
+        })];
         let c = crate::lower_program(&ast, &opts).unwrap();
         let listing = disassemble(&c);
         assert!(listing.contains("fn helper"));

@@ -67,9 +67,10 @@ pub struct ParLoopSpec {
 pub struct LowerOptions {
     /// Serial or parallel lowering.
     pub mode: LowerMode,
-    /// Per-loop-label parallel specs (only used in parallel mode; candidate
-    /// loops without an entry run serially).
-    pub par: HashMap<String, ParLoopSpec>,
+    /// Per candidate position (the loop's index in
+    /// [`loops::find_candidate_loops`]): its parallel spec (only used in
+    /// parallel mode; candidate loops without one run serially).
+    pub par: Vec<Option<ParLoopSpec>>,
     /// Access sites to route through `Localize` (runtime-priv baseline),
     /// keyed by `(expression id, access kind)`.
     pub localize: HashSet<(u32, AccessKind)>,
@@ -651,12 +652,12 @@ impl<'a> Lowerer<'a> {
         step: Option<&Expr>,
         body: &Block,
     ) -> Result<(), LowerError> {
-        let cand = self
+        let k = self
             .candidates
             .iter()
-            .find(|c| std::ptr::eq(c.stmt, for_stmt))
-            .cloned()
+            .position(|c| std::ptr::eq(c.stmt, for_stmt))
             .ok_or_else(|| LowerError("candidate loop outside the program's loop table".into()))?;
+        let cand = self.candidates[k].clone();
         let slot = cand.induction_slot;
         let ind_off = self.frame.offsets[slot];
         let ind_ty = self.program.functions[self.cur_func as usize].locals[slot]
@@ -667,7 +668,7 @@ impl<'a> Lowerer<'a> {
             .expect("validated candidate condition");
 
         let spec = match self.opts.mode {
-            LowerMode::Parallel => self.opts.par.get(&cand.label).cloned(),
+            LowerMode::Parallel => self.opts.par.get(k).cloned().flatten(),
             LowerMode::Serial => None,
         };
 
@@ -1715,13 +1716,10 @@ mod tests {
             mode: LowerMode::Parallel,
             ..Default::default()
         };
-        opts.par.insert(
-            "hot".into(),
-            ParLoopSpec {
-                mode: ParMode::DoAll,
-                sync_window: None,
-            },
-        );
+        opts.par = vec![Some(ParLoopSpec {
+            mode: ParMode::DoAll,
+            sync_window: None,
+        })];
         let c = lower_program(&p, &opts).unwrap();
         assert_eq!(c.loops[0].mode, Some(ParMode::DoAll));
         assert!(c.code.contains(&Instr::ParLoop(0)));
@@ -1745,13 +1743,10 @@ mod tests {
             mode: LowerMode::Parallel,
             ..Default::default()
         };
-        opts.par.insert(
-            "hot".into(),
-            ParLoopSpec {
-                mode: ParMode::DoAcross,
-                sync_window: Some((2, 2)),
-            },
-        );
+        opts.par = vec![Some(ParLoopSpec {
+            mode: ParMode::DoAcross,
+            sync_window: Some((2, 2)),
+        })];
         let c = lower_program(&p, &opts).unwrap();
         let waits = c
             .code
@@ -1880,15 +1875,13 @@ mod tests {
             mode: LowerMode::Parallel,
             ..Default::default()
         };
-        for l in ["outer", "inner"] {
-            opts.par.insert(
-                l.into(),
-                ParLoopSpec {
-                    mode: ParMode::DoAll,
-                    sync_window: None,
-                },
-            );
-        }
+        opts.par = vec![
+            Some(ParLoopSpec {
+                mode: ParMode::DoAll,
+                sync_window: None,
+            });
+            2
+        ];
         let c = lower_program(&p, &opts).unwrap();
         // Inner body reads j at depth 0 and i at depth 1.
         assert!(c.code.contains(&Instr::IterIdx(0)));
@@ -1915,15 +1908,13 @@ mod tests {
             mode: LowerMode::Parallel,
             ..Default::default()
         };
-        for l in ["outer", "inner"] {
-            opts.par.insert(
-                l.into(),
-                ParLoopSpec {
-                    mode: ParMode::DoAll,
-                    sync_window: None,
-                },
-            );
-        }
+        opts.par = vec![
+            Some(ParLoopSpec {
+                mode: ParMode::DoAll,
+                sync_window: None,
+            });
+            2
+        ];
         let c = lower_program(&p, &opts).unwrap();
         let j_off = c.loops[1].induction_offset;
         let start = c.loops[0].body_entry as usize;
@@ -2066,13 +2057,10 @@ mod naive_mode_tests {
             naive_redirection: naive,
             ..Default::default()
         };
-        opts.par.insert(
-            "hot".into(),
-            ParLoopSpec {
-                mode: ParMode::DoAll,
-                sync_window: None,
-            },
-        );
+        opts.par = vec![Some(ParLoopSpec {
+            mode: ParMode::DoAll,
+            sync_window: None,
+        })];
         lower_program(&ast, &opts).unwrap()
     }
 

@@ -645,13 +645,15 @@ mod tests {
         if !par.is_empty() {
             opts.mode = LowerMode::Parallel;
         }
-        for label in par {
-            let spec = ParLoopSpec {
-                mode: crate::loops::ParMode::DoAll,
-                sync_window: None,
-            };
-            opts.par.insert(label.to_string(), spec);
-        }
+        let spec = ParLoopSpec {
+            mode: crate::loops::ParMode::DoAll,
+            sync_window: None,
+        };
+        let cands = crate::loops::find_candidate_loops(&ast).expect("candidates");
+        opts.par = cands
+            .iter()
+            .map(|c| par.contains(&c.label.as_str()).then(|| spec.clone()))
+            .collect();
         let prog = crate::lower_program(&ast, &opts).expect("lowers");
         let flow = analyze_stack(&prog).expect("flows");
         let rp = translate(&prog).expect("translates");

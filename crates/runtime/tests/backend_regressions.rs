@@ -26,7 +26,7 @@ fn lower(src: &str, spec: Option<ParLoopSpec>) -> dse_ir::bytecode::CompiledProg
             par: dse_ir::loops::find_candidate_loops(&ast)
                 .expect("candidates")
                 .into_iter()
-                .map(|c| (c.label, spec.clone()))
+                .map(|_| Some(spec.clone()))
                 .collect(),
             ..Default::default()
         },
@@ -636,10 +636,7 @@ fn nested_doacross_loops_return() {
     };
     let opts = LowerOptions {
         mode: LowerMode::Parallel,
-        par: [("outer", (0, 1)), ("nested", (0, 0))]
-            .into_iter()
-            .map(|(label, window)| (label.to_string(), ordered(window)))
-            .collect(),
+        par: vec![Some(ordered((0, 1))), Some(ordered((0, 0)))],
         ..Default::default()
     };
     let prog = dse_ir::lower_program(&ast, &opts).expect("lowering");

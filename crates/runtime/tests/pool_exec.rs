@@ -16,15 +16,13 @@ fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    for c in &cands {
-        opts.par.insert(
-            c.label.clone(),
-            ParLoopSpec {
-                mode,
-                sync_window: (mode == ParMode::DoAcross).then_some((0, 0)),
-            },
-        );
-    }
+    opts.par = vec![
+        Some(ParLoopSpec {
+            mode,
+            sync_window: (mode == ParMode::DoAcross).then_some((0, 0)),
+        });
+        cands.len()
+    ];
     dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
 

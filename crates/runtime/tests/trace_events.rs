@@ -19,15 +19,13 @@ fn compile_parallel(src: &str, mode: ParMode) -> CompiledProgram {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    for c in &cands {
-        opts.par.insert(
-            c.label.clone(),
-            ParLoopSpec {
-                mode,
-                sync_window: (mode == ParMode::DoAcross).then_some((0, 0)),
-            },
-        );
-    }
+    opts.par = vec![
+        Some(ParLoopSpec {
+            mode,
+            sync_window: (mode == ParMode::DoAcross).then_some((0, 0)),
+        });
+        cands.len()
+    ];
     dse_ir::lower_program(&ast, &opts).expect("lowering")
 }
 
@@ -326,13 +324,12 @@ fn iteration_costs_agree_across_thread_counts() {
     let spec = |mode, sync_window| ParLoopSpec { mode, sync_window };
     let opts = LowerOptions {
         mode: LowerMode::Parallel,
-        par: [
-            ("fill".to_string(), spec(ParMode::DoAll, None)),
-            // Statement 1, `g = g + a[i]`, is the ordered window.
-            ("chain".to_string(), spec(ParMode::DoAcross, Some((1, 1)))),
-        ]
-        .into_iter()
-        .collect(),
+        par: vec![
+            // `fill`.
+            Some(spec(ParMode::DoAll, None)),
+            // `chain`: statement 1, `g = g + a[i]`, is the ordered window.
+            Some(spec(ParMode::DoAcross, Some((1, 1)))),
+        ],
         ..Default::default()
     };
     let compiled = dse_ir::lower_program(&ast, &opts).expect("lowering");

@@ -32,15 +32,13 @@ fn run_parallel(src: &str, n: u32, mode: ParMode) -> i64 {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    for c in &cands {
-        opts.par.insert(
-            c.label.clone(),
-            ParLoopSpec {
-                mode,
-                sync_window: None,
-            },
-        );
-    }
+    opts.par = vec![
+        Some(ParLoopSpec {
+            mode,
+            sync_window: None,
+        });
+        cands.len()
+    ];
     let compiled = dse_ir::lower_program(&ast, &opts).expect("lowering");
     let config = VmConfig {
         nthreads: n,
@@ -556,13 +554,10 @@ fn doacross_ordered_updates_match_serial() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "chain".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAcross,
-            sync_window: Some((0, 0)),
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAcross,
+        sync_window: Some((0, 0)),
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         for n in [2, 4, 8] {
@@ -638,13 +633,10 @@ fn worker_trap_propagates() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAll,
-            sync_window: None,
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAll,
+        sync_window: None,
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         let mut vm = Vm::new(
@@ -673,13 +665,10 @@ fn doacross_worker_trap_does_not_deadlock() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAcross,
-            sync_window: Some((0, 0)),
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAcross,
+        sync_window: Some((0, 0)),
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         let mut vm = Vm::new(
@@ -770,13 +759,10 @@ fn localize_translates_heap_accesses() {
         localize,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAcross,
-            sync_window: Some((0, 1)),
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAcross,
+        sync_window: Some((0, 1)),
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         let config = VmConfig {
@@ -814,13 +800,10 @@ fn fused_frame_addr_tid_semantics() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAll,
-            sync_window: None,
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAll,
+        sync_window: None,
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     assert!(
         compiled
@@ -880,13 +863,10 @@ fn tid_scaled_peephole_matches_naive() {
             naive_redirection: naive,
             ..Default::default()
         };
-        opts.par.insert(
-            "hot".into(),
-            ParLoopSpec {
-                mode: ParMode::DoAcross,
-                sync_window: Some((0, 6)),
-            },
-        );
+        opts.par = vec![Some(ParLoopSpec {
+            mode: ParMode::DoAcross,
+            sync_window: Some((0, 6)),
+        })];
         let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
         for backend in BACKENDS {
             let mut vm = Vm::new(
@@ -1099,15 +1079,12 @@ fn iteration_cost_recording_segments() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
-        ParLoopSpec {
-            mode: ParMode::DoAcross,
-            // Statement indices count the bare `int t;` declaration:
-            // 0 decl, 1 `t = i * 3`, 2 `g = g + t`, 3 `a[i] = g`.
-            sync_window: Some((2, 2)),
-        },
-    );
+    opts.par = vec![Some(ParLoopSpec {
+        mode: ParMode::DoAcross,
+        // Statement indices count the bare `int t;` declaration:
+        // 0 decl, 1 `t = i * 3`, 2 `g = g + t`, 3 `a[i] = g`.
+        sync_window: Some((2, 2)),
+    })];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         let mut vm = Vm::new(
@@ -1163,8 +1140,7 @@ fn doacross_ordered_append_is_in_order() {
         mode: LowerMode::Parallel,
         ..Default::default()
     };
-    opts.par.insert(
-        "hot".into(),
+    opts.par = vec![Some(
         // The window covers the two append statements only: the spin work
         // overlaps across threads, the appends are ordered. Statement
         // indices count the bare declarations: 0 `int spin;`, 1 the spin
@@ -1176,7 +1152,7 @@ fn doacross_ordered_append_is_in_order() {
             mode: ParMode::DoAcross,
             sync_window: Some((5, 6)),
         },
-    );
+    )];
     let compiled = dse_ir::lower_program(&ast, &opts).unwrap();
     for backend in BACKENDS {
         for n in [2u32, 4, 8] {

@@ -82,8 +82,8 @@ fn render(path: &Path, inputs: &[i64]) -> String {
                 code_fingerprint(&t.parallel)
             )
             .unwrap();
-            for c in &cands {
-                let window = t.sync_windows.get(&c.label).copied().flatten();
+            for (k, c) in cands.iter().enumerate() {
+                let window = t.sync_windows.get(k).copied().flatten();
                 match window {
                     Some((first, last)) => writeln!(out, "{}: ({first}, {last})", c.label),
                     None => writeln!(out, "{}: none", c.label),

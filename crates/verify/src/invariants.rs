@@ -1085,14 +1085,31 @@ fn check_sync_windows(
     eids: &EidIndex<'_>,
     report: &mut Report,
 ) {
-    let ordered = analysis.shared_carried_eids();
-    for (loop_id, l) in t.parallel.loops.iter().enumerate() {
+    // `lower_parallel` outlines exactly the classified loops, in candidate
+    // order: the `j`-th parallel loop is the `j`-th classified one, at
+    // candidate position `profile.loops[j].loop_id`.
+    let (outlined, classified) = (t.parallel.loops.len(), analysis.profile.loops.len());
+    if outlined != classified {
+        report.push(Diagnostic::new(
+            Code::SyncWindowViolation,
+            format!(
+                "the parallel program outlines {outlined} loops, but {classified} were classified"
+            ),
+        ));
+        return;
+    }
+    let positions = analysis
+        .profile
+        .loops
+        .iter()
+        .map(|ddg| ddg.loop_id as usize);
+    for ((loop_id, l), k) in t.parallel.loops.iter().enumerate().zip(positions) {
         let Some(mode) = l.mode else { continue };
         let region = body_region(&t.parallel, l.body_entry);
         let mut waits: Vec<Pc> = Vec::new();
         let mut posts: Vec<Pc> = Vec::new();
         let mut accesses: Vec<(Pc, u32)> = Vec::new();
-        let ordered_eids = ordered.get(&l.label).cloned().unwrap_or_default();
+        let ordered_eids = &analysis.ordered_eids[k];
         for pc in region.clone() {
             match t.parallel.code[pc as usize] {
                 Instr::Wait(id) if id as usize == loop_id => waits.push(pc),

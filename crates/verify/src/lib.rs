@@ -36,18 +36,18 @@ pub mod stackcheck;
 pub mod staticdep;
 pub mod xlatecheck;
 
-use dse_lang::fasthash::{HashMap, HashSet};
+use dse_lang::fasthash::HashSet;
 use std::sync::Arc;
 
 use dse_core::cache::Trace;
 use dse_core::phases::{Pipeline, RegArt, TransformArt};
-use dse_core::{Analysis, ArtifactStore, SiteClass, Transformed};
+use dse_core::{Analysis, ArtifactStore, Transformed};
 use dse_ir::bytecode::CompiledProgram;
 use dse_ir::loops::{find_candidate_loops, CandidateLoop};
 use dse_ir::RegProgram;
 use dse_lang::ast::{
     eid_index, walk_exprs_in_block, walk_exprs_in_stmt, walk_stmts_in_block, AssignOp, EidIndex,
-    Expr, ExprKind, VarBinding, NO_EID,
+    Expr, ExprKind, VarBinding,
 };
 use dse_runtime::{Vm, VmConfig};
 use dse_telemetry::{ContentHash, ContentHasher};
@@ -199,45 +199,26 @@ pub fn verified_reg_vm(
 /// `DSE007`: the same source access must not be classified thread-private
 /// by one candidate loop and shared by another — plan merging refuses such
 /// programs, so surfacing the conflict as a lint keeps `dsec check` ahead
-/// of the transform's hard error.
+/// of the transform's hard error. It reads the per-eid verdict table the
+/// planner reads, so the two agree by construction.
 fn check_classification_conflicts(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
-    let mut seen: HashMap<u32, (SiteClass, String)> = HashMap::default();
-    let mut conflicted: Vec<u32> = Vec::new();
-    for c in &analysis.classifications {
-        for (&site, &class) in &c.site_class {
-            let eid = analysis.serial.sites.info(site).eid;
-            if eid == NO_EID {
-                continue;
-            }
-            match seen.get(&eid) {
-                None => {
-                    seen.insert(eid, (class, c.label.clone()));
-                }
-                Some((prev, prev_label)) if *prev != class => {
-                    if !conflicted.contains(&eid) {
-                        conflicted.push(eid);
-                        let (shared_in, private_in) = if *prev == SiteClass::Shared {
-                            (prev_label.clone(), c.label.clone())
-                        } else {
-                            (c.label.clone(), prev_label.clone())
-                        };
-                        let mut d = Diagnostic::new(
-                            Code::ClassificationConflict,
-                            format!(
-                                "access is thread-private in loop `{private_in}` but \
-                                 shared in loop `{shared_in}`; the merged expansion \
-                                 plan cannot satisfy both"
-                            ),
-                        );
-                        if let Some(e) = eids.get(eid) {
-                            d = d.with_span(e.span);
-                        }
-                        report.push(d);
-                    }
-                }
-                Some(_) => {}
-            }
+    for (eid, verdict) in (0..).zip(&analysis.verdicts) {
+        let Some((private_in, shared_in)) = verdict.conflict() else {
+            continue;
+        };
+        let mut d = Diagnostic::new(
+            Code::ClassificationConflict,
+            format!(
+                "access is thread-private in loop `{}` but shared in loop `{}`; the merged \
+                 expansion plan cannot satisfy both",
+                analysis.label(private_in),
+                analysis.label(shared_in)
+            ),
+        );
+        if let Some(e) = eids.get(eid) {
+            d = d.with_span(e.span);
         }
+        report.push(d);
     }
 }
 

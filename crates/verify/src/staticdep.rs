@@ -31,7 +31,7 @@ use dse_analysis::PtObj;
 use dse_core::{Analysis, LoopClassification, SiteClass};
 use dse_depprof::LoopDdg;
 use dse_ir::loops::{find_candidate_loops, CandidateLoop, ParMode};
-use dse_ir::sites::{AccessKind, SiteId};
+use dse_ir::sites::AccessKind;
 use dse_lang::ast::*;
 use dse_lang::printer;
 use dse_lang::source::SourceSpan;
@@ -77,12 +77,10 @@ pub struct LoopDiff {
 pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
     let eids = eid_index(&analysis.program);
-    let mut out = Vec::new();
-    for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
-        let cand = cands.iter().find(|c| c.label == cls.label);
-        out.push(diff_loop(analysis, ddg, cls, cand, &eids));
-    }
-    out
+    let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
+    loops
+        .map(|(ddg, cls)| diff_loop(analysis, ddg, cls, cands.get(ddg.loop_id as usize), &eids))
+        .collect()
 }
 
 /// Runs the pass, appending findings to `report`. `eids` indexes
@@ -90,7 +88,7 @@ pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
 pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
     for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
-        let cand = cands.iter().find(|c| c.label == cls.label);
+        let cand = cands.get(ddg.loop_id as usize);
         if ddg.iterations == 0 {
             let mut d = Diagnostic::new(
                 Code::ZeroIterationProfile,
@@ -155,13 +153,14 @@ pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     }
 }
 
-/// Union of abstract objects touched by the loop's shared sites.
+/// Union of abstract objects touched by the loop's shared classes.
 fn shared_objects(analysis: &Analysis, cls: &LoopClassification) -> HashSet<PtObj> {
-    cls.site_class
+    cls.classes
         .iter()
-        .filter(|(_, c)| **c == SiteClass::Shared)
-        .filter_map(|(s, _)| {
-            let eid = analysis.serial.sites.info(*s).eid;
+        .filter(|c| c.verdict == SiteClass::Shared)
+        .flat_map(|c| &c.sites)
+        .filter_map(|&s| {
+            let eid = analysis.serial.sites.info(s).eid;
             (eid != NO_EID).then_some(eid)
         })
         .flat_map(|e| analysis.pt.objects_of_site(e))
@@ -175,22 +174,17 @@ fn diff_loop(
     cand: Option<&CandidateLoop<'_>>,
     eid_index: &EidIndex<'_>,
 ) -> LoopDiff {
-    // Group sites into classes.
-    let mut groups: HashMap<SiteId, Vec<SiteId>> = HashMap::default();
-    for (&site, &rep) in &cls.class_of {
-        groups.entry(rep).or_default().push(site);
-    }
-
-    // Map load eid -> class rep for the private classes, then scan.
-    let mut load_class: HashMap<u32, SiteId> = HashMap::default();
-    for (&rep, sites) in &groups {
-        if !cls.is_private(rep) {
+    // Map load eid -> index of its class for the private classes, then
+    // scan.
+    let mut load_class: HashMap<u32, usize> = HashMap::default();
+    for (at, class) in cls.classes.iter().enumerate() {
+        if class.verdict != SiteClass::Private {
             continue;
         }
-        for &s in sites {
+        for &s in &class.sites {
             let info = analysis.serial.sites.info(s);
             if info.kind == AccessKind::Load && info.eid != NO_EID {
-                load_class.insert(info.eid, rep);
+                load_class.insert(info.eid, at);
             }
         }
     }
@@ -205,10 +199,10 @@ fn diff_loop(
         scanner.scan_block(c.body(), &mut st, None);
         // Loads the body scan never reached (e.g. inside called functions)
         // are beyond the coverage argument.
-        for (&eid, &rep) in &load_class {
+        for (&eid, &at) in &load_class {
             if !scanner.seen_loads.contains(&eid) {
                 let (span, repr) = describe(eid, eid_index, &analysis.program);
-                scanner.uncovered.entry(rep).or_insert((
+                scanner.uncovered.entry(at).or_insert((
                     span,
                     format!("load `{repr}` is outside the loop body (reached through a call)"),
                 ));
@@ -217,9 +211,10 @@ fn diff_loop(
         scanner.uncovered
     });
 
-    let mut classes: Vec<ClassDiff> = groups
-        .iter()
-        .map(|(&rep, sites)| {
+    let mut classes: Vec<ClassDiff> = (0..)
+        .zip(&cls.classes)
+        .map(|(at, class)| {
+            let sites = &class.sites;
             let mut eids: Vec<u32> = sites
                 .iter()
                 .map(|&s| analysis.serial.sites.info(s).eid)
@@ -245,9 +240,9 @@ fn diff_loop(
                 .or_else(|| eids.first().copied());
             let (span, repr) = repr_eid
                 .map(|e| describe(e, eid_index, &analysis.program))
-                .unwrap_or((None, format!("class#{rep}")));
-            let profiled_private = cls.is_private(rep);
-            let failure = coverage.as_ref().and_then(|u| u.get(&rep));
+                .unwrap_or((None, format!("class#{}", sites[0])));
+            let profiled_private = class.verdict == SiteClass::Private;
+            let failure = coverage.as_ref().and_then(|u| u.get(&at));
             let statically_confirmed = profiled_private && coverage.is_some() && failure.is_none();
             let (reason, span) = match failure {
                 Some((fail_span, reason)) => (Some(reason.clone()), fail_span.or(span)),
@@ -311,9 +306,10 @@ struct CanonCtx {
 
 struct Scanner<'a> {
     program: &'a Program,
-    load_class: &'a HashMap<u32, SiteId>,
-    /// First unjustified load per class: (span, explanation).
-    uncovered: HashMap<SiteId, (Option<SourceSpan>, String)>,
+    /// Per load eid of a private class: that class's index.
+    load_class: &'a HashMap<u32, usize>,
+    /// First unjustified load per class index: (span, explanation).
+    uncovered: HashMap<usize, (Option<SourceSpan>, String)>,
     seen_loads: HashSet<u32>,
 }
 
@@ -491,11 +487,11 @@ impl<'a> Scanner<'a> {
     /// Walks an expression, auditing every load that belongs to a
     /// profiled-private class.
     fn scan_expr(&mut self, e: &Expr, st: &mut KillState, canon: Option<&CanonCtx>) {
-        if let Some(&rep) = self.load_class.get(&e.eid) {
+        if let Some(&at) = self.load_class.get(&e.eid) {
             self.seen_loads.insert(e.eid);
             if !self.justified(e, st, canon) {
                 let repr = printer::expr(e, self.program);
-                self.uncovered.entry(rep).or_insert((
+                self.uncovered.entry(at).or_insert((
                     Some(e.span),
                     format!("load `{repr}` has no guaranteed same-iteration store before it"),
                 ));

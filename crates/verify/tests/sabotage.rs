@@ -126,7 +126,7 @@ fn dropped_rederivation_is_flagged() {
 fn derivation_above_wait_is_flagged() {
     let (analysis, mut t) = transformed("bzip2");
     let clean = codes(&analysis, &t);
-    let window = t.sync_windows["compress_blocks"].expect("DOACROSS window");
+    let window = t.sync_windows[0].expect("DOACROSS window");
     let hoisted = find_block(&mut t, &mut |b| {
         let Some(at) = b.stmts.iter().position(|s| is_derivation(s, "zptr")) else {
             return false;
@@ -143,7 +143,7 @@ fn derivation_above_wait_is_flagged() {
     // The early copy sits where the window began; order from the next
     // statement on, and lower again.
     let mut windows = t.sync_windows.clone();
-    windows.insert("compress_blocks".into(), Some((window.0 + 1, window.1 + 1)));
+    windows[0] = Some((window.0 + 1, window.1 + 1));
     t.parallel = analysis
         .lower_parallel(&t.program, &windows, OptLevel::Full)
         .unwrap();
