@@ -568,6 +568,74 @@ fn expansion_preserves_semantics_of_pointer_structures() {
     }
 }
 
+/// `DSE007`'s cross-loop conflict (the eid form) fires exactly when the
+/// planner refuses the program as "private in one parallelized loop but
+/// shared in another", and both agree with the classifications they are
+/// derived from: some source access has a private site in one classified
+/// loop and a shared site in one (possibly the same) loop.
+#[test]
+fn dse007_fires_exactly_when_the_plan_refuses_a_conflict() {
+    let mut programs: Vec<(String, String, VmConfig)> = vec![(
+        "conflict.cee".into(),
+        include_str!("../../server/tests/fixtures/conflict.cee").into(),
+        VmConfig::default(),
+    )];
+    for w in dse_workloads::all() {
+        let config = w.vm_config(dse_workloads::Scale::Profile);
+        programs.push((w.name.into(), w.source.into(), config));
+    }
+    for case in 0..24u64 {
+        for (seed, g) in [
+            (0xE0_0115, Grammar::Classic),
+            (0x5BA_0021, Grammar::Extended),
+        ] {
+            let src = gen_case(seed + case, 6, g);
+            programs.push((format!("{g:?} {case}"), src, VmConfig::default()));
+        }
+    }
+    let mut refused = 0;
+    for (name, src, config) in &programs {
+        let analysis = Analysis::from_source(src, config.clone())
+            .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
+        // The classifications themselves: (eid, private) per classified site.
+        let mut judged: Vec<(u32, bool)> = Vec::new();
+        for cls in &analysis.classifications {
+            for class in &cls.classes {
+                let private = class.verdict == dse_core::SiteClass::Private;
+                for &site in &class.sites {
+                    let eid = analysis.serial.sites.info(site).eid;
+                    if eid != dse_lang::ast::NO_EID {
+                        judged.push((eid, private));
+                    }
+                }
+            }
+        }
+        let conflicted = judged
+            .iter()
+            .any(|&(eid, private)| private && judged.contains(&(eid, false)));
+        let report = dse_verify::check_all(&analysis, None);
+        let dse007 = report.diagnostics.iter().any(|d| {
+            d.code == dse_verify::diag::Code::ClassificationConflict
+                && d.message.starts_with("access is thread-private in loop")
+        });
+        let plan = analysis.plan(OptLevel::Full, 2);
+        let plan_refused = plan.as_ref().is_err_and(|e| {
+            e.0.contains("is private in one parallelized loop but shared in another")
+        });
+        assert_eq!(
+            dse007, conflicted,
+            "{name}: DSE007 against the classifications"
+        );
+        assert_eq!(
+            plan_refused, conflicted,
+            "{name}: the plan against the classifications"
+        );
+        refused += conflicted as usize;
+    }
+    assert!(refused >= 1, "conflict.cee is refused");
+    assert!(refused < programs.len(), "most programs plan");
+}
+
 /// Found by the extended grammar's first soak (seed 216, before `Grow`
 /// rewrote what it reads back): iteration 0 stores `gbuf[3]`, iteration 1
 /// `realloc`s the buffer, iterations 3, 7, … read `gbuf[3]`. The value

@@ -116,13 +116,16 @@ fn taint_fixpoint(
         frame_of[entry as usize] = Some(func);
         work.push(entry);
     }
+    // One outgoing stack and one successor list, reused by every step.
+    let (mut next, mut succs): (Stack, Vec<Pc>) = (Vec::new(), Vec::new());
     while let Some(pc) = work.pop() {
-        let Some(stack) = states[pc as usize].clone() else {
+        let Some(stack) = &states[pc as usize] else {
             continue;
         };
+        next.clone_from(stack);
         let func = frame_of[pc as usize].expect("a reached pc has a frame");
-        let (next, succs) = step(prog, pc, stack, func, tid_slots, &mut facts);
-        for s in succs {
+        step(prog, pc, &mut next, &mut succs, func, tid_slots, &mut facts);
+        for &s in &succs {
             frame_of[s as usize].get_or_insert(func);
             let changed = match &mut states[s as usize] {
                 Some(old) => merge(old, &next),
@@ -206,16 +209,18 @@ fn merge(old: &mut Stack, incoming: &Stack) -> bool {
     changed
 }
 
-/// Executes one instruction abstractly: returns the outgoing stack and the
-/// successor pcs, recording what it learns about frame tid places.
+/// Executes one instruction abstractly: turns `st` into the outgoing stack
+/// and `succs` into the successor pcs, recording what it learns about frame
+/// tid places.
 fn step(
     prog: &CompiledProgram,
     pc: Pc,
-    mut st: Stack,
+    st: &mut Stack,
+    succs: &mut Vec<Pc>,
     func: u32,
     tid_slots: &HashSet<Slot>,
     facts: &mut SlotFacts,
-) -> (Stack, Vec<Pc>) {
+) {
     // An operand consumed as a plain value: a place address among them has
     // escaped the load/store discipline.
     let mut pop = |st: &mut Stack| {
@@ -225,20 +230,17 @@ fn step(
         }
         v.tid
     };
-    let next = vec![pc + 1];
-    let succs = match prog.code[pc as usize] {
+    succs.clear();
+    match prog.code[pc as usize] {
         Instr::PushI(_) | Instr::PushF(_) => {
             st.push(CLEAN);
-            next
         }
         Instr::Dup => {
             let t = *st.last().unwrap_or(&CLEAN);
             st.push(t);
-            next
         }
         Instr::Drop => {
             st.pop();
-            next
         }
         Instr::Tuck => {
             // [a, b] -> [b, a, b]
@@ -247,31 +249,25 @@ fn step(
             st.push(b);
             st.push(a);
             st.push(b);
-            next
         }
         Instr::FrameAddr(_) | Instr::GlobalAddr(_) | Instr::IterIdx(_) => {
             st.push(CLEAN);
-            next
         }
         Instr::TidScaled(_) => {
             st.push(TID);
-            next
         }
         Instr::TidSpanScaled(_) => {
-            pop(&mut st);
+            pop(st);
             st.push(TID);
-            next
         }
         Instr::FrameAddrTid { offset, .. } => {
             st.push(Val {
                 tid: true,
                 place: Some(offset),
             });
-            next
         }
         Instr::GlobalAddrTid { .. } => {
             st.push(TID);
-            next
         }
         Instr::Load { .. } => {
             let addr = st.pop().unwrap_or(CLEAN);
@@ -279,29 +275,25 @@ fn step(
                 .place
                 .is_some_and(|off| tid_slots.contains(&(func, off)));
             st.push(Val { tid, place: None });
-            next
         }
         Instr::Store { .. } => {
-            let value = pop(&mut st);
+            let value = pop(st);
             let addr = st.pop().unwrap_or(CLEAN);
             if let Some(off) = addr.place {
                 *facts.stores.entry((func, off)).or_insert(true) &= value;
             }
-            next
         }
         Instr::MemCpy { .. } => {
-            pop(&mut st);
-            pop(&mut st);
-            next
+            pop(st);
+            pop(st);
         }
         Instr::IBin(_) | Instr::FBin(_) | Instr::ICmp(_) | Instr::FCmp(_) => {
-            let b = pop(&mut st);
-            let a = pop(&mut st);
+            let b = pop(st);
+            let a = pop(st);
             st.push(Val {
                 tid: a || b,
                 place: None,
             });
-            next
         }
         Instr::INeg
         | Instr::FNeg
@@ -310,18 +302,17 @@ fn step(
         | Instr::I2F
         | Instr::F2I
         | Instr::SextTrunc(_) => {
-            let tid = pop(&mut st);
+            let tid = pop(st);
             st.push(Val { tid, place: None });
-            next
         }
-        Instr::Jump(t) => vec![t],
+        Instr::Jump(t) => return succs.push(t),
         Instr::JumpIfZ(t) | Instr::JumpIfNZ(t) => {
-            pop(&mut st);
-            vec![t, pc + 1]
+            pop(st);
+            return succs.extend([t, pc + 1]);
         }
         Instr::Call(f) => {
             for _ in 0..prog.func(f).params.len() {
-                pop(&mut st);
+                pop(st);
             }
             // The callee's return value arrives via the shared operand
             // stack; redirection offsets are applied at access sites, so a
@@ -329,34 +320,30 @@ fn step(
             if prog.func(f).ret == RetKind::Scalar {
                 st.push(CLEAN);
             }
-            next
         }
         Instr::CallBuiltin(b) => {
             for _ in 0..b.arity() {
-                pop(&mut st);
+                pop(st);
             }
             if b.has_result() {
                 st.push(if b == Builtin::Tid { TID } else { CLEAN });
             }
-            next
         }
-        Instr::Ret | Instr::Halt => Vec::new(),
-        Instr::LoopMark(..) => next,
+        Instr::Ret | Instr::Halt => return,
+        Instr::LoopMark(..) => {}
         Instr::ParLoop(_) => {
-            pop(&mut st);
-            pop(&mut st);
-            next
+            pop(st);
+            pop(st);
         }
-        Instr::Wait(_) | Instr::Post(_) => next,
+        Instr::Wait(_) | Instr::Post(_) => {}
         Instr::Localize { .. } => {
             // The runtime-privatization hook translates an address into the
             // current worker's private copy — tid-derived by definition.
-            pop(&mut st);
+            pop(st);
             st.push(TID);
-            next
         }
-    };
-    (st, succs)
+    }
+    succs.push(pc + 1);
 }
 
 /// Taint of the address operand of the access at `pc`, given the incoming
