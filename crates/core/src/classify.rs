@@ -18,6 +18,7 @@ use dse_depprof::{DepKind, LoopDdg};
 use dse_ir::loops::ParMode;
 use dse_ir::sites::{SiteId, SiteTable};
 use dse_lang::ast::NO_EID;
+use dse_lang::fasthash::{HashMap, HashSet};
 
 /// Union-find over site ids: a parent vector indexed by site, grown to the
 /// largest site it has seen. Site ids index the program's site table, so
@@ -82,10 +83,6 @@ pub struct AccessClass {
     pub verdict: SiteClass,
 }
 
-/// `LoopClassification::class_index` entry of a site the loop never
-/// accessed.
-const NO_CLASS: u32 = u32::MAX;
-
 /// The classification of one candidate loop's accesses.
 #[derive(Debug, Clone)]
 pub struct LoopClassification {
@@ -93,9 +90,8 @@ pub struct LoopClassification {
     pub label: String,
     /// The loop's access classes, in order of their first site.
     pub classes: Vec<AccessClass>,
-    /// Per site id: its class's index in `classes` (`NO_CLASS` past the
-    /// loop's sites).
-    class_index: Vec<u32>,
+    /// Per site id: its class's index in `classes`, if the loop accessed it.
+    class_index: Vec<Option<u32>>,
     /// Chosen parallelization mode.
     pub mode: ParMode,
 }
@@ -103,7 +99,7 @@ pub struct LoopClassification {
 impl LoopClassification {
     /// The class a site belongs to, if the loop accessed it.
     pub fn class_of(&self, site: SiteId) -> Option<&AccessClass> {
-        let at = *self.class_index.get(site as usize)?;
+        let at = (*self.class_index.get(site as usize)?)?;
         self.classes.get(at as usize)
     }
 
@@ -187,58 +183,44 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     }
     let mut sites: Vec<SiteId> = ddg.site_counts.keys().copied().collect();
     sites.sort_unstable();
-    let carried_flow = ddg.sites_in_carried(&[DepKind::Flow]);
-    let carried_anti_out = ddg.sites_in_carried(&[DepKind::Anti, DepKind::Output]);
-    // 2. Gather the classes and their facts: (exposed, carried flow,
-    // carried anti/output).
-    let mut class_index = vec![NO_CLASS; sites.last().map_or(0, |&s| s as usize + 1)];
-    let mut of_rep: Vec<u32> = Vec::new();
+    let mut class_index = vec![None; sites.last().map_or(0, |&s| s as usize + 1)];
+    let mut of_rep: HashMap<SiteId, u32> = HashMap::default();
     let mut classes: Vec<AccessClass> = Vec::new();
-    let mut facts: Vec<[bool; 3]> = Vec::new();
     for &s in &sites {
-        let rep = uf.find(s) as usize;
-        if rep >= of_rep.len() {
-            of_rep.resize(rep + 1, NO_CLASS);
-        }
-        if of_rep[rep] == NO_CLASS {
-            of_rep[rep] = classes.len() as u32;
+        let at = *of_rep.entry(uf.find(s)).or_insert_with(|| {
             classes.push(AccessClass {
                 sites: Vec::new(),
                 carried: Vec::new(),
                 verdict: SiteClass::Shared,
             });
-            facts.push([false; 3]);
-        }
-        let at = of_rep[rep];
-        class_index[s as usize] = at;
-        let (class, f) = (&mut classes[at as usize], &mut facts[at as usize]);
-        class.sites.push(s);
-        f[0] |= ddg.upward_exposed.contains(&s) || ddg.downward_exposed.contains(&s);
-        f[1] |= carried_flow.contains(&s);
-        f[2] |= carried_anti_out.contains(&s);
-        if carried_flow.contains(&s) || carried_anti_out.contains(&s) {
-            class.carried.push(s);
-        }
+            classes.len() as u32 - 1
+        });
+        class_index[s as usize] = Some(at);
+        classes[at as usize].sites.push(s);
     }
-    // 3. Definition 5.
-    for (class, [exposed, flow, anti_out]) in classes.iter_mut().zip(facts) {
-        if !exposed && !flow && anti_out {
+    // 2. Definition 5, per class.
+    let carried_flow = ddg.sites_in_carried(&[DepKind::Flow]);
+    let carried_anti_out = ddg.sites_in_carried(&[DepKind::Anti, DepKind::Output]);
+    for class in &mut classes {
+        let any_in = |set: &HashSet<SiteId>| class.sites.iter().any(|s| set.contains(s));
+        let exposed = any_in(&ddg.upward_exposed) || any_in(&ddg.downward_exposed);
+        if !exposed && !any_in(&carried_flow) && any_in(&carried_anti_out) {
             class.verdict = SiteClass::Private;
         }
+        let carried = |s: &&SiteId| carried_flow.contains(s) || carried_anti_out.contains(s);
+        class.carried = class.sites.iter().filter(carried).copied().collect();
     }
-    // 4. Mode: shared sites still carrying dependences force DOACROSS.
-    let ordered = classes
-        .iter()
-        .any(|c| c.verdict == SiteClass::Shared && !c.carried.is_empty());
+    // 3. Mode: shared sites still carrying dependences force DOACROSS.
+    let ordered = |c: &AccessClass| c.verdict == SiteClass::Shared && !c.carried.is_empty();
+    let mode = match classes.iter().any(ordered) {
+        true => ParMode::DoAcross,
+        false => ParMode::DoAll,
+    };
     LoopClassification {
         label: ddg.label.clone(),
         classes,
         class_index,
-        mode: if ordered {
-            ParMode::DoAcross
-        } else {
-            ParMode::DoAll
-        },
+        mode,
     }
 }
 
@@ -271,18 +253,14 @@ pub fn eid_verdicts<'a>(
     let mut table: Vec<EidVerdict> = Vec::new();
     for (position, cls) in loops {
         for class in &cls.classes {
-            for &site in &class.sites {
-                let eid = sites.info(site).eid;
-                if eid == NO_EID {
-                    continue;
+            let eids = class.sites.iter().map(|&s| sites.info(s).eid as usize);
+            for eid in eids.filter(|&e| e != NO_EID as usize) {
+                if eid >= table.len() {
+                    table.resize(eid + 1, EidVerdict::default());
                 }
-                if eid as usize >= table.len() {
-                    table.resize(eid as usize + 1, EidVerdict::default());
-                }
-                let v = &mut table[eid as usize];
                 let first = match class.verdict {
-                    SiteClass::Private => &mut v.private_in,
-                    SiteClass::Shared => &mut v.shared_in,
+                    SiteClass::Private => &mut table[eid].private_in,
+                    SiteClass::Shared => &mut table[eid].shared_in,
                 };
                 first.get_or_insert(position);
             }

@@ -193,11 +193,6 @@ impl Analysis {
         positions.zip(&self.classifications)
     }
 
-    /// The label of the candidate loop at `position`, for printing.
-    pub fn label(&self, position: u32) -> &str {
-        &self.serial.loops[position as usize].label
-    }
-
     /// Builds the expansion plan at the given optimization level and
     /// thread count.
     ///

@@ -202,6 +202,8 @@ pub fn verified_reg_vm(
 /// of the transform's hard error. It reads the per-eid verdict table the
 /// planner reads, so the two agree by construction.
 fn check_classification_conflicts(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
+    // The serial lowering gives candidate position `k` the loop id `k`.
+    let label = |k: u32| &analysis.serial.loops[k as usize].label;
     for (eid, verdict) in (0..).zip(&analysis.verdicts) {
         let Some((private_in, shared_in)) = verdict.conflict() else {
             continue;
@@ -211,8 +213,8 @@ fn check_classification_conflicts(analysis: &Analysis, eids: &EidIndex<'_>, repo
             format!(
                 "access is thread-private in loop `{}` but shared in loop `{}`; the merged \
                  expansion plan cannot satisfy both",
-                analysis.label(private_in),
-                analysis.label(shared_in)
+                label(private_in),
+                label(shared_in)
             ),
         );
         if let Some(e) = eids.get(eid) {

@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Fails if a loop fact is keyed or looked up by the loop's label. A
+# candidate loop's identity is its position in
+# `dse_ir::loops::find_candidate_loops`; its label is only printed (DESIGN
+# §8, "One record per candidate loop").
+#
+#   scripts/check_loop_identity.sh
+#
+# Two rules, over the non-test part of each file (everything before its
+# first `#[cfg(test)]` line, the split `net_loc.sh` uses):
+#   1. `crates/core/src` and `crates/ir/src` name no `HashMap<String`;
+#   2. `crates/{core,ir,verify}/src` compare no `.label` with `==`/`!=`,
+#      apart from `Analysis::classification`, the by-label lookup that
+#      tests and examples use.
+# Prints each offending line and exits 1; exits 0 when there is none.
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+
+# Prints "<file>:<line>: <text>" for each non-test line matching the ERE $1.
+non_test_matches() {
+    local pattern=$1
+    shift
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk -v pat="$pattern" '
+        FNR == 1 { test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        !test && $0 ~ pat { print FILENAME ":" FNR ": " $0 }'
+}
+
+label_cmp='\.label(\.as_str\(\))?[[:space:]]*[!=]=|[!=]=[[:space:]]*&?[A-Za-z_][A-Za-z0-9_.]*\.label([^A-Za-z0-9_]|$)'
+allowed='^crates/core/src/lib\.rs:[0-9]+: +self\.classifications\.iter\(\)\.find\(\|c\| c\.label == label\)$'
+
+maps=$(non_test_matches 'HashMap<String' crates/core/src crates/ir/src)
+compares=$(non_test_matches "$label_cmp" crates/core/src crates/ir/src crates/verify/src |
+    grep -Ev "$allowed" || true)
+status=0
+if [ -n "$maps" ]; then
+    echo "a map keyed by a String in dse-core/dse-ir (index loop facts by candidate position):"
+    echo "$maps"
+    status=1
+fi
+if [ -n "$compares" ]; then
+    echo "a loop-label comparison outside tests (find the loop by candidate position):"
+    echo "$compares"
+    status=1
+fi
+exit $status
