@@ -212,9 +212,10 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     }
     // 3. Mode: shared sites still carrying dependences force DOACROSS.
     let ordered = |c: &AccessClass| c.verdict == SiteClass::Shared && !c.carried.is_empty();
-    let mode = match classes.iter().any(ordered) {
-        true => ParMode::DoAcross,
-        false => ParMode::DoAll,
+    let mode = if classes.iter().any(ordered) {
+        ParMode::DoAcross
+    } else {
+        ParMode::DoAll
     };
     LoopClassification {
         label: ddg.label.clone(),
