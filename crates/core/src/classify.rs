@@ -90,8 +90,6 @@ pub struct LoopClassification {
     pub label: String,
     /// The loop's access classes, in order of their first site.
     pub classes: Vec<AccessClass>,
-    /// Per site id: its class's index in `classes`, if the loop accessed it.
-    class_index: Vec<Option<u32>>,
     /// Chosen parallelization mode.
     pub mode: ParMode,
 }
@@ -99,8 +97,8 @@ pub struct LoopClassification {
 impl LoopClassification {
     /// The class a site belongs to, if the loop accessed it.
     pub fn class_of(&self, site: SiteId) -> Option<&AccessClass> {
-        let at = (*self.class_index.get(site as usize)?)?;
-        self.classes.get(at as usize)
+        let has = |c: &&AccessClass| c.sites.binary_search(&site).is_ok();
+        self.classes.iter().find(has)
     }
 
     /// The private sites.
@@ -183,7 +181,6 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     }
     let mut sites: Vec<SiteId> = ddg.site_counts.keys().copied().collect();
     sites.sort_unstable();
-    let mut class_index = vec![None; sites.last().map_or(0, |&s| s as usize + 1)];
     let mut of_rep: HashMap<SiteId, u32> = HashMap::default();
     let mut classes: Vec<AccessClass> = Vec::new();
     for &s in &sites {
@@ -195,7 +192,6 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
             });
             classes.len() as u32 - 1
         });
-        class_index[s as usize] = Some(at);
         classes[at as usize].sites.push(s);
     }
     // 2. Definition 5, per class.
@@ -220,7 +216,6 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     LoopClassification {
         label: ddg.label.clone(),
         classes,
-        class_index,
         mode,
     }
 }

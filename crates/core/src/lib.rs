@@ -117,13 +117,6 @@ pub struct Analysis {
     /// Per-candidate-loop classifications, parallel to `profile.loops`:
     /// the `i`-th belongs to candidate position `profile.loops[i].loop_id`.
     pub classifications: Vec<LoopClassification>,
-    /// Per candidate position: the expression ids of the loop's shared
-    /// accesses in loop-carried dependences, its DOACROSS ordered section
-    /// (empty for a loop the profile never entered).
-    pub ordered_eids: Vec<HashSet<u32>>,
-    /// Per expression id: the loops that judged its accesses private and
-    /// shared ([`classify::eid_verdicts`]).
-    pub verdicts: Vec<EidVerdict>,
     /// Points-to results.
     pub pt: dse_analysis::PointsTo,
     /// Allocation-size facts.
@@ -193,6 +186,28 @@ impl Analysis {
         positions.zip(&self.classifications)
     }
 
+    /// Per candidate position: the expression ids of the loop's shared
+    /// accesses in loop-carried dependences, its DOACROSS ordered section
+    /// (empty for a loop the profile never entered).
+    pub fn ordered_eids(&self) -> Vec<HashSet<u32>> {
+        let sites = &self.serial.sites;
+        let mut ordered = vec![HashSet::default(); self.serial.loops.len()];
+        for (k, cls) in self.positioned() {
+            ordered[k as usize] = cls
+                .shared_carried_sites()
+                .map(|s| sites.info(s).eid)
+                .filter(|&e| e != dse_lang::ast::NO_EID)
+                .collect();
+        }
+        ordered
+    }
+
+    /// Per expression id: the loops that judged its accesses private and
+    /// shared ([`classify::eid_verdicts`]).
+    pub fn verdicts(&self) -> Vec<EidVerdict> {
+        classify::eid_verdicts(&self.serial.sites, self.positioned())
+    }
+
     /// Builds the expansion plan at the given optimization level and
     /// thread count.
     ///
@@ -240,7 +255,7 @@ impl Analysis {
     ) -> PlanInputs<'_> {
         PlanInputs {
             program: &self.program,
-            verdicts: &self.verdicts,
+            verdicts: self.verdicts(),
             pt: &self.pt,
             alloc_sizes: &self.alloc_sizes,
             opt,
@@ -285,7 +300,7 @@ impl Analysis {
     ///
     /// Propagates transformation and lowering failures.
     pub fn apply_plan(&self, plan: ExpansionPlan, opt: OptLevel) -> Result<Transformed, DseError> {
-        let result = expand_program(&self.program, &plan, &self.ordered_eids)?;
+        let result = expand_program(&self.program, &plan, &self.ordered_eids())?;
         let parallel = self.lower_parallel(&result.program, &result.sync_windows, opt)?;
         Ok(Transformed {
             program: result.program,

@@ -34,14 +34,14 @@
 //! later phase is a cache hit.
 
 use crate::cache::{ArtifactStore, PhaseStats, Trace};
-use crate::classify::{classify_loop, eid_verdicts, LoopClassification};
+use crate::classify::{classify_loop, LoopClassification};
 use crate::plan::{ExpansionPlan, OptLevel};
 use crate::{Analysis, DseError, Transformed};
 use dse_depprof::ProfileResult;
 use dse_ir::bytecode::{CompiledProgram, InitValue};
 use dse_ir::loops::ParMode;
 use dse_lang::ast::Program;
-use dse_lang::fasthash::{HashMap, HashSet};
+use dse_lang::fasthash::HashMap;
 use dse_runtime::VmConfig;
 use dse_telemetry::hash::{ContentHash, ContentHasher};
 use std::sync::{Arc, OnceLock};
@@ -157,28 +157,14 @@ fn assemble(
     profile: ProfileResult,
     classified: Classified,
 ) -> Analysis {
-    let mut analysis = Analysis {
+    Analysis {
         program,
         serial,
         profile,
         classifications: classified.classifications,
-        ordered_eids: Vec::new(),
-        verdicts: Vec::new(),
         pt: classified.pt,
         alloc_sizes: classified.alloc_sizes,
-    };
-    let sites = &analysis.serial.sites;
-    let mut ordered_eids = vec![HashSet::default(); analysis.serial.loops.len()];
-    for (k, cls) in analysis.positioned() {
-        ordered_eids[k as usize] = cls
-            .shared_carried_sites()
-            .map(|s| sites.info(s).eid)
-            .filter(|&e| e != dse_lang::ast::NO_EID)
-            .collect();
     }
-    analysis.verdicts = eid_verdicts(sites, analysis.positioned());
-    analysis.ordered_eids = ordered_eids;
-    analysis
 }
 
 // ---------------------------------------------------------------------------

@@ -477,7 +477,7 @@ pub struct PlanInputs<'a> {
     /// The original typed program.
     pub program: &'a Program,
     /// Per eid: how the parallelized loops judged its accesses.
-    pub verdicts: &'a [EidVerdict],
+    pub verdicts: Vec<EidVerdict>,
     /// Points-to results.
     pub pt: &'a PointsTo,
     /// Allocation-size facts (from [`dse_analysis::consteval::alloc_size_infos`]).
@@ -500,7 +500,7 @@ pub struct PlanInputs<'a> {
 /// Fails on classification conflicts or unsupported shapes (e.g. a function
 /// parameter that would need expansion).
 pub fn build_plan(inp: &PlanInputs<'_>) -> Result<ExpansionPlan, PlanError> {
-    let private_eids = merge_classifications(inp.verdicts)?;
+    let private_eids = merge_classifications(&inp.verdicts)?;
     let program = inp.program;
 
     // Induction variables of candidate loops must never be expanded.

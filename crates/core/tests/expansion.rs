@@ -822,7 +822,7 @@ fn unlabeled_candidate_gets_sync_window() {
     // private work before the accumulator overlaps.
     let plan = analysis.plan(OptLevel::Full, 4).unwrap();
     let result =
-        dse_core::expand_program(&analysis.program, &plan, &analysis.ordered_eids).unwrap();
+        dse_core::expand_program(&analysis.program, &plan, &analysis.ordered_eids()).unwrap();
     let window = result.sync_windows[0];
     assert!(window.is_some(), "sync window must exist for `{label}`");
     // And the parallel runs agree with serial.

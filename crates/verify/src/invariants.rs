@@ -1090,13 +1090,14 @@ fn check_sync_windows(
         .loops
         .iter()
         .map(|ddg| ddg.loop_id as usize);
+    let ordered = analysis.ordered_eids();
     for ((loop_id, l), k) in t.parallel.loops.iter().enumerate().zip(positions) {
         let Some(mode) = l.mode else { continue };
         let region = body_region(&t.parallel, l.body_entry);
         let mut waits: Vec<Pc> = Vec::new();
         let mut posts: Vec<Pc> = Vec::new();
         let mut accesses: Vec<(Pc, u32)> = Vec::new();
-        let ordered_eids = &analysis.ordered_eids[k];
+        let ordered_eids = &ordered[k];
         for pc in region.clone() {
             match t.parallel.code[pc as usize] {
                 Instr::Wait(id) if id as usize == loop_id => waits.push(pc),

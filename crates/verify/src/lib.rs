@@ -204,7 +204,7 @@ pub fn verified_reg_vm(
 fn check_classification_conflicts(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     // The serial lowering gives candidate position `k` the loop id `k`.
     let label = |k: u32| &analysis.serial.loops[k as usize].label;
-    for (eid, verdict) in (0..).zip(&analysis.verdicts) {
+    for (eid, verdict) in (0..).zip(&analysis.verdicts()) {
         let Some((private_in, shared_in)) = verdict.conflict() else {
             continue;
         };
