@@ -27,7 +27,8 @@ pub fn stored_variable(lvalue: &Expr) -> Option<VarBinding> {
 /// Hidden-store facts of one typed program.
 #[derive(Debug, Clone, Default)]
 pub struct HiddenStores {
-    /// Variables whose address is taken somewhere.
+    /// Variables whose address is taken somewhere: by `&`, or by naming an
+    /// array where it decays to a pointer.
     pub addr_taken: HashSet<VarId>,
     /// Per function: the globals it or its callees assign.
     pub assigned_globals: Vec<HashSet<usize>>,
@@ -41,25 +42,41 @@ impl HiddenStores {
         let mut assigned_globals = vec![HashSet::default(); n];
         let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (fi, f) in program.functions.iter().enumerate() {
-            walk_exprs_in_block(&f.body, &mut |e| match &e.kind {
-                ExprKind::AddrOf(inner) => match stored_variable(inner) {
-                    Some(VarBinding::Global(g)) => {
-                        addr_taken.insert(VarId::Global(g));
-                    }
-                    Some(VarBinding::Local(s)) => {
-                        addr_taken.insert(VarId::Local(fi, s));
-                    }
-                    None => {}
-                },
-                ExprKind::Assign { lhs: target, .. } | ExprKind::IncDec { target, .. } => {
-                    if let Some(VarBinding::Global(g)) = stored_variable(target) {
-                        assigned_globals[fi].insert(g);
-                    }
+            let mut take = |cell: &Expr| match stored_variable(cell) {
+                Some(VarBinding::Global(g)) => {
+                    addr_taken.insert(VarId::Global(g));
                 }
-                ExprKind::Call { name, .. } => {
-                    callees[fi].extend(program.functions.iter().position(|c| &c.name == name));
+                Some(VarBinding::Local(s)) => {
+                    addr_taken.insert(VarId::Local(fi, s));
                 }
-                _ => {}
+                None => {}
+            };
+            walk_exprs_in_block(&f.body, &mut |e| {
+                // An array named other than under `[]`, `&` or `sizeof`
+                // decays to its address, which takes it as `&` does.
+                let kept = match &e.kind {
+                    ExprKind::Index { base: x, .. }
+                    | ExprKind::AddrOf(x)
+                    | ExprKind::SizeofExpr(x) => Some(&**x),
+                    _ => None,
+                };
+                let decays = |x: &&Expr| {
+                    matches!(x.ty, Some(Type::Array(..)))
+                        && !kept.is_some_and(|k| std::ptr::eq(k, *x))
+                };
+                operands(e).filter(decays).for_each(&mut take);
+                match &e.kind {
+                    ExprKind::AddrOf(inner) => take(inner),
+                    ExprKind::Assign { lhs: target, .. } | ExprKind::IncDec { target, .. } => {
+                        if let Some(VarBinding::Global(g)) = stored_variable(target) {
+                            assigned_globals[fi].insert(g);
+                        }
+                    }
+                    ExprKind::Call { name, .. } => {
+                        callees[fi].extend(program.functions.iter().position(|c| &c.name == name));
+                    }
+                    _ => {}
+                }
             });
         }
         loop {
@@ -133,5 +150,17 @@ mod tests {
             hs.addr_taken,
             HashSet::from_iter([VarId::Local(f("main"), a)])
         );
+    }
+
+    #[test]
+    fn a_decayed_array_is_address_taken() {
+        let p = compile_to_ast(
+            "void fill(int *p) { p[0] = 1; }
+             int main() { int a[4]; int b[4]; int c[4]; fill(a); b[1] = sizeof(c); return b[0]; }",
+        )
+        .unwrap();
+        let hs = HiddenStores::of(&p);
+        // `a` decays into the call; `b` is only indexed, `c` only measured.
+        assert_eq!(hs.addr_taken, HashSet::from_iter([VarId::Local(1, 0)]));
     }
 }

@@ -488,39 +488,3 @@ fn is_pointer_assignment_block(b: &Block) -> bool {
     matches!(b.stmts.first().map(|s| &s.kind),
         Some(StmtKind::Decl { name, .. }) if name.starts_with("__pa_"))
 }
-
-/// Structural equality of the expression shapes a redirection is built
-/// from, ignoring eids, spans and types.
-pub(crate) fn same_shape(a: &Expr, b: &Expr) -> bool {
-    match (&a.kind, &b.kind) {
-        (ExprKind::IntLit(x), ExprKind::IntLit(y)) => x == y,
-        (ExprKind::Var { name: x, .. }, ExprKind::Var { name: y, .. }) => x == y,
-        (
-            ExprKind::Index {
-                base: b1,
-                index: i1,
-            },
-            ExprKind::Index {
-                base: b2,
-                index: i2,
-            },
-        ) => same_shape(b1, b2) && same_shape(i1, i2),
-        (
-            ExprKind::Field {
-                base: b1,
-                field: f1,
-            },
-            ExprKind::Field {
-                base: b2,
-                field: f2,
-            },
-        ) => f1 == f2 && same_shape(b1, b2),
-        (ExprKind::Binary(o1, l1, r1), ExprKind::Binary(o2, l2, r2)) => {
-            o1 == o2 && same_shape(l1, l2) && same_shape(r1, r2)
-        }
-        (ExprKind::Call { name: n1, args: a1 }, ExprKind::Call { name: n2, args: a2 }) => {
-            n1 == n2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(x, y)| same_shape(x, y))
-        }
-        _ => false,
-    }
-}

@@ -972,7 +972,7 @@ impl<'a> Xf<'a> {
             // must read the same copy of it with the same span.
             let consistent = redirections
                 .iter()
-                .all(|(w, other, _)| w != v || hoist::same_shape(other, inline));
+                .all(|(w, other, _)| w != v || same_shape(other, inline));
             if !consistent || !self.stores_are_visible(*v) {
                 continue;
             }

@@ -498,6 +498,29 @@ fn walk_exprs_ordered<'a>(e: &'a Expr, post: bool, f: &mut impl FnMut(&'a Expr))
     }
 }
 
+/// The expressions directly under `e`, in evaluation order.
+pub fn operands(e: &Expr) -> impl Iterator<Item = &Expr> {
+    let (one, two, three, args): (_, _, _, &[Expr]) = match &e.kind {
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::Var { .. }
+        | ExprKind::SizeofType(_) => (None, None, None, &[]),
+        ExprKind::Unary(_, a)
+        | ExprKind::Deref(a)
+        | ExprKind::AddrOf(a)
+        | ExprKind::Cast(_, a)
+        | ExprKind::SizeofExpr(a)
+        | ExprKind::IncDec { target: a, .. }
+        | ExprKind::Field { base: a, .. } => (Some(&**a), None, None, &[]),
+        ExprKind::Binary(_, a, b)
+        | ExprKind::Assign { lhs: a, rhs: b, .. }
+        | ExprKind::Index { base: a, index: b } => (Some(&**a), Some(&**b), None, &[]),
+        ExprKind::Cond(a, b, c) => (Some(&**a), Some(&**b), Some(&**c), &[]),
+        ExprKind::Call { args, .. } => (None, None, None, args),
+    };
+    one.into_iter().chain(two).chain(three).chain(args)
+}
+
 /// Calls `f` on every expression in the statement, in program order.
 pub fn walk_exprs_in_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     match &stmt.kind {
@@ -623,6 +646,35 @@ pub fn eid_index(program: &Program) -> EidIndex<'_> {
         });
     }
     EidIndex(index)
+}
+
+/// Structural equality of two expressions, ignoring eids, spans and
+/// resolved types: the one comparator for "the same expression" at two
+/// places. Variables match by [`VarBinding`]; by name only where one is
+/// unbound (a node a transformation built before sema ran on its output).
+pub fn same_shape(a: &Expr, b: &Expr) -> bool {
+    use ExprKind::*;
+    let node = match (&a.kind, &b.kind) {
+        (Var { binding: x, .. }, Var { binding: y, .. }) if x.is_some() && y.is_some() => x == y,
+        (Var { name: x, .. }, Var { name: y, .. }) => x == y,
+        (IntLit(x), IntLit(y)) => x == y,
+        (FloatLit(x), FloatLit(y)) => x.to_bits() == y.to_bits(),
+        (Unary(x, _), Unary(y, _)) => x == y,
+        (Binary(x, ..), Binary(y, ..)) => x == y,
+        (Assign { op: x, .. }, Assign { op: y, .. }) => x == y,
+        (Call { name: x, .. }, Call { name: y, .. }) => x == y,
+        (Field { field: x, .. }, Field { field: y, .. }) => x == y,
+        (Cast(x, _), Cast(y, _)) | (SizeofType(x), SizeofType(y)) => x == y,
+        (IncDec { pre, inc, .. }, IncDec { pre: p, inc: i, .. }) => pre == p && inc == i,
+        (Cond(..), Cond(..))
+        | (Index { .. }, Index { .. })
+        | (Deref(_), Deref(_))
+        | (AddrOf(_), AddrOf(_))
+        | (SizeofExpr(_), SizeofExpr(_)) => true,
+        _ => false,
+    };
+    let count = |e| operands(e).count();
+    node && count(a) == count(b) && operands(a).zip(operands(b)).all(|(x, y)| same_shape(x, y))
 }
 
 /// Assigns a unique [`Expr::eid`] to every expression in the program, in

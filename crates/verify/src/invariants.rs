@@ -30,7 +30,7 @@
 use dse_lang::fasthash::{HashMap, HashSet};
 
 use dse_analysis::consteval::{alloc_call_size, const_eval};
-use dse_analysis::effects::{stored_variable, HiddenStores};
+use dse_analysis::effects::HiddenStores;
 use dse_analysis::{PtObj, VarId};
 use dse_core::access::{access_root, AccessRoot};
 use dse_core::hoist::RD_PREFIX;
@@ -40,10 +40,10 @@ use dse_ir::loops::ParMode;
 use dse_ir::sites::{SiteId, NO_SITE};
 use dse_lang::ast::*;
 use dse_lang::printer;
-use dse_lang::source::SourceSpan;
 use dse_lang::types::Type;
 
 use crate::diag::{Code, Diagnostic, Report};
+use crate::mustflow::{Fact, Flow, Pass, Stores};
 
 /// Runs all transform-invariant checks, appending findings to `report`.
 /// `eids` indexes the original program, whose accesses (and spans) the
@@ -536,7 +536,6 @@ fn check_stmt_expr(
         }
         // Fat cell: `cell.ptr = rhs` needs a sibling `cell.span = ...`.
         ExprKind::Field { base, field } if field == "ptr" && is_fat_struct(base, p) => {
-            let key = printer::expr(base, p);
             let paired = block.stmts.iter().any(|s| {
                 if let StmtKind::Expr(e2) = &s.kind {
                     if let ExprKind::Assign {
@@ -550,13 +549,14 @@ fn check_stmt_expr(
                             field: f2,
                         } = &l2.kind
                         {
-                            return f2 == "span" && printer::expr(b2, p) == key;
+                            return f2 == "span" && same_shape(b2, base);
                         }
                     }
                 }
                 false
             });
             if !paired {
+                let key = printer::expr(base, p);
                 report.push(
                     Diagnostic::new(
                         Code::SpanNotMaintained,
@@ -671,8 +671,9 @@ fn hoisted_slot(e: &Expr) -> Option<VarBinding> {
     }
 }
 
-/// `__rd_p[__tid()] = <redirected pointer>`: the slot and the value.
-fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr)> {
+/// `__rd_p[__tid()] = <redirected pointer>`: the slot, the cell and the
+/// value.
+fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr, &Expr)> {
     let StmtKind::Expr(e) = &s.kind else {
         return None;
     };
@@ -681,7 +682,7 @@ fn derivation(s: &Stmt) -> Option<(VarBinding, &Expr)> {
             op: AssignOp::Set,
             lhs,
             rhs,
-        } => Some((hoisted_slot(lhs)?, rhs)),
+        } => Some((hoisted_slot(lhs)?, lhs, rhs)),
         _ => None,
     }
 }
@@ -740,7 +741,7 @@ fn check_constant_spans(
         // Constant strides of the slots' derivations in this function.
         let mut slot_strides: HashMap<VarBinding, Vec<u64>> = HashMap::default();
         walk_stmts_in_block(&f.body, &mut |s| {
-            if let Some((slot, value)) = derivation(s) {
+            if let Some((slot, _, value)) = derivation(s) {
                 slot_strides
                     .entry(slot)
                     .or_default()
@@ -788,266 +789,54 @@ fn check_constant_spans(
     }
 }
 
-/// The slots valid at a program point; `None` is unreachable code.
-type Fresh = Option<HashSet<VarBinding>>;
-
-fn meet(a: Fresh, b: Fresh) -> Fresh {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(a), Some(b)) => Some(a.intersection(&b).copied().collect()),
-    }
-}
-
-/// Forward must-dataflow over one function's statements: which hoisted
-/// slots hold the redirection of their pointer's *current* value.
+/// `DSE005`'s facts: one per hoisted slot, "`__rd_p` holds `p`
+/// redirected", made true by the slot's derivation (it loads the slot and
+/// what the derivation reads) and read at each use of `__rd_p[__tid()]`.
 struct Freshness<'a> {
-    func: &'a Function,
-    /// Per slot: the variables its derivations read.
-    deps: HashMap<VarBinding, HashSet<VarBinding>>,
-    /// Per global a slot depends on: the functions that may assign it.
-    assigners: HashMap<usize, HashSet<String>>,
-    /// `(break, continue)` states of the enclosing loops, innermost last.
-    loops: Vec<(Fresh, Fresh)>,
-    stale_uses: Vec<(VarBinding, SourceSpan)>,
+    stores: &'a Stores<'a>,
+    /// Per slot, the first use reached where the slot may not be fresh.
+    stale_uses: Vec<(VarBinding, &'a Expr)>,
 }
 
-impl Freshness<'_> {
-    /// Does evaluating `x` (this node alone) store `dep`?
-    fn stores(&self, x: &Expr, dep: VarBinding) -> bool {
-        match &x.kind {
-            ExprKind::Assign { lhs: cell, .. }
-            | ExprKind::IncDec { target: cell, .. }
-            | ExprKind::AddrOf(cell) => stored_variable(cell) == Some(dep),
-            ExprKind::Call { name, .. } => match dep {
-                VarBinding::Global(g) => self.assigners.get(&g).is_some_and(|f| f.contains(name)),
-                VarBinding::Local(_) => false,
-            },
-            _ => false,
+impl<'a> Pass<'a> for Freshness<'a> {
+    type Key = VarBinding;
+
+    fn read(&mut self, e: &'a Expr, facts: &[Fact<VarBinding>], _: &[&'a Stmt]) {
+        let Some(slot) = hoisted_slot(e) else { return };
+        let flagged = self.stale_uses.iter().any(|&(s, _)| s == slot);
+        if !flagged && !facts.iter().any(|f| f.key == slot) {
+            self.stale_uses.push((slot, e));
         }
     }
 
-    /// Evaluates `e`: flags uses of slots that are not fresh, then drops
-    /// the slots whose pointer or span it stores.
-    fn eval(&mut self, e: &Expr, st: &mut Fresh) {
-        let Some(fresh) = st else { return };
-        walk_exprs(e, &mut |x| {
-            if let ExprKind::Var {
-                binding: Some(b), ..
-            } = &x.kind
-            {
-                if self.deps.contains_key(b) && !fresh.contains(b) {
-                    self.stale_uses.push((*b, x.span));
-                }
-            }
-        });
-        let mut nodes = Vec::new();
-        walk_exprs(e, &mut |x| nodes.push(x));
-        self.drop_stored(fresh, &nodes);
-    }
-
-    /// Drops the slots whose pointer or span one of `nodes` stores.
-    fn drop_stored(&self, fresh: &mut HashSet<VarBinding>, nodes: &[&Expr]) {
-        fresh.retain(|slot| {
-            let stored = |&d| nodes.iter().any(|x| self.stores(x, d));
-            !self.deps[slot].iter().any(stored)
-        });
-    }
-
-    fn block(&mut self, b: &Block, mut st: Fresh) -> Fresh {
-        let declared: Vec<VarBinding> = b
-            .stmts
-            .iter()
-            .filter_map(|s| match &s.kind {
-                StmtKind::Decl { slot: Some(k), .. } => Some(VarBinding::Local(*k)),
-                _ => None,
-            })
-            .collect();
-        for s in &b.stmts {
-            st = self.stmt(s, st);
-        }
-        // Bindings are unique per declaration: leaving the scope only drops
-        // the block's own slots.
-        if let Some(fresh) = &mut st {
-            fresh.retain(|s| !declared.contains(s));
-        }
-        st
-    }
-
-    fn stmt(&mut self, s: &Stmt, mut st: Fresh) -> Fresh {
-        match &s.kind {
-            StmtKind::Decl { init, .. } => {
-                if let Some(e) = init {
-                    self.eval(e, &mut st);
-                }
-                st
-            }
-            StmtKind::Expr(e) => {
-                match derivation(s) {
-                    Some((slot, value)) => {
-                        self.eval(value, &mut st);
-                        if let Some(fresh) = &mut st {
-                            fresh.insert(slot);
-                        }
-                    }
-                    None => self.eval(e, &mut st),
-                }
-                st
-            }
-            StmtKind::If { cond, then, els } => {
-                self.eval(cond, &mut st);
-                let a = self.block(then, st.clone());
-                let b = match els {
-                    Some(b) => self.block(b, st),
-                    None => st,
-                };
-                meet(a, b)
-            }
-            StmtKind::While { cond, body, .. } => self.looping(Some(cond), body, None, false, st),
-            StmtKind::DoWhile { body, cond, .. } => self.looping(Some(cond), body, None, true, st),
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-                mark,
-            } => {
-                if let Some(i) = init {
-                    st = self.stmt(i, st);
-                }
-                if !mark.candidate {
-                    return self.looping(cond.as_ref(), body, step.as_ref(), false, st);
-                }
-                // Iterations may run on other workers, each with its own
-                // slots: nothing is fresh inside. The slots of the thread
-                // that dispatched the loop outlive it, except those whose
-                // pointer or span some iteration stores.
-                let inside = st.as_ref().map(|_| HashSet::default());
-                self.looping(cond.as_ref(), body, step.as_ref(), false, inside);
-                if let Some(fresh) = &mut st {
-                    let mut nodes = Vec::new();
-                    walk_exprs_in_stmt(s, &mut |x| nodes.push(x));
-                    self.drop_stored(fresh, &nodes);
-                }
-                st
-            }
-            StmtKind::Break => {
-                if let Some((brk, _)) = self.loops.last_mut() {
-                    *brk = meet(brk.take(), st);
-                }
-                None
-            }
-            StmtKind::Continue => {
-                if let Some((_, cont)) = self.loops.last_mut() {
-                    *cont = meet(cont.take(), st);
-                }
-                None
-            }
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    self.eval(e, &mut st);
-                }
-                None
-            }
-            StmtKind::Block(b) => self.block(b, st),
-        }
-    }
-
-    /// A loop: the state at its head is the meet of the entry state and
-    /// every back edge, found by iterating (the sets only shrink).
-    fn looping(
-        &mut self,
-        cond: Option<&Expr>,
-        body: &Block,
-        step: Option<&Expr>,
-        body_first: bool,
-        entry: Fresh,
-    ) -> Fresh {
-        let mut head = entry;
-        loop {
-            self.loops.push((None, None));
-            let mut st = head.clone();
-            if !body_first {
-                if let Some(c) = cond {
-                    self.eval(c, &mut st);
-                }
-            }
-            let exit_at_head = st.clone();
-            st = self.block(body, st);
-            let (brk, cont) = self.loops.pop().expect("pushed above");
-            st = meet(st, cont);
-            if let Some(e) = step {
-                self.eval(e, &mut st);
-            }
-            if body_first {
-                if let Some(c) = cond {
-                    self.eval(c, &mut st);
-                }
-            }
-            let next = meet(head.clone(), st.clone());
-            if next == head {
-                let exit = if body_first { st } else { exit_at_head };
-                return meet(exit, brk);
-            }
-            head = next;
-        }
+    fn gen(&mut self, s: &'a Stmt, _: &[&'a Stmt]) -> Option<Fact<VarBinding>> {
+        let (slot, cell, value) = derivation(s)?;
+        Some(self.stores.fact(slot, &[cell, value]))
     }
 }
 
 /// Section 3.4's hoisted redirections: `__rd_p[__tid()]` holds `p`
 /// redirected, so no use of the slot may be reachable from a store to `p`
-/// or its span — an assignment, an address handed out, a callee that
-/// assigns the global — without a derivation in between.
+/// or its span — an assignment, a store through its taken address, a
+/// callee that assigns the global — without a derivation in between.
 fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
     let p = &t.program;
     let mut hidden: Option<HiddenStores> = None;
-    for f in &p.functions {
-        let mut deps: HashMap<VarBinding, HashSet<VarBinding>> = HashMap::default();
-        walk_stmts_in_block(&f.body, &mut |s| {
-            if let Some((slot, value)) = derivation(s) {
-                let reads = deps.entry(slot).or_default();
-                walk_exprs(value, &mut |x| {
-                    if let ExprKind::Var {
-                        binding: Some(b), ..
-                    } = &x.kind
-                    {
-                        reads.insert(*b);
-                    }
-                });
-            }
-        });
-        // A slot that is declared but never derived still has uses to flag.
-        for (k, l) in f.locals.iter().enumerate() {
-            if l.name.starts_with(RD_PREFIX) {
-                deps.entry(VarBinding::Local(k)).or_default();
-            }
-        }
-        if deps.is_empty() {
+    for (fi, f) in p.functions.iter().enumerate() {
+        if !f.locals.iter().any(|l| l.name.starts_with(RD_PREFIX)) {
             continue;
         }
-        let mut assigners: HashMap<usize, HashSet<String>> = HashMap::default();
-        for d in deps.values().flatten() {
-            if let VarBinding::Global(g) = d {
-                let hs = hidden.get_or_insert_with(|| HiddenStores::of(p));
-                assigners
-                    .entry(*g)
-                    .or_insert_with(|| hs.functions_assigning(p, *g));
-            }
-        }
-        let mut flow = Freshness {
-            func: f,
-            deps,
-            assigners,
-            loops: Vec::new(),
+        let hidden = hidden.get_or_insert_with(|| HiddenStores::of(p));
+        let stores = Stores::new(p, fi, hidden);
+        let fresh = Freshness {
+            stores: &stores,
             stale_uses: Vec::new(),
         };
-        flow.block(&f.body, Some(HashSet::default()));
-        let mut seen: HashSet<VarBinding> = HashSet::default();
-        for (slot, span) in std::mem::take(&mut flow.stale_uses) {
-            if !seen.insert(slot) {
-                continue;
-            }
+        let mut flow = Flow::new(&stores, fresh);
+        flow.block(&f.body, Some(Vec::new()));
+        for (slot, e) in flow.pass.stale_uses {
             let VarBinding::Local(k) = slot else { continue };
-            let name = &flow.func.locals[k].name;
+            let name = &f.locals[k].name;
             report.push(
                 Diagnostic::new(
                     Code::SpanNotMaintained,
@@ -1058,7 +847,7 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
                         name.trim_start_matches(RD_PREFIX)
                     ),
                 )
-                .with_span(span),
+                .with_span(e.span),
             );
         }
     }

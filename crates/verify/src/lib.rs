@@ -30,6 +30,7 @@
 
 pub mod diag;
 pub mod invariants;
+mod mustflow;
 pub mod regcheck;
 pub mod sabotage;
 pub mod stackcheck;

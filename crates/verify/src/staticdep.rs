@@ -5,18 +5,28 @@
 //! a same-iteration write. On a different input the store may not happen and
 //! the "private" read becomes a loop-carried flow dependence — a race after
 //! expansion. This pass re-derives, purely statically, which profiled-private
-//! classes are *guaranteed* to be written before read in every iteration:
+//! classes are *guaranteed* to be written before read in every iteration.
 //!
-//! * a scalar is covered once an unconditional top-level assignment (or its
-//!   declaration initializer) kills it before the reads;
-//! * an array/heap class is covered when its loads sit in a canonical
-//!   `for (k = lo; k < hi; k++)` loop over `root[k]` and an earlier
-//!   unconditional canonical store loop with *syntactically identical*
-//!   bounds wrote `root[k]` — identical bounds make the argument
-//!   per-element, so zero-trip loops are covered too;
-//! * kills under `if`/non-canonical loops are discarded (they may not
-//!   execute), and calls to user functions invalidate range kills (the
-//!   callee may reassign the root pointer).
+//! The scan runs the candidate body, as one iteration, on the verifier's one
+//! forward must-dataflow over statements (`mustflow`, which `DSE005` shares):
+//! a fact holds at a load only if it holds on every path that reaches it, and
+//! it dies by that module's one kill rule — a store to a binding it reads, a
+//! store through a pointer or a user call where it reads memory or an
+//! address-taken binding. Its facts, keyed by binding and expression shape
+//! (`dse_lang::ast::same_shape`), never by printed text:
+//!
+//! * a scalar is covered once an unconditional assignment (or its
+//!   declaration initializer) stores it;
+//! * in a canonical `for (k = lo; k < hi; k++)` loop whose body does not
+//!   store `k`, the statement `root[k] = …` covers `root[k]` until `root`
+//!   or `k` is stored;
+//! * such a loop covers `root` over `[lo, hi)` after it when that element
+//!   fact holds at the end of its body on every path, `continue` edges
+//!   included, no `break` leaves it, and no store of the loop other than
+//!   its element stores kills the range; a later canonical loop over `k`
+//!   with bounds of the same shape reads `root[k]` covered. Same-shape
+//!   bounds make the argument per element, so zero-trip loops are covered
+//!   too.
 //!
 //! Classes the profile calls private but this approximation cannot confirm
 //! get `DSE001` (warning by default — the profile may well be right; the
@@ -27,6 +37,7 @@
 
 use dse_lang::fasthash::{HashMap, HashSet};
 
+use dse_analysis::effects::HiddenStores;
 use dse_analysis::PtObj;
 use dse_core::{Analysis, LoopClassification, SiteClass};
 use dse_depprof::LoopDdg;
@@ -37,6 +48,7 @@ use dse_lang::printer;
 use dse_lang::source::SourceSpan;
 
 use crate::diag::{Code, Diagnostic, Report};
+use crate::mustflow::{Fact, Flow, Pass, Stores};
 
 /// One access class of a candidate loop, with the profiled verdict and the
 /// static one side by side (`dsec --emit ddg` renders these).
@@ -75,11 +87,19 @@ pub struct LoopDiff {
 
 /// Computes the static-vs-profiled dependence diff for every candidate loop.
 pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
+    diffs(analysis, &eid_index(&analysis.program))
+}
+
+/// [`loop_diffs`], with `eids` indexing `analysis.program`.
+fn diffs(analysis: &Analysis, eids: &EidIndex<'_>) -> Vec<LoopDiff> {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
-    let eids = eid_index(&analysis.program);
+    let hidden = HiddenStores::of(&analysis.program);
     let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
     loops
-        .map(|(ddg, cls)| diff_loop(analysis, ddg, cls, cands.get(ddg.loop_id as usize), &eids))
+        .map(|(ddg, cls)| {
+            let cand = cands.get(ddg.loop_id as usize);
+            diff_loop(analysis, ddg, cls, cand, eids, &hidden)
+        })
         .collect()
 }
 
@@ -87,8 +107,8 @@ pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
 /// `analysis.program`.
 pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
-    for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
-        let cand = cands.get(ddg.loop_id as usize);
+    let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
+    for ((ddg, cls), diff) in loops.zip(diffs(analysis, eids)) {
         if ddg.iterations == 0 {
             let mut d = Diagnostic::new(
                 Code::ZeroIterationProfile,
@@ -96,13 +116,12 @@ pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
                  its classification is vacuous",
             )
             .with_loop(&cls.label);
-            if let Some(c) = cand {
+            if let Some(c) = cands.get(ddg.loop_id as usize) {
                 d = d.with_span(c.stmt.span);
             }
             report.push(d);
             continue;
         }
-        let diff = diff_loop(analysis, ddg, cls, cand, eids);
         let shared_objs = shared_objects(analysis, cls);
         for class in &diff.classes {
             if !class.profiled_private {
@@ -173,6 +192,7 @@ fn diff_loop(
     cls: &LoopClassification,
     cand: Option<&CandidateLoop<'_>>,
     eid_index: &EidIndex<'_>,
+    hidden: &HiddenStores,
 ) -> LoopDiff {
     // Map load eid -> index of its class for the private classes, then
     // scan.
@@ -189,26 +209,40 @@ fn diff_loop(
         }
     }
     let coverage = cand.map(|c| {
-        let mut scanner = Scanner {
-            program: &analysis.program,
+        let program = &analysis.program;
+        let stores = Stores::new(program, c.func as usize, hidden);
+        let mut canonical = Vec::new();
+        walk_stmts_in_block(c.body(), &mut |s| {
+            canonical.extend(match_canonical(s, &stores).map(|(k, bounds)| (s, k, bounds)))
+        });
+        let scan = Coverage {
+            stores: &stores,
             load_class: &load_class,
-            uncovered: HashMap::default(),
-            seen_loads: HashSet::default(),
+            canonical,
+            first_uncovered: HashMap::default(),
         };
-        let mut st = KillState::default();
-        scanner.scan_block(c.body(), &mut st, None);
-        // Loads the body scan never reached (e.g. inside called functions)
-        // are beyond the coverage argument.
-        for (&eid, &at) in &load_class {
-            if !scanner.seen_loads.contains(&eid) {
-                let (span, repr) = describe(eid, eid_index, &analysis.program);
-                scanner.uncovered.entry(at).or_insert((
-                    span,
-                    format!("load `{repr}` is outside the loop body (reached through a call)"),
-                ));
-            }
+        let mut flow = Flow::new(&stores, scan);
+        flow.iteration(c.body());
+        let mut uncovered: HashMap<usize, (Option<SourceSpan>, String)> = HashMap::default();
+        for (at, e) in flow.pass.first_uncovered {
+            let repr = printer::expr(e, program);
+            let reason = format!("load `{repr}` has no guaranteed same-iteration store before it");
+            uncovered.insert(at, (Some(e.span), reason));
         }
-        scanner.uncovered
+        // Loads outside the body (inside called functions) are beyond the
+        // coverage argument.
+        let mut in_body: HashSet<u32> = HashSet::default();
+        walk_exprs_in_block(c.body(), &mut |e| {
+            if load_class.contains_key(&e.eid) {
+                in_body.insert(e.eid);
+            }
+        });
+        for (&eid, &at) in load_class.iter().filter(|(e, _)| !in_body.contains(*e)) {
+            let (span, repr) = describe(eid, eid_index, program);
+            let reason = format!("load `{repr}` is outside the loop body (reached through a call)");
+            uncovered.entry(at).or_insert((span, reason));
+        }
+        uncovered
     });
 
     let mut classes: Vec<ClassDiff> = (0..)
@@ -284,295 +318,166 @@ fn describe(eid: u32, eid_index: &EidIndex<'_>, program: &Program) -> (Option<So
     }
 }
 
-// ---- the coverage scanner ---------------------------------------------------
+// ---- the coverage scan -------------------------------------------------------
 
-/// Kills established so far on the scan path (all guaranteed to execute
-/// before the statement being scanned, once per iteration).
-#[derive(Clone, Default)]
-struct KillState {
-    /// Scalars written by an unconditional plain assignment or initializer.
-    scalars: HashSet<VarBinding>,
-    /// Printed root expression -> set of printed `(lo, hi)` bound pairs
-    /// fully stored by a canonical store loop.
-    ranges: HashMap<String, HashSet<(String, String)>>,
+/// What pass 1 knows was stored in the current iteration.
+#[derive(Debug, Clone, Copy)]
+enum Cover<'a> {
+    /// The scalar was stored.
+    Scalar(VarBinding),
+    /// `root[k]` was stored, at the binding `k`'s current value.
+    Element(&'a Expr, VarBinding),
+    /// `[root, lo, hi]`: `root[j]` was stored for every `j` in `[lo, hi)`.
+    Range([&'a Expr; 3]),
 }
 
-/// The enclosing canonical loop, for justifying `root[k]` element loads.
-struct CanonCtx {
-    k: VarBinding,
-    lo: String,
-    hi: String,
-}
-
-struct Scanner<'a> {
-    program: &'a Program,
-    /// Per load eid of a private class: that class's index.
-    load_class: &'a HashMap<u32, usize>,
-    /// First unjustified load per class index: (span, explanation).
-    uncovered: HashMap<usize, (Option<SourceSpan>, String)>,
-    seen_loads: HashSet<u32>,
-}
-
-impl<'a> Scanner<'a> {
-    fn scan_block(&mut self, b: &Block, st: &mut KillState, canon: Option<&CanonCtx>) {
-        for s in &b.stmts {
-            self.scan_stmt(s, st, canon);
-        }
-    }
-
-    fn scan_stmt(&mut self, s: &Stmt, st: &mut KillState, canon: Option<&CanonCtx>) {
-        match &s.kind {
-            StmtKind::Decl {
-                name, init, slot, ..
-            } => {
-                if let Some(e) = init {
-                    self.scan_expr(e, st, canon);
-                    if let Some(slot) = slot {
-                        invalidate(st, name);
-                        st.scalars.insert(VarBinding::Local(*slot));
-                    }
-                }
-            }
-            StmtKind::Expr(e) => {
-                if let ExprKind::Assign {
-                    op: AssignOp::Set,
-                    lhs,
-                    rhs,
-                } = &e.kind
-                {
-                    if let ExprKind::Var { name, binding } = &lhs.kind {
-                        self.scan_expr(rhs, st, canon);
-                        invalidate(st, name);
-                        if let Some(b) = binding {
-                            st.scalars.insert(*b);
-                        }
-                        return;
-                    }
-                }
-                self.scan_expr(e, st, canon);
-            }
-            StmtKind::If { cond, then, els } => {
-                self.scan_expr(cond, st, canon);
-                // Branch kills may not execute: scan each arm on a clone.
-                let mut t = st.clone();
-                self.scan_block(then, &mut t, canon);
-                if let Some(b) = els {
-                    let mut e = st.clone();
-                    self.scan_block(b, &mut e, canon);
-                    // A kill both arms make holds after the `if`.
-                    st.scalars = t.scalars.intersection(&e.scalars).copied().collect();
-                    st.ranges = t
-                        .ranges
-                        .into_iter()
-                        .filter_map(|(root, spans)| {
-                            let both: HashSet<_> =
-                                spans.intersection(e.ranges.get(&root)?).cloned().collect();
-                            (!both.is_empty()).then_some((root, both))
-                        })
-                        .collect();
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => self.scan_for(init.as_deref(), cond.as_ref(), step.as_ref(), body, st),
-            StmtKind::While { cond, body, .. } => {
-                self.scan_expr(cond, st, canon);
-                let mut b = st.clone();
-                self.scan_block(body, &mut b, canon);
-            }
-            StmtKind::DoWhile { body, cond, .. } => {
-                let mut b = st.clone();
-                self.scan_block(body, &mut b, canon);
-                self.scan_expr(cond, &mut b, canon);
-            }
-            StmtKind::Return(Some(e)) => self.scan_expr(e, st, canon),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Block(b) => self.scan_block(b, st, canon),
-        }
-    }
-
-    /// Scans a nested `for`. Canonical `for (k = lo; k < hi; k++)` loops get
-    /// the element-wise treatment; anything else is a conditional region.
-    fn scan_for(
-        &mut self,
-        init: Option<&Stmt>,
-        cond: Option<&Expr>,
-        step: Option<&Expr>,
-        body: &Block,
-        st: &mut KillState,
-    ) {
-        let Some(ctx) = match_canonical(init, cond, step, self.program) else {
-            let mut inner = st.clone();
-            if let Some(s) = init {
-                self.scan_stmt(s, &mut inner, None);
-            }
-            if let Some(c) = cond {
-                self.scan_expr(c, &mut inner, None);
-            }
-            self.scan_block(body, &mut inner, None);
-            if let Some(s) = step {
-                self.scan_expr(s, &mut inner, None);
-            }
-            return;
-        };
-
-        // Bounds are evaluated unconditionally; the init kill of `k` holds
-        // throughout the loop.
-        if let Some(s) = init {
-            self.scan_stmt(s, st, None);
-        }
-        let k_name = ctx.1.clone();
-        let ctx = ctx.0;
-        let mut inner = st.clone();
-        invalidate(&mut inner, &k_name);
-        inner.scalars.insert(ctx.k);
-        if let Some(c) = cond {
-            self.scan_expr(c, &mut inner, Some(&ctx));
-        }
-
-        // Scan body statements, recognizing `root[k] = rhs` full-range
-        // stores. A store commits into `inner` immediately (it justifies
-        // same-index loads later in this body) and is remembered so it can
-        // be published to the outer state after the loop.
-        let mut stored_roots: Vec<String> = Vec::new();
-        for s in &body.stmts {
-            if let StmtKind::Expr(e) = &s.kind {
-                if let ExprKind::Assign {
-                    op: AssignOp::Set,
-                    lhs,
-                    rhs,
-                } = &e.kind
-                {
-                    if let ExprKind::Index { base, index } = &lhs.kind {
-                        if is_var(index, ctx.k)
-                            && stable_root(base)
-                            && !mentions_binding(base, ctx.k)
-                        {
-                            self.scan_expr(base, &mut inner, Some(&ctx));
-                            self.scan_expr(index, &mut inner, Some(&ctx));
-                            self.scan_expr(rhs, &mut inner, Some(&ctx));
-                            let root = printer::expr(base, self.program);
-                            inner
-                                .ranges
-                                .entry(root.clone())
-                                .or_default()
-                                .insert((ctx.lo.clone(), ctx.hi.clone()));
-                            stored_roots.push(root);
-                            continue;
-                        }
-                    }
-                }
-            }
-            self.scan_stmt(s, &mut inner, Some(&ctx));
-        }
-        if let Some(e) = step {
-            self.scan_expr(e, &mut inner, Some(&ctx));
-        }
-        // Publish the canonical range kills; scalar kills made inside the
-        // body stay conditional (the loop may run zero times). The range
-        // kill is safe even then: it only ever justifies loads under
-        // syntactically identical bounds, which then also run zero times.
-        for root in stored_roots {
-            st.ranges
-                .entry(root)
-                .or_default()
-                .insert((ctx.lo.clone(), ctx.hi.clone()));
-        }
-    }
-
-    /// Walks an expression, auditing every load that belongs to a
-    /// profiled-private class.
-    fn scan_expr(&mut self, e: &Expr, st: &mut KillState, canon: Option<&CanonCtx>) {
-        if let Some(&at) = self.load_class.get(&e.eid) {
-            self.seen_loads.insert(e.eid);
-            if !self.justified(e, st, canon) {
-                let repr = printer::expr(e, self.program);
-                self.uncovered.entry(at).or_insert((
-                    Some(e.span),
-                    format!("load `{repr}` has no guaranteed same-iteration store before it"),
-                ));
-            }
-        }
-        // User-defined callees may reassign the pointers canonical kills
-        // are rooted at; builtins cannot.
-        if let ExprKind::Call { name, .. } = &e.kind {
-            if self.program.function(name).is_some() {
-                st.ranges.clear();
-            }
-        }
-        match &e.kind {
-            ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::Var { .. }
-            | ExprKind::SizeofType(_) => {}
-            ExprKind::Unary(_, a)
-            | ExprKind::Deref(a)
-            | ExprKind::AddrOf(a)
-            | ExprKind::Cast(_, a)
-            | ExprKind::SizeofExpr(a)
-            | ExprKind::IncDec { target: a, .. } => self.scan_expr(a, st, canon),
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign { lhs: a, rhs: b, .. }
-            | ExprKind::Index { base: a, index: b } => {
-                self.scan_expr(a, st, canon);
-                self.scan_expr(b, st, canon);
-            }
-            ExprKind::Cond(a, b, c) => {
-                self.scan_expr(a, st, canon);
-                self.scan_expr(b, st, canon);
-                self.scan_expr(c, st, canon);
-            }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    self.scan_expr(a, st, canon);
-                }
-            }
-            ExprKind::Field { base, .. } => self.scan_expr(base, st, canon),
-        }
-    }
-
-    /// Is this load provably preceded by a same-iteration store?
-    fn justified(&self, e: &Expr, st: &KillState, canon: Option<&CanonCtx>) -> bool {
-        match &e.kind {
-            ExprKind::Var { binding, .. } => {
-                binding.map(|b| st.scalars.contains(&b)).unwrap_or(false)
-            }
-            ExprKind::Index { base, index } => {
-                let Some(ctx) = canon else { return false };
-                if !is_var(index, ctx.k) || !stable_root(base) || mentions_binding(base, ctx.k) {
-                    return false;
-                }
-                let root = printer::expr(base, self.program);
-                st.ranges
-                    .get(&root)
-                    .map(|spans| spans.contains(&(ctx.lo.clone(), ctx.hi.clone())))
-                    .unwrap_or(false)
-            }
+/// Two covers are one when their expressions have the same shape.
+impl PartialEq for Cover<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Cover::Scalar(a), Cover::Scalar(b)) => a == b,
+            (Cover::Element(r, k), Cover::Element(s, j)) => k == j && same_shape(r, s),
+            (Cover::Range(a), Cover::Range(b)) => a.iter().zip(b).all(|(x, y)| same_shape(x, y)),
             _ => false,
         }
     }
 }
 
-/// Matches `for (k = lo; k < hi; k++)` in its common spellings; returns the
-/// context plus `k`'s name (for invalidation).
-fn match_canonical(
-    init: Option<&Stmt>,
-    cond: Option<&Expr>,
-    step: Option<&Expr>,
-    program: &Program,
-) -> Option<(CanonCtx, String)> {
-    let (k, k_name, lo) = match init.map(|s| &s.kind) {
-        Some(StmtKind::Decl {
-            name,
+/// Pass 1's scan of one candidate body (the module doc lists its facts): a
+/// load of a profiled-private class is covered when a fact of the
+/// iteration says its cell was stored.
+struct Coverage<'a> {
+    stores: &'a Stores<'a>,
+    /// Per load eid of a profiled-private class: that class's index.
+    load_class: &'a HashMap<u32, usize>,
+    /// The canonical loops of the body, with their `k` and `[lo, hi]`.
+    canonical: Vec<(&'a Stmt, VarBinding, [&'a Expr; 2])>,
+    /// Per class index: its first uncovered load, in source order.
+    first_uncovered: HashMap<usize, &'a Expr>,
+}
+
+impl<'a> Coverage<'a> {
+    /// The canonical loop `s`: its `k` and `[lo, hi]`.
+    fn canonical(&self, s: &Stmt) -> Option<(VarBinding, [&'a Expr; 2])> {
+        let at = self.canonical.iter().find(|(l, ..)| std::ptr::eq(*l, s));
+        at.map(|&(_, k, bounds)| (k, bounds))
+    }
+
+    /// The innermost of `loops` that is a canonical loop over `k`: its
+    /// bounds `[lo, hi]`.
+    fn bounds_over(&self, k: VarBinding, loops: &[&'a Stmt]) -> Option<[&'a Expr; 2]> {
+        let over_k = |l: &&'a Stmt| self.canonical(l).filter(|(j, _)| *j == k);
+        loops
+            .iter()
+            .rev()
+            .find_map(over_k)
+            .map(|(_, bounds)| bounds)
+    }
+}
+
+impl<'a> Pass<'a> for Coverage<'a> {
+    type Key = Cover<'a>;
+
+    fn read(&mut self, e: &'a Expr, facts: &[Fact<Cover<'a>>], loops: &[&'a Stmt]) {
+        let Some(&at) = self.load_class.get(&e.eid) else {
+            return;
+        };
+        let holds = |key: Cover<'a>| facts.iter().any(|f| f.key == key);
+        let covered = match &e.kind {
+            ExprKind::Var {
+                binding: Some(b), ..
+            } => holds(Cover::Scalar(*b)),
+            ExprKind::Index { base, index } => bound_var(index).is_some_and(|k| {
+                holds(Cover::Element(base, k))
+                    || (self.bounds_over(k, loops))
+                        .is_some_and(|[lo, hi]| holds(Cover::Range([base, lo, hi])))
+            }),
+            _ => false,
+        };
+        if !covered {
+            let first = self.first_uncovered.entry(at).or_insert(e);
+            if e.span.start < first.span.start {
+                *first = e;
+            }
+        }
+    }
+
+    fn gen(&mut self, s: &'a Stmt, loops: &[&'a Stmt]) -> Option<Fact<Cover<'a>>> {
+        let lhs = match &s.kind {
+            StmtKind::Decl {
+                init: Some(_),
+                slot: Some(k),
+                ..
+            } => return Some(self.stores.fact(Cover::Scalar(VarBinding::Local(*k)), &[])),
+            StmtKind::Expr(e) => match &e.kind {
+                ExprKind::Assign {
+                    op: AssignOp::Set,
+                    lhs,
+                    ..
+                } => lhs,
+                _ => return None,
+            },
+            _ => return None,
+        };
+        match &lhs.kind {
+            ExprKind::Var {
+                binding: Some(b), ..
+            } => Some(self.stores.fact(Cover::Scalar(*b), &[])),
+            ExprKind::Index { base, index } => {
+                let k = bound_var(index)?;
+                let fits = stable_root(base) && !mentions_binding(base, k);
+                (fits && self.bounds_over(k, loops).is_some())
+                    .then(|| self.stores.fact(Cover::Element(base, k), &[base, index]))
+            }
+            _ => None,
+        }
+    }
+
+    fn publish(&mut self, s: &'a Stmt, end: &[Fact<Cover<'a>>]) -> Vec<Fact<Cover<'a>>> {
+        let Some((k, [lo, hi])) = self.canonical(s) else {
+            return Vec::new();
+        };
+        // The loop's own element stores write `root[k]`, not what the range
+        // loads.
+        let own = |x: &Expr, root: &Expr| match &x.kind {
+            ExprKind::Assign { lhs, .. } => matches!(&lhs.kind,
+                ExprKind::Index { base, index } if is_var(index, k) && same_shape(base, root)),
+            _ => false,
+        };
+        let ranges = end.iter().filter_map(|f| match f.key {
+            Cover::Element(root, j) if j == k => {
+                let range = self
+                    .stores
+                    .fact(Cover::Range([root, lo, hi]), &[root, lo, hi]);
+                (!self.stores.killed_in(&range, s, |x| own(x, root))).then_some(range)
+            }
+            _ => None,
+        });
+        ranges.collect()
+    }
+}
+
+/// `for (k = lo; k < hi; k++)`, in its common spellings, with bounds that
+/// do not mention `k` and a body that does not store it: `k` and
+/// `[lo, hi]`.
+fn match_canonical<'a>(s: &'a Stmt, stores: &Stores<'_>) -> Option<(VarBinding, [&'a Expr; 2])> {
+    let StmtKind::For {
+        init,
+        cond: Some(cond),
+        step: Some(step),
+        body,
+        ..
+    } = &s.kind
+    else {
+        return None;
+    };
+    let (k, lo) = match &init.as_deref()?.kind {
+        StmtKind::Decl {
             init: Some(lo),
             slot: Some(slot),
             ..
-        }) => (VarBinding::Local(*slot), name.clone(), lo),
-        Some(StmtKind::Expr(Expr {
+        } => (VarBinding::Local(*slot), lo),
+        StmtKind::Expr(Expr {
             kind:
                 ExprKind::Assign {
                     op: AssignOp::Set,
@@ -580,78 +485,62 @@ fn match_canonical(
                     rhs,
                 },
             ..
-        })) => match &lhs.kind {
-            ExprKind::Var {
-                name,
-                binding: Some(b),
-            } => (*b, name.clone(), &**rhs),
-            _ => return None,
-        },
+        }) => (bound_var(lhs)?, &**rhs),
         _ => return None,
     };
-    let hi = match cond.map(|c| &c.kind) {
-        Some(ExprKind::Binary(BinOp::Lt, l, hi)) if is_var(l, k) => hi,
-        _ => return None,
+    let ExprKind::Binary(BinOp::Lt, k_ref, hi) = &cond.kind else {
+        return None;
     };
-    let step_ok = match step.map(|s| &s.kind) {
-        Some(ExprKind::IncDec {
+    let one = |e: &Expr| matches!(e.kind, ExprKind::IntLit(1));
+    let step_ok = match &step.kind {
+        ExprKind::IncDec {
             inc: true, target, ..
-        }) => is_var(target, k),
-        Some(ExprKind::Assign {
+        } => is_var(target, k),
+        ExprKind::Assign {
             op: AssignOp::Compound(BinOp::Add),
             lhs,
             rhs,
-        }) => is_var(lhs, k) && matches!(rhs.kind, ExprKind::IntLit(1)),
-        Some(ExprKind::Assign {
+        } => is_var(lhs, k) && one(rhs),
+        ExprKind::Assign {
             op: AssignOp::Set,
             lhs,
             rhs,
-        }) => {
+        } => {
             is_var(lhs, k)
-                && match &rhs.kind {
-                    ExprKind::Binary(BinOp::Add, a, b) => {
-                        is_var(a, k) && matches!(b.kind, ExprKind::IntLit(1))
-                    }
-                    _ => false,
-                }
+                && matches!(&rhs.kind, ExprKind::Binary(BinOp::Add, a, b) if is_var(a, k) && one(b))
         }
-        _ => return None,
+        _ => false,
     };
-    if !step_ok {
-        return None;
+    let induction = stores.fact((), &[k_ref]);
+    let stored = body
+        .stmts
+        .iter()
+        .any(|b| stores.killed_in(&induction, b, |_| false));
+    let ok = step_ok && is_var(k_ref, k) && !mentions_binding(hi, k) && !mentions_binding(lo, k);
+    (ok && !stored).then_some((k, [lo, hi]))
+}
+
+/// The binding `e` names, when it is exactly a bound variable.
+fn bound_var(e: &Expr) -> Option<VarBinding> {
+    match &e.kind {
+        ExprKind::Var { binding, .. } => *binding,
+        _ => None,
     }
-    // Bounds must not depend on the induction variable itself.
-    if mentions_binding(hi, k) || mentions_binding(lo, k) {
-        return None;
-    }
-    Some((
-        CanonCtx {
-            k,
-            lo: printer::expr(lo, program),
-            hi: printer::expr(hi, program),
-        },
-        k_name,
-    ))
 }
 
 /// True when `e` is exactly a reference to the binding `b`.
 fn is_var(e: &Expr, b: VarBinding) -> bool {
-    matches!(&e.kind, ExprKind::Var { binding: Some(x), .. } if *x == b)
+    bound_var(e) == Some(b)
 }
 
 /// True when any variable reference under `e` resolves to `b`.
 fn mentions_binding(e: &Expr, b: VarBinding) -> bool {
     let mut found = false;
-    dse_lang::ast::walk_exprs(e, &mut |n| {
-        if is_var(n, b) {
-            found = true;
-        }
-    });
+    walk_exprs(e, &mut |n| found |= is_var(n, b));
     found
 }
 
-/// Roots we can key a range kill on: side-effect-free lvalue spines whose
-/// printed form identifies the storage.
+/// Roots a cover can name: side-effect-free lvalue spines.
 fn stable_root(e: &Expr) -> bool {
     match &e.kind {
         ExprKind::Var { .. } => true,
@@ -661,58 +550,5 @@ fn stable_root(e: &Expr) -> bool {
             stable_root(base) && matches!(index.kind, ExprKind::IntLit(_))
         }
         _ => false,
-    }
-}
-
-/// Drops range kills whose root or bounds mention `name` — the variable was
-/// just reassigned, so those printed strings no longer denote the same
-/// storage or the same iteration space.
-fn invalidate(st: &mut KillState, name: &str) {
-    let mut dead: Vec<String> = Vec::new();
-    for (root, spans) in st.ranges.iter_mut() {
-        if mentions_ident(root, name) {
-            dead.push(root.clone());
-            continue;
-        }
-        spans.retain(|(lo, hi)| !mentions_ident(lo, name) && !mentions_ident(hi, name));
-        if spans.is_empty() {
-            dead.push(root.clone());
-        }
-    }
-    for r in dead {
-        st.ranges.remove(&r);
-    }
-}
-
-/// Whole-identifier containment test over printed expression strings.
-fn mentions_ident(s: &str, name: &str) -> bool {
-    if name.is_empty() {
-        return false;
-    }
-    let bytes = s.as_bytes();
-    s.match_indices(name).any(|(i, _)| {
-        let before = i == 0 || {
-            let c = bytes[i - 1];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
-        let end = i + name.len();
-        let after = end >= s.len() || {
-            let c = bytes[end];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
-        before && after
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ident_mention_is_whole_word() {
-        assert!(mentions_ident("(scratch[(k)])", "scratch"));
-        assert!(mentions_ident("(a + b)", "b"));
-        assert!(!mentions_ident("(scratch2[(k)])", "scratch"));
-        assert!(!mentions_ident("(backlog)", "log"));
     }
 }

@@ -5,7 +5,11 @@
 
 use dse_core::{Analysis, OptLevel, Transformed};
 use dse_ir::bytecode::{Instr, LoopEvent};
-use dse_lang::ast::{visit_exprs_in_block, AssignOp, BinOp, Block, Expr, ExprKind, Stmt, StmtKind};
+use dse_lang::ast::{
+    visit_exprs_in_block, AssignOp, BinOp, Block, Expr, ExprKind, LocalVar, Stmt, StmtKind,
+    VarBinding,
+};
+use dse_lang::types::Type;
 use dse_verify::diag::Code;
 use dse_workloads::Scale;
 
@@ -116,6 +120,69 @@ fn dropped_rederivation_is_flagged() {
         b.stmts.len() < before
     });
     assert!(dropped, "expected a `__rd_mx` derivation in the output");
+    assert_eq!(new_codes(&analysis, &clean, &t), [Code::SpanNotMaintained]);
+}
+
+/// Taking `mx`'s address before its derivation and storing through it
+/// after (`pp = &mx; __rd_mx[__tid()] = …; *pp = mx;`) leaves later
+/// accesses addressing through a slot derived from the value before that
+/// store: `DSE005`. The transform never hoists an address-taken pointer,
+/// so only a broken transform gets here.
+#[test]
+fn store_through_taken_address_after_derivation_is_flagged() {
+    let (analysis, mut t) = transformed("hmmer");
+    let clean = codes(&analysis, &t);
+    let main = t.program.functions.iter_mut().find(|f| f.name == "main");
+    let main = main.expect("hmmer has a main");
+    let int_ptr = Type::Int.ptr_to();
+    let pp = Expr::typed(
+        ExprKind::Var {
+            name: "pp".into(),
+            binding: Some(VarBinding::Local(main.locals.len())),
+        },
+        int_ptr.clone().ptr_to(),
+    );
+    main.locals.push(LocalVar {
+        name: "pp".into(),
+        ty: int_ptr.clone().ptr_to(),
+        is_param: false,
+    });
+    let stmt = |lhs: Expr, rhs: Expr| Stmt {
+        kind: StmtKind::Expr(Expr::typed(
+            ExprKind::Assign {
+                op: AssignOp::Set,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+            },
+            int_ptr.clone(),
+        )),
+        span: Default::default(),
+    };
+    let stored = find_block(&mut t, &mut |b| {
+        let Some(at) = b.stmts.iter().position(|s| is_derivation(s, "mx")) else {
+            return false;
+        };
+        // `__rd_mx[__tid()] = mx + …`: the `mx` it reads.
+        let StmtKind::Expr(e) = &b.stmts[at].kind else {
+            unreachable!()
+        };
+        let ExprKind::Assign { rhs, .. } = &e.kind else {
+            unreachable!()
+        };
+        let ExprKind::Binary(BinOp::Add, mx, _) = &rhs.kind else {
+            panic!("a derivation adds the offset to the pointer")
+        };
+        let mx = (**mx).clone();
+        let take = Expr::typed(
+            ExprKind::AddrOf(Box::new(mx.clone())),
+            int_ptr.clone().ptr_to(),
+        );
+        let through = Expr::typed(ExprKind::Deref(Box::new(pp.clone())), int_ptr.clone());
+        b.stmts.insert(at + 1, stmt(through, mx));
+        b.stmts.insert(at, stmt(pp.clone(), take));
+        true
+    });
+    assert!(stored, "expected a `__rd_mx` derivation in the output");
     assert_eq!(new_codes(&analysis, &clean, &t), [Code::SpanNotMaintained]);
 }
 

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Fails if a loop fact is keyed or looked up by the loop's label. A
-# candidate loop's identity is its position in
+# Fails if a fact is keyed by a string, or a loop fact is looked up by the
+# loop's label. A candidate loop's identity is its position in
 # `dse_ir::loops::find_candidate_loops`; its label is only printed (DESIGN
-# §8, "One record per candidate loop").
+# §8, "One record per candidate loop"). A verifier fact names variables by
+# binding and expressions by shape (`dse_lang::ast::same_shape`), never by
+# printed text (DESIGN §11).
 #
 #   scripts/check_loop_identity.sh
 #
 # Two rules, over the non-test part of each file (everything before its
 # first `#[cfg(test)]` line, the split `net_loc.sh` uses):
-#   1. `crates/core/src` and `crates/ir/src` name no `HashMap<String`;
+#   1. `crates/{core,ir,verify}/src` name no `HashMap<String` (a fact keyed
+#      by a printed name or expression; key it by id, binding or shape);
 #   2. `crates/{core,ir,verify}/src` compare no `.label` with `==`/`!=`,
 #      apart from `Analysis::classification`, the by-label lookup that
 #      tests and examples use.
@@ -29,12 +32,12 @@ non_test_matches() {
 label_cmp='\.label(\.as_str\(\))?[[:space:]]*[!=]=|[!=]=[[:space:]]*&?[A-Za-z_][A-Za-z0-9_.]*\.label([^A-Za-z0-9_]|$)'
 allowed='^crates/core/src/lib\.rs:[0-9]+: +self\.classifications\.iter\(\)\.find\(\|c\| c\.label == label\)$'
 
-maps=$(non_test_matches 'HashMap<String' crates/core/src crates/ir/src)
+maps=$(non_test_matches 'HashMap<String' crates/core/src crates/ir/src crates/verify/src)
 compares=$(non_test_matches "$label_cmp" crates/core/src crates/ir/src crates/verify/src |
     grep -Ev "$allowed" || true)
 status=0
 if [ -n "$maps" ]; then
-    echo "a map keyed by a String in dse-core/dse-ir (index loop facts by candidate position):"
+    echo "a map keyed by a String in dse-core/dse-ir/dse-verify (key facts by id, binding or shape):"
     echo "$maps"
     status=1
 fi
