@@ -130,7 +130,7 @@ impl LoopClassification {
         let mut b = AccessBreakdown::default();
         for class in &self.classes {
             for site in &class.sites {
-                let count = ddg.site_counts.get(site).copied().unwrap_or(0);
+                let count = ddg.site(*site).map_or(0, |s| s.count);
                 if class.carried.binary_search(site).is_err() {
                     b.free += count;
                 } else if class.verdict == SiteClass::Private {
@@ -179,27 +179,28 @@ pub fn classify_loop(ddg: &LoopDdg) -> LoopClassification {
     for e in ddg.edges.iter().filter(|e| !e.carried) {
         uf.union(e.src, e.dst);
     }
-    let mut sites: Vec<SiteId> = ddg.site_counts.keys().copied().collect();
-    sites.sort_unstable();
     let mut of_rep: HashMap<SiteId, u32> = HashMap::default();
     let mut classes: Vec<AccessClass> = Vec::new();
-    for &s in &sites {
-        let at = *of_rep.entry(uf.find(s)).or_insert_with(|| {
+    // Per class: a member is upwards- or downwards-exposed.
+    let mut exposed: Vec<bool> = Vec::new();
+    for s in &ddg.sites {
+        let at = *of_rep.entry(uf.find(s.site)).or_insert_with(|| {
             classes.push(AccessClass {
                 sites: Vec::new(),
                 carried: Vec::new(),
                 verdict: SiteClass::Shared,
             });
+            exposed.push(false);
             classes.len() as u32 - 1
         });
-        classes[at as usize].sites.push(s);
+        classes[at as usize].sites.push(s.site);
+        exposed[at as usize] |= s.upward || s.downward;
     }
     // 2. Definition 5, per class.
     let carried_flow = ddg.sites_in_carried(&[DepKind::Flow]);
     let carried_anti_out = ddg.sites_in_carried(&[DepKind::Anti, DepKind::Output]);
-    for class in &mut classes {
+    for (class, exposed) in classes.iter_mut().zip(exposed) {
         let any_in = |set: &HashSet<SiteId>| class.sites.iter().any(|s| set.contains(s));
-        let exposed = any_in(&ddg.upward_exposed) || any_in(&ddg.downward_exposed);
         if !exposed && !any_in(&carried_flow) && any_in(&carried_anti_out) {
             class.verdict = SiteClass::Private;
         }
@@ -268,7 +269,7 @@ pub fn eid_verdicts<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dse_depprof::DepEdge;
+    use dse_depprof::{DepEdge, SiteProfile};
 
     fn edge(src: SiteId, dst: SiteId, kind: DepKind, carried: bool) -> DepEdge {
         DepEdge {
@@ -279,13 +280,23 @@ mod tests {
         }
     }
 
-    fn ddg_with(edges: Vec<DepEdge>, sites: &[SiteId], up: &[SiteId], down: &[SiteId]) -> LoopDdg {
+    fn ddg_with(
+        mut edges: Vec<DepEdge>,
+        sites: &[SiteId],
+        up: &[SiteId],
+        down: &[SiteId],
+    ) -> LoopDdg {
+        edges.sort_unstable();
+        let sites = sites.iter().map(|&site| SiteProfile {
+            site,
+            count: 10,
+            upward: up.contains(&site),
+            downward: down.contains(&site),
+        });
         LoopDdg {
             label: "t".into(),
-            edges: edges.into_iter().collect(),
-            upward_exposed: up.iter().copied().collect(),
-            downward_exposed: down.iter().copied().collect(),
-            site_counts: sites.iter().map(|s| (*s, 10)).collect(),
+            edges,
+            sites: sites.collect(),
             ..Default::default()
         }
     }
@@ -411,7 +422,7 @@ mod tests {
             &[],
             &[],
         );
-        ddg.site_counts.insert(4, 70); // free site
+        ddg.sites[4].count = 70; // free site
         let c = classify_loop(&ddg);
         let b = c.access_breakdown(&ddg);
         assert_eq!(b.free, 70);

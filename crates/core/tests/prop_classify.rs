@@ -3,7 +3,7 @@
 //! graphs, driven by the workspace's deterministic PRNG.
 
 use dse_core::classify::{classify_loop, SiteClass, UnionFind};
-use dse_depprof::{DepEdge, DepKind, LoopDdg};
+use dse_depprof::{DepEdge, DepKind, LoopDdg, SiteProfile};
 use dse_lang::fasthash::{HashMap, HashSet};
 use dse_workloads::rng::Rng;
 
@@ -21,21 +21,27 @@ fn gen_edge(rng: &mut Rng) -> DepEdge {
 
 fn gen_ddg(seed: u64) -> LoopDdg {
     let mut rng = Rng::seed_from_u64(seed);
-    let edges: HashSet<DepEdge> = (0..rng.gen_range(0, 24))
+    let mut edges: Vec<DepEdge> = (0..rng.gen_range(0, 24))
         .map(|_| gen_edge(&mut rng))
         .collect();
+    edges.sort_unstable();
+    edges.dedup();
     let up: HashSet<u32> = (0..rng.gen_range(0, 4))
         .map(|_| rng.gen_index(NSITES as usize) as u32)
         .collect();
     let down: HashSet<u32> = (0..rng.gen_range(0, 4))
         .map(|_| rng.gen_index(NSITES as usize) as u32)
         .collect();
+    let sites = (0..NSITES).map(|site| SiteProfile {
+        site,
+        count: 1,
+        upward: up.contains(&site),
+        downward: down.contains(&site),
+    });
     LoopDdg {
         label: "prop".into(),
         edges,
-        upward_exposed: up,
-        downward_exposed: down,
-        site_counts: (0..NSITES).map(|s| (s, 1)).collect(),
+        sites: sites.collect(),
         ..Default::default()
     }
 }
@@ -107,7 +113,7 @@ fn definition5_holds() {
         for members in classes.values() {
             let exposed = members
                 .iter()
-                .any(|s| ddg.upward_exposed.contains(s) || ddg.downward_exposed.contains(s));
+                .any(|&s| ddg.site(s).is_some_and(|s| s.upward || s.downward));
             let has_cf = members.iter().any(|s| carried_flow.contains(s));
             let has_cao = members.iter().any(|s| carried_ao.contains(s));
             let should_be_private = !exposed && !has_cf && has_cao;
@@ -245,7 +251,7 @@ fn breakdown_partitions_counts() {
         let ddg = gen_ddg(0xB4EA + case);
         let cls = classify_loop(&ddg);
         let b = cls.access_breakdown(&ddg);
-        let total: u64 = ddg.site_counts.values().sum();
+        let total: u64 = ddg.sites.iter().map(|s| s.count).sum();
         assert_eq!(b.total(), total, "case {case}");
     }
 }
@@ -286,7 +292,7 @@ fn union_find_matches_a_map_reference_on_workload_ddgs() {
                 .unwrap();
         for (ddg, cls) in analysis.profile.loops.iter().zip(&analysis.classifications) {
             let (mut dense, mut reference) = (UnionFind::new(), MapUnionFind::default());
-            for &s in ddg.site_counts.keys() {
+            for s in ddg.sites.iter().map(|s| s.site) {
                 assert_eq!(dense.find(s), reference.find(s));
             }
             for e in ddg.edges.iter().filter(|e| !e.carried) {
@@ -294,13 +300,13 @@ fn union_find_matches_a_map_reference_on_workload_ddgs() {
                 reference.union(e.src, e.dst);
             }
             let mut smallest: HashMap<u32, u32> = HashMap::default();
-            for &s in ddg.site_counts.keys() {
+            for s in ddg.sites.iter().map(|s| s.site) {
                 let rep = reference.find(s);
                 assert_eq!(dense.find(s), rep, "{}: site {s}", ddg.label);
                 let least = smallest.entry(rep).or_insert(s);
                 *least = (*least).min(s);
             }
-            for &s in ddg.site_counts.keys() {
+            for s in ddg.sites.iter().map(|s| s.site) {
                 let named = cls.class_of(s).expect("every site is classified").sites[0];
                 assert_eq!(
                     named,

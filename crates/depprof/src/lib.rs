@@ -13,10 +13,11 @@
 //!   to the same address earlier in the same iteration),
 //! * **upwards-exposed loads** (Definition 2) and **downwards-exposed
 //!   stores** (Definition 3),
-//! * per-site dynamic access counts (Figure 8's breakdown),
-//! * the dynamic data structures each site touches (heap allocations by
-//!   allocation site, plus global/stack regions) — used for Table 5 and to
-//!   drive expansion decisions.
+//! * per-site dynamic access counts (Figure 8's breakdown).
+//!
+//! That is all Definitions 1–5 read. Which data structures a private class
+//! expands is alias analysis's question (§3.4), answered from points-to,
+//! so the profile records no memory regions or allocation sites.
 //!
 //! Tracking is exact to the byte, so recast buffers (the 256.bzip2 `zptr`
 //! idiom, where an `int` buffer is read through a `short*`) produce correct
@@ -36,13 +37,13 @@
 //! * an entry starts empty without clearing anything: granules carry the
 //!   epoch of the entry that touched them, and an ended entry's pages go
 //!   back to a pool, so an entry costs the pages it touched;
-//! * per-site counts, regions, allocation sites, exposure flags and edges
-//!   live in dense per-loop tables indexed by site id, updated once per
-//!   access (a run of states that agree yields its edges once) and
-//!   turned into [`LoopDdg`]'s maps when the profile is finished;
+//! * per-site counts, exposure flags and edges live in dense per-loop
+//!   tables indexed by site id, updated once per access (a run of states
+//!   that agree yields its edges once); finishing the profile keeps the
+//!   touched sites in site order and sorts the edges once, so a
+//!   [`LoopDdg`] is ordered by construction;
 //! * the downward-exposure watch is paged the same way, a chain head per
-//!   byte, and the live allocation lookup keeps the last allocation it
-//!   found.
+//!   byte.
 //!
 //! Two filters mirror how the transformed program will actually run:
 //!
@@ -54,10 +55,9 @@
 
 use dse_ir::bytecode::{CompiledProgram, LoopEvent};
 use dse_ir::sites::{AccessKind, SiteId, NO_SITE};
-use dse_lang::fasthash::{HashMap, HashSet};
+use dse_lang::fasthash::HashSet;
 use dse_runtime::observer::LayoutInfo;
-use dse_runtime::{Allocation, Observer, Vm, VmConfig, VmError};
-use std::collections::BTreeMap;
+use dse_runtime::{Observer, Vm, VmConfig, VmError};
 
 /// Kind of data dependence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,15 +83,28 @@ pub struct DepEdge {
     pub carried: bool,
 }
 
-/// Memory region classes a site was observed touching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegionMask {
-    /// Touched at least one heap allocation.
-    pub heap: bool,
-    /// Touched the globals segment.
-    pub global: bool,
-    /// Touched the enclosing function's stack frame (not transient frames).
-    pub stack: bool,
+/// What one candidate loop observed of one access site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteProfile {
+    /// The access site.
+    pub site: SiteId,
+    /// Dynamic accesses (after filtering).
+    pub count: u64,
+    /// Performed an upwards-exposed load (Definition 2).
+    pub upward: bool,
+    /// Stored a value read after the loop (Definition 3).
+    pub downward: bool,
+}
+
+impl SiteProfile {
+    fn untouched(site: SiteId) -> SiteProfile {
+        SiteProfile {
+            site,
+            count: 0,
+            upward: false,
+            downward: false,
+        }
+    }
 }
 
 /// The profiled dependence information for one candidate loop, accumulated
@@ -102,18 +115,10 @@ pub struct LoopDdg {
     pub label: String,
     /// Loop id in the serial-lowered program.
     pub loop_id: u32,
-    /// All observed dependence edges.
-    pub edges: HashSet<DepEdge>,
-    /// Sites observed performing an upwards-exposed load.
-    pub upward_exposed: HashSet<SiteId>,
-    /// Sites whose stored value was used after the loop.
-    pub downward_exposed: HashSet<SiteId>,
-    /// Dynamic access count per site.
-    pub site_counts: HashMap<SiteId, u64>,
-    /// Allocation-site expression ids each site dereferenced into.
-    pub site_allocs: HashMap<SiteId, HashSet<u32>>,
-    /// Region classes each site touched.
-    pub site_regions: HashMap<SiteId, RegionMask>,
+    /// All observed dependence edges, sorted and unique.
+    pub edges: Vec<DepEdge>,
+    /// Every site the loop accessed, sorted by site.
+    pub sites: Vec<SiteProfile>,
     /// Total iterations observed (across entries).
     pub iterations: u64,
     /// Total in-loop dynamic accesses observed (after filtering).
@@ -136,9 +141,20 @@ impl LoopDdg {
         out
     }
 
-    /// All sites observed executing in the loop.
-    pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
-        self.site_counts.keys().copied()
+    /// `site`'s record, if the loop accessed it.
+    pub fn site(&self, site: SiteId) -> Option<&SiteProfile> {
+        let at = self.sites.binary_search_by_key(&site, |s| s.site).ok()?;
+        Some(&self.sites[at])
+    }
+
+    /// Sites observed performing an upwards-exposed load, ascending.
+    pub fn upward_exposed(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.sites.iter().filter(|s| s.upward).map(|s| s.site)
+    }
+
+    /// Sites whose stored value was used after the loop, ascending.
+    pub fn downward_exposed(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.sites.iter().filter(|s| s.downward).map(|s| s.site)
     }
 }
 
@@ -169,11 +185,10 @@ impl ProfileResult {
     }
 
     /// A deterministic textual rendering of the whole profile: every loop's
-    /// edges, exposure sets and per-site facts in sorted order. Two
-    /// profiles of the same program on the same inputs produce identical
-    /// summaries, so the artifact cache can use its hash as the profile's
-    /// content fingerprint (the set/map iteration order of [`LoopDdg`] is
-    /// not itself stable).
+    /// edges, exposure sets and per-site counts, in [`LoopDdg`]'s own
+    /// order. Two profiles of the same program on the same inputs produce
+    /// identical summaries, so the artifact cache can use its hash as the
+    /// profile's content fingerprint.
     pub fn canonical_summary(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -184,9 +199,7 @@ impl ProfileResult {
                 l.loop_id, l.label, l.iterations, l.total_accesses, l.instructions
             )
             .unwrap();
-            let mut edges: Vec<&DepEdge> = l.edges.iter().collect();
-            edges.sort();
-            for e in edges {
+            for e in &l.edges {
                 writeln!(
                     out,
                     "  edge {}->{} {:?} carried={}",
@@ -194,29 +207,12 @@ impl ProfileResult {
                 )
                 .unwrap();
             }
-            let mut sorted: Vec<SiteId> = l.upward_exposed.iter().copied().collect();
-            sorted.sort_unstable();
-            writeln!(out, "  upward={sorted:?}").unwrap();
-            let mut sorted: Vec<SiteId> = l.downward_exposed.iter().copied().collect();
-            sorted.sort_unstable();
-            writeln!(out, "  downward={sorted:?}").unwrap();
-            let mut sites: Vec<SiteId> = l.site_counts.keys().copied().collect();
-            sites.sort_unstable();
-            for s in sites {
-                let count = l.site_counts[&s];
-                let mut allocs: Vec<u32> = l
-                    .site_allocs
-                    .get(&s)
-                    .map(|a| a.iter().copied().collect())
-                    .unwrap_or_default();
-                allocs.sort_unstable();
-                let r = l.site_regions.get(&s).copied().unwrap_or_default();
-                writeln!(
-                    out,
-                    "  site {s} count={count} allocs={allocs:?} heap={} global={} stack={}",
-                    r.heap, r.global, r.stack
-                )
-                .unwrap();
+            let upward: Vec<SiteId> = l.upward_exposed().collect();
+            writeln!(out, "  upward={upward:?}").unwrap();
+            let downward: Vec<SiteId> = l.downward_exposed().collect();
+            writeln!(out, "  downward={downward:?}").unwrap();
+            for s in &l.sites {
+                writeln!(out, "  site {} count={}", s.site, s.count).unwrap();
             }
         }
         out
@@ -440,7 +436,7 @@ impl Step<'_> {
         match self.kind {
             AccessKind::Load => {
                 if b.write.0 == NO_SITE {
-                    self.acc.upward[site as usize] = true;
+                    self.acc.sites[site as usize].upward = true;
                 } else {
                     self.acc.edge(dep(b.write, DepKind::Flow));
                 }
@@ -697,14 +693,6 @@ impl Watch {
 // the profiler
 // ---------------------------------------------------------------------------
 
-/// Per-site facts of one loop, dense over the program's site table.
-#[derive(Clone, Default)]
-struct SiteFacts {
-    count: u64,
-    regions: RegionMask,
-    allocs: Vec<u32>,
-}
-
 /// One candidate loop's profile as its entries add to it. Every fact is a
 /// union or a sum over entries, so entries record straight into it; it
 /// becomes a [`LoopDdg`] once, when the profile is finished.
@@ -713,9 +701,8 @@ struct Accum {
     /// Edges by sink site: a sink has few distinct sources, so a short
     /// scan finds a repeat.
     edges: Vec<Vec<DepEdge>>,
-    upward: Vec<bool>,
-    downward: Vec<bool>,
-    sites: Vec<SiteFacts>,
+    /// Per site id, dense over the program's site table.
+    sites: Vec<SiteProfile>,
     iterations: u64,
     total_accesses: u64,
     instructions: u64,
@@ -726,9 +713,7 @@ impl Accum {
         Accum {
             label,
             edges: vec![Vec::new(); nsites],
-            upward: vec![false; nsites],
-            downward: vec![false; nsites],
-            sites: vec![SiteFacts::default(); nsites],
+            sites: (0..nsites as SiteId).map(SiteProfile::untouched).collect(),
             iterations: 0,
             total_accesses: 0,
             instructions: 0,
@@ -742,25 +727,15 @@ impl Accum {
         }
     }
 
+    /// Sites an exposure flag names were accessed, so keeping the counted
+    /// sites keeps every flag.
     fn into_ddg(self, loop_id: u32) -> LoopDdg {
-        let marked = |flags: Vec<bool>| {
-            (0..)
-                .zip(flags)
-                .filter_map(|(s, on)| on.then_some(s))
-                .collect()
-        };
-        let counted = || (0..).zip(&self.sites).filter(|(_, f)| f.count > 0);
+        let mut edges: Vec<DepEdge> = self.edges.into_iter().flatten().collect();
+        edges.sort_unstable();
         LoopDdg {
             loop_id,
-            edges: self.edges.into_iter().flatten().collect(),
-            upward_exposed: marked(self.upward),
-            downward_exposed: marked(self.downward),
-            site_counts: counted().map(|(s, f)| (s, f.count)).collect(),
-            site_allocs: counted()
-                .filter(|(_, f)| !f.allocs.is_empty())
-                .map(|(s, f)| (s, f.allocs.iter().copied().collect()))
-                .collect(),
-            site_regions: counted().map(|(s, f)| (s, f.regions)).collect(),
+            edges,
+            sites: self.sites.into_iter().filter(|s| s.count > 0).collect(),
             iterations: self.iterations,
             total_accesses: self.total_accesses,
             instructions: self.instructions,
@@ -787,7 +762,6 @@ struct ActiveLoop {
 pub struct Profiler {
     loops_meta: Vec<(String, u32, u8)>,
     nsites: usize,
-    alloc_site_eids: HashMap<u32, u32>,
     stack_lo: u64,
     stack_hi: u64,
     active: Vec<ActiveLoop>,
@@ -800,11 +774,6 @@ pub struct Profiler {
     /// Unmapped shadow pages.
     pool: Vec<Box<[Granule]>>,
     watch: Watch,
-    /// Live allocations: base -> (size, allocation-site eid).
-    live_allocs: BTreeMap<u64, (u64, u32)>,
-    /// The last allocation found, `(base, end, eid)`, until the next
-    /// allocation or free.
-    last_alloc: Option<(u64, u64, u32)>,
 }
 
 impl Profiler {
@@ -817,7 +786,6 @@ impl Profiler {
                 .map(|l| (l.label.clone(), l.induction_offset, l.induction_width))
                 .collect(),
             nsites: program.sites.len(),
-            alloc_site_eids: program.alloc_sites.clone(),
             stack_lo: layout.master_stack.0,
             stack_hi: layout.master_stack.1,
             active: Vec::new(),
@@ -826,8 +794,6 @@ impl Profiler {
             spare: Vec::new(),
             pool: Vec::new(),
             watch: Watch::default(),
-            live_allocs: BTreeMap::new(),
-            last_alloc: None,
         }
     }
 
@@ -861,20 +827,6 @@ impl Profiler {
         al.shadow.release(&mut self.pool);
         self.spare.push(al.shadow);
     }
-
-    fn allocation_of(&mut self, addr: u64) -> Option<u32> {
-        if let Some((base, end, eid)) = self.last_alloc {
-            if (base..end).contains(&addr) {
-                return Some(eid);
-            }
-        }
-        let (&base, &(size, eid)) = self.live_allocs.range(..=addr).next_back()?;
-        let end = base + size.max(1);
-        (addr < end).then(|| {
-            self.last_alloc = Some((base, end, eid));
-            eid
-        })
-    }
 }
 
 impl Observer for Profiler {
@@ -887,7 +839,7 @@ impl Observer for Profiler {
                     let accum = &mut self.accum;
                     self.watch.load(bytes, |loop_id, wsite| {
                         if let Some(acc) = &mut accum[loop_id as usize] {
-                            acc.downward[wsite as usize] = true;
+                            acc.sites[wsite as usize].downward = true;
                         }
                     });
                 }
@@ -899,11 +851,6 @@ impl Observer for Profiler {
             return;
         }
         let in_stack = addr >= self.stack_lo && addr < self.stack_hi;
-        let alloc = if in_stack || addr < self.stack_lo {
-            None
-        } else {
-            self.allocation_of(addr)
-        };
         let Profiler {
             active,
             accum,
@@ -916,9 +863,8 @@ impl Observer for Profiler {
             *nsites = site as usize + 1;
             for acc in accum.iter_mut().flatten() {
                 acc.edges.resize(*nsites, Vec::new());
-                acc.upward.resize(*nsites, false);
-                acc.downward.resize(*nsites, false);
-                acc.sites.resize(*nsites, SiteFacts::default());
+                let next = acc.sites.len() as SiteId;
+                acc.sites.extend((next..=site).map(SiteProfile::untouched));
             }
         }
         for al in active.iter_mut() {
@@ -933,20 +879,7 @@ impl Observer for Profiler {
                 continue;
             };
             acc.total_accesses += 1;
-            let facts = &mut acc.sites[site as usize];
-            facts.count += 1;
-            if in_stack {
-                facts.regions.stack = true;
-            } else if alloc.is_some() {
-                facts.regions.heap = true;
-            } else {
-                facts.regions.global = true;
-            }
-            if let Some(eid) = alloc {
-                if !facts.allocs.contains(&eid) {
-                    facts.allocs.push(eid);
-                }
-            }
+            acc.sites[site as usize].count += 1;
             al.shadow.access(pool, acc, site, kind, bytes, al.iter);
         }
     }
@@ -998,21 +931,6 @@ impl Observer for Profiler {
             }
         }
     }
-
-    fn on_alloc(&mut self, alloc: Allocation, pc: u32) {
-        let eid = self
-            .alloc_site_eids
-            .get(&pc)
-            .copied()
-            .unwrap_or(dse_lang::ast::NO_EID);
-        self.live_allocs.insert(alloc.base, (alloc.size, eid));
-        self.last_alloc = None;
-    }
-
-    fn on_free(&mut self, alloc: Allocation) {
-        self.live_allocs.remove(&alloc.base);
-        self.last_alloc = None;
-    }
 }
 
 #[cfg(test)]
@@ -1021,10 +939,28 @@ mod tests {
     use dse_ir::lower::LowerOptions;
 
     fn profile(src: &str) -> ProfileResult {
+        profile_named(src).0
+    }
+
+    /// Profiles `src`, and names each site of the serial program's site
+    /// table by its expression's source text (indexed by site id), so a
+    /// test can pick sites by expression.
+    pub(super) fn profile_named(src: &str) -> (ProfileResult, Vec<String>) {
         let ast = dse_lang::compile_to_ast(src).unwrap();
         let compiled = dse_ir::lower_program(&ast, &LowerOptions::default()).unwrap();
+        let lines: Vec<&str> = src.lines().collect();
+        let texts = compiled
+            .sites
+            .iter()
+            .map(|(_, info)| {
+                let (start, end) = (info.span.start, info.span.end);
+                assert_eq!(start.line, end.line, "multi-line site {info:?}");
+                let line = lines[start.line as usize - 1];
+                line[start.col as usize - 1..end.col as usize - 1].to_string()
+            })
+            .collect();
         let (res, _) = profile_program(compiled, VmConfig::default()).unwrap();
-        res
+        (res, texts)
     }
 
     /// Scratch variable written then read per iteration: privatizable
@@ -1059,9 +995,9 @@ mod tests {
         );
         let l = res.by_label("hot").unwrap();
         // `s += i` loads s: first iteration reads the init from outside.
-        assert!(!l.upward_exposed.is_empty());
+        assert!(l.upward_exposed().next().is_some());
         // `return s` reads the final value written in the loop.
-        assert!(!l.downward_exposed.is_empty());
+        assert!(l.downward_exposed().next().is_some());
     }
 
     #[test]
@@ -1073,8 +1009,8 @@ mod tests {
                return 0; }",
         );
         let l = res.by_label("hot").unwrap();
-        assert!(l.upward_exposed.is_empty(), "{:?}", l.upward_exposed);
-        assert!(l.downward_exposed.is_empty());
+        assert!(l.upward_exposed().next().is_none(), "{l:?}");
+        assert!(l.downward_exposed().next().is_none());
     }
 
     #[test]
@@ -1101,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_scratch_buffer_tracks_alloc_sites() {
+    fn heap_scratch_buffer_carries_anti_and_output() {
         let res = profile(
             "int main() {
                int *buf; buf = malloc(16 * sizeof(int));
@@ -1115,17 +1051,6 @@ mod tests {
                return s; }",
         );
         let l = res.by_label("hot").unwrap();
-        // The buffer accesses must be attributed to a heap allocation site.
-        let heap_sites: Vec<_> = l
-            .site_regions
-            .iter()
-            .filter(|(_, r)| r.heap)
-            .map(|(s, _)| *s)
-            .collect();
-        assert!(!heap_sites.is_empty());
-        for s in &heap_sites {
-            assert!(!l.site_allocs[s].is_empty());
-        }
         // buf writes/reads: carried anti and output (reuse across
         // iterations), but reads are covered -> no carried flow from buf.
         assert!(!l
@@ -1156,7 +1081,7 @@ mod tests {
 
     #[test]
     fn callee_frame_accesses_are_transient() {
-        let res = profile(
+        let (res, texts) = profile_named(
             "int work(int x) { int t; t = x * 2; return t + 1; }
              int main() { int s; s = 0;
                #pragma candidate hot
@@ -1165,11 +1090,11 @@ mod tests {
         );
         let l = res.by_label("hot").unwrap();
         // `t` and `x` live in work()'s frame, created after IterStart: they
-        // must not appear. Only the accumulator's sites (plus the bound
-        // read) remain — no stack-region write sites besides s.
-        let stack_sites = l.site_regions.values().filter(|r| r.stack).count();
-        assert!(
-            stack_sites <= 2,
+        // must not appear. Only the accumulator's load and store remain.
+        let seen: Vec<&str> = l.sites.iter().map(|s| &*texts[s.site as usize]).collect();
+        assert_eq!(
+            seen,
+            ["s", "s"],
             "only s's load/store should remain: {l:#?}"
         );
     }
@@ -1218,7 +1143,7 @@ mod tests {
         // The dijkstra idiom: a list is built and torn down every
         // iteration. Its nodes must show carried anti/output (reused heap
         // chunks) but no carried flow, and no upward exposure from nodes.
-        let res = profile(
+        let (res, texts) = profile_named(
             "struct Node { int v; struct Node *next; };
              int main() { int s; s = 0;
                #pragma candidate hot
@@ -1240,9 +1165,8 @@ mod tests {
             .edges
             .iter()
             .filter(|e| {
-                e.kind == DepKind::Flow
-                    && e.carried
-                    && l.site_regions.get(&e.dst).is_some_and(|r| r.heap)
+                // A node field: `n->v`, `head->next`, ...
+                e.kind == DepKind::Flow && e.carried && texts[e.dst as usize].contains("->")
             })
             .collect();
         assert!(
@@ -1263,7 +1187,7 @@ mod tests {
         );
         let l = res.by_label("hot").unwrap();
         assert!(
-            l.downward_exposed.is_empty(),
+            l.downward_exposed().next().is_none(),
             "g is overwritten before the read after the loop"
         );
     }
@@ -1344,7 +1268,7 @@ mod more_tests {
     /// Float accesses profile like integer ones (lbm's pattern).
     #[test]
     fn float_buffers_profile() {
-        let res = profile(
+        let (res, texts) = super::tests::profile_named(
             "int main() {
                float *f; f = malloc(6 * sizeof(float));
                float acc; acc = 0.0;
@@ -1360,13 +1284,13 @@ mod more_tests {
         let l = res.by_label("hot").unwrap();
         assert!(l.total_accesses > 0);
         // f contents: carried anti/output, no carried flow.
-        let heap_sites: Vec<_> = l
-            .site_regions
+        let heap_sites: Vec<SiteId> = l
+            .sites
             .iter()
-            .filter(|(_, r)| r.heap)
-            .map(|(s, _)| *s)
+            .map(|s| s.site)
+            .filter(|&s| texts[s as usize] == "f[d]")
             .collect();
-        assert!(!heap_sites.is_empty());
+        assert_eq!(heap_sites.len(), 2, "the store and the load of f[d]");
         let carried_flow = l.sites_in_carried(&[DepKind::Flow]);
         for s in &heap_sites {
             assert!(!carried_flow.contains(s), "covered float reads");

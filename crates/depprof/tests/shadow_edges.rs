@@ -60,12 +60,15 @@ impl Profiled {
 
     fn exposed(&self, label: &str) -> (Vec<String>, Vec<String>) {
         let l = self.ddg(label);
-        let names = |set: &dse_lang::fasthash::HashSet<SiteId>| {
-            let mut v: Vec<String> = set.iter().map(|&s| self.name(s)).collect();
+        let names = |sites: &mut dyn Iterator<Item = SiteId>| {
+            let mut v: Vec<String> = sites.map(|s| self.name(s)).collect();
             v.sort();
             v
         };
-        (names(&l.upward_exposed), names(&l.downward_exposed))
+        (
+            names(&mut l.upward_exposed()),
+            names(&mut l.downward_exposed()),
+        )
     }
 
     /// Asserts one loop's iteration count, edges and exposure sets.

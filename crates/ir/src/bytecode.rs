@@ -384,8 +384,8 @@ pub struct CompiledProgram {
     /// Struct layouts (needed by the runtime-priv baseline and debugging).
     pub types: TypeTable,
     /// Maps the pc of each `malloc`/`calloc`/`realloc` `CallBuiltin`
-    /// instruction to the AST expression id of the call, so the profiler
-    /// can attribute dynamic allocations to source allocation sites.
+    /// instruction to the AST expression id of the call. Only the code
+    /// fingerprint reads it.
     pub alloc_sites: dse_lang::fasthash::HashMap<Pc, u32>,
 }
 

@@ -626,7 +626,7 @@ fn print_ddg(analysis: &Analysis) {
             "loop `{}`: {} iterations, {} sites, {} edges, mode {:?}",
             ddg.label,
             ddg.iterations,
-            ddg.site_counts.len(),
+            ddg.sites.len(),
             ddg.edges.len(),
             cls.mode
         );
@@ -646,8 +646,8 @@ fn print_ddg(analysis: &Analysis) {
         println!(
             "  {} dynamic accesses, {} upwards-exposed loads, {} downwards-exposed stores",
             ddg.total_accesses,
-            ddg.upward_exposed.len(),
-            ddg.downward_exposed.len()
+            ddg.upward_exposed().count(),
+            ddg.downward_exposed().count()
         );
         println!(
             "  access classes: {} ({} private sites)",

@@ -87,12 +87,13 @@ pub struct LoopDiff {
 
 /// Computes the static-vs-profiled dependence diff for every candidate loop.
 pub fn loop_diffs(analysis: &Analysis) -> Vec<LoopDiff> {
-    diffs(analysis, &eid_index(&analysis.program))
+    let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
+    diffs(analysis, &cands, &eid_index(&analysis.program))
 }
 
-/// [`loop_diffs`], with `eids` indexing `analysis.program`.
-fn diffs(analysis: &Analysis, eids: &EidIndex<'_>) -> Vec<LoopDiff> {
-    let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
+/// [`loop_diffs`], with `cands` the candidate loops of `analysis.program`
+/// and `eids` indexing it.
+fn diffs(analysis: &Analysis, cands: &[CandidateLoop<'_>], eids: &EidIndex<'_>) -> Vec<LoopDiff> {
     let hidden = HiddenStores::of(&analysis.program);
     let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
     loops
@@ -108,7 +109,7 @@ fn diffs(analysis: &Analysis, eids: &EidIndex<'_>) -> Vec<LoopDiff> {
 pub fn check(analysis: &Analysis, eids: &EidIndex<'_>, report: &mut Report) {
     let cands = find_candidate_loops(&analysis.program).unwrap_or_default();
     let loops = analysis.profile.loops.iter().zip(&analysis.classifications);
-    for ((ddg, cls), diff) in loops.zip(diffs(analysis, eids)) {
+    for ((ddg, cls), diff) in loops.zip(diffs(analysis, &cands, eids)) {
         if ddg.iterations == 0 {
             let mut d = Diagnostic::new(
                 Code::ZeroIterationProfile,

@@ -2,6 +2,7 @@
 //! idiom DESIGN.md claims for it — the profile must show the
 //! paper-relevant structure, not just produce correct output.
 
+use dse_analysis::PtObj;
 use dse_core::{Analysis, OptLevel};
 use dse_depprof::DepKind;
 use dse_workloads::{by_name, Scale};
@@ -17,13 +18,17 @@ fn analysis(name: &str) -> Analysis {
 fn dijkstra_rebuilds_heap_structures() {
     let a = analysis("dijkstra");
     let ddg = a.profile.by_label("main_loop").unwrap();
-    let heap_sites: Vec<_> = ddg
-        .site_regions
+    // Sites whose expression may touch a heap object, by points-to.
+    let heap_sites = ddg
+        .sites
         .iter()
-        .filter(|(_, r)| r.heap)
-        .map(|(s, _)| *s)
-        .collect();
-    assert!(heap_sites.len() > 10, "queue + dist + visited traffic");
+        .filter(|s| {
+            let eid = a.serial.sites.info(s.site).eid;
+            let objs = a.pt.objects_of_site(eid);
+            objs.iter().any(|o| matches!(o, PtObj::Alloc(_)))
+        })
+        .count();
+    assert!(heap_sites > 10, "queue + dist + visited traffic");
     let plan = a.plan(OptLevel::Full, 4).unwrap();
     assert!(
         plan.expanded.len() >= 4,
@@ -66,15 +71,14 @@ fn md5_expands_the_global_block_buffer() {
 fn bzip2_recast_and_realloc() {
     let a = analysis("bzip2");
     let ddg = a.profile.by_label("compress_blocks").unwrap();
-    // Sites of different widths touching the same allocation: the short
-    // view and the int writes.
-    let mut widths = std::collections::HashSet::new();
-    for (site, allocs) in &ddg.site_allocs {
-        if !allocs.is_empty() {
-            widths.insert(a.serial.sites.info(*site).width);
-        }
-    }
-    assert!(widths.contains(&2) && widths.contains(&4), "{widths:?}");
+    // A dependence between sites of different widths: the short view
+    // and the int writes of the same bytes.
+    let width = |s| a.serial.sites.info(s).width;
+    let recast = ddg.edges.iter().any(|e| {
+        let widths = [width(e.src), width(e.dst)];
+        widths.contains(&2) && widths.contains(&4)
+    });
+    assert!(recast, "no edge between a 2-byte and a 4-byte site");
     let plan = a.plan(OptLevel::Full, 4).unwrap();
     assert!(
         !plan.fat_types.is_empty(),

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "profiled {} iterations, {} access sites, {} dependence edges",
         ddg.iterations,
-        ddg.site_counts.len(),
+        ddg.sites.len(),
         ddg.edges.len()
     );
     let carried_anti_out = ddg

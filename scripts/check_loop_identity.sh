@@ -10,11 +10,13 @@
 #
 # Two rules, over the non-test part of each file (everything before its
 # first `#[cfg(test)]` line, the split `net_loc.sh` uses):
-#   1. `crates/{core,ir,verify}/src` name no `HashMap<String` (a fact keyed
-#      by a printed name or expression; key it by id, binding or shape);
-#   2. `crates/{core,ir,verify}/src` compare no `.label` with `==`/`!=`,
-#      apart from `Analysis::classification`, the by-label lookup that
-#      tests and examples use.
+#   1. `crates/{core,depprof,ir,verify}/src` name no `HashMap<String` (a
+#      fact keyed by a printed name or expression; key it by id, binding
+#      or shape);
+#   2. `crates/{core,depprof,ir,verify}/src` compare no `.label` with
+#      `==`/`!=`, apart from `Analysis::classification` and
+#      `ProfileResult::by_label`, the by-label lookups that tests and
+#      examples use.
 # Prints each offending line and exits 1; exits 0 when there is none.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
@@ -31,13 +33,14 @@ non_test_matches() {
 
 label_cmp='\.label(\.as_str\(\))?[[:space:]]*[!=]=|[!=]=[[:space:]]*&?[A-Za-z_][A-Za-z0-9_.]*\.label([^A-Za-z0-9_]|$)'
 allowed='^crates/core/src/lib\.rs:[0-9]+: +self\.classifications\.iter\(\)\.find\(\|c\| c\.label == label\)$'
+allowed+='|^crates/depprof/src/lib\.rs:[0-9]+: +self\.loops\.iter\(\)\.find\(\|l\| l\.label == label\)$'
+crates=(crates/core/src crates/depprof/src crates/ir/src crates/verify/src)
 
-maps=$(non_test_matches 'HashMap<String' crates/core/src crates/ir/src crates/verify/src)
-compares=$(non_test_matches "$label_cmp" crates/core/src crates/ir/src crates/verify/src |
-    grep -Ev "$allowed" || true)
+maps=$(non_test_matches 'HashMap<String' "${crates[@]}")
+compares=$(non_test_matches "$label_cmp" "${crates[@]}" | grep -Ev "$allowed" || true)
 status=0
 if [ -n "$maps" ]; then
-    echo "a map keyed by a String in dse-core/dse-ir/dse-verify (key facts by id, binding or shape):"
+    echo "a map keyed by a String in dse-core/dse-depprof/dse-ir/dse-verify (key facts by id, binding or shape):"
     echo "$maps"
     status=1
 fi
