@@ -215,16 +215,6 @@ pub fn code_fingerprint(program: &CompiledProgram) -> ContentHash {
             .u64(l.induction_offset as u64)
             .u64(l.induction_width as u64);
     }
-    let mut alloc_sites: Vec<(u32, u32)> = program
-        .alloc_sites
-        .iter()
-        .map(|(&pc, &eid)| (pc, eid))
-        .collect();
-    alloc_sites.sort_unstable();
-    h = h.u64(alloc_sites.len() as u64);
-    for (pc, eid) in alloc_sites {
-        h = h.u64(pc as u64).u64(eid as u64);
-    }
     h = h.u64(program.sites.len() as u64);
     for (_, site) in program.sites.iter() {
         let span = site.span;

@@ -383,10 +383,6 @@ pub struct CompiledProgram {
     pub loops: Vec<LoopCode>,
     /// Struct layouts (needed by the runtime-priv baseline and debugging).
     pub types: TypeTable,
-    /// Maps the pc of each `malloc`/`calloc`/`realloc` `CallBuiltin`
-    /// instruction to the AST expression id of the call. Only the code
-    /// fingerprint reads it.
-    pub alloc_sites: dse_lang::fasthash::HashMap<Pc, u32>,
 }
 
 impl CompiledProgram {

@@ -19,7 +19,7 @@ use crate::bytecode::*;
 use crate::loops::{self, CandidateLoop, ParMode};
 use crate::sites::{AccessKind, SiteId, SiteInfo, SiteTable, NO_SITE};
 use dse_lang::ast::*;
-use dse_lang::fasthash::{HashMap, HashSet};
+use dse_lang::fasthash::HashSet;
 use dse_lang::types::{Type, TypeTable};
 use std::fmt;
 
@@ -106,7 +106,6 @@ pub fn lower_program(
         frame: FrameLayout::default(),
         loop_stack: Vec::new(),
         par_ind_stack: Vec::new(),
-        alloc_sites: HashMap::default(),
         label: 0,
     };
     let mut global_inits = Vec::new();
@@ -141,7 +140,6 @@ pub fn lower_program(
         sites: lw.sites,
         loops: lw.loops,
         types: program.types.clone(),
-        alloc_sites: lw.alloc_sites,
     })
 }
 
@@ -243,8 +241,6 @@ struct Lowerer<'a> {
     /// Stack of induction slots of enclosing parallel bodies (innermost
     /// last); reads become `IterIdx(depth)`.
     par_ind_stack: Vec<usize>,
-    /// pc -> eid of allocation calls (see `CompiledProgram::alloc_sites`).
-    alloc_sites: HashMap<Pc, u32>,
     /// The highest position handed out as a jump target so far
     /// ([`Lowerer::here`]): peephole rewrites of already-emitted
     /// instructions stay strictly after it.
@@ -1498,12 +1494,7 @@ impl<'a> Lowerer<'a> {
                     self.emit_convert(a.ty(), &sig.params[i], false);
                 }
             }
-            let pc = self.emit(Instr::CallBuiltin(b));
-            if matches!(b, Builtin::Malloc | Builtin::Calloc | Builtin::Realloc)
-                && e.eid != dse_lang::ast::NO_EID
-            {
-                self.alloc_sites.insert(pc as Pc, e.eid);
-            }
+            self.emit(Instr::CallBuiltin(b));
             return Ok(b.has_result());
         }
         let fi = self

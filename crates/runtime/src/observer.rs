@@ -33,9 +33,8 @@ pub trait Observer {
         let _ = (ev, loop_id, sp, work);
     }
 
-    /// A heap allocation was created. `pc` is the allocating instruction,
-    /// mapped back to the source call via
-    /// [`dse_ir::CompiledProgram::alloc_sites`].
+    /// A heap allocation was created. `pc` is the stack pc of the
+    /// allocating `CallBuiltin`.
     fn on_alloc(&mut self, alloc: Allocation, pc: u32) {
         let _ = (alloc, pc);
     }
