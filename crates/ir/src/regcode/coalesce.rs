@@ -1,6 +1,8 @@
-//! Block-local register coalescing over the emitted code.
+//! Block-local register coalescing over the emitted code, with
+//! loop-invariant hoisting between its two passes.
 
 use super::flow::NO_OWNER;
+use super::hoist::{hoist, HoistPlan, StackLoop};
 use super::isa::{for_each_dst, for_each_src, pure_dst, rewrite_srcs, RInstr, Reg};
 use crate::bytecode::{CompiledProgram, Pc};
 
@@ -8,7 +10,8 @@ use crate::bytecode::{CompiledProgram, Pc};
 /// propagation (facts from `Mov`, cleared at run boundaries, after every
 /// branch and across region-clobbering instructions — so within one basic
 /// block, which is as far as the translation validator follows them)
-/// followed by a backward dead-write sweep
+/// then [`hoist`] out of `loops` (whose pre-header code is laid out in
+/// front of each loop's header), followed by a backward dead-write sweep
 /// that deletes pure writes whose destination is overwritten — or falls
 /// above the live operand depth of every outgoing edge — before any read.
 /// Deleted instructions are compacted out ([`relayout`]); all jump targets,
@@ -18,9 +21,11 @@ use crate::bytecode::{CompiledProgram, Pc};
 /// invariant: entering register pc `t`, registers `>= live_depth[t]` hold
 /// popped temporaries, except a region's promoted places, which stay live
 /// — across calls too, whose windows start above them — until the region
-/// returns. The emitter sets `live_depth` from the stack pc each branch
+/// returns. Hoisted registers, above the promoted places, live as long.
+/// The emitter sets `live_depth` from the stack pc each branch
 /// names, and elsewhere from the stack pc the instruction was emitted for
-/// (`None`: unknown, everything live).
+/// (`None`: unknown, everything live). `win` is where each region's
+/// promoted places end.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn coalesce(
     out: &mut Vec<RInstr>,
@@ -30,9 +35,10 @@ pub(super) fn coalesce(
     live_depth: &[Option<u16>],
     owner: &[u32],
     maxd: &[usize],
-    n_promoted: &[usize],
+    win: &[u32],
+    loops: &[StackLoop],
     regs_cap: usize,
-) {
+) -> HoistPlan {
     let len = out.len();
     let mut keep = vec![true; len];
     // Run boundaries: anything control flow can land on.
@@ -48,13 +54,17 @@ pub(super) fn coalesce(
             }
         }
     }
-    for f in &prog.funcs {
-        rt_target[regpc[f.entry as usize] as usize] = true;
-    }
-    for l in &prog.loops {
-        if l.mode.is_some() {
-            rt_target[regpc[l.body_entry as usize] as usize] = true;
-        }
+    let entries: Vec<usize> = (prog.funcs.iter().map(|f| f.entry))
+        .chain(
+            prog.loops
+                .iter()
+                .filter(|l| l.mode.is_some())
+                .map(|l| l.body_entry),
+        )
+        .map(|e| regpc[e as usize] as usize)
+        .collect();
+    for &e in &entries {
+        rt_target[e] = true;
     }
 
     // The region owning an emitted instruction (for its promoted range).
@@ -120,6 +130,14 @@ pub(super) fn coalesce(
             }
         }
     }
+
+    let plan = hoist(
+        out, &keep, &rt_target, regpc, &entries, own_of, loops, maxd, win,
+    );
+    let n_promoted: Vec<usize> = (0..win.len())
+        .map(|o| win[o] as usize - maxd[o] + plan.regs[o] as usize)
+        .collect();
+    let regs_cap = regs_cap + plan.regs.iter().max().copied().unwrap_or(0) as usize;
 
     // -- backward: dead pure-write elimination --------------------------
     // `dead[r]`: the value in `r` at this point is overwritten (or popped
@@ -222,11 +240,25 @@ pub(super) fn coalesce(
         run_end = start;
     }
 
-    let kept = (0..len)
-        .filter(|&j| keep[j])
-        .map(|j| (j, out[j], origin[j]))
+    // Each pre-header stands for the index before its header, so branches
+    // to the header (the back-edges) land past it; its origin is the
+    // stack pc before the header's, in the pre-header's block.
+    let mut at: Vec<(usize, &[RInstr], Pc)> = (plan.loops.iter())
+        .map(|l| (regpc[l.header as usize] as usize, &l.code[..], l.header - 1))
         .collect();
+    at.sort_by_key(|&(h, ..)| h);
+    let mut pre = at.into_iter().peekable();
+    let mut kept = Vec::with_capacity(len);
+    for j in 0..len {
+        while let Some((_, code, o)) = pre.next_if(|&(h, ..)| h == j) {
+            kept.extend(code.iter().map(|&ins| (j - 1, ins, o)));
+        }
+        if keep[j] {
+            kept.push((j, out[j], origin[j]));
+        }
+    }
     relayout(out, origin, regpc, kept);
+    plan
 }
 
 /// Lays the code out anew as `next`: `(pc, instruction, origin)` in order,

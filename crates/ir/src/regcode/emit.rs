@@ -2,6 +2,7 @@
 
 use super::coalesce::coalesce;
 use super::flow::{Place, Slot, StackFlow, Ty};
+use super::hoist::stack_loops;
 use super::isa::{fold_sext, redirect_dst, RInstr, Reg, RegProgram};
 use super::plan::{PromotedPlace, PromotionPlan};
 use super::rotate::rotate;
@@ -622,15 +623,9 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
     }
 
     let max_depth = states.iter().flatten().map(|s| s.len()).max().unwrap_or(0) as u32;
-    // Promoted places sit above each region's operand-depth registers; the
-    // window must cover the deepest combination.
-    let max_window = (0..n_owners as u32)
-        .map(|o| plan.win(o))
-        .max()
-        .unwrap_or(0)
-        .max(max_depth);
-    let n_promoted: Vec<usize> = plan.places.iter().map(Vec::len).collect();
-    coalesce(
+    let win: Vec<u32> = (0..n_owners as u32).map(|o| plan.win(o)).collect();
+    let loops = stack_loops(prog, flow);
+    let hoisted = coalesce(
         &mut out,
         &mut origin,
         &mut regpc,
@@ -638,9 +633,18 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         &live_depth,
         owner,
         &maxd,
-        &n_promoted,
-        (max_window + 4) as usize,
+        &win,
+        &loops,
+        (win.iter().copied().max().unwrap_or(0).max(max_depth) + 4) as usize,
     );
+    // Promoted places, then hoisted values, sit above each region's
+    // operand-depth registers; the window must cover the deepest
+    // combination.
+    let max_window = (0..n_owners)
+        .map(|o| win[o] + hoisted.regs[o])
+        .max()
+        .unwrap_or(0)
+        .max(max_depth);
     let entry_at: Vec<usize> = (0..n).filter(|&pc| entries[pc].is_some()).collect();
     let entry_pcs: Vec<u32> = entry_at.iter().map(|&e| regpc[e]).collect();
     rotate(&mut out, &mut origin, &mut regpc, &entry_pcs);
@@ -652,5 +656,6 @@ pub fn translate_with(prog: &CompiledProgram, flow: &StackFlow, plan: PromotionP
         origin,
         frame_regs: max_window + 4,
         promo: plan,
+        hoist: hoisted,
     }
 }

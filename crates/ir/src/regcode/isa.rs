@@ -1,7 +1,7 @@
 //! The register instruction set, the one table of every variant's register
 //! operands and control transfer, and the translated program.
 
-use super::PromotionPlan;
+use super::{HoistPlan, PromotionPlan};
 use crate::bytecode::{Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, LoopEvent, Pc};
 use crate::sites::SiteId;
 use dse_lang::fasthash::HashMap;
@@ -316,9 +316,19 @@ pub struct RegProgram {
     /// re-derives the plan from the stack flow to prove the intent itself
     /// was legal.
     pub promo: PromotionPlan,
+    /// The loop-invariant values computed once before their loops, which
+    /// `dse-verify` checks the same way.
+    pub hoist: HoistPlan,
 }
 
 impl RegProgram {
+    /// The first register above everything region `owner` keeps in
+    /// registers — operands, promoted places, hoisted values: where the
+    /// register windows of its callees start.
+    pub fn win(&self, owner: u32) -> u32 {
+        self.promo.win(owner) + self.hoist.regs(owner)
+    }
+
     /// The stack pc a register pc was translated from.
     pub fn origin_pc(&self, reg_pc: usize) -> Pc {
         self.origin.get(reg_pc).copied().unwrap_or(reg_pc as Pc)

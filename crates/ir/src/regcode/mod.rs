@@ -92,6 +92,20 @@
 //! redirect at emission, hot loop bodies over promoted scalars compile to
 //! register-only arithmetic with no shuffle traffic.
 //!
+//! **Hoisting**: between the coalescer's copy propagation and its
+//! dead-write sweep, register arithmetic a loop recomputes on every trip
+//! from registers it never writes — promoted places, constants, frame and
+//! global addresses, values hoisted before — is computed once, in a
+//! register of its own above the region's promoted places, right before
+//! the loop's header on its one entry edge ([`stack_loops`] says which
+//! loops have one; [`invariant_op`] which instructions may move: nothing
+//! that traps, loads or forms a tid address). A value invariant in an
+//! enclosing loop leaves that one too. In the loop the instruction becomes
+//! a copy, its reads on the same straight line read the hoisted register,
+//! and the sweep deletes the copy nothing else reads. Callee windows start
+//! above the hoisted registers ([`RegProgram::win`]); the decisions are
+//! recorded on [`RegProgram::hoist`] for `dse-verify` to prove.
+//!
 //! **Rotation**: a last pass makes every loop trip branch once. A
 //! back-edge `Jump` to a header that is a conditional branch to the
 //! instruction after the `Jump` — alone, or behind one instruction that
@@ -108,9 +122,10 @@
 //! [`for_each_dst`], [`for_each_src`], [`pure_dst`], the coalescer's
 //! renaming and `dse-verify`'s register checks derive from), `flow`
 //! ([`analyze_stack`]), `plan` ([`promotion_plan`] and the report of what
-//! stays in memory and why), `emit` ([`translate_with`]), `coalesce` and
-//! `rotate`, which share one relayout of the code. [`translate`] below is
-//! their composition.
+//! stays in memory and why), `emit` ([`translate_with`]), `coalesce`,
+//! `hoist` (which `coalesce` runs between its passes: [`stack_loops`],
+//! [`HoistPlan`]) and `rotate`, the three sharing one relayout of the
+//! code. [`translate`] below is their composition.
 //!
 //! Site ids, loop marks, and builtin call pcs are preserved verbatim
 //! (each register instruction remembers the stack pc it came from in
@@ -121,12 +136,14 @@
 mod coalesce;
 mod emit;
 mod flow;
+mod hoist;
 mod isa;
 mod plan;
 mod rotate;
 
 pub use emit::translate_with;
 pub use flow::{analyze_stack, AccessShape, PcSet, Place, Slot, StackFlow, Ty, NO_OWNER};
+pub use hoist::{invariant_op, stack_loops, HoistPlan, HoistedLoop, Refusal, StackLoop};
 pub use isa::{
     for_each_dst, for_each_src, pure_dst, Arity, Control, Operands, RInstr, Reg, RegLowerError,
     RegProgram, Write,
@@ -1320,11 +1337,13 @@ mod tests {
 
     #[test]
     fn a_two_instruction_header_is_copied_unless_it_can_trap() {
+        // The body writes `n`, so the bound is computed on every trip (an
+        // invariant one would be hoisted out of the loop).
         let header = |bound: &str| {
             translated(
                 &format!(
                     "int main() {{ long s; long n; n = 7; s = 0;
-                       for (int i = 0; i < {bound}; i++) {{ s = s + i; }}
+                       for (int i = 0; i < {bound}; i++) {{ s = s + i; n = n - 1; }}
                        return (int)s; }}"
                 ),
                 &[],
@@ -1367,6 +1386,162 @@ mod tests {
             )
         });
         assert_eq!(divs, 1, "{code:?}");
+    }
+
+    // ---- loop-invariant hoisting --------------------------------------
+
+    /// Every instruction hoisted out of a loop of region `owner`.
+    fn hoisted(rp: &RegProgram, owner: u32) -> Vec<RInstr> {
+        let loops = rp.hoist.loops.iter().filter(|l| l.owner == owner);
+        loops.flat_map(|l| l.code.iter().copied()).collect()
+    }
+
+    #[test]
+    fn a_three_deep_nest_computes_each_value_before_the_outermost_loop_it_is_invariant_in() {
+        let (prog, _, rp) = translated(
+            "int main() { long a[64]; int n; n = 3;
+               for (int i = 0; i < 4; i++) {
+                 for (int j = 0; j < 4; j++) {
+                   for (int k = 0; k < 4; k++) { a[(i * 4 + j) * 4 + k] = i * n + j * 3 + k; } } }
+               return (int)a[5]; }",
+            &[],
+        );
+        let [outer, middle, inner] = &rp.hoist.loops[..] else {
+            panic!("three loops hoisted out of: {:?}", rp.hoist)
+        };
+        assert!(outer.header < middle.header && middle.header < inner.header);
+        assert!(inner.end <= middle.end && middle.end <= outer.end);
+        // The array's address leaves all three loops.
+        let a = local(&prog, "main", 0);
+        assert!(
+            matches!(outer.code[..], [RInstr::FrameAddr { off, .. }] if off == a),
+            "{outer:?}"
+        );
+        // `i * 4`, `i * n` leave the middle loop; `(i * 4 + j) * 4` and
+        // `j * 3` the inner one.
+        let (i, n) = (main_reg(&prog, &rp, 2), main_reg(&prog, &rp, 1));
+        let reads = |l: &HoistedLoop, r: Reg| {
+            l.code.iter().any(|c| {
+                let mut read = false;
+                for_each_src(c, &prog, &mut |s| read |= s == r);
+                read
+            })
+        };
+        assert!(reads(middle, i) && reads(middle, n), "{middle:?}");
+        assert!(!reads(inner, i), "{inner:?}");
+        // Callee windows and the register file cover the hoisted registers.
+        assert_eq!(
+            rp.hoist.regs[0] as usize,
+            rp.hoist.loops.iter().flat_map(|l| l.regs()).count()
+        );
+        assert!(rp.frame_regs >= rp.win(0));
+    }
+
+    #[test]
+    fn a_value_the_loop_changes_on_one_path_stays_in_the_loop() {
+        let (prog, _, rp) = translated(
+            "int main() { long q; long s; q = 5; s = 0;
+               for (int i = 0; i < 10; i++) { s = s + q * 3; if (i == 6) { q = q + 1; } }
+               return (int)s; }",
+            &[],
+        );
+        let q = main_reg(&prog, &rp, 0);
+        assert!(rp.hoist.loops.is_empty(), "{:?}", rp.hoist);
+        // `s + q * 3`, one indexed add, on every trip.
+        assert!(
+            rp.code
+                .iter()
+                .any(|c| matches!(c, RInstr::AddScaled { r, k: 3, .. } if *r == q)),
+            "{:?}",
+            rp.code
+        );
+    }
+
+    #[test]
+    fn a_division_is_never_hoisted() {
+        let (_, _, rp) = translated(
+            "int main() { long x; long d; long t; x = 100; d = 0; t = 0;
+               for (long i = 0; i < d; i++) { t = t + x / d + i; }
+               return (int)t; }",
+            &[],
+        );
+        assert!(hoisted(&rp, 0).iter().all(|c| !matches!(
+            c,
+            RInstr::IBin {
+                op: IBinOp::Div,
+                ..
+            } | RInstr::IBinImm {
+                op: IBinOp::Div,
+                ..
+            }
+        )));
+        assert_eq!(
+            count(&rp.code, |c| matches!(
+                c,
+                RInstr::IBin {
+                    op: IBinOp::Div,
+                    ..
+                }
+            )),
+            1,
+            "{:?}",
+            rp.code
+        );
+    }
+
+    #[test]
+    fn a_float_constant_is_loaded_once_before_its_loop() {
+        let (_, _, rp) = translated(
+            "int main() { float f; f = 0.0;
+               for (int i = 0; i < 20; i++) { f = f * 0.5 + 1.25; }
+               return (int)f; }",
+            &[],
+        );
+        let consts = |code: &[RInstr]| count(code, |c| matches!(c, RInstr::LdcF { .. }));
+        assert_eq!(consts(&hoisted(&rp, 0)), 2, "{:?}", rp.hoist);
+        // `f = 0.0` before the loop, and the two hoisted constants.
+        assert_eq!(consts(&rp.code), 3, "{:?}", rp.code);
+    }
+
+    #[test]
+    fn a_loop_with_a_call_hoists_below_the_callee_window() {
+        let (prog, _, rp) = translated(
+            "long mix(long h, long v) { return h * 31 + v; }
+             int main() { long h; int n; h = 7; n = 3;
+               for (int i = 0; i < 8; i++) { h = mix(h, n * 7 + 1 + i); }
+               return (int)h; }",
+            &[],
+        );
+        let main = prog.func_by_name("main").expect("main");
+        let regs: Vec<Reg> = rp.hoist.loops.iter().flat_map(|l| l.regs()).collect();
+        assert!(!regs.is_empty(), "{:?}", rp.hoist);
+        let win = rp.win(main);
+        assert!(regs.iter().all(|&r| (r as u32) < win));
+        assert!(rp
+            .code
+            .iter()
+            .any(|c| matches!(*c, RInstr::Call { win: w, .. } if w as u32 == win)));
+    }
+
+    #[test]
+    fn an_inner_loop_of_an_outlined_body_hoists_in_the_body() {
+        let (prog, _, rp) = translated(
+            "int main() { long out[8]; int n; n = 3;
+               #pragma candidate par
+               for (int i = 0; i < 8; i++) {
+                 long acc; acc = 0;
+                 for (int j = 0; j < 5; j++) { acc = acc + (n * 5 + 1) * j + i; }
+                 out[i] = acc; }
+               return (int)out[3]; }",
+            &["par"],
+        );
+        let body = prog.funcs.len() as u32;
+        let code = hoisted(&rp, body);
+        let imm = |op, v| move |c: &RInstr| matches!(*c, RInstr::IBinImm { op: o, imm, .. } if o == op && imm == v);
+        assert!(code.iter().any(imm(IBinOp::Mul, 5)), "{:?}", rp.hoist);
+        assert!(code.iter().any(imm(IBinOp::Add, 1)), "{:?}", rp.hoist);
+        // Nothing leaves the dispatching loop: it runs a parallel loop.
+        assert!(hoisted(&rp, 0).is_empty(), "{:?}", rp.hoist);
     }
 
     #[test]

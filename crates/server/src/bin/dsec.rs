@@ -679,8 +679,10 @@ fn print_ddg(analysis: &Analysis) {
 }
 
 /// `--emit report` under the register backend: per region of the
-/// transformed program, what its translation keeps in registers and, for
-/// each declared object (or global replica) it reaches in memory, why.
+/// transformed program, what its translation keeps in registers, how many
+/// loop-invariant values it computes before their loops (or why none)
+/// and, for each declared object (or global replica) it reaches in memory,
+/// why.
 fn render_registers(
     program: &dse_lang::ast::Program,
     prog: &dse_ir::bytecode::CompiledProgram,
@@ -689,6 +691,10 @@ fn render_registers(
     let flow = dse_ir::analyze_stack(prog)
         .map_err(|e| Failure::diag(format!("register lowering failed: {e}")))?;
     let (plan, kept) = dse_ir::promotion_report(prog, &flow);
+    let hoist = dse_ir::regcode::translate(prog)
+        .map_err(|e| Failure::diag(format!("register lowering failed: {e}")))?
+        .hoist;
+    let loops = dse_ir::regcode::stack_loops(prog, &flow);
     let replicas = dse_ir::global_replicas(prog, &flow);
     let (global_addrs, _) = dse_ir::lower::layout_globals(program);
     let at =
@@ -745,8 +751,33 @@ fn render_registers(
                 .map_or_else(|| format!("global@{addr}"), |g| g.name.clone());
             memory.push(format!("`{name}` (global replica{})", at(span)));
         }
+        let plural = |n: usize, what: &str| format!("{n} {what}{}", if n == 1 { "" } else { "s" });
+        let hoisted = match hoist.regs(owner) as usize {
+            0 => {
+                use dse_ir::regcode::Refusal;
+                let mut mine = loops.iter().filter(|l| l.owner == owner);
+                let why = match mine.clone().find(|l| l.refused.is_none()) {
+                    Some(_) => "no invariant value",
+                    None => match mine.next().and_then(|l| l.refused) {
+                        None => "no loop",
+                        Some(Refusal::Entered) => "no loop entered by one edge",
+                        Some(Refusal::Parallel) => "its loops dispatch parallel loops",
+                        Some(Refusal::SharedCode) => "shared code",
+                    },
+                };
+                format!("nothing hoisted ({why})")
+            }
+            k => {
+                let m = hoist.loops.iter().filter(|l| l.owner == owner).count();
+                format!(
+                    "{} hoisted from {}",
+                    plural(k, "invariant value"),
+                    plural(m, "loop")
+                )
+            }
+        };
         let mut line = format!(
-            "  registers in {}: {promoted} promoted",
+            "  registers in {}: {promoted} promoted, {hoisted}",
             flow.owner_name(prog, owner)
         );
         if shares_code {

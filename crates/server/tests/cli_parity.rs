@@ -105,15 +105,20 @@ fn emit_report_explains_registers_under_the_register_backend_only() {
         .filter(|l| l.starts_with("  registers in "))
         .collect();
     assert_eq!(lines.len(), 4, "one line per region:\n{stdout}");
-    assert_eq!(lines[2], "  registers in main: 3 frame promoted");
+    assert_eq!(
+        lines[2],
+        "  registers in main: 3 frame promoted, nothing hoisted (no invariant value)"
+    );
     // `scale` dispatches the loop and promotes like any function.
     assert!(
-        lines[1].starts_with("  registers in scale: 4 frame promoted; in memory: `cell` ("),
+        lines[1].starts_with(
+            "  registers in scale: 4 frame promoted, nothing hoisted (no loop); in memory: `cell` ("
+        ),
         "{stdout}"
     );
     let body = lines[3];
     for part in [
-        "registers in body of `scale`: 1 tid, 1 read-only promoted",
+        "registers in body of `scale`: 1 tid, 1 read-only promoted, nothing hoisted (no loop)",
         "`cell` (indexed or address taken at 26:",
         "`sum` (stored by body of `scale` at 27:5)",
         "`scratch` (global replica at 25:",

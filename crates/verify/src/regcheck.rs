@@ -18,9 +18,10 @@
 //!   callee window starts above the caller's promoted places), parallel
 //!   regions clobber at or above the body window base, and builtins —
 //!   which run inline — define only their result register. On top of the
-//!   dataflow, two structures are checked against the promotion plan:
-//!   every call's `win` is the first register above its region's operands
-//!   and promoted places, and every region entry starts with exactly the
+//!   dataflow, two structures are checked against the declared plans:
+//!   every call's `win` is the first register above its region's operands,
+//!   promoted places and hoisted values ([`dse_ir::RegProgram::win`]), and
+//!   every region entry starts with exactly the
 //!   entry loads [`dse_ir::PromotionPlan::places`] declares.
 
 use dse_ir::bytecode::{CompiledProgram, RetKind};
@@ -226,8 +227,9 @@ fn def_before_use(prog: &CompiledProgram, rp: &RegProgram, report: &mut Report) 
 }
 
 /// Every call must place its callee's window exactly above the registers
-/// of the region it is in, as the promotion plan sizes them: lower would
-/// let the callee overwrite a promoted place, and nothing spills them.
+/// of the region it is in, as the promotion and hoisting plans size them:
+/// lower would let the callee overwrite a promoted place or a hoisted
+/// value, and nothing spills them.
 fn call_windows(rp: &RegProgram, flow: &StackFlow, report: &mut Report) {
     for (pc, ins) in rp.code.iter().enumerate() {
         let RInstr::Call { win, .. } = *ins else {
@@ -235,13 +237,13 @@ fn call_windows(rp: &RegProgram, flow: &StackFlow, report: &mut Report) {
         };
         let origin = rp.origin_pc(pc);
         let owner = flow.owner.get(origin as usize).copied().unwrap_or(NO_OWNER);
-        let want = rp.promo.win(owner);
+        let want = rp.win(owner);
         if owner != NO_OWNER && win as u32 != want {
             report.push(Diagnostic::new(
                 Code::RegDefUse,
                 format!(
                     "call at reg pc {pc} (stack pc {origin}) places the callee window at \
-                     r{win}, but the promotion plan ends the region's registers at r{want}"
+                     r{win}, but the region's registers end at r{want}"
                 ),
             ));
         }

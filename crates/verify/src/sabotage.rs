@@ -13,6 +13,7 @@
 //! step can drive it end to end.
 
 use dse_ir::bytecode::{CompiledProgram, Instr};
+use dse_ir::regcode::Write;
 use dse_ir::sites::NO_SITE;
 use dse_ir::{for_each_dst, for_each_src, Place, PromotedPlace, RInstr, RegProgram};
 
@@ -42,10 +43,14 @@ pub enum Kind {
     /// Drop a promoted narrow store's sign-extension: a `Sext` becomes a
     /// no-op move, an `IBinSext`/`IBinImmSext` its plain op.
     SkipSext,
+    /// Declare — and consistently emit — the hoist of an instruction whose
+    /// operand the loop writes: every trip would reuse the value computed
+    /// before the first. The code matches the plan; the plan is wrong.
+    HoistVariant,
 }
 
 /// All kinds, in lint-code order — the CI mutation-smoke step iterates this.
-pub const ALL: [Kind; 8] = [
+pub const ALL: [Kind; 9] = [
     Kind::StackDepth,
     Kind::BadJump,
     Kind::ShrinkWindow,
@@ -54,6 +59,7 @@ pub const ALL: [Kind; 8] = [
     Kind::SwapReg,
     Kind::TidStride,
     Kind::SkipSext,
+    Kind::HoistVariant,
 ];
 
 impl Kind {
@@ -68,6 +74,7 @@ impl Kind {
             Kind::SwapReg => "swap-reg",
             Kind::TidStride => "tid-stride",
             Kind::SkipSext => "skip-sext",
+            Kind::HoistVariant => "hoist-variant",
         }
     }
 
@@ -82,9 +89,11 @@ impl Kind {
             Kind::StackDepth => Code::StackDiscipline,
             Kind::BadJump => Code::StackBounds,
             Kind::ShrinkWindow => Code::RegWindowBounds,
-            Kind::PromoteShared | Kind::DropWriteback | Kind::SwapReg | Kind::TidStride => {
-                Code::TranslationDivergence
-            }
+            Kind::PromoteShared
+            | Kind::DropWriteback
+            | Kind::SwapReg
+            | Kind::TidStride
+            | Kind::HoistVariant => Code::TranslationDivergence,
             Kind::SkipSext => Code::TranslationPrecision,
         }
     }
@@ -264,6 +273,91 @@ pub fn sabotage_reg(prog: &CompiledProgram, rp: &mut RegProgram, kind: Kind) -> 
             }
             false
         }
+        Kind::HoistVariant => hoist_variant(prog, rp),
         _ => false,
     }
+}
+
+/// [`Kind::HoistVariant`]: in the last loop of its region anything was
+/// hoisted out of, the first instruction hoisting allows that computes an
+/// operand register from a promoted register the loop writes gets the
+/// region's next hoisted register, computed in the pre-header, and becomes
+/// a copy of it.
+fn hoist_variant(prog: &CompiledProgram, rp: &mut RegProgram) -> bool {
+    let loops = &rp.hoist.loops;
+    let site = (0..loops.len()).rev().find_map(|i| {
+        let l = &loops[i];
+        if loops[i + 1..].iter().any(|m| m.owner == l.owner) {
+            return None;
+        }
+        let (lo, hi) = (reg_lo(rp, l.header), reg_lo(rp, l.end));
+        let maxd = rp.promo.maxd[l.owner as usize] as u16;
+        let mut written: Vec<u16> = Vec::new();
+        for ins in &rp.code[lo..hi] {
+            for_each_dst(ins, &mut |r| written.push(r));
+        }
+        (lo..hi).find_map(|j| {
+            let mut ins = rp.code[j];
+            if !dse_ir::regcode::invariant_op(&ins) || matches!(ins, RInstr::Mov { .. }) {
+                return None;
+            }
+            let ops = ins.operands_mut();
+            let variant = ops
+                .srcs
+                .into_iter()
+                .flatten()
+                .any(|s| *s >= maxd && written.contains(s));
+            match ops.dst {
+                Some((Write::Free { .. }, d)) if *d < maxd && variant => Some((i, j, *d)),
+                _ => None,
+            }
+        })
+    });
+    let Some((i, j, d)) = site else {
+        return false;
+    };
+    let (owner, header) = (rp.hoist.loops[i].owner, rp.hoist.loops[i].header);
+    let h = rp.win(owner) as u16;
+    let mut hoisted = rp.code[j];
+    if let Some((_, r)) = hoisted.operands_mut().dst {
+        *r = h;
+    }
+    rp.code[j] = RInstr::Mov { d, s: h };
+    // The pre-header's last instruction, in front of the header: branches
+    // to the header and everything after it move up by one.
+    let at = reg_lo(rp, header);
+    for ins in &mut rp.code {
+        if let Some(t) = ins.jump_target_mut() {
+            if *t as usize >= at {
+                *t += 1;
+            }
+        }
+    }
+    for e in rp.entry_map.values_mut() {
+        if *e as usize >= at {
+            *e += 1;
+        }
+    }
+    rp.code.insert(at, hoisted);
+    rp.origin.insert(at, header - 1);
+    rp.hoist.loops[i].code.push(hoisted);
+    rp.hoist.regs[owner as usize] += 1;
+    // The region's callee windows start above the new register.
+    let Ok(flow) = dse_ir::analyze_stack(prog) else {
+        return false;
+    };
+    for (pc, ins) in rp.code.iter_mut().enumerate() {
+        if let RInstr::Call { win, .. } = ins {
+            if flow.owner.get(rp.origin[pc] as usize) == Some(&owner) {
+                *win += 1;
+            }
+        }
+    }
+    rp.frame_regs = rp.frame_regs.max(h as u32 + 1);
+    true
+}
+
+/// The first register pc translated from stack pc `pc` or later.
+fn reg_lo(rp: &RegProgram, pc: u32) -> usize {
+    rp.origin.partition_point(|&o| o < pc)
 }

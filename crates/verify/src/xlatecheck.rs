@@ -23,7 +23,7 @@
 //!   nested `ParLoop` carries the homes of every stored place as part of
 //!   its effect (and both sides forget every replica after it), and at
 //!   each `Ret` of an outlined body the home of every place the plan
-//!   writes back equals its logical value — and
+//!   writes back equals its logical value —
 //! * the exits themselves correspond — same kind, same branch condition
 //!   and polarity, and the register target is exactly the translation of
 //!   the stack target (branches into a region entry must land *after* its
@@ -36,7 +36,17 @@
 //!   of the pc after block `h`. `IncJumpICmpImm`/`IncJumpICmp` are the
 //!   increment's `Sext(w, IBin(Add, d, step))` and the compare of it; the
 //!   composed block's slots, places and effects are compared as any
-//!   block's are.
+//!   block's are —
+//! * and a register hoisted out of a loop holds, where each block of the
+//!   loop starts, its declared pre-header term over the values its inputs
+//!   have there: the declared hoisting plan names only loops the stack
+//!   code enters by falling into their header alone, its pre-header code
+//!   computes each hoisted register from promoted or earlier hoisted ones
+//!   without trapping, loading or forming a tid address, the pre-header
+//!   block leaves each one holding that term, and no block of the loop
+//!   writes a hoisted register or an input (no register write, no store
+//!   to the promoted place). Nothing of the stack side corresponds to a
+//!   hoisted register; it is bound the way a promoted place is.
 //!
 //! Terms live in one hash-consed arena shared by both sides, so
 //! equivalence is pointer equality. Unknown memory reads are `Load` terms
@@ -57,9 +67,11 @@ use dse_lang::fasthash::HashMap;
 use dse_ir::bytecode::{
     Builtin, CmpOp, CompiledProgram, FBinOp, IBinOp, Instr, LoopEvent, Pc, RetKind,
 };
+use dse_ir::regcode::{invariant_op, stack_loops, HoistedLoop, Write};
 use dse_ir::sites::{SiteId, NO_SITE};
 use dse_ir::{
-    promotion_plan, Place, PromotedPlace, RInstr, Reg, RegProgram, StackFlow, Ty, NO_OWNER,
+    for_each_dst, for_each_src, promotion_plan, Place, PromotedPlace, RInstr, Reg, RegProgram,
+    StackFlow, Ty, NO_OWNER,
 };
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
@@ -74,12 +86,23 @@ pub fn check(
     report: &mut Report,
 ) -> bool {
     let before = report.count(Severity::Error);
-    if !check_plan(prog, rp, flow, report) {
+    if !check_plan(prog, rp, flow, report) || !check_hoist_plan(prog, rp, flow, report) {
         return false;
     }
     let mut v = Validator::new(prog, rp, flow);
+    // The hoisted loops around each block, outermost first (blocks come
+    // in pc order; the loops nest).
+    let loops = &rp.hoist.loops;
+    let (mut next, mut around) = (0usize, Vec::new());
     for block in v.blocks() {
-        v.check_block(block, report);
+        around.retain(|l: &&HoistedLoop| block.start < l.end as usize);
+        while let Some(l) = loops.get(next).filter(|l| l.header as usize <= block.start) {
+            if block.start < l.end as usize {
+                around.push(l);
+            }
+            next += 1;
+        }
+        v.check_block(block, &around, report);
     }
     report.count(Severity::Error) == before
 }
@@ -123,6 +146,98 @@ fn check_plan(
         ),
     ));
     false
+}
+
+/// Checks the declared hoisting plan against the loops the stack code
+/// has: each hoisted loop is one [`stack_loops`] derives as hoistable,
+/// and its pre-header code writes the region's hoisted registers in order,
+/// each from promoted registers or registers hoisted before it, with
+/// instructions that can neither trap nor touch memory nor form a tid
+/// address. That the loop never writes what the code reads is proven
+/// block by block ([`Validator::check_block`]).
+fn check_hoist_plan(
+    prog: &CompiledProgram,
+    rp: &RegProgram,
+    flow: &StackFlow,
+    report: &mut Report,
+) -> bool {
+    let derived = stack_loops(prog, flow);
+    let plan = &rp.hoist;
+    let mut fail = |why: String| {
+        report.push(Diagnostic::new(
+            Code::TranslationDivergence,
+            format!("the declared hoisting plan is not justified: {why}"),
+        ));
+        false
+    };
+    // Per region: its next hoisted register.
+    let mut next: Vec<u32> = (0..flow.n_owners() as u32)
+        .map(|o| rp.promo.win(o))
+        .collect();
+    for (i, l) in plan.loops.iter().enumerate() {
+        let hoistable = derived
+            .binary_search_by_key(&l.header, |d| d.header)
+            .ok()
+            .map(|k| derived[k])
+            .filter(|d| d.refused.is_none() && (d.owner, d.end) == (l.owner, l.end));
+        if hoistable.is_none() || (i > 0 && plan.loops[i - 1].header >= l.header) {
+            return fail(format!(
+                "stack pcs {}..{} of {} are no loop it may hoist out of",
+                l.header,
+                l.end,
+                flow.owner_name(prog, l.owner)
+            ));
+        }
+        let o = l.owner as usize;
+        // Readable: promoted places, and registers hoisted out of this loop
+        // before, or out of one around it (whose code comes earlier).
+        let (maxd, win, mine) = (rp.promo.maxd[o], rp.promo.win(l.owner), next[o]);
+        let outer: Vec<Reg> = plan.loops[..i]
+            .iter()
+            .filter(|a| a.owner == l.owner && a.header < l.header && l.end <= a.end)
+            .flat_map(HoistedLoop::regs)
+            .collect();
+        let mut last: Option<Reg> = None;
+        for ins in &l.code {
+            let mut probe = *ins;
+            let ops = probe.operands_mut();
+            let readable = |r: Reg| {
+                let r32 = r as u32;
+                (maxd..win).contains(&r32) || (mine..next[o]).contains(&r32) || outer.contains(&r)
+            };
+            let srcs_ok = ops.srcs.into_iter().flatten().all(|s| readable(*s));
+            // Each writes the region's next register, or, in place, the
+            // one just written.
+            let ok = invariant_op(ins)
+                && match ops.dst {
+                    Some((Write::Free { .. }, d)) if *d as u32 == next[o] && srcs_ok => {
+                        last = Some(*d);
+                        true
+                    }
+                    Some((Write::InPlace, d)) => last == Some(*d),
+                    _ => false,
+                };
+            if !ok {
+                return fail(format!(
+                    "{ins:?} in the pre-header of stack pcs {}..{} does not compute a \
+                     hoisted register from promoted or hoisted ones",
+                    l.header, l.end
+                ));
+            }
+            next[o] = next[o].max(last.map_or(0, |d| d as u32 + 1));
+        }
+    }
+    for (o, &n) in next.iter().enumerate() {
+        if n - rp.promo.win(o as u32) != plan.regs(o as u32) {
+            return fail(format!(
+                "{} declares {} hoisted register(s), its loops write {}",
+                flow.owner_name(prog, o as u32),
+                plan.regs(o as u32),
+                n - rp.promo.win(o as u32)
+            ));
+        }
+    }
+    true
 }
 
 type TermId = u32;
@@ -508,7 +623,9 @@ impl<'p> Validator<'p> {
         }
     }
 
-    fn check_block(&mut self, b: Block, report: &mut Report) {
+    /// Proves block `b` — inside the hoisted loops `around`, outermost
+    /// first — equivalent under the two backends.
+    fn check_block(&mut self, b: Block, around: &[&HoistedLoop], report: &mut Report) {
         let own = self.flow.owner[b.start];
         let rp = self.rp;
         let promo = Promo {
@@ -548,14 +665,16 @@ impl<'p> Validator<'p> {
         let mut stack_side = StackSide {
             stack: stack_vals,
             logical: HashMap::default(),
+            stored: Vec::new(),
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
         };
         self.run_stack(b, promo, &mut stack_side);
-        let mut reg_side = self.run_reg(b, promo, regs, report);
+        let mut reg_side = self.run_reg(b, promo, regs, around, report);
 
         let loc = format!("stack block {}..{}", b.start, b.end);
+        self.check_hoisted(&loc, b, around, &stack_side, &mut reg_side, report);
         if let (&Exit::Jump(h), Exit::Cond { .. }) = (&stack_side.exit, &reg_side.exit) {
             self.through_header(&loc, b, h as usize, promo, &mut stack_side, report);
         }
@@ -684,6 +803,74 @@ impl<'p> Validator<'p> {
 
         // Exit correspondence.
         self.check_exits(&loc, &stack_side.exit, &reg_side.exit, report);
+    }
+
+    /// The rule hoisting rests on. A block of a hoisted loop starts with
+    /// each hoisted register bound to its pre-header term over the entry
+    /// values of what it reads ([`Validator::run_reg`]); that holds if the
+    /// loop is entered only from its pre-header (the plan check) and no
+    /// block of it writes a hoisted register or anything the pre-header
+    /// reads: no register write on the register side, no store to the
+    /// promoted place on the stack side. The pre-header block itself must
+    /// leave each hoisted register holding its term over its exit values.
+    fn check_hoisted(
+        &mut self,
+        loc: &str,
+        b: Block,
+        around: &[&HoistedLoop],
+        stack_side: &StackSide,
+        reg_side: &mut RegSide<'p>,
+        report: &mut Report,
+    ) {
+        let prog = self.prog;
+        for l in around {
+            let mut held: Vec<Reg> = Vec::new();
+            for ins in &l.code {
+                for_each_dst(ins, &mut |r| held.push(r));
+                for_each_src(ins, prog, &mut |r| held.push(r));
+            }
+            let stored = stack_side.stored.iter().chain(&reg_side.wrote);
+            let clobbered = reg_side.clobbered_from;
+            let hit = stored.copied().find(|r| held.contains(r)).or_else(|| {
+                held.iter()
+                    .copied()
+                    .find(|&r| clobbered.is_some_and(|c| c <= r))
+            });
+            if let Some(r) = hit {
+                report.push(Diagnostic::new(
+                    Code::TranslationDivergence,
+                    format!(
+                        "{loc}: r{r} is written inside the loop at stack pcs {}..{}, \
+                         whose hoisted values it holds or feeds",
+                        l.header, l.end
+                    ),
+                ));
+            }
+        }
+        let loops = &self.rp.hoist.loops;
+        let Ok(at) = loops.binary_search_by_key(&(b.end as Pc), |l| l.header) else {
+            return;
+        };
+        let l = &loops[at];
+        let before: Vec<(Reg, Option<TermId>)> = l
+            .regs()
+            .map(|h| (h, reg_side.regs.get(h as usize).copied().flatten()))
+            .collect();
+        for &ins in &l.code {
+            pure_step(&mut self.arena, reg_side, ins);
+        }
+        for (h, was) in before {
+            if reg_side.regs.get(h as usize).copied().flatten() != was {
+                report.push(Diagnostic::new(
+                    Code::TranslationDivergence,
+                    format!(
+                        "{loc}: the pre-header of the loop at stack pcs {}..{} leaves \
+                         hoisted r{h} out of sync with the value it declares",
+                        l.header, l.end
+                    ),
+                ));
+            }
+        }
     }
 
     fn check_exits(&self, loc: &str, s: &Exit, r: &Exit, report: &mut Report) {
@@ -840,6 +1027,7 @@ impl<'p> Validator<'p> {
                                 v
                             };
                             s.logical.insert(p.reg, stored);
+                            s.stored.push(p.reg);
                         }
                         None => s.effects.push(Effect::Store {
                             a,
@@ -964,6 +1152,7 @@ impl<'p> Validator<'p> {
                         if matches!(p.place, Place::FrameTid { .. }) {
                             let after = self.arena.mk(Term::RegionMem { e, r: p.reg });
                             s.logical.insert(p.reg, after);
+                            s.stored.push(p.reg);
                         }
                     }
                 }
@@ -1033,6 +1222,7 @@ impl<'p> Validator<'p> {
         b: Block,
         promo: Promo<'p>,
         regs: Vec<Option<TermId>>,
+        around: &[&HoistedLoop],
         report: &mut Report,
     ) -> RegSide<'p> {
         let lo = self.reg_lo(b.start);
@@ -1044,7 +1234,21 @@ impl<'p> Validator<'p> {
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
+            guard: self
+                .rp
+                .promo
+                .maxd
+                .get(promo.own as usize)
+                .map_or(0, |&m| m as Reg),
+            wrote: Vec::new(),
+            clobbered_from: None,
         };
+        // Inside a hoisted loop, each hoisted register holds its
+        // pre-header term over what it reads at block entry.
+        for ins in around.iter().flat_map(|l| &l.code) {
+            pure_step(&mut self.arena, &mut r, *ins);
+        }
+        r.wrote.clear();
         let loc = format!("stack block {}..{}", b.start, b.end);
         let mut ended = false;
         for pc in lo..hi {
@@ -1055,13 +1259,11 @@ impl<'p> Validator<'p> {
                 ));
                 break;
             }
-            match self.rp.code[pc] {
-                RInstr::LdcI { d, v } => r.w(d, self.arena.mk(Term::ConstI(v))),
-                RInstr::LdcF { d, v } => r.w(d, self.arena.mk(Term::ConstF(v.to_bits()))),
-                RInstr::Mov { d, s } => {
-                    let t = r.read(&mut self.arena, s);
-                    r.w(d, t);
-                }
+            let ins = self.rp.code[pc];
+            if pure_step(&mut self.arena, &mut r, ins) {
+                continue;
+            }
+            match ins {
                 RInstr::Tuck { d } => {
                     let a = r.read(&mut self.arena, d);
                     let b2 = r.read(&mut self.arena, d + 1);
@@ -1069,8 +1271,6 @@ impl<'p> Validator<'p> {
                     r.w(d + 1, a);
                     r.w(d + 2, b2);
                 }
-                RInstr::FrameAddr { d, off } => r.w(d, self.arena.mk(Term::FrameAddr(off))),
-                RInstr::GlobalAddr { d, addr } => r.w(d, self.arena.mk(Term::GlobalAddr(addr))),
                 RInstr::TidScaled { d, k } => r.w(d, self.arena.mk(Term::TidScaled(k))),
                 RInstr::TidSpanScaled { d, z } => {
                     let span = r.read(&mut self.arena, d);
@@ -1254,35 +1454,6 @@ impl<'p> Validator<'p> {
                         store_site,
                     });
                 }
-                RInstr::IBin { op, d, l, r: rr } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = r.read(&mut self.arena, rr);
-                    r.w(d, self.arena.mk(Term::IBin(op, lt, rt)));
-                }
-                RInstr::IBinImm { op, d, l, imm } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = self.arena.mk(Term::ConstI(imm));
-                    r.w(d, self.arena.mk(Term::IBin(op, lt, rt)));
-                }
-                // The fused forms are the terms of the instructions they
-                // replace: `Sext(w, IBin(..))`, and the `PushI(k); IBin(Mul);
-                // IBin(Add)` address, loaded from by `LoadIdx`.
-                RInstr::IBinSext { op, d, l, r: rr, w } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = r.read(&mut self.arena, rr);
-                    let t = self.arena.mk(Term::IBin(op, lt, rt));
-                    r.w(d, self.arena.mk(Term::Sext(w, t)));
-                }
-                RInstr::IBinImmSext { op, d, l, imm, w } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = self.arena.mk(Term::ConstI(imm));
-                    let t = self.arena.mk(Term::IBin(op, lt, rt));
-                    r.w(d, self.arena.mk(Term::Sext(w, t)));
-                }
-                RInstr::AddScaled { d, l, r: rr, k } => {
-                    let t = r.scaled(&mut self.arena, l, rr, k);
-                    r.w(d, t);
-                }
                 RInstr::LoadIdx {
                     d,
                     b: rb,
@@ -1305,38 +1476,6 @@ impl<'p> Validator<'p> {
                         }),
                     );
                 }
-                RInstr::FBin { op, d, l, r: rr } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = r.read(&mut self.arena, rr);
-                    r.w(d, self.arena.mk(Term::FBin(op, lt, rt)));
-                }
-                RInstr::ICmp { op, d, l, r: rr } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = r.read(&mut self.arena, rr);
-                    r.w(d, self.arena.mk(Term::ICmp(op, lt, rt)));
-                }
-                RInstr::ICmpImm { op, d, l, imm } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = self.arena.mk(Term::ConstI(imm));
-                    r.w(d, self.arena.mk(Term::ICmp(op, lt, rt)));
-                }
-                RInstr::FCmp { op, d, l, r: rr } => {
-                    let lt = r.read(&mut self.arena, l);
-                    let rt = r.read(&mut self.arena, rr);
-                    r.w(d, self.arena.mk(Term::FCmp(op, lt, rt)));
-                }
-                RInstr::INeg { d } => r.in_place(&mut self.arena, d, Term::INeg),
-                RInstr::FNeg { d } => r.in_place(&mut self.arena, d, Term::FNeg),
-                RInstr::BNot { d } => r.in_place(&mut self.arena, d, Term::BNot),
-                RInstr::LNot { d } => r.in_place(&mut self.arena, d, Term::LNot),
-                RInstr::I2F { d } => r.in_place(&mut self.arena, d, Term::I2F),
-                RInstr::F2I { d } => r.in_place(&mut self.arena, d, Term::F2I),
-                RInstr::Sext { d, w } => {
-                    let t = r.read(&mut self.arena, d);
-                    r.w(d, self.arena.mk(Term::Sext(w, t)));
-                }
-                RInstr::Fsqrt { d } => r.in_place(&mut self.arena, d, Term::Fsqrt),
-                RInstr::Fabs { d } => r.in_place(&mut self.arena, d, Term::Fabs),
                 RInstr::Tid { d } => r.w(d, self.arena.mk(Term::Tid)),
                 RInstr::NThreads { d } => r.w(d, self.arena.mk(Term::NThreads)),
                 RInstr::Jump { t } => {
@@ -1457,7 +1596,7 @@ impl<'p> Validator<'p> {
                     }
                     // The callee window must start above everything this
                     // region keeps in registers; it clobbers from there up.
-                    let want = self.rp.promo.win(promo.own);
+                    let want = self.rp.win(promo.own);
                     if win as u32 != want {
                         report.push(Diagnostic::new(
                             Code::TranslationDivergence,
@@ -1523,6 +1662,7 @@ impl<'p> Validator<'p> {
                     let uid = r.effects.len() as u32 - 1;
                     // The body region's window starts at `lo`, and it may
                     // have written any replica.
+                    r.clobbered_from = Some(r.clobbered_from.map_or(rl, |c| c.min(rl)));
                     for k in rl as usize..r.regs.len() {
                         r.regs[k] = Some(self.arena.mk(Term::Havoc {
                             e: uid,
@@ -1559,6 +1699,7 @@ impl<'p> Validator<'p> {
                     ));
                     ended = true;
                 }
+                _ => unreachable!("pure_step handles {ins:?}"),
             }
         }
         r
@@ -1570,6 +1711,8 @@ struct StackSide {
     /// Logical values of the promoted places the block touched, by the
     /// place's register.
     logical: HashMap<Reg, TermId>,
+    /// The registers of the promoted places the block stored.
+    stored: Vec<Reg>,
     effects: Vec<Effect>,
     /// `FrameAddrTid`/`GlobalAddrTid` executed for places left in memory:
     /// the block's contribution to `counters.private_direct`.
@@ -1610,6 +1753,12 @@ struct RegSide<'p> {
     /// Tid-strided addresses formed, by a producer or inside a fused access.
     tid_addrs: u32,
     exit: Exit,
+    /// The region's first register above its operands.
+    guard: Reg,
+    /// The registers at or above `guard` the block wrote.
+    wrote: Vec<Reg>,
+    /// The lowest register a nested parallel region clobbered.
+    clobbered_from: Option<Reg>,
 }
 
 impl RegSide<'_> {
@@ -1668,12 +1817,94 @@ impl RegSide<'_> {
         if let Some(slot) = self.regs.get_mut(r as usize) {
             *slot = Some(t);
         }
+        if r >= self.guard {
+            self.wrote.push(r);
+        }
     }
     fn in_place(&mut self, arena: &mut Arena, d: Reg, mk: fn(TermId) -> Term) {
         let t = self.read(arena, d);
         let t = arena.mk(mk(t));
         self.w(d, t);
     }
+}
+
+/// Steps the register side over `ins` when it is a pure register write —
+/// arithmetic, a constant, an address, a copy — and says whether it was.
+/// The same terms bind a hoisted register where its loop's blocks start.
+fn pure_step(a: &mut Arena, r: &mut RegSide<'_>, ins: RInstr) -> bool {
+    match ins {
+        RInstr::LdcI { d, v } => r.w(d, a.mk(Term::ConstI(v))),
+        RInstr::LdcF { d, v } => r.w(d, a.mk(Term::ConstF(v.to_bits()))),
+        RInstr::Mov { d, s } => {
+            let t = r.read(a, s);
+            r.w(d, t);
+        }
+        RInstr::FrameAddr { d, off } => r.w(d, a.mk(Term::FrameAddr(off))),
+        RInstr::GlobalAddr { d, addr } => r.w(d, a.mk(Term::GlobalAddr(addr))),
+        RInstr::IBin { op, d, l, r: rr } => {
+            let lt = r.read(a, l);
+            let rt = r.read(a, rr);
+            r.w(d, a.mk(Term::IBin(op, lt, rt)));
+        }
+        RInstr::IBinImm { op, d, l, imm } => {
+            let lt = r.read(a, l);
+            let rt = a.mk(Term::ConstI(imm));
+            r.w(d, a.mk(Term::IBin(op, lt, rt)));
+        }
+        // The fused forms are the terms of the instructions they
+        // replace: `Sext(w, IBin(..))`, and the `PushI(k); IBin(Mul);
+        // IBin(Add)` address, loaded from by `LoadIdx`.
+        RInstr::IBinSext { op, d, l, r: rr, w } => {
+            let lt = r.read(a, l);
+            let rt = r.read(a, rr);
+            let t = a.mk(Term::IBin(op, lt, rt));
+            r.w(d, a.mk(Term::Sext(w, t)));
+        }
+        RInstr::IBinImmSext { op, d, l, imm, w } => {
+            let lt = r.read(a, l);
+            let rt = a.mk(Term::ConstI(imm));
+            let t = a.mk(Term::IBin(op, lt, rt));
+            r.w(d, a.mk(Term::Sext(w, t)));
+        }
+        RInstr::AddScaled { d, l, r: rr, k } => {
+            let t = r.scaled(a, l, rr, k);
+            r.w(d, t);
+        }
+        RInstr::FBin { op, d, l, r: rr } => {
+            let lt = r.read(a, l);
+            let rt = r.read(a, rr);
+            r.w(d, a.mk(Term::FBin(op, lt, rt)));
+        }
+        RInstr::ICmp { op, d, l, r: rr } => {
+            let lt = r.read(a, l);
+            let rt = r.read(a, rr);
+            r.w(d, a.mk(Term::ICmp(op, lt, rt)));
+        }
+        RInstr::ICmpImm { op, d, l, imm } => {
+            let lt = r.read(a, l);
+            let rt = a.mk(Term::ConstI(imm));
+            r.w(d, a.mk(Term::ICmp(op, lt, rt)));
+        }
+        RInstr::FCmp { op, d, l, r: rr } => {
+            let lt = r.read(a, l);
+            let rt = r.read(a, rr);
+            r.w(d, a.mk(Term::FCmp(op, lt, rt)));
+        }
+        RInstr::INeg { d } => r.in_place(a, d, Term::INeg),
+        RInstr::FNeg { d } => r.in_place(a, d, Term::FNeg),
+        RInstr::BNot { d } => r.in_place(a, d, Term::BNot),
+        RInstr::LNot { d } => r.in_place(a, d, Term::LNot),
+        RInstr::I2F { d } => r.in_place(a, d, Term::I2F),
+        RInstr::F2I { d } => r.in_place(a, d, Term::F2I),
+        RInstr::Sext { d, w } => {
+            let t = r.read(a, d);
+            r.w(d, a.mk(Term::Sext(w, t)));
+        }
+        RInstr::Fsqrt { d } => r.in_place(a, d, Term::Fsqrt),
+        RInstr::Fabs { d } => r.in_place(a, d, Term::Fabs),
+        _ => return false,
+    }
+    true
 }
 
 // `NO_OWNER` guards unreachable leaders; blocks are only built for
