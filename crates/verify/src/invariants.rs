@@ -43,7 +43,7 @@ use dse_lang::printer;
 use dse_lang::types::Type;
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::mustflow::{Fact, Flow, Pass, Stores};
+use crate::mustflow::{Fact, Flow, Held, Pass, Stores};
 
 /// Runs all transform-invariant checks, appending findings to `report`.
 /// `eids` indexes the original program, whose accesses (and spans) the
@@ -801,10 +801,10 @@ struct Freshness<'a> {
 impl<'a> Pass<'a> for Freshness<'a> {
     type Key = VarBinding;
 
-    fn read(&mut self, e: &'a Expr, facts: &[Fact<VarBinding>], _: &[&'a Stmt]) {
+    fn read(&mut self, e: &'a Expr, facts: Held<'_, VarBinding>, _: &[&'a Stmt]) {
         let Some(slot) = hoisted_slot(e) else { return };
         let flagged = self.stale_uses.iter().any(|&(s, _)| s == slot);
-        if !flagged && !facts.iter().any(|f| f.key == slot) {
+        if !flagged && !facts.holds(&slot) {
             self.stale_uses.push((slot, e));
         }
     }
@@ -833,7 +833,7 @@ fn check_hoisted_redirections(t: &Transformed, report: &mut Report) {
             stale_uses: Vec::new(),
         };
         let mut flow = Flow::new(&stores, fresh);
-        flow.block(&f.body, Some(Vec::new()));
+        flow.function(&f.body);
         for (slot, e) in flow.pass.stale_uses {
             let VarBinding::Local(k) = slot else { continue };
             let name = &f.locals[k].name;

@@ -48,7 +48,7 @@ use dse_lang::printer;
 use dse_lang::source::SourceSpan;
 
 use crate::diag::{Code, Diagnostic, Report};
-use crate::mustflow::{Fact, Flow, Pass, Stores};
+use crate::mustflow::{Fact, Flow, Held, Pass, Stores};
 
 /// One access class of a candidate loop, with the profiled verdict and the
 /// static one side by side (`dsec --emit ddg` renders these).
@@ -344,6 +344,19 @@ impl PartialEq for Cover<'_> {
     }
 }
 
+impl Eq for Cover<'_> {}
+
+/// Consistent with `eq`: the kind of cover and the binding it is over.
+impl std::hash::Hash for Cover<'_> {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Cover::Scalar(b) | Cover::Element(_, b) => b.hash(h),
+            Cover::Range(_) => {}
+        }
+    }
+}
+
 /// Pass 1's scan of one candidate body (the module doc lists its facts): a
 /// load of a profiled-private class is covered when a fact of the
 /// iteration says its cell was stored.
@@ -379,11 +392,11 @@ impl<'a> Coverage<'a> {
 impl<'a> Pass<'a> for Coverage<'a> {
     type Key = Cover<'a>;
 
-    fn read(&mut self, e: &'a Expr, facts: &[Fact<Cover<'a>>], loops: &[&'a Stmt]) {
+    fn read(&mut self, e: &'a Expr, facts: Held<'_, Cover<'a>>, loops: &[&'a Stmt]) {
         let Some(&at) = self.load_class.get(&e.eid) else {
             return;
         };
-        let holds = |key: Cover<'a>| facts.iter().any(|f| f.key == key);
+        let holds = |key: Cover<'a>| facts.holds(&key);
         let covered = match &e.kind {
             ExprKind::Var {
                 binding: Some(b), ..
@@ -434,7 +447,7 @@ impl<'a> Pass<'a> for Coverage<'a> {
         }
     }
 
-    fn publish(&mut self, s: &'a Stmt, end: &[Fact<Cover<'a>>]) -> Vec<Fact<Cover<'a>>> {
+    fn publish(&mut self, s: &'a Stmt, end: Held<'_, Cover<'a>>) -> Vec<Fact<Cover<'a>>> {
         let Some((k, [lo, hi])) = self.canonical(s) else {
             return Vec::new();
         };
