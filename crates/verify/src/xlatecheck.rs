@@ -823,19 +823,22 @@ impl<'p> Validator<'p> {
         report: &mut Report,
     ) {
         let prog = self.prog;
+        let written = stack_side.stored.iter().chain(&reg_side.wrote).copied();
         for l in around {
-            let mut held: Vec<Reg> = Vec::new();
-            for ins in &l.code {
-                for_each_dst(ins, &mut |r| held.push(r));
-                for_each_src(ins, prog, &mut |r| held.push(r));
-            }
-            let stored = stack_side.stored.iter().chain(&reg_side.wrote);
+            // The first register the pre-header code reads or writes that
+            // `hit` picks out.
+            let touched = |hit: &dyn Fn(Reg) -> bool| {
+                let mut found = None;
+                for ins in &l.code {
+                    let mut note = |r: Reg| found = found.or(hit(r).then_some(r));
+                    for_each_dst(ins, &mut note);
+                    for_each_src(ins, prog, &mut note);
+                }
+                found
+            };
             let clobbered = reg_side.clobbered_from;
-            let hit = stored.copied().find(|r| held.contains(r)).or_else(|| {
-                held.iter()
-                    .copied()
-                    .find(|&r| clobbered.is_some_and(|c| c <= r))
-            });
+            let hit = (written.clone().find_map(|w| touched(&|r| r == w)))
+                .or_else(|| clobbered.and_then(|c| touched(&|r| r >= c)));
             if let Some(r) = hit {
                 report.push(Diagnostic::new(
                     Code::TranslationDivergence,
@@ -1234,12 +1237,11 @@ impl<'p> Validator<'p> {
             effects: Vec::new(),
             tid_addrs: 0,
             exit: Exit::Fall,
-            guard: self
-                .rp
-                .promo
-                .maxd
-                .get(promo.own as usize)
-                .map_or(0, |&m| m as Reg),
+            // Outside hoisted loops no write needs recording.
+            guard: match around {
+                [] => Reg::MAX,
+                _ => self.rp.promo.maxd[promo.own as usize] as Reg,
+            },
             wrote: Vec::new(),
             clobbered_from: None,
         };
@@ -1753,7 +1755,8 @@ struct RegSide<'p> {
     /// Tid-strided addresses formed, by a producer or inside a fused access.
     tid_addrs: u32,
     exit: Exit,
-    /// The region's first register above its operands.
+    /// Inside a hoisted loop, the region's first register above its
+    /// operands; `Reg::MAX` elsewhere.
     guard: Reg,
     /// The registers at or above `guard` the block wrote.
     wrote: Vec<Reg>,
