@@ -45,9 +45,9 @@ pub struct StackLoop {
 pub fn stack_loops(prog: &CompiledProgram, flow: &StackFlow) -> Vec<StackLoop> {
     let code = &prog.code;
     let n = code.len();
-    // Per target pc: the lowest and highest branch landing on it.
-    let mut lo_src = vec![u32::MAX; n + 1];
-    let mut hi_src = vec![0u32; n + 1];
+    // Per pc: the lowest and highest branch landing on it — a region entry
+    // is landed on from everywhere — and the end of the loop it heads.
+    let mut from = vec![(u32::MAX, 0u32); n + 1];
     let mut end = vec![0u32; n + 1];
     for (pc, ins) in code.iter().enumerate() {
         let (Instr::Jump(t) | Instr::JumpIfZ(t) | Instr::JumpIfNZ(t)) = *ins else {
@@ -57,18 +57,15 @@ pub fn stack_loops(prog: &CompiledProgram, flow: &StackFlow) -> Vec<StackLoop> {
         if flow.states[pc].is_none() || t > n {
             continue;
         }
-        lo_src[t] = lo_src[t].min(pc as u32);
-        hi_src[t] = hi_src[t].max(pc as u32);
+        from[t] = (from[t].0.min(pc as u32), from[t].1.max(pc as u32));
         if t <= pc {
             end[t] = end[t].max(pc as u32 + 1);
         }
     }
-    let mut entry = vec![false; n + 1];
-    for f in &prog.funcs {
-        entry[f.entry as usize] = true;
-    }
-    for &li in &flow.body_loops {
-        entry[prog.loops[li as usize].body_entry as usize] = true;
+    let entries = (prog.funcs.iter().map(|f| f.entry))
+        .chain((flow.body_loops.iter()).map(|&li| prog.loops[li as usize].body_entry));
+    for e in entries {
+        from[e as usize] = (0, u32::MAX);
     }
     let mut loops = Vec::new();
     for header in 0..n {
@@ -94,10 +91,8 @@ pub fn stack_loops(prog: &CompiledProgram, flow: &StackFlow) -> Vec<StackLoop> {
             });
             let inside = |pc: usize| flow.states[pc].is_none() || flow.owner[pc] == own;
             let closed = |pc: usize| {
-                inside(pc)
-                    && !entry[pc]
-                    && (lo_src[pc] == u32::MAX
-                        || (lo_src[pc] as usize >= header && (hi_src[pc] as usize) < e))
+                let (lo, hi) = from[pc];
+                inside(pc) && (lo == u32::MAX || (lo as usize >= header && (hi as usize) < e))
             };
             if before.is_none() || !(header..e).all(closed) {
                 Some(Refusal::Entered)
@@ -248,24 +243,23 @@ pub(super) fn hoist(
         regs: vec![0; win.len()],
         loops: Vec::new(),
     };
-    // Where each emitted index is landed on from: the lowest and highest
-    // branch source, and whether a call or region entry lands there.
-    let mut lo_src = vec![u32::MAX; len + 1];
-    let mut hi_src = vec![0u32; len + 1];
+    if loops.iter().all(|l| l.refused.is_some()) {
+        return plan;
+    }
+    // Per emitted index: the lowest and highest instruction landing on
+    // it; a call or a region entry lands from everywhere.
+    let mut from = vec![(u32::MAX, 0u32); len + 1];
     for (j, ins) in out.iter().enumerate() {
         if let Some(t) = ins.jump_target() {
-            let t = t as usize;
-            let call = matches!(ins, RInstr::Call { .. });
-            lo_src[t] = if call { 0 } else { lo_src[t].min(j as u32) };
-            hi_src[t] = if call {
-                u32::MAX
-            } else {
-                hi_src[t].max(j as u32)
-            };
+            let (lo, hi) = &mut from[t as usize];
+            match ins {
+                RInstr::Call { .. } => (*lo, *hi) = (0, u32::MAX),
+                _ => (*lo, *hi) = ((*lo).min(j as u32), (*hi).max(j as u32)),
+            }
         }
     }
     for &e in entries {
-        (lo_src[e], hi_src[e]) = (0, u32::MAX);
+        from[e] = (0, u32::MAX);
     }
     // `written[r] == stamp`: the loop at hand writes `r`.
     let mut written = vec![0u32; win.iter().map(|&w| w as usize).max().unwrap_or(0)];
@@ -286,7 +280,8 @@ pub(super) fn hoist(
             regpc[l.end as usize] as usize,
         );
         let landed_from_outside = |k: usize| {
-            lo_src[k] != u32::MAX && ((lo_src[k] as usize) < h || hi_src[k] as usize >= eh)
+            let (lo, hi) = from[k];
+            lo != u32::MAX && ((lo as usize) < h || hi as usize >= eh)
         };
         if h == 0 || h >= eh || (h..eh).any(|k| landed_from_outside(k) || owner(k) != l.owner) {
             continue;

@@ -161,8 +161,11 @@ fn check_hoist_plan(
     flow: &StackFlow,
     report: &mut Report,
 ) -> bool {
-    let derived = stack_loops(prog, flow);
     let plan = &rp.hoist;
+    if plan.loops.is_empty() && plan.regs.iter().all(|&n| n == 0) {
+        return true;
+    }
+    let derived = stack_loops(prog, flow);
     let mut fail = |why: String| {
         report.push(Diagnostic::new(
             Code::TranslationDivergence,
@@ -625,7 +628,7 @@ impl<'p> Validator<'p> {
 
     /// Proves block `b` — inside the hoisted loops `around`, outermost
     /// first — equivalent under the two backends.
-    fn check_block(&mut self, b: Block, around: &[&HoistedLoop], report: &mut Report) {
+    fn check_block(&mut self, b: Block, around: &[&'p HoistedLoop], report: &mut Report) {
         let own = self.flow.owner[b.start];
         let rp = self.rp;
         let promo = Promo {
@@ -817,7 +820,7 @@ impl<'p> Validator<'p> {
         &mut self,
         loc: &str,
         b: Block,
-        around: &[&HoistedLoop],
+        around: &[&'p HoistedLoop],
         stack_side: &StackSide,
         reg_side: &mut RegSide<'p>,
         report: &mut Report,
@@ -1225,7 +1228,7 @@ impl<'p> Validator<'p> {
         b: Block,
         promo: Promo<'p>,
         regs: Vec<Option<TermId>>,
-        around: &[&HoistedLoop],
+        around: &[&'p HoistedLoop],
         report: &mut Report,
     ) -> RegSide<'p> {
         let lo = self.reg_lo(b.start);
@@ -1244,13 +1247,8 @@ impl<'p> Validator<'p> {
             },
             wrote: Vec::new(),
             clobbered_from: None,
+            around: around.to_vec(),
         };
-        // Inside a hoisted loop, each hoisted register holds its
-        // pre-header term over what it reads at block entry.
-        for ins in around.iter().flat_map(|l| &l.code) {
-            pure_step(&mut self.arena, &mut r, *ins);
-        }
-        r.wrote.clear();
         let loc = format!("stack block {}..{}", b.start, b.end);
         let mut ended = false;
         for pc in lo..hi {
@@ -1762,9 +1760,27 @@ struct RegSide<'p> {
     wrote: Vec<Reg>,
     /// The lowest register a nested parallel region clobbered.
     clobbered_from: Option<Reg>,
+    /// The hoisted loops around the block, outermost first.
+    around: Vec<&'p HoistedLoop>,
 }
 
-impl RegSide<'_> {
+impl<'p> RegSide<'p> {
+    /// The pre-header instructions that compute hoisted register `r` of a
+    /// loop around the block: the one writing it and any that follow in
+    /// place.
+    fn definition(&self, r: Reg) -> Option<&'p [RInstr]> {
+        let writes = |ins: &RInstr| {
+            let mut w = false;
+            for_each_dst(ins, &mut |d| w |= d == r);
+            w
+        };
+        self.around.iter().find_map(|l| {
+            let at = l.code.iter().position(writes)?;
+            let len = l.code[at..].iter().take_while(|ins| writes(ins)).count();
+            Some(&l.code[at..at + len])
+        })
+    }
+
     fn home(&mut self, arena: &mut Arena, p: &PromotedPlace) -> TermId {
         let promo = self.promo;
         *self
@@ -1807,6 +1823,19 @@ impl RegSide<'_> {
     fn read(&mut self, arena: &mut Arena, r: Reg) -> TermId {
         if let Some(t) = self.regs.get(r as usize).copied().flatten() {
             return t;
+        }
+        // Inside a hoisted loop, a hoisted register holds its pre-header
+        // term over what it reads at block entry: bound when first read
+        // (a block that writes what the term reads is refused anyway).
+        if let Some(def) = self.definition(r) {
+            let guard = std::mem::replace(&mut self.guard, Reg::MAX);
+            for &ins in def {
+                pure_step(arena, self, ins);
+            }
+            self.guard = guard;
+            if let Some(t) = self.regs.get(r as usize).copied().flatten() {
+                return t;
+            }
         }
         // A promoted register the block has not written holds the place's
         // value from before the block — unless the entry loads, which have
