@@ -810,7 +810,7 @@ impl<'p> Validator<'p> {
 
     /// The rule hoisting rests on. A block of a hoisted loop starts with
     /// each hoisted register bound to its pre-header term over the entry
-    /// values of what it reads ([`Validator::run_reg`]); that holds if the
+    /// values of what it reads ([`RegSide::read`]); that holds if the
     /// loop is entered only from its pre-header (the plan check) and no
     /// block of it writes a hoisted register or anything the pre-header
     /// reads: no register write on the register side, no store to the
