@@ -313,7 +313,7 @@ fn hoist_variant(prog: &CompiledProgram, rp: &mut RegProgram) -> bool {
             }
         })
     });
-    let Some((i, j, d)) = site else {
+    let (Some((i, j, d)), Ok(flow)) = (site, dse_ir::analyze_stack(prog)) else {
         return false;
     };
     let (owner, header) = (rp.hoist.loops[i].owner, rp.hoist.loops[i].header);
@@ -343,9 +343,6 @@ fn hoist_variant(prog: &CompiledProgram, rp: &mut RegProgram) -> bool {
     rp.hoist.loops[i].code.push(hoisted);
     rp.hoist.regs[owner as usize] += 1;
     // The region's callee windows start above the new register.
-    let Ok(flow) = dse_ir::analyze_stack(prog) else {
-        return false;
-    };
     for (pc, ins) in rp.code.iter_mut().enumerate() {
         if let RInstr::Call { win, .. } = ins {
             if flow.owner.get(rp.origin[pc] as usize) == Some(&owner) {
